@@ -1,9 +1,9 @@
 """Three explicit Bellman surfaces and their verification toolkit.
 
 Each surface is built from tangent lines to the lower boundary curve of its
-domain, touching the upper boundary; the tangent abscissa v solves a
-monotone scalar equation per point, after which the surface value, gradient
-and second derivatives are closed forms.  The surfaces:
+domain, touching the upper boundary; the tangent abscissa v of a point is a
+branch root of u - log u = c (solvers' root kernel), after which the surface
+value, gradient and second derivatives are closed forms.  The surfaces:
 
 AINF_UPPER  domain 1 <= x e^{-y} <= Q (x = avg w, y = avg log w),
             value = sharp upper bound on avg(w log w);
@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .solvers import RootResult, gamma_entropy_roots, gamma_log
+from .solvers import RootResult, _branch_root, _ops, gamma_entropy_roots, gamma_log
 
 __all__ = [
     "SurfaceKind",
@@ -34,10 +34,13 @@ __all__ = [
     "evaluate",
     "hessian",
     "tangent_linearity_check",
+    "interior_grid",
     "bounds_check_ainf",
 ]
 
 DOMAIN_TOL = 1e-12
+# evaluate_many works in blocks: a tangent solve holds ~15 arrays of its input's size
+_BLOCK = 8192
 
 
 class SurfaceKind(Enum):
@@ -93,48 +96,42 @@ def in_domain(surface: BellmanSurface, x: float, y: float, tol: float = DOMAIN_T
     return 1.0 - slack <= r <= surface.q + slack
 
 
-def _tangent_bracket(surface: BellmanSurface, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tangent_solve(surface: BellmanSurface, x, y):
+    """Tangent abscissa v (float or array), with the kernel's steps and bracket in v.
+
+    u = g x / v (AINF_UPPER) or u = g v / x (GEHRING, AINF_LOWER) turns the
+    tangent equation into u - log u = 1 + c1, GEHRING on the upper branch.
+    By the gamma equation, c1 is c1_lower (log q or q) less the point's
+    height above the lower boundary: c1_lower there (u = g), 0 on the upper
+    boundary (u = 1).  u = g and v = x are exact on the lower boundary, where
+    the value's error is v's error over g (~1e-8 at q = 1e6).
+    """
+    xp = _ops(x)
     g = surface.gamma
     if surface.kind is SurfaceKind.AINF_UPPER:
-        return g * x, x
-    if surface.kind is SurfaceKind.GEHRING:
-        return x / g, x
-    return x, x / g
-
-
-def _tangent_g(surface: BellmanSurface, v: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Tangent equation, oriented to increase in v on the bracket."""
-    g = surface.gamma
+        c1_lower, height = math.log(surface.q), xp.log(x) - y
+    else:
+        c1_lower, height = surface.q, (y - x * xp.log(x)) / x
+    c1 = xp.clip(c1_lower - height, 0.0, c1_lower)
+    u, _, steps, (lo, hi) = _branch_root(c1, upper=surface.kind is SurfaceKind.GEHRING)
+    u = xp.where(c1 == c1_lower, g, u)
     if surface.kind is SurfaceKind.AINF_UPPER:
-        return g * x / v + np.log(v) - g - y
-    val = (np.log(v) + g) * x - g * v - y
-    if surface.kind is SurfaceKind.GEHRING:
-        return -val
-    return val
-
-
-def _tangent_solve(surface: BellmanSurface, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized bisection for the tangent abscissa; ~machine precision."""
-    lo, hi = _tangent_bracket(surface, x)
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        pos = _tangent_g(surface, mid, x, y) > 0.0
-        hi = np.where(pos, mid, hi)
-        lo = np.where(pos, lo, mid)
-    return 0.5 * (lo + hi)
+        return x * (g / u), steps, (x * (g / hi), x * (g / lo))
+    return x * (u / g), steps, (x * (lo / g), x * (hi / g))
 
 
 def tangent_point(surface: BellmanSurface, x: float, y: float) -> RootResult:
-    """Tangent abscissa v for the point; v = x on the lower boundary."""
+    """Tangent abscissa v for the point (v = x on the lower boundary), residual at v."""
     if not in_domain(surface, x, y, tol=1e-9):
         raise DomainError(f"point ({x}, {y}) outside the {surface.kind.value} domain")
-    xa, ya = np.asarray([x], dtype=float), np.asarray([y], dtype=float)
-    v = float(_tangent_solve(surface, xa, ya)[0])
-    residual = float(_tangent_g(surface, np.asarray([v]), xa, ya)[0])
-    lo, hi = _tangent_bracket(surface, np.asarray([x], dtype=float))
-    return RootResult(v, residual, (float(lo[0]), float(hi[0])), 110)
+    x, y = float(x), float(y)
+    v, steps, bracket = _tangent_solve(surface, x, y)
+    g = surface.gamma
+    if surface.kind is SurfaceKind.AINF_UPPER:
+        residual = g * x / v + math.log(v) - g - y
+    else:
+        residual = (math.log(v) + g) * x - g * v - y
+    return RootResult(v, residual, bracket, steps)
 
 
 def _value(surface: BellmanSurface, x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -155,9 +152,7 @@ def _require_eps(surface: BellmanSurface) -> float:
 
 
 def _evaluate_raw(surface: BellmanSurface, x: float, y: float) -> float:
-    xa, ya = np.asarray([x], dtype=float), np.asarray([y], dtype=float)
-    v = _tangent_solve(surface, xa, ya)
-    return float(_value(surface, xa, ya, v)[0])
+    return float(_value(surface, x, y, _tangent_solve(surface, x, y)[0]))
 
 
 def evaluate(surface: BellmanSurface, x: float, y: float) -> float:
@@ -171,10 +166,13 @@ def evaluate(surface: BellmanSurface, x: float, y: float) -> float:
 
 def evaluate_many(surface: BellmanSurface, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Vectorized evaluate without per-point domain checks (grid verifications)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    v = _tangent_solve(surface, x, y)
-    return _value(surface, x, y, v)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    out = np.empty(x.shape)
+    xs, ys, vals = x.reshape(-1), y.reshape(-1), out.reshape(-1)
+    for k in range(0, vals.size, _BLOCK):
+        b = slice(k, k + _BLOCK)
+        vals[b] = _value(surface, xs[b], ys[b], _tangent_solve(surface, xs[b], ys[b])[0])
+    return out
 
 
 @dataclass(frozen=True)
@@ -245,14 +243,13 @@ def hessian(
     if not in_domain(surface, x, y, tol=1e-9):
         raise DomainError(f"point ({x}, {y}) outside the {surface.kind.value} domain")
     warn = False
+    margin = _boundary_margin(surface, x, y)
     if method == "closed":
-        v = float(_tangent_solve(surface, np.asarray([x], float), np.asarray([y], float))[0])
-        margin = _boundary_margin(surface, x, y)
+        v = _tangent_solve(surface, float(x), float(y))[0]
         warn = margin < 1e-10 * max(1.0, abs(x))
         mat = _closed_hessian(surface, x, y, v)
     elif method == "fd":
         h = 1e-5 * max(1.0, abs(x))
-        margin = _boundary_margin(surface, x, y)
         if margin <= 0.0:
             raise DomainError("point is on the boundary; finite differences need interior room")
         if margin < 2.0 * h:
@@ -299,8 +296,21 @@ def tangent_linearity_check(surface: BellmanSurface, v: float, n_samples: int = 
     else:
         ys = (math.log(v) + g) * xs - g * v
     vals = evaluate_many(surface, xs, ys)
-    affine = vals[0] + (vals[-1] - vals[0]) * (xs - xs[0]) / (xs[-1] - xs[0])
+    tau = (xs - xs[0]) / (xs[-1] - xs[0])
+    affine = vals[0] * (1.0 - tau) + vals[-1] * tau  # exact at both ends
     return float(np.max(np.abs(vals - affine)))
+
+
+def interior_grid(surface: BellmanSurface, n_x: int, n_f: int) -> tuple[np.ndarray, np.ndarray]:
+    """n_f-by-n_x grid, flattened: x in [0.3, 3], y 2% ... 98% of the way up the domain."""
+    xs = np.linspace(0.3, 3.0, n_x)
+    fracs = np.linspace(0.02, 0.98, n_f)
+    xg, fg = np.meshgrid(xs, fracs)
+    if surface.entropy_coordinates:
+        yg = xg * np.log(xg) + fg * surface.q * xg
+    else:
+        yg = np.log(xg) - fg * math.log(surface.q)
+    return xg.ravel(), yg.ravel()
 
 
 @dataclass(frozen=True)

@@ -114,8 +114,8 @@ def _cmd_constants(args) -> int:
 
 def _cmd_solve(args) -> int:
     eq = args.equation
-    if eq == "gamma-log":
-        res = solvers.gamma_log(args.q)
+    if eq in ("gamma-log", "eps-minus"):
+        res = (solvers.gamma_log if eq == "gamma-log" else solvers.eps_minus)(args.q)
         payload = {"equation": eq, "q": args.q, "root": res.root, "residual": res.residual}
     elif eq == "gamma-entropy":
         minus, plus = solvers.gamma_entropy_roots(args.q)
@@ -127,9 +127,6 @@ def _cmd_solve(args) -> int:
             "root_plus": plus.root,
             "residual_plus": plus.residual,
         }
-    elif eq == "eps-minus":
-        res = solvers.eps_minus(args.q)
-        payload = {"equation": eq, "q": args.q, "root": res.root, "residual": res.residual}
     elif eq == "gehring-sharp":
         res = solvers.gehring_sharp_eps(args.p, args.k)
         payload = {
@@ -199,18 +196,6 @@ def _cmd_bellman(args) -> int:
     return 0 if ok else 1
 
 
-def _interior_grid(surface: bellman.BellmanSurface, n: int):
-    xs = np.linspace(0.3, 3.0, n)
-    fracs = np.linspace(0.02, 0.98, n)
-    xg, fg = np.meshgrid(xs, fracs)
-    if surface.entropy_coordinates:
-        base = xg * np.log(xg)
-        yg = base + fg * surface.q * xg
-    else:
-        yg = np.log(xg) - fg * math.log(surface.q)
-    return xg.ravel(), yg.ravel()
-
-
 def _verify_surface(surface, what: str, grid: int):
     if what == "bounds":
         if surface.kind is not bellman.SurfaceKind.AINF_UPPER:
@@ -239,7 +224,7 @@ def _verify_surface(surface, what: str, grid: int):
             "passed": ok,
         }
     if what == "hessian":
-        xs, ys = _interior_grid(surface, max(grid, 2))
+        xs, ys = bellman.interior_grid(surface, max(grid, 2), max(grid, 2))
         worst_val = -math.inf
         worst_pt = (math.nan, math.nan)
         for x, y in zip(xs, ys):
@@ -291,17 +276,13 @@ def _cmd_extremal(args) -> int:
         "target": list(extremals.default_target(spec) if target is None else target),
         "pieces": weights.weight_to_dict(w)["pieces"],
     }
-    if family is extremals.Family.GEHRING_BOUNDARY or args.eps is not None or family in (
-        extremals.Family.AINF_UPPER,
-        extremals.Family.FUNNY,
-    ):
-        try:
-            rep = extremals.attainment_check(spec)
-            payload["surface_value"] = rep.surface_value
-            payload["weight_value"] = rep.weight_value
-            payload["gap"] = rep.gap
-        except WeightLabError:
-            pass  # gehring families without eps: attainment needs eps
+    try:
+        rep = extremals.attainment_check(spec)
+        payload["surface_value"] = rep.surface_value
+        payload["weight_value"] = rep.weight_value
+        payload["gap"] = rep.gap
+    except WeightLabError:
+        pass  # gehring families without eps: attainment needs eps
     if args.emit is not None:
         if args.emit.endswith(".json"):
             weights.save_weight(w, args.emit)

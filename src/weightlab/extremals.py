@@ -9,8 +9,6 @@ weight reproduces the surface value exactly, not just approximately.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -163,14 +161,12 @@ def attainment_check(spec: ExtremalSpec, eps: float | None = None) -> Attainment
     x, y = target
     surface = _surface_for(spec)
     full = Interval(0.0, 1.0)
+    value = evaluate(surface, x, y)
     if spec.family is Family.AINF_UPPER:
-        value = evaluate(surface, x, y)
         measured = moment(w, full, MomentKind.AVG_W_LOG_W)
     elif spec.family is Family.FUNNY:
-        value = evaluate(surface, x, y)
         measured = moment(w, full, MomentKind.AVG_LOG_W)
     else:
-        value = evaluate(surface, x, y)
         measured = moment(w, full, MomentKind.AVG_W_POW, p=1.0 + eff_eps)
     scale = max(1.0, abs(value))
     return AttainmentReport(value, measured, (measured - value) / scale, x, y)
@@ -218,21 +214,13 @@ def _sweep_row(q: float) -> tuple[float, float, float]:
     return q, e_ratio, funny_ratio
 
 
-def sharpness_sweep(
-    q_values: tuple[float, ...], max_workers: int | None = None
-) -> list[tuple[float, float, float]]:
+def sharpness_sweep(q_values: tuple[float, ...]) -> list[tuple[float, float, float]]:
     """Ratio-to-asymptote table for the sup-bound constants.
 
     Columns: q, (log g + 1/g - 1)/q for the exp-entropy bound (NaN for q <= 1),
     and the tangent-construction lower bound divided by e^{q+1} - q - 2.
-    Worker count defaults to the WEIGHTLAB_THREADS environment variable.
     """
     for q in q_values:
         if not (q > 0.0 and math.isfinite(q)):
             raise ParameterError(f"sweep needs q > 0, got {q}")
-    if max_workers is None:
-        max_workers = int(os.environ.get("WEIGHTLAB_THREADS", "1"))
-    if max_workers > 1 and len(q_values) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(_sweep_row, q_values))
     return [_sweep_row(q) for q in q_values]

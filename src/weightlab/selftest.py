@@ -29,11 +29,6 @@ GEHRING_B_1_03 = 8.834096854361394
 GEHRING_DIM_1_1 = 0.15946979066683606
 
 
-def _envelope_ratio_bound(g: float) -> float:
-    """log g + 1/g - 1, the scaled envelope gap of a power profile."""
-    return math.log(g) + 1.0 / g - 1.0
-
-
 # ---------------------------------------------------------------------------
 # independent quadrature oracle (criterion 12 and a few attainment checks)
 
@@ -111,15 +106,31 @@ def criterion_01_root_certification():
     return ok, f"max root error {worst_err:.2e}, max residual {worst_res:.2e}"
 
 
+def _bisect_eps_minus(q: float) -> float:
+    """eps_minus(q) by bisection of u - log(1 + u) = q, u = 1/eps, on [q, 2q + 1]."""
+    lo, hi = q, 2.0 * q + 1.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if mid - math.log1p(mid) - q > 0.0 else (mid, hi)
+    return 2.0 / (lo + hi)
+
+
 def criterion_02_eps_gamma_identity():
-    """eps_minus(q) * (gamma_plus(q) - 1) = 1 across four decades of q."""
-    worst = 0.0
+    """eps * (gamma_plus(q) - 1) = 1 and eps_minus(q) = eps, eps by bisection, for 20 q.
+
+    eps_minus and gamma_plus share the root kernel; the bisection does not.
+    """
+    worst_id, worst_eps = 0.0, 0.0
     for q in np.geomspace(0.05, 50.0, 20):
-        eps = solvers.eps_minus(float(q)).root
+        eps = _bisect_eps_minus(float(q))
         gp = solvers.gamma_entropy_roots(float(q))[1].root
-        worst = max(worst, abs(eps * (gp - 1.0) - 1.0))
-    ok = worst <= 1e-10
-    return ok, f"max |eps*(gamma_plus-1) - 1| = {worst:.2e} over 20 q in [0.05, 50]"
+        worst_id = max(worst_id, abs(eps * (gp - 1.0) - 1.0))
+        worst_eps = max(worst_eps, abs(solvers.eps_minus(float(q)).root / eps - 1.0))
+    ok = worst_id <= 1e-10 and worst_eps <= 1e-12
+    return ok, (
+        f"max |eps*(gamma_plus-1) - 1| = {worst_id:.2e}, eps_minus off bisection by "
+        f"{worst_eps:.2e}, over 20 q in [0.05, 50]"
+    )
 
 
 def criterion_03_gehring_closed_forms():
@@ -137,7 +148,7 @@ def criterion_04_ainf_bound_and_e_ratio():
     for q in (1.5, 2.0, 10.0):
         rep = bellman.bounds_check_ainf(q, grid=100)
         worst = max(worst, rep.max_lower_violation, rep.max_upper_violation)
-    ratio = _envelope_ratio_bound(solvers.gamma_log(1e6).root) / 1e6
+    ratio = bellman.bounds_check_ainf(1e6, grid=2).ratio_bound / 1e6
     gap = abs(ratio / math.e - 1.0)
     ok = worst <= 1e-9 and gap <= 0.02
     return ok, (
@@ -183,17 +194,6 @@ def criterion_06_gehring_attainment_divergence():
     )
 
 
-def _interior_samples(surface, n_x, n_f):
-    xs = np.linspace(0.3, 3.0, n_x)
-    fracs = np.linspace(0.02, 0.98, n_f)
-    xg, fg = np.meshgrid(xs, fracs)
-    if surface.entropy_coordinates:
-        yg = xg * np.log(xg) + fg * surface.q * xg
-    else:
-        yg = np.log(xg) - fg * np.log(surface.q)
-    return xg.ravel(), yg.ravel()
-
-
 def criterion_07_hessian_signatures():
     """Closed-form Hessians carry the required signature at 1000 interior points."""
     details = []
@@ -201,7 +201,7 @@ def criterion_07_hessian_signatures():
     for q in (1.5, 5.0):
         up = bellman.BellmanSurface(bellman.SurfaceKind.AINF_UPPER, q)
         worst_det, worst_byy = 0.0, -math.inf
-        for x, y in zip(*_interior_samples(up, 25, 40)):
+        for x, y in zip(*bellman.interior_grid(up, 25, 40)):
             res = bellman.hessian(up, float(x), float(y))
             scale = max(1.0, float(np.max(np.abs(res.matrix))) ** 2)
             worst_det = max(worst_det, abs(res.det) / scale)
@@ -214,7 +214,7 @@ def criterion_07_hessian_signatures():
             bellman.SurfaceKind.GEHRING, q, eps=0.5 / (gp - 1.0)
         )
         worst_eig = -math.inf
-        for x, y in zip(*_interior_samples(geh, 25, 40)):
+        for x, y in zip(*bellman.interior_grid(geh, 25, 40)):
             res = bellman.hessian(geh, float(x), float(y))
             worst_eig = max(worst_eig, float(np.max(res.eigenvalues)))
         ok = ok and worst_eig <= 1e-8
@@ -222,7 +222,7 @@ def criterion_07_hessian_signatures():
 
         low = bellman.BellmanSurface(bellman.SurfaceKind.AINF_LOWER, q)
         worst_neg = math.inf
-        for x, y in zip(*_interior_samples(low, 25, 40)):
+        for x, y in zip(*bellman.interior_grid(low, 25, 40)):
             res = bellman.hessian(low, float(x), float(y))
             worst_neg = min(worst_neg, float(np.min(res.eigenvalues)))
         ok = ok and worst_neg >= -1e-8

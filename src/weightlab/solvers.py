@@ -1,14 +1,21 @@
 """Scalar transcendental equations behind the sharp constants.
 
-Everything is solved by bracketed bisection: the functions are monotone on
-the chosen brackets, so certification is just a residual check at the end.
-No library special functions are involved.
+The tangency slopes gamma_- and gamma_+, the sharp Gehring gap eps_minus and
+(in bellman) the surfaces' tangent abscissae are all branch roots of
+t - log t = c.  One kernel, _branch_root, solves that equation for a float or
+an array: Halley steps in s = log t inside closed-form brackets, started from
+the Lambert W series of Corless, Gonnet, Hare, Jeffrey and Knuth, "On the
+Lambert W function" (1996).  gehring_sharp_eps is solved by bisection.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -27,9 +34,6 @@ __all__ = [
     "funny_bound_log",
 ]
 
-RESIDUAL_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class RootResult:
     root: float
@@ -41,9 +45,9 @@ class RootResult:
 def bisect(f, lo: float, hi: float, max_iter: int = 600) -> RootResult:
     """Bisection on [lo, hi] assuming a sign change; runs to float exhaustion.
 
-    Stops early once the midpoint residual is far below RESIDUAL_TOL, else
-    continues until the bracket has collapsed to adjacent floats.  Raises if
-    the endpoints do not bracket a root.
+    Stops early once the midpoint residual is below 1e-15 on a bracket
+    narrower than 1e-13, else continues until it has collapsed to adjacent
+    floats.  Raises if the endpoints do not bracket a root.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -72,28 +76,52 @@ def bisect(f, lo: float, hi: float, max_iter: int = 600) -> RootResult:
     return RootResult(root, f(root), (lo, hi), it)
 
 
-def _expand_up(f, start: float, max_doublings: int = 2000) -> float:
-    """Smallest start*2^k with f >= 0, assuming f eventually positive."""
-    hi = start
-    for _ in range(max_doublings):
-        if f(hi) >= 0.0:
-            return hi
-        hi *= 2.0
-    raise ParameterError("failed to bracket a root by doubling")
+# the kernel's arithmetic on a float, where a solve costs microseconds; arrays use numpy
+_FLOAT_OPS = SimpleNamespace(
+    expm1=math.expm1, log1p=math.log1p, exp=math.exp, log=math.log, sqrt=math.sqrt,
+    clip=lambda x, lo, hi: min(max(x, lo), hi), where=lambda c, a, b: a if c else b, all=bool,
+)
+_MAX_STEPS = 40
 
 
-def _small_root(rhs: float) -> RootResult:
-    """Root in (0, 1) of t - log t = rhs, solved in s = log t coordinates.
+def _ops(x):
+    return _FLOAT_OPS if isinstance(x, float) else np
 
-    The root sits near e^{1 - rhs}.  Linear bisection from the subnormal
-    floor stalls at 2^-600 after its iteration budget, losing all relative
-    accuracy for rhs beyond ~400; in log scale the bracket [-744.4, 0]
-    collapses to full relative precision for every representable root.
+
+def _branch_root(c1, upper: bool):
+    """Root of t - log t = 1 + c1 (c1 >= 0, float or array) in (0, 1], or in [1, inf) if upper.
+
+    c1 = c - 1 keeps the digits of c near 1, where the roots meet at t = 1.
+    Halley steps on h(s) = e^s - 1 - s - c1, s = log t, start from the Lambert
+    W branch-point series, stay clipped to the bracket s in [-1 - c1, -c1]
+    (lower) or t in [c, 2c] (upper), and take at most four steps.  The last
+    one, within 4 ulp of 1 + |s|, is applied as a factor e^{-d}, so t and
+    t - 1 keep full precision.  Returns (t, t - 1, steps, (t_lo, t_hi)).
     """
-    g = lambda s: math.exp(s) - s - rhs
-    res = bisect(g, -744.4, 0.0, max_iter=1200)
-    t = math.exp(res.root)
-    return RootResult(t, t - math.log(t) - rhs, (0.0, 1.0), res.iterations)
+    c1 = c1 + 5e-324  # keeps every iterate, and so h'(s) = e^s - 1, off zero
+    xp = _ops(c1)
+    log_c = xp.log1p(c1)
+    lo, hi = (log_c, log_c + math.log(2.0)) if upper else (-1.0 - c1, -c1)
+    # t = -W(-e^{-c}) = 1 + p + p^2/3 + 11 p^3/72 + ..., p = -+sqrt(2 (1 - e^{-c1})),
+    # so s = p - p^2/6 + 11 p^3/72 + ...; far from c = 1 the clip takes over
+    p = (1.0 if upper else -1.0) * xp.sqrt(-2.0 * xp.expm1(-c1))
+    s = xp.clip(p - p * p / 6.0 + (11.0 / 72.0) * p * p * p, lo, hi)
+    for steps in range(1, _MAX_STEPS + 1):
+        em1 = xp.expm1(s)
+        d = ((-s - c1) + em1) / em1  # Newton step h / h'
+        d = d / (1.0 - 0.5 * d * (1.0 + 1.0 / em1))  # Halley, with h'' = h' + 1
+        if xp.all(abs(d) <= 4.0 * sys.float_info.epsilon * (1.0 + abs(s))):
+            break
+        s = xp.clip(s - d, lo, hi)
+    bracket = (1.0 + c1, 2.0 + 2.0 * c1) if upper else (xp.exp(lo), xp.exp(hi))
+    e_s = xp.exp(s)
+    dt = e_s * xp.expm1(-d)  # e^{s - d} - e^s, without rounding s - d
+    return e_s + dt, xp.expm1(s) + dt, steps, bracket
+
+
+def _root_result(c1: float, upper: bool) -> RootResult:
+    t, _, steps, bracket = _branch_root(c1, upper)
+    return RootResult(t, t - math.log(t) - (1.0 + c1), bracket, steps)
 
 
 def gamma_log(q: float) -> RootResult:
@@ -104,10 +132,10 @@ def gamma_log(q: float) -> RootResult:
     """
     if not (q > 1.0 and math.isfinite(q)):
         raise ParameterError(f"gamma_log needs q > 1, got {q}")
-    rhs = 1.0 + math.log(q)
-    if rhs > 744.0:
+    c1 = math.log(q)
+    if c1 > 743.0:
         raise ParameterError(f"q = {q} too large: the root in (0, 1) underflows")
-    return _small_root(rhs)
+    return _root_result(c1, upper=False)
 
 
 def gamma_entropy_roots(q: float) -> tuple[RootResult, RootResult]:
@@ -117,32 +145,23 @@ def gamma_entropy_roots(q: float) -> tuple[RootResult, RootResult]:
     if q > 743.0:
         # the small root ~ e^{-(q+1)} drops below the least subnormal double
         raise ParameterError(f"q = {q} too large: the root in (0, 1) underflows")
-    rhs = q + 1.0
-    if rhs == 1.0:
+    if q + 1.0 == 1.0:
         raise ParameterError(f"q = {q} below float resolution, roots collapse to 1")
-    f = lambda t: t - math.log(t) - rhs
-    minus = _small_root(rhs)
-    hi = _expand_up(f, rhs + 1.0)
-    plus = bisect(lambda t: -f(t), 1.0, hi)
-    plus = RootResult(plus.root, -plus.residual, plus.bracket, plus.iterations)
-    return minus, plus
+    return _root_result(q, upper=False), _root_result(q, upper=True)
 
 
 def eps_minus(q: float) -> RootResult:
     """Smallest positive solution of 1/t - log(1/t + 1) = q, q > 0.
 
-    Solved via u = 1/t: u - log(1 + u) = q is strictly increasing from 0,
-    so there is exactly one positive u.  Algebraically the result equals
-    1/(gamma_plus - 1); that identity is left to the tests as a cross-check,
-    this routine never touches gamma_entropy_roots.
+    With u = 1/t it reads (1 + u) - log(1 + u) = 1 + q: 1 + u is gamma_plus(q),
+    from the same kernel, so the tests and selftest check the result against
+    solves that do not use it.
     """
     if not (q > 0.0 and math.isfinite(q)):
         raise ParameterError(f"eps_minus needs q > 0, got {q}")
-    g = lambda u: u - math.log1p(u) - q
-    hi = _expand_up(g, max(q, 1.0))
-    res = bisect(g, 5e-324, hi)
-    t = 1.0 / res.root
-    return RootResult(t, 1.0 / t - math.log1p(1.0 / t) - q, res.bracket, res.iterations)
+    u, steps = _branch_root(q, upper=True)[1:3]
+    residual = u - math.log1p(u) - q
+    return RootResult(1.0 / u, residual, (1.0 / (1.0 + 2.0 * q), 1.0 / q), steps)
 
 
 def gehring_sharp_eps(p: float, k: float) -> RootResult:
@@ -169,9 +188,10 @@ def gehring_sharp_eps(p: float, k: float) -> RootResult:
             - rhs
         )
 
-    hi = _expand_up(lambda e: -f(e), 1.0)
-    res = bisect(f, 5e-324, hi)
-    return res
+    hi = 1.0
+    while f(hi) > 0.0:  # f falls to -rhs < 0 as eps grows
+        hi *= 2.0
+    return bisect(f, 5e-324, hi)
 
 
 def gehring_dim_n_eps(n: int, q: float) -> float:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,21 @@ from weightlab.bellman import evaluate_many
 from weightlab.solvers import funny_bound, gamma_entropy_roots
 
 from _frozen import FUNNY_BOUND_1, GAMMA_PLUS_1, GEHRING_B_1_03, RATIO_BOUND_E
+
+
+def mp_tangent(surface, x, y):
+    """(tangent abscissa, value) of an A_inf surface with 40 digits, gamma included."""
+    with mpmath.workdps(40):
+        X, Y, Q = map(mpmath.mpf, (x, y, surface.q))
+        if surface.kind is SurfaceKind.AINF_UPPER:
+            g = mpmath.re(-mpmath.lambertw(-mpmath.exp(-1 - mpmath.log(Q))))
+            f = lambda s: g * X / mpmath.exp(s) + s - g - Y
+            v = mpmath.exp(mpmath.findroot(f, (mpmath.log(g * X), mpmath.log(X)), solver="anderson"))
+            return float(v), float(X * mpmath.log(v) + (X - v) / g)
+        g = mpmath.re(-mpmath.lambertw(-mpmath.exp(-1 - Q)))
+        f = lambda s: (s + g) * X - g * mpmath.exp(s) - Y
+        v = mpmath.exp(mpmath.findroot(f, (mpmath.log(X), mpmath.log(X / g)), solver="anderson"))
+        return float(v), float(mpmath.log(v) + (X - v) / (g * v))
 
 
 def gehring_surface(q, frac=0.5):
@@ -76,13 +92,21 @@ class TestDomain:
 class TestTangent:
     def test_lower_boundary_is_identity(self):
         up = BellmanSurface(SurfaceKind.AINF_UPPER, 3.0)
-        for x in (0.4, 1.0, 2.3):
-            tp = tangent_point(up, x, math.log(x))
-            assert tp.root == pytest.approx(x, rel=1e-9)
         geh = gehring_surface(1.0)
         for x in (0.4, 1.0, 2.3):
-            tp = tangent_point(geh, x, x * math.log(x))
-            assert tp.root == pytest.approx(x, rel=1e-9)
+            for tp in (tangent_point(up, x, math.log(x)), tangent_point(geh, x, x * math.log(x))):
+                assert tp.root == pytest.approx(x, rel=1e-9)
+                lo, hi = tp.bracket
+                assert lo * (1.0 - 1e-15) <= tp.root <= hi * (1.0 + 1e-15)
+                assert 1 <= tp.iterations <= 4
+        # just above the lower boundary of ainf-lower at q = 100, where the
+        # tangent bracket [x, x / gamma] spans 44 decades
+        low = BellmanSurface(SurfaceKind.AINF_LOWER, 100.0)
+        for x, frac in ((1.0, 0.01), (0.7, 0.03)):
+            y = x * math.log(x) + frac * 100.0 * x
+            v, value = mp_tangent(low, x, y)
+            assert tangent_point(low, x, y).root == pytest.approx(v, rel=1e-12, abs=0.0)
+            assert evaluate_surface(low, x, y) == pytest.approx(value, rel=1e-12)
 
     def test_upper_boundary_hits_bracket_end(self):
         up = BellmanSurface(SurfaceKind.AINF_UPPER, 2.0)
@@ -94,6 +118,13 @@ class TestTangent:
         gm = gamma_entropy_roots(1.0)[0].root
         tp = tangent_point(low, 1.0, 1.0)
         assert tp.root == pytest.approx(1.0 / gm, rel=1e-5)
+        # near the upper boundary at q = 1e30, where v approaches gamma x ~ 1e-32 x
+        huge = BellmanSurface(SurfaceKind.AINF_UPPER, 1e30)
+        for frac in (0.97, 0.99, 0.999):
+            y = -frac * math.log(1e30)
+            v, value = mp_tangent(huge, 1.0, y)
+            assert tangent_point(huge, 1.0, y).root == pytest.approx(v, rel=1e-12, abs=0.0)
+            assert evaluate_surface(huge, 1.0, y) == pytest.approx(value, rel=1e-12)
 
     def test_midpoint_of_unit_tangent(self):
         geh = gehring_surface(1.0, frac=0.6)

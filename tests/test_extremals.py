@@ -199,7 +199,3 @@ class TestSweep:
     def test_rejects_bad_q(self):
         with pytest.raises(ParameterError):
             sharpness_sweep((1.0, -2.0))
-
-    def test_threaded_matches_serial(self):
-        qs = (0.7, 1.3, 2.9, 8.0)
-        assert sharpness_sweep(qs, max_workers=3) == sharpness_sweep(qs, max_workers=1)

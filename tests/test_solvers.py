@@ -84,15 +84,25 @@ class TestEpsMinus:
 
     def test_reciprocal_identity_with_gamma_plus(self):
         # eps_minus(q) * (gamma_plus(q) - 1) = 1: substituting u = 1/eps turns
-        # one defining equation into the other
+        # one defining equation into the other.  Both come from the same root
+        # kernel, so eps is taken from mpmath on eps's own equation instead.
         for q in np.geomspace(0.05, 50.0, 25):
-            eps = solvers.eps_minus(float(q)).root
+            want = 1.0 / mp_root(lambda u: u - mpmath.log1p(u) - q, q, 2.0 * q + 1.0)
             gp = solvers.gamma_entropy_roots(float(q))[1].root
-            assert eps * (gp - 1.0) == pytest.approx(1.0, abs=1e-10)
+            assert want * (gp - 1.0) == pytest.approx(1.0, abs=1e-10)
+            assert solvers.eps_minus(float(q)).root == pytest.approx(want, rel=1e-13)
 
     def test_monotone_decreasing_in_q(self):
         vals = [solvers.eps_minus(q).root for q in (0.5, 1.0, 2.0, 5.0)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_extreme_q_against_mpmath(self):
+        # eps ~ 1/sqrt(2q) for tiny q and ~1/q for huge q
+        for q in (1e-40, 1e-12, 1e3, 1e300):
+            with mpmath.workdps(120):
+                f = lambda s: (mpmath.exp(s) - mpmath.log1p(mpmath.exp(s))) / q - 1
+                want = float(mpmath.exp(-mpmath.findroot(f, mpmath.log(mpmath.sqrt(2 * q) + q))))
+            assert solvers.eps_minus(q).root == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestGehringSharp:
@@ -183,6 +193,47 @@ class TestFunnyBound:
         for q, tol in ((3.0, 2.1e-2), (5.0, 2.6e-3), (8.0, 1.3e-4)):
             ratio = solvers.funny_bound_log(q) / (math.exp(q + 1.0) - q - 2.0)
             assert abs(ratio - 1.0) <= tol
+
+
+def mp_branch_root(c1, upper):
+    """(t, t - 1) for the root of t - log t = 1 + c1, from mpmath's Lambert W."""
+    with mpmath.workdps(80):
+        z = -mpmath.exp(-1 - mpmath.mpf(c1))
+        t = mpmath.re(-mpmath.lambertw(z, -1 if upper else 0))
+        return float(t), float(t - 1)
+
+
+class TestBranchRootKernel:
+    # c = 1 + c1 from 1 + 1e-12 up to 745 (lower) and 1e300 (upper)
+    LOWER_C1 = np.concatenate([np.geomspace(1e-12, 1.0, 40), np.geomspace(1.0, 744.0, 50)])
+    UPPER_C1 = np.concatenate([np.geomspace(1e-12, 1.0, 40), np.geomspace(1.0, 1e300, 80)])
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    def test_matches_mpmath_within_four_steps(self, upper):
+        for c1 in self.UPPER_C1 if upper else self.LOWER_C1:
+            t, tm1, steps, (lo, hi) = solvers._branch_root(float(c1), upper)
+            want, want_m1 = mp_branch_root(float(c1), upper)
+            # below e^-708 the root is subnormal and keeps fewer bits
+            assert abs(t - want) <= 1e-15 * want + 5e-324, c1
+            # t - 1 has t's absolute accuracy near the double root t = 1
+            assert abs(tm1 - want_m1) <= 1e-15 * abs(want_m1) + 2.2e-16, c1
+            assert 1 <= steps <= 4, c1
+            assert lo * (1.0 - 1e-15) <= want <= hi * (1.0 + 1e-15)
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    def test_array_matches_scalar(self, upper):
+        c1 = self.UPPER_C1 if upper else self.LOWER_C1
+        t, _, steps, (lo, hi) = solvers._branch_root(c1, upper)
+        scalar = np.array([solvers._branch_root(float(c), upper)[0] for c in c1])
+        assert steps <= 4
+        assert np.all(np.abs(t - scalar) <= 1e-15 * scalar + 5e-324)
+        assert np.all((lo * (1.0 - 1e-15) <= t) & (t <= hi * (1.0 + 1e-15)))
+
+    def test_double_root_at_c_one(self):
+        for upper in (False, True):
+            for c1 in (0.0, 5e-324, 1e-300):
+                t, _, steps, _ = solvers._branch_root(c1, upper)
+                assert t == 1.0 and steps <= 4
 
 
 class TestBisect:
