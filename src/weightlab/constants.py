@@ -33,7 +33,6 @@ from .weights import (
 __all__ = [
     "OrliczKind",
     "ConstantsReport",
-    "scan_grid",
     "rh1_constant",
     "ainf_constant",
     "rhp_constant",
@@ -72,78 +71,71 @@ def _grid_points(w: Weight, resolution: int, interval: Interval | None = None) -
     return pts[keep]
 
 
-def scan_grid(w: Weight, resolution: int = DEFAULT_RESOLUTION) -> list[Interval]:
-    """All subintervals spanned by pairs of grid points, lexicographic order."""
+# name -> the cumulative moment paired with AVG_W (its kind and exponent as a
+# function of p) and the combining expression of the two pair averages
+_SCANS = {
+    "rh1": (MomentKind.AVG_W_LOG_W, None, lambda aw, awlw, p: (awlw - aw * np.log(aw)) / aw),
+    "ainf": (MomentKind.AVG_LOG_W, None, lambda aw, alw, p: aw * np.exp(-alw)),
+    "rhp": (MomentKind.AVG_W_POW, lambda p: p, lambda aw, awp, p: awp ** (1.0 / p) / aw),
+    "ap": (MomentKind.AVG_W_POW, lambda p: -1.0 / (p - 1.0), lambda aw, adual, p: aw * adual ** (p - 1.0)),
+}
+# entries per block array: a scan holds about ten arrays of this size at once
+_SCAN_BLOCK_ENTRIES = 1 << 15
+
+
+def _scan(name: str, w: Weight, resolution: int, p: float | None = None) -> tuple[float, Interval]:
+    """Max of a _SCANS ratio over all grid pairs i < j, in blocks of rows.
+
+    Each block covers rows i0..i1-1 and columns i0+1..n-1 (j <= i is masked
+    out), so memory stays O(resolution).  Ties keep the first pair in
+    lexicographic order.  Raises DomainError when no pair gives a finite value.
+    """
+    if p is not None and not (p > 1.0 and math.isfinite(p)):
+        raise ParameterError(f"{name}_constant needs p > 1, got {p}")
+    kind, exponent, combine = _SCANS[name]
     pts = _grid_points(w, resolution)
-    return [
-        Interval(float(pts[i]), float(pts[j]))
-        for i in range(len(pts) - 1)
-        for j in range(i + 1, len(pts))
-    ]
-
-
-def _pair_averages(pts: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    """Matrix avg[i, j] = (cum[j]-cum[i])/(pts[j]-pts[i]); lower half is nan."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        diff = cum[None, :] - cum[:, None]
-        dl = pts[None, :] - pts[:, None]
-        return diff / dl
-
-
-def _argmax_interval(mat: np.ndarray, pts: np.ndarray) -> tuple[float, Interval]:
-    """Max over the strict upper triangle; first hit = lexicographic argmax."""
-    scan = np.array(mat, copy=True)
-    scan[np.tril_indices_from(scan)] = -np.inf
-    scan[np.isnan(scan)] = -np.inf
-    flat = int(np.argmax(scan))
-    i, j = divmod(flat, scan.shape[1])
-    return float(scan[i, j]), Interval(float(pts[i]), float(pts[j]))
+    n = len(pts)
+    cum_w = cumulative_moment(w, pts, MomentKind.AVG_W)
+    cum = cumulative_moment(w, pts, kind, None if exponent is None else exponent(p))
+    best, best_ij, finite = -math.inf, (0, 0), False
+    i0 = 0
+    while i0 < n - 1:
+        i1 = min(n - 1, i0 + max(1, _SCAN_BLOCK_ENTRIES // (n - 1 - i0)))
+        rows, cols = slice(i0, i1), slice(i0 + 1, n)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            dl = pts[cols] - pts[rows, None]
+            ratio = combine((cum_w[cols] - cum_w[rows, None]) / dl, (cum[cols] - cum[rows, None]) / dl, p)
+        ratio[np.isnan(ratio) | (np.arange(i0 + 1, n) <= np.arange(i0, i1)[:, None])] = -np.inf
+        i, j = divmod(int(np.argmax(ratio)), n - 1 - i0)
+        if ratio[i, j] > best:
+            best, best_ij = float(ratio[i, j]), (i0 + i, i0 + 1 + j)
+        finite = finite or bool(np.isfinite(ratio).any())
+        i0 = i1
+    if not finite:
+        label = name if p is None else f"{name} (p = {p})"
+        raise DomainError(f"{label}: no finite value on any scanned interval")
+    return best, Interval(float(pts[best_ij[0]]), float(pts[best_ij[1]]))
 
 
 def rh1_constant(w: Weight, resolution: int = DEFAULT_RESOLUTION) -> tuple[float, Interval]:
     """Normalized entropy sup: max of [avg(w log w) - avg(w) log avg(w)] / avg(w)."""
-    pts = _grid_points(w, resolution)
-    avg_w = _pair_averages(pts, cumulative_moment(w, pts, MomentKind.AVG_W))
-    avg_wlw = _pair_averages(pts, cumulative_moment(w, pts, MomentKind.AVG_W_LOG_W))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = (avg_wlw - avg_w * np.log(avg_w)) / avg_w
-    return _argmax_interval(ratio, pts)
+    return _scan("rh1", w, resolution)
 
 
 def ainf_constant(w: Weight, resolution: int = DEFAULT_RESOLUTION) -> tuple[float, Interval]:
     """Jensen-gap sup: max of avg(w) * exp(-avg(log w))."""
-    pts = _grid_points(w, resolution)
-    avg_w = _pair_averages(pts, cumulative_moment(w, pts, MomentKind.AVG_W))
-    avg_lw = _pair_averages(pts, cumulative_moment(w, pts, MomentKind.AVG_LOG_W))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        ratio = avg_w * np.exp(-avg_lw)
-    return _argmax_interval(ratio, pts)
+    return _scan("ainf", w, resolution)
 
 
 def rhp_constant(w: Weight, p: float, resolution: int = DEFAULT_RESOLUTION) -> tuple[float, Interval]:
     """Reverse Holder sup: max of avg(w^p)^(1/p) / avg(w); +inf when a scanned
     interval touching 0 has a divergent p-th moment."""
-    if not (p > 1.0 and math.isfinite(p)):
-        raise ParameterError(f"rhp_constant needs p > 1, got {p}")
-    pts = _grid_points(w, resolution)
-    avg_w = _pair_averages(pts, cumulative_moment(w, pts, MomentKind.AVG_W))
-    avg_wp = _pair_averages(pts, cumulative_moment(w, pts, MomentKind.AVG_W_POW, p))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        ratio = avg_wp ** (1.0 / p) / avg_w
-    return _argmax_interval(ratio, pts)
+    return _scan("rhp", w, resolution, p)
 
 
 def ap_constant(w: Weight, p: float, resolution: int = DEFAULT_RESOLUTION) -> tuple[float, Interval]:
     """Muckenhoupt sup: max of avg(w) * avg(w^(-1/(p-1)))^(p-1)."""
-    if not (p > 1.0 and math.isfinite(p)):
-        raise ParameterError(f"ap_constant needs p > 1, got {p}")
-    dual = -1.0 / (p - 1.0)
-    pts = _grid_points(w, resolution)
-    avg_w = _pair_averages(pts, cumulative_moment(w, pts, MomentKind.AVG_W))
-    avg_dual = _pair_averages(pts, cumulative_moment(w, pts, MomentKind.AVG_W_POW, dual))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        ratio = avg_w * avg_dual ** (p - 1.0)
-    return _argmax_interval(ratio, pts)
+    return _scan("ap", w, resolution, p)
 
 
 def maximal_function(
@@ -222,15 +214,13 @@ def _segments(w: Weight, interval: Interval) -> list[tuple[float, float, float, 
     return segs
 
 
-def _quad_nodes(
-    w: Weight, interval: Interval, panels: int = 6
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes, quadrature weights and w values on the interval.
+def _quad_nodes(w: Weight, interval: Interval, panels: int = 6) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre quadrature weights and w values at the nodes on the interval.
 
     A segment starting at t = 0 is graded with t = e*u^m to absorb the
     integrable singularity of a negative-exponent piece.
     """
-    ns, qs, vs = [], [], []
+    qs, vs = [], []
     for s, e, c, alpha in _segments(w, interval):
         if s == 0.0 and alpha != 0.0:
             m = _GRADING_POWER
@@ -239,7 +229,6 @@ def _quad_nodes(
                 u = 0.5 * (u1 - u0) * _GL_X + 0.5 * (u0 + u1)
                 du = 0.5 * (u1 - u0) * _GL_W
                 t = e * u**m
-                ns.append(t)
                 qs.append(du * e * m * u ** (m - 1.0))
                 vs.append(c * t**alpha)
         else:
@@ -248,10 +237,9 @@ def _quad_nodes(
                 t1 = s + (e - s) * (k + 1) / panels
                 t = 0.5 * (t1 - t0) * _GL_X + 0.5 * (t0 + t1)
                 dt = 0.5 * (t1 - t0) * _GL_W
-                ns.append(t)
                 qs.append(dt)
                 vs.append(c * t**alpha)
-    return np.concatenate(ns), np.concatenate(qs), np.concatenate(vs)
+    return np.concatenate(qs), np.concatenate(vs)
 
 
 def _phi_values(kind: OrliczKind, s: np.ndarray) -> np.ndarray:
@@ -265,50 +253,53 @@ def _phi_values(kind: OrliczKind, s: np.ndarray) -> np.ndarray:
     raise ParameterError(f"unknown Orlicz kind {kind}")
 
 
-def _unbounded_on(w: Weight, interval: Interval) -> bool:
-    return interval.a == 0.0 and w.pieces[0].exponent < 0.0
+def _luxemburg_bisect(gvals, lam: np.ndarray) -> np.ndarray:
+    """Least lam with gvals(lam) <= 1, entrywise; gvals falls in lam.
+
+    Starts from lam = avg(w), a lower bracket because Phi(s) >= s: halved
+    where quadrature error puts it above the root, then e * lam doubled to an
+    upper bracket, then bisected until no entry's midpoint differs from its
+    endpoints.  Returns the upper endpoints.
+    """
+    lo = lam.copy()
+    for _ in range(60):
+        low = gvals(lo) < 1.0
+        if not low.any():
+            break
+        lo[low] *= 0.5
+    hi = lo * math.e
+    for _ in range(200):
+        high = gvals(hi) > 1.0
+        if not high.any():
+            break
+        hi[high] *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            return hi
+        over = gvals(mid) > 1.0
+        lo = np.where(over, mid, lo)
+        hi = np.where(over, hi, mid)
 
 
-def luxemburg_norm(
-    w: Weight, interval: Interval, kind: OrliczKind, tol: float = 1e-10
-) -> float:
+def luxemburg_norm(w: Weight, interval: Interval, kind: OrliczKind) -> float:
     """Luxemburg norm inf{lam > 0 : avg_I Phi(w/lam) <= 1}.
 
     The L norm is exactly avg(w).  The exponential norm of a weight
-    unbounded on the interval is +inf.  Otherwise: bisection on lam, using
-    that Phi(s) >= s makes avg(w) a guaranteed lower bracket.
+    unbounded on the interval is +inf.  Otherwise: _luxemburg_bisect on a
+    16-point Gauss-Legendre quadrature of avg_I Phi(w/lam).
     """
     if kind is OrliczKind.L:
         return moment(w, interval, MomentKind.AVG_W)
-    if kind is OrliczKind.EXP_MINUS_ONE and _unbounded_on(w, interval):
-        return math.inf
-    nodes, qw, wv = _quad_nodes(w, interval)
+    if kind is OrliczKind.EXP_MINUS_ONE and interval.a == 0.0 and w.pieces[0].exponent < 0.0:
+        return math.inf  # unbounded on the interval
+    qw, wv = _quad_nodes(w, interval)
     length = interval.length
 
-    def gval(lam: float) -> float:
-        return float(np.dot(qw, _phi_values(kind, wv / lam))) / length
+    def gvals(lam: np.ndarray) -> np.ndarray:
+        return np.array([float(np.dot(qw, _phi_values(kind, wv / lam[0]))) / length])
 
-    lo = moment(w, interval, MomentKind.AVG_W)
-    while gval(lo) < 1.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            return 0.0
-    hi = lo * math.e
-    for _ in range(200):
-        if gval(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        return math.inf
-    it = 0
-    while hi - lo > tol * max(1.0, hi) and it < 200:
-        mid = 0.5 * (lo + hi)
-        if gval(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        it += 1
-    return hi
+    return float(_luxemburg_bisect(gvals, np.array([moment(w, interval, MomentKind.AVG_W)]))[0])
 
 
 def rh1_doubleprime_constant(
@@ -319,27 +310,15 @@ def rh1_doubleprime_constant(
     All grid intervals are bisected simultaneously on flat node arrays.
     """
     pts = _grid_points(w, resolution)
-    n = len(pts)
     cum = cumulative_moment(w, pts, MomentKind.AVG_W)
-    ivs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-    nodes_l, qw_l, wv_l, starts, lengths, avg_w = [], [], [], [], [], []
-    pos = 0
-    for i, j in ivs:
-        iv = Interval(float(pts[i]), float(pts[j]))
-        nd, qw, wv = _quad_nodes(w, iv, panels=4)
-        nodes_l.append(nd)
-        qw_l.append(qw)
-        wv_l.append(wv)
-        starts.append(pos)
-        pos += len(nd)
-        lengths.append(iv.length)
-        avg_w.append((cum[j] - cum[i]) / iv.length)
-    qw_flat = np.concatenate(qw_l)
-    wv_flat = np.concatenate(wv_l)
-    starts = np.asarray(starts)
-    lengths = np.asarray(lengths)
-    avg_w = np.asarray(avg_w)
-    sizes = np.diff(np.append(starts, pos))
+    ii, jj = np.triu_indices(len(pts), 1)  # pairs i < j in lexicographic order
+    lengths = pts[jj] - pts[ii]
+    avg_w = (cum[jj] - cum[ii]) / lengths
+    quad = [_quad_nodes(w, Interval(float(pts[i]), float(pts[j])), panels=4) for i, j in zip(ii, jj)]
+    sizes = np.array([len(qw) for qw, _ in quad])
+    starts = np.cumsum(sizes) - sizes
+    qw_flat = np.concatenate([qw for qw, _ in quad])
+    wv_flat = np.concatenate([wv for _, wv in quad])
 
     def gvals(lam: np.ndarray) -> np.ndarray:
         lam_rep = np.repeat(lam, sizes)
@@ -347,27 +326,9 @@ def rh1_doubleprime_constant(
         vals = qw_flat * s * np.log(math.e + s)
         return np.add.reduceat(vals, starts) / lengths
 
-    lo = avg_w.copy()
-    for _ in range(60):
-        mask = gvals(lo) < 1.0
-        if not mask.any():
-            break
-        lo[mask] *= 0.5
-    hi = lo * math.e
-    for _ in range(200):
-        mask = gvals(hi) > 1.0
-        if not mask.any():
-            break
-        hi[mask] *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        over = gvals(mid) > 1.0
-        lo = np.where(over, mid, lo)
-        hi = np.where(over, hi, mid)
-    ratio = hi / avg_w
+    ratio = _luxemburg_bisect(gvals, avg_w) / avg_w
     k = int(np.argmax(ratio))
-    i, j = ivs[k]
-    return float(ratio[k]), Interval(float(pts[i]), float(pts[j]))
+    return float(ratio[k]), Interval(float(pts[ii[k]]), float(pts[jj[k]]))
 
 
 def rh1_limit_check(w: Weight, interval: Interval, p: float) -> tuple[float, float]:

@@ -45,9 +45,8 @@ class RootResult:
 def bisect(f, lo: float, hi: float, max_iter: int = 600) -> RootResult:
     """Bisection on [lo, hi] assuming a sign change; runs to float exhaustion.
 
-    Stops early once the midpoint residual is below 1e-15 on a bracket
-    narrower than 1e-13, else continues until it has collapsed to adjacent
-    floats.  Raises if the endpoints do not bracket a root.
+    Stops at an exact zero, once the bracket has collapsed to adjacent floats,
+    or after max_iter steps.  Raises if the endpoints do not bracket a root.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -66,8 +65,6 @@ def bisect(f, lo: float, hi: float, max_iter: int = 600) -> RootResult:
         it += 1
         if fm == 0.0:
             return RootResult(mid, 0.0, (lo, hi), it)
-        if abs(fm) < 1e-15 and (b - a) < 1e-13 * max(1.0, abs(mid)):
-            return RootResult(mid, fm, (lo, hi), it)
         if math.copysign(1.0, fm) == math.copysign(1.0, fa):
             a, fa = mid, fm
         else:
@@ -82,10 +79,42 @@ _FLOAT_OPS = SimpleNamespace(
     clip=lambda x, lo, hi: min(max(x, lo), hi), where=lambda c, a, b: a if c else b, all=bool,
 )
 _MAX_STEPS = 40
+# e^s - 1 - s = s^2 sum_k s^k / (k + 2)!, k < 12: 1e-18 relative at |s| < 1/4,
+# where expm1(s) - s has lost 3 bits or more to cancellation
+_EXCESS_SERIES = tuple(1.0 / math.factorial(k + 2) for k in reversed(range(12)))
+_EXCESS_SERIES_S = 0.25
 
 
 def _ops(x):
     return _FLOAT_OPS if isinstance(x, float) else np
+
+
+def _halley(h, em1):
+    """Halley step for h(s) = e^s - 1 - s - c1 from h and h'(s) = em1; h'' = h' + 1."""
+    d = h / em1
+    return d / (1.0 - 0.5 * d * (1.0 + 1.0 / em1))
+
+
+def _excess(s):
+    """e^s - 1 - s from its series, for |s| < _EXCESS_SERIES_S."""
+    acc = 0.0
+    for coeff in _EXCESS_SERIES:
+        acc = acc * s + coeff
+    return s * s * acc
+
+
+def _series_step(s, em1, c1, d):
+    """The last step d, redone where |s| < _EXCESS_SERIES_S with h from _excess.
+
+    There h = (-s - c1) + em1 is ~1e-16 |s| off, which leaves s ~1e-16 off
+    in absolute terms, while t - 1 ~ s near the double root needs relative.
+    """
+    if isinstance(s, float):
+        return _halley(_excess(s) - c1, em1) if abs(s) < _EXCESS_SERIES_S else d
+    small = np.abs(s) < _EXCESS_SERIES_S
+    if small.any():
+        d[small] = _halley(_excess(s[small]) - c1[small], em1[small])
+    return d
 
 
 def _branch_root(c1, upper: bool):
@@ -95,8 +124,9 @@ def _branch_root(c1, upper: bool):
     Halley steps on h(s) = e^s - 1 - s - c1, s = log t, start from the Lambert
     W branch-point series, stay clipped to the bracket s in [-1 - c1, -c1]
     (lower) or t in [c, 2c] (upper), and take at most four steps.  The last
-    one, within 4 ulp of 1 + |s|, is applied as a factor e^{-d}, so t and
-    t - 1 keep full precision.  Returns (t, t - 1, steps, (t_lo, t_hi)).
+    one, within 4 ulp of 1 + |s| (redone by _series_step near s = 0), is
+    applied as a factor e^{-d}, so t and t - 1 keep full precision.  Returns
+    (t, t - 1, steps, (t_lo, t_hi)).
     """
     c1 = c1 + 5e-324  # keeps every iterate, and so h'(s) = e^s - 1, off zero
     xp = _ops(c1)
@@ -108,11 +138,11 @@ def _branch_root(c1, upper: bool):
     s = xp.clip(p - p * p / 6.0 + (11.0 / 72.0) * p * p * p, lo, hi)
     for steps in range(1, _MAX_STEPS + 1):
         em1 = xp.expm1(s)
-        d = ((-s - c1) + em1) / em1  # Newton step h / h'
-        d = d / (1.0 - 0.5 * d * (1.0 + 1.0 / em1))  # Halley, with h'' = h' + 1
+        d = _halley((-s - c1) + em1, em1)
         if xp.all(abs(d) <= 4.0 * sys.float_info.epsilon * (1.0 + abs(s))):
             break
         s = xp.clip(s - d, lo, hi)
+    d = _series_step(s, em1, c1, d)
     bracket = (1.0 + c1, 2.0 + 2.0 * c1) if upper else (xp.exp(lo), xp.exp(hi))
     e_s = xp.exp(s)
     dt = e_s * xp.expm1(-d)  # e^{s - d} - e^s, without rounding s - d
@@ -181,12 +211,9 @@ def gehring_sharp_eps(p: float, k: float) -> RootResult:
     rhs = (p / (p - 1.0)) * math.log(k)
 
     def f(eps: float) -> float:
-        # evaluated via logs only; safe down to denormal eps
-        return (
-            (math.log(p + eps - 1.0) - math.log(eps)) / (p - 1.0)
-            - (math.log(p + eps) - math.log(p + eps - 1.0))
-            - rhs
-        )
+        # log1p of the two ratios minus 1 keeps digits where they are near 1;
+        # (p - 1)/eps overflows to inf at denormal eps, where f is +inf
+        return math.log1p((p - 1.0) / eps) / (p - 1.0) - math.log1p(1.0 / (p + eps - 1.0)) - rhs
 
     hi = 1.0
     while f(hi) > 0.0:  # f falls to -rhs < 0 as eps grows

@@ -139,6 +139,14 @@ def evaluate(w: Weight, t: float) -> float:
     raise AssertionError("unreachable: pieces cover (0, 1]")
 
 
+def _coeff_pow(c: float, p: float) -> float:
+    """c**p for the w^p moments, refusing a power beyond the double range."""
+    try:
+        return c**p
+    except OverflowError:
+        raise DomainError(f"coefficient {c} to the power {p} overflows a double") from None
+
+
 def _antideriv(c: float, alpha: float, t: float, kind: MomentKind, p: float | None) -> float:
     """Antiderivative of the integrand for `kind` on the piece w = c t^alpha.
 
@@ -165,8 +173,8 @@ def _antideriv(c: float, alpha: float, t: float, kind: MomentKind, p: float | No
             raise ParameterError("AVG_W_POW requires the exponent p")
         q = p * alpha
         if q == -1.0:
-            return c**p * math.log(t)
-        return c**p * t ** (q + 1.0) / (q + 1.0)
+            return _coeff_pow(c, p) * math.log(t)
+        return _coeff_pow(c, p) * t ** (q + 1.0) / (q + 1.0)
     raise ParameterError(f"unknown moment kind {kind}")
 
 
@@ -232,7 +240,7 @@ def _piece_integral(piece: PowerPiece, s: float, e: float, kind: MomentKind, p: 
     if kind is MomentKind.AVG_W_POW:
         if p is None:
             raise ParameterError("AVG_W_POW requires the exponent p")
-        return c**p * _power_diff(p * alpha + 1.0, s, e)
+        return _coeff_pow(c, p) * _power_diff(p * alpha + 1.0, s, e)
     if kind is MomentKind.AVG_LOG_W:
         return (e - s) * math.log(c) + alpha * (
             e * math.log(e) - s * math.log(s) - (e - s)

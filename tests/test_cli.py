@@ -6,6 +6,7 @@ they cover exactly what a shell user sees.
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -119,6 +120,29 @@ class TestConstants:
         rc = cli.main(["constants", "--weight", str(tmp_path / "nope.json")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "pieces, which, message",
+        [
+            # every pair average of w log w overflows, so rh1 is nan everywhere
+            ([(0.0, 1.0, 1e308)], "rh1", "rh1"),
+            # c**p overflows in the closed-form moment of w^p
+            ([(0.0, 0.5, 1e300), (0.5, 1.0, 1e-300)], "rhp", "overflows"),
+        ],
+        ids=["rh1-no-finite-value", "rhp-coeff-power-overflow"],
+    )
+    def test_unscannable_weight_exits_2(self, tmp_path, capsys, pieces, which, message):
+        path = tmp_path / "huge.json"
+        entries = [{"a": a, "b": b, "coeff": c, "exponent": 0.0} for a, b, c in pieces]
+        path.write_text(json.dumps({"pieces": entries}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["constants", "--weight", str(path), "--which", which, "--resolution", "51"])
+        assert rc == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err and "Warning" not in err
 
     def test_byte_identical_reruns(self, linear_file, capsys):
         args = ["constants", "--weight", linear_file,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ import pytest
 from weightlab import (
     DomainError,
     Interval,
+    MomentKind,
     OrliczKind,
     ParameterError,
     ainf_constant,
     ap_constant,
     compute_report,
     constant_weight,
+    cumulative_moment,
     luxemburg_norm,
     maximal_function,
     power_weight,
@@ -24,7 +27,7 @@ from weightlab import (
     step_weight,
     truncate,
 )
-from weightlab.constants import scan_grid
+from weightlab.constants import _SCAN_BLOCK_ENTRIES, _grid_points, _scan
 
 from _frozen import (
     LUX_EXP_CHI,
@@ -40,15 +43,76 @@ from _frozen import (
 
 class TestScanGrid:
     def test_pair_count_without_extra_breakpoints(self):
-        w = constant_weight(1.0)
-        assert len(scan_grid(w, 101)) == 101 * 100 // 2
+        n = len(_grid_points(constant_weight(1.0), 101))
+        assert n * (n - 1) // 2 == 101 * 100 // 2
 
     def test_breakpoints_joined_into_grid(self):
         w = step_weight((0.0, 0.3, 1.0), (1.0, 2.0))
-        ivs = scan_grid(w, 2)
         # points {0, 0.3, 1} -> three intervals
-        assert len(ivs) == 3
-        assert any(iv.a == 0.0 and iv.b == 0.3 for iv in ivs)
+        assert _grid_points(w, 2).tolist() == [0.0, 0.3, 1.0]
+
+
+def _dense_scan(name, w, resolution, p=None):
+    """Every pair average as one dense matrix, the reference for the row-blocked _scan."""
+    pts = _grid_points(w, resolution)
+
+    def avg(kind, q=None):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cum = cumulative_moment(w, pts, kind, q)
+            return (cum[None, :] - cum[:, None]) / (pts[None, :] - pts[:, None])
+
+    avg_w = avg(MomentKind.AVG_W)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if name == "rh1":
+            avg_wlw = avg(MomentKind.AVG_W_LOG_W)
+            ratio = (avg_wlw - avg_w * np.log(avg_w)) / avg_w
+        elif name == "ainf":
+            ratio = avg_w * np.exp(-avg(MomentKind.AVG_LOG_W))
+        elif name == "rhp":
+            ratio = avg(MomentKind.AVG_W_POW, p) ** (1.0 / p) / avg_w
+        else:
+            ratio = avg_w * avg(MomentKind.AVG_W_POW, -1.0 / (p - 1.0)) ** (p - 1.0)
+    ratio[np.tril_indices_from(ratio)] = -np.inf
+    ratio[np.isnan(ratio)] = -np.inf
+    return ratio, pts
+
+
+class TestScanKernel:
+    SCANS = (("rh1", None), ("ainf", None), ("rhp", 1.5), ("rhp", 3.0), ("ap", 1.5), ("ap", 3.0))
+
+    def test_matches_dense_reference_exactly(self, corpus):
+        # R = 401 spans several row blocks
+        assert len(_grid_points(corpus[0], 401)) ** 2 > 4 * _SCAN_BLOCK_ENTRIES
+        for w in corpus:
+            for name, p in self.SCANS:
+                ratio, pts = _dense_scan(name, w, 401, p)
+                i, j = divmod(int(np.argmax(ratio)), ratio.shape[1])
+                value, iv = _scan(name, w, 401, p)
+                assert (value, iv.a, iv.b) == (ratio[i, j], pts[i], pts[j]), (name, p)
+
+    def test_tied_maxima_in_different_row_blocks_keep_first(self):
+        # period-1/2 step weight with dyadic cuts, values and grid: every pair
+        # average is exact, so each interval ties with its translate by 1/2,
+        # 128 grid rows further on, beyond the first block's rows
+        cuts = (0.0, 0.25, 0.375, 0.5, 0.75, 0.875, 1.0)
+        w = step_weight(cuts, (1.0, 4.0, 1.0, 1.0, 4.0, 1.0))
+        first_block_rows = _SCAN_BLOCK_ENTRIES // 256
+        for name in ("rhp", "ap"):
+            ratio, pts = _dense_scan(name, w, 257, 2.0)
+            rows, cols = np.nonzero(ratio == ratio.max())
+            assert rows[0] < first_block_rows <= rows[-1]
+            value, iv = _scan(name, w, 257, 2.0)
+            assert (value, iv.a, iv.b) == (ratio.max(), pts[rows[0]], pts[cols[0]])
+
+    def test_traced_peak_memory_is_bounded(self, corpus):
+        # the dense scan held about six (R + k)^2 float matrices: 157 MiB here
+        tracemalloc.start()
+        try:
+            compute_report(corpus[3], resolution=2001, which=("rh1", "ainf", "rhp", "ap"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestEntropyAndFlatness:

@@ -97,12 +97,13 @@ class TestEpsMinus:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_extreme_q_against_mpmath(self):
-        # eps ~ 1/sqrt(2q) for tiny q and ~1/q for huge q
-        for q in (1e-40, 1e-12, 1e3, 1e300):
+        # eps ~ 1/sqrt(2q) for tiny q and ~1/q for huge q; for 1e-16 < q < 1e-6
+        # u = 1/eps sits near the kernel's double root
+        for q in (1e-40, 1e-12, 1e-8, 1e-6, 1e3, 1e300):
             with mpmath.workdps(120):
                 f = lambda s: (mpmath.exp(s) - mpmath.log1p(mpmath.exp(s))) / q - 1
                 want = float(mpmath.exp(-mpmath.findroot(f, mpmath.log(mpmath.sqrt(2 * q) + q))))
-            assert solvers.eps_minus(q).root == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert solvers.eps_minus(q).root == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestGehringSharp:
@@ -121,6 +122,15 @@ class TestGehringSharp:
     def test_k_at_most_one_gives_infinite_gain(self):
         assert solvers.gehring_sharp_eps(2.0, 1.0).root == math.inf
         assert solvers.gehring_sharp_eps(2.0, 0.7).root == math.inf
+
+    def test_matches_mpmath(self):
+        for p in (1.5, 2.0, 3.0, 5.0, 10.0):
+            for k in (1.01, 1.1, 1.5, 2.0, 4.0):
+                rhs = p / (p - 1) * mpmath.log(k)
+                f = lambda e: mpmath.log((p + e - 1) / e) / (p - 1) - mpmath.log((p + e) / (p + e - 1)) - rhs
+                got = solvers.gehring_sharp_eps(p, k).root
+                want = mpmath.findroot(f, mpmath.mpf(got))
+                assert abs(got - want) <= 2e-15 * want, (p, k)
 
     def test_residuals_small(self):
         for p in (1.5, 2.0, 4.0):
@@ -205,8 +215,9 @@ def mp_branch_root(c1, upper):
 
 class TestBranchRootKernel:
     # c = 1 + c1 from 1 + 1e-12 up to 745 (lower) and 1e300 (upper)
-    LOWER_C1 = np.concatenate([np.geomspace(1e-12, 1.0, 40), np.geomspace(1.0, 744.0, 50)])
-    UPPER_C1 = np.concatenate([np.geomspace(1e-12, 1.0, 40), np.geomspace(1.0, 1e300, 80)])
+    NEAR_C1 = np.concatenate([np.geomspace(1e-12, 1.0, 40), [4.1e-8, 1e-6]])
+    LOWER_C1 = np.concatenate([NEAR_C1, np.geomspace(1.0, 744.0, 50)])
+    UPPER_C1 = np.concatenate([NEAR_C1, np.geomspace(1.0, 1e300, 80)])
 
     @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
     def test_matches_mpmath_within_four_steps(self, upper):
@@ -215,18 +226,19 @@ class TestBranchRootKernel:
             want, want_m1 = mp_branch_root(float(c1), upper)
             # below e^-708 the root is subnormal and keeps fewer bits
             assert abs(t - want) <= 1e-15 * want + 5e-324, c1
-            # t - 1 has t's absolute accuracy near the double root t = 1
-            assert abs(tm1 - want_m1) <= 1e-15 * abs(want_m1) + 2.2e-16, c1
+            # relative, also near the double root t = 1, where t - 1 ~ sqrt(2 c1)
+            assert abs(tm1 - want_m1) <= 1e-15 * abs(want_m1), c1
             assert 1 <= steps <= 4, c1
             assert lo * (1.0 - 1e-15) <= want <= hi * (1.0 + 1e-15)
 
     @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
     def test_array_matches_scalar(self, upper):
         c1 = self.UPPER_C1 if upper else self.LOWER_C1
-        t, _, steps, (lo, hi) = solvers._branch_root(c1, upper)
-        scalar = np.array([solvers._branch_root(float(c), upper)[0] for c in c1])
+        t, tm1, steps, (lo, hi) = solvers._branch_root(c1, upper)
+        scalar = np.array([solvers._branch_root(float(c), upper)[:2] for c in c1])
         assert steps <= 4
-        assert np.all(np.abs(t - scalar) <= 1e-15 * scalar + 5e-324)
+        assert np.all(np.abs(t - scalar[:, 0]) <= 1e-15 * scalar[:, 0] + 5e-324)
+        assert np.all(np.abs(tm1 - scalar[:, 1]) <= 1e-15 * np.abs(scalar[:, 1]))
         assert np.all((lo * (1.0 - 1e-15) <= t) & (t <= hi * (1.0 + 1e-15)))
 
     def test_double_root_at_c_one(self):
