@@ -33,6 +33,7 @@ __all__ = [
     "tangent_point",
     "evaluate",
     "hessian",
+    "hessian_signature",
     "tangent_linearity_check",
     "interior_grid",
     "bounds_check_ainf",
@@ -83,17 +84,19 @@ class BellmanSurface:
         return self.kind is not SurfaceKind.AINF_UPPER
 
 
-def in_domain(surface: BellmanSurface, x: float, y: float, tol: float = DOMAIN_TOL) -> bool:
-    """Domain membership with absolute tolerance scaled to the boundary size."""
-    if not (x > 0.0 and math.isfinite(x) and math.isfinite(y)):
-        return False
+def in_domain(surface: BellmanSurface, x, y, tol: float = DOMAIN_TOL):
+    """Domain membership (bool or bool array); AINF_UPPER compares log x - y: no overflow."""
+    xp = _ops(x)
+    ok = (x > 0.0) & xp.isfinite(x) & xp.isfinite(y)
+    x, y = xp.where(ok, x, 1.0), xp.where(ok, y, 0.0)  # keeps log and the bounds finite
     if surface.entropy_coordinates:
-        base = x * math.log(x)
-        slack = tol * max(1.0, abs(base) + surface.q * x)
-        return base - slack <= y <= base + surface.q * x + slack
-    r = x * math.exp(-y)
+        base = x * xp.log(x)
+        slack = tol * xp.maximum(1.0, abs(base) + surface.q * x)
+        return ok & (base - slack <= y) & (y <= base + surface.q * x + slack)
     slack = tol * max(1.0, surface.q)
-    return 1.0 - slack <= r <= surface.q + slack
+    lr = xp.log(x) - y
+    lo = math.log(1.0 - slack) if slack < 1.0 else -math.inf
+    return ok & (lo <= lr) & (lr <= math.log(surface.q + slack))
 
 
 def _tangent_solve(surface: BellmanSurface, x, y):
@@ -126,12 +129,15 @@ def tangent_point(surface: BellmanSurface, x: float, y: float) -> RootResult:
         raise DomainError(f"point ({x}, {y}) outside the {surface.kind.value} domain")
     x, y = float(x), float(y)
     v, steps, bracket = _tangent_solve(surface, x, y)
-    g = surface.gamma
+    return RootResult(v, _tangent_y(surface, x, v) - y, bracket, steps)
+
+
+def _tangent_y(surface: BellmanSurface, x, v):
+    """Height at x of the tangent line through abscissa v."""
+    g, log_v = surface.gamma, _ops(v).log(v)
     if surface.kind is SurfaceKind.AINF_UPPER:
-        residual = g * x / v + math.log(v) - g - y
-    else:
-        residual = (math.log(v) + g) * x - g * v - y
-    return RootResult(v, residual, bracket, steps)
+        return g * x / v + log_v - g
+    return (log_v + g) * x - g * v
 
 
 def _value(surface: BellmanSurface, x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -178,40 +184,42 @@ def evaluate_many(surface: BellmanSurface, x: np.ndarray, y: np.ndarray) -> np.n
 @dataclass(frozen=True)
 class HessianResult:
     matrix: np.ndarray
-    eigenvalues: tuple[float, float]
-    det: float
+    eigenvalues: tuple
+    det: float | np.ndarray
     method: str
-    boundary_warning: bool
+    boundary_warning: bool | np.ndarray
 
 
-def _closed_hessian(surface: BellmanSurface, x: float, y: float, v: float) -> np.ndarray:
+def _closed_hessian(surface: BellmanSurface, x, y, v) -> np.ndarray:
     g = surface.gamma
     if surface.kind is SurfaceKind.AINF_UPPER:
         bxx = g / (g * x - v)
         byy = -v * v / (g * (v - g * x))
         bxy = v / (v - g * x)
-        return np.array([[bxx, bxy], [bxy, byy]])
-    a = math.log(v) + g
-    if surface.kind is SurfaceKind.GEHRING:
-        eps = _require_eps(surface)
-        d = 1.0 + eps - g * eps
-        scale = eps * eps * (1.0 + eps) * v**eps / (d * (x - g * v))
     else:
-        scale = 1.0 / (g * v * (x - g * v))
-    return scale * np.array([[a * a, -a], [-a, 1.0]])
+        a = _ops(v).log(v) + g
+        if surface.kind is SurfaceKind.GEHRING:
+            eps = _require_eps(surface)
+            d = 1.0 + eps - g * eps
+            scale = eps * eps * (1.0 + eps) * v**eps / (d * (x - g * v))
+        else:
+            scale = 1.0 / (g * v * (x - g * v))
+        bxx, bxy, byy = scale * (a * a), scale * -a, scale
+    return np.moveaxis(np.array([[bxx, bxy], [bxy, byy]]), (0, 1), (-2, -1))
 
 
-def _boundary_margin(surface: BellmanSurface, x: float, y: float) -> float:
+def _boundary_margin(surface: BellmanSurface, x, y):
     """Safe coordinate step keeping x +- h, y +- h inside the domain."""
+    xp = _ops(x)
     if surface.entropy_coordinates:
-        base = x * math.log(x)
+        base = x * xp.log(x)
         lower = y - base
         upper = base + surface.q * x - y
-        slope = abs(math.log(x)) + 1.0 + surface.q
-        return min(lower, upper) / (2.0 * max(slope, 1.0))
-    lr = math.log(x) - y  # = log r in [0, log Q]
-    margin = min(lr, math.log(surface.q) - lr)
-    return margin / 2.0 * min(1.0, x)
+        slope = abs(xp.log(x)) + 1.0 + surface.q
+        return xp.minimum(lower, upper) / (2.0 * xp.maximum(slope, 1.0))
+    lr = xp.log(x) - y  # = log r in [0, log Q]
+    margin = xp.minimum(lr, math.log(surface.q) - lr)
+    return margin / 2.0 * xp.minimum(1.0, x)
 
 
 def _fd_hessian(surface: BellmanSurface, x: float, y: float, h: float) -> np.ndarray:
@@ -230,45 +238,68 @@ def _fd_hessian(surface: BellmanSurface, x: float, y: float, h: float) -> np.nda
     return (4.0 * fine - coarse) / 3.0  # Richardson: O(h^4) truncation
 
 
-def hessian(
-    surface: BellmanSurface, x: float, y: float, method: str = "closed"
-) -> HessianResult:
-    """Second derivative matrix at an interior point.
+def hessian(surface: BellmanSurface, x, y, method: str = "closed") -> HessianResult:
+    """Second derivative matrix at an interior point, or (..., 2, 2) matrices at arrays of points.
 
-    "closed" uses implicit-differentiation formulas (det is exactly zero in
-    exact arithmetic for all three surfaces); "fd" uses central differences
-    with one Richardson step at h = 1e-5 * max(1, |x|), shrunk near the
-    boundary with a warning flag.
+    "closed" uses implicit-differentiation formulas (det is exactly zero in exact
+    arithmetic for all three surfaces), on math for floats, batched for arrays.
+    "fd", the reference for "closed", takes one point: central differences with one
+    Richardson step at h = 1e-5 * max(1, |x|), shrunk near the boundary with a warning flag.
     """
-    if not in_domain(surface, x, y, tol=1e-9):
+    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
+    if scalar:
+        x, y = float(x), float(y)
+    else:
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    inside = in_domain(surface, x, y, tol=1e-9)
+    if not np.all(inside):
+        x, y = np.ravel(x)[np.argmin(inside)], np.ravel(y)[np.argmin(inside)]
         raise DomainError(f"point ({x}, {y}) outside the {surface.kind.value} domain")
-    warn = False
     margin = _boundary_margin(surface, x, y)
     if method == "closed":
-        v = _tangent_solve(surface, float(x), float(y))[0]
-        warn = margin < 1e-10 * max(1.0, abs(x))
+        v = _tangent_solve(surface, x, y)[0]
+        warn = margin < 1e-10 * _ops(x).maximum(1.0, abs(x))
         mat = _closed_hessian(surface, x, y, v)
     elif method == "fd":
         h = 1e-5 * max(1.0, abs(x))
         if margin <= 0.0:
             raise DomainError("point is on the boundary; finite differences need interior room")
-        if margin < 2.0 * h:
+        warn = margin < 2.0 * h
+        if warn:
             h = margin / 4.0
-            warn = True
         mat = _fd_hessian(surface, x, y, h)
     else:
         raise ParameterError(f"unknown hessian method {method!r}")
-    eigs = np.linalg.eigvalsh(mat)
+    eigs, det = np.linalg.eigvalsh(mat), np.linalg.det(mat)
+    lo, hi = eigs[..., 0], eigs[..., 1]
+    if scalar:
+        lo, hi, det = float(lo), float(hi), float(det)
     return HessianResult(
         matrix=mat,
-        eigenvalues=(float(eigs[0]), float(eigs[1])),
-        det=float(np.linalg.det(mat)),
+        eigenvalues=(lo, hi),
+        det=det,
         method=method,
         boundary_warning=warn,
     )
 
 
-def _tangent_segment(surface: BellmanSurface, v: float) -> tuple[float, float]:
+def hessian_signature(surface: BellmanSurface, x, y) -> tuple[np.ndarray, float, HessianResult]:
+    """Excess over the Hessian's signature at each point, its threshold, and the Hessian.
+
+    Each surface solves det = 0 (homogeneous Monge-Ampere) with a fixed sign.  With m =
+    max(1, largest |entry|) at a point, the excess is max(|det| / m^2, B_yy) on AINF_UPPER
+    (threshold 1e-6), max eigenvalue / m on GEHRING and -min eigenvalue / m on AINF_LOWER (1e-8).
+    """
+    res = hessian(surface, x, y)
+    m = np.maximum(1.0, np.max(np.abs(res.matrix), axis=(-2, -1)))
+    if surface.kind is SurfaceKind.AINF_UPPER:
+        return np.maximum(np.abs(res.det) / m**2, res.matrix[..., 1, 1]), 1e-6, res
+    if surface.kind is SurfaceKind.GEHRING:
+        return res.eigenvalues[1] / m, 1e-8, res
+    return -res.eigenvalues[0] / m, 1e-8, res
+
+
+def _tangent_segment(surface: BellmanSurface, v):
     """x-range of the tangent segment through abscissa v inside the domain."""
     g = surface.gamma
     if surface.kind is SurfaceKind.AINF_UPPER:
@@ -278,27 +309,24 @@ def _tangent_segment(surface: BellmanSurface, v: float) -> tuple[float, float]:
     return g * v, v
 
 
-def tangent_linearity_check(surface: BellmanSurface, v: float, n_samples: int = 33) -> float:
-    """Max deviation of the evaluated surface from affine along one tangent line.
+def tangent_linearity_check(surface: BellmanSurface, v, n_samples: int = 33):
+    """Max deviation of the evaluated surface from affine along the tangent line through v.
 
     The surface is linear on tangent segments by construction, so this
-    measures how well evaluate() inverts the tangent equation.
+    measures how well evaluate() inverts the tangent equation.  An array of
+    v gives one deviation per v from one evaluate_many call.
     """
-    if not (v > 0.0 and math.isfinite(v)):
+    v = np.asarray(v, dtype=float)
+    if not np.all((v > 0.0) & np.isfinite(v)):
         raise ParameterError(f"tangent abscissa must be positive, got {v}")
     if n_samples < 2:
         raise ParameterError("need at least 2 samples")
-    g = surface.gamma
-    x0, x1 = _tangent_segment(surface, v)
-    xs = np.linspace(x0, x1, n_samples)
-    if surface.kind is SurfaceKind.AINF_UPPER:
-        ys = g * xs / v + math.log(v) - g
-    else:
-        ys = (math.log(v) + g) * xs - g * v
-    vals = evaluate_many(surface, xs, ys)
-    tau = (xs - xs[0]) / (xs[-1] - xs[0])
-    affine = vals[0] * (1.0 - tau) + vals[-1] * tau  # exact at both ends
-    return float(np.max(np.abs(vals - affine)))
+    xs = np.linspace(*_tangent_segment(surface, v), n_samples, axis=-1)
+    vals = evaluate_many(surface, xs, _tangent_y(surface, xs, v[..., None]))
+    tau = (xs - xs[..., :1]) / (xs[..., -1:] - xs[..., :1])
+    affine = vals[..., :1] * (1.0 - tau) + vals[..., -1:] * tau  # exact at both ends
+    dev = np.max(np.abs(vals - affine), axis=-1)
+    return float(dev) if dev.ndim == 0 else dev
 
 
 def interior_grid(surface: BellmanSurface, n_x: int, n_f: int) -> tuple[np.ndarray, np.ndarray]:

@@ -213,9 +213,9 @@ def _verify_surface(surface, what: str, grid: int):
         }
     if what == "tangent":
         vs = np.linspace(0.5, 2.0, max(grid, 2))
-        devs = [bellman.tangent_linearity_check(surface, float(v)) for v in vs]
+        devs = bellman.tangent_linearity_check(surface, vs)
         worst = int(np.argmax(devs))
-        ok = devs[worst] <= 1e-9
+        ok = bool(devs[worst] <= 1e-9)
         return ok, {
             "check": "tangent",
             "samples": len(devs),
@@ -225,28 +225,15 @@ def _verify_surface(surface, what: str, grid: int):
         }
     if what == "hessian":
         xs, ys = bellman.interior_grid(surface, max(grid, 2), max(grid, 2))
-        worst_val = -math.inf
-        worst_pt = (math.nan, math.nan)
-        for x, y in zip(xs, ys):
-            res = bellman.hessian(surface, float(x), float(y))
-            if surface.kind is bellman.SurfaceKind.AINF_UPPER:
-                scale = max(1.0, float(np.max(np.abs(res.matrix))) ** 2)
-                val = abs(res.det) / scale
-                val = max(val, res.matrix[1, 1])  # B_yy must stay <= 0
-            elif surface.kind is bellman.SurfaceKind.GEHRING:
-                val = max(res.eigenvalues)
-            else:
-                val = -min(res.eigenvalues)
-            if val > worst_val:
-                worst_val, worst_pt = val, (float(x), float(y))
-        threshold = 1e-6 if surface.kind is bellman.SurfaceKind.AINF_UPPER else 1e-8
-        ok = worst_val <= threshold
+        excess, threshold, _ = bellman.hessian_signature(surface, xs, ys)
+        worst = int(np.argmax(excess))
+        ok = bool(excess[worst] <= threshold)
         return ok, {
             "check": "hessian",
             "points": len(xs),
-            "worst_value": worst_val,
+            "worst_value": float(excess[worst]),
             "threshold": threshold,
-            "worst_point": [worst_pt[0], worst_pt[1]],
+            "worst_point": [float(xs[worst]), float(ys[worst])],
             "passed": ok,
         }
     raise WeightLabError(f"unknown verification {what!r}")

@@ -73,10 +73,12 @@ def bisect(f, lo: float, hi: float, max_iter: int = 600) -> RootResult:
     return RootResult(root, f(root), (lo, hi), it)
 
 
-# the kernel's arithmetic on a float, where a solve costs microseconds; arrays use numpy
+# float arithmetic for code taking a float or an array (the root kernel, the Bellman
+# domain and Hessian), where a float call costs microseconds; arrays use numpy
 _FLOAT_OPS = SimpleNamespace(
     expm1=math.expm1, log1p=math.log1p, exp=math.exp, log=math.log, sqrt=math.sqrt,
     clip=lambda x, lo, hi: min(max(x, lo), hi), where=lambda c, a, b: a if c else b, all=bool,
+    isfinite=math.isfinite, minimum=min, maximum=max,
 )
 _MAX_STEPS = 40
 # e^s - 1 - s = s^2 sum_k s^k / (k + 2)!, k < 12: 1e-18 relative at |s| < 1/4,

@@ -365,10 +365,9 @@ def rescale(w: Weight, c: float) -> Weight:
 # serialization
 
 def weight_from_dict(data: dict) -> Weight:
-    try:
-        raw = data["pieces"]
-    except (KeyError, TypeError):
-        raise ParameterError("weight JSON needs a 'pieces' list") from None
+    raw = data.get("pieces") if isinstance(data, dict) else None
+    if not isinstance(raw, list):
+        raise ParameterError("weight JSON needs a 'pieces' list")
     pieces = []
     for entry in raw:
         try:

@@ -4,23 +4,28 @@ Each constant was computed independently of the package code: either from a
 closed form, or by 40-digit mpmath bisection on the defining scalar equation,
 then rounded to the nearest double.  Tests compare library output against
 these doubles, so regressions in the solvers or scans cannot hide behind a
-recomputed oracle.
+recomputed oracle.  The six values the selftest checks too are literals in
+weightlab.selftest and are imported from there, not repeated.
 """
 
 import math
 
-# root of t - log t = 2 in (0, 1); also the q = 1 entropy minus-root and the
-# q = e log-equation root, which coincide because 1 + log e = 1 + 1 = 2
-GAMMA_MINUS_1 = 0.15859433956303936
-
-# root of t - log t = 2 in (1, inf)
-GAMMA_PLUS_1 = 3.1461932206205826
-
-# smallest eps > 0 with 1/eps - log(1/eps + 1) = 1
-EPS_MINUS_1 = 0.4659412723849929
-
-# gamma * exp((1 - gamma)/gamma) at gamma = GAMMA_MINUS_1
-FUNNY_BOUND_1 = 31.944167676853871
+# GAMMA_MINUS_1: root of t - log t = 2 in (0, 1); also the q = 1 entropy
+#   minus-root and the q = e log-equation root (1 + log e = 1 + 1 = 2)
+# GAMMA_PLUS_1: root of t - log t = 2 in (1, inf)
+# EPS_MINUS_1: smallest eps > 0 with 1/eps - log(1/eps + 1) = 1
+# FUNNY_BOUND_1: gamma * exp((1 - gamma)/gamma) at gamma = GAMMA_MINUS_1
+# GEHRING_B_1_03: upper entropy surface value at x = GAMMA_PLUS_1 on the upper
+#   boundary, q = 1, eps = 0.3: gamma_plus / (1 + eps - gamma_plus * eps)
+# GEHRING_DIM_1_1: log 4 / (1 * log 2 + 8 * 1)
+from weightlab.selftest import (  # noqa: F401
+    EPS_MINUS_1,
+    FUNNY_BOUND_1,
+    GAMMA_MINUS_1,
+    GAMMA_PLUS_1,
+    GEHRING_B_1_03,
+    GEHRING_DIM_1_1,
+)
 
 # log g + 1/g - 1 at g = GAMMA_MINUS_1: the envelope ratio bound at Q = e,
 # which also equals log(FUNNY_BOUND_1)
@@ -28,13 +33,6 @@ RATIO_BOUND_E = 3.4639896188347305
 
 # power exponent (1 - GAMMA_PLUS_1)/GAMMA_PLUS_1 of the q = 1 boundary weight
 ALPHA_BOUNDARY_1 = -0.6821555671006273
-
-# upper entropy surface value at x = GAMMA_PLUS_1 on the upper boundary,
-# q = 1, eps = 0.3: gamma_plus / (1 + eps - gamma_plus * eps)
-GEHRING_B_1_03 = 8.834096854361394
-
-# log 4 / (1 * log 2 + 8 * 1)
-GEHRING_DIM_1_1 = 0.15946979066683606
 
 # entropy ratio of w(t) = sqrt(t): -1/3 - log(2/3)
 RH1_SQRT = 0.07213177477483105

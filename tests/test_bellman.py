@@ -16,7 +16,8 @@ from weightlab import (
     tangent_linearity_check,
     tangent_point,
 )
-from weightlab.bellman import evaluate_many
+from weightlab import bellman
+from weightlab.bellman import evaluate_many, hessian_signature, interior_grid
 from weightlab.solvers import funny_bound, gamma_entropy_roots
 
 from _frozen import FUNNY_BOUND_1, GAMMA_PLUS_1, GEHRING_B_1_03, RATIO_BOUND_E
@@ -40,6 +41,15 @@ def mp_tangent(surface, x, y):
 def gehring_surface(q, frac=0.5):
     gp = gamma_entropy_roots(q)[1].root
     return BellmanSurface(SurfaceKind.GEHRING, q, eps=frac / (gp - 1.0))
+
+
+# each surface at a small, a moderate and a large q
+Q_SPAN = [
+    *(BellmanSurface(SurfaceKind.AINF_UPPER, q) for q in (1.05, 5.0, 1e6)),
+    *(gehring_surface(q) for q in (0.05, 5.0, 700.0)),
+    *(BellmanSurface(SurfaceKind.AINF_LOWER, q) for q in (0.05, 5.0, 250.0)),
+]
+Q_SPAN_IDS = [f"{s.kind.value}-q{s.q:g}" for s in Q_SPAN]
 
 
 class TestConstruction:
@@ -88,6 +98,30 @@ class TestDomain:
         with pytest.raises(DomainError):
             evaluate_surface(up, 1.0, 0.5)
 
+    def test_log_coordinates_never_overflow(self):
+        up = BellmanSurface(SurfaceKind.AINF_UPPER, 2.0)
+        assert not in_domain(up, 1.0, -1000.0)  # x e^{-y} = e^1000
+        with pytest.raises(DomainError):
+            evaluate_surface(up, 1.0, -1000.0)
+        assert in_domain(up, 1e300, math.log(1e300) - 0.5)
+
+    def test_slack_of_one_or_more_drops_the_lower_bound(self):
+        huge = BellmanSurface(SurfaceKind.AINF_UPPER, 1e13)
+        assert in_domain(huge, 1.0, 0.5)  # slack 1e-12 * 1e13 = 10
+        assert not in_domain(huge, 1.0, 0.5, tol=1e-15)  # slack 0.01
+        assert in_domain(huge, 1.0, 0.005, tol=1e-15)
+
+    @pytest.mark.parametrize("surface", [BellmanSurface(SurfaceKind.AINF_UPPER, 2.0),
+                                         BellmanSurface(SurfaceKind.AINF_LOWER, 1.0)],
+                             ids=["upper", "lower"])
+    def test_array_matches_float(self, surface):
+        xs = np.array([1.0, 1.0, 1.0, 0.5, 2.0, -1.0, 0.0, math.nan, math.inf, 1.0, 1.0])
+        ys = np.array([0.0, -0.3, 0.9, -0.2, 1.3, 0.0, 0.0, 0.0, 0.0, math.nan, -math.inf])
+        got = in_domain(surface, xs, ys)
+        assert got.dtype == bool
+        assert got.tolist() == [in_domain(surface, float(x), float(y)) for x, y in zip(xs, ys)]
+        assert got.any() and not got.all()
+
 
 class TestTangent:
     def test_lower_boundary_is_identity(self):
@@ -131,6 +165,15 @@ class TestTangent:
         x = (1.0 + GAMMA_PLUS_1) / 2.0
         y = GAMMA_PLUS_1 * (x - 1.0)
         assert tangent_point(geh, x, y).root == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("surface", Q_SPAN, ids=Q_SPAN_IDS)
+    def test_linearity_array_matches_float(self, surface):
+        vs = np.linspace(0.5, 2.0, 7)
+        devs = tangent_linearity_check(surface, vs)
+        assert devs.shape == vs.shape
+        assert devs.tolist() == [tangent_linearity_check(surface, float(v)) for v in vs]
+        with pytest.raises(ParameterError):
+            tangent_linearity_check(surface, np.array([1.0, -0.5]))
 
     def test_linearity_along_tangent_segments(self):
         surfaces = (
@@ -250,6 +293,96 @@ class TestHessian:
         up = BellmanSurface(SurfaceKind.AINF_UPPER, 2.0)
         with pytest.raises(ParameterError):
             hessian(up, 1.0, -0.3, method="auto")
+
+    @pytest.mark.parametrize("surface", Q_SPAN, ids=Q_SPAN_IDS)
+    def test_array_matches_float(self, surface):
+        xs, ys = interior_grid(surface, 9, 7)
+        batch = hessian(surface, xs, ys)
+        assert batch.matrix.shape == (xs.size, 2, 2)
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            one = hessian(surface, float(x), float(y))
+            scale = np.max(np.abs(one.matrix))
+            assert np.max(np.abs(batch.matrix[k] - one.matrix)) <= 1e-13 * scale
+            for got, want in zip(batch.eigenvalues, one.eigenvalues):
+                assert abs(got[k] - want) <= 1e-13 * scale
+            assert abs(batch.det[k] - one.det) <= 1e-13 * scale**2
+            assert batch.boundary_warning[k] == one.boundary_warning
+
+    def test_array_rejects_any_point_outside(self):
+        up = BellmanSurface(SurfaceKind.AINF_UPPER, 2.0)
+        with pytest.raises(DomainError, match=r"\(1.0, 0.5\)"):
+            hessian(up, np.array([1.0, 1.0, 1.0]), np.array([-0.3, 0.5, -0.2]))
+
+
+class TestHessianSignature:
+    def test_entries_far_above_one_scale_the_eigenvalue_bound(self):
+        low = BellmanSurface(SurfaceKind.AINF_LOWER, 200.0)
+        excess, threshold, res = hessian_signature(low, *interior_grid(low, 16, 16))
+        assert threshold == 1e-8
+        assert np.max(np.abs(res.matrix)) > 1e30
+        assert np.max(excess) <= threshold
+        # an absolute bound reads rounding in entries this large as a failure
+        assert np.max(-res.eigenvalues[0]) > threshold
+
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            BellmanSurface(SurfaceKind.AINF_LOWER, 200.0),
+            BellmanSurface(SurfaceKind.AINF_LOWER, 1.5),
+            gehring_surface(1.0),
+            gehring_surface(300.0),
+            BellmanSurface(SurfaceKind.AINF_UPPER, 5.0),
+        ],
+        ids=["lower-q200", "lower-q1.5", "gehring-q1", "gehring-q300", "upper-q5"],
+    )
+    def test_flipped_sign_fails(self, surface, monkeypatch):
+        xs, ys = interior_grid(surface, 16, 16)
+        excess, threshold, _ = hessian_signature(surface, xs, ys)
+        assert np.max(excess) <= threshold
+        closed = bellman._closed_hessian
+        monkeypatch.setattr(bellman, "_closed_hessian", lambda *args: -closed(*args))
+        excess, threshold, _ = hessian_signature(surface, xs, ys)
+        assert np.max(excess) > threshold
+
+
+class TestFloatPathPins:
+    """Float-path outputs frozen from the scalar-only implementation.
+
+    The float path keeps its arithmetic when arrays are accepted too, so
+    these compare exactly.
+    """
+
+    def test_hessian(self):
+        cases = [
+            (BellmanSurface(SurfaceKind.AINF_UPPER, 5.0), 1.3, math.log(1.3) - 0.5 * math.log(5.0),
+             [[-0.19373300315607392, 1.251852904102896], [1.251852904102896, -8.089151915166202]],
+             (-8.282884918322276, -5.551115123125783e-17), 5.559343670315589e-16),
+            (gehring_surface(1.0), 1.1, 1.1 * math.log(1.1) + 0.3 * 1.1,
+             [[-0.6755407536279064, 0.21900576107369324], [0.21900576107369324, -0.07100019225470197]],
+             (-0.7465409458826084, -1.3877787807814457e-17), 9.375011234379154e-18),
+            (BellmanSurface(SurfaceKind.AINF_LOWER, 1.2), 1.6, 1.6 * math.log(1.6) + 0.6 * 1.2 * 1.6,
+             [[4.108016281957256, -2.7376996608425217], [-2.7376996608425217, 1.824481433020582]],
+             (0.0, 5.932497714977838), 0.0),
+        ]
+        for surface, x, y, matrix, eigenvalues, det in cases:
+            res = hessian(surface, x, y)
+            assert res.matrix.tolist() == matrix
+            assert res.eigenvalues == eigenvalues
+            assert type(res.det) is float and res.det == det
+            assert res.boundary_warning is False
+
+    def test_tangent_linearity(self):
+        cases = [
+            (BellmanSurface(SurfaceKind.AINF_UPPER, 5.0),
+             [1.4210854715202004e-14, 2.842170943040401e-14, 5.684341886080802e-14]),
+            (gehring_surface(1.0), [4.440892098500626e-16, 1.7763568394002505e-15, 3.552713678800501e-15]),
+            (BellmanSurface(SurfaceKind.AINF_LOWER, 1.2),
+             [1.7763568394002505e-15, 1.7763568394002505e-15, 2.6645352591003757e-15]),
+        ]
+        for surface, devs in cases:
+            got = [tangent_linearity_check(surface, v) for v in (0.5, 1.0, 1.9)]
+            assert all(type(d) is float for d in got)
+            assert got == devs
 
 
 class TestBoundsCheck:

@@ -13,6 +13,7 @@ import pytest
 from weightlab import (
     BellmanSurface,
     SurfaceKind,
+    bellman,
     cli,
     evaluate_surface,
     load_weight,
@@ -116,6 +117,15 @@ class TestConstants:
         assert rc == 2
         assert "invalid weight JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pieces", ["5", "2.5", "true", "null"])
+    def test_non_list_pieces_exits_2(self, tmp_path, capsys, pieces):
+        bad = tmp_path / "scalar.json"
+        bad.write_text(f'{{"pieces": {pieces}}}')
+        rc = cli.main(["constants", "--weight", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'pieces' list" in err
+
     def test_missing_weight_file_exits_2(self, tmp_path, capsys):
         rc = cli.main(["constants", "--weight", str(tmp_path / "nope.json")])
         assert rc == 2
@@ -184,6 +194,28 @@ class TestBellman:
         )
         assert rc == 0
         assert _json_out(capsys)["passed"] is True
+
+    @pytest.mark.parametrize(
+        "surface",
+        [["ainf-lower", "--q", "120"], ["ainf-lower", "--q", "200"],
+         ["gehring", "--q", "1.0", "--eps", "0.3"]],
+        ids=["lower-q120", "lower-q200", "gehring-q1"],
+    )
+    def test_verify_hessian_signature_and_its_negative(self, surface, monkeypatch, capsys):
+        argv = ["bellman", "--surface", *surface, "--verify", "hessian", "--grid", "16"]
+        assert cli.main(argv) == 0
+        assert _json_out(capsys)["passed"] is True
+        closed = bellman._closed_hessian
+        monkeypatch.setattr(bellman, "_closed_hessian", lambda *args: -closed(*args))
+        assert cli.main(argv) == 1
+        payload = _json_out(capsys)
+        assert payload["passed"] is False and payload["worst_value"] > payload["threshold"]
+
+    def test_eval_overflowing_point_exits_2(self, capsys):
+        rc = cli.main(["bellman", "--surface", "ainf-upper", "--q", "2", "--eval", "1,-1000"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "outside the ainf_upper domain" in err
 
     def test_gehring_without_eps_exits_2(self, capsys):
         rc = cli.main(
