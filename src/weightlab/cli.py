@@ -371,6 +371,21 @@ def _cmd_selftest(args) -> int:
     return 0 if all_ok else 1
 
 
+# Largest accepted sizes: each keeps a run near 30 s or less on 2 CPUs and its
+# traced memory peak under 256 MiB.  Pair scans take O(R^2) time, O(R) memory;
+# rh1_doubleprime ~3.4 KiB per grid pair and piece crossed (134 MiB at R = 200,
+# 227 MiB for five pieces); a Hessian check ~150 B per grid point; a depth-14 tree 108 MiB.
+_CAPS = {"resolution": 20001, "maximal_resolution": 200, "grid": 1024, "depth": 14}
+
+
+def _check_caps(args) -> None:
+    for name, cap in _CAPS.items():
+        value = getattr(args, name, None)
+        if value is not None and value > cap:
+            flag = "--" + name.replace("_", "-")
+            raise WeightLabError(f"{flag} {value} exceeds its cap of {cap}")
+
+
 # ---------------------------------------------------------------------------
 # parser
 
@@ -465,6 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_caps(args)
         return args.func(args)
     except WeightLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

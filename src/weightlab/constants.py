@@ -23,6 +23,7 @@ from .errors import DomainError, ParameterError
 from .weights import (
     Interval,
     MomentKind,
+    PowerPiece,
     Weight,
     breakpoints,
     cumulative_moment,
@@ -69,6 +70,18 @@ def _grid_points(w: Weight, resolution: int, interval: Interval | None = None) -
     pts = np.unique(np.concatenate([pts, np.asarray(bps, dtype=float)]))
     keep = np.concatenate([[True], np.diff(pts) > 1e-12])
     return pts[keep]
+
+
+def _centred(w: Weight) -> Weight:
+    """w times the power of two centring its coefficients' binary exponents on 0.
+
+    The constants are scale-invariant; this keeps c log c, c**p and
+    exp(-avg log w) at the ends of the double range finite and normal.
+    """
+    exps = [math.frexp(piece.coeff)[1] - 1 for piece in w.pieces]  # c = m 2^exp, 1 <= m < 2
+    # capped so the largest stays finite when subnormal coefficients widen the span
+    shift = min(-((min(exps) + max(exps)) // 2), 1023 - max(exps))
+    return Weight(tuple(PowerPiece(pc.support, math.ldexp(pc.coeff, shift), pc.exponent) for pc in w.pieces))
 
 
 # name -> the cumulative moment paired with AVG_W (its kind and exponent as a
@@ -119,23 +132,23 @@ def _scan(name: str, w: Weight, resolution: int, p: float | None = None) -> tupl
 
 def rh1_constant(w: Weight, resolution: int = DEFAULT_RESOLUTION) -> tuple[float, Interval]:
     """Normalized entropy sup: max of [avg(w log w) - avg(w) log avg(w)] / avg(w)."""
-    return _scan("rh1", w, resolution)
+    return _scan("rh1", _centred(w), resolution)
 
 
 def ainf_constant(w: Weight, resolution: int = DEFAULT_RESOLUTION) -> tuple[float, Interval]:
     """Jensen-gap sup: max of avg(w) * exp(-avg(log w))."""
-    return _scan("ainf", w, resolution)
+    return _scan("ainf", _centred(w), resolution)
 
 
 def rhp_constant(w: Weight, p: float, resolution: int = DEFAULT_RESOLUTION) -> tuple[float, Interval]:
     """Reverse Holder sup: max of avg(w^p)^(1/p) / avg(w); +inf when a scanned
     interval touching 0 has a divergent p-th moment."""
-    return _scan("rhp", w, resolution, p)
+    return _scan("rhp", _centred(w), resolution, p)
 
 
 def ap_constant(w: Weight, p: float, resolution: int = DEFAULT_RESOLUTION) -> tuple[float, Interval]:
     """Muckenhoupt sup: max of avg(w) * avg(w^(-1/(p-1)))^(p-1)."""
-    return _scan("ap", w, resolution, p)
+    return _scan("ap", _centred(w), resolution, p)
 
 
 def maximal_function(
@@ -172,6 +185,7 @@ def rh1_prime_constant(
     by one cell adds one column of candidate averages, whose running prefix
     maxima update every cell in O(cells).  Total cost O(resolution^3).
     """
+    w = _centred(w)
     pts = _grid_points(w, resolution)
     n = len(pts)
     cum = cumulative_moment(w, pts, MomentKind.AVG_W)
@@ -309,6 +323,7 @@ def rh1_doubleprime_constant(
 
     All grid intervals are bisected simultaneously on flat node arrays.
     """
+    w = _centred(w)
     pts = _grid_points(w, resolution)
     cum = cumulative_moment(w, pts, MomentKind.AVG_W)
     ii, jj = np.triu_indices(len(pts), 1)  # pairs i < j in lexicographic order

@@ -302,7 +302,7 @@ def criterion_11_dimensional_pipeline():
 
 
 def criterion_12_moment_quadrature():
-    """Closed-form moments agree with an independent log-mesh Simpson rule."""
+    """Closed-form and cumulative moments agree with an independent log-mesh Simpson rule."""
     rng = np.random.default_rng(2026)
     kinds = (MomentKind.AVG_W, MomentKind.AVG_LOG_W,
              MomentKind.AVG_W_LOG_W, MomentKind.AVG_W_POW)
@@ -332,10 +332,12 @@ def criterion_12_moment_quadrature():
             iv = Interval(0.0, float(rng.uniform(0.4, 1.0)))
         else:
             iv = Interval(float(rng.uniform(0.05, 0.4)), float(rng.uniform(0.5, 1.0)))
-        got = weights.moment(w, iv, kind, p)
         ref, mean_abs = _oracle_moment(w, iv, kind, p)
         scale = max(1.0, abs(ref), mean_abs)
-        rel = abs(got - ref) / scale
+        # the scalar closed form, and the array path through a cumulative difference
+        cum = weights.cumulative_moment(w, np.array([iv.a, iv.b]), kind, p)
+        got = (weights.moment(w, iv, kind, p), (cum[1] - cum[0]) / iv.length)
+        rel = max(abs(g - ref) for g in got) / scale
         if iv.a > 0.0:
             worst_far = max(worst_far, rel)
         else:

@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .solvers import _ops
 
 __all__ = [
     "Interval",
@@ -139,127 +140,86 @@ def evaluate(w: Weight, t: float) -> float:
     raise AssertionError("unreachable: pieces cover (0, 1]")
 
 
-def _coeff_pow(c: float, p: float) -> float:
-    """c**p for the w^p moments, refusing a power beyond the double range."""
-    try:
-        return c**p
-    except OverflowError:
-        raise DomainError(f"coefficient {c} to the power {p} overflows a double") from None
-
-
-def _antideriv(c: float, alpha: float, t: float, kind: MomentKind, p: float | None) -> float:
-    """Antiderivative of the integrand for `kind` on the piece w = c t^alpha.
-
-    Valid for t > 0; the per-piece constant is arbitrary (differences are
-    taken within one piece).  At t = 0 use _antideriv_zero_limit.
-    """
-    if kind is MomentKind.AVG_W:
-        if alpha == -1.0:
-            return c * math.log(t)
-        return c * t ** (alpha + 1.0) / (alpha + 1.0)
-    if kind is MomentKind.AVG_LOG_W:
-        # integrand log c + alpha log t
-        return t * math.log(c) + alpha * (t * math.log(t) - t)
-    if kind is MomentKind.AVG_W_LOG_W:
-        # integrand c log(c) t^alpha + c alpha t^alpha log t
-        if alpha == -1.0:
-            lt = math.log(t)
-            return c * math.log(c) * lt - c * lt * lt / 2.0
-        a1 = alpha + 1.0
-        ta1 = t**a1
-        return c * math.log(c) * ta1 / a1 + c * alpha * ta1 * (math.log(t) / a1 - 1.0 / (a1 * a1))
-    if kind is MomentKind.AVG_W_POW:
-        if p is None:
-            raise ParameterError("AVG_W_POW requires the exponent p")
-        q = p * alpha
-        if q == -1.0:
-            return _coeff_pow(c, p) * math.log(t)
-        return _coeff_pow(c, p) * t ** (q + 1.0) / (q + 1.0)
-    raise ParameterError(f"unknown moment kind {kind}")
-
-
-def _antideriv_zero_limit(c: float, alpha: float, kind: MomentKind, p: float | None) -> float:
-    """Limit of the antiderivative as t -> 0+ on a piece touching 0.
-
-    Returns -inf when the integral diverges there (only possible for
-    AVG_W_POW with p*alpha <= -1).
-    """
-    if kind is MomentKind.AVG_W_POW:
-        if p is None:
-            raise ParameterError("AVG_W_POW requires the exponent p")
-        if p * alpha <= -1.0:
-            return -math.inf
-        return 0.0
-    # alpha > -1 is enforced on zero pieces; t^(alpha+1) and t log t vanish
-    return 0.0
-
-
-def _expm1_ratio(z: float) -> float:
+def _expm1_ratio(z):
+    if isinstance(z, np.ndarray):
+        return np.where(z == 0.0, 1.0, np.expm1(z) / z)
     return math.expm1(z) / z if z != 0.0 else 1.0
 
 
-def _power_diff(g: float, s: float, e: float) -> float:
+def _power_diff(g: float, s, e):
     """(e^g - s^g)/g for 0 < s < e, continuous through g = 0 (-> log(e/s)).
 
     The naive difference loses every digit when g*log(e/s) is tiny (the
     near-critical exponents that the divergence diagnostics live on), so
-    that regime is routed through expm1.
+    that regime is routed through expm1.  g = 1 (a constant piece) is exact.
     """
-    big = math.log(e / s)
+    if g == 1.0:
+        return e - s
+    ratio = e / s
+    big = _ops(ratio).log(ratio)
     z = g * big
-    if abs(z) < 0.5:
-        return s**g * big * _expm1_ratio(z)
-    return (e**g - s**g) / g
+    if isinstance(z, np.ndarray):
+        return np.where(abs(z) < 0.5, s**g * big * _expm1_ratio(z), (e**g - s**g) / g)
+    return s**g * big * _expm1_ratio(z) if abs(z) < 0.5 else (e**g - s**g) / g
 
 
-def _ulogu_series(z: float, big: float) -> float:
-    """int_0^L u e^{z u / L} du = L^2 sum z^k / (k! (k+2)), |z| < 1."""
+# L^2 sum_k z^k / (k! (k + 2)), k < 16: 1e-18 relative at |z| < 1/2
+_ULOGU_SERIES = tuple(1.0 / (math.factorial(k) * (k + 2)) for k in reversed(range(16)))
+
+
+def _ulogu_series(z, big):
+    """int_0^L u e^{z u / L} du, L = big, |z| < 1/2."""
     acc = 0.0
-    zk = 1.0
-    for k in range(30):
-        term = zk / (k + 2.0)
-        acc += term
-        if abs(term) < 1e-17 * abs(acc):
-            break
-        zk *= z / (k + 1.0)
+    for coeff in _ULOGU_SERIES:
+        acc = acc * z + coeff
     return big * big * acc
 
 
-def _piece_integral(piece: PowerPiece, s: float, e: float, kind: MomentKind, p: float | None) -> float:
-    """Integral of the kind's integrand over [s, e] inside the piece support."""
-    if e <= s:
-        return 0.0
+def _piece_integral(piece: PowerPiece, s, e, kind: MomentKind, p: float | None):
+    """Integral of the kind's integrand over [s, e] inside the piece support.
+
+    The one home of the closed forms.  s and e are floats, or one of them
+    an array with e > s throughout; s = 0 (not an array) integrates from 0
+    and gives +inf where that integral diverges.
+    """
     c, alpha = piece.coeff, piece.exponent
-    if s == 0.0:
-        lo = _antideriv_zero_limit(c, alpha, kind, p)
-        if lo == -math.inf:
-            return math.inf
-        return _antideriv(c, alpha, e, kind, p) - lo
-    if kind is MomentKind.AVG_W:
-        return c * _power_diff(alpha + 1.0, s, e)
     if kind is MomentKind.AVG_W_POW:
         if p is None:
             raise ParameterError("AVG_W_POW requires the exponent p")
-        return _coeff_pow(c, p) * _power_diff(p * alpha + 1.0, s, e)
+        try:  # w^p = c^p t^(p alpha) is again a power
+            c, alpha, kind = c**p, p * alpha, MomentKind.AVG_W
+        except OverflowError:
+            raise DomainError(f"coefficient {c} to the power {p} overflows a double") from None
+    a1 = alpha + 1.0
+    from_zero = not isinstance(s, np.ndarray) and s == 0.0
+    if kind is MomentKind.AVG_W:
+        if from_zero:
+            return c * e**a1 / a1 if a1 > 0.0 else math.inf
+        return c * _power_diff(a1, s, e)
+    xp = _ops(e - s)
     if kind is MomentKind.AVG_LOG_W:
-        return (e - s) * math.log(c) + alpha * (
-            e * math.log(e) - s * math.log(s) - (e - s)
-        )
+        # integrand log c + alpha log t
+        if from_zero:
+            return e * math.log(c) + alpha * (e * xp.log(e) - e)
+        return (e - s) * math.log(c) + alpha * (e * xp.log(e) - s * xp.log(s) - (e - s))
     if kind is not MomentKind.AVG_W_LOG_W:
         raise ParameterError(f"unknown moment kind {kind}")
-    # c log(c) t^alpha + c alpha t^alpha log t; the second integral via
-    # t = s e^u is s^{a1} (log(s) (e^{a1 L} - 1)/a1 + int_0^L u e^{a1 u} du)
-    a1 = alpha + 1.0
-    big = math.log(e / s)
+    # c log(c) t^alpha + c alpha t^alpha log t; a1 > 0 on a piece touching 0
+    if from_zero:
+        ea1 = e**a1
+        return c * math.log(c) * ea1 / a1 + c * alpha * ea1 * (xp.log(e) / a1 - 1.0 / (a1 * a1))
+    # the second integral via t = s e^u is s^{a1} (log(s) (e^{a1 L} - 1)/a1 + int_0^L u e^{a1 u} du),
+    # L = log(e/s), where |a1 L| < 1/2; elsewhere the closed form, which cancels there
+    big = xp.log(e / s)
     z = a1 * big
-    out = c * math.log(c) * _power_diff(a1, s, e)
-    if abs(z) < 0.5:
-        tlog = s**a1 * (math.log(s) * big * _expm1_ratio(z) + _ulogu_series(z, big))
-    else:
-        tlog = (
-            e**a1 * (a1 * math.log(e) - 1.0) - s**a1 * (a1 * math.log(s) - 1.0)
-        ) / (a1 * a1)
-    return out + c * alpha * tlog
+    near = abs(z) < 0.5
+    array = isinstance(near, np.ndarray)
+    if array or near:
+        tlog = s**a1 * (xp.log(s) * big * _expm1_ratio(z) + _ulogu_series(z, big))
+    if array or not near:
+        closed = (e**a1 * (a1 * xp.log(e) - 1.0) - s**a1 * (a1 * xp.log(s) - 1.0)) / (a1 * a1)
+        tlog = np.where(near, tlog, closed) if array else closed
+    return c * math.log(c) * _power_diff(a1, s, e) + c * alpha * tlog
 
 
 def moment(w: Weight, interval: Interval, kind: MomentKind, p: float | None = None) -> float:
@@ -280,35 +240,38 @@ def moment(w: Weight, interval: Interval, kind: MomentKind, p: float | None = No
     return total / interval.length
 
 
-def cumulative_moment(w: Weight, points: np.ndarray, kind: MomentKind, p: float | None = None) -> np.ndarray:
-    """Cumulative integrals F(points[i]) = integral over [0, points[i]].
+# F differences lose a factor ~1/(g + 1) to cancellation on a piece t^g anchored
+# at 0, and ~(b/t)^(g + 1) near 0 when anchored at b; below this g + 1 the
+# right end is the better anchor (both factors < 32 for t >= 1e-12)
+_SPIKE = 0.125
 
-    points must be sorted, inside [0, 1].  Where the integral from 0 diverges
-    (AVG_W_POW on a singular zero piece) entries with points > 0 are -inf in
-    the antiderivative sense: differences F(b) - F(a) then give +inf for
-    a = 0 and the correct finite value for a > 0.  Concretely the returned
-    array holds a continuous antiderivative anchored so F(0) = 0 when finite,
-    and F(0) = -inf in the divergent case.
+
+def cumulative_moment(w: Weight, points: np.ndarray, kind: MomentKind, p: float | None = None) -> np.ndarray:
+    """Values F(points[i]) with F(b) - F(a) the integral over [a, b].
+
+    points must be sorted ascending inside [0, 1].  F is anchored at each
+    piece's left end, F(t) = F(a) + int_a^t with F(0) = 0.  A piece at 0
+    whose integrand is a spike t^g, g + 1 < _SPIKE, is anchored at its right
+    end, F(t) = -int_t^b: F(0) = -int_0^b is -inf exactly where it diverges.
     """
     pts = np.asarray(points, dtype=float)
-    out = np.empty_like(pts)
-    idx = 0
-    if idx < len(pts) and pts[idx] == 0.0:
-        out[idx] = _antideriv_zero_limit(w.pieces[0].coeff, w.pieces[0].exponent, kind, p)
-        idx += 1
-    shift = 0.0  # additive constant making the antiderivative continuous across pieces
-    for i, piece in enumerate(w.pieces):
-        b = piece.support.b
-        while idx < len(pts) and pts[idx] <= b:
-            out[idx] = shift + _antideriv(piece.coeff, piece.exponent, pts[idx], kind, p)
-            idx += 1
-        if i + 1 < len(w.pieces):
-            nxt = w.pieces[i + 1]
-            shift += _antideriv(piece.coeff, piece.exponent, b, kind, p) - _antideriv(
-                nxt.coeff, nxt.exponent, nxt.support.a, kind, p
-            )
-    if idx != len(pts):
+    if pts.size and not (pts[0] >= 0.0 and pts[-1] <= 1.0 and np.all(np.diff(pts) >= 0.0)):
         raise DomainError("cumulative points must lie in [0, 1] sorted ascending")
+    # the integrand's exponent is lead * alpha (log w has none)
+    lead = {MomentKind.AVG_W_POW: p, MomentKind.AVG_LOG_W: 0.0}.get(kind, 1.0)
+    out = np.zeros_like(pts)
+    left = 0.0  # F at the current piece's left end
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for piece in w.pieces:
+            a, b = piece.support.a, piece.support.b
+            lo, hi = np.searchsorted(pts, (a, b), side="right")
+            whole = _piece_integral(piece, a, b, kind, p)
+            if a == 0.0 and lead * piece.exponent + 1.0 < _SPIKE:
+                out[:lo] = -whole
+                out[lo:hi] = -_piece_integral(piece, pts[lo:hi], b, kind, p)
+            else:
+                out[lo:hi] = left + _piece_integral(piece, a, pts[lo:hi], kind, p)
+                left += whole
     return out
 
 

@@ -6,6 +6,7 @@ they cover exactly what a shell user sees.
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import pytest
@@ -134,12 +135,14 @@ class TestConstants:
     @pytest.mark.parametrize(
         "pieces, which, message",
         [
-            # every pair average of w log w overflows, so rh1 is nan everywhere
-            ([(0.0, 1.0, 1e308)], "rh1", "rh1"),
-            # c**p overflows in the closed-form moment of w^p
+            # c**p overflows in the closed-form moment of w^p; centring the
+            # coefficients' binary exponents leaves 1e300 and 1e-300 as they are
             ([(0.0, 0.5, 1e300), (0.5, 1.0, 1e-300)], "rhp", "overflows"),
+            # a span too wide to centre: the scale stops at the double range,
+            # and every pair average of w log w still overflows or underflows
+            ([(0.0, 0.5, 5e-324), (0.5, 1.0, 1e308)], "rh1", "rh1"),
         ],
-        ids=["rh1-no-finite-value", "rhp-coeff-power-overflow"],
+        ids=["rhp-coeff-power-overflow", "rh1-span-beyond-centring"],
     )
     def test_unscannable_weight_exits_2(self, tmp_path, capsys, pieces, which, message):
         path = tmp_path / "huge.json"
@@ -154,6 +157,21 @@ class TestConstants:
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err and "Warning" not in err
 
+    def test_huge_constant_weight_reads_flat(self, tmp_path, capsys):
+        # scanned after scaling by a power of two: w log w and exp(-avg log w)
+        # of 1e308 no longer overflow or go subnormal
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"pieces": [{"a": 0.0, "b": 1.0, "coeff": 1e308, "exponent": 0.0}]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["constants", "--weight", str(path), "--which", "rh1,ainf,rhp,ap", "--resolution", "51"])
+        assert rc == 0
+        assert caught == []
+        payload = _json_out(capsys)
+        assert payload["rh1"]["value"] == pytest.approx(0.0, abs=1e-13)
+        for value in (payload["ainf"]["value"], payload["rh_p"]["2.0"]["value"], payload["a_p"]["2.0"]["value"]):
+            assert value == pytest.approx(1.0, rel=1e-13, abs=0.0)
+
     def test_byte_identical_reruns(self, linear_file, capsys):
         args = ["constants", "--weight", linear_file,
                 "--which", "rh1,ainf,rhp,ap", "--p-values", "1.5,2"]
@@ -161,6 +179,45 @@ class TestConstants:
         first = capsys.readouterr().out
         assert cli.main(args) == 0
         assert capsys.readouterr().out == first
+
+
+class TestCaps:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["constants", "--weight", "absent.json", "--resolution", "20002"],
+            ["constants", "--weight", "absent.json", "--maximal-resolution", "201"],
+            ["bellman", "--surface", "ainf-upper", "--q", "2", "--verify", "hessian", "--grid", "1025"],
+            ["dyadic", "--weight", "absent.json", "--q", "1.5", "--q1", "1.8", "--depth", "15"],
+        ],
+        ids=["resolution", "maximal-resolution", "grid", "depth"],
+    )
+    def test_size_above_cap_exits_2_before_any_work(self, argv, capsys):
+        # the weight file does not exist: the cap is checked before it is read
+        tracemalloc.start()
+        try:
+            rc = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        flag, value = argv[-2:]
+        assert capsys.readouterr().err == f"error: {flag} {value} exceeds its cap of {int(value) - 1}\n"
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["constants", "--which", "rh1", "--resolution", "51", "--maximal-resolution", "200"],
+            ["bellman", "--surface", "ainf-upper", "--q", "2", "--verify", "tangent", "--grid", "120"],
+            ["dyadic", "--q", "1.5", "--q1", "1.8", "--depth", "6"],
+        ],
+        ids=["maximal-resolution-200", "grid-120", "depth-6"],
+    )
+    def test_sizes_in_use_stay_accepted(self, argv, linear_file):
+        if argv[0] != "bellman":
+            argv = [argv[0], "--weight", linear_file, *argv[1:]]
+        assert cli.main(argv) == 0
 
 
 class TestBellman:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,8 @@ from weightlab import (
     MomentKind,
     OrliczKind,
     ParameterError,
+    PowerPiece,
+    Weight,
     ainf_constant,
     ap_constant,
     compute_report,
@@ -18,6 +21,7 @@ from weightlab import (
     luxemburg_norm,
     maximal_function,
     power_weight,
+    reference_corpus,
     rescale,
     rh1_constant,
     rh1_doubleprime_constant,
@@ -164,6 +168,67 @@ class TestEntropyAndFlatness:
                 assert v <= rh1_w + 1e-6
                 v, _ = ainf_constant(wn, resolution=101)
                 assert v <= ainf_w + 1e-6
+
+
+def _mp_ratio(name, w, a, b):
+    """rh1 or ainf of w on [a, b] from the closed-form integrals at 60 digits."""
+    with mpmath.workdps(60):
+        xlogx = lambda t: t * mpmath.log(t) if t > 0 else mpmath.mpf(0)
+        iw = iwlw = ilw = mpmath.mpf(0)
+        for piece in w.pieces:
+            s = mpmath.mpf(max(a, piece.support.a))
+            e = mpmath.mpf(min(b, piece.support.b))
+            if e <= s:
+                continue
+            c, alpha = mpmath.mpf(piece.coeff), mpmath.mpf(piece.exponent)
+            a1 = alpha + 1  # nonzero on every piece used here
+            power = lambda t: t**a1 / a1 if t > 0 else mpmath.mpf(0)  # int t^alpha
+            power_log = lambda t: t**a1 * (mpmath.log(t) / a1 - 1 / a1**2) if t > 0 else mpmath.mpf(0)
+            iw += c * (power(e) - power(s))
+            iwlw += c * mpmath.log(c) * (power(e) - power(s)) + c * alpha * (power_log(e) - power_log(s))
+            ilw += (e - s) * mpmath.log(c) + alpha * (xlogx(e) - xlogx(s) - (e - s))
+        length = mpmath.mpf(b) - mpmath.mpf(a)
+        aw = iw / length
+        if name == "rh1":
+            return float(iwlw / length / aw - mpmath.log(aw))
+        return float(aw * mpmath.exp(-ilw / length))
+
+
+class TestNearCriticalInteriorPiece:
+    @pytest.mark.parametrize("margin", [-1e-9, 1e-9, 1e-12])
+    def test_scan_matches_mpmath(self, margin):
+        # 1 on [0, 0.1], then continuous t^(-1 + margin); the old global
+        # antiderivative differenced ~1/margin there and read rh1 ~ 3e4
+        alpha = -1.0 + margin
+        w = Weight(
+            (
+                PowerPiece(Interval(0.0, 0.1), 1.0, 0.0),
+                PowerPiece(Interval(0.1, 1.0), 0.1**-alpha, alpha),
+            )
+        )
+        for name, scan in (("rh1", rh1_constant), ("ainf", ainf_constant)):
+            value, iv = scan(w, resolution=201)
+            assert value == pytest.approx(_mp_ratio(name, w, iv.a, iv.b), rel=1e-12, abs=0.0), name
+
+
+class TestCentring:
+    def test_rescaled_to_the_ends_of_the_double_range(self):
+        # every constant is scale-invariant: copies at 1e+-300 read as their parent
+        for w in reference_corpus(count=8, seed=5):
+            base = compute_report(w, 101, ("rh1", "ainf", "rhp", "ap"), (1.7,))
+            for scale in (1e-300, 1e300):
+                got = compute_report(rescale(w, scale), 101, ("rh1", "ainf", "rhp", "ap"), (1.7,))
+                for want, have in ((base.rh1, got.rh1), (base.ainf, got.ainf),
+                                   (base.rh_p[1.7], got.rh_p[1.7]), (base.a_p[1.7], got.a_p[1.7])):
+                    assert have[0] == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+
+    def test_nested_scans_centre_too(self):
+        # subnormal coefficients keep few digits in every product with them
+        w = step_weight((0.0, 0.4, 1.0), (1e-310, 3e-310))
+        normal = rescale(w, 1e300)
+        for scan, resolution in ((rh1_prime_constant, 16), (rh1_doubleprime_constant, 12)):
+            want = scan(normal, resolution=resolution)[0]
+            assert scan(w, resolution=resolution)[0] == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestAverageRatios:

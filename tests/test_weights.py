@@ -7,6 +7,8 @@ import scipy.integrate
 
 from weightlab import (
     DomainError,
+    ExtremalSpec,
+    Family,
     Interval,
     MomentKind,
     ParameterError,
@@ -27,6 +29,7 @@ from weightlab import (
     weight_to_dict,
     load_weight,
 )
+from weightlab import build as build_extremal
 
 
 class TestConstruction:
@@ -157,13 +160,26 @@ class TestMoments:
             assert got == pytest.approx(math.log(1.0 / delta), rel=1e-12)
 
     def test_cumulative_matches_moment(self, corpus):
-        for w in corpus[:6]:
-            pts = np.array([0.0, 0.2, 0.55, 1.0])
-            cum = cumulative_moment(w, pts, MomentKind.AVG_W)
-            for i in range(len(pts) - 1):
-                direct = moment(w, Interval(pts[i], pts[i + 1]), MomentKind.AVG_W)
-                step = (cum[i + 1] - cum[i]) / (pts[i + 1] - pts[i])
-                assert step == pytest.approx(direct, rel=1e-9, abs=1e-12)
+        # the ainf extremals are spikes t^(g - 1) with g down to 4e-16 on [0, x]
+        spikes = [build_extremal(ExtremalSpec(Family.AINF_UPPER, 10.0**k)) for k in (4, 6, 8, 10, 12, 15)]
+        kinds = ((MomentKind.AVG_W, None), (MomentKind.AVG_LOG_W, None), (MomentKind.AVG_W_LOG_W, None),
+                 (MomentKind.AVG_W_POW, 1.7), (MomentKind.AVG_W_POW, -0.6))
+        for w in corpus + spikes:
+            pts = np.unique([0.0, 0.5 * w.pieces[0].support.b, 0.2, 0.55, 1.0])
+            for kind, p in kinds:
+                cum = cumulative_moment(w, pts, kind, p)
+                for i in range(len(pts) - 1):
+                    direct = moment(w, Interval(pts[i], pts[i + 1]), kind, p)
+                    step = (cum[i + 1] - cum[i]) / (pts[i + 1] - pts[i])
+                    assert step == pytest.approx(direct, rel=1e-13, abs=1e-300), (kind, p, i)
+
+    @pytest.mark.parametrize(
+        "pts", [[0.5, 0.2], [0.0, 0.6, 0.4, 1.0], [-0.1, 0.5], [0.5, 1.5], [0.2, math.nan]],
+        ids=["unsorted", "unsorted-inside", "below-0", "above-1", "nan"],
+    )
+    def test_cumulative_points_validated(self, pts):
+        with pytest.raises(DomainError):
+            cumulative_moment(step_weight((0.0, 0.5, 1.0), (1.0, 2.0)), np.array(pts), MomentKind.AVG_W)
 
 
 class TestTruncate:
