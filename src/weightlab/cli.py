@@ -80,9 +80,15 @@ def _load_weight_arg(path: str) -> weights.Weight:
 # subcommands
 
 def _cmd_constants(args) -> int:
-    w = _load_weight_arg(args.weight)
     which = tuple(s.strip() for s in args.which.split(",") if s.strip())
     p_values = tuple(float(s) for s in args.p_values.split(",") if s.strip())
+    scans = len({"rh1", "ainf"} & set(which)) + len(p_values) * len({"rhp", "ap"} & set(which))
+    if scans * args.resolution**2 > _SCAN_CAP * _CAPS["resolution"] ** 2:
+        raise WeightLabError(
+            f"{scans} pair scans at --resolution {args.resolution} exceed the cap of "
+            f"{_SCAN_CAP} scans at {_CAPS['resolution']}; give fewer --p-values"
+        )
+    w = _load_weight_arg(args.weight)
     report = constants.compute_report(
         w,
         resolution=args.resolution,
@@ -372,10 +378,12 @@ def _cmd_selftest(args) -> int:
 
 
 # Largest accepted sizes: each keeps a run near 30 s or less on 2 CPUs and its
-# traced memory peak under 256 MiB.  Pair scans take O(R^2) time, O(R) memory;
-# rh1_doubleprime ~3.4 KiB per grid pair and piece crossed (134 MiB at R = 200,
-# 227 MiB for five pieces); a Hessian check ~150 B per grid point; a depth-14 tree 108 MiB.
+# traced memory peak under 256 MiB.  Pair scans take O(R^2) time, O(R) memory,
+# and at most _SCAN_CAP of them run at R = 20001 (or more at a smaller R; four
+# took 11.2 s); rh1_doubleprime walks blocks of grid rows, 3.2 MiB at R = 200
+# for one piece or five; a Hessian check ~150 B per grid point; a depth-14 tree 108 MiB.
 _CAPS = {"resolution": 20001, "maximal_resolution": 200, "grid": 1024, "depth": 14}
+_SCAN_CAP = 4
 
 
 def _check_caps(args) -> None:

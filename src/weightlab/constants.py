@@ -25,6 +25,7 @@ from .weights import (
     MomentKind,
     PowerPiece,
     Weight,
+    _piece_integral,
     breakpoints,
     cumulative_moment,
     evaluate,
@@ -96,12 +97,38 @@ _SCANS = {
 _SCAN_BLOCK_ENTRIES = 1 << 15
 
 
+def _pair_walk(label: str, pts: np.ndarray, per_pair: int, block) -> tuple[float, Interval]:
+    """First max of a ratio over all grid pairs i < j, walked in blocks of rows.
+
+    block(i0, i1) gives the ratios of rows i0..i1-1 and their pair indices
+    (ratio, ii, jj), ii and jj broadcasting to ratio's shape in lexicographic
+    order; each block covers about _SCAN_BLOCK_ENTRIES / per_pair pairs, so
+    memory stays bounded in resolution.  nan ratios are masked, ties keep the
+    first pair, and DomainError is raised when no pair gives a finite value.
+    """
+    n = len(pts)
+    best, best_ij, finite = -math.inf, (0, 0), False
+    i0 = 0
+    while i0 < n - 1:
+        i1 = min(n - 1, i0 + max(1, _SCAN_BLOCK_ENTRIES // (per_pair * (n - 1 - i0))))
+        ratio, ii, jj = block(i0, i1)
+        ratio[np.isnan(ratio)] = -np.inf
+        k = int(np.argmax(ratio))
+        if ratio.flat[k] > best:
+            i, j = (int(np.broadcast_to(ix, ratio.shape).flat[k]) for ix in (ii, jj))
+            best, best_ij = float(ratio.flat[k]), (i, j)
+        finite = finite or bool(np.isfinite(ratio).any())
+        i0 = i1
+    if not finite:
+        raise DomainError(f"{label}: no finite value on any scanned interval")
+    return best, Interval(float(pts[best_ij[0]]), float(pts[best_ij[1]]))
+
+
 def _scan(name: str, w: Weight, resolution: int, p: float | None = None) -> tuple[float, Interval]:
-    """Max of a _SCANS ratio over all grid pairs i < j, in blocks of rows.
+    """Max of a _SCANS ratio over all grid pairs i < j.
 
     Each block covers rows i0..i1-1 and columns i0+1..n-1 (j <= i is masked
-    out), so memory stays O(resolution).  Ties keep the first pair in
-    lexicographic order.  Raises DomainError when no pair gives a finite value.
+    out), so memory stays O(resolution).
     """
     if p is not None and not (p > 1.0 and math.isfinite(p)):
         raise ParameterError(f"{name}_constant needs p > 1, got {p}")
@@ -110,24 +137,17 @@ def _scan(name: str, w: Weight, resolution: int, p: float | None = None) -> tupl
     n = len(pts)
     cum_w = cumulative_moment(w, pts, MomentKind.AVG_W)
     cum = cumulative_moment(w, pts, kind, None if exponent is None else exponent(p))
-    best, best_ij, finite = -math.inf, (0, 0), False
-    i0 = 0
-    while i0 < n - 1:
-        i1 = min(n - 1, i0 + max(1, _SCAN_BLOCK_ENTRIES // (n - 1 - i0)))
+
+    def block(i0, i1):
         rows, cols = slice(i0, i1), slice(i0 + 1, n)
+        ii, jj = np.arange(i0, i1)[:, None], np.arange(i0 + 1, n)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             dl = pts[cols] - pts[rows, None]
             ratio = combine((cum_w[cols] - cum_w[rows, None]) / dl, (cum[cols] - cum[rows, None]) / dl, p)
-        ratio[np.isnan(ratio) | (np.arange(i0 + 1, n) <= np.arange(i0, i1)[:, None])] = -np.inf
-        i, j = divmod(int(np.argmax(ratio)), n - 1 - i0)
-        if ratio[i, j] > best:
-            best, best_ij = float(ratio[i, j]), (i0 + i, i0 + 1 + j)
-        finite = finite or bool(np.isfinite(ratio).any())
-        i0 = i1
-    if not finite:
-        label = name if p is None else f"{name} (p = {p})"
-        raise DomainError(f"{label}: no finite value on any scanned interval")
-    return best, Interval(float(pts[best_ij[0]]), float(pts[best_ij[1]]))
+        ratio[jj <= ii] = -np.inf
+        return ratio, ii, jj
+
+    return _pair_walk(name if p is None else f"{name} (p = {p})", pts, 1, block)
 
 
 def rh1_constant(w: Weight, resolution: int = DEFAULT_RESOLUTION) -> tuple[float, Interval]:
@@ -213,107 +233,175 @@ def rh1_prime_constant(
 # ---------------------------------------------------------------------------
 # Orlicz (Luxemburg) norms
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-_GRADING_POWER = 4.0  # substitution t = e*u^m for segments touching 0
+
+def _gl_panels(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of `panels` equal 16-point Gauss-Legendre panels on [0, 1]."""
+    x, wts = np.polynomial.legendre.leggauss(16)
+    k = np.arange(panels)[:, None]
+    return ((k + 0.5 + 0.5 * x) / panels).ravel(), np.tile(0.5 * wts / panels, panels)
 
 
-def _segments(w: Weight, interval: Interval) -> list[tuple[float, float, float, float]]:
-    """(start, end, coeff, exponent) for each piece overlap with the interval."""
-    segs = []
-    for piece in w.pieces:
-        s = max(interval.a, piece.support.a)
-        e = min(interval.b, piece.support.b)
-        if e > s:
-            segs.append((s, e, piece.coeff, piece.exponent))
-    return segs
+# the substituted end takes 8 panels on each side of the knee in x, and its
+# integrand falls below e^-40 (1e-17 of its peak) within _END_WIDTH of the
+# knee or _END_WIDTH * beta of 0
+_END_X, _END_W = _gl_panels(8)
+_END_WIDTH = 40.0
+_EPS = float(np.finfo(float).eps)
 
 
-def _quad_nodes(w: Weight, interval: Interval, panels: int = 6) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre quadrature weights and w values at the nodes on the interval.
-
-    A segment starting at t = 0 is graded with t = e*u^m to absorb the
-    integrable singularity of a negative-exponent piece.
-    """
-    qs, vs = [], []
-    for s, e, c, alpha in _segments(w, interval):
-        if s == 0.0 and alpha != 0.0:
-            m = _GRADING_POWER
-            for k in range(panels):
-                u0, u1 = k / panels, (k + 1) / panels
-                u = 0.5 * (u1 - u0) * _GL_X + 0.5 * (u0 + u1)
-                du = 0.5 * (u1 - u0) * _GL_W
-                t = e * u**m
-                qs.append(du * e * m * u ** (m - 1.0))
-                vs.append(c * t**alpha)
-        else:
-            for k in range(panels):
-                t0 = s + (e - s) * k / panels
-                t1 = s + (e - s) * (k + 1) / panels
-                t = 0.5 * (t1 - t0) * _GL_X + 0.5 * (t0 + t1)
-                dt = 0.5 * (t1 - t0) * _GL_W
-                qs.append(dt)
-                vs.append(c * t**alpha)
-    return np.concatenate(qs), np.concatenate(vs)
-
-
-def _phi_values(kind: OrliczKind, s: np.ndarray) -> np.ndarray:
-    if kind is OrliczKind.L:
-        return s
+def _psi_chi(kind: OrliczKind, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phi(s) / s and Phi'(s), for s >= 0."""
     if kind is OrliczKind.LLOGL:
-        return s * np.log(math.e + s)
+        psi = np.log(math.e + s)
+        return psi, psi + s / (math.e + s)
     if kind is OrliczKind.EXP_MINUS_ONE:
-        with np.errstate(over="ignore"):
-            return np.expm1(s)
+        return np.where(s > 0.0, np.expm1(s) / s, 1.0), np.exp(s)
     raise ParameterError(f"unknown Orlicz kind {kind}")
 
 
-def _luxemburg_bisect(gvals, lam: np.ndarray) -> np.ndarray:
-    """Least lam with gvals(lam) <= 1, entrywise; gvals falls in lam.
+def _end_terms(kind: OrliczKind, K: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """dv-averages of Phi(s) / s and Phi'(s) over a power piece's end at 0.
 
-    Starts from lam = avg(w), a lower bracket because Phi(s) >= s: halved
-    where quadrature error puts it above the root, then e * lam doubled to an
-    upper bracket, then bisected until no entry's midpoint differs from its
-    endpoints.  Returns the upper endpoints.
+    On [0, e] the piece c t^alpha has mass m = c e^a1 / a1, a1 = alpha + 1,
+    and t = e v^(1/a1) makes w dt = m dv with s = w / lam = K v^(-alpha/a1),
+    K = c e^alpha / lam.  Then v = exp(-x / beta), beta = |alpha| / a1, turns
+    dv into the weight exp(-x / beta) / beta dx on [0, inf).  For L log L,
+    log(e + s) is log K + x (alpha < 0) or 1 (alpha > 0) plus
+    log1p(e^(L - x)), L = log(e / K) or log(K / e); that is (L - x)_+ plus a
+    bump log1p(e^-|x - L|).  The linear parts integrate in closed form, and
+    Gauss-Legendre panels on each side of L take the bump.  For exp(s) - 1
+    (alpha > 0 only) the integrand is smooth, and the same panels about
+    L = log K, where s = 1, take it whole.
     """
-    lo = lam.copy()
-    for _ in range(60):
-        low = gvals(lo) < 1.0
-        if not low.any():
-            break
-        lo[low] *= 0.5
-    hi = lo * math.e
-    for _ in range(200):
-        high = gvals(hi) > 1.0
-        if not high.any():
-            break
-        hi[high] *= 2.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not np.any((lo < mid) & (mid < hi)):
-            return hi
-        over = gvals(mid) > 1.0
-        lo = np.where(over, mid, lo)
-        hi = np.where(over, hi, mid)
+    beta = abs(alpha) / (1.0 + alpha)
+    L = np.log(K) - 1.0 if kind is OrliczKind.LLOGL else np.log(K)
+    if alpha < 0.0:
+        L = -L
+    cap = _END_WIDTH * beta
+    lo, mid, hi = np.maximum(L - _END_WIDTH, 0.0), np.clip(L, 0.0, cap), np.clip(L + _END_WIDTH, 0.0, cap)
+    left, right = np.maximum(mid - lo, 0.0)[:, None], np.maximum(hi - mid, 0.0)[:, None]
+    x = np.concatenate([lo[:, None] + left * _END_X, mid[:, None] + right * _END_X], axis=1)
+    q = np.concatenate([left * _END_W, right * _END_W], axis=1) * np.exp(-x / beta) / beta
+    if kind is not OrliczKind.LLOGL:
+        psi, chi = _psi_chi(kind, K[:, None] * np.exp(-x))
+        return np.sum(q * psi, axis=1), np.sum(q * chi, axis=1)
+    u = x - L[:, None]
+    a = np.exp(-np.abs(u))
+    bump = np.sum(q * np.log1p(a), axis=1)
+    slope = np.sum(q * np.sign(u) * a / (1.0 + a), axis=1)  # int of sign(u) / (1 + e^|u|)
+    edge = np.exp(-np.maximum(L, 0.0) / beta)  # the weight's mass right of L
+    if alpha < 0.0:
+        psi = 1.0 + beta * edge - np.minimum(L, 0.0) + bump
+        return psi, psi + edge - slope
+    lp = np.maximum(L, 0.0)
+    psi = 1.0 + lp + beta * np.expm1(-lp / beta) + bump
+    return psi, psi + 1.0 - edge + slope
+
+
+def _orlicz_nodes(w: Weight, lo: np.ndarray, hi: np.ndarray, panels: int = 6) -> tuple:
+    """Quadrature of avg_I Phi(w / lam) on the intervals I = [lo, hi].
+
+    Every piece contributes its overlap with I, an empty one with zero mass: a
+    constant piece one node, a power piece `panels` Gauss-Legendre panels of 16
+    nodes.  Where lo = 0 and the first piece is a power, its overlap [0, e] is
+    kept instead as its mass m0 and end value wb for _end_terms.  Returns
+    (mass, wv, length, end, m0, wb, alpha): node masses (quadrature weight
+    times w) and w values, one row per interval; the interval lengths; the
+    rows with a substituted end, their m0 and wb; the first piece's exponent.
+    """
+    seg_x, seg_w = _gl_panels(panels)
+    starts, ends, coeff, expo = (np.array(v) for v in zip(*(
+        (pc.support.a, pc.support.b, pc.coeff, pc.exponent) for pc in w.pieces)))
+    s, e = np.maximum(lo[:, None], starts), np.minimum(hi[:, None], ends)
+    span = np.maximum(e - s, 0.0)
+    flat, first = expo == 0.0, w.pieces[0]
+    end = np.flatnonzero(lo == 0.0) if first.exponent != 0.0 else np.zeros(0, dtype=int)
+    sp, ep = s[:, ~flat, None], e[:, ~flat, None]
+    live = (ep > sp) & (sp > 0.0)  # s = 0 only on the substituted end
+    # t^alpha, alpha < 3, is too rough near 0 for panels even in t: even in log t there
+    geo = expo[~flat, None] < 3.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.where(live, np.log(ep / sp), 0.0)
+    t = np.where(geo, np.where(live, sp, 1.0) * np.exp(y * seg_x), sp + (ep - sp) * seg_x)
+    dt = np.where(live, np.where(geo, t * y, ep - sp) * seg_w, 0.0)
+    wv_pow = np.where(live, coeff[~flat, None] * t ** expo[~flat, None], 0.0)
+    rows = len(lo)
+    mass = np.concatenate([span[:, flat] * coeff[flat], (dt * wv_pow).reshape(rows, -1)], axis=1)
+    wv = np.concatenate([np.where(span[:, flat] > 0.0, coeff[flat], 0.0), wv_pow.reshape(rows, -1)], axis=1)
+    e0 = e[end, 0]
+    m0 = _piece_integral(first, 0.0, e0, MomentKind.AVG_W, None)
+    return mass, wv, hi - lo, end, m0, first.coeff * e0**first.exponent, first.exponent
+
+
+def _orlicz_terms(kind: OrliczKind, nodes: tuple, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g = avg_I Phi(s) and d = avg_I s Phi'(s), s = w / lam, on each interval of `nodes`."""
+    mass, wv, length, end, m0, wb, alpha = nodes
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        psi, chi = _psi_chi(kind, wv / lam[:, None])
+        g, d = np.einsum("ij,ij->i", mass, psi), np.einsum("ij,ij->i", mass, chi)
+        if end.size:
+            end_psi, end_chi = _end_terms(kind, wb / lam[end], alpha)
+            g[end] += m0 * end_psi
+            d[end] += m0 * end_chi
+        scale = 1.0 / (lam * length)
+        return g * scale, d * scale
+
+
+def _luxemburg_solve(terms, lam: np.ndarray) -> np.ndarray:
+    """Least lam with g(lam) <= 1, entrywise, from start values lam = avg(w).
+
+    terms(lam) gives g = avg Phi(w / lam) and d = avg s Phi'(s).  The map
+    lam -> lam (g - 1) is convex and falling, and its Newton step
+    lam d / (1 + d - g) from a point with g > 1 stays left of the root, so it
+    raises the lower bracket lo; a step under 4 ulp is widened to 4 ulp, so
+    the first probe past the root sets the upper bracket hi.  A step past hi
+    comes from rounding and is pulled back under it.  A step that covers
+    under half the way to the fallback while g > 2 (expm1 far from its root)
+    is replaced by the fallback: 2 lo while hi is unknown, else the midpoint;
+    an avg(w) above the root is halved.  Stops when lo and hi are adjacent
+    doubles and returns hi; nan where lam is not positive and finite or g is
+    nan.
+    """
+    bad = ~(np.isfinite(lam) & (lam > 0.0))
+    lo, hi = np.zeros_like(lam), np.full_like(lam, np.inf)
+    probe, step, done = np.where(bad, 1.0, lam), np.full_like(lam, np.nan), bad
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        while not done.all():
+            g, d = terms(probe)
+            bad |= ~done & np.isnan(g)
+            live = ~(done | bad)
+            over, under = live & (g > 1.0), live & ~(g > 1.0)
+            lo, hi = np.where(over, probe, lo), np.where(under, probe, hi)
+            mid = lo + 0.5 * (hi - lo)
+            fallback = np.where(np.isinf(hi), 2.0 * lo, mid)
+            newton = np.maximum(probe * d / (1.0 + d - g), probe * (1.0 + 4.0 * _EPS))
+            slow = (g > 2.0) & ~(newton >= 0.5 * (lo + fallback))
+            step = np.where(over, np.where(slow, np.nan, newton), step)
+            near = np.minimum(step, hi * (1.0 - 4.0 * _EPS))
+            probe = np.where(lo == 0.0, 0.5 * hi, np.where(lo < near, near, fallback))
+            bad |= live & ~np.isfinite(probe)
+            done = bad | ((lo > 0.0) & (hi < np.inf) & ~((lo < mid) & (mid < hi)))
+            probe = np.where(done, 1.0, probe)
+    return np.where(bad, np.nan, hi)
 
 
 def luxemburg_norm(w: Weight, interval: Interval, kind: OrliczKind) -> float:
     """Luxemburg norm inf{lam > 0 : avg_I Phi(w/lam) <= 1}.
 
     The L norm is exactly avg(w).  The exponential norm of a weight
-    unbounded on the interval is +inf.  Otherwise: _luxemburg_bisect on a
-    16-point Gauss-Legendre quadrature of avg_I Phi(w/lam).
+    unbounded on the interval is +inf.  Otherwise _luxemburg_solve on the
+    _orlicz_nodes quadrature of avg_I Phi(w/lam).
     """
     if kind is OrliczKind.L:
         return moment(w, interval, MomentKind.AVG_W)
     if kind is OrliczKind.EXP_MINUS_ONE and interval.a == 0.0 and w.pieces[0].exponent < 0.0:
         return math.inf  # unbounded on the interval
-    qw, wv = _quad_nodes(w, interval)
-    length = interval.length
-
-    def gvals(lam: np.ndarray) -> np.ndarray:
-        return np.array([float(np.dot(qw, _phi_values(kind, wv / lam[0]))) / length])
-
-    return float(_luxemburg_bisect(gvals, np.array([moment(w, interval, MomentKind.AVG_W)]))[0])
+    nodes = _orlicz_nodes(w, np.array([interval.a]), np.array([interval.b]))
+    lam = np.array([moment(w, interval, MomentKind.AVG_W)])
+    norm = float(_luxemburg_solve(lambda lam: _orlicz_terms(kind, nodes, lam), lam)[0])
+    if math.isnan(norm):
+        raise DomainError(f"{kind.value} norm on [{interval.a}, {interval.b}]: avg(w) is {lam[0]}")
+    return norm
 
 
 def rh1_doubleprime_constant(
@@ -321,29 +409,27 @@ def rh1_doubleprime_constant(
 ) -> tuple[float, Interval]:
     """Orlicz-ratio sup: max over I of ||w||_{LlogL, I} / ||w||_{L, I}.
 
-    All grid intervals are bisected simultaneously on flat node arrays.
+    The grid intervals are solved in blocks of rows, each block's norms
+    together on one set of node arrays; an interval from 0 takes the exact
+    substitution of _end_terms on a power piece there.
     """
     w = _centred(w)
     pts = _grid_points(w, resolution)
+    n, panels = len(pts), 4
     cum = cumulative_moment(w, pts, MomentKind.AVG_W)
-    ii, jj = np.triu_indices(len(pts), 1)  # pairs i < j in lexicographic order
-    lengths = pts[jj] - pts[ii]
-    avg_w = (cum[jj] - cum[ii]) / lengths
-    quad = [_quad_nodes(w, Interval(float(pts[i]), float(pts[j])), panels=4) for i, j in zip(ii, jj)]
-    sizes = np.array([len(qw) for qw, _ in quad])
-    starts = np.cumsum(sizes) - sizes
-    qw_flat = np.concatenate([qw for qw, _ in quad])
-    wv_flat = np.concatenate([wv for _, wv in quad])
 
-    def gvals(lam: np.ndarray) -> np.ndarray:
-        lam_rep = np.repeat(lam, sizes)
-        s = wv_flat / lam_rep
-        vals = qw_flat * s * np.log(math.e + s)
-        return np.add.reduceat(vals, starts) / lengths
+    def block(i0, i1):
+        counts = n - 1 - np.arange(i0, i1)
+        ii = np.repeat(np.arange(i0, i1), counts)
+        jj = ii + 1 + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        avg_w = (cum[jj] - cum[ii]) / (pts[jj] - pts[ii])
+        nodes = _orlicz_nodes(w, pts[ii], pts[jj], panels)
+        lam = _luxemburg_solve(lambda lam: _orlicz_terms(OrliczKind.LLOGL, nodes, lam), avg_w)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return lam / avg_w, ii, jj
 
-    ratio = _luxemburg_bisect(gvals, avg_w) / avg_w
-    k = int(np.argmax(ratio))
-    return float(ratio[k]), Interval(float(pts[ii[k]]), float(pts[jj[k]]))
+    per_pair = sum(1 if pc.exponent == 0.0 else 16 * panels for pc in w.pieces)
+    return _pair_walk("rh1_doubleprime", pts, per_pair, block)
 
 
 def rh1_limit_check(w: Weight, interval: Interval, p: float) -> tuple[float, float]:

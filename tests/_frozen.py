@@ -55,3 +55,28 @@ RH1_LINEAR = math.log(2.0) - 0.5
 # verified run; they guard the scan plumbing, not a mathematical constant
 RH1_PRIME_LINEAR_200 = 1.4974874371859295
 RH1_DOUBLEPRIME_LINEAR_200 = 1.3126414521419447
+
+# rh1_doubleprime at resolution 24 of reference_corpus() weights whose piece at
+# 0 has exponent >= 0, by index, as the graded-quadrature bisection scan read
+# them before the Newton kernel and its exact substitution at 0; the two agree
+# on them to 4.9e-14
+RH1_DOUBLEPRIME_CORPUS_24 = {
+    0: 1.2567506185377681,
+    1: 1.522749262857597,
+    2: 1.2711657263104819,
+    4: 1.2567506185377688,
+    5: 1.3549350163780507,
+    6: 1.2907619181199361,
+    7: 1.2707361578754939,
+    8: 1.2567506185377706,
+    9: 1.3946610762467238,
+    10: 1.2607300281399638,
+    12: 1.25675061853777,
+    13: 1.414287110775712,
+    14: 1.2807308264738233,
+    15: 1.2585853251246464,
+    16: 1.2567506185377681,
+    17: 1.2922421304743845,
+    18: 1.2875438407112578,
+    19: 1.2882868381671697,
+}

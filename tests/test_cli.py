@@ -157,6 +157,26 @@ class TestConstants:
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err and "Warning" not in err
 
+    def test_underflowing_average_gives_no_nan(self, tmp_path, capsys):
+        # 5e-324 t underflows to 0 in the cumulative moment: avg(w) is 0 on
+        # the intervals inside [0, 0.5], and their Luxemburg ratio is nan
+        path = tmp_path / "span.json"
+        entries = [{"a": 0.0, "b": 0.5, "coeff": 5e-324, "exponent": 0.0},
+                   {"a": 0.5, "b": 1.0, "coeff": 1e308, "exponent": 0.0}]
+        path.write_text(json.dumps({"pieces": entries}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["constants", "--weight", str(path), "--which", "rh1_doubleprime",
+                           "--maximal-resolution", "12"])
+        assert caught == []
+        out, err = capsys.readouterr()
+        assert rc in (0, 2)
+        if rc == 0:
+            assert math.isfinite(json.loads(out)["rh1_doubleprime"]["value"])
+            assert "nan" not in out.lower()
+        else:
+            assert err.startswith("error:")
+
     def test_huge_constant_weight_reads_flat(self, tmp_path, capsys):
         # scanned after scaling by a power of two: w log w and exp(-avg log w)
         # of 1e308 no longer overflow or go subnormal
@@ -205,14 +225,29 @@ class TestCaps:
         assert capsys.readouterr().err == f"error: {flag} {value} exceeds its cap of {int(value) - 1}\n"
         assert peak < 2**20
 
+    def test_many_p_values_exit_2_before_any_work(self, capsys):
+        # each exponent adds an rhp and an ap scan: 200 scans at R = 20001
+        argv = ["constants", "--weight", "absent.json", "--which", "rh1,ainf,rhp,ap",
+                "--p-values", ",".join(str(1.5 + k / 100) for k in range(100)), "--resolution", "20001"]
+        tracemalloc.start()
+        try:
+            rc = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: 202 pair scans at --resolution 20001 exceed the cap")
+        assert peak < 2**20
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["constants", "--which", "rh1", "--resolution", "51", "--maximal-resolution", "200"],
+            ["constants", "--which", "rh1,ainf,rhp", "--p-values", "1.5,2"],
             ["bellman", "--surface", "ainf-upper", "--q", "2", "--verify", "tangent", "--grid", "120"],
             ["dyadic", "--q", "1.5", "--q1", "1.8", "--depth", "6"],
         ],
-        ids=["maximal-resolution-200", "grid-120", "depth-6"],
+        ids=["maximal-resolution-200", "readme-p-values", "grid-120", "depth-6"],
     )
     def test_sizes_in_use_stay_accepted(self, argv, linear_file):
         if argv[0] != "bellman":

@@ -20,6 +20,7 @@ from weightlab import (
     cumulative_moment,
     luxemburg_norm,
     maximal_function,
+    moment,
     power_weight,
     reference_corpus,
     rescale,
@@ -31,7 +32,7 @@ from weightlab import (
     step_weight,
     truncate,
 )
-from weightlab.constants import _SCAN_BLOCK_ENTRIES, _grid_points, _scan
+from weightlab.constants import _SCAN_BLOCK_ENTRIES, _grid_points, _orlicz_nodes, _orlicz_terms, _scan
 
 from _frozen import (
     LUX_EXP_CHI,
@@ -39,6 +40,7 @@ from _frozen import (
     LUX_LLOGL_CONST,
     RH1_LINEAR,
     RH1_PRIME_LINEAR_200,
+    RH1_DOUBLEPRIME_CORPUS_24,
     RH1_DOUBLEPRIME_LINEAR_200,
     RH1_SQRT,
     RHP_QUARTER_2,
@@ -325,6 +327,104 @@ class TestOrliczNorms:
     def test_rh1_doubleprime_regression(self, linear):
         v, _ = rh1_doubleprime_constant(linear, resolution=200)
         assert v == pytest.approx(RH1_DOUBLEPRIME_LINEAR_200, rel=1e-10)
+
+
+def _mp_llogl_g(alpha, lam):
+    """avg over [0, 1] of Phi(t^alpha / lam), Phi(s) = s log(e + s), -1 < alpha < 0.
+
+    t = v^(1 / a1), a1 = alpha + 1, makes t^alpha dt = dv / a1; with K = 1 / lam
+    and beta = -alpha / a1 the average is
+    (log K + beta + int_0^1 log1p(e v^beta / K) dv) / (a1 lam), whose last
+    integrand is bounded; mpmath takes it on either side of its knee
+    e v^beta = K.  A direct quadrature over t misreads it near alpha = -1.
+    """
+    a1, beta, K = 1 + alpha, -alpha / (1 + alpha), 1 / lam
+    knee = (mpmath.e / K) ** (-1 / beta)
+    inner = mpmath.quad(lambda v: mpmath.log1p(mpmath.e * v**beta / K), [0, knee, 1])
+    return (mpmath.log(K) + beta + inner) / (a1 * lam)
+
+
+def _mp_llogl_root(alpha, lo, hi, rtol):
+    """Bisect g(lam) = 1 at 30 digits on a bracket [lo, hi] that it checks."""
+    with mpmath.workdps(30):
+        alpha, lo, hi = mpmath.mpf(alpha), mpmath.mpf(lo), mpmath.mpf(hi)
+        assert _mp_llogl_g(alpha, lo) > 1 >= _mp_llogl_g(alpha, hi)
+        while hi - lo > rtol * hi:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if _mp_llogl_g(alpha, mid) > 1 else (lo, mid)
+        return hi
+
+
+class TestOrliczKernel:
+    @pytest.mark.parametrize("alpha", [-0.5, -0.9, -0.99, -0.999])
+    def test_singular_power_matches_mpmath(self, alpha):
+        # every [0, b] gives the ratio of [0, 1] for a pure power; the graded
+        # quadrature read these 5e-7, 18%, 97% and 99.9% low
+        value, iv = rh1_doubleprime_constant(power_weight(1.7, alpha), resolution=8)
+        assert iv.a == 0.0
+        lam = value / (1.0 + alpha)  # the norm of t^alpha on [0, 1]
+        want = _mp_llogl_root(alpha, lam * (1 - 1e-12), lam * (1 + 1e-12), 1e-13)
+        assert abs(lam - want) <= 1e-12 * want
+
+    def test_corpus_values_without_a_singular_end_hold(self, corpus):
+        for k, want in RH1_DOUBLEPRIME_CORPUS_24.items():
+            assert corpus[k].pieces[0].exponent >= 0.0
+            value, _ = rh1_doubleprime_constant(corpus[k], resolution=24)
+            assert value == pytest.approx(want, rel=1e-13, abs=0.0), k
+
+    @pytest.mark.parametrize("kind", [OrliczKind.LLOGL, OrliczKind.EXP_MINUS_ONE])
+    def test_norm_is_least_lambda_with_g_at_most_one(self, kind):
+        eps = np.finfo(float).eps
+        glued = Weight((PowerPiece(Interval(0.0, 0.3), 1.0, -0.9), PowerPiece(Interval(0.3, 1.0), 0.3**-0.9, 0.0)))
+        cases = [
+            (constant_weight(1.0), 0.0, 1.0),
+            (power_weight(2.0, 0.5), 0.0, 1.0),
+            (power_weight(1.0, 3.0), 0.2, 1.0),
+            (power_weight(1.0, 30.0), 0.0, 1.0),
+            (step_weight((0.0, 0.999, 1.0), (1e-12, 1.0)), 0.0, 1.0),
+            # expm1 overflows at avg(w) until lam has doubled 16 times
+            (step_weight((0.0, 1e-6, 1.0), (1e6, 1e-3)), 0.0, 1.0),
+            (glued, 0.1, 0.7),
+        ]
+        if kind is OrliczKind.LLOGL:
+            cases += [(power_weight(1.0, -0.999), 0.0, 1.0), (glued, 0.0, 0.7)]
+        for w, a, b in cases:
+            lam = luxemburg_norm(w, Interval(a, b), kind)
+            nodes = _orlicz_nodes(w, np.array([a]), np.array([b]))
+            g = lambda x: _orlicz_terms(kind, nodes, np.array([x]))[0][0]
+            assert g(lam) <= 1.0 < g(lam * (1.0 - 8.0 * eps)), (w, a, b)
+
+    def test_interior_overlap_near_zero(self):
+        # [1/199, 1] on t^-0.9: panels even in t read 1.6e-4 low here
+        w = power_weight(1.0, -0.9)
+        iv = Interval(1.0 / 199.0, 1.0)
+        lam = luxemburg_norm(w, iv, OrliczKind.LLOGL)
+        avg = moment(w, iv, MomentKind.AVG_W)
+        with mpmath.workdps(30):
+            g = lambda x: mpmath.quad(lambda t: t**-0.9 / x * mpmath.log(mpmath.e + t**-0.9 / x),
+                                      [iv.a, 0.01, 0.1, 1]) / (1 - mpmath.mpf(iv.a))
+            assert g(lam * (1 - 1e-13)) > 1 >= g(lam * (1 + 1e-13))
+        assert lam / avg == pytest.approx(1.5918693636139571, rel=1e-13)
+
+    def test_traced_peak_memory_is_bounded_in_pieces(self):
+        # node arrays for every pair and piece at once: 227 and 134 MiB here
+        peaks = []
+        for w in (step_weight((0.0, 0.15, 0.3, 0.55, 0.8, 1.0), (1.0, 7.0, 0.3, 4.0, 2.0)), power_weight(1.0, 1.0)):
+            tracemalloc.start()
+            try:
+                rh1_doubleprime_constant(w, resolution=200)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 32 * 2**20
+        assert peaks[0] <= 1.5 * peaks[1]
+
+    def test_nan_average_is_masked(self):
+        # 5e-324 t underflows in the cumulative moment, so avg(w) is 0 on [0, 0.5]
+        value, iv = rh1_doubleprime_constant(step_weight((0.0, 0.5, 1.0), (5e-324, 1e308)), resolution=12)
+        assert math.isfinite(value) and iv.b > 0.5
+        with pytest.raises(DomainError):
+            luxemburg_norm(step_weight((0.0, 0.5, 1.0), (5e-324, 1e308)), Interval(0.0, 0.4), OrliczKind.LLOGL)
 
 
 class TestLimitCheck:
