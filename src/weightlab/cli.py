@@ -380,7 +380,7 @@ def _cmd_selftest(args) -> int:
 # Largest accepted sizes: each keeps a run near 30 s or less on 2 CPUs and its
 # traced memory peak under 256 MiB.  Pair scans take O(R^2) time, O(R) memory,
 # and at most _SCAN_CAP of them run at R = 20001 (or more at a smaller R; four
-# took 11.2 s); rh1_doubleprime walks blocks of grid rows, 3.2 MiB at R = 200
+# share one walk and take about 6 s); rh1_doubleprime walks blocks of grid rows, 3.2 MiB at R = 200
 # for one piece or five; a Hessian check ~150 B per grid point; a depth-14 tree 108 MiB.
 _CAPS = {"resolution": 20001, "maximal_resolution": 200, "grid": 1024, "depth": 14}
 _SCAN_CAP = 4

@@ -2,9 +2,14 @@
 
 Every constant is a supremum over subintervals; here the supremum is scanned
 over all pairs of grid points (uniform resolution plus every piece
-breakpoint).  Closed-form cumulative antiderivatives make one scan
-O(resolution^2) with numpy pair matrices.  The maximal-function constant is
-the documented expensive one: O(resolution^3) via an incremental recurrence.
+breakpoint).  Closed-form cumulative moments make a pair scan O(resolution^2)
+in time and, walked in blocks of grid rows, O(resolution) in memory.  rh1,
+A_inf, RH_p and A_p share one walk per report: the grid, the avg(w)
+cumulative moment and each block's pair lengths and averages are computed
+once, and each constant adds its second cumulative moment and its combining
+expression.  The Orlicz constant solves each block's Luxemburg norms
+together; the maximal-function constant is the documented expensive one,
+O(resolution^3) via an incremental recurrence.
 
 Estimates are lower bounds of the true suprema, monotone under grid
 refinement (for nested grids), and exact on the step/power families whose
@@ -73,16 +78,21 @@ def _grid_points(w: Weight, resolution: int, interval: Interval | None = None) -
     return pts[keep]
 
 
-def _centred(w: Weight) -> Weight:
-    """w times the power of two centring its coefficients' binary exponents on 0.
+def _centred(w: Weight, interval: Interval | None = None) -> tuple[Weight, int]:
+    """(w 2^shift, shift), the power of two centring the coefficients' binary exponents on 0.
 
-    The constants are scale-invariant; this keeps c log c, c**p and
-    exp(-avg log w) at the ends of the double range finite and normal.
+    The constants are scale-invariant and the norms homogeneous; this keeps
+    c log c, c**p and exp(-avg log w) at the ends of the double range finite
+    and normal.  With an interval, only the pieces meeting it are centred and
+    scaled; the others, which carry no mass there, are kept as they are.
     """
-    exps = [math.frexp(piece.coeff)[1] - 1 for piece in w.pieces]  # c = m 2^exp, 1 <= m < 2
+    meets = [interval is None or (pc.support.a < interval.b and interval.a < pc.support.b) for pc in w.pieces]
+    exps = [math.frexp(pc.coeff)[1] - 1 for pc, m in zip(w.pieces, meets) if m]  # c = m 2^exp, 1 <= m < 2
     # capped so the largest stays finite when subnormal coefficients widen the span
     shift = min(-((min(exps) + max(exps)) // 2), 1023 - max(exps))
-    return Weight(tuple(PowerPiece(pc.support, math.ldexp(pc.coeff, shift), pc.exponent) for pc in w.pieces))
+    pieces = (PowerPiece(pc.support, math.ldexp(pc.coeff, shift) if m else pc.coeff, pc.exponent)
+              for pc, m in zip(w.pieces, meets))
+    return Weight(tuple(pieces)), shift
 
 
 # name -> the cumulative moment paired with AVG_W (its kind and exponent as a
@@ -94,81 +104,116 @@ _SCANS = {
     "ap": (MomentKind.AVG_W_POW, lambda p: -1.0 / (p - 1.0), lambda aw, adual, p: aw * adual ** (p - 1.0)),
 }
 # entries per block array: a scan holds about ten arrays of this size at once
-_SCAN_BLOCK_ENTRIES = 1 << 15
+_SCAN_BLOCK_ENTRIES = 1 << 14
 
 
-def _pair_walk(label: str, pts: np.ndarray, per_pair: int, block) -> tuple[float, Interval]:
-    """First max of a ratio over all grid pairs i < j, walked in blocks of rows.
+def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, block) -> list[tuple[float, Interval]]:
+    """First max of each of a stack of ratios over all grid pairs i < j, walked in blocks of rows.
 
-    block(i0, i1) gives the ratios of rows i0..i1-1 and their pair indices
-    (ratio, ii, jj), ii and jj broadcasting to ratio's shape in lexicographic
-    order; each block covers about _SCAN_BLOCK_ENTRIES / per_pair pairs, so
-    memory stays bounded in resolution.  nan ratios are masked, ties keep the
-    first pair, and DomainError is raised when no pair gives a finite value.
+    block(i0, i1) gives the ratios of rows i0..i1-1, one array per label in an
+    iterable that may make each as it is taken, and their pair indices
+    (ratios, ii, jj), ii and jj broadcasting to each ratio's shape in
+    lexicographic order; each block covers about _SCAN_BLOCK_ENTRIES / per_pair
+    pairs, so memory stays bounded in resolution.  For each label on its own,
+    nan ratios are masked (only when the argmax lands on one), ties keep the
+    first pair, and DomainError is raised, for the first label in order, when
+    no pair gives a finite value.
     """
     n = len(pts)
-    best, best_ij, finite = -math.inf, (0, 0), False
+    best = [(-math.inf, 0, 0)] * len(labels)
+    finite = [False] * len(labels)
     i0 = 0
     while i0 < n - 1:
         i1 = min(n - 1, i0 + max(1, _SCAN_BLOCK_ENTRIES // (per_pair * (n - 1 - i0))))
-        ratio, ii, jj = block(i0, i1)
-        ratio[np.isnan(ratio)] = -np.inf
-        k = int(np.argmax(ratio))
-        if ratio.flat[k] > best:
-            i, j = (int(np.broadcast_to(ix, ratio.shape).flat[k]) for ix in (ii, jj))
-            best, best_ij = float(ratio.flat[k]), (i, j)
-        finite = finite or bool(np.isfinite(ratio).any())
+        ratios, ii, jj = block(i0, i1)
+        for s, ratio in enumerate(ratios):
+            k = int(np.argmax(ratio))
+            if np.isnan(ratio.flat[k]):  # argmax takes the first nan as the max
+                ratio[np.isnan(ratio)] = -np.inf
+                k = int(np.argmax(ratio))
+            top = float(ratio.flat[k])
+            if top > best[s][0]:
+                best[s] = (top, *(int(np.broadcast_to(ix, ratio.shape).flat[k]) for ix in (ii, jj)))
+            finite[s] = finite[s] or math.isfinite(top) or bool(np.isfinite(ratio).any())
         i0 = i1
-    if not finite:
-        raise DomainError(f"{label}: no finite value on any scanned interval")
-    return best, Interval(float(pts[best_ij[0]]), float(pts[best_ij[1]]))
+    for label, ok in zip(labels, finite):
+        if not ok:
+            raise DomainError(f"{label}: no finite value on any scanned interval")
+    return [(value, Interval(float(pts[i]), float(pts[j]))) for value, i, j in best]
 
 
-def _scan(name: str, w: Weight, resolution: int, p: float | None = None) -> tuple[float, Interval]:
-    """Max of a _SCANS ratio over all grid pairs i < j.
+def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) -> list[tuple[float, Interval]]:
+    """Max of each (name, p) spec's _SCANS ratio over all grid pairs i < j, in one walk.
 
-    Each block covers rows i0..i1-1 and columns i0+1..n-1 (j <= i is masked
-    out), so memory stays O(resolution).
+    The grid, the avg(w) cumulative moment and each block's pair lengths and
+    avg(w) are shared; each spec adds its second cumulative moment and its
+    combine, made and walked one spec at a time.  Each block covers rows
+    i0..i1-1 and columns i0+1..n-1, so memory stays O(resolution); j <= i only
+    in its leading rows x rows square, which is masked out.  A p <= 1 is
+    refused before any work; otherwise the first spec in order that fails
+    raises, as if each were scanned on its own.
     """
-    if p is not None and not (p > 1.0 and math.isfinite(p)):
-        raise ParameterError(f"{name}_constant needs p > 1, got {p}")
-    kind, exponent, combine = _SCANS[name]
+    for name, p in specs:
+        if p is not None and not (p > 1.0 and math.isfinite(p)):
+            raise ParameterError(f"{name}_constant needs p > 1, got {p}")
     pts = _grid_points(w, resolution)
     n = len(pts)
     cum_w = cumulative_moment(w, pts, MomentKind.AVG_W)
-    cum = cumulative_moment(w, pts, kind, None if exponent is None else exponent(p))
+    terms, failed = [], None
+    try:  # a second moment that overflows fails its spec, after every spec before it
+        for name, p in specs:
+            kind, exponent, combine = _SCANS[name]
+            terms.append((cumulative_moment(w, pts, kind, None if exponent is None else exponent(p)), combine, p))
+    except DomainError as exc:
+        failed = exc
 
     def block(i0, i1):
         rows, cols = slice(i0, i1), slice(i0 + 1, n)
-        ii, jj = np.arange(i0, i1)[:, None], np.arange(i0 + 1, n)
+        below = np.tri(i1 - i0, k=-1, dtype=bool)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             dl = pts[cols] - pts[rows, None]
-            ratio = combine((cum_w[cols] - cum_w[rows, None]) / dl, (cum[cols] - cum[rows, None]) / dl, p)
-        ratio[jj <= ii] = -np.inf
-        return ratio, ii, jj
+            aw = (cum_w[cols] - cum_w[rows, None]) / dl
 
-    return _pair_walk(name if p is None else f"{name} (p = {p})", pts, 1, block)
+        def ratios():
+            for cum, combine, p in terms:
+                with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                    ratio = combine(aw, (cum[cols] - cum[rows, None]) / dl, p)
+                ratio[:, : i1 - i0][below] = -np.inf
+                yield ratio
+
+        return ratios(), np.arange(i0, i1)[:, None], np.arange(i0 + 1, n)
+
+    labels = tuple(name if p is None else f"{name} (p = {p})" for name, p in specs[: len(terms)])
+    found = _pair_walk(labels, pts, 1, block) if terms else []
+    if failed is not None:
+        raise failed
+    return found
+
+
+def _scan(name: str, w: Weight, resolution: int, p: float | None = None) -> tuple[float, Interval]:
+    """Max of a _SCANS ratio over all grid pairs i < j: _scans with one spec."""
+    return _scans([(name, p)], w, resolution)[0]
 
 
 def rh1_constant(w: Weight, resolution: int = DEFAULT_RESOLUTION) -> tuple[float, Interval]:
     """Normalized entropy sup: max of [avg(w log w) - avg(w) log avg(w)] / avg(w)."""
-    return _scan("rh1", _centred(w), resolution)
+    return _scan("rh1", _centred(w)[0], resolution)
 
 
 def ainf_constant(w: Weight, resolution: int = DEFAULT_RESOLUTION) -> tuple[float, Interval]:
     """Jensen-gap sup: max of avg(w) * exp(-avg(log w))."""
-    return _scan("ainf", _centred(w), resolution)
+    return _scan("ainf", _centred(w)[0], resolution)
 
 
 def rhp_constant(w: Weight, p: float, resolution: int = DEFAULT_RESOLUTION) -> tuple[float, Interval]:
     """Reverse Holder sup: max of avg(w^p)^(1/p) / avg(w); +inf when a scanned
     interval touching 0 has a divergent p-th moment."""
-    return _scan("rhp", _centred(w), resolution, p)
+    return _scan("rhp", _centred(w)[0], resolution, p)
 
 
 def ap_constant(w: Weight, p: float, resolution: int = DEFAULT_RESOLUTION) -> tuple[float, Interval]:
     """Muckenhoupt sup: max of avg(w) * avg(w^(-1/(p-1)))^(p-1)."""
-    return _scan("ap", _centred(w), resolution, p)
+    return _scan("ap", _centred(w)[0], resolution, p)
 
 
 def maximal_function(
@@ -203,30 +248,35 @@ def rh1_prime_constant(
     For each interval [pts[p], pts[q]] the maximal function is evaluated on
     the grid cells via an incremental recurrence in q: extending the interval
     by one cell adds one column of candidate averages, whose running prefix
-    maxima update every cell in O(cells).  Total cost O(resolution^3).
+    maxima update every cell in O(cells).  Total cost O(resolution^3).  A nan
+    ratio (avg(w) underflowing to 0) never wins, and DomainError is raised when
+    no interval gives a finite one.
     """
-    w = _centred(w)
+    w, _ = _centred(w)
     pts = _grid_points(w, resolution)
     n = len(pts)
     cum = cumulative_moment(w, pts, MomentKind.AVG_W)
     cell_len = np.diff(pts)
     mids = 0.5 * (pts[:-1] + pts[1:])
     wmid = np.array([evaluate(w, float(t)) for t in mids])
-    best = -math.inf
-    best_iv = (0, 1)
-    for p in range(n - 1):
-        m_vec = np.empty(0)
-        for q in range(p + 1, n):
-            col = (cum[q] - cum[p:q]) / (pts[q] - pts[p:q])
-            prefix = np.maximum.accumulate(col)
-            m_vec = np.maximum(np.append(m_vec, wmid[q - 1]), prefix)
-            length = pts[q] - pts[p]
-            avg_m = float(np.dot(m_vec, cell_len[p:q])) / length
-            avg_w = float(cum[q] - cum[p]) / length
-            ratio = avg_m / avg_w
-            if ratio > best:
-                best = ratio
-                best_iv = (p, q)
+    best, best_iv, finite = -math.inf, (0, 1), False
+    with np.errstate(invalid="ignore", divide="ignore"):  # avg_w underflows to 0 on a subnormal piece
+        for p in range(n - 1):
+            m_vec = np.empty(0)
+            for q in range(p + 1, n):
+                col = (cum[q] - cum[p:q]) / (pts[q] - pts[p:q])
+                prefix = np.maximum.accumulate(col)
+                m_vec = np.maximum(np.append(m_vec, wmid[q - 1]), prefix)
+                length = pts[q] - pts[p]
+                avg_m = float(np.dot(m_vec, cell_len[p:q])) / length
+                avg_w = float(cum[q] - cum[p]) / length
+                ratio = avg_m / avg_w
+                finite = finite or math.isfinite(ratio)
+                if ratio > best:  # never a nan ratio
+                    best = ratio
+                    best_iv = (p, q)
+    if not finite:
+        raise DomainError("rh1_prime: no finite value on any scanned interval")
     return best, Interval(float(pts[best_iv[0]]), float(pts[best_iv[1]]))
 
 
@@ -390,18 +440,21 @@ def luxemburg_norm(w: Weight, interval: Interval, kind: OrliczKind) -> float:
 
     The L norm is exactly avg(w).  The exponential norm of a weight
     unbounded on the interval is +inf.  Otherwise _luxemburg_solve on the
-    _orlicz_nodes quadrature of avg_I Phi(w/lam).
+    _orlicz_nodes quadrature of avg_I Phi(w/lam), for w centred on the
+    pieces meeting the interval, and the norm scaled back.
     """
     if kind is OrliczKind.L:
         return moment(w, interval, MomentKind.AVG_W)
     if kind is OrliczKind.EXP_MINUS_ONE and interval.a == 0.0 and w.pieces[0].exponent < 0.0:
         return math.inf  # unbounded on the interval
+    w, shift = _centred(w, interval)
     nodes = _orlicz_nodes(w, np.array([interval.a]), np.array([interval.b]))
     lam = np.array([moment(w, interval, MomentKind.AVG_W)])
     norm = float(_luxemburg_solve(lambda lam: _orlicz_terms(kind, nodes, lam), lam)[0])
     if math.isnan(norm):
-        raise DomainError(f"{kind.value} norm on [{interval.a}, {interval.b}]: avg(w) is {lam[0]}")
-    return norm
+        avg = math.ldexp(lam[0], -shift)
+        raise DomainError(f"{kind.value} norm on [{interval.a}, {interval.b}]: avg(w) is {avg}")
+    return math.ldexp(norm, -shift)
 
 
 def rh1_doubleprime_constant(
@@ -413,7 +466,7 @@ def rh1_doubleprime_constant(
     together on one set of node arrays; an interval from 0 takes the exact
     substitution of _end_terms on a power piece there.
     """
-    w = _centred(w)
+    w, _ = _centred(w)
     pts = _grid_points(w, resolution)
     n, panels = len(pts), 4
     cum = cumulative_moment(w, pts, MomentKind.AVG_W)
@@ -426,10 +479,10 @@ def rh1_doubleprime_constant(
         nodes = _orlicz_nodes(w, pts[ii], pts[jj], panels)
         lam = _luxemburg_solve(lambda lam: _orlicz_terms(OrliczKind.LLOGL, nodes, lam), avg_w)
         with np.errstate(invalid="ignore", divide="ignore"):
-            return lam / avg_w, ii, jj
+            return [lam / avg_w], ii, jj
 
     per_pair = sum(1 if pc.exponent == 0.0 else 16 * panels for pc in w.pieces)
-    return _pair_walk("rh1_doubleprime", pts, per_pair, block)
+    return _pair_walk(("rh1_doubleprime",), pts, per_pair, block)[0]
 
 
 def rh1_limit_check(w: Weight, interval: Interval, p: float) -> tuple[float, float]:
@@ -478,14 +531,13 @@ def compute_report(
         if name not in KNOWN_CONSTANTS:
             raise ParameterError(f"unknown constant {name!r}; choose from {KNOWN_CONSTANTS}")
     report = ConstantsReport(resolution=resolution)
-    if "rh1" in which:
-        report.rh1 = rh1_constant(w, resolution)
-    if "ainf" in which:
-        report.ainf = ainf_constant(w, resolution)
-    if "rhp" in which:
-        report.rh_p = {p: rhp_constant(w, p, resolution) for p in p_values}
-    if "ap" in which:
-        report.a_p = {p: ap_constant(w, p, resolution) for p in p_values}
+    specs = [(name, None) for name in ("rh1", "ainf") if name in which]
+    specs += [(name, p) for name in ("rhp", "ap") if name in which for p in p_values]
+    if specs:
+        found = dict(zip(specs, _scans(specs, _centred(w)[0], resolution)))
+        report.rh1, report.ainf = found.get(("rh1", None)), found.get(("ainf", None))
+        report.rh_p = {p: v for (name, p), v in found.items() if name == "rhp"}
+        report.a_p = {p: v for (name, p), v in found.items() if name == "ap"}
     if "rh1_prime" in which:
         report.rh1_prime = rh1_prime_constant(w, maximal_resolution)
     if "rh1_doubleprime" in which:

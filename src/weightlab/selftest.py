@@ -162,10 +162,9 @@ def criterion_05_funny_bound_attainment():
     err_val = abs(solvers.funny_bound(1.0) - FUNNY_BOUND_1)
     spec = extremals.ExtremalSpec(extremals.Family.FUNNY, 1.0)
     w = extremals.build(spec)
-    rh1, _ = constants.rh1_constant(w, resolution=300)
-    ainf, _ = constants.ainf_constant(w, resolution=300)
-    gap_rh1 = abs(rh1 - 1.0)
-    gap_ainf = abs(ainf - FUNNY_BOUND_1)
+    rep = constants.compute_report(w, resolution=300)
+    gap_rh1 = abs(rep.rh1[0] - 1.0)
+    gap_ainf = abs(rep.ainf[0] - FUNNY_BOUND_1)
     ratio8 = solvers.funny_bound_log(8.0) / (math.exp(9.0) - 10.0)
     gap8 = abs(ratio8 - 1.0)
     ok = err_val <= 1e-9 and gap_rh1 <= 1e-6 and gap_ainf <= 1e-3 and gap8 <= 1e-3
@@ -239,13 +238,10 @@ def criterion_09_truncation_monotonicity():
     worst = -math.inf
     count = 0
     for w in weights.reference_corpus():
-        rh1_w, _ = constants.rh1_constant(w, resolution=101)
-        ainf_w, _ = constants.ainf_constant(w, resolution=101)
+        base = constants.compute_report(w, resolution=101)
         for n in (2.0, 10.0, 100.0):
-            wn = weights.truncate(w, n)
-            rh1_n, _ = constants.rh1_constant(wn, resolution=101)
-            ainf_n, _ = constants.ainf_constant(wn, resolution=101)
-            worst = max(worst, rh1_n - rh1_w, ainf_n - ainf_w)
+            cut = constants.compute_report(weights.truncate(w, n), resolution=101)
+            worst = max(worst, cut.rh1[0] - base.rh1[0], cut.ainf[0] - base.ainf[0])
             count += 1
     ok = worst <= 1e-6
     return ok, f"max truncated-minus-original constant gap {worst:.2e} over {count} pairs"
@@ -408,15 +404,13 @@ def invariants_solvers():
 def invariants_constants():
     """Scaling invariance and exponent monotonicity of the scanned constants."""
     w = weights.power_weight(1.0, 0.5)
-    base_rh1, _ = constants.rh1_constant(w, resolution=101)
-    base_ainf, _ = constants.ainf_constant(w, resolution=101)
+    base = constants.compute_report(w, resolution=101)
     worst = 0.0
     for c in (0.1, 7.0, 1000.0):
-        wc = weights.rescale(w, c)
-        r, _ = constants.rh1_constant(wc, resolution=101)
-        a, _ = constants.ainf_constant(wc, resolution=101)
-        worst = max(worst, abs(r - base_rh1), abs(a - base_ainf))
-    rh_seq = [constants.rhp_constant(w, p, resolution=51)[0] for p in (1.5, 2.0, 3.0)]
+        rep = constants.compute_report(weights.rescale(w, c), resolution=101)
+        worst = max(worst, abs(rep.rh1[0] - base.rh1[0]), abs(rep.ainf[0] - base.ainf[0]))
+    rh_p = constants.compute_report(w, resolution=51, which=("rhp",), p_values=(1.5, 2.0, 3.0)).rh_p
+    rh_seq = [v for v, _ in rh_p.values()]
     increasing = rh_seq[0] <= rh_seq[1] <= rh_seq[2]
     ok = worst <= 1e-10 and increasing
     return ok, f"scaling drift {worst:.1e}; rh_p nondecreasing in p: {increasing}"

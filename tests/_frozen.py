@@ -80,3 +80,325 @@ RH1_DOUBLEPRIME_CORPUS_24 = {
     18: 1.2875438407112578,
     19: 1.2882868381671697,
 }
+
+# luxemburg_norm of rescale(reference_corpus()[k], c) on [0, 0.7] (L log L) and
+# [0.1, 0.7] (L log L, exp L - 1), by (k, c), as read before the norm centred
+# the weight; centring by a power of two keeps them bit-identical
+LUX_CORPUS_07 = {
+    (1, 1e-200): (7.829812168610482e-200, 7.663833768082124e-200, 8.93110884526917e-200),
+    (3, 1.0): (2.0185558178001384, 1.97763342833366, 2.270413911432822),
+    (11, 1e200): (1.770278594594098e200, 1.5815243273949198e200, 1.8216507390153538e200),
+    (19, 1.0): (0.7301494778719161, 0.8058534836426259, 0.9364017812666839),
+}
+
+# `weightlab constants --which rh1,ainf,rhp,ap --p-values 1.5,3 --resolution R`
+# stdout for reference_corpus()[k], by (k, R), frozen from the per-constant
+# scans that preceded the shared pair walk; it must stay byte-identical
+CONSTANTS_STDOUT = {
+    (1, 201): """\
+{
+  "resolution": 201,
+  "rh1": {
+    "value": 1.24043693240148,
+    "interval": [
+      0.25,
+      0.28
+    ]
+  },
+  "ainf": {
+    "value": 3.45674109379232,
+    "interval": [
+      0.245,
+      0.275
+    ]
+  },
+  "rh_p": {
+    "1.5": {
+      "value": 1.77211488929959,
+      "interval": [
+        0.25,
+        0.3
+      ]
+    },
+    "3.0": {
+      "value": 4.72569384122239,
+      "interval": [
+        0.25,
+        0.320149656420103
+      ]
+    }
+  },
+  "a_p": {
+    "1.5": {
+      "value": 11.408676082513,
+      "interval": [
+        0.125,
+        0.32
+      ]
+    },
+    "3.0": {
+      "value": 5.56678218113152,
+      "interval": [
+        0.22,
+        0.305
+      ]
+    }
+  }
+}
+""",
+    (1, 2001): """\
+{
+  "resolution": 2001,
+  "rh1": {
+    "value": 1.24046293800957,
+    "interval": [
+      0.2475,
+      0.306
+    ]
+  },
+  "ainf": {
+    "value": 3.4572135696018,
+    "interval": [
+      0.2365,
+      0.2985
+    ]
+  },
+  "rh_p": {
+    "1.5": {
+      "value": 1.77229189014222,
+      "interval": [
+        0.249,
+        0.32
+      ]
+    },
+    "3.0": {
+      "value": 5.06785271465632,
+      "interval": [
+        0.2525,
+        0.263
+      ]
+    }
+  },
+  "a_p": {
+    "1.5": {
+      "value": 11.4086983014404,
+      "interval": [
+        0.2045,
+        0.278
+      ]
+    },
+    "3.0": {
+      "value": 5.56680211116327,
+      "interval": [
+        0.2205,
+        0.304
+      ]
+    }
+  }
+}
+""",
+    (2, 201): """\
+{
+  "resolution": 201,
+  "rh1": {
+    "value": 0.0472534637447788,
+    "interval": [
+      0.0,
+      0.005
+    ]
+  },
+  "ainf": {
+    "value": 1.06040590191039,
+    "interval": [
+      0.0,
+      0.39
+    ]
+  },
+  "rh_p": {
+    "1.5": {
+      "value": 1.02183525612896,
+      "interval": [
+        0.0,
+        0.01
+      ]
+    },
+    "3.0": {
+      "value": 1.07161561967319,
+      "interval": [
+        0.0,
+        0.005
+      ]
+    }
+  },
+  "a_p": {
+    "1.5": {
+      "value": 1.49297242641768,
+      "interval": [
+        0.0,
+        0.56
+      ]
+    },
+    "3.0": {
+      "value": 1.10596834121641,
+      "interval": [
+        0.0,
+        0.245
+      ]
+    }
+  }
+}
+""",
+    (2, 2001): """\
+{
+  "resolution": 2001,
+  "rh1": {
+    "value": 0.0472534637447788,
+    "interval": [
+      0.0,
+      0.005
+    ]
+  },
+  "ainf": {
+    "value": 1.06040590191039,
+    "interval": [
+      0.0,
+      0.014
+    ]
+  },
+  "rh_p": {
+    "1.5": {
+      "value": 1.02183525612896,
+      "interval": [
+        0.0,
+        0.001
+      ]
+    },
+    "3.0": {
+      "value": 1.07161561967319,
+      "interval": [
+        0.0,
+        0.001
+      ]
+    }
+  },
+  "a_p": {
+    "1.5": {
+      "value": 1.49297242641768,
+      "interval": [
+        0.0,
+        0.207
+      ]
+    },
+    "3.0": {
+      "value": 1.10596834121641,
+      "interval": [
+        0.0,
+        0.392
+      ]
+    }
+  }
+}
+""",
+    (3, 201): """\
+{
+  "resolution": 201,
+  "rh1": {
+    "value": 0.00243991373888395,
+    "interval": [
+      0.0,
+      0.02
+    ]
+  },
+  "ainf": {
+    "value": 1.00233285446216,
+    "interval": [
+      0.0,
+      0.065
+    ]
+  },
+  "rh_p": {
+    "1.5": {
+      "value": 1.00125043839962,
+      "interval": [
+        0.0,
+        0.005
+      ]
+    },
+    "3.0": {
+      "value": 1.00541274144118,
+      "interval": [
+        0.0,
+        0.005
+      ]
+    }
+  },
+  "a_p": {
+    "1.5": {
+      "value": 1.00644237314119,
+      "interval": [
+        0.0,
+        0.015
+      ]
+    },
+    "3.0": {
+      "value": 1.00342478583561,
+      "interval": [
+        0.0,
+        0.235
+      ]
+    }
+  }
+}
+""",
+    (3, 2001): """\
+{
+  "resolution": 2001,
+  "rh1": {
+    "value": 0.002439913738884,
+    "interval": [
+      0.0,
+      0.0005
+    ]
+  },
+  "ainf": {
+    "value": 1.00233285446216,
+    "interval": [
+      0.0,
+      0.0405
+    ]
+  },
+  "rh_p": {
+    "1.5": {
+      "value": 1.00125043839962,
+      "interval": [
+        0.0,
+        0.0005
+      ]
+    },
+    "3.0": {
+      "value": 1.00541274144118,
+      "interval": [
+        0.0,
+        0.0005
+      ]
+    }
+  },
+  "a_p": {
+    "1.5": {
+      "value": 1.00644237314119,
+      "interval": [
+        0.0,
+        0.0065
+      ]
+    },
+    "3.0": {
+      "value": 1.00342478583561,
+      "interval": [
+        0.0,
+        0.1655
+      ]
+    }
+  }
+}
+""",
+}

@@ -19,11 +19,12 @@ from weightlab import (
     evaluate_surface,
     load_weight,
     power_weight,
+    reference_corpus,
     save_weight,
 )
 from weightlab.solvers import gamma_log
 
-from _frozen import GAMMA_MINUS_1, RATIO_BOUND_E, RH1_LINEAR
+from _frozen import CONSTANTS_STDOUT, GAMMA_MINUS_1, RATIO_BOUND_E, RH1_LINEAR
 
 
 @pytest.fixture()
@@ -199,6 +200,15 @@ class TestConstants:
         first = capsys.readouterr().out
         assert cli.main(args) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("k, resolution", sorted(CONSTANTS_STDOUT))
+    def test_four_scans_stdout_is_frozen(self, k, resolution, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        save_weight(reference_corpus()[k], str(path))
+        args = ["constants", "--weight", str(path), "--which", "rh1,ainf,rhp,ap",
+                "--p-values", "1.5,3", "--resolution", str(resolution)]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == CONSTANTS_STDOUT[k, resolution]
 
 
 class TestCaps:

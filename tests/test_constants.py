@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -32,9 +33,11 @@ from weightlab import (
     step_weight,
     truncate,
 )
+from weightlab import constants
 from weightlab.constants import _SCAN_BLOCK_ENTRIES, _grid_points, _orlicz_nodes, _orlicz_terms, _scan
 
 from _frozen import (
+    LUX_CORPUS_07,
     LUX_EXP_CHI,
     LUX_EXP_CONST,
     LUX_LLOGL_CONST,
@@ -109,6 +112,8 @@ class TestScanKernel:
             assert rows[0] < first_block_rows <= rows[-1]
             value, iv = _scan(name, w, 257, 2.0)
             assert (value, iv.a, iv.b) == (ratio.max(), pts[rows[0]], pts[cols[0]])
+        rep = compute_report(w, 257, ("rhp", "ap"), (2.0,))
+        assert (rep.rh_p[2.0], rep.a_p[2.0]) == (_scan("rhp", w, 257, 2.0), _scan("ap", w, 257, 2.0))
 
     def test_traced_peak_memory_is_bounded(self, corpus):
         # the dense scan held about six (R + k)^2 float matrices: 157 MiB here
@@ -119,6 +124,57 @@ class TestScanKernel:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestSharedWalk:
+    def test_traced_peak_memory_is_bounded_with_four_p_values(self, corpus):
+        # ten constants in one walk, each ratio made and walked on its own
+        tracemalloc.start()
+        try:
+            compute_report(corpus[3], 2001, ("rh1", "ainf", "rhp", "ap"), (1.5, 2.0, 3.0, 4.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_report_matches_one_constant_scans_bit_for_bit(self, corpus):
+        p_values = (1.5, 2.0, 3.0)
+        for w in corpus:
+            rep = compute_report(w, 401, ("rh1", "ainf", "rhp", "ap"), p_values)
+            assert rep.rh1 == rh1_constant(w, 401)
+            assert rep.ainf == ainf_constant(w, 401)
+            assert rep.rh_p == {p: rhp_constant(w, p, 401) for p in p_values}
+            assert rep.a_p == {p: ap_constant(w, p, 401) for p in p_values}
+
+    @pytest.mark.parametrize(
+        "cells, which, first, later",
+        [
+            # rh1 finds no finite value, and rhp's c^p overflows
+            ((5e-324, 1e308), ("rh1", "ainf", "rhp", "ap"),
+             lambda w: rh1_constant(w, 51), lambda w: rhp_constant(w, 1.5, 51)),
+            # c^1.5 overflows for rhp, c^-2 for ap at p = 1.5
+            ((1e-300, 1e300), ("rhp", "ap"),
+             lambda w: rhp_constant(w, 1.5, 51), lambda w: ap_constant(w, 1.5, 51)),
+        ],
+        ids=["rh1-and-rhp", "rhp-and-ap"],
+    )
+    def test_first_failing_constant_raises_as_on_its_own(self, cells, which, first, later):
+        w = step_weight((0.0, 0.5, 1.0), cells)
+        with pytest.raises(DomainError) as alone:
+            first(w)
+        with pytest.raises(DomainError):
+            later(w)
+        with pytest.raises(DomainError) as together:
+            compute_report(w, 51, which, (1.5, 3.0))
+        assert str(together.value) == str(alone.value)
+
+    def test_p_at_most_one_refused_before_any_work(self, sqrt_weight, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(constants, "_grid_points", no_grid)
+        with pytest.raises(ParameterError, match="ap_constant needs p > 1, got 1.0"):
+            compute_report(sqrt_weight, 51, ("rh1", "ap"), (2.0, 1.0))
 
 
 class TestEntropyAndFlatness:
@@ -297,6 +353,19 @@ class TestMaximalFunction:
         v, _ = rh1_prime_constant(constant_weight(2.0), resolution=24)
         assert v == pytest.approx(1.0, abs=1e-12)
 
+    def test_rh1_prime_skips_nan_ratios(self):
+        # 5e-324 t underflows in the cumulative moment, so avg(w) is 0 on [0, 0.5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, iv = rh1_prime_constant(step_weight((0.0, 0.5, 1.0), (5e-324, 1e308)), resolution=12)
+        assert (v, iv) == (2.9500000000000006, Interval(0.0, 0.5454545454545454))
+
+    def test_rh1_prime_without_a_finite_ratio_raises(self, monkeypatch):
+        # avg(w) = 0 on every interval: each ratio is avg(M) / 0 = inf
+        monkeypatch.setattr(constants, "cumulative_moment", lambda w, pts, kind: np.zeros_like(pts))
+        with pytest.raises(DomainError, match="rh1_prime"):
+            rh1_prime_constant(constant_weight(2.0), resolution=8)
+
 
 class TestOrliczNorms:
     def test_l_norm_is_average(self, linear):
@@ -318,6 +387,26 @@ class TestOrliczNorms:
         w = step_weight((0.0, 0.5, 1.0), (1.0, 1e-12))
         lam = luxemburg_norm(w, Interval(0.0, 1.0), OrliczKind.EXP_MINUS_ONE)
         assert lam == pytest.approx(LUX_EXP_CHI, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "kind, root",
+        [(OrliczKind.LLOGL, LUX_LLOGL_CONST), (OrliczKind.EXP_MINUS_ONE, LUX_EXP_CONST)],
+        ids=["LlogL", "expL-1"],
+    )
+    def test_norm_on_a_subnormal_piece(self, kind, root):
+        # w is constant c on [0, 0.4], so the norm is c times the norm of 1,
+        # rounded to the subnormal grid; avg(w) underflowed to 0 uncentred
+        for c in (5e-324, 3e-310):
+            w = step_weight((0.0, 0.5, 1.0), (c, 1e308))
+            lam = luxemburg_norm(w, Interval(0.0, 0.4), kind)
+            assert abs(lam - c * root) <= 5e-324, c
+
+    def test_normal_range_norms_unchanged(self, corpus):
+        for (k, c), want in LUX_CORPUS_07.items():
+            w = rescale(corpus[k], c)
+            got = tuple(luxemburg_norm(w, Interval(a, 0.7), kind) for a, kind in (
+                (0.0, OrliczKind.LLOGL), (0.1, OrliczKind.LLOGL), (0.1, OrliczKind.EXP_MINUS_ONE)))
+            assert got == want, (k, c)
 
     def test_rh1_doubleprime_constant_weight(self):
         # the L log L / L ratio of a constant is the fixed norm of 1
@@ -423,8 +512,6 @@ class TestOrliczKernel:
         # 5e-324 t underflows in the cumulative moment, so avg(w) is 0 on [0, 0.5]
         value, iv = rh1_doubleprime_constant(step_weight((0.0, 0.5, 1.0), (5e-324, 1e308)), resolution=12)
         assert math.isfinite(value) and iv.b > 0.5
-        with pytest.raises(DomainError):
-            luxemburg_norm(step_weight((0.0, 0.5, 1.0), (5e-324, 1e308)), Interval(0.0, 0.4), OrliczKind.LLOGL)
 
 
 class TestLimitCheck:
