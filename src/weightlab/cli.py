@@ -9,6 +9,7 @@ significant digits; identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -59,9 +60,11 @@ def _emit_json(payload: dict, path: str | None) -> None:
 
 
 def _emit_csv(header: str, rows: list[tuple], path: str | None) -> None:
+    # one %-format per row, its template from the row's types: floats at 15 digits
     lines = [header]
-    for row in rows:
-        lines.append(",".join(f"{v:.15g}" if isinstance(v, float) else str(v) for v in row))
+    lines += [
+        ",".join(["%.15g" if isinstance(v, float) else "%s" for v in row]) % row for row in rows
+    ]
     _write("\n".join(lines), path)
 
 
@@ -357,7 +360,7 @@ def _cmd_sweep(args) -> int:
         }
         _emit_json(payload, args.output)
     else:
-        _emit_csv("Q,e_ratio,funny_ratio", [tuple(r) for r in rows], args.output)
+        _emit_csv("Q,e_ratio,funny_ratio", rows, args.output)
     return 0
 
 
@@ -397,7 +400,10 @@ def _check_caps(args) -> None:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: the tree is fixed, and parse_args fills a fresh
+    # Namespace on every call, so repeated main() calls share it
     parser = argparse.ArgumentParser(
         prog="weightlab",
         description="Weight constants, sharp-constant equations, Bellman surfaces.",

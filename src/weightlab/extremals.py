@@ -12,10 +12,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .bellman import BellmanSurface, SurfaceKind, evaluate, in_domain, tangent_point
+import numpy as np
+
+from .bellman import _BLOCK, BellmanSurface, SurfaceKind, evaluate, in_domain, tangent_point
 from .constants import ainf_constant, rh1_constant
 from .errors import InfeasibleTargetError, ParameterError
-from .solvers import funny_bound_log, gamma_entropy_roots, gamma_log
+from .solvers import _log_bound, gamma_entropy_roots
 from .weights import (
     Interval,
     MomentKind,
@@ -197,30 +199,34 @@ def divergence_probe(w: Weight, p: float, deltas: tuple[float, ...]) -> list[flo
     return out
 
 
-def _sweep_row(q: float) -> tuple[float, float, float]:
-    if q > 1.0:
-        g = gamma_log(q).root
-        e_ratio = (math.log(g) + 1.0 / g - 1.0) / q
-    else:
-        e_ratio = math.nan
-    # ratio of log funny_bound = 1/g + g - (q+2), g the small entropy root,
-    # to its asymptote e^{q+1} - q - 2; both blow up like e^{q+1} and the
-    # relative gap is below (q+2)e^{-(q+1)}, so past q ~ 690 the ratio is 1
-    # to double precision and the direct quotient would overflow.
-    if q + 1.0 > 690.0:
-        funny_ratio = 1.0
-    else:
-        funny_ratio = funny_bound_log(q) / (math.exp(q + 1.0) - q - 2.0)
-    return q, e_ratio, funny_ratio
-
-
 def sharpness_sweep(q_values: tuple[float, ...]) -> list[tuple[float, float, float]]:
     """Ratio-to-asymptote table for the sup-bound constants.
 
-    Columns: q, (log g + 1/g - 1)/q for the exp-entropy bound (NaN for q <= 1),
-    and the tangent-construction lower bound divided by e^{q+1} - q - 2.
+    Columns: q, (log g + 1/g - 1)/q for the exp-entropy bound, g = gamma_log(q)
+    (NaN for q <= 1), and funny_bound_log(q) / (e^{q+1} - q - 2) for the
+    tangent-construction lower bound.  Both numerators come from
+    solvers._log_bound, one array root solve per column and block of
+    bellman._BLOCK q's; a row's last bit may depend on the block it is solved
+    in, as the solve stops once every element has converged.  The funny ratio
+    is 1.0 past q + 1 = 690: both sides grow like e^{q+1} and differ by less
+    than (q + 2) e^{-(q+1)} relative, while the asymptote would soon overflow.
+    A q with q + 1 == 1 is refused, as the roots collapse to 1.
     """
     for q in q_values:
         if not (q > 0.0 and math.isfinite(q)):
             raise ParameterError(f"sweep needs q > 0, got {q}")
-    return [_sweep_row(q) for q in q_values]
+    for q in q_values:
+        if q + 1.0 == 1.0:
+            raise ParameterError(f"q = {q} below float resolution, roots collapse to 1")
+    qs = np.array(q_values, dtype=float)
+    e_ratio = np.full(qs.size, math.nan)
+    funny_ratio = np.ones(qs.size)
+    for k in range(0, qs.size, _BLOCK):
+        q = qs[k : k + _BLOCK]
+        e, f = e_ratio[k : k + _BLOCK], funny_ratio[k : k + _BLOCK]
+        big, mid = q > 1.0, q + 1.0 <= 690.0
+        # q = 2m 2^(n-1), m in [1/2, 1): the power of two divides exactly
+        m, n = np.frexp(q[big])
+        e[big] = _log_bound(np.log(q[big]), np.ldexp(1.0, n - 1)) / (2.0 * m)
+        f[mid] = _log_bound(q[mid]) / (math.e * np.exp(q[mid]) - q[mid] - 2.0)
+    return list(zip(q_values, e_ratio.tolist(), funny_ratio.tolist()))

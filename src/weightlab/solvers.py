@@ -170,8 +170,7 @@ def gamma_log(q: float) -> RootResult:
     return _root_result(c1, upper=False)
 
 
-def gamma_entropy_roots(q: float) -> tuple[RootResult, RootResult]:
-    """Both roots of t - log t = q + 1 for q > 0: (minus in (0,1), plus > 1)."""
+def _check_entropy_q(q: float) -> None:
     if not (q > 0.0 and math.isfinite(q)):
         raise ParameterError(f"gamma_entropy_roots needs q > 0, got {q}")
     if q > 743.0:
@@ -179,6 +178,11 @@ def gamma_entropy_roots(q: float) -> tuple[RootResult, RootResult]:
         raise ParameterError(f"q = {q} too large: the root in (0, 1) underflows")
     if q + 1.0 == 1.0:
         raise ParameterError(f"q = {q} below float resolution, roots collapse to 1")
+
+
+def gamma_entropy_roots(q: float) -> tuple[RootResult, RootResult]:
+    """Both roots of t - log t = q + 1 for q > 0: (minus in (0,1), plus > 1)."""
+    _check_entropy_q(q)
     return _root_result(q, upper=False), _root_result(q, upper=True)
 
 
@@ -268,12 +272,30 @@ def p_gehring_via_one(n: int, p: float, k: float) -> tuple[float, float]:
     return bound, delta
 
 
+def _log_bound(c1, scale=1.0):
+    """(log t + 1/t - 1) / scale at the lower root t of t - log t = 1 + c1 (float or array).
+
+    On the root log t = t - 1 - c1, so log t + 1/t - 1 = (t - 1)^2/t - c1.  Near
+    t = 1 the direct form cancels log t ~ -sqrt(2 c1) against 1/t - 1 and keeps
+    only ~1e-16/c1 relative; the root form keeps the kernel's full-precision
+    t - 1 and cancels a factor 2 at most.  Where 1/t dominates (t <= 1/4) the
+    direct form is used: it takes one rounding fewer than squaring t - 1 ~ -1.
+    A power-of-two scale divides exactly and before 1/t, which would overflow
+    past c1 ~ 708 while the scaled value is still a double.
+    """
+    t, tm1 = _branch_root(c1, upper=False)[:2]
+    xp, ts = _ops(t), t * scale
+    near = tm1 * (tm1 / ts) - c1 / scale
+    return xp.where(t > 0.25, near, xp.log(t) / scale + (1.0 / ts - 1.0 / scale))
+
+
 def funny_bound(q: float) -> float:
     """Sharp entropy-to-A_infty bound gamma_minus * exp((1-gamma_minus)/gamma_minus).
 
     Overflows to +inf for q beyond ~5.6; use funny_bound_log for asymptotics.
     """
-    g = gamma_entropy_roots(q)[0].root
+    _check_entropy_q(q)
+    g = _branch_root(q, upper=False)[0]
     try:
         return g * math.exp((1.0 - g) / g)
     except OverflowError:
@@ -281,6 +303,12 @@ def funny_bound(q: float) -> float:
 
 
 def funny_bound_log(q: float) -> float:
-    """log of funny_bound(q), stable for large q."""
-    g = gamma_entropy_roots(q)[0].root
-    return math.log(g) + (1.0 - g) / g
+    """log of funny_bound(q): log g + (1 - g)/g at the small root g of t - log t = 1 + q.
+
+    Computed by _log_bound, as (g - 1)^2/g - q near g = 1, the numerator the
+    sharpness sweep uses too, so it keeps full relative precision from
+    q ~ 1e-16 up.  +inf past q ~ 708, where the value itself, ~e^{q+1},
+    overflows.
+    """
+    _check_entropy_q(q)
+    return _log_bound(q)

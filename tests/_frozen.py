@@ -402,3 +402,20 @@ CONSTANTS_STDOUT = {
 }
 """,
 }
+
+# sharpness_sweep rows (q, e_ratio, funny_ratio) from 40-digit mpmath, q the
+# double as written: g = -W0(-e^{-1-c}) is the root in (0, 1) of t - log t = 1 + c,
+# e_ratio = (log g + 1/g - 1)/q at c = log q (nan for q <= 1) and funny_ratio =
+# (log g + 1/g - 1)/(e^{q+1} - q - 2) at c = q; at q = 100 and up funny_ratio is
+# 1 - O(q e^{-q}), which rounds to 1.0
+SWEEP_ROWS = (
+    (1e-15, math.nan, 1.3922112326850486e-15),
+    (1e-09, math.nan, 1.3922526964930959e-09),
+    (0.05, math.nan, 0.07734532905439861),
+    (1 + 1e-09, 1.0000298961503985e-09, 0.7892333891429723),
+    (2.0, 0.9249420897137971, 0.9394343892492105),
+    (100.0, 2.642248565870668, 1.0),
+    (689.0, 2.704442968938413, 1.0),
+    (689.5, 2.7044519519838204, 1.0),
+    (700.0, 2.7046378034991956, 1.0),
+)

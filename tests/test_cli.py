@@ -6,11 +6,17 @@ they cover exactly what a shell user sees.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import weightlab
 from weightlab import (
     BellmanSurface,
     SurfaceKind,
@@ -484,7 +490,67 @@ class TestSelftest:
         assert "FAILED (0/1)" in out
 
 
+class TestParserReuse:
+    # interleaved: successes, argparse exits (SystemExit 2), exit-2 refusals
+    ARGVS = (
+        ["solve", "--equation", "gamma-log", "--q", "3.0"],
+        ["bellman", "--surface", "ainf-upper", "--q", "2.0"],
+        ["sweep", "--q-list", "0.5,2,700"],
+        ["sweep", "--q-list", "1e-17"],
+        ["solve", "--equation", "nope"],
+        ["extremal", "--family", "ainf", "--q", "0.9"],
+    )
+
+    def test_repeated_main_matches_fresh_interpreters(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines at this width
+        env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": str(Path(weightlab.__file__).parents[1])}
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-W", "error", "-m", "weightlab.cli", *argv],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for argv in self.ARGVS
+        ]
+        fresh = []
+        for proc in procs:
+            out, err = proc.communicate()
+            fresh.append((proc.returncode, out, err))
+        assert {rc for rc, _, _ in fresh} == {0, 2}
+        assert sum("usage:" in err for _, _, err in fresh) == 2
+        for _ in range(2):
+            got = []
+            for argv in self.ARGVS:
+                try:
+                    rc = cli.main(list(argv))
+                except SystemExit as exc:
+                    rc = exc.code
+                captured = capsys.readouterr()
+                got.append((rc, captured.out, captured.err))
+            assert got == fresh
+
+    def test_parser_is_built_once(self, capsys):
+        for q in ("2.0", "3.0", "4.0"):
+            assert cli.main(["solve", "--equation", "gamma-log", "--q", q]) == 0
+        assert cli.main(["sweep", "--q-list", "2"]) == 0
+        capsys.readouterr()
+        assert cli._build_parser.cache_info().misses == 1
+
+
 class TestFormatting:
+    def test_csv_rows_format_each_type(self, capsys):
+        rows = [
+            ("rh1", 0.1, 0, -0.0),
+            (3, math.inf, math.nan, np.float64(1.0) / 3.0),
+            (True, 1e-300, 12345678901234567.0, 2.5),
+        ]
+        cli._emit_csv("a,b,c,d", rows, None)
+        assert capsys.readouterr().out == (
+            "a,b,c,d\n"
+            "rh1,0.1,0,-0\n"
+            "3,inf,nan,0.333333333333333\n"
+            "True,1e-300,1.23456789012346e+16,2.5\n"
+        )
+
     def test_floats_render_at_fifteen_significant_digits(self, capsys):
         assert cli.main(["solve", "--equation", "gamma-log", "--q", "3.0"]) == 0
         out = capsys.readouterr().out

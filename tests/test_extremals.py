@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,9 +21,17 @@ from weightlab import (
     constant_weight,
     sharpness_sweep,
 )
+from weightlab.bellman import _BLOCK
 from weightlab.solvers import eps_minus, gamma_entropy_roots
 
-from _frozen import ALPHA_BOUNDARY_1, GAMMA_MINUS_1, GAMMA_PLUS_1, GEHRING_B_1_03, RATIO_BOUND_E
+from _frozen import (
+    ALPHA_BOUNDARY_1,
+    GAMMA_MINUS_1,
+    GAMMA_PLUS_1,
+    GEHRING_B_1_03,
+    RATIO_BOUND_E,
+    SWEEP_ROWS,
+)
 
 
 def eps_mid(q, frac=0.5):
@@ -199,3 +208,43 @@ class TestSweep:
     def test_rejects_bad_q(self):
         with pytest.raises(ParameterError):
             sharpness_sweep((1.0, -2.0))
+
+    def test_matches_frozen_references(self):
+        rows = sharpness_sweep(tuple(q for q, _, _ in SWEEP_ROWS))
+        for (q, e_ratio, funny_ratio), (want_q, want_e, want_f) in zip(rows, SWEEP_ROWS):
+            assert q == want_q
+            if math.isnan(want_e):
+                assert math.isnan(e_ratio)
+            else:
+                assert e_ratio == pytest.approx(want_e, rel=1e-14, abs=0.0)
+            assert funny_ratio == pytest.approx(want_f, rel=1e-14, abs=0.0)
+
+    def test_blocks_concatenate(self):
+        rng = np.random.default_rng(8)
+        qs = tuple(np.exp(rng.uniform(math.log(1e-15), math.log(740.0), 3 * _BLOCK + 5)).tolist())
+        cuts = (0, _BLOCK, 2 * _BLOCK, 3 * _BLOCK, len(qs))
+        parts = [r for a, b in zip(cuts, cuts[1:]) for r in sharpness_sweep(qs[a:b])]
+        whole = sharpness_sweep(qs)
+        assert len(whole) == len(qs)
+        # nan-aware equality of every float
+        assert np.array_equal(np.array(whole), np.array(parts), equal_nan=True)
+
+    def test_below_float_resolution_is_refused(self):
+        with pytest.raises(ParameterError, match=r"^q = 1e-17 below float resolution, roots collapse to 1$"):
+            sharpness_sweep((2.0, 1e-17))
+        # every q is checked for sign first, as before the array pass
+        with pytest.raises(ParameterError, match=r"^sweep needs q > 0, got -2.0$"):
+            sharpness_sweep((1e-17, -2.0))
+
+    def test_edges_raise_no_warning(self):
+        qs = (1.2e-16, 1.0, 1.0000000000000002, 689.0, 690.0, 1e300, 7e307, 1.7976931348623157e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = sharpness_sweep(qs)
+            # blocks where one column has no row to solve
+            sharpness_sweep((0.5, 0.25))
+            sharpness_sweep((800.0,))
+        assert rows[0][2] == pytest.approx(1.2e-16 / (math.e - 2.0), rel=1e-6)
+        # 1/g overflows past q ~ 6.6e307; the ratio, near e, does not
+        for _, e_ratio, _ in rows[-3:]:
+            assert e_ratio == pytest.approx(math.e, rel=1e-13)
