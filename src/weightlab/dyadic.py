@@ -1,10 +1,17 @@
-"""Recursive interval splitting with moment points confined to a domain.
+"""Interval splitting with moment points confined to a domain, one generation at a time.
 
 A weight with sup-type constant at most q keeps every interval's moment
 point inside the corresponding domain; splitting an interval subdivides its
 point along a chord.  The splitter picks a cut ratio so the whole chord
 stays inside the slightly enlarged domain (constant q1 > q), which is what
 makes telescoping sums against a concave surface built at q1 monotone.
+
+build_partition walks the tree generation by generation: one array pass
+checks a generation's points against q, then the candidate ratios are
+tried in order, each round checking the chords of every node still uncut
+in one array pass.  A node's point is computed once, by the cut that
+created it.  chain_verify checks and evaluates every node's point in one
+in_domain and one evaluate_many call, then sums each generation in order.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bellman import BellmanSurface, SurfaceKind, evaluate
+from .bellman import BellmanSurface, SurfaceKind, _require_eps, evaluate_many, in_domain
 from .errors import DomainError, ParameterError, SplitError
 from .weights import Interval, MomentKind, Weight, moment
 
@@ -31,6 +38,9 @@ __all__ = [
 ]
 
 SEGMENT_SAMPLES = 100
+_FRACTIONS = np.linspace(0.0, 1.0, SEGMENT_SAMPLES)
+# chords per array pass of _violations: ~10 arrays of _BLOCK * SEGMENT_SAMPLES floats
+_BLOCK = 512
 
 
 class SplitMode(Enum):
@@ -49,6 +59,8 @@ class SplitConfig:
             raise ParameterError(f"q must be positive, got {self.q}")
         if not (self.q1 > self.q):
             raise ParameterError(f"q1 must exceed q, got q1 = {self.q1} <= q = {self.q}")
+        if not math.isfinite(self.q1):
+            raise ParameterError(f"q1 must be finite, got {self.q1}")
         if not (0.0 < self.delta0 <= 0.45):
             raise ParameterError(f"delta0 must lie in (0, 0.45], got {self.delta0}")
 
@@ -77,26 +89,41 @@ def _point(w: Weight, interval: Interval, mode: SplitMode) -> tuple[float, float
     return x, y
 
 
-def _segment_violation(
-    p0: tuple[float, float], p1: tuple[float, float], q: float, mode: SplitMode
-) -> float:
-    """Worst signed domain violation along the chord, scale-normalized."""
-    s = np.linspace(0.0, 1.0, SEGMENT_SAMPLES)
-    x = p0[0] + s * (p1[0] - p0[0])
-    y = p0[1] + s * (p1[1] - p0[1])
-    if mode is SplitMode.LOG:
-        r = x * np.exp(-y)
-        viol = np.maximum(1.0 - r, r - q)
-        scale = max(1.0, q)
-    else:
-        base = x * np.log(x)
-        viol = np.maximum(base - y, y - base - q * x)
-        scale = max(1.0, float(np.max(np.abs(base))), q * float(np.max(x)))
-    return float(np.max(viol)) / scale
+def _violations(p0: list, p1: list, q: float, mode: SplitMode, samples: int = SEGMENT_SAMPLES) -> np.ndarray:
+    """Worst signed domain violation along each chord p0[k] -> p1[k], scale-normalized.
 
-
-def _point_violation(p: tuple[float, float], q: float, mode: SplitMode) -> float:
-    return _segment_violation(p, p, q, mode)
+    Every chord is sampled at the same SEGMENT_SAMPLES fractions, in blocks
+    of _BLOCK chords.  A point is the chord from p to p: there every sample
+    is p, and samples=1 gives the same value.  A chord through a non-finite
+    coordinate, which an overflowing moment gives, reads inf: outside.
+    """
+    s = _FRACTIONS[:samples]
+    out = np.empty(len(p0))
+    for k in range(0, len(p0), _BLOCK):
+        ends = np.array(p0[k : k + _BLOCK]), np.array(p1[k : k + _BLOCK])
+        finite = np.isfinite(ends[0]).all(axis=1) & np.isfinite(ends[1]).all(axis=1)
+        (x0, y0), (x1, y1) = (end.T[:, :, None] for end in ends)
+        with np.errstate(all="ignore"):
+            x = x0 + s * (x1 - x0)
+            y = y0 + s * (y1 - y0)
+            if mode is SplitMode.LOG:
+                r = x * np.exp(-y)
+                deep = y < -700.0  # e^-y overflows past -709.8, while x e^-y may not
+                if deep.any():
+                    r[deep] = np.exp(np.log(x[deep]) - y[deep])
+                viol = np.maximum(1.0 - r, r - q)
+                scale = max(1.0, q)
+            else:
+                base = x * np.log(x)
+                base[x == 0.0] = 0.0  # the limit of x log x; a chord to x ~ 1e-300 rounds onto 0
+                viol = np.maximum(base - y, y - base - q * x)
+                # max(1, max|base|, q max x) as Python's max takes it: a nan term is passed over
+                top, right = np.max(np.abs(base), axis=1), q * np.max(x, axis=1)
+                scale = np.where(top > 1.0, top, 1.0)
+                scale = np.where(right > scale, right, scale)
+            worst = np.max(viol, axis=1) / scale
+        out[k : k + _BLOCK] = np.where(finite & ~np.isnan(worst), worst, np.inf)
+    return out
 
 
 def _alpha_candidates(delta0: float) -> list[float]:
@@ -117,6 +144,51 @@ def _alpha_candidates(delta0: float) -> list[float]:
         k += 1
 
 
+def _cuts(w: Weight, intervals: list[Interval], cfg: SplitConfig, mode: SplitMode, alphas: list[float]) -> list:
+    """Per interval, the first candidate cut whose chord stays in the q1 domain.
+
+    One round per candidate ratio, in order, over the intervals still uncut;
+    each round checks all its chords in one array pass.  An entry is
+    (alpha, left, right, left point, right point), or the exception that
+    cutting that interval alone meets first: one from its moments, or a
+    SplitError carrying the least-violating candidate.
+    """
+    out = [None] * len(intervals)
+    best = [(math.nan, math.inf)] * len(intervals)
+    todo = range(len(intervals))
+    for alpha in alphas:
+        if not todo:
+            break
+        rows = []
+        for k in todo:
+            a, b = intervals[k].a, intervals[k].b
+            mid = a + alpha * (b - a)
+            if mid <= a or mid >= b:
+                continue
+            left, right = Interval(a, mid), Interval(mid, b)
+            try:
+                rows.append((k, alpha, left, right, _point(w, left, mode), _point(w, right, mode)))
+            except (ArithmeticError, ValueError) as exc:  # build_partition raises it in preorder
+                out[k] = exc
+        viols = _violations([r[4] for r in rows], [r[5] for r in rows], cfg.q1, mode)
+        for (k, *cut), viol in zip(rows, viols.tolist()):
+            if viol <= 1e-12:
+                out[k] = tuple(cut)
+            elif viol < best[k][1]:
+                best[k] = (alpha, viol)
+        todo = [k for k in todo if out[k] is None]
+    for k in todo:
+        best_alpha, best_viol = best[k]
+        out[k] = SplitError(
+            f"no cut ratio in [{cfg.delta0}, {1.0 - cfg.delta0}] keeps the chord "
+            f"inside the q1 = {cfg.q1} domain on [{intervals[k].a}, {intervals[k].b}] "
+            f"(best alpha = {best_alpha} with violation {best_viol:.3e})",
+            best_alpha=best_alpha,
+            best_violation=best_viol,
+        )
+    return out
+
+
 def split(
     w: Weight, interval: Interval, cfg: SplitConfig, mode: SplitMode = SplitMode.LOG
 ) -> tuple[Interval, Interval, float]:
@@ -125,27 +197,11 @@ def split(
     Returns (left, right, alpha) with |left| = alpha * |interval|.  Raises
     SplitError carrying the best candidate when no admissible ratio exists.
     """
-    a, b = interval.a, interval.b
-    best_alpha, best_viol = math.nan, math.inf
-    for alpha in _alpha_candidates(cfg.delta0):
-        mid = a + alpha * (b - a)
-        if mid <= a or mid >= b:
-            continue
-        left, right = Interval(a, mid), Interval(mid, b)
-        viol = _segment_violation(
-            _point(w, left, mode), _point(w, right, mode), cfg.q1, mode
-        )
-        if viol <= 1e-12:
-            return left, right, alpha
-        if viol < best_viol:
-            best_alpha, best_viol = alpha, viol
-    raise SplitError(
-        f"no cut ratio in [{cfg.delta0}, {1.0 - cfg.delta0}] keeps the chord "
-        f"inside the q1 = {cfg.q1} domain on [{a}, {b}] "
-        f"(best alpha = {best_alpha} with violation {best_viol:.3e})",
-        best_alpha=best_alpha,
-        best_violation=best_viol,
-    )
+    cut = _cuts(w, [interval], cfg, mode, _alpha_candidates(cfg.delta0))[0]
+    if isinstance(cut, Exception):
+        raise cut
+    alpha, left, right = cut[:3]
+    return left, right, alpha
 
 
 def build_partition(
@@ -154,27 +210,60 @@ def build_partition(
     mode: SplitMode = SplitMode.LOG,
     max_depth: int = 4,
 ) -> PartitionTree:
-    """Full binary tree of admissible splits down to max_depth.
+    """Full binary tree of admissible splits down to max_depth, one generation at a time.
 
     Every node's own moment point must lie in the q domain; a violation
     means the weight's constant exceeds q and the construction is vacuous.
+    A generation's points are checked in one array pass, then cut together
+    (_cuts); a node's point is the one its parent's accepted cut computed.
+    Of several failures the one raised is the first in preorder (a node's
+    point, then its cut, then its left subtree), so only nodes before the
+    first failure found so far are walked on.
     """
     if not isinstance(max_depth, int) or max_depth < 0:
         raise ParameterError(f"max_depth must be a nonnegative integer, got {max_depth}")
+    alphas = _alpha_candidates(cfg.delta0)
+    first = None  # (preorder key, exception) of the first failure in preorder
 
-    def rec(iv: Interval, depth: int) -> PartitionNode:
-        pt = _point(w, iv, mode)
-        if _point_violation(pt, cfg.q, mode) > 1e-9:
-            raise DomainError(
-                f"moment point {pt} of [{iv.a}, {iv.b}] leaves the q = {cfg.q} domain; "
-                "the weight's constant exceeds q"
-            )
-        if depth == max_depth:
-            return PartitionNode(iv, pt)
-        left, right, _ = split(w, iv, cfg, mode)
-        return PartitionNode(iv, pt, (rec(left, depth + 1), rec(right, depth + 1)))
+    def key(depth: int, i: int) -> tuple[int, int]:
+        # i-th node of its generation: its leftmost leaf, then ancestors first
+        return i << (max_depth - depth), depth
 
-    return PartitionTree(rec(Interval(0.0, 1.0), 0), mode, cfg, max_depth)
+    def before(depth: int, i: int) -> bool:
+        return first is None or key(depth, i) < first[0]
+
+    root = Interval(0.0, 1.0)
+    level = [(0, root, _point(w, root, mode))]  # (index in generation, interval, point)
+    levels = []
+    for depth in range(max_depth + 1):
+        points = [pt for _, _, pt in level]
+        for (i, iv, pt), viol in zip(level, _violations(points, points, cfg.q, mode, samples=1)):
+            if viol > 1e-9 and before(depth, i):
+                first = (key(depth, i), DomainError(
+                    f"moment point {pt} of [{iv.a}, {iv.b}] leaves the q = {cfg.q} domain; "
+                    "the weight's constant exceeds q"
+                ))
+        level = [node for node in level if before(depth, node[0])]
+        levels.append(level)
+        if depth == max_depth or not level:
+            break
+        cuts = _cuts(w, [iv for _, iv, _ in level], cfg, mode, alphas)
+        for (i, _, _), cut in zip(level, cuts):
+            if isinstance(cut, Exception) and before(depth, i):
+                first = (key(depth, i), cut)
+        level = [
+            child
+            for (i, _, _), cut in zip(level, cuts)
+            if before(depth, i)
+            for child in ((2 * i, cut[1], cut[3]), (2 * i + 1, cut[2], cut[4]))
+        ]
+    if first is not None:
+        raise first[1]
+
+    nodes = [PartitionNode(iv, pt) for _, iv, pt in levels[-1]]
+    for level in reversed(levels[:-1]):
+        nodes = [PartitionNode(iv, pt, (nodes[2 * j], nodes[2 * j + 1])) for j, (_, iv, pt) in enumerate(level)]
+    return PartitionTree(nodes[0], mode, cfg, max_depth)
 
 
 @dataclass(frozen=True)
@@ -208,27 +297,48 @@ def chain_verify(surface: BellmanSurface, w: Weight, tree: PartitionTree) -> Cha
             f"only in the q1 = {tree.config.q1} domain"
         )
 
-    root_len = tree.root.interval.b - tree.root.interval.a
-    sums = []
+    generations = []
     generation = [tree.root]
     while generation:
+        generations.append(generation)
+        generation = [c for n in generation for c in n.children]
+    nodes = [node for generation in generations for node in generation]
+    x, y = np.array([node.point for node in nodes], dtype=float).T
+    if surface.kind is SurfaceKind.GEHRING:
+        _require_eps(surface)
+    with np.errstate(all="ignore"):  # as on floats: a huge point's bounds overflow to inf
+        inside = in_domain(surface, x, y, tol=1e-9)
+    if not inside.all():
+        node = nodes[int(np.argmin(inside))]
+        raise DomainError(
+            f"node [{node.interval.a}, {node.interval.b}]: point ({node.point[0]}, "
+            f"{node.point[1]}) outside the {surface.kind.value} domain"
+        )
+    with np.errstate(all="ignore"):
+        values = evaluate_many(surface, x, y)
+    finite = np.isfinite(values)
+    if not finite.all():
+        node = nodes[int(np.argmin(finite))]
+        raise DomainError(
+            f"node [{node.interval.a}, {node.interval.b}]: the surface value at ({node.point[0]}, "
+            f"{node.point[1]}) overflows a double"
+        )
+    values = iter(values.tolist())
+    root_len = tree.root.interval.b - tree.root.interval.a
+    sums = []
+    for generation in generations:
         total = 0.0
         for node in generation:
-            frac = (node.interval.b - node.interval.a) / root_len
-            try:
-                total += frac * evaluate(surface, node.point[0], node.point[1])
-            except DomainError as exc:
-                raise DomainError(
-                    f"node [{node.interval.a}, {node.interval.b}]: {exc}"
-                ) from None
+            total += (node.interval.b - node.interval.a) / root_len * next(values)
         sums.append(total)
-        generation = [c for n in generation for c in n.children]
 
     root_iv = tree.root.interval
     if surface.kind is SurfaceKind.AINF_UPPER:
         target = moment(w, root_iv, MomentKind.AVG_W_LOG_W)
     else:
         target = moment(w, root_iv, MomentKind.AVG_W_POW, p=1.0 + surface.eps)
+    if not math.isfinite(target):
+        raise DomainError(f"the target moment over [{root_iv.a}, {root_iv.b}] is {target}, not a finite number")
 
     slack = 1e-9
     monotone = all(

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 
 __all__ = [
     "RootResult",
@@ -160,14 +160,21 @@ def gamma_log(q: float) -> RootResult:
     """Root in (0, 1) of t - log t = 1 + log q; requires q > 1.
 
     The left side decreases from +inf to 1 on (0, 1], so a root below 1
-    exists exactly when 1 + log q > 1.
+    exists exactly when 1 + log q > 1.  Below t = 1/4 the kernel's root
+    takes one fixed-point step in q itself, not its rounded log.
     """
     if not (q > 1.0 and math.isfinite(q)):
         raise ParameterError(f"gamma_log needs q > 1, got {q}")
     c1 = math.log(q)
     if c1 > 743.0:
         raise ParameterError(f"q = {q} too large: the root in (0, 1) underflows")
-    return _root_result(c1, upper=False)
+    res = _root_result(c1, upper=False)
+    if res.root > 0.25:
+        return res
+    # c1's rounding, up to ulp(log q)/2, is relative error in t ~ e^{-1-c1}; one step of
+    # t = e^{t-1}/q uses q itself and contracts the error by a factor t
+    t = math.exp(res.root - 1.0) / q
+    return RootResult(t, t - math.log(t) - (1.0 + c1), res.bracket, res.iterations)
 
 
 def _check_entropy_q(q: float) -> None:
@@ -307,8 +314,11 @@ def funny_bound_log(q: float) -> float:
 
     Computed by _log_bound, as (g - 1)^2/g - q near g = 1, the numerator the
     sharpness sweep uses too, so it keeps full relative precision from
-    q ~ 1e-16 up.  +inf past q ~ 708, where the value itself, ~e^{q+1},
-    overflows.
+    q ~ 1e-16 up.  Past q ~ 708 the value itself, ~e^{q+1}, overflows a
+    double, and the q is refused.
     """
     _check_entropy_q(q)
-    return _log_bound(q)
+    value = _log_bound(q)
+    if value == math.inf:
+        raise DomainError(f"q = {q} too large: log funny_bound ~ e^(q+1) overflows a double")
+    return value

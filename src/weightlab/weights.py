@@ -178,9 +178,10 @@ def _ulogu_series(z, big):
 def _piece_integral(piece: PowerPiece, s, e, kind: MomentKind, p: float | None):
     """Integral of the kind's integrand over [s, e] inside the piece support.
 
-    The one home of the closed forms.  s and e are floats, or one of them
-    an array with e > s throughout; s = 0 (not an array) integrates from 0
-    and gives +inf where that integral diverges.
+    The one home of the closed forms (_closed_form holds them).  s and e
+    are floats, or one of them an array with e > s throughout; s = 0 (not
+    an array) integrates from 0 and gives +inf where that integral
+    diverges.  A float power past the double range raises DomainError.
     """
     c, alpha = piece.coeff, piece.exponent
     if kind is MomentKind.AVG_W_POW:
@@ -190,6 +191,14 @@ def _piece_integral(piece: PowerPiece, s, e, kind: MomentKind, p: float | None):
             c, alpha, kind = c**p, p * alpha, MomentKind.AVG_W
         except OverflowError:
             raise DomainError(f"coefficient {c} to the power {p} overflows a double") from None
+    try:
+        return _closed_form(c, alpha, s, e, kind)
+    except OverflowError:  # a float power past the double range (numpy's give inf)
+        raise DomainError(f"the {kind.value} integral over [{s}, {e}] overflows a double") from None
+
+
+def _closed_form(c: float, alpha: float, s, e, kind: MomentKind):
+    """_piece_integral on the piece c t^alpha, for any kind but AVG_W_POW."""
     a1 = alpha + 1.0
     from_zero = not isinstance(s, np.ndarray) and s == 0.0
     if kind is MomentKind.AVG_W:

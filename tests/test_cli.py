@@ -69,6 +69,16 @@ class TestSolve:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("q, rc", [("700", 0), ("709", 2), ("743", 2)])
+    def test_funny_log_value_overflow_exits_2(self, q, rc, capsys):
+        assert cli.main(["solve", "--equation", "funny", "--q", q]) == rc
+        captured = capsys.readouterr()
+        if rc == 0:
+            assert math.isfinite(json.loads(captured.out)["log_value"])
+        else:
+            assert captured.out == ""
+            assert "overflows" in captured.err
+
     def test_no_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             cli.main([])
@@ -183,6 +193,17 @@ class TestConstants:
             assert "nan" not in out.lower()
         else:
             assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [["constants", "--which", "rh1"], ["dyadic", "--q", "2", "--q1", "3"]])
+    def test_overflowing_piece_integral_exits_2(self, argv, tmp_path, capsys):
+        # t^-40 from 1e-10: the float closed form's power leaves the double range
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"pieces": [
+            {"a": 0.0, "b": 1e-10, "coeff": 1.0, "exponent": 0.0},
+            {"a": 1e-10, "b": 1.0, "coeff": 1.0, "exponent": -40.0},
+        ]}))
+        assert cli.main([argv[0], "--weight", str(path), *argv[1:]]) == 2
+        assert "overflows a double" in capsys.readouterr().err
 
     def test_huge_constant_weight_reads_flat(self, tmp_path, capsys):
         # scanned after scaling by a power of two: w log w and exp(-avg log w)
@@ -426,6 +447,13 @@ class TestDyadic:
         assert root["point"] == pytest.approx([0.5, -1.0])
         assert len(root["children"]) == 2
         assert "children" not in root["children"][0]["children"][0]
+
+    def test_infinite_q1_exits_2(self, linear_file, capsys):
+        rc = cli.main(["dyadic", "--weight", linear_file, "--q", "1.5", "--q1", "inf"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "q1 must be finite" in captured.err
 
     def test_inadmissible_q_exits_2(self, linear_file, capsys):
         rc = cli.main(

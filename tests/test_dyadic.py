@@ -7,9 +7,17 @@ evaluates a concave majorant along the generations and checks the sums
 decrease toward the moment the tree refines to.
 """
 
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
 import math
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from weightlab import (
     BellmanSurface,
@@ -32,6 +40,9 @@ from weightlab import (
     truncate,
     weight_from_dict,
 )
+from weightlab import cli, dyadic, errors, weights
+
+from _frozen import DYADIC_FAILURES, FROZEN_TREES
 
 LINEAR = power_weight(1.0, 1.0)
 FLAT = power_weight(3.0, 0.0)
@@ -66,6 +77,11 @@ class TestSplitConfig:
     def test_rejects_delta0_outside_window(self, delta0):
         with pytest.raises(ParameterError, match="delta0"):
             SplitConfig(q=2.0, q1=2.5, delta0=delta0)
+
+    @pytest.mark.parametrize("q1", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_q1(self, q1):
+        with pytest.raises(ParameterError, match="q1 must"):
+            SplitConfig(q=1.5, q1=q1)
 
     def test_default_margin(self):
         assert SplitConfig(q=2.0, q1=2.4).delta0 == 0.05
@@ -110,6 +126,15 @@ class TestSplit:
             split(LINEAR, Interval(0.0, 1.0), cfg, SplitMode.LOG)
         assert excinfo.value.best_alpha == 0.95
         assert 0.0 < excinfo.value.best_violation < 1e-3
+
+    def test_tied_candidates_report_the_first(self):
+        # a flat weight puts every child point at (3, log 3), ratio 1 > q1: all
+        # candidates violate by the same amount, and the first of them is kept
+        cfg = SplitConfig(q=0.5, q1=0.8)
+        with pytest.raises(SplitError) as excinfo:
+            split(FLAT, Interval(0.0, 1.0), cfg, SplitMode.LOG)
+        assert excinfo.value.best_alpha == 0.5
+        assert excinfo.value.best_violation == pytest.approx(0.2)
 
 
 class TestBuildPartition:
@@ -288,3 +313,161 @@ class TestChainVerify:
         # package's own, not a KeyError from inside the tree builder.
         with pytest.raises(ParameterError):
             weight_from_dict({"pieces": [{"a": 0.0, "b": 1.0}]})
+
+
+def _digest(root):
+    """sha256 of the preorder nodes: float.hex of interval.a, interval.b, point x, point y."""
+    h = hashlib.sha256()
+    for node in _walk(root):
+        fields = (node.interval.a, node.interval.b, *node.point)
+        h.update(" ".join(float(v).hex() for v in fields).encode())
+    return h.hexdigest()
+
+
+def _frozen_weight(pieces):
+    return weights.Weight(tuple(weights.PowerPiece(Interval(a, b), c, e) for a, b, c, e in pieces))
+
+
+def _surface(mode, q1, eps):
+    if mode == "log":
+        return BellmanSurface(SurfaceKind.AINF_UPPER, q1)
+    return BellmanSurface(SurfaceKind.GEHRING, q1, eps=eps)
+
+
+class TestFrozenTrees:
+    """Trees and chains against the depth-first recursion's output (tests/_frozen.py)."""
+
+    @pytest.mark.parametrize("case", FROZEN_TREES, ids=[f"tree{k}" for k in range(len(FROZEN_TREES))])
+    def test_tree_is_bit_identical_and_sums_match(self, case):
+        pieces, mode, q, q1, eps, digest, sums = case
+        w = _frozen_weight(pieces)
+        tree = build_partition(w, SplitConfig(q=q, q1=q1), SplitMode(mode), max_depth=6)
+        assert _digest(tree.root) == digest
+        report = chain_verify(_surface(mode, q1, eps), w, tree)
+        assert len(report.sums) == len(sums)
+        # evaluate_many's array logs and exps may round differently from math's;
+        # on the scale chain_verify's own checks use, the sums agree to 4e-15
+        for got, want in zip(report.sums, sums):
+            assert abs(got - want) <= 4e-15 * max(1.0, abs(want))
+
+    def test_frozen_set_covers_both_modes_and_moved_cuts(self):
+        assert {case[1] for case in FROZEN_TREES} == {"log", "entropy"}
+        moved = 0
+        for pieces, mode, q, q1, *_ in FROZEN_TREES:
+            tree = build_partition(_frozen_weight(pieces), SplitConfig(q=q, q1=q1), SplitMode(mode), max_depth=6)
+            for node in _walk(tree.root):
+                if node.children:
+                    left = node.children[0].interval
+                    moved += abs(left.length / node.interval.length - 0.5) > 1e-9
+        assert moved >= 12
+
+    def test_split_is_the_one_interval_cut(self):
+        cfg = SplitConfig(q=Q_LINEAR, q1=Q_LINEAR * 1.02)
+        tree = build_partition(LINEAR, cfg, SplitMode.LOG, max_depth=4)
+        for node in _walk(tree.root):
+            if node.children:
+                left, right, _ = split(LINEAR, node.interval, cfg, SplitMode.LOG)
+                assert (left, right) == tuple(c.interval for c in node.children)
+
+    def test_each_point_takes_two_moments(self, monkeypatch):
+        # a node's point is computed once, by the cut that made it; on a flat
+        # weight the first candidate (1/2) is accepted everywhere
+        calls = []
+        monkeypatch.setattr(dyadic, "moment", lambda *a, **k: calls.append(a) or weights.moment(*a, **k))
+        tree = build_partition(FLAT, SplitConfig(q=1.5, q1=1.8), SplitMode.LOG, max_depth=4)
+        assert len(calls) == 2 * len(list(_walk(tree.root)))
+
+
+class TestFailureOrder:
+    """A failing build raises what the depth-first recursion meets first."""
+
+    @pytest.mark.parametrize("case", DYADIC_FAILURES, ids=["domain-domain", "domain-split", "split-split", "split-domain"])
+    def test_first_failure_in_preorder(self, case):
+        (cuts, values, q, q1), (name, message, best_alpha, best_violation) = case
+        w = step_weight(cuts, values)
+        with pytest.raises(getattr(errors, name)) as excinfo:
+            build_partition(w, SplitConfig(q=q, q1=q1), SplitMode.LOG, max_depth=6)
+        assert type(excinfo.value) is getattr(errors, name)
+        assert str(excinfo.value) == message
+        assert getattr(excinfo.value, "best_alpha", None) == best_alpha
+        assert getattr(excinfo.value, "best_violation", None) == best_violation
+
+    def test_moment_error_keeps_its_place(self, monkeypatch):
+        # an exception from a moment inside a cut is that node's failure: the cut
+        # of [0, 0.25] (generation 2) fails before the later cut of [0.5, 1]
+        real = weights.moment
+
+        def moment(w, iv, kind, p=None):
+            if (iv.b <= 0.25 and iv.b - iv.a < 0.2) or (iv.a >= 0.5 and iv.b - iv.a < 0.3):
+                raise OverflowError(f"cut at [{iv.a}, {iv.b}]")
+            return real(w, iv, kind, p)
+
+        monkeypatch.setattr(dyadic, "moment", moment)
+        with pytest.raises(OverflowError, match=r"cut at \[0.0, 0.125\]"):
+            build_partition(FLAT, SplitConfig(q=1.5, q1=1.8), SplitMode.LOG, max_depth=3)
+
+    def test_chain_raises_first_failing_node_in_generation_order(self):
+        tree = build_partition(LINEAR, SplitConfig(q=1.5, q1=1.8), SplitMode.LOG, max_depth=2)
+        left, right = tree.root.children
+        bad_leaf = dataclasses.replace(left.children[0], point=(2.0, 0.0))  # x e^-y = 2 > q1
+        left = dataclasses.replace(left, children=(bad_leaf, left.children[1]))
+        surface = BellmanSurface(SurfaceKind.AINF_UPPER, 1.8)
+        only_leaf = dataclasses.replace(tree, root=dataclasses.replace(tree.root, children=(left, right)))
+        with pytest.raises(DomainError) as excinfo:
+            chain_verify(surface, LINEAR, only_leaf)
+        assert str(excinfo.value) == "node [0.0, 0.25]: point (2.0, 0.0) outside the ainf_upper domain"
+        # the leaf is first in preorder, but generation 1 is summed first
+        bad_right = dataclasses.replace(right, point=(1.0, 0.5))  # x e^-y < 1
+        both = dataclasses.replace(tree, root=dataclasses.replace(tree.root, children=(left, bad_right)))
+        with pytest.raises(DomainError) as excinfo:
+            chain_verify(surface, LINEAR, both)
+        assert str(excinfo.value) == "node [0.5, 1.0]: point (1.0, 0.5) outside the ainf_upper domain"
+
+    def test_gehring_chain_without_eps_is_a_parameter_error(self):
+        tree = build_partition(FLAT, SplitConfig(q=1.5, q1=1.8), SplitMode.ENTROPY, max_depth=2)
+        with pytest.raises(ParameterError, match="needs eps"):
+            chain_verify(BellmanSurface(SurfaceKind.GEHRING, 1.8), FLAT, tree)
+
+
+def _weight_payload(cuts, coeffs, exponents):
+    bounds = [0.0, *sorted(set(cuts)), 1.0]
+    return {
+        "pieces": [
+            {"a": a, "b": b, "coeff": c, "exponent": e}
+            for a, b, c, e in zip(bounds, bounds[1:], coeffs, exponents)
+        ]
+    }
+
+
+@st.composite
+def _dyadic_argv(draw):
+    n = draw(st.integers(1, 4))
+    cuts = draw(st.lists(st.floats(1e-12, 0.999), min_size=n - 1, max_size=n - 1))
+    coeffs = draw(st.lists(st.floats(1e-300, 1e300), min_size=n, max_size=n))
+    exponents = draw(st.lists(st.floats(-40.0, 40.0), min_size=n, max_size=n))
+    q = draw(st.floats(0.5, 60.0))
+    q1 = q * draw(st.floats(1.0, 3.0, exclude_min=True))
+    argv = ["--mode", draw(st.sampled_from(["log", "entropy"])), "--q", repr(q), "--q1", repr(q1)]
+    argv += ["--delta0", repr(draw(st.floats(0.001, 0.46))), "--depth", str(draw(st.integers(0, 6)))]
+    if draw(st.booleans()):
+        argv.append("--verify")
+    return _weight_payload(cuts, coeffs, exponents), argv
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_dyadic_argv())
+    def test_dyadic_exits_0_1_or_2(self, case, tmp_path_factory):
+        payload, argv = case
+        path = tmp_path_factory.mktemp("fuzz") / "w.json"
+        path.write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["dyadic", "--weight", str(path), *argv])
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert err.getvalue().startswith("error:")
+        else:
+            json.loads(out.getvalue(), parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))

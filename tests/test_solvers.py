@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from weightlab import ParameterError, solvers
+from weightlab import DomainError, ParameterError, solvers
 
 from _frozen import (
     EPS_MINUS_1,
@@ -32,6 +32,14 @@ class TestGammaLog:
             want = mp_root(lambda t: t - mpmath.log(t) - 1 - mpmath.log(q), 1e-200, 0.9999)
             got = solvers.gamma_log(q).root
             assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [10.0, 1e4, 1e16, 1e100, 1e200, 1e300])
+    def test_large_q_within_an_ulp_of_60_digits(self, q):
+        # the root ~ e^{-1-log q} must not inherit the rounding of log q
+        with mpmath.workdps(60):
+            want = -mpmath.lambertw(-mpmath.exp(-1 - mpmath.log(mpmath.mpf(q))), 0)
+            rel = abs((solvers.gamma_log(q).root - want) / want)
+        assert rel <= 2.5e-16
 
     def test_root_in_open_unit_interval(self):
         for q in np.geomspace(1.001, 1e8, 40):
@@ -198,6 +206,14 @@ class TestFunnyBound:
         val = solvers.funny_bound_log(300.0)
         assert math.isfinite(val)
         assert val == pytest.approx(math.exp(301.0) - 302.0, rel=1e-10)
+
+    @pytest.mark.parametrize("q", [708.8, 709.0, 743.0])
+    def test_log_variant_refuses_an_overflowing_value(self, q):
+        with pytest.raises(DomainError, match="overflows"):
+            solvers.funny_bound_log(q)
+
+    def test_log_variant_finite_up_to_the_overflow(self):
+        assert solvers.funny_bound_log(708.0) == pytest.approx(math.exp(709.0), rel=1e-12)
 
     def test_asymptotic_ratio_row(self):
         for q, tol in ((3.0, 2.1e-2), (5.0, 2.6e-3), (8.0, 1.3e-4)):
