@@ -158,10 +158,11 @@ def _cmd_solve(args) -> int:
             "log_product_gap": solvers.good_lambda_verify(args.n, args.q),
         }
     elif eq == "funny":
+        value = solvers.funny_bound(args.q)  # inf past q ~ 5.6, printed as null
         payload = {
             "equation": eq,
             "q": args.q,
-            "value": solvers.funny_bound(args.q),
+            "value": value if math.isfinite(value) else None,
             "log_value": solvers.funny_bound_log(args.q),
         }
     else:  # pragma: no cover - argparse restricts choices
@@ -355,7 +356,7 @@ def _cmd_sweep(args) -> int:
     if args.format == "json":
         payload = {
             "rows": [
-                {"q": q, "e_ratio": a, "funny_ratio": b} for q, a, b in rows
+                {"q": q, "e_ratio": None if math.isnan(a) else a, "funny_ratio": b} for q, a, b in rows
             ]
         }
         _emit_json(payload, args.output)
@@ -383,8 +384,9 @@ def _cmd_selftest(args) -> int:
 # Largest accepted sizes: each keeps a run near 30 s or less on 2 CPUs and its
 # traced memory peak under 256 MiB.  Pair scans take O(R^2) time, O(R) memory,
 # and at most _SCAN_CAP of them run at R = 20001 (or more at a smaller R; four
-# share one walk and take about 6 s); rh1_doubleprime walks blocks of grid rows, 3.2 MiB at R = 200
-# for one piece or five; a Hessian check ~150 B per grid point; a depth-14 tree 108 MiB.
+# share one walk and take about 6 s); at R = 200 rh1_prime's row pass, O(R^2) a row, peaks at 1 MiB
+# and rh1_doubleprime's row blocks at 3.2 MiB for one piece or five; a Hessian check
+# ~150 B per grid point; a depth-14 tree 108 MiB.
 _CAPS = {"resolution": 20001, "maximal_resolution": 200, "grid": 1024, "depth": 14}
 _SCAN_CAP = 4
 

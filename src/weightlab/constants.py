@@ -9,7 +9,7 @@ cumulative moment and each block's pair lengths and averages are computed
 once, and each constant adds its second cumulative moment and its combining
 expression.  The Orlicz constant solves each block's Luxemburg norms
 together; the maximal-function constant is the documented expensive one,
-O(resolution^3) via an incremental recurrence.
+O(resolution^3) in one row pass per left end, O(resolution^2) memory each.
 
 Estimates are lower bounds of the true suprema, monotone under grid
 refinement (for nested grids), and exact on the step/power families whose
@@ -110,14 +110,14 @@ _SCAN_BLOCK_ENTRIES = 1 << 14
 def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, block) -> list[tuple[float, Interval]]:
     """First max of each of a stack of ratios over all grid pairs i < j, walked in blocks of rows.
 
-    block(i0, i1) gives the ratios of rows i0..i1-1, one array per label in an
-    iterable that may make each as it is taken, and their pair indices
-    (ratios, ii, jj), ii and jj broadcasting to each ratio's shape in
-    lexicographic order; each block covers about _SCAN_BLOCK_ENTRIES / per_pair
-    pairs, so memory stays bounded in resolution.  For each label on its own,
-    nan ratios are masked (only when the argmax lands on one), ties keep the
-    first pair, and DomainError is raised, for the first label in order, when
-    no pair gives a finite value.
+    block(i0, i1) gives the ratios of rows i0..i1-1 by columns i0+1..n-1, one
+    array per label in an iterable that may make each as it is taken; j <= i
+    only in an array's leading rows x rows square, which is masked out here.
+    Each block covers about _SCAN_BLOCK_ENTRIES / per_pair pairs, so memory
+    stays bounded in resolution.  For each label on its own, nan ratios are
+    masked (only when the argmax lands on one), ties keep the first pair in
+    lexicographic order, and DomainError is raised, for the first label in
+    order, when no pair gives a finite value.
     """
     n = len(pts)
     best = [(-math.inf, 0, 0)] * len(labels)
@@ -125,15 +125,17 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, block) -
     i0 = 0
     while i0 < n - 1:
         i1 = min(n - 1, i0 + max(1, _SCAN_BLOCK_ENTRIES // (per_pair * (n - 1 - i0))))
-        ratios, ii, jj = block(i0, i1)
-        for s, ratio in enumerate(ratios):
+        below = np.tri(i1 - i0, k=-1, dtype=bool)
+        for s, ratio in enumerate(block(i0, i1)):
+            ratio[:, : i1 - i0][below] = -np.inf
             k = int(np.argmax(ratio))
             if np.isnan(ratio.flat[k]):  # argmax takes the first nan as the max
                 ratio[np.isnan(ratio)] = -np.inf
                 k = int(np.argmax(ratio))
             top = float(ratio.flat[k])
             if top > best[s][0]:
-                best[s] = (top, *(int(np.broadcast_to(ix, ratio.shape).flat[k]) for ix in (ii, jj)))
+                i, j = divmod(k, n - 1 - i0)
+                best[s] = (top, i0 + i, i0 + 1 + j)
             finite[s] = finite[s] or math.isfinite(top) or bool(np.isfinite(ratio).any())
         i0 = i1
     for label, ok in zip(labels, finite):
@@ -147,11 +149,9 @@ def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) ->
 
     The grid, the avg(w) cumulative moment and each block's pair lengths and
     avg(w) are shared; each spec adds its second cumulative moment and its
-    combine, made and walked one spec at a time.  Each block covers rows
-    i0..i1-1 and columns i0+1..n-1, so memory stays O(resolution); j <= i only
-    in its leading rows x rows square, which is masked out.  A p <= 1 is
-    refused before any work; otherwise the first spec in order that fails
-    raises, as if each were scanned on its own.
+    combine, made and walked one spec at a time, so memory stays
+    O(resolution).  A p <= 1 is refused before any work; otherwise the first
+    spec in order that fails raises, as if each were scanned on its own.
     """
     for name, p in specs:
         if p is not None and not (p > 1.0 and math.isfinite(p)):
@@ -169,19 +169,13 @@ def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) ->
 
     def block(i0, i1):
         rows, cols = slice(i0, i1), slice(i0 + 1, n)
-        below = np.tri(i1 - i0, k=-1, dtype=bool)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             dl = pts[cols] - pts[rows, None]
             aw = (cum_w[cols] - cum_w[rows, None]) / dl
-
-        def ratios():
-            for cum, combine, p in terms:
-                with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                    ratio = combine(aw, (cum[cols] - cum[rows, None]) / dl, p)
-                ratio[:, : i1 - i0][below] = -np.inf
-                yield ratio
-
-        return ratios(), np.arange(i0, i1)[:, None], np.arange(i0 + 1, n)
+        for cum, combine, p in terms:
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                ratio = combine(aw, (cum[cols] - cum[rows, None]) / dl, p)
+            yield ratio
 
     labels = tuple(name if p is None else f"{name} (p = {p})" for name, p in specs[: len(terms)])
     found = _pair_walk(labels, pts, 1, block) if terms else []
@@ -245,39 +239,37 @@ def rh1_prime_constant(
 ) -> tuple[float, Interval]:
     """Maximal-function variant: sup over I of avg_I(M(w 1_I)) / avg_I(w).
 
-    For each interval [pts[p], pts[q]] the maximal function is evaluated on
-    the grid cells via an incremental recurrence in q: extending the interval
-    by one cell adds one column of candidate averages, whose running prefix
-    maxima update every cell in O(cells).  Total cost O(resolution^3).  A nan
-    ratio (avg(w) underflowing to 0) never wins, and DomainError is raised when
-    no interval gives a finite one.
+    One row pass per left end p gives M(w 1_[p, q]) on every cell k for every
+    right end q at once: the pair averages A[i, q], their running max down
+    the left ends p..k, masked to q > k, its running max along q, and the max
+    with w at the cell's midpoint.  Each average over the cells is summed in
+    cell order.  The rows are walked by _pair_walk; the cost is
+    O(resolution^3) in time, and each row holds O(resolution^2) memory.
     """
     w, _ = _centred(w)
     pts = _grid_points(w, resolution)
     n = len(pts)
     cum = cumulative_moment(w, pts, MomentKind.AVG_W)
     cell_len = np.diff(pts)
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    wmid = np.array([evaluate(w, float(t)) for t in mids])
-    best, best_iv, finite = -math.inf, (0, 1), False
-    with np.errstate(invalid="ignore", divide="ignore"):  # avg_w underflows to 0 on a subnormal piece
-        for p in range(n - 1):
-            m_vec = np.empty(0)
-            for q in range(p + 1, n):
-                col = (cum[q] - cum[p:q]) / (pts[q] - pts[p:q])
-                prefix = np.maximum.accumulate(col)
-                m_vec = np.maximum(np.append(m_vec, wmid[q - 1]), prefix)
-                length = pts[q] - pts[p]
-                avg_m = float(np.dot(m_vec, cell_len[p:q])) / length
-                avg_w = float(cum[q] - cum[p]) / length
-                ratio = avg_m / avg_w
-                finite = finite or math.isfinite(ratio)
-                if ratio > best:  # never a nan ratio
-                    best = ratio
-                    best_iv = (p, q)
-    if not finite:
-        raise DomainError("rh1_prime: no finite value on any scanned interval")
-    return best, Interval(float(pts[best_iv[0]]), float(pts[best_iv[1]]))
+    wmid = np.array([evaluate(w, float(t)) for t in 0.5 * (pts[:-1] + pts[1:])])
+
+    def block(i0, i1):
+        ratio = np.full((i1 - i0, n - 1 - i0), -np.inf)
+        for p in range(i0, i1):
+            later = np.tri(n - 1 - p, k=-1, dtype=bool)  # cell k at or right of the right end q
+            length = pts[p + 1 :] - pts[p]
+            # A[i, q], i = p..n-2, q = p+1..n-1, is unused where q <= i;
+            # avg(w) underflows to 0 on a subnormal piece
+            with np.errstate(invalid="ignore", divide="ignore"):
+                m = np.maximum.accumulate((cum[p + 1 :] - cum[p:-1, None]) / (pts[p + 1 :] - pts[p:-1, None]))
+                m[later] = -np.inf
+                m = np.maximum(np.maximum.accumulate(m, axis=1), wmid[p:, None])
+                m[later] = 0.0
+                avg_m = (m * cell_len[p:, None]).sum(axis=0) / length
+                ratio[p - i0, p - i0 :] = avg_m / ((cum[p + 1 :] - cum[p]) / length)
+        return [ratio]
+
+    return _pair_walk(("rh1_prime",), pts, n - 1, block)[0]  # a pair spans up to n - 1 cells
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +464,15 @@ def rh1_doubleprime_constant(
     cum = cumulative_moment(w, pts, MomentKind.AVG_W)
 
     def block(i0, i1):
-        counts = n - 1 - np.arange(i0, i1)
-        ii = np.repeat(np.arange(i0, i1), counts)
-        jj = ii + 1 + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        ratio = np.full((i1 - i0, n - 1 - i0), -np.inf)
+        r, c = np.nonzero(~np.tri(i1 - i0, n - 1 - i0, k=-1, dtype=bool))
+        ii, jj = i0 + r, i0 + 1 + c
         avg_w = (cum[jj] - cum[ii]) / (pts[jj] - pts[ii])
         nodes = _orlicz_nodes(w, pts[ii], pts[jj], panels)
         lam = _luxemburg_solve(lambda lam: _orlicz_terms(OrliczKind.LLOGL, nodes, lam), avg_w)
         with np.errstate(invalid="ignore", divide="ignore"):
-            return [lam / avg_w], ii, jj
+            ratio[r, c] = lam / avg_w
+        return [ratio]
 
     per_pair = sum(1 if pc.exponent == 0.0 else 16 * panels for pc in w.pieces)
     return _pair_walk(("rh1_doubleprime",), pts, per_pair, block)[0]

@@ -27,6 +27,7 @@ from weightlab import (
     power_weight,
     reference_corpus,
     save_weight,
+    solvers,
 )
 from weightlab.solvers import gamma_log
 
@@ -42,6 +43,11 @@ def linear_file(tmp_path):
 
 def _json_out(capsys):
     return json.loads(capsys.readouterr().out)
+
+
+def _strict_json_out(capsys):
+    """stdout parsed as JSON proper: Infinity, -Infinity and NaN fail the test."""
+    return json.loads(capsys.readouterr().out, parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))
 
 
 class TestSolve:
@@ -78,6 +84,16 @@ class TestSolve:
         else:
             assert captured.out == ""
             assert "overflows" in captured.err
+
+    @pytest.mark.parametrize("q", ["1", "700"])
+    def test_funny_overflowing_value_prints_null(self, q, capsys):
+        assert cli.main(["solve", "--equation", "funny", "--q", q]) == 0
+        payload = _strict_json_out(capsys)
+        assert math.isfinite(payload["log_value"])
+        if q == "700":  # funny_bound overflows past q ~ 5.6, by design
+            assert payload["value"] is None
+        else:
+            assert payload["value"] == cli._fmt(solvers.funny_bound(1.0))
 
     def test_no_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -488,6 +504,15 @@ class TestSweep:
         rows = payload["rows"]
         assert len(rows) == 1
         assert set(rows[0]) == {"q", "e_ratio", "funny_ratio"}
+
+    def test_json_nan_e_ratio_prints_null(self, capsys):
+        assert cli.main(["sweep", "--q-list", "0.5,2", "--format", "json"]) == 0
+        rows = _strict_json_out(capsys)["rows"]
+        assert rows[0]["e_ratio"] is None
+        assert 0.0 < rows[1]["e_ratio"] < math.e
+        # CSV keeps nan
+        assert cli.main(["sweep", "--q-list", "0.5,2", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("0.5,nan,")
 
     def test_nonnumeric_q_exits_2(self, capsys):
         rc = cli.main(["sweep", "--q-list", "2,apple"])

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import tracemalloc
 import warnings
@@ -5,6 +8,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from weightlab import (
     DomainError,
@@ -33,8 +38,17 @@ from weightlab import (
     step_weight,
     truncate,
 )
-from weightlab import constants
-from weightlab.constants import _SCAN_BLOCK_ENTRIES, _grid_points, _orlicz_nodes, _orlicz_terms, _scan
+from weightlab import cli, constants
+from weightlab.constants import (
+    KNOWN_CONSTANTS,
+    _SCAN_BLOCK_ENTRIES,
+    _centred,
+    _grid_points,
+    _orlicz_nodes,
+    _orlicz_terms,
+    _scan,
+)
+from weightlab.weights import evaluate
 
 from _frozen import (
     LUX_CORPUS_07,
@@ -82,6 +96,32 @@ def _dense_scan(name, w, resolution, p=None):
         else:
             ratio = avg_w * avg(MomentKind.AVG_W_POW, -1.0 / (p - 1.0)) ** (p - 1.0)
     ratio[np.tril_indices_from(ratio)] = -np.inf
+    ratio[np.isnan(ratio)] = -np.inf
+    return ratio, pts
+
+
+def _rh1_prime_recurrence(w, resolution):
+    """Every rh1_prime ratio by the incremental recurrence in the right end, the reference for the row pass.
+
+    For a left end p, extending [pts[p], pts[q]] by one cell adds one column of
+    averages, whose running prefix maxima update M(w 1_I) on every cell; the
+    cell average is a dot product.  Pairs j <= i and nan ratios read -inf.
+    """
+    w, _ = _centred(w)
+    pts = _grid_points(w, resolution)
+    n = len(pts)
+    cum = cumulative_moment(w, pts, MomentKind.AVG_W)
+    cell_len = np.diff(pts)
+    wmid = np.array([evaluate(w, float(t)) for t in 0.5 * (pts[:-1] + pts[1:])])
+    ratio = np.full((n, n), -np.inf)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for p in range(n - 1):
+            m_vec = np.empty(0)
+            for q in range(p + 1, n):
+                col = (cum[q] - cum[p:q]) / (pts[q] - pts[p:q])
+                m_vec = np.maximum(np.append(m_vec, wmid[q - 1]), np.maximum.accumulate(col))
+                length = pts[q] - pts[p]
+                ratio[p, q] = (float(np.dot(m_vec, cell_len[p:q])) / length) / (float(cum[q] - cum[p]) / length)
     ratio[np.isnan(ratio)] = -np.inf
     return ratio, pts
 
@@ -367,6 +407,52 @@ class TestMaximalFunction:
             rh1_prime_constant(constant_weight(2.0), resolution=8)
 
 
+class TestMaximalRowPass:
+    def test_matches_the_recurrence(self, corpus):
+        for w in corpus:
+            for resolution in (12, 16, 32, 64):
+                ratio, pts = _rh1_prime_recurrence(w, resolution)
+                i, j = divmod(int(np.argmax(ratio)), ratio.shape[1])
+                value, iv = rh1_prime_constant(w, resolution)
+                assert value == pytest.approx(ratio[i, j], rel=1e-15, abs=0.0)
+                if (iv.a, iv.b) != (pts[i], pts[j]):
+                    # only on a constant weight, where every ratio is 1 up to rounding
+                    assert np.all(np.abs(ratio[np.isfinite(ratio)] - 1.0) < 1e-14), (w, resolution)
+
+    def test_tied_maxima_in_different_row_blocks_keep_first(self):
+        # two equal spikes 5/8 apart on a dyadic grid: every average and cell
+        # sum is the same on an interval and on its translate, so the best
+        # interval about the first spike ties with the one about the second
+        a, b, d = 5 / 32, 25 / 32, 1 / 256
+        w = step_weight((0.0, a, a + d, b, b + d, 1.0), (1.0, 4.0, 1.0, 4.0, 1.0))
+        ratio, pts = _rh1_prime_recurrence(w, 33)
+        rows, cols = np.nonzero(ratio == ratio.max())
+        first_block_rows = _SCAN_BLOCK_ENTRIES // (len(pts) - 1) ** 2  # a pair spans up to n - 1 cells
+        assert rows[0] < first_block_rows <= rows[-1]
+        assert rh1_prime_constant(w, 33) == (ratio.max(), Interval(pts[rows[0]], pts[cols[0]]))
+
+    def test_traced_peak_memory_is_bounded(self, corpus):
+        # a row pass holds a few (R - p)^2 arrays: about 1 MiB at the cap of 200
+        tracemalloc.start()
+        try:
+            rh1_prime_constant(corpus[3], 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_every_constant_returns_a_python_float(self, sqrt_weight):
+        found = [
+            rh1_constant(sqrt_weight, 21),
+            ainf_constant(sqrt_weight, 21),
+            rhp_constant(sqrt_weight, 2.0, 21),
+            ap_constant(sqrt_weight, 2.0, 21),
+            rh1_prime_constant(sqrt_weight, 12),
+            rh1_doubleprime_constant(sqrt_weight, 12),
+        ]
+        assert [type(value) for value, _ in found] == [float] * 6
+
+
 class TestOrliczNorms:
     def test_l_norm_is_average(self, linear):
         lam = luxemburg_norm(linear, Interval(0.0, 1.0), OrliczKind.L)
@@ -565,3 +651,36 @@ class TestReport:
     def test_unknown_name_rejected(self, sqrt_weight):
         with pytest.raises(ParameterError):
             compute_report(sqrt_weight, which=("nope",))
+
+
+@st.composite
+def _constants_argv(draw):
+    n = draw(st.integers(1, 4))
+    cuts = sorted(set(draw(st.lists(st.floats(1e-12, 0.999), min_size=n - 1, max_size=n - 1))))
+    bounds = [0.0, *cuts, 1.0]
+    coeffs = draw(st.lists(st.floats(1e-300, 1e300), min_size=n, max_size=n))
+    exponents = draw(st.lists(st.floats(-40.0, 40.0), min_size=n, max_size=n))
+    pieces = [{"a": a, "b": b, "coeff": c, "exponent": e} for a, b, c, e in zip(bounds, bounds[1:], coeffs, exponents)]
+    which = draw(st.lists(st.sampled_from(KNOWN_CONSTANTS), min_size=1, max_size=6, unique=True))
+    p_values = draw(st.lists(st.floats(1.0, 50.0, exclude_min=True), min_size=1, max_size=3))
+    argv = ["--which", ",".join(which), "--p-values", ",".join(map(repr, p_values))]
+    argv += ["--resolution", str(draw(st.integers(2, 101))), "--maximal-resolution", str(draw(st.integers(2, 24)))]
+    return {"pieces": pieces}, argv
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_constants_argv())
+    def test_constants_exits_0_or_2_without_nan(self, case, tmp_path_factory):
+        payload, argv = case
+        path = tmp_path_factory.mktemp("fuzz") / "w.json"
+        path.write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli.main(["constants", "--weight", str(path), *argv])
+        assert rc in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        assert "NaN" not in out.getvalue()
+        if rc == 2:
+            assert err.getvalue().startswith("error:")
