@@ -24,15 +24,14 @@ __all__ = ["main"]
 
 def _fmt(x: float) -> float:
     """Round a float to 15 significant digits for stable output."""
-    if not math.isfinite(x):
-        return x
     return float(f"{x:.15g}")
 
 
 def _clean(obj):
-    """Recursively apply 15-digit rounding to every float in a report."""
+    """Recursively apply 15-digit rounding to every float in a report; a
+    non-finite float, which JSON cannot hold, becomes None (null)."""
     if isinstance(obj, float):
-        return _fmt(obj)
+        return _fmt(obj) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -68,10 +67,6 @@ def _emit_csv(header: str, rows: list[tuple], path: str | None) -> None:
     _write("\n".join(lines), path)
 
 
-def _interval_json(iv: weights.Interval) -> list[float]:
-    return [iv.a, iv.b]
-
-
 def _load_weight_arg(path: str) -> weights.Weight:
     try:
         return weights.load_weight(path)
@@ -104,12 +99,12 @@ def _cmd_constants(args) -> int:
     for name in ("rh1", "ainf", "rh1_prime", "rh1_doubleprime"):
         got = getattr(report, name)
         if got is not None:
-            entries[name] = {"value": got[0], "interval": _interval_json(got[1])}
+            entries[name] = {"value": got[0], "interval": [got[1].a, got[1].b]}
             pairs.append((name, got[0], got[1]))
     for label, table in (("rh_p", report.rh_p), ("a_p", report.a_p)):
         if table:
             entries[label] = {
-                str(_fmt(p)): {"value": v, "interval": _interval_json(iv)}
+                str(_fmt(p)): {"value": v, "interval": [iv.a, iv.b]}
                 for p, (v, iv) in table.items()
             }
             pairs.extend((f"{label}[{_fmt(p)}]", v, iv) for p, (v, iv) in table.items())
@@ -158,11 +153,10 @@ def _cmd_solve(args) -> int:
             "log_product_gap": solvers.good_lambda_verify(args.n, args.q),
         }
     elif eq == "funny":
-        value = solvers.funny_bound(args.q)  # inf past q ~ 5.6, printed as null
         payload = {
             "equation": eq,
             "q": args.q,
-            "value": value if math.isfinite(value) else None,
+            "value": solvers.funny_bound(args.q),  # inf past q ~ 5.6, printed as null
             "log_value": solvers.funny_bound_log(args.q),
         }
     else:  # pragma: no cover - argparse restricts choices
@@ -354,11 +348,8 @@ def _cmd_sweep(args) -> int:
     q_values = tuple(float(s) for s in args.q_list.split(",") if s.strip())
     rows = extremals.sharpness_sweep(q_values)
     if args.format == "json":
-        payload = {
-            "rows": [
-                {"q": q, "e_ratio": None if math.isnan(a) else a, "funny_ratio": b} for q, a, b in rows
-            ]
-        }
+        # e_ratio is nan for q <= 1, printed as null
+        payload = {"rows": [{"q": q, "e_ratio": a, "funny_ratio": b} for q, a, b in rows]}
         _emit_json(payload, args.output)
     else:
         _emit_csv("Q,e_ratio,funny_ratio", rows, args.output)
@@ -384,7 +375,7 @@ def _cmd_selftest(args) -> int:
 # Largest accepted sizes: each keeps a run near 30 s or less on 2 CPUs and its
 # traced memory peak under 256 MiB.  Pair scans take O(R^2) time, O(R) memory,
 # and at most _SCAN_CAP of them run at R = 20001 (or more at a smaller R; four
-# share one walk and take about 6 s); at R = 200 rh1_prime's row pass, O(R^2) a row, peaks at 1 MiB
+# share one walk, about 2.8 s on 2 CPUs and 3.2 MiB); at R = 200 rh1_prime's row pass, O(R^2) a row, peaks at 1 MiB
 # and rh1_doubleprime's row blocks at 3.2 MiB for one piece or five; a Hessian check
 # ~150 B per grid point; a depth-14 tree 108 MiB.
 _CAPS = {"resolution": 20001, "maximal_resolution": 200, "grid": 1024, "depth": 14}

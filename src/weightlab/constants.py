@@ -7,9 +7,11 @@ in time and, walked in blocks of grid rows, O(resolution) in memory.  rh1,
 A_inf, RH_p and A_p share one walk per report: the grid, the avg(w)
 cumulative moment and each block's pair lengths and averages are computed
 once, and each constant adds its second cumulative moment and its combining
-expression.  The Orlicz constant solves each block's Luxemburg norms
-together; the maximal-function constant is the documented expensive one,
-O(resolution^3) in one row pass per left end, O(resolution^2) memory each.
+expression; its rows are split, bit for bit, across the CPUs the process may
+use (up to four, with no setting), while rh1_prime and Orlicz walk in one.
+The Orlicz constant solves each block's Luxemburg norms together; the
+maximal-function constant is the documented expensive one, O(resolution^3)
+in one row pass per left end, O(resolution^2) memory each.
 
 Estimates are lower bounds of the true suprema, monotone under grid
 refinement (for nested grids), and exact on the step/power families whose
@@ -19,6 +21,9 @@ suprema sit on breakpoint-anchored intervals.
 from __future__ import annotations
 
 import math
+import operator
+import os
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -96,50 +101,92 @@ def _centred(w: Weight, interval: Interval | None = None) -> tuple[Weight, int]:
 
 
 # name -> the cumulative moment paired with AVG_W (its kind and exponent as a
-# function of p) and the combining expression of the two pair averages
+# function of p) and the combining expression of the two pair averages aw and
+# r, written into r by the plain expression's operations in order (s is scratch)
 _SCANS = {
-    "rh1": (MomentKind.AVG_W_LOG_W, None, lambda aw, awlw, p: (awlw - aw * np.log(aw)) / aw),
-    "ainf": (MomentKind.AVG_LOG_W, None, lambda aw, alw, p: aw * np.exp(-alw)),
-    "rhp": (MomentKind.AVG_W_POW, lambda p: p, lambda aw, awp, p: awp ** (1.0 / p) / aw),
-    "ap": (MomentKind.AVG_W_POW, lambda p: -1.0 / (p - 1.0), lambda aw, adual, p: aw * adual ** (p - 1.0)),
+    "rh1": (MomentKind.AVG_W_LOG_W, None,  # (r - aw log aw) / aw
+            lambda aw, r, s, p: np.divide(np.subtract(r, np.multiply(aw, np.log(aw, out=s), out=s), out=r), aw, out=r)),
+    "ainf": (MomentKind.AVG_LOG_W, None,
+             lambda aw, r, s, p: np.multiply(aw, np.exp(np.negative(r, out=r), out=r), out=r)),
+    # r **= e, as r ** e, takes sqrt or square where e is 1/2 or 2
+    "rhp": (MomentKind.AVG_W_POW, lambda p: p, lambda aw, r, s, p: np.divide(operator.ipow(r, 1.0 / p), aw, out=r)),
+    "ap": (MomentKind.AVG_W_POW, lambda p: -1.0 / (p - 1.0),
+           lambda aw, r, s, p: np.multiply(aw, operator.ipow(r, p - 1.0), out=r)),
 }
 # entries per block array: a scan holds about ten arrays of this size at once
 _SCAN_BLOCK_ENTRIES = 1 << 14
+# a split walk's blocks are twice as big, so their ufuncs outlast the GIL's
+# hand-over between threads; 4 chunks of four such arrays stay under 4 MiB
+_MAX_CHUNKS = 4
 
 
-def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, block) -> list[tuple[float, Interval]]:
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_block, chunks: int = 1
+               ) -> list[tuple[float, Interval]]:
     """First max of each of a stack of ratios over all grid pairs i < j, walked in blocks of rows.
 
-    block(i0, i1) gives the ratios of rows i0..i1-1 by columns i0+1..n-1, one
-    array per label in an iterable that may make each as it is taken; j <= i
-    only in an array's leading rows x rows square, which is masked out here.
-    Each block covers about _SCAN_BLOCK_ENTRIES / per_pair pairs, so memory
-    stays bounded in resolution.  For each label on its own, nan ratios are
-    masked (only when the argmax lands on one), ties keep the first pair in
-    lexicographic order, and DomainError is raised, for the first label in
-    order, when no pair gives a finite value.
+    block(i0, i1), from make_block(entries) on arrays of max(entries, n - 1)
+    entries, gives the ratios of rows i0..i1-1 by columns i0+1..n-1, one array
+    per label in an iterable that may make each as it is taken; j <= i only in
+    an array's leading rows x rows square, which is masked out here.  A block
+    covers about _SCAN_BLOCK_ENTRIES / per_pair pairs, so memory stays bounded
+    in resolution.  For each label on its own, nan ratios are masked (only
+    when the argmax lands on one), ties keep the first pair in lexicographic
+    order, and DomainError is raised, for the first label in order, when no
+    pair gives a finite value.  The rows are cut into up to `chunks` (and
+    _MAX_CHUNKS) chunks of equal pair count and at least two blocks, then
+    twice as big; the caller walks the first and a thread each of the others,
+    each on its own block.  Merged in row order, with the first chunk's
+    exception raised, the result is a one-chunk walk's bit for bit.
     """
-    n = len(pts)
-    best = [(-math.inf, 0, 0)] * len(labels)
-    finite = [False] * len(labels)
-    i0 = 0
-    while i0 < n - 1:
-        i1 = min(n - 1, i0 + max(1, _SCAN_BLOCK_ENTRIES // (per_pair * (n - 1 - i0))))
-        below = np.tri(i1 - i0, k=-1, dtype=bool)
-        for s, ratio in enumerate(block(i0, i1)):
-            ratio[:, : i1 - i0][below] = -np.inf
-            k = int(np.argmax(ratio))
-            if np.isnan(ratio.flat[k]):  # argmax takes the first nan as the max
-                ratio[np.isnan(ratio)] = -np.inf
-                k = int(np.argmax(ratio))
-            top = float(ratio.flat[k])
-            if top > best[s][0]:
-                i, j = divmod(k, n - 1 - i0)
-                best[s] = (top, i0 + i, i0 + 1 + j)
-            finite[s] = finite[s] or math.isfinite(top) or bool(np.isfinite(ratio).any())
-        i0 = i1
-    for label, ok in zip(labels, finite):
-        if not ok:
+    n, count = len(pts), len(labels)
+    pairs = n * (n - 1) // 2
+    chunks = max(1, min(chunks, _MAX_CHUNKS, pairs * per_pair // (4 * _SCAN_BLOCK_ENTRIES)))
+    entries = _SCAN_BLOCK_ENTRIES * (1 if chunks == 1 else 2)
+    ends = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0..r
+    cuts = [0, *(int(np.searchsorted(ends, pairs * c // chunks)) + 1 for c in range(1, chunks)), n - 1]
+    parts: list = [None] * chunks
+
+    def walk(c):  # chunk c's first (value, i, j) max and finite flag per label, or its exception
+        best, finite = [(-math.inf, 0, 0)] * count, [False] * count
+        try:
+            block, i0 = make_block(entries), cuts[c]
+            while i0 < cuts[c + 1]:
+                i1 = min(cuts[c + 1], i0 + max(1, entries // (per_pair * (n - 1 - i0))))
+                below = np.tri(i1 - i0, k=-1, dtype=bool)
+                for s, ratio in enumerate(block(i0, i1)):
+                    ratio[:, : i1 - i0][below] = -np.inf
+                    k = int(np.argmax(ratio))
+                    if np.isnan(ratio.flat[k]):  # argmax takes the first nan as the max
+                        ratio[np.isnan(ratio)] = -np.inf
+                        k = int(np.argmax(ratio))
+                    top = float(ratio.flat[k])
+                    if top > best[s][0]:
+                        i, j = divmod(k, n - 1 - i0)
+                        best[s] = (top, i0 + i, i0 + 1 + j)
+                    finite[s] = finite[s] or math.isfinite(top) or bool(np.isfinite(ratio).any())
+                i0 = i1
+            parts[c] = best, finite
+        except BaseException as exc:  # raised below, in chunk order
+            parts[c] = exc
+
+    threads = [threading.Thread(target=walk, args=(c,)) for c in range(1, chunks)]
+    for t in threads:
+        t.start()
+    walk(0)
+    for t in threads:
+        t.join()
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
+    # max keeps the first of equal values, as the walk's strict > does
+    best = [max(tops, key=lambda top: top[0]) for tops in zip(*(tops for tops, _ in parts))]
+    for label, *finite in zip(labels, *(finite for _, finite in parts)):
+        if not any(finite):
             raise DomainError(f"{label}: no finite value on any scanned interval")
     return [(value, Interval(float(pts[i]), float(pts[j]))) for value, i, j in best]
 
@@ -167,18 +214,24 @@ def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) ->
     except DomainError as exc:
         failed = exc
 
-    def block(i0, i1):
-        rows, cols = slice(i0, i1), slice(i0 + 1, n)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            dl = pts[cols] - pts[rows, None]
-            aw = (cum_w[cols] - cum_w[rows, None]) / dl
-        for cum, combine, p in terms:
+    def make_block(entries):  # a chunk's block, on its own dl, aw, ratio and scratch arrays
+        bufs = [np.empty(max(entries, n - 1)) for _ in range(4)]
+
+        def block(i0, i1):
+            rows, cols = slice(i0, i1), slice(i0 + 1, n)
+            dl, aw, r, s = (buf[: (i1 - i0) * (n - 1 - i0)].reshape(i1 - i0, -1) for buf in bufs)
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                ratio = combine(aw, (cum[cols] - cum[rows, None]) / dl, p)
-            yield ratio
+                np.subtract(pts[cols], pts[rows, None], out=dl)
+                np.divide(np.subtract(cum_w[cols], cum_w[rows, None], out=aw), dl, out=aw)
+            for cum, combine, p in terms:
+                with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                    combine(aw, np.divide(np.subtract(cum[cols], cum[rows, None], out=r), dl, out=r), s, p)
+                yield r
+
+        return block
 
     labels = tuple(name if p is None else f"{name} (p = {p})" for name, p in specs[: len(terms)])
-    found = _pair_walk(labels, pts, 1, block) if terms else []
+    found = _pair_walk(labels, pts, 1, make_block, _usable_cpus()) if terms else []
     if failed is not None:
         raise failed
     return found
@@ -269,7 +322,7 @@ def rh1_prime_constant(
                 ratio[p - i0, p - i0 :] = avg_m / ((cum[p + 1 :] - cum[p]) / length)
         return [ratio]
 
-    return _pair_walk(("rh1_prime",), pts, n - 1, block)[0]  # a pair spans up to n - 1 cells
+    return _pair_walk(("rh1_prime",), pts, n - 1, lambda entries: block)[0]  # a pair spans up to n - 1 cells
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +528,7 @@ def rh1_doubleprime_constant(
         return [ratio]
 
     per_pair = sum(1 if pc.exponent == 0.0 else 16 * panels for pc in w.pieces)
-    return _pair_walk(("rh1_doubleprime",), pts, per_pair, block)[0]
+    return _pair_walk(("rh1_doubleprime",), pts, per_pair, lambda entries: block)[0]
 
 
 def rh1_limit_check(w: Weight, interval: Interval, p: float) -> tuple[float, float]:

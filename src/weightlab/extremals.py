@@ -62,6 +62,8 @@ class ExtremalSpec:
                 raise ParameterError(f"{self.family.value} needs q > 1, got {self.q}")
         elif not (self.q > 0.0 and math.isfinite(self.q)):
             raise ParameterError(f"{self.family.value} needs q > 0, got {self.q}")
+        if self.eps is not None and not math.isfinite(self.eps):
+            raise ParameterError(f"eps must be finite, got {self.eps}")
 
 
 def _surface_for(spec: ExtremalSpec) -> BellmanSurface:

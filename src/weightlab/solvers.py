@@ -247,7 +247,10 @@ def good_lambda_params(q: float) -> tuple[float, float]:
     """Good-lambda pair (alpha, beta) = (1/(e^{8q} - 1), 1/4)."""
     if not (q > 0.0 and math.isfinite(q)):
         raise ParameterError(f"good_lambda_params needs q > 0, got {q}")
-    return 1.0 / math.expm1(8.0 * q), 0.25
+    try:
+        return 1.0 / math.expm1(8.0 * q), 0.25
+    except OverflowError:  # past log(max double), 1/(e^x - 1) = e^-x (1 + e^-x + ...) rounds to e^-x
+        return math.exp(-8.0 * q), 0.25
 
 
 def good_lambda_verify(n: int, q: float) -> float:

@@ -70,6 +70,13 @@ class TestSolve:
         assert payload["log_product_gap"] < 0.0
         assert payload["eps"] > 0.0
 
+    def test_gehring_n_past_expm1_overflow(self, capsys):
+        # expm1(8q) overflows from q ~ 88.72; 1/(e^8q - 1) rounds to e^-8q there
+        assert cli.main(["solve", "--equation", "gehring-n", "--q", "708.9", "--n", "3"]) == 0
+        payload = _strict_json_out(capsys)
+        assert (payload["good_lambda_alpha"], payload["good_lambda_beta"]) == (0.0, 0.25)
+        assert payload["eps"] > 0.0
+
     def test_out_of_range_parameter_exits_2(self, capsys):
         rc = cli.main(["solve", "--equation", "gamma-log", "--q", "1.0"])
         assert rc == 2
@@ -132,6 +139,35 @@ class TestConstants:
         # each entry names the attaining subinterval
         a, b = payload["rh1"]["interval"]
         assert 0.0 <= a < b <= 1.0
+
+    def test_divergent_constant_prints_null(self, linear_file, capsys):
+        # A_2 of w = t diverges on every interval from 0: +inf, null in JSON
+        args = ["constants", "--weight", linear_file, "--which", "ap", "--p-values", "2", "--resolution", "51"]
+        assert cli.main(args) == 0
+        entry = _strict_json_out(capsys)["a_p"]["2.0"]
+        assert entry == {"value": None, "interval": [0.0, 0.02]}
+        # CSV keeps inf
+        assert cli.main([*args, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "a_p[2.0],inf,0,0.02"
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs sched_setaffinity and two CPUs")
+    def test_pinned_and_unpinned_runs_print_the_same_bytes(self, tmp_path):
+        # at R = 1201 the pair walk splits into one chunk per CPU; pinned, it walks one
+        path = tmp_path / "w.json"
+        save_weight(reference_corpus()[3], str(path))
+        argv = [sys.executable, "-W", "error", "-m", "weightlab.cli", "constants", "--weight", str(path),
+                "--which", "rh1,ainf,rhp,ap", "--p-values", "1.5,3", "--resolution", "1201"]
+        env = {**os.environ, "PYTHONPATH": str(Path(weightlab.__file__).parents[1])}
+        cpu = min(os.sched_getaffinity(0))
+        runs = [
+            subprocess.run(argv, env=env, capture_output=True, text=True,
+                           preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pinned else None)
+            for pinned in (True, False)
+        ]
+        assert [(r.returncode, r.stderr) for r in runs] == [(0, ""), (0, "")]
+        assert runs[0].stdout == runs[1].stdout
+        assert json.loads(runs[0].stdout)["rh1"]["value"] > 0.0
 
     def test_output_file_and_silent_stdout(self, linear_file, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -413,6 +449,13 @@ class TestExtremal:
         assert ts[-1] == 1.0
         assert all(t0 < t1 for t0, t1 in zip(ts, ts[1:]))
         assert all(float(line.split(",")[1]) > 0.0 for line in lines[1:])
+
+    @pytest.mark.parametrize("eps", ["inf", "-inf", "nan"])
+    def test_non_finite_eps_exits_2(self, eps, capsys):
+        assert cli.main(["extremal", "--family", "ainf", "--q", "1e300", f"--eps={eps}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: eps must be finite")
 
     def test_infeasible_target_exits_2(self, capsys):
         rc = cli.main(

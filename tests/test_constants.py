@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -215,6 +217,132 @@ class TestSharedWalk:
         monkeypatch.setattr(constants, "_grid_points", no_grid)
         with pytest.raises(ParameterError, match="ap_constant needs p > 1, got 1.0"):
             compute_report(sqrt_weight, 51, ("rh1", "ap"), (2.0, 1.0))
+
+
+@pytest.fixture(params=[2, 3, 5])
+def split(request, monkeypatch):
+    """Pair walks cut into `param` chunks on any machine: small blocks, that many CPUs.
+
+    Returns the chunk count and a list to which every _SCANS combine call
+    adds its thread and its block's (rows, columns); see _chunk_rows.
+    """
+    chunks = request.param
+    monkeypatch.setattr(constants, "_usable_cpus", lambda: chunks)
+    monkeypatch.setattr(constants, "_MAX_CHUNKS", chunks)
+    monkeypatch.setattr(constants, "_SCAN_BLOCK_ENTRIES", 64)
+    blocks = []
+    for name, (kind, exponent, combine) in list(constants._SCANS.items()):
+        def spy(aw, r, s, p, combine=combine):
+            blocks.append((threading.current_thread(), aw.shape))
+            return combine(aw, r, s, p)
+
+        monkeypatch.setitem(constants._SCANS, name, (kind, exponent, spy))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads hand the GIL over as often as they can
+    try:
+        yield chunks, blocks
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _chunk_rows(blocks, n):
+    """The (r0, r1) grid rows each thread walked, sorted: a block of c columns starts at row n - 1 - c."""
+    rows = {}
+    for thread, (k, cols) in blocks:
+        r0, r1 = rows.get(thread, (n, 0))
+        rows[thread] = (min(r0, n - 1 - cols), max(r1, n - 1 - cols + k))
+    return sorted(rows.values())
+
+
+class TestSplitWalk:
+    WHICH = ("rh1", "ainf", "rhp", "ap")
+    P_VALUES = (1.5, 2.0, 3.0)
+
+    def test_report_matches_one_chunk_bit_for_bit(self, corpus, split):
+        chunks, blocks = split
+        for w in corpus:
+            with pytest.MonkeyPatch.context() as one:
+                one.setattr(constants, "_usable_cpus", lambda: 1)
+                want = compute_report(w, 101, self.WHICH, self.P_VALUES)
+            blocks.clear()
+            assert compute_report(w, 101, self.WHICH, self.P_VALUES) == want
+            n = len(_grid_points(_centred(w)[0], 101))
+            rows = _chunk_rows(blocks, n)
+            assert len(rows) == chunks and rows[0][0] == 0 and rows[-1][1] == n - 1
+            assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
+            pairs = [sum(n - 1 - i for i in range(r0, r1)) for r0, r1 in rows]
+            assert all(abs(k - n * (n - 1) / 2 / chunks) < n for k in pairs)  # equal, up to a row
+
+    def test_tie_across_a_chunk_cut_keeps_first(self, split):
+        # the period-1/2 step weight of the row-block tie test: each interval
+        # ties with its translate by 1/2, 128 grid rows further on
+        chunks, blocks = split
+        w = step_weight((0.0, 0.25, 0.375, 0.5, 0.75, 0.875, 1.0), (1.0, 4.0, 1.0, 1.0, 4.0, 1.0))
+        for name in ("rhp", "ap"):
+            ratio, pts = _dense_scan(name, w, 257, 2.0)
+            rows, cols = np.nonzero(ratio == ratio.max())
+            blocks.clear()
+            value, iv = _scan(name, w, 257, 2.0)
+            assert (value, iv.a, iv.b) == (ratio.max(), pts[rows[0]], pts[cols[0]])
+            chunk_rows = _chunk_rows(blocks, len(pts))
+            chunk_of = lambda i: next(k for k, (r0, r1) in enumerate(chunk_rows) if r0 <= i < r1)
+            assert len(chunk_rows) == chunks and chunk_of(rows[0]) < chunk_of(rows[-1])
+        with pytest.MonkeyPatch.context() as one:
+            one.setattr(constants, "_usable_cpus", lambda: 1)
+            want = compute_report(w, 257, self.WHICH, (2.0,))
+        assert compute_report(w, 257, self.WHICH, (2.0,)) == want
+
+    @pytest.mark.parametrize("cells, which", [((5e-324, 1e308), WHICH), ((1e-300, 1e300), ("rhp", "ap"))],
+                             ids=["rh1-and-rhp", "rhp-and-ap"])
+    def test_first_failing_constant_raises_as_with_one_chunk(self, cells, which, split):
+        w = step_weight((0.0, 0.5, 1.0), cells)
+        with pytest.MonkeyPatch.context() as one:
+            one.setattr(constants, "_usable_cpus", lambda: 1)
+            with pytest.raises(DomainError) as alone:
+                compute_report(w, 51, which, (1.5, 3.0))
+        with pytest.raises(DomainError) as together:
+            compute_report(w, 51, which, (1.5, 3.0))
+        assert str(together.value) == str(alone.value)
+
+    def test_exception_in_a_later_chunk_reraises(self, split, monkeypatch):
+        kind, exponent, combine = constants._SCANS["rh1"]
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise ZeroDivisionError("in a later chunk")
+            return combine(*args)
+
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        monkeypatch.setitem(constants._SCANS, "rh1", (kind, exponent, failing))
+        with pytest.raises(ZeroDivisionError, match="in a later chunk"):
+            compute_report(constant_weight(1.0), 51)
+        assert hooked == []
+
+    def test_finite_value_only_in_a_later_chunk_is_found(self, split, sqrt_weight, monkeypatch):
+        _, blocks = split
+        kind, exponent, combine = constants._SCANS["ainf"]
+
+        def nan_in_first_chunk(aw, r, s, p):
+            combine(aw, r, s, p)
+            if threading.current_thread() is threading.main_thread():
+                r[...] = np.nan
+
+        monkeypatch.setitem(constants._SCANS, "ainf", (kind, exponent, nan_in_first_chunk))
+        blocks.clear()
+        value, iv = compute_report(sqrt_weight, 51, ("ainf",)).ainf
+        pts = _grid_points(sqrt_weight, 51)
+        first_cut = _chunk_rows(blocks, len(pts))[0][1]
+        assert math.isfinite(value) and iv.a >= pts[first_cut]
+
+    def test_maximal_and_orlicz_walks_keep_one_chunk(self, split, corpus, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a second chunk")
+
+        monkeypatch.setattr(constants.threading, "Thread", no_thread)
+        assert compute_report(corpus[3], 24, ("rh1_prime", "rh1_doubleprime"), maximal_resolution=24).rh1_prime
+        with pytest.raises(AssertionError, match="a second chunk"):
+            compute_report(corpus[3], 51, ("rh1",))
 
 
 class TestEntropyAndFlatness:
@@ -682,5 +810,7 @@ class TestCliFuzz:
         assert rc in (0, 2)
         assert "Traceback" not in err.getvalue()
         assert "NaN" not in out.getvalue()
+        if rc == 0:  # JSON proper: a value that is +inf prints as null
+            json.loads(out.getvalue(), parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))
         if rc == 2:
             assert err.getvalue().startswith("error:")

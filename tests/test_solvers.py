@@ -176,6 +176,18 @@ class TestDimensionalRoute:
         with pytest.raises(ParameterError):
             solvers.gehring_dim_n_eps(-2, 1.0)
 
+    def test_good_lambda_params_past_expm1_overflow(self):
+        # expm1(8q) overflows past 8q = log(max double) ~ 709.78, where
+        # 1/(e^8q - 1) rounds to e^-8q; below it the value is unchanged
+        assert solvers.good_lambda_params(88.7) == (1.0 / math.expm1(8.0 * 88.7), 0.25)
+        with mpmath.workdps(50):
+            for q in (88.73, 90.0, 93.0):
+                alpha, beta = solvers.good_lambda_params(q)
+                want = 1 / mpmath.expm1(8 * mpmath.mpf(q))
+                assert beta == 0.25 and 0.0 < alpha and abs(alpha - want) <= 2 * 5e-324 + 1e-15 * want
+        for q in (708.9, 1e300, 1.7e308):
+            assert solvers.good_lambda_params(q) == (0.0, 0.25)
+
 
 class TestPGehringViaOne:
     def test_k_one_gives_48(self):
