@@ -167,7 +167,10 @@ def evaluate(surface: BellmanSurface, x: float, y: float) -> float:
         _require_eps(surface)
     if not in_domain(surface, x, y, tol=1e-9):
         raise DomainError(f"point ({x}, {y}) outside the {surface.kind.value} domain")
-    return _evaluate_raw(surface, x, y)
+    try:
+        return _evaluate_raw(surface, x, y)
+    except ZeroDivisionError:  # AINF_LOWER divides by g v, which a subnormal v underflows
+        raise DomainError(f"point ({x}, {y}): its tangent abscissa times gamma underflows to 0") from None
 
 
 def evaluate_many(surface: BellmanSurface, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Subcommands: constants, solve, bellman, extremal, dyadic, sweep, selftest.
-Exit codes: 0 success, 1 a verification failed (an inequality or tolerance
-was violated), 2 usage or input error.  All reals are printed with 15
-significant digits; identical inputs give byte-identical output.
+Each ``_cmd_*`` returns ``(ok, output)``, output a JSON payload dict, a
+``(header, rows)`` CSV table or selftest's lines; ``main`` alone writes it
+and sets the exit code: 0 success, 1 a check ran and failed, 2 bad input.
+A non-finite value prints as null in JSON and inf or nan in CSV, and nothing
+but ``error: ...`` or argparse's usage reaches stderr.  All reals are printed
+with 15 significant digits; identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -39,32 +42,37 @@ def _clean(obj):
     return obj
 
 
-def _write(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
+def _save(text: str, path: str) -> None:
+    """Write text, newline-terminated, to a file; a failure is bad input (exit 2)."""
     try:
         with open(path, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            fh.write(text if text.endswith("\n") else text + "\n")
     except OSError as exc:
         raise WeightLabError(f"cannot write {path}: {exc}") from exc
+
+
+def _write(text: str, path: str | None) -> None:
+    if path is None:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    else:
+        _save(text, path)
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
     _write(json.dumps(_clean(payload), indent=2), path)
 
 
-def _emit_csv(header: str, rows: list[tuple], path: str | None) -> None:
+def _csv(header: str, rows: list[tuple]) -> str:
     # one %-format per row, its template from the row's types: floats at 15 digits
     lines = [header]
     lines += [
         ",".join(["%.15g" if isinstance(v, float) else "%s" for v in row]) % row for row in rows
     ]
-    _write("\n".join(lines), path)
+    return "\n".join(lines)
+
+
+def _emit_csv(header: str, rows: list[tuple], path: str | None) -> None:
+    _write(_csv(header, rows), path)
 
 
 def _load_weight_arg(path: str) -> weights.Weight:
@@ -77,7 +85,7 @@ def _load_weight_arg(path: str) -> weights.Weight:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args) -> tuple[bool, object]:
     which = tuple(s.strip() for s in args.which.split(",") if s.strip())
     p_values = tuple(float(s) for s in args.p_values.split(",") if s.strip())
     scans = len({"rh1", "ainf"} & set(which)) + len(p_values) * len({"rhp", "ap"} & set(which))
@@ -109,14 +117,11 @@ def _cmd_constants(args) -> int:
             }
             pairs.extend((f"{label}[{_fmt(p)}]", v, iv) for p, (v, iv) in table.items())
     if args.format == "json":
-        _emit_json(entries, args.output)
-    else:
-        rows = [(n, v, iv.a, iv.b) for n, v, iv in pairs]
-        _emit_csv("constant,value,interval_a,interval_b", rows, args.output)
-    return 0
+        return True, entries
+    return True, ("constant,value,interval_a,interval_b", [(n, v, iv.a, iv.b) for n, v, iv in pairs])
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[bool, object]:
     eq = args.equation
     if eq in ("gamma-log", "eps-minus"):
         res = (solvers.gamma_log if eq == "gamma-log" else solvers.eps_minus)(args.q)
@@ -161,8 +166,7 @@ def _cmd_solve(args) -> int:
         }
     else:  # pragma: no cover - argparse restricts choices
         raise WeightLabError(f"unknown equation {eq}")
-    _emit_json(payload, args.output)
-    return 0
+    return True, payload
 
 
 _SURFACES = {
@@ -172,7 +176,7 @@ _SURFACES = {
 }
 
 
-def _cmd_bellman(args) -> int:
+def _cmd_bellman(args) -> tuple[bool, object]:
     kind = _SURFACES[args.surface]
     surface = bellman.BellmanSurface(kind, args.q, eps=args.eps)
     if args.eval is not None:
@@ -182,7 +186,7 @@ def _cmd_bellman(args) -> int:
         except ValueError:
             raise WeightLabError(f"--eval expects 'x,y', got {args.eval!r}") from None
         tp = bellman.tangent_point(surface, x, y)
-        payload = {
+        return True, {
             "surface": args.surface,
             "q": args.q,
             "eps": args.eps,
@@ -192,12 +196,11 @@ def _cmd_bellman(args) -> int:
             "tangent": tp.root,
             "tangent_residual": tp.residual,
         }
-        _emit_json(payload, args.output)
-        return 0
-    ok, payload = _verify_surface(surface, args.verify, args.grid)
-    payload = {"surface": args.surface, "q": args.q, "eps": args.eps, **payload}
-    _emit_json(payload, args.output)
-    return 0 if ok else 1
+    # at extreme q the array passes overflow to inf or nan, which the check flags
+    # (exit 1, null in JSON), so their RuntimeWarnings are silenced
+    with np.errstate(all="ignore"):
+        ok, payload = _verify_surface(surface, args.verify, args.grid)
+    return ok, {"surface": args.surface, "q": args.q, "eps": args.eps, **payload}
 
 
 def _verify_surface(surface, what: str, grid: int):
@@ -251,7 +254,7 @@ _FAMILIES = {
 }
 
 
-def _cmd_extremal(args) -> int:
+def _cmd_extremal(args) -> tuple[bool, object]:
     family = _FAMILIES[args.family]
     target = None
     if (args.x is None) != (args.y is None):
@@ -260,32 +263,31 @@ def _cmd_extremal(args) -> int:
         target = (args.x, args.y)
     spec = extremals.ExtremalSpec(family, args.q, target=target, eps=args.eps)
     w = extremals.build(spec)
+    weight = weights.weight_to_dict(w)
     payload = {
         "family": args.family,
         "q": args.q,
         "eps": args.eps,
         "target": list(extremals.default_target(spec) if target is None else target),
-        "pieces": weights.weight_to_dict(w)["pieces"],
+        "pieces": weight["pieces"],
     }
-    try:
+    if args.eps is not None or family in (extremals.Family.AINF_UPPER, extremals.Family.FUNNY):
+        # the attainment check of a Gehring family needs eps: without it, no gap
         rep = extremals.attainment_check(spec)
         payload["surface_value"] = rep.surface_value
         payload["weight_value"] = rep.weight_value
         payload["gap"] = rep.gap
-    except WeightLabError:
-        pass  # gehring families without eps: attainment needs eps
     if args.emit is not None:
         if args.emit.endswith(".json"):
-            weights.save_weight(w, args.emit)
+            text = json.dumps(weight, indent=2)
         elif args.emit.endswith(".csv"):
             ts = np.linspace(1.0 / 1024, 1.0, 1024)
-            rows = [(float(t), weights.evaluate(w, float(t))) for t in ts]
-            _emit_csv("t,w", rows, args.emit)
+            text = _csv("t,w", [(float(t), weights.evaluate(w, float(t))) for t in ts])
         else:
             raise WeightLabError("--emit path must end in .json or .csv")
+        _save(text, args.emit)
         payload["emitted"] = args.emit
-    _emit_json(payload, args.output)
-    return 0
+    return True, payload
 
 
 def _node_json(node: dyadic.PartitionNode) -> dict:
@@ -298,21 +300,19 @@ def _node_json(node: dyadic.PartitionNode) -> dict:
     return out
 
 
-def _cmd_dyadic(args) -> int:
+def _cmd_dyadic(args) -> tuple[bool, object]:
     w = _load_weight_arg(args.weight)
     cfg = dyadic.SplitConfig(q=args.q, q1=args.q1, delta0=args.delta0)
     mode = dyadic.SplitMode.LOG if args.mode == "log" else dyadic.SplitMode.ENTROPY
     tree = dyadic.build_partition(w, cfg, mode, max_depth=args.depth)
     if not args.verify:
-        payload = {
+        return True, {
             "mode": args.mode,
             "q": args.q,
             "q1": args.q1,
             "depth": args.depth,
             "tree": _node_json(tree.root),
         }
-        _emit_json(payload, args.output)
-        return 0
     if mode is dyadic.SplitMode.LOG:
         surface = bellman.BellmanSurface(bellman.SurfaceKind.AINF_UPPER, args.q1)
     else:
@@ -325,51 +325,41 @@ def _cmd_dyadic(args) -> int:
     rep = dyadic.chain_verify(surface, w, tree)
     ok = rep.monotone and rep.meets_target
     if args.format == "csv":
-        rows = [(k, s) for k, s in enumerate(rep.sums)]
-        _emit_csv("generation,sum", rows, args.output)
-    else:
-        payload = {
-            "mode": args.mode,
-            "q": args.q,
-            "q1": args.q1,
-            "depth": args.depth,
-            "eps": getattr(surface, "eps", None),
-            "sums": list(rep.sums),
-            "target": rep.target,
-            "monotone": rep.monotone,
-            "meets_target": rep.meets_target,
-            "final_gap": rep.final_gap,
-        }
-        _emit_json(payload, args.output)
-    return 0 if ok else 1
+        return ok, ("generation,sum", list(enumerate(rep.sums)))
+    return ok, {
+        "mode": args.mode,
+        "q": args.q,
+        "q1": args.q1,
+        "depth": args.depth,
+        "eps": getattr(surface, "eps", None),
+        "sums": list(rep.sums),
+        "target": rep.target,
+        "monotone": rep.monotone,
+        "meets_target": rep.meets_target,
+        "final_gap": rep.final_gap,
+    }
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[bool, object]:
     q_values = tuple(float(s) for s in args.q_list.split(",") if s.strip())
     rows = extremals.sharpness_sweep(q_values)
     if args.format == "json":
         # e_ratio is nan for q <= 1, printed as null
-        payload = {"rows": [{"q": q, "e_ratio": a, "funny_ratio": b} for q, a, b in rows]}
-        _emit_json(payload, args.output)
-    else:
-        _emit_csv("Q,e_ratio,funny_ratio", rows, args.output)
-    return 0
+        return True, {"rows": [{"q": q, "e_ratio": a, "funny_ratio": b} for q, a, b in rows]}
+    return True, ("Q,e_ratio,funny_ratio", rows)
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> tuple[bool, object]:
     only = None
     if args.only:
         only = tuple(s.strip() for s in args.only.split(",") if s.strip())
     results = selftest.run(only=only)
     if not results:
         raise WeightLabError(f"no checks match --only {args.only!r}")
-    all_ok = True
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name}: {detail}")
-        all_ok = all_ok and ok
-    print(f"{'OK' if all_ok else 'FAILED'} ({sum(ok for _, ok, _ in results)}/{len(results)})")
-    return 0 if all_ok else 1
+    lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results]
+    all_ok = all(ok for _, ok, _ in results)
+    lines.append(f"{'OK' if all_ok else 'FAILED'} ({sum(ok for _, ok, _ in results)}/{len(results)})")
+    return all_ok, lines
 
 
 # Largest accepted sizes: each keeps a run near 30 s or less on 2 CPUs and its
@@ -484,17 +474,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _check_caps(args)
-        return args.func(args)
-    except WeightLabError as exc:
+        ok, output = args.func(args)
+        path = getattr(args, "output", None)  # selftest has no --output
+        if isinstance(output, dict):
+            _emit_json(output, path)
+        elif isinstance(output, tuple):
+            _emit_csv(*output, path)
+        else:
+            _write("\n".join(output), path)
+    except (WeightLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -415,11 +415,12 @@ def _orlicz_nodes(w: Weight, lo: np.ndarray, hi: np.ndarray, panels: int = 6) ->
     live = (ep > sp) & (sp > 0.0)  # s = 0 only on the substituted end
     # t^alpha, alpha < 3, is too rough near 0 for panels even in t: even in log t there
     geo = expo[~flat, None] < 3.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # ep / sp (a subnormal sp) or w at a node past the double range: a nan norm, masked
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         y = np.where(live, np.log(ep / sp), 0.0)
-    t = np.where(geo, np.where(live, sp, 1.0) * np.exp(y * seg_x), sp + (ep - sp) * seg_x)
-    dt = np.where(live, np.where(geo, t * y, ep - sp) * seg_w, 0.0)
-    wv_pow = np.where(live, coeff[~flat, None] * t ** expo[~flat, None], 0.0)
+        t = np.where(geo, np.where(live, sp, 1.0) * np.exp(y * seg_x), sp + (ep - sp) * seg_x)
+        dt = np.where(live, np.where(geo, t * y, ep - sp) * seg_w, 0.0)
+        wv_pow = np.where(live, coeff[~flat, None] * t ** expo[~flat, None], 0.0)
     rows = len(lo)
     mass = np.concatenate([span[:, flat] * coeff[flat], (dt * wv_pow).reshape(rows, -1)], axis=1)
     wv = np.concatenate([np.where(span[:, flat] > 0.0, coeff[flat], 0.0), wv_pow.reshape(rows, -1)], axis=1)

@@ -119,13 +119,7 @@ def build(spec: ExtremalSpec) -> Weight:
         raise InfeasibleTargetError(
             f"target ({x}, {y}) outside the {surface.kind.value} domain for q = {spec.q}"
         )
-    if spec.family is Family.AINF_UPPER:
-        g = surface.gamma
-        v = tangent_point(surface, x, y).root
-        a = g * (x - v) / (v * (1.0 - g))
-        return _power_spike(v, min(max(a, 0.0), 1.0), g - 1.0)
-    gp = surface.gamma
-    alpha = (1.0 - gp) / gp
+    g = surface.gamma
     if spec.family is Family.GEHRING_BOUNDARY:
         if not (x > 0.0):
             raise InfeasibleTargetError(f"boundary family needs x > 0, got {x}")
@@ -134,10 +128,14 @@ def build(spec: ExtremalSpec) -> Weight:
             raise InfeasibleTargetError(
                 f"target ({x}, {y}) is not on the upper boundary y = x log x + q x"
             )
-        return Weight((PowerPiece(Interval(0.0, 1.0), x / gp, alpha),))
+        return Weight((PowerPiece(Interval(0.0, 1.0), x / g, (1.0 - g) / g),))
     v = tangent_point(surface, x, y).root
-    u = (x - v) / (v * (gp - 1.0))
-    return _power_spike(v, min(max(u, 0.0), 1.0), alpha)
+    den = v * (g - 1.0)  # the glue point is (x - v) / den, g (v - x) / den on AINF_UPPER
+    if den == 0.0:
+        raise InfeasibleTargetError(f"target ({x}, {y}): v (gamma - 1) underflows to 0 at v = {v}")
+    if spec.family is Family.AINF_UPPER:
+        return _power_spike(v, min(max(g * (v - x) / den, 0.0), 1.0), g - 1.0)
+    return _power_spike(v, min(max((x - v) / den, 0.0), 1.0), (1.0 - g) / g)
 
 
 @dataclass(frozen=True)

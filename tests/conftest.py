@@ -2,10 +2,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from weightlab import weights
+
+# The CLI contract property is the suite's only hypothesis test: 50 examples per
+# subcommand in a plain run, 2,000 with pytest --hypothesis-profile=contract.
+settings.register_profile("default", max_examples=50)
+settings.register_profile("contract", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(scope="session")

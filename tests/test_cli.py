@@ -45,9 +45,13 @@ def _json_out(capsys):
     return json.loads(capsys.readouterr().out)
 
 
+def _strict_json(text):
+    """text parsed as JSON proper: Infinity, -Infinity and NaN fail the test."""
+    return json.loads(text, parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))
+
+
 def _strict_json_out(capsys):
-    """stdout parsed as JSON proper: Infinity, -Infinity and NaN fail the test."""
-    return json.loads(capsys.readouterr().out, parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))
+    return _strict_json(capsys.readouterr().out)
 
 
 class TestSolve:
@@ -76,6 +80,32 @@ class TestSolve:
         payload = _strict_json_out(capsys)
         assert (payload["good_lambda_alpha"], payload["good_lambda_beta"]) == (0.0, 0.25)
         assert payload["eps"] > 0.0
+
+    def test_gamma_entropy_payload(self, capsys):
+        assert cli.main(["solve", "--equation", "gamma-entropy", "--q", "1.0"]) == 0
+        payload = _strict_json_out(capsys)
+        minus, plus = solvers.gamma_entropy_roots(1.0)
+        assert payload == {
+            "equation": "gamma-entropy",
+            "q": 1.0,
+            "root_minus": cli._fmt(minus.root),
+            "residual_minus": cli._fmt(minus.residual),
+            "root_plus": cli._fmt(plus.root),
+            "residual_plus": cli._fmt(plus.residual),
+        }
+
+    @pytest.mark.parametrize("k", [1.5, 1.0])  # k <= 1: nothing to improve, root +inf
+    def test_gehring_sharp_payload(self, k, capsys):
+        assert cli.main(["solve", "--equation", "gehring-sharp", "--p", "2.0", "--k", str(k)]) == 0
+        payload = _strict_json_out(capsys)
+        res = solvers.gehring_sharp_eps(2.0, k)
+        assert payload == {
+            "equation": "gehring-sharp",
+            "p": 2.0,
+            "k": k,
+            "root": cli._fmt(res.root) if math.isfinite(res.root) else None,
+            "residual": cli._fmt(res.residual),
+        }
 
     def test_out_of_range_parameter_exits_2(self, capsys):
         rc = cli.main(["solve", "--equation", "gamma-log", "--q", "1.0"])
@@ -246,6 +276,31 @@ class TestConstants:
         else:
             assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "start, exponent, resolution",
+        [(5e-324, 1.0, 2), (5e-324, 1.0, 12), (1e-300, -2.0, 12)],
+        ids=["subnormal-start-only-interval", "subnormal-start", "power-past-double-range"],
+    )
+    def test_overflowing_orlicz_nodes_raise_no_warning(self, start, exponent, resolution, tmp_path, capsys):
+        # t^exponent from `start`: ep / sp of the node spacing, or w at a node, leaves
+        # the double range; those intervals' norms are nan and masked, the rest scanned
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"pieces": [
+            {"a": 0.0, "b": start, "coeff": 1.0, "exponent": 0.0},
+            {"a": start, "b": 1.0, "coeff": 1.0, "exponent": exponent},
+        ]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["constants", "--weight", str(path), "--which", "rh1_doubleprime",
+                           "--maximal-resolution", str(resolution)])
+        captured = capsys.readouterr()
+        assert rc in (0, 2)
+        if rc == 2:
+            assert captured.err == "error: rh1_doubleprime: no finite value on any scanned interval\n"
+        else:
+            assert captured.err == ""
+            assert _strict_json(captured.out)["rh1_doubleprime"]["value"] > 1.0
+
     @pytest.mark.parametrize("argv", [["constants", "--which", "rh1"], ["dyadic", "--q", "2", "--q1", "3"]])
     def test_overflowing_piece_integral_exits_2(self, argv, tmp_path, capsys):
         # t^-40 from 1e-10: the float closed form's power leaves the double range
@@ -392,6 +447,69 @@ class TestBellman:
         payload = _json_out(capsys)
         assert payload["passed"] is False and payload["worst_value"] > payload["threshold"]
 
+    def test_verify_bounds_passes_on_ainf_upper(self, capsys):
+        argv = ["bellman", "--surface", "ainf-upper", "--q", "2.0", "--verify", "bounds", "--grid", "16"]
+        assert cli.main(argv) == 0
+        payload = _strict_json_out(capsys)
+        rep = bellman.bounds_check_ainf(2.0, grid=16)
+        assert payload["passed"] is True and payload["grid"] == 16
+        assert (payload["max_lower_violation"], payload["max_upper_violation"]) == (0.0, 0.0)
+        assert payload["ratio_max"] == cli._fmt(rep.ratio_max)
+        assert payload["ratio_bound"] == cli._fmt(rep.ratio_bound)
+
+    def test_verify_bounds_on_gehring_exits_2(self, capsys):
+        argv = ["bellman", "--surface", "gehring", "--q", "1.0", "--eps", "0.3", "--verify", "bounds"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --verify bounds applies to the ainf-upper surface\n"
+
+    @pytest.mark.parametrize("point", ["1.3", "1.3,-0.1,2", "x,y", ""])
+    def test_malformed_eval_exits_2(self, point, capsys):
+        assert cli.main(["bellman", "--surface", "ainf-upper", "--q", "2.0", f"--eval={point}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --eval expects 'x,y', got {point!r}\n"
+
+    # the array passes overflow at these q's; the check reports null and fails, or passes
+    @pytest.mark.parametrize(
+        "argv, rc, null",
+        [
+            (["ainf-lower", "--q", "708.9", "--verify", "tangent", "--grid", "8"], 1, "max_deviation"),
+            (["ainf-lower", "--q", "710", "--verify", "hessian", "--grid", "3"], 0, None),
+            (["ainf-upper", "--q", "1e300", "--verify", "tangent", "--grid", "2"], 1, "max_deviation"),
+            (["ainf-upper", "--q", "1e300", "--verify", "hessian", "--grid", "8"], 1, "worst_value"),
+            (["ainf-upper", "--q", "1e308", "--verify", "bounds"], 1, "max_upper_violation"),
+            (
+                ["gehring", "--q", "3.385945554994975e-14", "--eps", "10551.098495224562",
+                 "--verify", "hessian", "--grid", "8"],
+                1,
+                "worst_value",
+            ),
+        ],
+        ids=["lower-tangent-overflow-in-divide", "lower-hessian-overflow-in-det",
+             "upper-tangent-overflow", "upper-hessian-divide-by-zero", "upper-bounds-overflow-in-divide",
+             "gehring-hessian-overflow-in-power"],
+    )
+    def test_extreme_q_verify_raises_no_warning(self, argv, rc, null, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["bellman", "--surface", *argv]) == rc
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = _strict_json(captured.out)
+        assert payload["passed"] is (rc == 0)
+        if null is not None:
+            assert payload[null] is None
+
+    def test_eval_underflowing_tangent_exits_2(self, capsys):
+        # AINF_LOWER's value divides by g v; g v underflows at the subnormal v = 5e-324
+        rc = cli.main(["bellman", "--surface", "ainf-lower", "--q", "1.0", "--eval=5e-324,-3.676e-321"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: point (5e-324, -3.676e-321): ") and "underflows to 0" in captured.err
+
     def test_eval_overflowing_point_exits_2(self, capsys):
         rc = cli.main(["bellman", "--surface", "ainf-upper", "--q", "2", "--eval", "1,-1000"])
         assert rc == 2
@@ -457,6 +575,43 @@ class TestExtremal:
         assert captured.out == ""
         assert captured.err.startswith("error: eps must be finite")
 
+    def test_gehring_without_eps_prints_no_gap(self, capsys):
+        assert cli.main(["extremal", "--family", "gehring-interior", "--q", "1"]) == 0
+        payload = _strict_json_out(capsys)
+        assert payload["eps"] is None and payload["pieces"]
+        assert not {"surface_value", "weight_value", "gap"} & set(payload)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gehring-interior", "--q", "4.461070114325701e-07", "--x", "5e-324", "--y", "1e-17"],
+            ["ainf", "--q", "1.01", "--x", "5e-324", f"--y={math.log(5e-324)!r}"],
+            ["funny", "--q", "1.0", "--x", "5e-324", "--y=-3.676e-321"],  # in the attainment check
+        ],
+        ids=["gehring-interior", "ainf", "funny"],
+    )
+    def test_underflowing_glue_point_exits_2(self, argv, capsys):
+        # v (gamma - 1), or gamma v, underflows to 0 at the subnormal tangent abscissa v = 5e-324
+        assert cli.main(["extremal", "--family", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "(5e-324, " in captured.err and "underflows to 0" in captured.err
+
+    def test_emit_other_suffix_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "w.txt"
+        assert cli.main(["extremal", "--family", "ainf", "--q", "2.0", "--emit", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: --emit path must end in .json or .csv\n"
+
+    @pytest.mark.parametrize("name", ["w.json", "w.csv"])
+    def test_emit_into_missing_directory_exits_2(self, name, tmp_path, capsys):
+        out = tmp_path / "missing" / name
+        assert cli.main(["extremal", "--family", "ainf", "--q", "2.0", "--emit", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+
     def test_infeasible_target_exits_2(self, capsys):
         rc = cli.main(
             ["extremal", "--family", "ainf", "--q", "2.0",
@@ -506,6 +661,17 @@ class TestDyadic:
         assert root["point"] == pytest.approx([0.5, -1.0])
         assert len(root["children"]) == 2
         assert "children" not in root["children"][0]["children"][0]
+
+    def test_verify_with_eps_uses_it(self, linear_file, capsys):
+        rc = cli.main(
+            ["dyadic", "--weight", linear_file, "--mode", "entropy", "--q", "0.3",
+             "--q1", "0.6", "--depth", "3", "--verify", "--eps", "0.2"]
+        )
+        assert rc == 0
+        payload = _strict_json_out(capsys)
+        assert payload["eps"] == 0.2
+        assert payload["target"] == pytest.approx(1.0 / 2.2, rel=1e-14)  # avg of t^(1 + eps)
+        assert payload["monotone"] is True and payload["meets_target"] is True
 
     def test_infinite_q1_exits_2(self, linear_file, capsys):
         rc = cli.main(["dyadic", "--weight", linear_file, "--q", "1.5", "--q1", "inf"])
@@ -646,6 +812,18 @@ class TestFormatting:
             "3,inf,nan,0.333333333333333\n"
             "True,1e-300,1.23456789012346e+16,2.5\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--equation", "gamma-log", "--q", "3.0"], ["sweep", "--q-list", "2,8"]],
+        ids=["json", "csv"],
+    )
+    def test_output_into_missing_directory_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "out"
+        assert cli.main([*argv, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
 
     def test_floats_render_at_fifteen_significant_digits(self, capsys):
         assert cli.main(["solve", "--equation", "gamma-log", "--q", "3.0"]) == 0

@@ -1,6 +1,3 @@
-import contextlib
-import io
-import json
 import math
 import sys
 import threading
@@ -10,8 +7,6 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from weightlab import (
     DomainError,
@@ -40,9 +35,8 @@ from weightlab import (
     step_weight,
     truncate,
 )
-from weightlab import cli, constants
+from weightlab import constants
 from weightlab.constants import (
-    KNOWN_CONSTANTS,
     _SCAN_BLOCK_ENTRIES,
     _centred,
     _grid_points,
@@ -779,38 +773,3 @@ class TestReport:
     def test_unknown_name_rejected(self, sqrt_weight):
         with pytest.raises(ParameterError):
             compute_report(sqrt_weight, which=("nope",))
-
-
-@st.composite
-def _constants_argv(draw):
-    n = draw(st.integers(1, 4))
-    cuts = sorted(set(draw(st.lists(st.floats(1e-12, 0.999), min_size=n - 1, max_size=n - 1))))
-    bounds = [0.0, *cuts, 1.0]
-    coeffs = draw(st.lists(st.floats(1e-300, 1e300), min_size=n, max_size=n))
-    exponents = draw(st.lists(st.floats(-40.0, 40.0), min_size=n, max_size=n))
-    pieces = [{"a": a, "b": b, "coeff": c, "exponent": e} for a, b, c, e in zip(bounds, bounds[1:], coeffs, exponents)]
-    which = draw(st.lists(st.sampled_from(KNOWN_CONSTANTS), min_size=1, max_size=6, unique=True))
-    p_values = draw(st.lists(st.floats(1.0, 50.0, exclude_min=True), min_size=1, max_size=3))
-    argv = ["--which", ",".join(which), "--p-values", ",".join(map(repr, p_values))]
-    argv += ["--resolution", str(draw(st.integers(2, 101))), "--maximal-resolution", str(draw(st.integers(2, 24)))]
-    return {"pieces": pieces}, argv
-
-
-class TestCliFuzz:
-    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(case=_constants_argv())
-    def test_constants_exits_0_or_2_without_nan(self, case, tmp_path_factory):
-        payload, argv = case
-        path = tmp_path_factory.mktemp("fuzz") / "w.json"
-        path.write_text(json.dumps(payload))
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            warnings.simplefilter("error", RuntimeWarning)
-            rc = cli.main(["constants", "--weight", str(path), *argv])
-        assert rc in (0, 2)
-        assert "Traceback" not in err.getvalue()
-        assert "NaN" not in out.getvalue()
-        if rc == 0:  # JSON proper: a value that is +inf prints as null
-            json.loads(out.getvalue(), parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))
-        if rc == 2:
-            assert err.getvalue().startswith("error:")

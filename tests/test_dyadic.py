@@ -7,17 +7,11 @@ evaluates a concave majorant along the generations and checks the sums
 decrease toward the moment the tree refines to.
 """
 
-import contextlib
 import dataclasses
 import hashlib
-import io
-import json
 import math
-import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from weightlab import (
     BellmanSurface,
@@ -40,7 +34,7 @@ from weightlab import (
     truncate,
     weight_from_dict,
 )
-from weightlab import cli, dyadic, errors, weights
+from weightlab import dyadic, errors, weights
 
 from _frozen import DYADIC_FAILURES, FROZEN_TREES
 
@@ -427,47 +421,3 @@ class TestFailureOrder:
         tree = build_partition(FLAT, SplitConfig(q=1.5, q1=1.8), SplitMode.ENTROPY, max_depth=2)
         with pytest.raises(ParameterError, match="needs eps"):
             chain_verify(BellmanSurface(SurfaceKind.GEHRING, 1.8), FLAT, tree)
-
-
-def _weight_payload(cuts, coeffs, exponents):
-    bounds = [0.0, *sorted(set(cuts)), 1.0]
-    return {
-        "pieces": [
-            {"a": a, "b": b, "coeff": c, "exponent": e}
-            for a, b, c, e in zip(bounds, bounds[1:], coeffs, exponents)
-        ]
-    }
-
-
-@st.composite
-def _dyadic_argv(draw):
-    n = draw(st.integers(1, 4))
-    cuts = draw(st.lists(st.floats(1e-12, 0.999), min_size=n - 1, max_size=n - 1))
-    coeffs = draw(st.lists(st.floats(1e-300, 1e300), min_size=n, max_size=n))
-    exponents = draw(st.lists(st.floats(-40.0, 40.0), min_size=n, max_size=n))
-    q = draw(st.floats(0.5, 60.0))
-    q1 = q * draw(st.floats(1.0, 3.0, exclude_min=True))
-    argv = ["--mode", draw(st.sampled_from(["log", "entropy"])), "--q", repr(q), "--q1", repr(q1)]
-    argv += ["--delta0", repr(draw(st.floats(0.001, 0.46))), "--depth", str(draw(st.integers(0, 6)))]
-    if draw(st.booleans()):
-        argv.append("--verify")
-    return _weight_payload(cuts, coeffs, exponents), argv
-
-
-class TestCliFuzz:
-    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(case=_dyadic_argv())
-    def test_dyadic_exits_0_1_or_2(self, case, tmp_path_factory):
-        payload, argv = case
-        path = tmp_path_factory.mktemp("fuzz") / "w.json"
-        path.write_text(json.dumps(payload))
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            warnings.simplefilter("error", RuntimeWarning)
-            rc = cli.main(["dyadic", "--weight", str(path), *argv])
-        assert rc in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
-        if rc == 2:
-            assert err.getvalue().startswith("error:")
-        else:
-            json.loads(out.getvalue(), parse_constant=lambda token: pytest.fail(f"non-JSON {token}"))
