@@ -84,19 +84,36 @@ class BellmanSurface:
         return self.kind is not SurfaceKind.AINF_UPPER
 
 
+def _excess(entropy: bool, q: float, x, y):
+    """Gap past the nearer boundary of the q domain over its scale (float, x > 0, or array), <= 0
+    inside.  Log coordinates: max(1 - r, r - q) / max(1, q), r = x e^{-y}; entropy coordinates:
+    max(x log x - y, y - x log x - q x) / max(1, |x log x| + q x)."""
+    xp = _ops(x)
+    if entropy:
+        base = x * xp.log(x)
+        return xp.maximum(base - y, y - base - q * x) / xp.maximum(1.0, abs(base) + q * x)
+    if xp is np:
+        r = np.asarray(x * np.exp(-y))
+        deep = y < -700.0  # e^-y overflows past -709.8, while x e^-y may not
+        if deep.any():
+            r[deep] = np.exp(np.log(x[deep]) - y[deep])
+    else:
+        try:
+            r = x * math.exp(-y) if y >= -700.0 else math.exp(math.log(x) - y)
+        except OverflowError:  # x e^-y past the double range
+            r = math.inf
+    return xp.maximum(1.0 - r, r - q) / max(1.0, q)
+
+
 def in_domain(surface: BellmanSurface, x, y, tol: float = DOMAIN_TOL):
-    """Domain membership (bool or bool array); AINF_UPPER compares log x - y: no overflow."""
+    """Domain membership (bool or bool array): finite, x > 0 and _excess <= tol."""
     xp = _ops(x)
     ok = (x > 0.0) & xp.isfinite(x) & xp.isfinite(y)
-    x, y = xp.where(ok, x, 1.0), xp.where(ok, y, 0.0)  # keeps log and the bounds finite
-    if surface.entropy_coordinates:
-        base = x * xp.log(x)
-        slack = tol * xp.maximum(1.0, abs(base) + surface.q * x)
-        return ok & (base - slack <= y) & (y <= base + surface.q * x + slack)
-    slack = tol * max(1.0, surface.q)
-    lr = xp.log(x) - y
-    lo = math.log(1.0 - slack) if slack < 1.0 else -math.inf
-    return ok & (lo <= lr) & (lr <= math.log(surface.q + slack))
+    if xp is not np:
+        return ok and _excess(surface.entropy_coordinates, surface.q, x, y) <= tol
+    x, y = np.where(ok, x, 1.0), np.where(ok, y, 0.0)  # float arrays, masked points at (1, 0)
+    with np.errstate(all="ignore"):  # a point far outside overflows its excess to inf
+        return ok & (_excess(surface.entropy_coordinates, surface.q, x, y) <= tol)
 
 
 def _tangent_solve(surface: BellmanSurface, x, y):

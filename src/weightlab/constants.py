@@ -413,14 +413,22 @@ def _orlicz_nodes(w: Weight, lo: np.ndarray, hi: np.ndarray, panels: int = 6) ->
     end = np.flatnonzero(lo == 0.0) if first.exponent != 0.0 else np.zeros(0, dtype=int)
     sp, ep = s[:, ~flat, None], e[:, ~flat, None]
     live = (ep > sp) & (sp > 0.0)  # s = 0 only on the substituted end
+    alpha = expo[~flat, None]
     # t^alpha, alpha < 3, is too rough near 0 for panels even in t: even in log t there
-    geo = expo[~flat, None] < 3.0
-    # ep / sp (a subnormal sp) or w at a node past the double range: a nan norm, masked
+    geo = alpha < 3.0
+    # A subnormal sp overflows ep / sp, not its logs.  For alpha > 0, t more than _END_WIDTH / (alpha + 1)
+    # e-folds below ep holds under e^-_END_WIDTH of each term (each grows with t), and wider panels lose
+    # digits: the nodes stop there.  w at a node past the double range: a nan norm, masked.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         y = np.where(live, np.log(ep / sp), 0.0)
         t = np.where(geo, np.where(live, sp, 1.0) * np.exp(y * seg_x), sp + (ep - sp) * seg_x)
+        cap = np.where(alpha > 0.0, _END_WIDTH / (alpha + 1.0), np.finfo(float).max)
+        wide = geo & (y > cap)
+        if wide.any():
+            y = np.where(wide, np.minimum(np.log(ep) - np.log(sp), cap), y)
+            t = np.where(wide, np.exp(np.log(ep) + y * (seg_x - 1.0)), t)
         dt = np.where(live, np.where(geo, t * y, ep - sp) * seg_w, 0.0)
-        wv_pow = np.where(live, coeff[~flat, None] * t ** expo[~flat, None], 0.0)
+        wv_pow = np.where(live, coeff[~flat, None] * t ** alpha, 0.0)
     rows = len(lo)
     mass = np.concatenate([span[:, flat] * coeff[flat], (dt * wv_pow).reshape(rows, -1)], axis=1)
     wv = np.concatenate([np.where(span[:, flat] > 0.0, coeff[flat], 0.0), wv_pow.reshape(rows, -1)], axis=1)

@@ -7,10 +7,10 @@ stays inside the slightly enlarged domain (constant q1 > q), which is what
 makes telescoping sums against a concave surface built at q1 monotone.
 
 build_partition walks the tree generation by generation: one array pass
-checks a generation's points against q, then the candidate ratios are
-tried in order, each round checking the chords of every node still uncut
-in one array pass.  A node's point is computed once, by the cut that
-created it.  chain_verify checks and evaluates every node's point in one
+checks a generation's points against q, then the candidate ratios are tried
+in order, each round checking every uncut node's chord exactly, by bellman's
+domain rule, in one array pass.  A node's point is computed once, by the cut
+that created it.  chain_verify checks and evaluates every node's point in one
 in_domain and one evaluate_many call, then sums each generation in order.
 """
 
@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bellman import BellmanSurface, SurfaceKind, _require_eps, evaluate_many, in_domain
+from .bellman import BellmanSurface, SurfaceKind, _excess, _require_eps, evaluate_many, in_domain
 from .errors import DomainError, ParameterError, SplitError
 from .weights import Interval, MomentKind, Weight, moment
 
@@ -36,12 +36,6 @@ __all__ = [
     "build_partition",
     "chain_verify",
 ]
-
-SEGMENT_SAMPLES = 100
-_FRACTIONS = np.linspace(0.0, 1.0, SEGMENT_SAMPLES)
-# chords per array pass of _violations: ~10 arrays of _BLOCK * SEGMENT_SAMPLES floats
-_BLOCK = 512
-
 
 class SplitMode(Enum):
     LOG = "log"
@@ -89,41 +83,19 @@ def _point(w: Weight, interval: Interval, mode: SplitMode) -> tuple[float, float
     return x, y
 
 
-def _violations(p0: list, p1: list, q: float, mode: SplitMode, samples: int = SEGMENT_SAMPLES) -> np.ndarray:
-    """Worst signed domain violation along each chord p0[k] -> p1[k], scale-normalized.
+def _chord_excess(p0: list, p1: list, q: float, mode: SplitMode) -> np.ndarray:
+    """Largest bellman._excess along each chord p0[k] -> p1[k], exact up to rounding.
 
-    Every chord is sampled at the same SEGMENT_SAMPLES fractions, in blocks
-    of _BLOCK chords.  A point is the chord from p to p: there every sample
-    is p, and samples=1 gives the same value.  A chord through a non-finite
-    coordinate, which an overflowing moment gives, reads inf: outside.
+    Along a chord log(x e^{-y}) and y - x log x are concave: each boundary gap peaks at
+    an end or at x = dx/dy (log coordinates), x = exp(dy/dx - 1 - q) (entropy), taken at
+    its position s in (0, 1) on p0 + s (p1 - p0).  A non-finite coordinate reads inf or nan.
     """
-    s = _FRACTIONS[:samples]
-    out = np.empty(len(p0))
-    for k in range(0, len(p0), _BLOCK):
-        ends = np.array(p0[k : k + _BLOCK]), np.array(p1[k : k + _BLOCK])
-        finite = np.isfinite(ends[0]).all(axis=1) & np.isfinite(ends[1]).all(axis=1)
-        (x0, y0), (x1, y1) = (end.T[:, :, None] for end in ends)
-        with np.errstate(all="ignore"):
-            x = x0 + s * (x1 - x0)
-            y = y0 + s * (y1 - y0)
-            if mode is SplitMode.LOG:
-                r = x * np.exp(-y)
-                deep = y < -700.0  # e^-y overflows past -709.8, while x e^-y may not
-                if deep.any():
-                    r[deep] = np.exp(np.log(x[deep]) - y[deep])
-                viol = np.maximum(1.0 - r, r - q)
-                scale = max(1.0, q)
-            else:
-                base = x * np.log(x)
-                base[x == 0.0] = 0.0  # the limit of x log x; a chord to x ~ 1e-300 rounds onto 0
-                viol = np.maximum(base - y, y - base - q * x)
-                # max(1, max|base|, q max x) as Python's max takes it: a nan term is passed over
-                top, right = np.max(np.abs(base), axis=1), q * np.max(x, axis=1)
-                scale = np.where(top > 1.0, top, 1.0)
-                scale = np.where(right > scale, right, scale)
-            worst = np.max(viol, axis=1) / scale
-        out[k : k + _BLOCK] = np.where(finite & ~np.isnan(worst), worst, np.inf)
-    return out
+    (x0, y0), (x1, y1) = (np.array(p, dtype=float).reshape(-1, 2).T for p in (p0, p1))
+    with np.errstate(all="ignore"):
+        dx, dy = x1 - x0, y1 - y0
+        s = ((np.exp(dy / dx - 1.0 - q) if mode is SplitMode.ENTROPY else dx / dy) - x0) / dx
+        s = np.array([np.zeros_like(s), np.ones_like(s), np.where((s > 0.0) & (s < 1.0), s, 0.0)])
+        return _excess(mode is SplitMode.ENTROPY, q, x0 + s * dx, y0 + s * dy).max(axis=0)
 
 
 def _alpha_candidates(delta0: float) -> list[float]:
@@ -170,7 +142,7 @@ def _cuts(w: Weight, intervals: list[Interval], cfg: SplitConfig, mode: SplitMod
                 rows.append((k, alpha, left, right, _point(w, left, mode), _point(w, right, mode)))
             except (ArithmeticError, ValueError) as exc:  # build_partition raises it in preorder
                 out[k] = exc
-        viols = _violations([r[4] for r in rows], [r[5] for r in rows], cfg.q1, mode)
+        viols = _chord_excess([r[4] for r in rows], [r[5] for r in rows], cfg.q1, mode)
         for (k, *cut), viol in zip(rows, viols.tolist()):
             if viol <= 1e-12:
                 out[k] = tuple(cut)
@@ -237,8 +209,10 @@ def build_partition(
     levels = []
     for depth in range(max_depth + 1):
         points = [pt for _, _, pt in level]
-        for (i, iv, pt), viol in zip(level, _violations(points, points, cfg.q, mode, samples=1)):
-            if viol > 1e-9 and before(depth, i):
+        with np.errstate(all="ignore"):
+            viols = _excess(mode is SplitMode.ENTROPY, cfg.q, *np.array(points, dtype=float).reshape(-1, 2).T)
+        for (i, iv, pt), viol in zip(level, viols.tolist()):
+            if not viol <= 1e-9 and before(depth, i):
                 first = (key(depth, i), DomainError(
                     f"moment point {pt} of [{iv.a}, {iv.b}] leaves the q = {cfg.q} domain; "
                     "the weight's constant exceeds q"
@@ -306,8 +280,7 @@ def chain_verify(surface: BellmanSurface, w: Weight, tree: PartitionTree) -> Cha
     x, y = np.array([node.point for node in nodes], dtype=float).T
     if surface.kind is SurfaceKind.GEHRING:
         _require_eps(surface)
-    with np.errstate(all="ignore"):  # as on floats: a huge point's bounds overflow to inf
-        inside = in_domain(surface, x, y, tol=1e-9)
+    inside = in_domain(surface, x, y, tol=1e-9)
     if not inside.all():
         node = nodes[int(np.argmin(inside))]
         raise DomainError(

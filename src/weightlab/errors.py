@@ -20,8 +20,8 @@ class InfeasibleTargetError(WeightLabError, ValueError):
 class SplitError(WeightLabError, RuntimeError):
     """No admissible dyadic split ratio was found.
 
-    Carries the least-violating candidate so callers can see how close the
-    sweep got.
+    Carries the least-violating cut ratio (best_alpha) and its chord's exact
+    peak excess over the q1 domain (best_violation): how close the sweep got.
     """
 
     def __init__(self, message, best_alpha=None, best_violation=None):

@@ -259,10 +259,11 @@ def good_lambda_verify(n: int, q: float) -> float:
     Direct float evaluation is useless here: with eps = log4/(n log2 + 8q)
     the product equals exp(eps*log1p(-e^{-8q})), i.e. 1 minus a margin as
     small as e^{-8q}, far below double rounding for large q.  The returned
-    gap is that exponent with the exact cancellation performed analytically.
+    gap is that exponent with the exact cancellation performed analytically;
+    nan where it is no negative normal double (subnormal from q ~ 88, then -0.0).
     """
-    eps = gehring_dim_n_eps(n, q)
-    return eps * math.log1p(-math.exp(-8.0 * q))
+    gap = gehring_dim_n_eps(n, q) * math.log1p(-math.exp(-8.0 * q))
+    return gap if gap <= -sys.float_info.min else math.nan
 
 
 def p_gehring_via_one(n: int, p: float, k: float) -> tuple[float, float]:

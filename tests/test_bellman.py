@@ -122,6 +122,47 @@ class TestDomain:
         assert got.tolist() == [in_domain(surface, float(x), float(y)) for x, y in zip(xs, ys)]
         assert got.any() and not got.all()
 
+    @staticmethod
+    def _slack_bounds(surface, x, y, tol):
+        """Membership as bounds widened by a slack s: log x - y in [log(1 - s), log(q + s)],
+        s = tol max(1, q), with no lower bound once s >= 1; or x log x - s <= y <= x log x + q x + s,
+        s = tol max(1, |x log x| + q x)."""
+        if not (x > 0.0 and math.isfinite(x) and math.isfinite(y)):
+            return False
+        q = surface.q
+        if surface.entropy_coordinates:
+            base = x * math.log(x)
+            slack = tol * max(1.0, abs(base) + q * x)
+            return base - slack <= y <= base + q * x + slack
+        slack = tol * max(1.0, q)
+        lr = math.log(x) - y
+        return (slack >= 1.0 or math.log(1.0 - slack) <= lr) and lr <= math.log(q + slack)
+
+    @pytest.mark.parametrize("kind", list(SurfaceKind))
+    def test_matches_slack_bounds_near_the_boundaries(self, kind):
+        rng = np.random.default_rng(list(SurfaceKind).index(kind))
+        for q in (1.5, 2.0, 10.0, 1e3, 1e13):
+            surface = BellmanSurface(kind, q)
+            x = np.exp(rng.uniform(-14.0, 14.0, 400))
+            # half within 1e-9 of the lower (t = 0) or upper (t = 1) boundary
+            near = rng.integers(0, 2, 200) + rng.uniform(-1e-9, 1e-9, 200)
+            t = np.concatenate([near, rng.uniform(-0.5, 1.5, 200)])
+            if surface.entropy_coordinates:
+                y = x * np.log(x) + t * q * x
+            else:
+                y = np.log(x) - np.log(np.where(t < 0.5, 1.0 + t, q * t))  # ratio 1 + t or q t
+            for tol in (1e-12, 1e-9):
+                want = [self._slack_bounds(surface, float(u), float(v), tol) for u, v in zip(x, y)]
+                assert in_domain(surface, x, y, tol=tol).tolist() == want
+                assert [in_domain(surface, float(u), float(v), tol=tol) for u, v in zip(x, y)] == want
+
+    def test_excess_past_exp_overflow_raises_no_warning(self):
+        up = BellmanSurface(SurfaceKind.AINF_UPPER, 2.0)
+        # ratios e^1000, 1e343 and 1.5, where e^-y overflows and x is subnormal
+        x, y = np.array([1.0, 1e300, math.exp(math.log(1.5) - 720.0)]), np.array([-1000.0, -100.0, -720.0])
+        assert in_domain(up, x, y).tolist() == [False, False, True]
+        assert [in_domain(up, *p) for p in zip(x.tolist(), y.tolist())] == [False, False, True]
+
 
 class TestTangent:
     def test_lower_boundary_is_identity(self):

@@ -19,15 +19,19 @@ import pytest
 import weightlab
 from weightlab import (
     BellmanSurface,
+    Interval,
+    OrliczKind,
     SurfaceKind,
     bellman,
     cli,
     evaluate_surface,
     load_weight,
+    luxemburg_norm,
     power_weight,
     reference_corpus,
     save_weight,
     solvers,
+    weight_from_dict,
 )
 from weightlab.solvers import gamma_log
 
@@ -80,6 +84,17 @@ class TestSolve:
         payload = _strict_json_out(capsys)
         assert (payload["good_lambda_alpha"], payload["good_lambda_beta"]) == (0.0, 0.25)
         assert payload["eps"] > 0.0
+
+    @pytest.mark.parametrize("q", ["80", "100"])
+    def test_gehring_n_gap_is_negative_or_null(self, q, capsys):
+        # the gap ~ -eps e^-8q is a normal double at q = 80; at q = 100 it rounds
+        # to -0.0, which certifies no sign, and prints as null
+        assert cli.main(["solve", "--equation", "gehring-n", "--q", q, "--n", "3"]) == 0
+        gap = _strict_json_out(capsys)["log_product_gap"]
+        if q == "80":
+            assert -1e-280 < gap <= -sys.float_info.min
+        else:
+            assert gap is None
 
     def test_gamma_entropy_payload(self, capsys):
         assert cli.main(["solve", "--equation", "gamma-entropy", "--q", "1.0"]) == 0
@@ -300,6 +315,35 @@ class TestConstants:
         else:
             assert captured.err == ""
             assert _strict_json(captured.out)["rh1_doubleprime"]["value"] > 1.0
+
+    def test_subnormal_power_start_keeps_its_orlicz_nodes(self, tmp_path, capsys):
+        # from a subnormal start ep / sp overflows: the nodes are spaced by
+        # log ep - log sp, and for t, whose terms fall under e^-40 of their total
+        # 20 e-folds below 1, they stop there
+        def ramp(start, exponent=1.0):
+            return weight_from_dict({"pieces": [{"a": 0.0, "b": start, "coeff": 1.0, "exponent": 0.0},
+                                                {"a": start, "b": 1.0, "coeff": 1.0, "exponent": exponent}]})
+
+        path = tmp_path / "w.json"
+        save_weight(ramp(5e-324), str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["constants", "--weight", str(path), "--which", "rh1_doubleprime",
+                           "--maximal-resolution", "2"])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        entry = _strict_json(out)["rh1_doubleprime"]
+        # the L log L norm of t on [0, 1] over its average 1/2, from the closed-form integral (40 digits)
+        assert entry == {"value": cli._fmt(1.3126414521419447), "interval": [0.0, 1.0]}
+        norm = luxemburg_norm(ramp(5e-324), Interval(0.0, 1.0), OrliczKind.LLOGL)
+        assert norm == pytest.approx(luxemburg_norm(ramp(1e-300), Interval(0.0, 1.0), OrliczKind.LLOGL), rel=1e-12)
+        # t^-1/2 keeps all its nodes: the two spacings meet where ep / sp first overflows
+        edge = 1.0 / sys.float_info.max
+        assert 1.0 / edge == math.inf and math.isfinite(1.0 / math.nextafter(edge, 1.0))
+        for kind in (OrliczKind.LLOGL, OrliczKind.EXP_MINUS_ONE):
+            below, above = (luxemburg_norm(ramp(s, -0.5), Interval(0.0, 1.0), kind)
+                            for s in (edge, math.nextafter(edge, 1.0)))
+            assert below == pytest.approx(above, rel=1e-12)
 
     @pytest.mark.parametrize("argv", [["constants", "--which", "rh1"], ["dyadic", "--q", "2", "--q1", "3"]])
     def test_overflowing_piece_integral_exits_2(self, argv, tmp_path, capsys):

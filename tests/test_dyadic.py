@@ -11,6 +11,8 @@ import dataclasses
 import hashlib
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from weightlab import (
@@ -35,6 +37,7 @@ from weightlab import (
     weight_from_dict,
 )
 from weightlab import dyadic, errors, weights
+from weightlab.bellman import _excess
 
 from _frozen import DYADIC_FAILURES, FROZEN_TREES
 
@@ -129,6 +132,128 @@ class TestSplit:
             split(FLAT, Interval(0.0, 1.0), cfg, SplitMode.LOG)
         assert excinfo.value.best_alpha == 0.5
         assert excinfo.value.best_violation == pytest.approx(0.2)
+
+
+def _chord_peak(mode, q, p0, p1):
+    """40-digit largest normalised excess along the chord p0 -> p1, found without its closed form.
+
+    Each boundary gap (log coordinates: 1 - r and r - q, r = x e^-y; entropy:
+    x log x - y and y - x log x - q x) is concave or convex along the chord, so
+    a golden-section search for its maximum over s in [0, 1], with both ends,
+    finds it; the gap is then taken over the domain's scale at that point.
+    """
+    with mpmath.workdps(40):
+        x0, y0, x1, y1, Q = map(mpmath.mpf, (*p0, *p1, q))
+
+        def gaps(s):
+            x, y = x0 + s * (x1 - x0), y0 + s * (y1 - y0)
+            if mode is SplitMode.LOG:
+                r = x * mpmath.exp(-y)
+                return (1 - r, r - Q), max(1, Q)
+            base = x * mpmath.log(x)
+            return (base - y, y - base - Q * x), max(1, abs(base) + Q * x)
+
+        best = -mpmath.inf
+        for k in (0, 1):
+            lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+            # 90 steps shrink the bracket to 1e-19: the scale varies along an entropy
+            # chord, so the excess over it moves at first order in s
+            for _ in range(90):
+                a, b = hi - (hi - lo) / mpmath.phi, lo + (hi - lo) / mpmath.phi
+                if gaps(a)[0][k] < gaps(b)[0][k]:
+                    lo = a
+                else:
+                    hi = b
+            for s in (0, 1, (lo + hi) / 2):
+                g, scale = gaps(s)
+                best = max(best, g[k] / scale)
+        return float(best)
+
+
+class TestChordExcess:
+    """A chord is checked exactly: at its ends and at the one interior maximiser."""
+
+    # w(t) = 2.881921588057466 t^0.9494593533135366 sits on its q boundary; the
+    # chord of the cut at 0.91 peaks 2.66e-6 above q1 at s = 0.0443, where 100
+    # evenly spaced samples of the chord miss it (their best reads -4.99e-6)
+    POWER = power_weight(2.881921588057466, 0.9494593533135366)
+    Q, Q1 = 1.3256557913842342, 1.3269814471756183
+
+    def test_corpus_chord_leaving_q1_between_samples_is_refused(self):
+        assert weights.reference_corpus(40, seed=3)[6] == self.POWER
+        tree = build_partition(self.POWER, SplitConfig(q=self.Q, q1=self.Q1), SplitMode.LOG, max_depth=1)
+        assert tree.root.children[0].interval.b == pytest.approx(0.92, abs=1e-12)
+        # the cut at 0.91 peaks above q1
+        p0 = dyadic._point(self.POWER, Interval(0.0, 0.91), SplitMode.LOG)
+        p1 = dyadic._point(self.POWER, Interval(0.91, 1.0), SplitMode.LOG)
+        peak = _chord_peak(SplitMode.LOG, self.Q1, p0, p1)
+        assert peak == pytest.approx(2.66e-6, rel=1e-3)
+        assert dyadic._chord_excess([p0], [p1], self.Q1, SplitMode.LOG)[0] == pytest.approx(peak, abs=1e-15)
+
+    @staticmethod
+    def _log_chord():
+        # q = 2, p0 = (1, y0), p1 = (2, y0 + dy): log x - y peaks at x = 1/dy = 199/198,
+        # s = 1/198, where x e^-y = q (1 + 1e-6); 100 evenly spaced samples read -1.16e-5
+        x = 199.0 / 198.0
+        y0 = math.log(x) - 1.0 / 199.0 - math.log(2.0 * (1.0 + 1e-6))
+        return (1.0, y0), (2.0, y0 + 198.0 / 199.0)
+
+    @staticmethod
+    def _entropy_chord():
+        # q = 2, p0 = (1, y0), p1 = (2, y0 + dy): y - x log x - q x peaks at
+        # x = exp(dy - 1 - q) = 199/198, s = 1/198, 1e-6 of the scale above the
+        # upper boundary; 100 evenly spaced samples read -2.66e-6
+        x = 199.0 / 198.0
+        dy = math.log(x) + 3.0
+        scale = x * math.log(x) + 2.0 * x
+        y0 = x * math.log(x) + 2.0 * x + 1e-6 * scale - dy / 198.0
+        return (1.0, y0), (2.0, y0 + dy)
+
+    @pytest.mark.parametrize("mode", list(SplitMode))
+    def test_interior_peak_between_samples_is_refused(self, mode):
+        p0, p1 = self._log_chord() if mode is SplitMode.LOG else self._entropy_chord()
+        got = dyadic._chord_excess([p0], [p1], 2.0, mode)[0]
+        assert got == pytest.approx(1e-6, rel=1e-6)
+        assert got == pytest.approx(_chord_peak(mode, 2.0, p0, p1), abs=1e-15)
+        # both ends are inside: only the interior point sees the excess
+        x, y = np.array([p0, p1]).T
+        assert (_excess(mode is SplitMode.ENTROPY, 2.0, x, y) < 0.0).all()
+
+    @staticmethod
+    def _random_chords(mode, rng, n):
+        """n chords near the q boundaries: ends at normalised heights t in [-0.02, 1.02]."""
+        q = float(rng.choice([1.05, 1.5, 2.0, 10.0, 300.0]))
+        x = np.exp(rng.uniform(-4.0, 4.0, (2, n)))
+        t = rng.uniform(-0.02, 1.02, (2, n))
+        if mode is SplitMode.LOG:
+            y = np.log(x) - np.log1p(t * (q - 1.0))
+        else:
+            y = x * np.log(x) + t * q * x
+        return q, list(zip(x[0], y[0])), list(zip(x[1], y[1]))
+
+    @staticmethod
+    def _agree(got, peaks):
+        return all(abs(g - p) <= 1e-13 * max(1.0, abs(p)) for g, p in zip(got, peaks))
+
+    @pytest.mark.parametrize("mode", list(SplitMode))
+    def test_excess_is_the_mpmath_max_along_the_chord(self, mode):
+        rng = np.random.default_rng(1301 if mode is SplitMode.LOG else 1302)
+        for _ in range(3):
+            q, p0, p1 = self._random_chords(mode, rng, 10)
+            peaks = [_chord_peak(mode, q, u, v) for u, v in zip(p0, p1)]
+            got = dyadic._chord_excess(p0, p1, q, mode).tolist()
+            assert self._agree(got, peaks), (q, got, peaks)
+
+    @pytest.mark.parametrize("mode", list(SplitMode))
+    def test_negative_control_ends_alone_disagree(self, mode):
+        # the check above fails without the interior point
+        rng = np.random.default_rng(1301 if mode is SplitMode.LOG else 1302)
+        q, p0, p1 = self._random_chords(mode, rng, 10)
+        peaks = [_chord_peak(mode, q, u, v) for u, v in zip(p0, p1)]
+        (x0, y0), (x1, y1) = np.array(p0).T, np.array(p1).T
+        entropy = mode is SplitMode.ENTROPY
+        ends = np.maximum(_excess(entropy, q, x0, y0), _excess(entropy, q, x1, y1))
+        assert not self._agree(ends.tolist(), peaks)
 
 
 class TestBuildPartition:
