@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .solvers import RootResult, _branch_root, _ops, gamma_entropy_roots, gamma_log
+from .solvers import RootResult, _bracket, _log_root, _ops, gamma_entropy_roots, gamma_log
 
 __all__ = [
     "SurfaceKind",
@@ -117,14 +117,17 @@ def in_domain(surface: BellmanSurface, x, y, tol: float = DOMAIN_TOL):
 
 
 def _tangent_solve(surface: BellmanSurface, x, y):
-    """Tangent abscissa v (float or array), with the kernel's steps and bracket in v.
+    """Tangent abscissa v (float or array), the kernel's steps and the c1 solved for.
 
     u = g x / v (AINF_UPPER) or u = g v / x (GEHRING, AINF_LOWER) turns the
     tangent equation into u - log u = 1 + c1, GEHRING on the upper branch.
     By the gamma equation, c1 is c1_lower (log q or q) less the point's
     height above the lower boundary: c1_lower there (u = g), 0 on the upper
     boundary (u = 1).  u = g and v = x are exact on the lower boundary, where
-    the value's error is v's error over g (~1e-8 at q = 1e6).
+    the value's error is v's error over g (~1e-8 at q = 1e6).  The solve is
+    solvers._log_root, which forms u alone: evaluate_many, the array Hessian
+    and through them the linearity and chain checks read only v, and
+    tangent_point maps _bracket(c1) to v itself.
     """
     xp = _ops(x)
     g = surface.gamma
@@ -132,12 +135,10 @@ def _tangent_solve(surface: BellmanSurface, x, y):
         c1_lower, height = math.log(surface.q), xp.log(x) - y
     else:
         c1_lower, height = surface.q, (y - x * xp.log(x)) / x
-    c1 = xp.clip(c1_lower - height, 0.0, c1_lower)
-    u, _, steps, (lo, hi) = _branch_root(c1, upper=surface.kind is SurfaceKind.GEHRING)
+    c1 = xp.minimum(xp.maximum(c1_lower - height, 0.0), c1_lower)
+    u, _, _, steps = _log_root(c1, upper=surface.kind is SurfaceKind.GEHRING)
     u = xp.where(c1 == c1_lower, g, u)
-    if surface.kind is SurfaceKind.AINF_UPPER:
-        return x * (g / u), steps, (x * (g / hi), x * (g / lo))
-    return x * (u / g), steps, (x * (lo / g), x * (hi / g))
+    return (x * (g / u) if surface.kind is SurfaceKind.AINF_UPPER else x * (u / g)), steps, c1
 
 
 def tangent_point(surface: BellmanSurface, x: float, y: float) -> RootResult:
@@ -145,7 +146,12 @@ def tangent_point(surface: BellmanSurface, x: float, y: float) -> RootResult:
     if not in_domain(surface, x, y, tol=1e-9):
         raise DomainError(f"point ({x}, {y}) outside the {surface.kind.value} domain")
     x, y = float(x), float(y)
-    v, steps, bracket = _tangent_solve(surface, x, y)
+    v, steps, c1 = _tangent_solve(surface, x, y)
+    g, (lo, hi) = surface.gamma, _bracket(c1, upper=surface.kind is SurfaceKind.GEHRING)
+    if surface.kind is SurfaceKind.AINF_UPPER:
+        bracket = (x * (g / hi), x * (g / lo))
+    else:
+        bracket = (x * (lo / g), x * (hi / g))
     return RootResult(v, _tangent_y(surface, x, v) - y, bracket, steps)
 
 
@@ -159,13 +165,16 @@ def _tangent_y(surface: BellmanSurface, x, v):
 
 def _value(surface: BellmanSurface, x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     g = surface.gamma
-    if surface.kind is SurfaceKind.AINF_UPPER:
-        return x * np.log(v) + (x - v) / g
     if surface.kind is SurfaceKind.GEHRING:
         eps = _require_eps(surface)
         d = 1.0 + eps - g * eps
         return v**eps * (x * (1.0 + eps) - eps * g * v) / d
-    return np.log(v) + (x - v) / (g * v)
+    # numpy's log for a float too (its bits are the pinned ones), then float arithmetic,
+    # where a value past the double range reads inf without a RuntimeWarning
+    log_v = np.log(v) if isinstance(v, np.ndarray) else float(np.log(v))
+    if surface.kind is SurfaceKind.AINF_UPPER:
+        return x * log_v + (x - v) / g
+    return log_v + (x - v) / (g * v)
 
 
 def _require_eps(surface: BellmanSurface) -> float:

@@ -20,6 +20,7 @@ suprema sit on breakpoint-anchored intervals.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -329,11 +330,14 @@ def rh1_prime_constant(
 # Orlicz (Luxemburg) norms
 
 
+@functools.cache
 def _gl_panels(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of `panels` equal 16-point Gauss-Legendre panels on [0, 1]."""
+    """Nodes and weights of `panels` equal 16-point Gauss-Legendre panels on [0, 1], read-only."""
     x, wts = np.polynomial.legendre.leggauss(16)
     k = np.arange(panels)[:, None]
-    return ((k + 0.5 + 0.5 * x) / panels).ravel(), np.tile(0.5 * wts / panels, panels)
+    nodes, weights = ((k + 0.5 + 0.5 * x) / panels).ravel(), np.tile(0.5 * wts / panels, panels)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 # the substituted end takes 8 panels on each side of the knee in x, and its

@@ -79,6 +79,8 @@ def default_target(spec: ExtremalSpec) -> tuple[float, float]:
     if spec.family is Family.AINF_UPPER:
         # mid-domain: x = 1, x e^{-y} = sqrt(Q)
         return 1.0, -0.5 * math.log(spec.q)
+    if spec.family is Family.FUNNY:
+        return 1.0, spec.q  # entropy point of the spike, on the upper boundary
     gp = gamma_entropy_roots(spec.q)[1].root
     if spec.family is Family.GEHRING_BOUNDARY:
         x = gp
@@ -87,7 +89,6 @@ def default_target(spec: ExtremalSpec) -> tuple[float, float]:
         # midpoint of the tangent segment through v = 1
         x = 0.5 * (1.0 + gp)
         return x, gp * (x - 1.0)
-    return 1.0, spec.q  # FUNNY: entropy point of the spike, on the upper boundary
 
 
 def _power_spike(value: float, glue: float, exponent: float) -> Weight:
@@ -152,6 +153,8 @@ def attainment_check(spec: ExtremalSpec, eps: float | None = None) -> Attainment
 
     AINF_UPPER compares avg(w log w); GEHRING families compare avg(w^{1+eps});
     FUNNY compares avg(log w) against the lower surface.  The gap is relative.
+    The funny weight depends on q alone and attains only default_target: a
+    target of that family elsewhere in the domain raises InfeasibleTargetError.
     """
     eff_eps = eps if eps is not None else spec.eps
     if spec.family in (Family.GEHRING_BOUNDARY, Family.GEHRING_INTERIOR):
@@ -164,6 +167,10 @@ def attainment_check(spec: ExtremalSpec, eps: float | None = None) -> Attainment
     surface = _surface_for(spec)
     full = Interval(0.0, 1.0)
     value = evaluate(surface, x, y)
+    if spec.family is Family.FUNNY and tuple(target) != default_target(spec):
+        raise InfeasibleTargetError(
+            f"target ({x}, {y}): the funny weight for q = {spec.q} attains only {default_target(spec)}"
+        )
     if spec.family is Family.AINF_UPPER:
         measured = moment(w, full, MomentKind.AVG_W_LOG_W)
     elif spec.family is Family.FUNNY:

@@ -2,10 +2,11 @@
 
 The tangency slopes gamma_- and gamma_+, the sharp Gehring gap eps_minus and
 (in bellman) the surfaces' tangent abscissae are all branch roots of
-t - log t = c.  One kernel, _branch_root, solves that equation for a float or
-an array: Halley steps in s = log t inside closed-form brackets, started from
-the Lambert W series of Corless, Gonnet, Hare, Jeffrey and Knuth, "On the
-Lambert W function" (1996).  gehring_sharp_eps is solved by bisection.
+t - log t = c.  One kernel, _branch_root on its loop _log_root, solves that
+equation for a float or an array: Halley steps in s = log t inside
+closed-form brackets, started from the Lambert W series of Corless, Gonnet,
+Hare, Jeffrey and Knuth, "On the Lambert W function" (1996).
+gehring_sharp_eps is solved by bisection.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ def bisect(f, lo: float, hi: float, max_iter: int = 600) -> RootResult:
 # domain and Hessian), where a float call costs microseconds; arrays use numpy
 _FLOAT_OPS = SimpleNamespace(
     expm1=math.expm1, log1p=math.log1p, exp=math.exp, log=math.log, sqrt=math.sqrt,
-    clip=lambda x, lo, hi: min(max(x, lo), hi), where=lambda c, a, b: a if c else b, all=bool,
+    where=lambda c, a, b: a if c else b, all=bool,
     isfinite=math.isfinite, minimum=min, maximum=max,
 )
 _MAX_STEPS = 40
@@ -108,7 +109,7 @@ def _excess(s):
 def _series_step(s, em1, c1, d):
     """The last step d, redone where |s| < _EXCESS_SERIES_S with h from _excess.
 
-    There h = (-s - c1) + em1 is ~1e-16 |s| off, which leaves s ~1e-16 off
+    There h = em1 - (s + c1) is ~1e-16 |s| off, which leaves s ~1e-16 off
     in absolute terms, while t - 1 ~ s near the double root needs relative.
     """
     if isinstance(s, float):
@@ -117,6 +118,31 @@ def _series_step(s, em1, c1, d):
     if small.any():
         d[small] = _halley(_excess(s[small]) - c1[small], em1[small])
     return d
+
+
+def _log_root(c1, upper: bool):
+    """The Halley loop of _branch_root: (t, s, dt, steps), t = e^s + dt the root.
+
+    t - 1 = expm1(s) + dt and the bracket are left to the callers that read them.
+    """
+    c1 = c1 + 5e-324  # keeps every iterate, and so h'(s) = e^s - 1, off zero
+    xp = _ops(c1)
+    lo = xp.log1p(c1) if upper else -1.0 - c1
+    hi = lo + math.log(2.0) if upper else -c1
+    # t = -W(-e^{-c}) = 1 + p + p^2/3 + 11 p^3/72 + ..., p = -+sqrt(2 (1 - e^{-c1})),
+    # so s = p - p^2/6 + 11 p^3/72 + ...; far from c = 1 the clip takes over
+    p = (1.0 if upper else -1.0) * xp.sqrt(-2.0 * xp.expm1(-c1))
+    s = xp.minimum(xp.maximum(p - p * p / 6.0 + (11.0 / 72.0) * p * p * p, lo), hi)
+    for steps in range(1, _MAX_STEPS + 1):
+        em1 = xp.expm1(s)
+        d = _halley(em1 - (s + c1), em1)
+        if xp.all(abs(d) <= 4.0 * sys.float_info.epsilon * (1.0 + abs(s))):
+            break
+        s = xp.minimum(xp.maximum(s - d, lo), hi)
+    d = _series_step(s, em1, c1, d)
+    e_s = xp.exp(s)
+    dt = e_s * xp.expm1(-d)  # e^{s - d} - e^s, without rounding s - d
+    return e_s + dt, s, dt, steps
 
 
 def _branch_root(c1, upper: bool):
@@ -128,27 +154,18 @@ def _branch_root(c1, upper: bool):
     (lower) or t in [c, 2c] (upper), and take at most four steps.  The last
     one, within 4 ulp of 1 + |s| (redone by _series_step near s = 0), is
     applied as a factor e^{-d}, so t and t - 1 keep full precision.  Returns
-    (t, t - 1, steps, (t_lo, t_hi)).
+    (t, t - 1, steps, (t_lo, t_hi)).  The array callers in bellman read t
+    alone: they call the loop, _log_root, and form neither t - 1 nor the bracket.
     """
-    c1 = c1 + 5e-324  # keeps every iterate, and so h'(s) = e^s - 1, off zero
-    xp = _ops(c1)
-    log_c = xp.log1p(c1)
-    lo, hi = (log_c, log_c + math.log(2.0)) if upper else (-1.0 - c1, -c1)
-    # t = -W(-e^{-c}) = 1 + p + p^2/3 + 11 p^3/72 + ..., p = -+sqrt(2 (1 - e^{-c1})),
-    # so s = p - p^2/6 + 11 p^3/72 + ...; far from c = 1 the clip takes over
-    p = (1.0 if upper else -1.0) * xp.sqrt(-2.0 * xp.expm1(-c1))
-    s = xp.clip(p - p * p / 6.0 + (11.0 / 72.0) * p * p * p, lo, hi)
-    for steps in range(1, _MAX_STEPS + 1):
-        em1 = xp.expm1(s)
-        d = _halley((-s - c1) + em1, em1)
-        if xp.all(abs(d) <= 4.0 * sys.float_info.epsilon * (1.0 + abs(s))):
-            break
-        s = xp.clip(s - d, lo, hi)
-    d = _series_step(s, em1, c1, d)
-    bracket = (1.0 + c1, 2.0 + 2.0 * c1) if upper else (xp.exp(lo), xp.exp(hi))
-    e_s = xp.exp(s)
-    dt = e_s * xp.expm1(-d)  # e^{s - d} - e^s, without rounding s - d
-    return e_s + dt, xp.expm1(s) + dt, steps, bracket
+    t, s, dt, steps = _log_root(c1, upper)
+    return t, _ops(t).expm1(s) + dt, steps, _bracket(c1, upper)
+
+
+def _bracket(c1, upper: bool):
+    """_branch_root's bracket in t: [c, 2c] (upper) or [e^{-c}, e^{1-c}], c = 1 + c1."""
+    c1 = c1 + 5e-324  # _log_root's c1: the ends are e to its clip bounds
+    exp = _ops(c1).exp
+    return (1.0 + c1, 2.0 + 2.0 * c1) if upper else (exp(-1.0 - c1), exp(-c1))
 
 
 def _root_result(c1: float, upper: bool) -> RootResult:
@@ -261,8 +278,12 @@ def good_lambda_verify(n: int, q: float) -> float:
     small as e^{-8q}, far below double rounding for large q.  The returned
     gap is that exponent with the exact cancellation performed analytically;
     nan where it is no negative normal double (subnormal from q ~ 88, then -0.0).
+    Below 8q = log 2, log(1 - e^{-8q}) is log(-expm1(-8q)): there e^{-8q}
+    rounds toward 1, and to 1 itself, a log1p(-1) domain error, once 8q < 1.1e-16.
     """
-    gap = gehring_dim_n_eps(n, q) * math.log1p(-math.exp(-8.0 * q))
+    x = 8.0 * q
+    log_margin = math.log1p(-math.exp(-x)) if x >= math.log(2.0) else math.log(-math.expm1(-x))
+    gap = gehring_dim_n_eps(n, q) * log_margin
     return gap if gap <= -sys.float_info.min else math.nan
 
 

@@ -146,6 +146,15 @@ def _expm1_ratio(z):
     return math.expm1(z) / z if z != 0.0 else 1.0
 
 
+def _log_ratio(s, e):
+    """log(e / s) for 0 < s < e, also where a subnormal s overflows e / s."""
+    ratio = e / s
+    if isinstance(ratio, float):
+        return math.log(ratio) if ratio < math.inf else math.log(e) - math.log(s)
+    over = ratio == math.inf
+    return np.where(over, np.log(e) - np.log(s), np.log(ratio)) if over.any() else np.log(ratio)
+
+
 def _power_diff(g: float, s, e):
     """(e^g - s^g)/g for 0 < s < e, continuous through g = 0 (-> log(e/s)).
 
@@ -155,8 +164,7 @@ def _power_diff(g: float, s, e):
     """
     if g == 1.0:
         return e - s
-    ratio = e / s
-    big = _ops(ratio).log(ratio)
+    big = _log_ratio(s, e)
     z = g * big
     if isinstance(z, np.ndarray):
         return np.where(abs(z) < 0.5, s**g * big * _expm1_ratio(z), (e**g - s**g) / g)
@@ -219,7 +227,7 @@ def _closed_form(c: float, alpha: float, s, e, kind: MomentKind):
         return c * math.log(c) * ea1 / a1 + c * alpha * ea1 * (xp.log(e) / a1 - 1.0 / (a1 * a1))
     # the second integral via t = s e^u is s^{a1} (log(s) (e^{a1 L} - 1)/a1 + int_0^L u e^{a1 u} du),
     # L = log(e/s), where |a1 L| < 1/2; elsewhere the closed form, which cancels there
-    big = xp.log(e / s)
+    big = _log_ratio(s, e)
     z = a1 * big
     near = abs(z) < 0.5
     array = isinstance(near, np.ndarray)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -13,6 +14,7 @@ from weightlab import (
     evaluate_surface,
     hessian,
     in_domain,
+    sharpness_sweep,
     tangent_linearity_check,
     tangent_point,
 )
@@ -20,7 +22,7 @@ from weightlab import bellman
 from weightlab.bellman import evaluate_many, hessian_signature, interior_grid
 from weightlab.solvers import funny_bound, gamma_entropy_roots
 
-from _frozen import FUNNY_BOUND_1, GAMMA_PLUS_1, GEHRING_B_1_03, RATIO_BOUND_E
+from _frozen import ARRAY_PATH_SHA256, FUNNY_BOUND_1, GAMMA_PLUS_1, GEHRING_B_1_03, RATIO_BOUND_E
 
 
 def mp_tangent(surface, x, y):
@@ -427,6 +429,50 @@ class TestFloatPathPins:
             got = [tangent_linearity_check(surface, v) for v in (0.5, 1.0, 1.9)]
             assert all(type(d) is float for d in got)
             assert got == devs
+
+
+def _array_path_digest() -> str:
+    """sha256 over the tobytes() of the array surface path's outputs, in a fixed order.
+
+    Per surface and q: evaluate_many at seeded points from below the lower to above the
+    upper boundary, with nan, +-inf, 0 and 5e-324 mixed into x and y (one call of more
+    than bellman._BLOCK points, so block cuts enter too); the array Hessian at the points
+    inside; tangent_linearity_check at seeded v.  Then sharpness_sweep over 3,000
+    log-uniform q in [1e-15, 700].
+    """
+    rng = np.random.default_rng(20140)
+    special = np.array([math.nan, math.inf, -math.inf, 0.0, 5e-324, -5e-324, 1.0])
+    surfaces = [
+        *(BellmanSurface(SurfaceKind.AINF_UPPER, q) for q in (1.5, 3.0, 50.0, 1e4, 1e12)),
+        *(gehring_surface(q, frac) for q, frac in ((0.05, 0.3), (1.0, 0.5), (20.0, 0.9), (700.0, 0.5))),
+        *(BellmanSurface(SurfaceKind.AINF_LOWER, q) for q in (0.05, 1.0, 20.0, 250.0, 700.0)),
+    ]
+    h = hashlib.sha256()
+    with np.errstate(all="ignore"):
+        for k, surface in enumerate(surfaces):
+            n = 9000 if k == 0 else 1500
+            x = np.exp(rng.uniform(-6.0, 6.0, n))
+            frac = np.concatenate([rng.uniform(-0.1, 1.1, n - 200), np.tile([0.0, 1.0], 100)])
+            if surface.entropy_coordinates:
+                y = x * np.log(x) + frac * surface.q * x
+            else:
+                y = np.log(x) - frac * math.log(surface.q)
+            x[rng.integers(0, n, 60)] = rng.choice(special, 60)
+            y[rng.integers(0, n, 60)] = rng.choice(special, 60)
+            h.update(evaluate_many(surface, x, y).tobytes())
+            inside = in_domain(surface, x, y, tol=1e-9) & (frac > 0.0) & (frac < 1.0)
+            h.update(hessian(surface, x[inside], y[inside]).matrix.tobytes())
+            v = np.concatenate([np.exp(rng.uniform(-8.0, 8.0, 40)), [5e-324, 1.0]])
+            h.update(tangent_linearity_check(surface, v).tobytes())
+        qs = np.exp(rng.uniform(math.log(1e-15), math.log(700.0), 3000))
+        h.update(np.array(sharpness_sweep(tuple(qs.tolist()))).tobytes())
+    return h.hexdigest()
+
+
+class TestArrayPathPin:
+    def test_outputs_bit_identical(self):
+        # one bit moved in any of these outputs moves the digest
+        assert _array_path_digest() == ARRAY_PATH_SHA256
 
 
 class TestBoundsCheck:

@@ -85,6 +85,12 @@ class TestSolve:
         assert (payload["good_lambda_alpha"], payload["good_lambda_beta"]) == (0.0, 0.25)
         assert payload["eps"] > 0.0
 
+    def test_gehring_n_tiny_q_prints_a_finite_gap(self, capsys):
+        # e^-8q rounds to 1 below 8q ~ 1.1e-16; the gap ~ eps log(8q) is finite
+        assert cli.main(["solve", "--equation", "gehring-n", "--q", "1e-20", "--n", "3"]) == 0
+        gap = _strict_json_out(capsys)["log_product_gap"]
+        assert gap == pytest.approx(2.0 / 3.0 * math.log(8e-20), rel=1e-15)
+
     @pytest.mark.parametrize("q", ["80", "100"])
     def test_gehring_n_gap_is_negative_or_null(self, q, capsys):
         # the gap ~ -eps e^-8q is a normal double at q = 80; at q = 100 it rounds
@@ -554,6 +560,13 @@ class TestBellman:
         assert captured.out == ""
         assert captured.err.startswith("error: point (5e-324, -3.676e-321): ") and "underflows to 0" in captured.err
 
+    def test_eval_value_past_the_double_range_prints_null(self, capsys):
+        # x log v ~ 7e308 overflows; the value prints null, with no RuntimeWarning
+        rc = cli.main(["bellman", "--surface=ainf-upper", "--q=10.0", "--eval=1e+306,704.591038456178"])
+        assert rc == 0
+        payload = _strict_json_out(capsys)
+        assert payload["value"] is None and payload["tangent"] == 1e306
+
     def test_eval_overflowing_point_exits_2(self, capsys):
         rc = cli.main(["bellman", "--surface", "ainf-upper", "--q", "2", "--eval", "1,-1000"])
         assert rc == 2
@@ -640,6 +653,15 @@ class TestExtremal:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "(5e-324, " in captured.err and "underflows to 0" in captured.err
+
+    def test_funny_target_elsewhere_exits_2(self, capsys):
+        # the funny weight depends on q alone: its gap at another point measures nothing
+        assert cli.main(["extremal", "--family", "funny", "--q", "1", "--x", "2", "--y", "1.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: target (2.0, 1.5): the funny weight for q = 1.0 attains only (1.0, 1.0)\n"
+        assert cli.main(["extremal", "--family", "funny", "--q", "1", "--x", "1", "--y", "1"]) == 0
+        assert _strict_json_out(capsys)["gap"] == 0.0
 
     def test_emit_other_suffix_exits_2(self, tmp_path, capsys):
         out = tmp_path / "w.txt"

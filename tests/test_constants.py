@@ -653,6 +653,12 @@ def _mp_llogl_root(alpha, lo, hi, rtol):
 
 
 class TestOrliczKernel:
+    def test_panels_are_shared_and_read_only(self):
+        nodes, weights = constants._gl_panels(6)
+        assert constants._gl_panels(6)[0] is nodes
+        assert not (nodes.flags.writeable or weights.flags.writeable)
+        assert nodes.shape == weights.shape == (96,) and math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+
     @pytest.mark.parametrize("alpha", [-0.5, -0.9, -0.99, -0.999])
     def test_singular_power_matches_mpmath(self, alpha):
         # every [0, b] gives the ratio of [0, 1] for a pure power; the graded

@@ -165,6 +165,16 @@ class TestDimensionalRoute:
             for q in (0.5, 1.0, 5.0):
                 assert solvers.good_lambda_verify(n, q) < 0.0
 
+    def test_good_lambda_gap_at_tiny_q(self):
+        # below 8q = log 2 the margin log(1 - e^-8q) comes from expm1: at q = 1e-20
+        # e^-8q rounds to 1, and log1p(-e^-8q) would be log1p(-1)
+        for q in (0.08, 1e-3, 1e-9, 1e-20, 1e-300, 5e-324):
+            with mpmath.workdps(40):
+                Q = mpmath.mpf(q)
+                want = mpmath.log(4) / (3 * mpmath.log(2) + 8 * Q) * mpmath.log(-mpmath.expm1(-8 * Q))
+            assert solvers.good_lambda_verify(3, q) == pytest.approx(float(want), rel=4e-16), q
+        assert solvers.good_lambda_verify(3, 1e-20) == pytest.approx(-29.31484021213406, rel=1e-15)
+
     def test_good_lambda_params(self):
         alpha, beta = solvers.good_lambda_params(1.0)
         assert beta == 0.25

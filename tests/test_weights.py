@@ -159,6 +159,17 @@ class TestMoments:
             got = moment(w, Interval(delta, 1.0), MomentKind.AVG_W_POW, p) * (1 - delta)
             assert got == pytest.approx(math.log(1.0 / delta), rel=1e-12)
 
+    def test_subnormal_piece_start_overflows_no_ratio(self):
+        # e / s overflows at s = 5e-324, its logs do not: the t^-1 piece's mass is
+        # log(e / s) = 1074 log 2, and its avg(w log w) is (log s)^2 / 2
+        w = weight_from_dict({"pieces": [{"a": 0.0, "b": 5e-324, "coeff": 1.0, "exponent": 0.0},
+                                         {"a": 5e-324, "b": 1.0, "coeff": 1.0, "exponent": -1.0}]})
+        mass = 1074.0 * math.log(2.0)
+        assert moment(w, Interval(0.0, 1.0), MomentKind.AVG_W) == pytest.approx(mass, rel=1e-15)
+        assert moment(w, Interval(0.0, 1.0), MomentKind.AVG_W_LOG_W) == pytest.approx(mass * mass / 2.0, rel=1e-15)
+        cum = cumulative_moment(w, np.array([0.0, 0.5, 1.0]), MomentKind.AVG_W)
+        assert cum.tolist() == pytest.approx([0.0, mass - math.log(2.0), mass], rel=1e-15)
+
     def test_cumulative_matches_moment(self, corpus):
         # the ainf extremals are spikes t^(g - 1) with g down to 4e-16 on [0, x]
         spikes = [build_extremal(ExtremalSpec(Family.AINF_UPPER, 10.0**k)) for k in (4, 6, 8, 10, 12, 15)]
