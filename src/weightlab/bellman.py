@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .solvers import RootResult, _bracket, _log_root, _ops, gamma_entropy_roots, gamma_log
+from .solvers import RootResult, _bracket, _log_bound, _log_root, _ops, gamma_entropy_roots, gamma_log
 
 __all__ = [
     "SurfaceKind",
@@ -35,6 +35,7 @@ __all__ = [
     "hessian",
     "hessian_signature",
     "tangent_linearity_check",
+    "tangent_linearity_excess",
     "interior_grid",
     "bounds_check_ainf",
 ]
@@ -345,6 +346,18 @@ def tangent_linearity_check(surface: BellmanSurface, v, n_samples: int = 33):
     measures how well evaluate() inverts the tangent equation.  An array of
     v gives one deviation per v from one evaluate_many call.
     """
+    dev = tangent_linearity_excess(surface, v, n_samples)[2]
+    return float(dev) if dev.ndim == 0 else dev
+
+
+def tangent_linearity_excess(surface: BellmanSurface, v, n_samples: int = 33):
+    """Excess over affinity on each tangent segment, its threshold 1e-9, and the deviations.
+
+    The deviation is rounding in evaluate, which grows with the surface's size
+    (e^q on AINF_LOWER), so, as hessian_signature scales by the entries, the
+    excess is the deviation over max(1, max |B| on the segment).  A non-finite
+    deviation or scale gives an infinite excess.
+    """
     v = np.asarray(v, dtype=float)
     if not np.all((v > 0.0) & np.isfinite(v)):
         raise ParameterError(f"tangent abscissa must be positive, got {v}")
@@ -354,8 +367,9 @@ def tangent_linearity_check(surface: BellmanSurface, v, n_samples: int = 33):
     vals = evaluate_many(surface, xs, _tangent_y(surface, xs, v[..., None]))
     tau = (xs - xs[..., :1]) / (xs[..., -1:] - xs[..., :1])
     affine = vals[..., :1] * (1.0 - tau) + vals[..., -1:] * tau  # exact at both ends
-    dev = np.max(np.abs(vals - affine), axis=-1)
-    return float(dev) if dev.ndim == 0 else dev
+    dev, top = np.max(np.abs(vals - affine), axis=-1), np.max(np.abs(vals), axis=-1)
+    finite = np.isfinite(dev) & np.isfinite(top)
+    return np.where(finite, dev, np.inf) / np.maximum(1.0, np.where(finite, top, 1.0)), 1e-9, dev
 
 
 def interior_grid(surface: BellmanSurface, n_x: int, n_f: int) -> tuple[np.ndarray, np.ndarray]:
@@ -377,14 +391,17 @@ class BoundsReport:
     max_upper_violation: float
     ratio_max: float
     ratio_bound: float
+    passed: bool
 
 
 def bounds_check_ainf(q: float, grid: int = 100) -> BoundsReport:
     """Check x log x <= B <= x log x + e q x on a grid of the log domain.
 
-    Violations are reported as positive excesses (0 means the bound holds);
-    ratio_max is the grid maximum of (B - x log x)/x, mathematically equal to
-    the closed form log g + 1/g - 1 attained on the upper boundary.
+    Violations are reported as positive excesses (0 means the bound holds), and
+    the check passes when both are at most 1e-9.  ratio_max is the grid maximum
+    of (B - x log x)/x, mathematically equal to ratio_bound = log g + 1/g - 1,
+    attained on the upper boundary; for g > 1/4 (q below ~1.89) ratio_bound is
+    solvers._log_bound, which keeps the digits the direct form cancels near q = 1.
     """
     surface = BellmanSurface(SurfaceKind.AINF_UPPER, q)
     if grid < 2:
@@ -396,14 +413,15 @@ def bounds_check_ainf(q: float, grid: int = 100) -> BoundsReport:
     vals = evaluate_many(surface, xg.ravel(), yg.ravel())
     base = (xg * np.log(xg)).ravel()
     xflat = xg.ravel()
-    lower = np.max(base - vals)
-    upper = np.max(vals - base - math.e * q * xflat)
+    lower = float(max(np.max(base - vals), 0.0))
+    upper = float(max(np.max(vals - base - math.e * q * xflat), 0.0))
     ratio = np.max((vals - base) / xflat)
     g = surface.gamma
     return BoundsReport(
         grid=grid,
-        max_lower_violation=float(max(lower, 0.0)),
-        max_upper_violation=float(max(upper, 0.0)),
+        max_lower_violation=lower,
+        max_upper_violation=upper,
         ratio_max=float(ratio),
-        ratio_bound=math.log(g) + 1.0 / g - 1.0,
+        ratio_bound=_log_bound(math.log(q)) if g > 0.25 else math.log(g) + 1.0 / g - 1.0,
+        passed=lower <= 1e-9 and upper <= 1e-9,
     )

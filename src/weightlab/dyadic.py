@@ -248,6 +248,10 @@ class ChainReport:
     meets_target: bool
     final_gap: float
 
+    @property
+    def passed(self) -> bool:
+        return self.monotone and self.meets_target
+
 
 def chain_verify(surface: BellmanSurface, w: Weight, tree: PartitionTree) -> ChainReport:
     """Telescoping check: per-generation surface sums decrease toward the moment.

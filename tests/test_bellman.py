@@ -19,8 +19,8 @@ from weightlab import (
     tangent_point,
 )
 from weightlab import bellman
-from weightlab.bellman import evaluate_many, hessian_signature, interior_grid
-from weightlab.solvers import funny_bound, gamma_entropy_roots
+from weightlab.bellman import evaluate_many, hessian_signature, interior_grid, tangent_linearity_excess
+from weightlab.solvers import funny_bound, gamma_entropy_roots, gamma_log
 
 from _frozen import ARRAY_PATH_SHA256, FUNNY_BOUND_1, GAMMA_PLUS_1, GEHRING_B_1_03, RATIO_BOUND_E
 
@@ -38,6 +38,31 @@ def mp_tangent(surface, x, y):
         f = lambda s: (s + g) * X - g * mpmath.exp(s) - Y
         v = mpmath.exp(mpmath.findroot(f, (mpmath.log(X), mpmath.log(X / g)), solver="anderson"))
         return float(v), float(mpmath.log(v) + (X - v) / (g * v))
+
+
+def mp_value(surface, x, y):
+    """Surface value at the double point (x, y) with 50 digits, any surface.
+
+    The same tangent equation u - log u = 1 + c1 as bellman's, its root and gamma
+    taken by Lambert W (no Halley kernel), and the closed-form value at v.
+    """
+    with mpmath.workdps(50):
+        X, Y, Q = map(mpmath.mpf, (x, y, surface.q))
+        branch = -1 if surface.kind is SurfaceKind.GEHRING else 0
+        root = lambda c1: -mpmath.re(mpmath.lambertw(-mpmath.exp(-1 - c1), branch))
+        if surface.kind is SurfaceKind.AINF_UPPER:
+            c1_lower, height = mpmath.log(Q), mpmath.log(X) - Y
+        else:
+            c1_lower, height = Q, (Y - X * mpmath.log(X)) / X
+        g, u = root(c1_lower), root(min(max(c1_lower - height, 0), c1_lower))
+        if surface.kind is SurfaceKind.AINF_UPPER:
+            v = X * g / u
+            return float(X * mpmath.log(v) + (X - v) / g)
+        v = X * u / g
+        if surface.kind is SurfaceKind.GEHRING:
+            eps = mpmath.mpf(surface.eps)
+            return float(v**eps * (X * (1 + eps) - eps * g * v) / (1 + eps - g * eps))
+        return float(mpmath.log(v) + (X - v) / (g * v))
 
 
 def gehring_surface(q, frac=0.5):
@@ -230,6 +255,83 @@ class TestTangent:
                 assert dev <= 1e-9
                 # two samples see only the segment endpoints: affine up to ulps
                 assert tangent_linearity_check(surface, v, n_samples=2) <= 1e-15
+
+
+def _bent(f):
+    """A _tangent_y that bends each segment's interior off its tangent line, into the
+    domain, by f * tau (1 - tau) of the domain's height at x (tau in [0, 1] along it)."""
+    straight = bellman._tangent_y
+
+    def tangent_y(surface, x, v):
+        tau = (x - x[..., :1]) / (x[..., -1:] - x[..., :1])
+        if surface.kind is SurfaceKind.AINF_UPPER:
+            return straight(surface, x, v) - f * tau * (1.0 - tau) * math.log(surface.q)
+        return straight(surface, x, v) + f * tau * (1.0 - tau) * surface.q * x
+
+    return tangent_y
+
+
+class TestTangentExcess:
+    @pytest.mark.parametrize("surface", Q_SPAN, ids=Q_SPAN_IDS)
+    def test_relative_rule_passes_and_keeps_the_deviation(self, surface):
+        vs = np.linspace(0.5, 2.0, 24)
+        excess, threshold, dev = tangent_linearity_excess(surface, vs)
+        assert threshold == 1e-9
+        assert np.max(excess) <= 1e-13  # 1.1e-14 at most here, on AINF_LOWER at q = 250
+        assert dev.tobytes() == tangent_linearity_check(surface, vs).tobytes()
+
+    def test_absolute_deviation_is_large_where_the_surface_is(self):
+        # the absolute 1e-9 bound failed these; over max(1, |B|) they are rounding
+        for surface, at_least in ((BellmanSurface(SurfaceKind.AINF_UPPER, 1e6), 1e-3),
+                                  (BellmanSurface(SurfaceKind.AINF_LOWER, 250.0), 1e90)):
+            excess, threshold, dev = tangent_linearity_excess(surface, np.linspace(0.5, 2.0, 24))
+            assert np.max(dev) >= at_least
+            assert np.all(excess <= threshold)
+
+    @pytest.mark.parametrize(
+        "surface",
+        [BellmanSurface(SurfaceKind.AINF_UPPER, 1e6), gehring_surface(700.0),
+         BellmanSurface(SurfaceKind.AINF_LOWER, 80.0), BellmanSurface(SurfaceKind.AINF_LOWER, 250.0)],
+        ids=["upper-q1e6", "gehring-q700", "lower-q80", "lower-q250"],
+    )
+    def test_deviation_is_rounding(self, surface):
+        # at the segment's own double sample points, the 50-digit surface is affine to
+        # 2 ulp of its scale, and evaluate_many is within 64 ulp of it (49 ulp on
+        # AINF_LOWER at q = 250, 1.2 on AINF_UPPER at q = 1e6); the float deviation is
+        # no more than these two errors
+        eps = np.finfo(float).eps
+        for v in (0.5, 1.0, 1.9):
+            xs = np.linspace(*bellman._tangent_segment(surface, np.float64(v)), 33)
+            ys = bellman._tangent_y(surface, xs, v)
+            vals = evaluate_many(surface, xs, ys)
+            exact = np.array([mp_value(surface, float(x), float(y)) for x, y in zip(xs, ys)])
+            tau = (xs - xs[0]) / (xs[-1] - xs[0])
+            chord = lambda b: np.max(np.abs(b - (b[0] * (1.0 - tau) + b[-1] * tau)))
+            scale = max(1.0, np.max(np.abs(vals)))
+            assert chord(exact) <= 2.0 * eps * scale
+            assert np.max(np.abs(vals - exact)) <= 64.0 * eps * scale
+            excess = tangent_linearity_excess(surface, v)[0]
+            assert excess * scale <= chord(exact) + 2.0 * np.max(np.abs(vals - exact))
+
+    @pytest.mark.parametrize("surface", Q_SPAN, ids=Q_SPAN_IDS)
+    def test_bent_segment_fails(self, surface, monkeypatch):
+        # negative control: 1% of the domain's height off the tangent line is no rounding
+        monkeypatch.setattr(bellman, "_tangent_y", _bent(1e-2))
+        with np.errstate(all="ignore"):
+            excess, threshold, _ = tangent_linearity_excess(surface, np.linspace(0.5, 2.0, 5))
+        assert np.min(excess) > 10.0 * threshold
+
+    def test_non_finite_deviation_or_scale_fails(self, monkeypatch):
+        with np.errstate(all="ignore"):
+            excess, threshold, dev = tangent_linearity_excess(
+                BellmanSurface(SurfaceKind.AINF_LOWER, 708.9), np.linspace(0.5, 2.0, 8)
+            )
+        assert np.isnan(dev).any() and np.all(excess == math.inf)
+        # a segment whose values all overflow fails too
+        monkeypatch.setattr(bellman, "evaluate_many", lambda *args: np.full(args[1].shape, math.inf))
+        with np.errstate(all="ignore"):
+            excess = tangent_linearity_excess(BellmanSurface(SurfaceKind.AINF_UPPER, 2.0), 1.0)[0]
+        assert excess == math.inf
 
 
 class TestEvaluate:
@@ -488,6 +590,33 @@ class TestBoundsCheck:
             rep = bounds_check_ainf(q, grid=60)
             assert rep.max_lower_violation <= 1e-9
             assert rep.max_upper_violation <= 1e-9
+
+    def test_passed_is_the_envelope_verdict(self, monkeypatch):
+        assert bounds_check_ainf(2.0, grid=8).passed is True
+        with np.errstate(all="ignore"):
+            assert bounds_check_ainf(1e308, grid=8).passed is False  # overflows to nan
+        # the surface 2e-9 past its upper envelope: a violation over 1e-9 fails
+        many = bellman.evaluate_many
+        monkeypatch.setattr(
+            bellman, "evaluate_many", lambda s, x, y: np.maximum(many(s, x, y), x * np.log(x) + math.e * s.q * x + 2e-9)
+        )
+        rep = bounds_check_ainf(2.0, grid=8)
+        assert rep.max_upper_violation > 1e-9 and rep.passed is False
+
+    def test_ratio_bound_near_q_1_matches_mpmath(self):
+        # the direct form log g + 1/g - 1 was 9.4e-7 off at q = 1 + 1e-12
+        for q in (1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, 1.001, 1.5, 1.88):
+            with mpmath.workdps(60):
+                g = -mpmath.re(mpmath.lambertw(-mpmath.exp(-1 - mpmath.log(mpmath.mpf(q)))))
+                want = mpmath.log(g) + 1 / g - 1
+            got = bounds_check_ainf(q, grid=2).ratio_bound
+            assert abs(got - want) <= 1e-15 * want
+
+    def test_ratio_bound_bytes_from_q_1_89(self):
+        # below g = 1/4 the direct form, at gamma_log's fixed-point g, is kept bit for bit
+        for q in (1.9, 2.0, math.e, 10.0, 1e3, 1e6, 1e30, 1e300):
+            g = gamma_log(q).root
+            assert bounds_check_ainf(q, grid=2).ratio_bound == math.log(g) + 1.0 / g - 1.0
 
     def test_continuity_of_surface_along_path(self):
         # Lipschitz sanity sweep: small steps in (x, y) move B by O(step)

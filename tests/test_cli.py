@@ -4,6 +4,7 @@ All tests drive cli.main() in process and parse what lands on stdout, so
 they cover exactly what a shell user sees.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from weightlab import (
     SurfaceKind,
     bellman,
     cli,
+    dyadic,
     evaluate_surface,
     load_weight,
     luxemburg_norm,
@@ -507,6 +509,29 @@ class TestBellman:
         assert payload["ratio_max"] == cli._fmt(rep.ratio_max)
         assert payload["ratio_bound"] == cli._fmt(rep.ratio_bound)
 
+    @pytest.mark.parametrize("grid", ["-1", "0", "1"])
+    @pytest.mark.parametrize("check", ["bounds", "tangent", "hessian"])
+    def test_verify_grid_below_2_exits_2(self, check, grid, capsys):
+        argv = ["bellman", "--surface", "ainf-upper", "--q", "2.0", "--verify", check, "--grid", grid]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: grid must be >= 2\n"
+
+    @pytest.mark.parametrize(
+        "surface", [["ainf-upper", "--q", "1e6"], ["ainf-lower", "--q", "250"]], ids=["upper-q1e6", "lower-q250"]
+    )
+    def test_verify_tangent_at_large_q_passes_and_a_bent_segment_fails(self, surface, monkeypatch, capsys):
+        # the deviation (3.9e-3 and 1.1e95 here) is rounding against max(1, |B|) on the segment
+        argv = ["bellman", "--surface", *surface, "--verify", "tangent", "--grid", "24"]
+        assert cli.main(argv) == 0
+        payload = _strict_json_out(capsys)
+        assert payload["passed"] is True and payload["max_deviation"] > 1e-9
+        straight = bellman._tangent_y
+        monkeypatch.setattr(bellman, "_tangent_y", lambda s, x, v: straight(s, x, v) * (1.0 + 1e-3 * np.sin(x)))
+        assert cli.main(argv) == 1
+        assert _strict_json_out(capsys)["passed"] is False
+
     def test_verify_bounds_on_gehring_exits_2(self, capsys):
         argv = ["bellman", "--surface", "gehring", "--q", "1.0", "--eps", "0.3", "--verify", "bounds"]
         assert cli.main(argv) == 2
@@ -701,6 +726,24 @@ class TestDyadic:
         assert payload["target"] == pytest.approx(-0.25, abs=1e-12)
         assert payload["monotone"] is True
         assert payload["meets_target"] is True
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_chain_exits_1_and_prints_the_report(self, fmt, linear_file, monkeypatch, capsys):
+        verify = dyadic.chain_verify
+        monkeypatch.setattr(
+            dyadic, "chain_verify", lambda *a: dataclasses.replace(verify(*a), meets_target=False)
+        )
+        rc = cli.main(
+            ["dyadic", "--weight", linear_file, "--mode", "log", "--q", "1.5", "--q1", "1.8",
+             "--depth", "3", "--verify", "--format", fmt]
+        )
+        assert rc == 1
+        out = capsys.readouterr().out
+        if fmt == "json":
+            keys = ["mode", "q", "q1", "depth", "eps", "sums", "target", "monotone", "meets_target", "final_gap"]
+            assert list(json.loads(out)) == keys and json.loads(out)["meets_target"] is False
+        else:
+            assert out.splitlines()[0] == "generation,sum" and len(out.splitlines()) == 5
 
     def test_verify_csv_lists_generations(self, linear_file, capsys):
         rc = cli.main(

@@ -364,6 +364,17 @@ class TestChainVerify:
         )
         assert report.final_gap == report.sums[-1] - report.target
 
+    def test_passed_is_monotone_and_meets_target(self):
+        cfg = SplitConfig(q=Q_LINEAR, q1=Q_LINEAR * 1.02)
+        tree = build_partition(LINEAR, cfg, SplitMode.LOG, max_depth=3)
+        report = chain_verify(BellmanSurface(SurfaceKind.AINF_UPPER, cfg.q1), LINEAR, tree)
+        assert report.passed is True
+        for monotone, meets in ((False, True), (True, False), (False, False)):
+            other = dataclasses.replace(report, monotone=monotone, meets_target=meets)
+            assert other.passed is False
+        # a property, so not among the fields a report prints
+        assert "passed" not in [f.name for f in dataclasses.fields(report)]
+
     def test_chain_regression_off_center_tree(self):
         cfg = SplitConfig(q=Q_LINEAR, q1=Q_LINEAR * 1.02)
         tree = build_partition(LINEAR, cfg, SplitMode.LOG, max_depth=3)
