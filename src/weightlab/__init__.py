@@ -8,7 +8,6 @@ from .bellman import (
     bounds_check_ainf,
     hessian,
     in_domain,
-    tangent_linearity_check,
     tangent_point,
 )
 from .bellman import evaluate as evaluate_surface
@@ -49,7 +48,6 @@ from .extremals import (
     Family,
     attainment_check,
     build,
-    constant_attainment,
     default_target,
     divergence_probe,
     sharpness_sweep,

@@ -34,7 +34,6 @@ __all__ = [
     "evaluate",
     "hessian",
     "hessian_signature",
-    "tangent_linearity_check",
     "tangent_linearity_excess",
     "interior_grid",
     "bounds_check_ainf",
@@ -85,10 +84,12 @@ class BellmanSurface:
         return self.kind is not SurfaceKind.AINF_UPPER
 
 
+@np.errstate(all="ignore")
 def _excess(entropy: bool, q: float, x, y):
     """Gap past the nearer boundary of the q domain over its scale (float, x > 0, or array), <= 0
     inside.  Log coordinates: max(1 - r, r - q) / max(1, q), r = x e^{-y}; entropy coordinates:
-    max(x log x - y, y - x log x - q x) / max(1, |x log x| + q x)."""
+    max(x log x - y, y - x log x - q x) / max(1, |x log x| + q x).  A point far outside
+    overflows to inf, and a non-finite coordinate reads inf or nan, with no warning."""
     xp = _ops(x)
     if entropy:
         base = x * xp.log(x)
@@ -113,8 +114,22 @@ def in_domain(surface: BellmanSurface, x, y, tol: float = DOMAIN_TOL):
     if xp is not np:
         return ok and _excess(surface.entropy_coordinates, surface.q, x, y) <= tol
     x, y = np.where(ok, x, 1.0), np.where(ok, y, 0.0)  # float arrays, masked points at (1, 0)
-    with np.errstate(all="ignore"):  # a point far outside overflows its excess to inf
-        return ok & (_excess(surface.entropy_coordinates, surface.q, x, y) <= tol)
+    return ok & (_excess(surface.entropy_coordinates, surface.q, x, y) <= tol)
+
+
+@np.errstate(all="ignore")
+def _chord_excess(entropy: bool, q: float, p0: list, p1: list) -> np.ndarray:
+    """Largest _excess along each chord p0[k] -> p1[k], exact up to rounding.
+
+    Along a chord log(x e^{-y}) and y - x log x are concave: each boundary gap peaks at
+    an end or at x = dx/dy (log coordinates), x = exp(dy/dx - 1 - q) (entropy), taken at
+    its position s in (0, 1) on p0 + s (p1 - p0).  A non-finite coordinate reads inf or nan.
+    """
+    (x0, y0), (x1, y1) = (np.array(p, dtype=float).reshape(-1, 2).T for p in (p0, p1))
+    dx, dy = x1 - x0, y1 - y0
+    s = ((np.exp(dy / dx - 1.0 - q) if entropy else dx / dy) - x0) / dx
+    s = np.array([np.zeros_like(s), np.ones_like(s), np.where((s > 0.0) & (s < 1.0), s, 0.0)])
+    return _excess(entropy, q, x0 + s * dx, y0 + s * dy).max(axis=0)
 
 
 def _tangent_solve(surface: BellmanSurface, x, y):
@@ -142,14 +157,28 @@ def _tangent_solve(surface: BellmanSurface, x, y):
     return (x * (g / u) if surface.kind is SurfaceKind.AINF_UPPER else x * (u / g)), steps, c1
 
 
+def _admissible_solve(surface: BellmanSurface, x, y):
+    """_tangent_solve at admissible points (floats or arrays).  DomainError names the first
+    point outside the domain, or whose tangent abscissa underflows to 0 (x near 5e-324)."""
+    xp, solved, ok = _ops(x), None, in_domain(surface, x, y, tol=1e-9)
+    if xp.all(ok):
+        solved = _tangent_solve(surface, x, y)
+        ok = solved[0] > 0.0
+    if not xp.all(ok):
+        k = np.argmin(ok)
+        why = "has a tangent abscissa underflowing to 0" if solved else f"outside the {surface.kind.value} domain"
+        raise DomainError(f"point ({np.ravel(x)[k]}, {np.ravel(y)[k]}) {why}")
+    return solved
+
+
 def tangent_point(surface: BellmanSurface, x: float, y: float) -> RootResult:
     """Tangent abscissa v for the point (v = x on the lower boundary), residual at v."""
-    if not in_domain(surface, x, y, tol=1e-9):
-        raise DomainError(f"point ({x}, {y}) outside the {surface.kind.value} domain")
     x, y = float(x), float(y)
-    v, steps, c1 = _tangent_solve(surface, x, y)
+    v, steps, c1 = _admissible_solve(surface, x, y)
     g, (lo, hi) = surface.gamma, _bracket(c1, upper=surface.kind is SurfaceKind.GEHRING)
     if surface.kind is SurfaceKind.AINF_UPPER:
+        if c1 == math.log(surface.q):  # the lower boundary, where u is g: gamma_log's bracket holds it
+            lo, hi = gamma_log(surface.q).bracket
         bracket = (x * (g / hi), x * (g / lo))
     else:
         bracket = (x * (lo / g), x * (hi / g))
@@ -184,24 +213,24 @@ def _require_eps(surface: BellmanSurface) -> float:
     return surface.eps
 
 
-def _evaluate_raw(surface: BellmanSurface, x: float, y: float) -> float:
-    return float(_value(surface, x, y, _tangent_solve(surface, x, y)[0]))
-
-
 def evaluate(surface: BellmanSurface, x: float, y: float) -> float:
     """Surface value at an admissible point."""
     if surface.kind is SurfaceKind.GEHRING:
         _require_eps(surface)
-    if not in_domain(surface, x, y, tol=1e-9):
-        raise DomainError(f"point ({x}, {y}) outside the {surface.kind.value} domain")
+    v = _admissible_solve(surface, x, y)[0]
     try:
-        return _evaluate_raw(surface, x, y)
+        return float(_value(surface, x, y, v))
     except ZeroDivisionError:  # AINF_LOWER divides by g v, which a subnormal v underflows
         raise DomainError(f"point ({x}, {y}): its tangent abscissa times gamma underflows to 0") from None
 
 
+@np.errstate(all="ignore")
 def evaluate_many(surface: BellmanSurface, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate without per-point domain checks (grid verifications)."""
+    """Vectorized evaluate without per-point domain checks (grid verifications).
+
+    A point outside the domain, or whose value passes the double range, reads
+    inf or nan (AINF_LOWER grows like e^q), with no warning.
+    """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     out = np.empty(x.shape)
     xs, ys, vals = x.reshape(-1), y.reshape(-1), out.reshape(-1)
@@ -216,7 +245,6 @@ class HessianResult:
     matrix: np.ndarray
     eigenvalues: tuple
     det: float | np.ndarray
-    method: str
     boundary_warning: bool | np.ndarray
 
 
@@ -238,87 +266,43 @@ def _closed_hessian(surface: BellmanSurface, x, y, v) -> np.ndarray:
     return np.moveaxis(np.array([[bxx, bxy], [bxy, byy]]), (0, 1), (-2, -1))
 
 
-def _boundary_margin(surface: BellmanSurface, x, y):
-    """Safe coordinate step keeping x +- h, y +- h inside the domain."""
-    xp = _ops(x)
-    if surface.entropy_coordinates:
-        base = x * xp.log(x)
-        lower = y - base
-        upper = base + surface.q * x - y
-        slope = abs(xp.log(x)) + 1.0 + surface.q
-        return xp.minimum(lower, upper) / (2.0 * xp.maximum(slope, 1.0))
-    lr = xp.log(x) - y  # = log r in [0, log Q]
-    margin = xp.minimum(lr, math.log(surface.q) - lr)
-    return margin / 2.0 * xp.minimum(1.0, x)
-
-
-def _fd_hessian(surface: BellmanSurface, x: float, y: float, h: float) -> np.ndarray:
-    f = lambda xx, yy: _evaluate_raw(surface, xx, yy)
-
-    def second(h_: float) -> np.ndarray:
-        fxx = (f(x + h_, y) - 2.0 * f(x, y) + f(x - h_, y)) / (h_ * h_)
-        fyy = (f(x, y + h_) - 2.0 * f(x, y) + f(x, y - h_)) / (h_ * h_)
-        fxy = (
-            f(x + h_, y + h_) - f(x + h_, y - h_) - f(x - h_, y + h_) + f(x - h_, y - h_)
-        ) / (4.0 * h_ * h_)
-        return np.array([[fxx, fxy], [fxy, fyy]])
-
-    coarse = second(h)
-    fine = second(h / 2.0)
-    return (4.0 * fine - coarse) / 3.0  # Richardson: O(h^4) truncation
-
-
-def hessian(surface: BellmanSurface, x, y, method: str = "closed") -> HessianResult:
+@np.errstate(all="ignore")
+def hessian(surface: BellmanSurface, x, y) -> HessianResult:
     """Second derivative matrix at an interior point, or (..., 2, 2) matrices at arrays of points.
 
-    "closed" uses implicit-differentiation formulas (det is exactly zero in exact
+    Closed forms by implicit differentiation (det is exactly zero in exact
     arithmetic for all three surfaces), on math for floats, batched for arrays.
-    "fd", the reference for "closed", takes one point: central differences with one
-    Richardson step at h = 1e-5 * max(1, |x|), shrunk near the boundary with a warning flag.
+    boundary_warning flags points within 1e-10 of the boundary, by the domain rule's scale.
+    Where an entry passes the double range (on the boundary, or at extreme q:
+    AINF_UPPER near q = 1e300, AINF_LOWER near q = 700) it reads +-inf, and
+    the eigenvalues and det inf or nan, with no warning.
     """
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     if scalar:
         x, y = float(x), float(y)
     else:
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    inside = in_domain(surface, x, y, tol=1e-9)
-    if not np.all(inside):
-        x, y = np.ravel(x)[np.argmin(inside)], np.ravel(y)[np.argmin(inside)]
-        raise DomainError(f"point ({x}, {y}) outside the {surface.kind.value} domain")
-    margin = _boundary_margin(surface, x, y)
-    if method == "closed":
-        v = _tangent_solve(surface, x, y)[0]
-        warn = margin < 1e-10 * _ops(x).maximum(1.0, abs(x))
+    v = _admissible_solve(surface, x, y)[0]
+    try:
         mat = _closed_hessian(surface, x, y, v)
-    elif method == "fd":
-        h = 1e-5 * max(1.0, abs(x))
-        if margin <= 0.0:
-            raise DomainError("point is on the boundary; finite differences need interior room")
-        warn = margin < 2.0 * h
-        if warn:
-            h = margin / 4.0
-        mat = _fd_hessian(surface, x, y, h)
-    else:
-        raise ParameterError(f"unknown hessian method {method!r}")
+    except ZeroDivisionError:  # a float denominator underflowed to 0: numpy's division gives inf
+        mat = _closed_hessian(surface, np.asarray(x), np.asarray(y), np.asarray(v))
     eigs, det = np.linalg.eigvalsh(mat), np.linalg.det(mat)
     lo, hi = eigs[..., 0], eigs[..., 1]
     if scalar:
         lo, hi, det = float(lo), float(hi), float(det)
-    return HessianResult(
-        matrix=mat,
-        eigenvalues=(lo, hi),
-        det=det,
-        method=method,
-        boundary_warning=warn,
-    )
+    warn = _excess(surface.entropy_coordinates, surface.q, x, y) > -1e-10
+    return HessianResult(matrix=mat, eigenvalues=(lo, hi), det=det, boundary_warning=warn)
 
 
+@np.errstate(all="ignore")
 def hessian_signature(surface: BellmanSurface, x, y) -> tuple[np.ndarray, float, HessianResult]:
     """Excess over the Hessian's signature at each point, its threshold, and the Hessian.
 
     Each surface solves det = 0 (homogeneous Monge-Ampere) with a fixed sign.  With m =
     max(1, largest |entry|) at a point, the excess is max(|det| / m^2, B_yy) on AINF_UPPER
     (threshold 1e-6), max eigenvalue / m on GEHRING and -min eigenvalue / m on AINF_LOWER (1e-8).
+    A non-finite Hessian gives an inf or nan excess, with no warning.
     """
     res = hessian(surface, x, y)
     m = np.maximum(1.0, np.max(np.abs(res.matrix), axis=(-2, -1)))
@@ -339,24 +323,15 @@ def _tangent_segment(surface: BellmanSurface, v):
     return g * v, v
 
 
-def tangent_linearity_check(surface: BellmanSurface, v, n_samples: int = 33):
-    """Max deviation of the evaluated surface from affine along the tangent line through v.
-
-    The surface is linear on tangent segments by construction, so this
-    measures how well evaluate() inverts the tangent equation.  An array of
-    v gives one deviation per v from one evaluate_many call.
-    """
-    dev = tangent_linearity_excess(surface, v, n_samples)[2]
-    return float(dev) if dev.ndim == 0 else dev
-
-
+@np.errstate(all="ignore")
 def tangent_linearity_excess(surface: BellmanSurface, v, n_samples: int = 33):
     """Excess over affinity on each tangent segment, its threshold 1e-9, and the deviations.
 
     The deviation is rounding in evaluate, which grows with the surface's size
     (e^q on AINF_LOWER), so, as hessian_signature scales by the entries, the
     excess is the deviation over max(1, max |B| on the segment).  A non-finite
-    deviation or scale gives an infinite excess.
+    deviation or scale (a value past the double range, at extreme q) gives an
+    infinite excess; the deviation itself is then inf or nan.  No warning is raised.
     """
     v = np.asarray(v, dtype=float)
     if not np.all((v > 0.0) & np.isfinite(v)):
@@ -394,6 +369,7 @@ class BoundsReport:
     passed: bool
 
 
+@np.errstate(all="ignore")
 def bounds_check_ainf(q: float, grid: int = 100) -> BoundsReport:
     """Check x log x <= B <= x log x + e q x on a grid of the log domain.
 
@@ -402,6 +378,8 @@ def bounds_check_ainf(q: float, grid: int = 100) -> BoundsReport:
     of (B - x log x)/x, mathematically equal to ratio_bound = log g + 1/g - 1,
     attained on the upper boundary; for g > 1/4 (q below ~1.89) ratio_bound is
     solvers._log_bound, which keeps the digits the direct form cancels near q = 1.
+    At extreme q (about 1e300 up) the grid values overflow, the violations and
+    ratio_max read inf or nan, and the check fails, with no warning.
     """
     surface = BellmanSurface(SurfaceKind.AINF_UPPER, q)
     if grid < 2:

@@ -73,10 +73,6 @@ def _csv(header: str, rows: list[tuple]) -> str:
     return "\n".join(lines)
 
 
-def _emit_csv(header: str, rows: list[tuple], path: str | None) -> None:
-    _write(_csv(header, rows), path)
-
-
 def _load_weight_arg(path: str) -> weights.Weight:
     try:
         return weights.load_weight(path)
@@ -198,10 +194,8 @@ def _cmd_bellman(args) -> tuple[bool, object]:
             "tangent": tp.root,
             "tangent_residual": tp.residual,
         }
-    # at extreme q the array passes overflow to inf or nan, which the check flags
-    # (exit 1, null in JSON), so their RuntimeWarnings are silenced
-    with np.errstate(all="ignore"):
-        ok, payload = _verify_surface(surface, args.verify, args.grid)
+    # at extreme q the array passes overflow to inf or nan, which the check flags (exit 1, null in JSON)
+    ok, payload = _verify_surface(surface, args.verify, args.grid)
     return ok, {"surface": args.surface, "q": args.q, "eps": args.eps, **payload}
 
 
@@ -459,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(output, dict):
             _write(json.dumps(_clean(output), indent=2), path)
         elif isinstance(output, tuple):
-            _emit_csv(*output, path)
+            _write(_csv(*output), path)
         else:
             _write("\n".join(output), path)
     except (WeightLabError, ValueError) as exc:

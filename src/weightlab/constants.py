@@ -152,6 +152,7 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_blo
     cuts = [0, *(int(np.searchsorted(ends, pairs * c // chunks)) + 1 for c in range(1, chunks)), n - 1]
     parts: list = [None] * chunks
 
+    @np.errstate(all="ignore")  # a thread starts with numpy's default error state
     def walk(c):  # chunk c's first (value, i, j) max and finite flag per label, or its exception
         best, finite = [(-math.inf, 0, 0)] * count, [False] * count
         try:
@@ -221,12 +222,10 @@ def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) ->
         def block(i0, i1):
             rows, cols = slice(i0, i1), slice(i0 + 1, n)
             dl, aw, r, s = (buf[: (i1 - i0) * (n - 1 - i0)].reshape(i1 - i0, -1) for buf in bufs)
-            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                np.subtract(pts[cols], pts[rows, None], out=dl)
-                np.divide(np.subtract(cum_w[cols], cum_w[rows, None], out=aw), dl, out=aw)
+            np.subtract(pts[cols], pts[rows, None], out=dl)
+            np.divide(np.subtract(cum_w[cols], cum_w[rows, None], out=aw), dl, out=aw)
             for cum, combine, p in terms:
-                with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                    combine(aw, np.divide(np.subtract(cum[cols], cum[rows, None], out=r), dl, out=r), s, p)
+                combine(aw, np.divide(np.subtract(cum[cols], cum[rows, None], out=r), dl, out=r), s, p)
                 yield r
 
         return block
@@ -260,17 +259,20 @@ def rhp_constant(w: Weight, p: float, resolution: int = DEFAULT_RESOLUTION) -> t
 
 
 def ap_constant(w: Weight, p: float, resolution: int = DEFAULT_RESOLUTION) -> tuple[float, Interval]:
-    """Muckenhoupt sup: max of avg(w) * avg(w^(-1/(p-1)))^(p-1)."""
+    """Muckenhoupt sup: max of avg(w) * avg(w^(-1/(p-1)))^(p-1); +inf when a
+    scanned interval touching 0 has a divergent moment."""
     return _scan("ap", _centred(w)[0], resolution, p)
 
 
+@np.errstate(all="ignore")
 def maximal_function(
     w: Weight, interval: Interval, t: float, resolution: int = DEFAULT_RESOLUTION
 ) -> float:
     """Uncentered maximal average of w restricted to `interval`, at t.
 
     Max over grid subintervals containing t, plus the pointwise value w(t)
-    (the limit of shrinking intervals at a Lebesgue point).
+    (the limit of shrinking intervals at a Lebesgue point).  Averages that
+    are nan (over a subnormal span) are skipped; -inf where none is left and t = 0.
     """
     if not (interval.a <= t <= interval.b):
         raise DomainError(f"t = {t} outside [{interval.a}, {interval.b}]")
@@ -280,9 +282,8 @@ def maximal_function(
     cum = cumulative_moment(w, pts, MomentKind.AVG_W)
     left = pts <= t
     right = pts >= t
-    with np.errstate(invalid="ignore", divide="ignore"):
-        avg = (cum[None, right] - cum[left, None]) / (pts[None, right] - pts[left, None])
-    best = float(np.nanmax(avg)) if avg.size else -math.inf
+    avg = (cum[None, right] - cum[left, None]) / (pts[None, right] - pts[left, None])
+    best = float(np.max(avg, initial=-math.inf, where=~np.isnan(avg)))
     if t > 0.0:
         best = max(best, evaluate(w, t))
     return best
@@ -314,13 +315,12 @@ def rh1_prime_constant(
             length = pts[p + 1 :] - pts[p]
             # A[i, q], i = p..n-2, q = p+1..n-1, is unused where q <= i;
             # avg(w) underflows to 0 on a subnormal piece
-            with np.errstate(invalid="ignore", divide="ignore"):
-                m = np.maximum.accumulate((cum[p + 1 :] - cum[p:-1, None]) / (pts[p + 1 :] - pts[p:-1, None]))
-                m[later] = -np.inf
-                m = np.maximum(np.maximum.accumulate(m, axis=1), wmid[p:, None])
-                m[later] = 0.0
-                avg_m = (m * cell_len[p:, None]).sum(axis=0) / length
-                ratio[p - i0, p - i0 :] = avg_m / ((cum[p + 1 :] - cum[p]) / length)
+            m = np.maximum.accumulate((cum[p + 1 :] - cum[p:-1, None]) / (pts[p + 1 :] - pts[p:-1, None]))
+            m[later] = -np.inf
+            m = np.maximum(np.maximum.accumulate(m, axis=1), wmid[p:, None])
+            m[later] = 0.0
+            avg_m = (m * cell_len[p:, None]).sum(axis=0) / length
+            ratio[p - i0, p - i0 :] = avg_m / ((cum[p + 1 :] - cum[p]) / length)
         return [ratio]
 
     return _pair_walk(("rh1_prime",), pts, n - 1, lambda entries: block)[0]  # a pair spans up to n - 1 cells
@@ -397,6 +397,7 @@ def _end_terms(kind: OrliczKind, K: np.ndarray, alpha: float) -> tuple[np.ndarra
     return psi, psi + 1.0 - edge + slope
 
 
+@np.errstate(all="ignore")
 def _orlicz_nodes(w: Weight, lo: np.ndarray, hi: np.ndarray, panels: int = 6) -> tuple:
     """Quadrature of avg_I Phi(w / lam) on the intervals I = [lo, hi].
 
@@ -423,16 +424,15 @@ def _orlicz_nodes(w: Weight, lo: np.ndarray, hi: np.ndarray, panels: int = 6) ->
     # A subnormal sp overflows ep / sp, not its logs.  For alpha > 0, t more than _END_WIDTH / (alpha + 1)
     # e-folds below ep holds under e^-_END_WIDTH of each term (each grows with t), and wider panels lose
     # digits: the nodes stop there.  w at a node past the double range: a nan norm, masked.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        y = np.where(live, np.log(ep / sp), 0.0)
-        t = np.where(geo, np.where(live, sp, 1.0) * np.exp(y * seg_x), sp + (ep - sp) * seg_x)
-        cap = np.where(alpha > 0.0, _END_WIDTH / (alpha + 1.0), np.finfo(float).max)
-        wide = geo & (y > cap)
-        if wide.any():
-            y = np.where(wide, np.minimum(np.log(ep) - np.log(sp), cap), y)
-            t = np.where(wide, np.exp(np.log(ep) + y * (seg_x - 1.0)), t)
-        dt = np.where(live, np.where(geo, t * y, ep - sp) * seg_w, 0.0)
-        wv_pow = np.where(live, coeff[~flat, None] * t ** alpha, 0.0)
+    y = np.where(live, np.log(ep / sp), 0.0)
+    t = np.where(geo, np.where(live, sp, 1.0) * np.exp(y * seg_x), sp + (ep - sp) * seg_x)
+    cap = np.where(alpha > 0.0, _END_WIDTH / (alpha + 1.0), np.finfo(float).max)
+    wide = geo & (y > cap)
+    if wide.any():
+        y = np.where(wide, np.minimum(np.log(ep) - np.log(sp), cap), y)
+        t = np.where(wide, np.exp(np.log(ep) + y * (seg_x - 1.0)), t)
+    dt = np.where(live, np.where(geo, t * y, ep - sp) * seg_w, 0.0)
+    wv_pow = np.where(live, coeff[~flat, None] * t ** alpha, 0.0)
     rows = len(lo)
     mass = np.concatenate([span[:, flat] * coeff[flat], (dt * wv_pow).reshape(rows, -1)], axis=1)
     wv = np.concatenate([np.where(span[:, flat] > 0.0, coeff[flat], 0.0), wv_pow.reshape(rows, -1)], axis=1)
@@ -441,20 +441,21 @@ def _orlicz_nodes(w: Weight, lo: np.ndarray, hi: np.ndarray, panels: int = 6) ->
     return mass, wv, hi - lo, end, m0, first.coeff * e0**first.exponent, first.exponent
 
 
+@np.errstate(all="ignore")
 def _orlicz_terms(kind: OrliczKind, nodes: tuple, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """g = avg_I Phi(s) and d = avg_I s Phi'(s), s = w / lam, on each interval of `nodes`."""
     mass, wv, length, end, m0, wb, alpha = nodes
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        psi, chi = _psi_chi(kind, wv / lam[:, None])
-        g, d = np.einsum("ij,ij->i", mass, psi), np.einsum("ij,ij->i", mass, chi)
-        if end.size:
-            end_psi, end_chi = _end_terms(kind, wb / lam[end], alpha)
-            g[end] += m0 * end_psi
-            d[end] += m0 * end_chi
-        scale = 1.0 / (lam * length)
-        return g * scale, d * scale
+    psi, chi = _psi_chi(kind, wv / lam[:, None])
+    g, d = np.einsum("ij,ij->i", mass, psi), np.einsum("ij,ij->i", mass, chi)
+    if end.size:
+        end_psi, end_chi = _end_terms(kind, wb / lam[end], alpha)
+        g[end] += m0 * end_psi
+        d[end] += m0 * end_chi
+    scale = 1.0 / (lam * length)
+    return g * scale, d * scale
 
 
+@np.errstate(all="ignore")
 def _luxemburg_solve(terms, lam: np.ndarray) -> np.ndarray:
     """Least lam with g(lam) <= 1, entrywise, from start values lam = avg(w).
 
@@ -464,8 +465,9 @@ def _luxemburg_solve(terms, lam: np.ndarray) -> np.ndarray:
     raises the lower bracket lo; a step under 4 ulp is widened to 4 ulp, so
     the first probe past the root sets the upper bracket hi.  A step past hi
     comes from rounding and is pulled back under it.  A step that covers
-    under half the way to the fallback while g > 2 (expm1 far from its root)
-    is replaced by the fallback: 2 lo while hi is unknown, else the midpoint;
+    under half the way to the fallback while g > 2 (expm1 far from its root),
+    or that overflows (lam d past the double range, lam near 1e308), is
+    replaced by the fallback: 2 lo while hi is unknown, else the midpoint;
     an avg(w) above the root is halved.  Stops when lo and hi are adjacent
     doubles and returns hi; nan where lam is not positive and finite or g is
     nan.
@@ -473,26 +475,26 @@ def _luxemburg_solve(terms, lam: np.ndarray) -> np.ndarray:
     bad = ~(np.isfinite(lam) & (lam > 0.0))
     lo, hi = np.zeros_like(lam), np.full_like(lam, np.inf)
     probe, step, done = np.where(bad, 1.0, lam), np.full_like(lam, np.nan), bad
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        while not done.all():
-            g, d = terms(probe)
-            bad |= ~done & np.isnan(g)
-            live = ~(done | bad)
-            over, under = live & (g > 1.0), live & ~(g > 1.0)
-            lo, hi = np.where(over, probe, lo), np.where(under, probe, hi)
-            mid = lo + 0.5 * (hi - lo)
-            fallback = np.where(np.isinf(hi), 2.0 * lo, mid)
-            newton = np.maximum(probe * d / (1.0 + d - g), probe * (1.0 + 4.0 * _EPS))
-            slow = (g > 2.0) & ~(newton >= 0.5 * (lo + fallback))
-            step = np.where(over, np.where(slow, np.nan, newton), step)
-            near = np.minimum(step, hi * (1.0 - 4.0 * _EPS))
-            probe = np.where(lo == 0.0, 0.5 * hi, np.where(lo < near, near, fallback))
-            bad |= live & ~np.isfinite(probe)
-            done = bad | ((lo > 0.0) & (hi < np.inf) & ~((lo < mid) & (mid < hi)))
-            probe = np.where(done, 1.0, probe)
+    while not done.all():
+        g, d = terms(probe)
+        bad |= ~done & np.isnan(g)
+        live = ~(done | bad)
+        over, under = live & (g > 1.0), live & ~(g > 1.0)
+        lo, hi = np.where(over, probe, lo), np.where(under, probe, hi)
+        mid = lo + 0.5 * (hi - lo)
+        fallback = np.where(np.isinf(hi), 2.0 * lo, mid)
+        newton = np.maximum(probe * d / (1.0 + d - g), probe * (1.0 + 4.0 * _EPS))
+        slow = ((g > 2.0) & ~(newton >= 0.5 * (lo + fallback))) | (newton == np.inf)
+        step = np.where(over, np.where(slow, np.nan, newton), step)
+        near = np.minimum(step, hi * (1.0 - 4.0 * _EPS))
+        probe = np.where(lo == 0.0, 0.5 * hi, np.where(lo < near, near, fallback))
+        bad |= live & ~np.isfinite(probe)
+        done = bad | ((lo > 0.0) & (hi < np.inf) & ~((lo < mid) & (mid < hi)))
+        probe = np.where(done, 1.0, probe)
     return np.where(bad, np.nan, hi)
 
 
+@np.errstate(all="ignore")
 def luxemburg_norm(w: Weight, interval: Interval, kind: OrliczKind) -> float:
     """Luxemburg norm inf{lam > 0 : avg_I Phi(w/lam) <= 1}.
 
@@ -510,9 +512,12 @@ def luxemburg_norm(w: Weight, interval: Interval, kind: OrliczKind) -> float:
     lam = np.array([moment(w, interval, MomentKind.AVG_W)])
     norm = float(_luxemburg_solve(lambda lam: _orlicz_terms(kind, nodes, lam), lam)[0])
     if math.isnan(norm):
-        avg = math.ldexp(lam[0], -shift)
+        avg = float(np.ldexp(lam[0], -shift))
         raise DomainError(f"{kind.value} norm on [{interval.a}, {interval.b}]: avg(w) is {avg}")
-    return math.ldexp(norm, -shift)
+    try:
+        return math.ldexp(norm, -shift)
+    except OverflowError:
+        raise DomainError(f"{kind.value} norm on [{interval.a}, {interval.b}] overflows a double") from None
 
 
 def rh1_doubleprime_constant(
@@ -536,8 +541,7 @@ def rh1_doubleprime_constant(
         avg_w = (cum[jj] - cum[ii]) / (pts[jj] - pts[ii])
         nodes = _orlicz_nodes(w, pts[ii], pts[jj], panels)
         lam = _luxemburg_solve(lambda lam: _orlicz_terms(OrliczKind.LLOGL, nodes, lam), avg_w)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio[r, c] = lam / avg_w
+        ratio[r, c] = lam / avg_w
         return [ratio]
 
     per_pair = sum(1 if pc.exponent == 0.0 else 16 * panels for pc in w.pieces)
@@ -556,6 +560,8 @@ def rh1_limit_check(w: Weight, interval: Interval, p: float) -> tuple[float, flo
     avg_wp = moment(w, interval, MomentKind.AVG_W_POW, p)
     if avg_wp == math.inf:
         raise DomainError(f"avg of w^{p} diverges on [{interval.a}, {interval.b}]")
+    if not (avg_w > 0.0 and avg_wp > 0.0):  # their logs are taken
+        raise DomainError(f"avg of w or w^{p} underflows to 0 on [{interval.a}, {interval.b}]")
     lhs = (p / (p - 1.0)) * (math.log(avg_wp) / p - math.log(avg_w))
     avg_wlw = moment(w, interval, MomentKind.AVG_W_LOG_W)
     rhs = (avg_wlw - avg_w * math.log(avg_w)) / avg_w

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bellman import BellmanSurface, SurfaceKind, _excess, _require_eps, evaluate_many, in_domain
+from .bellman import BellmanSurface, SurfaceKind, _chord_excess, _excess, _require_eps, evaluate_many, in_domain
 from .errors import DomainError, ParameterError, SplitError
 from .weights import Interval, MomentKind, Weight, moment
 
@@ -83,21 +83,6 @@ def _point(w: Weight, interval: Interval, mode: SplitMode) -> tuple[float, float
     return x, y
 
 
-def _chord_excess(p0: list, p1: list, q: float, mode: SplitMode) -> np.ndarray:
-    """Largest bellman._excess along each chord p0[k] -> p1[k], exact up to rounding.
-
-    Along a chord log(x e^{-y}) and y - x log x are concave: each boundary gap peaks at
-    an end or at x = dx/dy (log coordinates), x = exp(dy/dx - 1 - q) (entropy), taken at
-    its position s in (0, 1) on p0 + s (p1 - p0).  A non-finite coordinate reads inf or nan.
-    """
-    (x0, y0), (x1, y1) = (np.array(p, dtype=float).reshape(-1, 2).T for p in (p0, p1))
-    with np.errstate(all="ignore"):
-        dx, dy = x1 - x0, y1 - y0
-        s = ((np.exp(dy / dx - 1.0 - q) if mode is SplitMode.ENTROPY else dx / dy) - x0) / dx
-        s = np.array([np.zeros_like(s), np.ones_like(s), np.where((s > 0.0) & (s < 1.0), s, 0.0)])
-        return _excess(mode is SplitMode.ENTROPY, q, x0 + s * dx, y0 + s * dy).max(axis=0)
-
-
 def _alpha_candidates(delta0: float) -> list[float]:
     """Cut ratios tried in order: 1/2, then outward in steps of 0.01."""
     out = [0.5]
@@ -142,7 +127,7 @@ def _cuts(w: Weight, intervals: list[Interval], cfg: SplitConfig, mode: SplitMod
                 rows.append((k, alpha, left, right, _point(w, left, mode), _point(w, right, mode)))
             except (ArithmeticError, ValueError) as exc:  # build_partition raises it in preorder
                 out[k] = exc
-        viols = _chord_excess([r[4] for r in rows], [r[5] for r in rows], cfg.q1, mode)
+        viols = _chord_excess(mode is SplitMode.ENTROPY, cfg.q1, [r[4] for r in rows], [r[5] for r in rows])
         for (k, *cut), viol in zip(rows, viols.tolist()):
             if viol <= 1e-12:
                 out[k] = tuple(cut)
@@ -209,8 +194,7 @@ def build_partition(
     levels = []
     for depth in range(max_depth + 1):
         points = [pt for _, _, pt in level]
-        with np.errstate(all="ignore"):
-            viols = _excess(mode is SplitMode.ENTROPY, cfg.q, *np.array(points, dtype=float).reshape(-1, 2).T)
+        viols = _excess(mode is SplitMode.ENTROPY, cfg.q, *np.array(points, dtype=float).reshape(-1, 2).T)
         for (i, iv, pt), viol in zip(level, viols.tolist()):
             if not viol <= 1e-9 and before(depth, i):
                 first = (key(depth, i), DomainError(
@@ -291,8 +275,7 @@ def chain_verify(surface: BellmanSurface, w: Weight, tree: PartitionTree) -> Cha
             f"node [{node.interval.a}, {node.interval.b}]: point ({node.point[0]}, "
             f"{node.point[1]}) outside the {surface.kind.value} domain"
         )
-    with np.errstate(all="ignore"):
-        values = evaluate_many(surface, x, y)
+    values = evaluate_many(surface, x, y)
     finite = np.isfinite(values)
     if not finite.all():
         node = nodes[int(np.argmin(finite))]

@@ -15,7 +15,6 @@ from enum import Enum
 import numpy as np
 
 from .bellman import _BLOCK, BellmanSurface, SurfaceKind, evaluate, in_domain, tangent_point
-from .constants import ainf_constant, rh1_constant
 from .errors import InfeasibleTargetError, ParameterError
 from .solvers import _log_bound, gamma_entropy_roots
 from .weights import (
@@ -34,7 +33,6 @@ __all__ = [
     "build",
     "default_target",
     "attainment_check",
-    "constant_attainment",
     "divergence_probe",
     "sharpness_sweep",
 ]
@@ -179,20 +177,6 @@ def attainment_check(spec: ExtremalSpec, eps: float | None = None) -> Attainment
         measured = moment(w, full, MomentKind.AVG_W_POW, p=1.0 + eff_eps)
     scale = max(1.0, abs(value))
     return AttainmentReport(value, measured, (measured - value) / scale, x, y)
-
-
-def constant_attainment(spec: ExtremalSpec, resolution: int = 201) -> tuple[float, float]:
-    """Scan the relevant sup-type constant of the built weight against q.
-
-    AINF_UPPER uses the exp-entropy constant; the other families use the
-    normalized-entropy constant.  Returns (measured, measured - q).
-    """
-    w = build(spec)
-    if spec.family is Family.AINF_UPPER:
-        measured, _ = ainf_constant(w, resolution=resolution)
-    else:
-        measured, _ = rh1_constant(w, resolution=resolution)
-    return measured, measured - spec.q
 
 
 def divergence_probe(w: Weight, p: float, deltas: tuple[float, ...]) -> list[float]:

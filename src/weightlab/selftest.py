@@ -382,16 +382,17 @@ def invariants_solvers():
     """Residuals at roots, bracket membership, monotonicity in the ratio bound."""
     worst_res = 0.0
     rng = np.random.default_rng(5)
+    held = lambda r: r.bracket[0] <= r.root <= r.bracket[1]
     for q in rng.uniform(1.05, 50.0, size=25):
         r = solvers.gamma_log(float(q))
         worst_res = max(worst_res, abs(r.residual))
-        if not (0.0 < r.root < 1.0):
-            return False, f"gamma_log({q}) root {r.root} outside (0, 1)"
+        if not (0.0 < r.root < 1.0 and held(r)):
+            return False, f"gamma_log({q}) root {r.root} outside (0, 1) or its bracket {r.bracket}"
     for q in rng.uniform(0.05, 20.0, size=25):
         minus, plus = solvers.gamma_entropy_roots(float(q))
         worst_res = max(worst_res, abs(minus.residual), abs(plus.residual))
-        if not (0.0 < minus.root < 1.0 < plus.root):
-            return False, f"entropy roots misordered at q={q}"
+        if not (0.0 < minus.root < 1.0 < plus.root and held(minus) and held(plus)):
+            return False, f"entropy roots misordered or outside their brackets at q={q}"
     eps_seq = [solvers.gehring_sharp_eps(2.0, k).root for k in (1.2, 1.5, 2.0, 4.0)]
     decreasing = all(a > b for a, b in zip(eps_seq, eps_seq[1:]))
     ok = worst_res <= 1e-12 and decreasing

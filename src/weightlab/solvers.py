@@ -189,9 +189,11 @@ def gamma_log(q: float) -> RootResult:
     if res.root > 0.25:
         return res
     # c1's rounding, up to ulp(log q)/2, is relative error in t ~ e^{-1-c1}; one step of
-    # t = e^{t-1}/q uses q itself and contracts the error by a factor t
-    t = math.exp(res.root - 1.0) / q
-    return RootResult(t, t - math.log(t) - (1.0 + c1), res.bracket, res.iterations)
+    # t = e^{t-1}/q uses q itself and contracts the error by a factor t.  The step is
+    # increasing in t, so the bracket's ends, mapped through it, hold the new t
+    step = lambda t: math.exp(t - 1.0) / q
+    t = step(res.root)
+    return RootResult(t, t - math.log(t) - (1.0 + c1), tuple(map(step, res.bracket)), res.iterations)
 
 
 def _check_entropy_q(q: float) -> None:
@@ -281,9 +283,10 @@ def good_lambda_verify(n: int, q: float) -> float:
     Below 8q = log 2, log(1 - e^{-8q}) is log(-expm1(-8q)): there e^{-8q}
     rounds toward 1, and to 1 itself, a log1p(-1) domain error, once 8q < 1.1e-16.
     """
+    eps = gehring_dim_n_eps(n, q)  # validates n and q before q is used
     x = 8.0 * q
     log_margin = math.log1p(-math.exp(-x)) if x >= math.log(2.0) else math.log(-math.expm1(-x))
-    gap = gehring_dim_n_eps(n, q) * log_margin
+    gap = eps * log_margin
     return gap if gap <= -sys.float_info.min else math.nan
 
 
@@ -291,7 +294,8 @@ def p_gehring_via_one(n: int, p: float, k: float) -> tuple[float, float]:
     """Route a p-average ratio bound through the entropy constant.
 
     Returns (entropy_bound, delta): entropy_bound = 6^n k^p 2^p p/(p-1) and
-    delta = p * eps_minus(entropy_bound), the integrability gain for w^p.
+    delta = p * eps_minus(entropy_bound), the integrability gain for w^p.  A
+    bound past the double range is refused with DomainError.
     """
     if not (isinstance(n, int) and n >= 1):
         raise ParameterError(f"dimension must be a positive integer, got {n}")
@@ -299,7 +303,12 @@ def p_gehring_via_one(n: int, p: float, k: float) -> tuple[float, float]:
         raise ParameterError(f"p_gehring_via_one needs p > 1, got {p}")
     if not (k >= 1.0 and math.isfinite(k)):
         raise ParameterError(f"p_gehring_via_one needs k >= 1, got {k}")
-    bound = 6.0**n * k**p * 2.0**p * p / (p - 1.0)
+    try:
+        bound = 6.0**n * k**p * 2.0**p * p / (p - 1.0)
+    except OverflowError:  # a float power past the double range
+        bound = math.inf
+    if bound == math.inf:
+        raise DomainError(f"entropy bound 6^{n} k^p 2^p p/(p-1) at p = {p}, k = {k} overflows a double")
     delta = p * eps_minus(bound).root
     return bound, delta
 

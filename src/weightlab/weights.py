@@ -131,13 +131,21 @@ def breakpoints(w: Weight) -> list[float]:
 
 
 def evaluate(w: Weight, t: float) -> float:
-    """Pointwise value w(t) for t in (0, 1]; the right piece wins at abutments."""
+    """Pointwise value w(t) for t in (0, 1]; the right piece wins at abutments.
+
+    A value past the double range is refused with DomainError, as moment
+    refuses the integral of such a piece.
+    """
     if not (0.0 < t <= 1.0):
         raise DomainError(f"t = {t} outside (0, 1]")
-    for p in reversed(w.pieces):
-        if t >= p.support.a:
-            return p.coeff * t**p.exponent
-    raise AssertionError("unreachable: pieces cover (0, 1]")
+    p = next(p for p in reversed(w.pieces) if t >= p.support.a)
+    try:
+        value = p.coeff * t**p.exponent
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(f"w({t}) = {p.coeff} * {t}^{p.exponent} overflows a double")
+    return value
 
 
 def _expm1_ratio(z):
@@ -296,26 +304,31 @@ def truncate(w: Weight, n: float) -> Weight:
     """Two-sided truncation min(max(w, 1/n), n), n > 1, as a new Weight.
 
     Crossing points t = (level/coeff)**(1/alpha) become new breakpoints; the
-    clamped regions turn into constant pieces.
+    clamped regions turn into constant pieces.  Both the crossings and the
+    comparisons with the levels are made in logs, so no power overflows.
     """
     if not (n > 1.0 and math.isfinite(n)):
         raise ParameterError(f"truncation level must satisfy n > 1, got {n}")
     lo, hi = 1.0 / n, n
+    log_n = math.log(n)
     pieces: list[PowerPiece] = []
     for piece in w.pieces:
         a, b = piece.support.a, piece.support.b
+        log_c, alpha = math.log(piece.coeff), piece.exponent
         cuts = {a, b}
-        if piece.exponent != 0.0:
-            for level in (lo, hi):
-                t = (level / piece.coeff) ** (1.0 / piece.exponent)
+        if alpha != 0.0:
+            for level, log_level in ((lo, -log_n), (hi, log_n)):
+                ratio = level / piece.coeff  # its log keeps its digits, where the difference of logs cancels
+                log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else log_level - log_c
+                t = math.exp(min(log_ratio / alpha, 0.0))
                 if a < t < b:
                     cuts.add(t)
         for s, e in zip(sorted(cuts)[:-1], sorted(cuts)[1:]):
-            mid = 0.5 * (s + e)
-            val = piece.coeff * mid**piece.exponent
-            if val < lo:
+            mid = 0.5 * (s + e) or e  # a subnormal e may halve to 0
+            log_val = log_c + alpha * math.log(mid)
+            if log_val < -log_n:
                 pieces.append(PowerPiece(Interval(s, e), lo, 0.0))
-            elif val > hi:
+            elif log_val > log_n:
                 pieces.append(PowerPiece(Interval(s, e), hi, 0.0))
             else:
                 pieces.append(PowerPiece(Interval(s, e), piece.coeff, piece.exponent))
@@ -395,6 +408,8 @@ def reference_corpus(count: int = 20, seed: int = 7) -> list[Weight]:
     Used by invariant suites (truncation monotonicity, dyadic chains).  The
     exponent range keeps every weight integrable with moderate constants.
     """
+    if not (isinstance(seed, int) and seed >= 0):
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(seed)
     corpus: list[Weight] = []
     while len(corpus) < count:

@@ -8,8 +8,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from weightlab import weights
 
-# The CLI contract property is the suite's only hypothesis test: 50 examples per
-# subcommand in a plain run, 2,000 with pytest --hypothesis-profile=contract.
+# The suite's hypothesis tests are the two contract properties: the CLI's takes 50
+# examples per subcommand in a plain run, the library's 3 per exported name
+# (tests/test_api_contract.py), and both 2,000 with --hypothesis-profile=contract.
 # A plain run draws the same examples every time and keeps no example database,
 # so it is repeatable; the contract profile, registered first so that it does
 # not inherit that, stays random to keep searching.

@@ -15,7 +15,6 @@ from weightlab import (
     hessian,
     in_domain,
     sharpness_sweep,
-    tangent_linearity_check,
     tangent_point,
 )
 from weightlab import bellman
@@ -63,6 +62,34 @@ def mp_value(surface, x, y):
             eps = mpmath.mpf(surface.eps)
             return float(v**eps * (X * (1 + eps) - eps * g * v) / (1 + eps - g * eps))
         return float(mpmath.log(v) + (X - v) / (g * v))
+
+
+def fd_hessian(surface, x, y):
+    """Reference Hessian for the closed forms: central differences with one Richardson step.
+
+    h = 1e-5 max(1, |x|), shrunk to a quarter of the margin where the stencil
+    would leave the domain; the margin keeps x +- h, y +- h inside it.
+    """
+    if surface.entropy_coordinates:
+        base = x * math.log(x)
+        slope = max(abs(math.log(x)) + 1.0 + surface.q, 1.0)
+        margin = min(y - base, base + surface.q * x - y) / (2.0 * slope)
+    else:
+        lr = math.log(x) - y  # log r in [0, log q]
+        margin = min(lr, math.log(surface.q) - lr) / 2.0 * min(1.0, x)
+    assert margin > 0.0, "finite differences need interior room"
+    h = 1e-5 * max(1.0, abs(x))
+    if margin < 2.0 * h:
+        h = margin / 4.0
+    f = lambda xx, yy: evaluate_surface(surface, xx, yy)
+
+    def second(h_):
+        fxx = (f(x + h_, y) - 2.0 * f(x, y) + f(x - h_, y)) / (h_ * h_)
+        fyy = (f(x, y + h_) - 2.0 * f(x, y) + f(x, y - h_)) / (h_ * h_)
+        fxy = (f(x + h_, y + h_) - f(x + h_, y - h_) - f(x - h_, y + h_) + f(x - h_, y - h_)) / (4.0 * h_ * h_)
+        return np.array([[fxx, fxy], [fxy, fyy]])
+
+    return (4.0 * second(h / 2.0) - second(h)) / 3.0  # Richardson: O(h^4) truncation
 
 
 def gehring_surface(q, frac=0.5):
@@ -192,6 +219,15 @@ class TestDomain:
 
 
 class TestTangent:
+    def test_lower_boundary_bracket_holds_v_at_large_q(self):
+        # v = x exactly there, and u = gamma, whose fixed-point step left the kernel's bracket
+        for q in np.geomspace(1e10, 1e300, 200):
+            up = BellmanSurface(SurfaceKind.AINF_UPPER, float(q))
+            for x in (0.3, 1.0, 3.0):
+                tp = tangent_point(up, x, math.log(x))
+                assert tp.root == x
+                assert tp.bracket[0] <= tp.root <= tp.bracket[1], (q, x, tp.bracket)
+
     def test_lower_boundary_is_identity(self):
         up = BellmanSurface(SurfaceKind.AINF_UPPER, 3.0)
         geh = gehring_surface(1.0)
@@ -237,11 +273,11 @@ class TestTangent:
     @pytest.mark.parametrize("surface", Q_SPAN, ids=Q_SPAN_IDS)
     def test_linearity_array_matches_float(self, surface):
         vs = np.linspace(0.5, 2.0, 7)
-        devs = tangent_linearity_check(surface, vs)
+        devs = tangent_linearity_excess(surface, vs)[2]
         assert devs.shape == vs.shape
-        assert devs.tolist() == [tangent_linearity_check(surface, float(v)) for v in vs]
+        assert devs.tolist() == [float(tangent_linearity_excess(surface, float(v))[2]) for v in vs]
         with pytest.raises(ParameterError):
-            tangent_linearity_check(surface, np.array([1.0, -0.5]))
+            tangent_linearity_excess(surface, np.array([1.0, -0.5]))
 
     def test_linearity_along_tangent_segments(self):
         surfaces = (
@@ -251,10 +287,10 @@ class TestTangent:
         )
         for surface in surfaces:
             for v in (0.5, 1.0, 1.9):
-                dev = tangent_linearity_check(surface, v, n_samples=50)
+                dev = tangent_linearity_excess(surface, v, n_samples=50)[2]
                 assert dev <= 1e-9
                 # two samples see only the segment endpoints: affine up to ulps
-                assert tangent_linearity_check(surface, v, n_samples=2) <= 1e-15
+                assert tangent_linearity_excess(surface, v, n_samples=2)[2] <= 1e-15
 
 
 def _bent(f):
@@ -278,7 +314,7 @@ class TestTangentExcess:
         excess, threshold, dev = tangent_linearity_excess(surface, vs)
         assert threshold == 1e-9
         assert np.max(excess) <= 1e-13  # 1.1e-14 at most here, on AINF_LOWER at q = 250
-        assert dev.tobytes() == tangent_linearity_check(surface, vs).tobytes()
+        assert dev.shape == vs.shape
 
     def test_absolute_deviation_is_large_where_the_surface_is(self):
         # the absolute 1e-9 bound failed these; over max(1, |B|) they are rounding
@@ -407,10 +443,9 @@ class TestHessian:
         else:
             pts = [(0.8, math.log(0.8) - 0.4 * math.log(surface.q)), (1.6, math.log(1.6) - 0.6 * math.log(surface.q))]
         for x, y in pts:
-            closed = hessian(surface, x, y, method="closed")
-            fd = hessian(surface, x, y, method="fd")
+            closed = hessian(surface, x, y)
             scale = max(1.0, float(np.max(np.abs(closed.matrix))))
-            assert np.max(np.abs(closed.matrix - fd.matrix)) <= 1e-4 * scale
+            assert np.max(np.abs(closed.matrix - fd_hessian(surface, x, y))) <= 1e-4 * scale
 
     def test_upper_surface_degenerate_concave(self):
         up = BellmanSurface(SurfaceKind.AINF_UPPER, 5.0)
@@ -427,17 +462,25 @@ class TestHessian:
         res = hessian(low, 1.1, 1.1 * math.log(1.1) + 0.3 * 1.1)
         assert min(res.eigenvalues) >= -1e-12
 
-    def test_boundary_warning_flag(self):
-        up = BellmanSurface(SurfaceKind.AINF_UPPER, 2.0)
-        near = hessian(up, 1.0, -1e-9, method="fd")
-        assert near.boundary_warning
-        interior = hessian(up, 1.0, -0.35, method="fd")
-        assert not interior.boundary_warning
+    def test_extreme_q_reads_non_finite_without_warning(self):
+        # the float path divided by a product underflowed to 0 (ZeroDivisionError) on
+        # AINF_UPPER at q = 1e300, and det overflowed (a RuntimeWarning) on AINF_LOWER at q = 700
+        up = BellmanSurface(SurfaceKind.AINF_UPPER, 1e300)
+        res = hessian(up, 1.0, -0.5 * math.log(1e300))
+        assert res.matrix[1, 1] == -math.inf and res.det == math.inf
+        res = hessian(BellmanSurface(SurfaceKind.AINF_LOWER, 700.0), 1.0, 0.02 * 700.0)
+        assert np.all(np.isfinite(res.matrix)) and res.det == math.inf  # entries ~1e300, their products past 1e308
+        excess, threshold, dev = tangent_linearity_excess(up, 1.0)
+        assert excess == math.inf and math.isnan(dev)
 
-    def test_method_validation(self):
+    def test_boundary_warning_flag(self):
+        # flagged within 1e-10 max(1, |x|) of the boundary: here log(x e^-y) = 2e-11
         up = BellmanSurface(SurfaceKind.AINF_UPPER, 2.0)
-        with pytest.raises(ParameterError):
-            hessian(up, 1.0, -0.3, method="auto")
+        assert hessian(up, 1.0, -2e-11).boundary_warning is True
+        assert hessian(up, 1.0, -1e-9).boundary_warning is False
+        assert hessian(up, 1.0, -0.35).boundary_warning is False
+        flags = hessian(up, np.array([1.0, 1.0]), np.array([-2e-11, -0.35])).boundary_warning
+        assert flags.tolist() == [True, False]
 
     @pytest.mark.parametrize("surface", Q_SPAN, ids=Q_SPAN_IDS)
     def test_array_matches_float(self, surface):
@@ -528,7 +571,7 @@ class TestFloatPathPins:
              [1.7763568394002505e-15, 1.7763568394002505e-15, 2.6645352591003757e-15]),
         ]
         for surface, devs in cases:
-            got = [tangent_linearity_check(surface, v) for v in (0.5, 1.0, 1.9)]
+            got = [float(tangent_linearity_excess(surface, v)[2]) for v in (0.5, 1.0, 1.9)]
             assert all(type(d) is float for d in got)
             assert got == devs
 
@@ -539,7 +582,7 @@ def _array_path_digest() -> str:
     Per surface and q: evaluate_many at seeded points from below the lower to above the
     upper boundary, with nan, +-inf, 0 and 5e-324 mixed into x and y (one call of more
     than bellman._BLOCK points, so block cuts enter too); the array Hessian at the points
-    inside; tangent_linearity_check at seeded v.  Then sharpness_sweep over 3,000
+    inside; tangent_linearity_excess's deviations at seeded v.  Then sharpness_sweep over 3,000
     log-uniform q in [1e-15, 700].
     """
     rng = np.random.default_rng(20140)
@@ -565,7 +608,7 @@ def _array_path_digest() -> str:
             inside = in_domain(surface, x, y, tol=1e-9) & (frac > 0.0) & (frac < 1.0)
             h.update(hessian(surface, x[inside], y[inside]).matrix.tobytes())
             v = np.concatenate([np.exp(rng.uniform(-8.0, 8.0, 40)), [5e-324, 1.0]])
-            h.update(tangent_linearity_check(surface, v).tobytes())
+            h.update(tangent_linearity_excess(surface, v)[2].tobytes())
         qs = np.exp(rng.uniform(math.log(1e-15), math.log(700.0), 3000))
         h.update(np.array(sharpness_sweep(tuple(qs.tolist()))).tobytes())
     return h.hexdigest()
@@ -593,8 +636,7 @@ class TestBoundsCheck:
 
     def test_passed_is_the_envelope_verdict(self, monkeypatch):
         assert bounds_check_ainf(2.0, grid=8).passed is True
-        with np.errstate(all="ignore"):
-            assert bounds_check_ainf(1e308, grid=8).passed is False  # overflows to nan
+        assert bounds_check_ainf(1e308, grid=8).passed is False  # overflows to nan, with no warning
         # the surface 2e-9 past its upper envelope: a violation over 1e-9 fails
         many = bellman.evaluate_many
         monkeypatch.setattr(

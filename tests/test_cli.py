@@ -914,7 +914,7 @@ class TestFormatting:
             (3, math.inf, math.nan, np.float64(1.0) / 3.0),
             (True, 1e-300, 12345678901234567.0, 2.5),
         ]
-        cli._emit_csv("a,b,c,d", rows, None)
+        cli._write(cli._csv("a,b,c,d", rows), None)
         assert capsys.readouterr().out == (
             "a,b,c,d\n"
             "rh1,0.1,0,-0\n"

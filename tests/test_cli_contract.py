@@ -6,7 +6,8 @@ Every run of ``cli.main`` on arguments argparse accepts either succeeds
 raised, JSON output is JSON proper and every CSV row has the header's width.
 The numbers are drawn from the values that break floating point (signed
 zeros, the smallest subnormal, exp's overflow edges, inf, nan) and from a
-log-uniform spread over the whole double range.
+log-uniform spread over the whole double range, by the strategies
+tests/_strategies.py shares with the library property.
 
 A plain run takes 50 examples per subcommand (tests/conftest.py), and
 ``pytest tests/test_cli_contract.py --hypothesis-profile=contract`` 2,000.
@@ -15,7 +16,6 @@ A plain run takes 50 examples per subcommand (tests/conftest.py), and
 import contextlib
 import io
 import json
-import math
 import os
 import tempfile
 import warnings
@@ -27,19 +27,8 @@ from hypothesis import strategies as st
 from weightlab import cli, selftest
 from weightlab.constants import KNOWN_CONSTANTS
 
-SPECIAL = (0.0, 1.0, -1.0, -0.0, 5e-324, 1e-300, 708.9, 743.0, 1e300, math.inf, -math.inf, math.nan)
+from _strategies import NUMBERS, point, weight_json
 
-# sign * 10^e over every exponent a double holds, subnormals included
-LOG_UNIFORM = st.builds(
-    lambda sign, e: sign * 10.0**e, st.sampled_from((1.0, -1.0)), st.floats(-323.0, 308.0)
-)
-NUMBERS = st.sampled_from(SPECIAL) | LOG_UNIFORM
-
-# Strategies are built once here: building one per example costs more than most runs.
-CUTS = st.floats(1e-12, 0.999) | NUMBERS
-COEFFS = st.floats(1e-300, 1e300) | NUMBERS
-EXPONENTS = st.floats(-40.0, 40.0) | NUMBERS
-NOT_A_WEIGHT = st.sampled_from(([], {}, {"pieces": 1}, {"pieces": []}, "w", {"pieces": [{"a": 0.0}]}))
 P_VALUES = st.lists(st.floats(1.0, 50.0, exclude_min=True) | NUMBERS, max_size=3)
 Q_LIST = st.lists(NUMBERS, max_size=5)
 LIST_END = st.sampled_from(("", ",", ",apple"))
@@ -48,7 +37,7 @@ FORMATS = st.sampled_from(("json", "csv"))
 EQUATIONS = st.sampled_from(("gamma-log", "gamma-entropy", "eps-minus", "gehring-sharp", "gehring-n", "funny"))
 SURFACES, FAMILIES = st.sampled_from(tuple(cli._SURFACES)), st.sampled_from(tuple(cli._FAMILIES))
 VERIFY = st.sampled_from(("hessian", "bounds", "tangent"))
-FRACTION, RATIO = st.floats(0.0, 1.0), st.floats(1.0, 3.0, exclude_min=True)
+RATIO = st.floats(1.0, 3.0, exclude_min=True)
 DYADIC_Q, DELTA0 = st.floats(0.5, 60.0) | NUMBERS, st.floats(0.001, 0.46) | NUMBERS
 # the two slowest checks (moment quadrature ~1 s, truncation monotonicity ~0.1 s) are left out
 SLOW_CHECKS = ("criterion_12_moment_quadrature", "criterion_09_truncation_monotonicity")
@@ -73,22 +62,7 @@ def _maybe(draw, name, values):
     return _opt(name, draw(values)) if draw(st.booleans()) else []
 
 
-@st.composite
-def _weight(draw):
-    """Weight-file JSON: one to four pieces, or a file that is no weight at all."""
-    if draw(st.integers(0, 9)) == 0:
-        return draw(NOT_A_WEIGHT)
-    cuts = [draw(CUTS) for _ in range(draw(st.integers(0, 3)))]
-    bounds = [0.0, *sorted(set(c for c in cuts if not math.isnan(c))), 1.0]
-    return {
-        "pieces": [
-            {"a": a, "b": b, "coeff": draw(COEFFS), "exponent": draw(EXPONENTS)}
-            for a, b in zip(bounds, bounds[1:])
-        ]
-    }
-
-
-WEIGHTS = _weight()
+WEIGHTS = weight_json()
 
 
 def _real_list(draw, values):
@@ -112,23 +86,12 @@ def _solve(draw):
     return argv + _maybe(draw, "n", st.integers(-2, 12)), None
 
 
-def _point(draw, q):
-    """An (x, y) anywhere, or inside a domain of constant q, log or entropy coordinates."""
-    x = draw(NUMBERS)
-    if not (x > 0.0 and math.isfinite(x) and q > 0.0 and math.isfinite(q)) or draw(st.booleans()):
-        return x, draw(NUMBERS)
-    f = draw(FRACTION)
-    if draw(st.booleans()):
-        return x, math.log(x) - f * math.log(q)
-    return x, x * math.log(x) + f * q * x
-
-
 @st.composite
 def _bellman(draw):
     q = draw(NUMBERS)
     argv = _opt("surface", draw(SURFACES)) + _opt("q", q) + _maybe(draw, "eps", NUMBERS)
     if draw(st.booleans()):
-        x, y = _point(draw, q)
+        x, y = point(draw, q)
         argv += _opt("eval", draw(st.sampled_from((f"{x!r},{y!r}", repr(x), f"{x!r},{y!r},1", "x,y"))))
     else:
         argv += _opt("verify", draw(VERIFY)) + _maybe(draw, "grid", st.integers(-1, 12))
@@ -139,7 +102,7 @@ def _bellman(draw):
 def _extremal(draw):
     q = draw(NUMBERS)
     argv = _opt("family", draw(FAMILIES)) + _opt("q", q)
-    x, y = _point(draw, q)
+    x, y = point(draw, q)
     argv += draw(st.sampled_from(([], _opt("x", x) + _opt("y", y), _opt("x", x), _opt("y", y))))
     argv += _maybe(draw, "eps", NUMBERS) + _maybe(draw, "emit", EMITS)
     return argv + _maybe(draw, "output", OUTPUTS), None

@@ -697,6 +697,24 @@ class TestOrliczKernel:
             g = lambda x: _orlicz_terms(kind, nodes, np.array([x]))[0][0]
             assert g(lam) <= 1.0 < g(lam * (1.0 - 8.0 * eps)), (w, a, b)
 
+    def test_newton_step_past_the_double_range_falls_back(self):
+        # centred, lam is near 1e308, where lam d overflowed; the stale infinite step then moved
+        # hi down 4 ulp a probe, some 1e14 probes to the root
+        w, iv = step_weight((0.0, 0.25, 1.0), (5e-324, 1e300)), Interval(0.0, 0.5)
+        centred, shift = constants._centred(w, iv)
+        nodes = _orlicz_nodes(centred, np.array([iv.a]), np.array([iv.b]))
+        probes = []
+
+        def terms(lam):
+            probes.append(lam)
+            assert len(probes) < 200
+            return _orlicz_terms(OrliczKind.EXP_MINUS_ONE, nodes, lam)
+
+        lam = constants._luxemburg_solve(terms, np.array([moment(centred, iv, MomentKind.AVG_W)]))
+        assert math.ldexp(lam[0], -shift) == luxemburg_norm(w, iv, OrliczKind.EXP_MINUS_ONE)
+        # avg (e^(w / lam) - 1) = 1 on [0, 1/2] where half of it is 1e300: lam = 1e300 / log 3
+        assert luxemburg_norm(w, iv, OrliczKind.EXP_MINUS_ONE) == pytest.approx(1e300 / math.log(3.0), rel=1e-14)
+
     def test_interior_overlap_near_zero(self):
         # [1/199, 1] on t^-0.9: panels even in t read 1.6e-4 low here
         w = power_weight(1.0, -0.9)
@@ -755,6 +773,11 @@ class TestLimitCheck:
         w = power_weight(1.0, -0.9)
         with pytest.raises(DomainError):
             rh1_limit_check(w, Interval(0.0, 1.0), 1.5)
+
+    def test_underflowing_average_rejected(self):
+        # avg(w^1.5) of 5e-324 underflows to 0, whose log raised ValueError
+        with pytest.raises(DomainError):
+            rh1_limit_check(constant_weight(5e-324), Interval(0.0, 1.0), 1.5)
 
 
 class TestReport:

@@ -37,7 +37,7 @@ from weightlab import (
     weight_from_dict,
 )
 from weightlab import dyadic, errors, weights
-from weightlab.bellman import _excess
+from weightlab.bellman import _chord_excess, _excess
 
 from _frozen import DYADIC_FAILURES, FROZEN_TREES
 
@@ -188,7 +188,7 @@ class TestChordExcess:
         p1 = dyadic._point(self.POWER, Interval(0.91, 1.0), SplitMode.LOG)
         peak = _chord_peak(SplitMode.LOG, self.Q1, p0, p1)
         assert peak == pytest.approx(2.66e-6, rel=1e-3)
-        assert dyadic._chord_excess([p0], [p1], self.Q1, SplitMode.LOG)[0] == pytest.approx(peak, abs=1e-15)
+        assert _chord_excess(False, self.Q1, [p0], [p1])[0] == pytest.approx(peak, abs=1e-15)
 
     @staticmethod
     def _log_chord():
@@ -212,7 +212,7 @@ class TestChordExcess:
     @pytest.mark.parametrize("mode", list(SplitMode))
     def test_interior_peak_between_samples_is_refused(self, mode):
         p0, p1 = self._log_chord() if mode is SplitMode.LOG else self._entropy_chord()
-        got = dyadic._chord_excess([p0], [p1], 2.0, mode)[0]
+        got = _chord_excess(mode is SplitMode.ENTROPY, 2.0, [p0], [p1])[0]
         assert got == pytest.approx(1e-6, rel=1e-6)
         assert got == pytest.approx(_chord_peak(mode, 2.0, p0, p1), abs=1e-15)
         # both ends are inside: only the interior point sees the excess
@@ -241,7 +241,7 @@ class TestChordExcess:
         for _ in range(3):
             q, p0, p1 = self._random_chords(mode, rng, 10)
             peaks = [_chord_peak(mode, q, u, v) for u, v in zip(p0, p1)]
-            got = dyadic._chord_excess(p0, p1, q, mode).tolist()
+            got = _chord_excess(mode is SplitMode.ENTROPY, q, p0, p1).tolist()
             assert self._agree(got, peaks), (q, got, peaks)
 
     @pytest.mark.parametrize("mode", list(SplitMode))

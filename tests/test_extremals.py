@@ -11,14 +11,15 @@ from weightlab import (
     Interval,
     MomentKind,
     ParameterError,
+    ainf_constant,
     attainment_check,
     build,
-    constant_attainment,
     default_target,
     divergence_probe,
     evaluate_weight,
     moment,
     constant_weight,
+    rh1_constant,
     sharpness_sweep,
 )
 from weightlab.bellman import _BLOCK
@@ -146,14 +147,12 @@ class TestAttainment:
             assert abs(rep.gap) <= 1e-6
 
     def test_constant_attainment_values(self):
-        measured, gap = constant_attainment(ExtremalSpec(Family.AINF_UPPER, 2.0))
+        # the built weight's sup-type constant is q: exp-entropy for AINF_UPPER, entropy otherwise
+        measured, _ = ainf_constant(build(ExtremalSpec(Family.AINF_UPPER, 2.0)), resolution=201)
         assert measured == pytest.approx(2.0, abs=1e-9)
-        assert abs(gap) <= 1e-9
-        measured, gap = constant_attainment(ExtremalSpec(Family.FUNNY, 1.0))
+        measured, _ = rh1_constant(build(ExtremalSpec(Family.FUNNY, 1.0)), resolution=201)
         assert measured == pytest.approx(1.0, abs=1e-9)
-        measured, gap = constant_attainment(
-            ExtremalSpec(Family.GEHRING_BOUNDARY, 1.0, eps=0.3)
-        )
+        measured, _ = rh1_constant(build(ExtremalSpec(Family.GEHRING_BOUNDARY, 1.0, eps=0.3)), resolution=201)
         assert measured == pytest.approx(1.0, abs=1e-9)
 
 

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from weightlab import DomainError, ParameterError, solvers
+from weightlab import DomainError, ParameterError, selftest, solvers
 
 from _frozen import (
     EPS_MINUS_1,
@@ -46,6 +47,18 @@ class TestGammaLog:
             r = solvers.gamma_log(float(q))
             assert 0.0 < r.root < 1.0
             assert abs(r.residual) <= 1e-10
+
+    def test_bracket_holds_the_root(self):
+        # past q ~ 7.8e13 the fixed-point step moved t below the bracket of the rounded log q
+        for q in np.geomspace(1e13, 1e300, 2000):
+            r = solvers.gamma_log(float(q))
+            assert r.bracket[0] <= r.root <= r.bracket[1], q
+
+    def test_selftest_checks_bracket_membership(self, monkeypatch):
+        real = solvers.gamma_log
+        monkeypatch.setattr(solvers, "gamma_log", lambda q: dataclasses.replace(real(q), bracket=(0.0, 0.0)))
+        ok, detail = selftest.invariants_solvers()
+        assert not ok and "or its bracket" in detail
 
     def test_rejects_q_at_most_one(self):
         with pytest.raises(ParameterError):
@@ -175,6 +188,12 @@ class TestDimensionalRoute:
             assert solvers.good_lambda_verify(3, q) == pytest.approx(float(want), rel=4e-16), q
         assert solvers.good_lambda_verify(3, 1e-20) == pytest.approx(-29.31484021213406, rel=1e-15)
 
+    def test_good_lambda_verify_checks_q_before_using_it(self):
+        # log of a negative margin raised ValueError, exp(8e300) OverflowError
+        for q in (-1.0, 0.0, -1e300, math.nan):
+            with pytest.raises(ParameterError):
+                solvers.good_lambda_verify(1, q)
+
     def test_good_lambda_params(self):
         alpha, beta = solvers.good_lambda_params(1.0)
         assert beta == 0.25
@@ -204,6 +223,12 @@ class TestPGehringViaOne:
         bound, delta = solvers.p_gehring_via_one(1, 2.0, 1.0)
         assert bound == pytest.approx(48.0, rel=1e-14)
         assert delta > 0.0
+
+    def test_bound_past_the_double_range_is_refused(self):
+        # k**p and 2.0**p raised OverflowError
+        for n, p, k in ((1, 2.0, 1e200), (5, 1e30, 2.0), (400, 2.0, 1.0)):
+            with pytest.raises(DomainError):
+                solvers.p_gehring_via_one(n, p, k)
 
     def test_bound_formula(self):
         n, p, k = 2, 1.5, 3.0

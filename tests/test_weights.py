@@ -92,6 +92,18 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate_weight(w, 1.5)
 
+    def test_value_past_the_double_range_is_refused(self):
+        # t^-40 at t = 1e-10 is 1e400: the float power raised OverflowError; moment
+        # refuses the integral over the same piece
+        w = Weight((PowerPiece(Interval(0.0, 1e-12), 1.0, 0.0), PowerPiece(Interval(1e-12, 1.0), 1.0, -40.0)))
+        with pytest.raises(DomainError):
+            evaluate_weight(w, 1e-10)
+        with pytest.raises(DomainError):
+            moment(w, Interval(1e-12, 1.0), MomentKind.AVG_W)
+        with pytest.raises(DomainError):  # a finite power times the coefficient overflows too
+            evaluate_weight(power_weight(1e300, -0.5), 1e-20)
+        assert evaluate_weight(w, 0.5) == 0.5**-40
+
 
 class TestMoments:
     def test_linear_weight_averages(self):
@@ -211,6 +223,16 @@ class TestTruncate:
                 for t in np.linspace(0.01, 1.0, 57):
                     want = min(max(evaluate_weight(w, float(t)), 1.0 / n), n)
                     assert evaluate_weight(wn, float(t)) == pytest.approx(want, rel=1e-12)
+
+    def test_crossings_past_the_double_range(self):
+        # (level / coeff) ** (1 / alpha): 1e300^2 overflowed (OverflowError), and
+        # 1e-300 / 1e300 underflowed to 0, which a negative power divides by (ZeroDivisionError)
+        assert truncate(power_weight(1.0, -0.5), 1e300) == power_weight(1.0, -0.5)
+        assert truncate(power_weight(1e300, -0.5), 1e300) == constant_weight(1e300)
+        # a crossing inside: 1e-300 t^-1/2 = 1e-299 at t = 0.01
+        wn = truncate(power_weight(1e-300, -0.5), 1e299)
+        assert [p.coeff for p in wn.pieces] == [1e-300, 1e-299]
+        assert wn.pieces[0].support.b == pytest.approx(0.01, rel=1e-15)
 
     def test_level_validation(self):
         with pytest.raises(ParameterError):
