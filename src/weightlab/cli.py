@@ -31,16 +31,19 @@ def _fmt(x: float) -> float:
     return float(f"{x:.15g}")
 
 
-def _clean(obj):
-    """Recursively apply 15-digit rounding to every float in a report; a
-    non-finite float, which JSON cannot hold, becomes None (null)."""
+def _json(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2) in one walk, each float at 15 digits, and null where
+    that is not finite, which JSON cannot hold (nan, inf, past 1.79769313486231e308)."""
     if isinstance(obj, float):
-        return _fmt(obj) if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
+        return repr(x) if math.isfinite(x := _fmt(obj)) else "null"
+    inner = pad + "  "
+    if isinstance(obj, dict):  # a key that is not a string as json writes it, from a one-key dict
+        items = [(json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]) + ": " + _json(v, inner)
+                 for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    return obj
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + pad + "]" if obj else "[]"
+    return json.dumps(obj)
 
 
 def _fields(report) -> dict:
@@ -451,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
         ok, output = args.func(args)
         path = getattr(args, "output", None)  # selftest has no --output
         if isinstance(output, dict):
-            _write(json.dumps(_clean(output), indent=2), path)
+            _write(_json(output), path)
         elif isinstance(output, tuple):
             _write(_csv(*output), path)
         else:

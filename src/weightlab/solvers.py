@@ -11,6 +11,7 @@ gehring_sharp_eps is solved by bisection.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -168,6 +169,7 @@ def _bracket(c1, upper: bool):
     return (1.0 + c1, 2.0 + 2.0 * c1) if upper else (exp(-1.0 - c1), exp(-c1))
 
 
+@functools.lru_cache(maxsize=256)  # RootResult is frozen; default_target and each surface re-solve one q
 def _root_result(c1: float, upper: bool) -> RootResult:
     t, _, steps, bracket = _branch_root(c1, upper)
     return RootResult(t, t - math.log(t) - (1.0 + c1), bracket, steps)

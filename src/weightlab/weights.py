@@ -221,6 +221,8 @@ def _closed_form(c: float, alpha: float, s, e, kind: MomentKind):
         if from_zero:
             return c * e**a1 / a1 if a1 > 0.0 else math.inf
         return c * _power_diff(a1, s, e)
+    if alpha == 0.0 and kind in (MomentKind.AVG_LOG_W, MomentKind.AVG_W_LOG_W):  # alpha terms: 0.0 * finite
+        return (c * math.log(c) if kind is MomentKind.AVG_W_LOG_W else math.log(c)) * (e - s)
     xp = _ops(e - s)
     if kind is MomentKind.AVG_LOG_W:
         # integrand log c + alpha log t
@@ -250,19 +252,22 @@ def _closed_form(c: float, alpha: float, s, e, kind: MomentKind):
 def moment(w: Weight, interval: Interval, kind: MomentKind, p: float | None = None) -> float:
     """Average of the kind's integrand over the interval.
 
-    AVG_W_POW may return +inf: exactly when the interval touches 0 and the
-    zero piece has p*alpha <= -1.  The other kinds are always finite.
+    AVG_W_POW is +inf exactly where the interval touches 0 and the zero piece
+    has p*alpha <= -1; the others are finite.  A subnormal length is refused.
     """
-    total = 0.0
+    if not (length := interval.length) >= 2.0**-1022:
+        raise DomainError(f"interval [{interval.a}, {interval.b}] has a subnormal length")
+    total, a, b = 0.0, interval.a, interval.b
     for piece in w.pieces:
-        s = max(interval.a, piece.support.a)
-        e = min(interval.b, piece.support.b)
+        if piece.support.a >= b:  # the pieces are sorted: none from here meets the interval
+            break
+        s, e = max(a, piece.support.a), min(b, piece.support.b)
         if e > s:
             val = _piece_integral(piece, s, e, kind, p)
             if val == math.inf:
                 return math.inf
             total += val
-    return total / interval.length
+    return total / length
 
 
 # F differences lose a factor ~1/(g + 1) to cancellation on a piece t^g anchored

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import weightlab
 from weightlab import (
@@ -38,6 +40,7 @@ from weightlab import (
 from weightlab.solvers import gamma_log
 
 from _frozen import CONSTANTS_STDOUT, GAMMA_MINUS_1, RATIO_BOUND_E, RH1_LINEAR
+from _strategies import NUMBERS
 
 
 @pytest.fixture()
@@ -907,7 +910,68 @@ class TestParserReuse:
         assert cli._build_parser.cache_info().misses == 1
 
 
+def _clean(obj):
+    """Every float in a payload rounded to 15 digits, a non-finite one None (null).
+
+    The finiteness test follows the rounding, which overflows past 1.79769313486231e308:
+    tested before it, such a float printed as Infinity, which is not JSON.
+    """
+    if isinstance(obj, float):
+        obj = cli._fmt(obj)
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_clean(v) for v in obj]
+    return obj
+
+
+def _reference_json(obj) -> str:
+    """The JSON writer's reference: the payload cleaned, then json.dumps at indent 2."""
+    return json.dumps(_clean(obj), indent=2)
+
+
+# payload leaves: floats over the double range (nan, +-inf, -0.0, subnormals and
+# 1e308 among them) plain and as numpy scalars, ints, bools, None, any text
+FLOATS = NUMBERS | st.floats() | st.sampled_from((1e308, -1e308, 1.7976931348623157e308, 2.0**-1022))
+LEAVES = FLOATS | FLOATS.map(np.float64) | st.integers() | st.booleans() | st.none() | st.text()
+KEYS = st.text() | FLOATS | st.integers() | st.booleans() | st.none()
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(KEYS, inner, max_size=4),
+    max_leaves=40,
+)
+
+
 class TestFormatting:
+    @settings(deadline=None)
+    @given(PAYLOADS)
+    @example({})
+    @example({"a": [], "b": (), "c": {}, "d": [()]})
+    @example({1.5: math.nan, True: -0.0, None: [math.inf, -math.inf], 3: 5e-324, math.inf: "\u00e9\u2603\n"})
+    @example([{"pieces": [{"a": 0.0, "b": 1.0, "coeff": 1e308, "exponent": -0.999999}]}, (1, (2.5e-310,))])
+    def test_writer_matches_the_cleaned_json_dumps(self, payload):
+        assert cli._json(payload) == _reference_json(payload)
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(["solve", "--equation", "gamma-log", "--q", "1.7976931348623157e308"], "q"),
+         (["solve", "--equation", "gehring-sharp", "--p", "1.7976931348623157e308", "--k", "2"], "p")],
+        ids=["gamma-log-q", "gehring-sharp-p"],
+    )
+    def test_a_float_rounding_past_the_double_range_prints_null(self, argv, key, capsys):
+        # 1.79769313486232e308, its 15-digit rounding, is past the double range
+        assert cli.main(argv) == 0
+        assert _strict_json_out(capsys)[key] is None
+
+    def test_writer_refuses_what_json_refuses(self):
+        for payload in ({"x": np.int64(1)}, [object()], {(1, 2): 0.0}):
+            with pytest.raises(TypeError):
+                _reference_json(payload)
+            with pytest.raises(TypeError):
+                cli._json(payload)
+
     def test_csv_rows_format_each_type(self, capsys):
         rows = [
             ("rh1", 0.1, 0, -0.0),

@@ -311,6 +311,38 @@ class TestBranchRootKernel:
                 assert t == 1.0 and steps <= 4
 
 
+class TestRootCache:
+    """_root_result is memoized: a repeated (c1, branch) returns the first solve's result."""
+
+    def test_repeated_solve_is_a_hit_equal_to_a_fresh_solve(self):
+        solvers._root_result.cache_clear()
+        first = solvers.gamma_entropy_roots(2.5)
+        assert solvers.gamma_entropy_roots(2.5) == first
+        assert solvers._root_result.cache_info().hits == 2
+        fresh = tuple(solvers._root_result.__wrapped__(2.5, upper=u) for u in (False, True))
+        assert fresh == first
+        # a root above 1/4 is the kernel's own, not refined by the step in q
+        fresh = solvers._root_result.__wrapped__(math.log(1.5), upper=False)
+        assert solvers.gamma_log(1.5) == solvers.gamma_log(1.5) == fresh
+
+    def test_cache_is_bounded(self):
+        solvers._root_result.cache_clear()
+        for q in np.linspace(0.5, 50.0, 400):
+            solvers.gamma_entropy_roots(float(q))
+        assert solvers._root_result.cache_info().currsize == solvers._root_result.cache_info().maxsize == 256
+
+    @pytest.mark.parametrize(
+        "solve, q",
+        [(solvers.gamma_log, 1.0), (solvers.gamma_log, math.nan), (solvers.gamma_entropy_roots, 800.0),
+         (solvers.gamma_entropy_roots, 0.0), (solvers.eps_minus, -1.0)],
+        ids=["log-q-one", "log-nan", "entropy-underflow", "entropy-zero", "eps-negative"],
+    )
+    def test_bad_q_raises_on_every_call(self, solve, q):
+        for _ in range(3):
+            with pytest.raises(ParameterError):
+                solve(q)
+
+
 class TestBisect:
     def test_respects_bracket_and_residual(self):
         res = solvers.bisect(lambda t: t * t - 2.0, 0.0, 2.0)

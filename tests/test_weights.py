@@ -30,6 +30,8 @@ from weightlab import (
     load_weight,
 )
 from weightlab import build as build_extremal
+from weightlab import weights
+from weightlab.weights import _closed_form, _expm1_ratio, _log_ratio, _ops, _power_diff, _ulogu_series
 
 
 class TestConstruction:
@@ -196,6 +198,46 @@ class TestMoments:
                     step = (cum[i + 1] - cum[i]) / (pts[i + 1] - pts[i])
                     assert step == pytest.approx(direct, rel=1e-13, abs=1e-300), (kind, p, i)
 
+    def test_moment_matches_the_walk_over_every_piece(self, corpus):
+        # moment stops at the first piece past the interval; the reference visits them all
+        def walk_all(w, iv, kind, p):
+            total = 0.0
+            for piece in w.pieces:
+                s, e = max(iv.a, piece.support.a), min(iv.b, piece.support.b)
+                if e > s:
+                    val = weights._piece_integral(piece, s, e, kind, p)
+                    if val == math.inf:
+                        return math.inf
+                    total += val
+            return total / iv.length
+
+        many = step_weight([0.0, 0.1, 0.25, 0.4, 0.55, 0.7, 0.9, 1.0], [1.5, 0.3, 4.0, 2.2, 0.7, 6.0, 1.1])
+        kinds = ((MomentKind.AVG_W, None), (MomentKind.AVG_LOG_W, None), (MomentKind.AVG_W_LOG_W, None),
+                 (MomentKind.AVG_W_POW, 1.7), (MomentKind.AVG_W_POW, -0.6))
+        ends = (0.0, 0.05, 0.1, 0.25, 0.33, 0.5, 0.7, 0.95, 1.0)
+        for w in corpus + [many]:
+            for a in ends:
+                for b in (e for e in ends + (w.pieces[0].support.b,) if e > a):
+                    for kind, p in kinds:
+                        assert moment(w, Interval(a, b), kind, p) == walk_all(w, Interval(a, b), kind, p)
+
+    def test_moment_over_the_least_subnormal_length_is_refused(self):
+        # c (e - s) rounds to a multiple of 5e-324 before the division: it read 1.0
+        with pytest.raises(DomainError, match="subnormal length"):
+            moment(constant_weight(1.4932217896051503), Interval(0.0, 5e-324), MomentKind.AVG_W)
+
+    def test_moment_over_a_subnormal_length_of_1e_310_is_refused(self):
+        # c * 1e-310 keeps ~44 bits: it read 1.493221789605168
+        with pytest.raises(DomainError, match="subnormal length"):
+            moment(constant_weight(1.4932217896051503), Interval(0.0, 1e-310), MomentKind.AVG_W)
+
+    def test_moment_over_the_least_normal_length_is_exact(self):
+        c = 1.4932217896051503
+        for a in (0.0, 2.0**-1022):
+            iv = Interval(a, a + 2.0**-1022)
+            assert moment(constant_weight(c), iv, MomentKind.AVG_W) == c
+            assert moment(constant_weight(c), iv, MomentKind.AVG_LOG_W) == math.log(c)
+
     @pytest.mark.parametrize(
         "pts", [[0.5, 0.2], [0.0, 0.6, 0.4, 1.0], [-0.1, 0.5], [0.5, 1.5], [0.2, math.nan]],
         ids=["unsorted", "unsorted-inside", "below-0", "above-1", "nan"],
@@ -302,3 +344,100 @@ class TestCorpus:
         for w in corpus:
             assert w.pieces[0].support.a == 0.0
             assert w.pieces[-1].support.b == 1.0
+
+
+def _two_term_closed_form(c, alpha, s, e, kind):
+    """_closed_form's AVG_LOG_W and AVG_W_LOG_W as two terms, the alpha one added even at alpha = 0.
+
+    The reference for the constant-piece forms, which return the first term alone.
+    """
+    a1 = alpha + 1.0
+    from_zero = not isinstance(s, np.ndarray) and s == 0.0
+    xp = _ops(e - s)
+    if kind is MomentKind.AVG_LOG_W:
+        if from_zero:
+            return e * math.log(c) + alpha * (e * xp.log(e) - e)
+        return (e - s) * math.log(c) + alpha * (e * xp.log(e) - s * xp.log(s) - (e - s))
+    if from_zero:
+        ea1 = e**a1
+        return c * math.log(c) * ea1 / a1 + c * alpha * ea1 * (xp.log(e) / a1 - 1.0 / (a1 * a1))
+    big = _log_ratio(s, e)
+    z = a1 * big
+    near = abs(z) < 0.5
+    array = isinstance(near, np.ndarray)
+    if array or near:
+        tlog = s**a1 * (xp.log(s) * big * _expm1_ratio(z) + _ulogu_series(z, big))
+    if array or not near:
+        closed = (e**a1 * (a1 * xp.log(e) - 1.0) - s**a1 * (a1 * xp.log(s) - 1.0)) / (a1 * a1)
+        tlog = np.where(near, tlog, closed) if array else closed
+    return c * math.log(c) * _power_diff(a1, s, e) + c * alpha * tlog
+
+
+class TestConstantPieceForms:
+    """On a constant piece _closed_form skips the alpha term, 0.0 times a finite number.
+
+    Its bits are the two-term sum's, but for one case: where the first term
+    underflows to -0.0 (c < 1, a subnormal product) and the skipped term
+    rounds to +0.0, the sum reads +0.0 and the shortcut -0.0.  moment and
+    cumulative_moment add every piece integral to a +0.0 start, so neither
+    sees that sign.
+    """
+
+    CS = (1.0, 5e-324, 1e-300, 1e300)
+    KINDS = (MomentKind.AVG_LOG_W, MomentKind.AVG_W_LOG_W)
+    # from 0 and not, subnormal to 1, near and far ratios e / s, and ends an ulp apart
+    ENDS = [1.0, 0.5, 1e-3, 1e-12, 1e-300, 1e-310, 5e-324]
+    SPANS = [(s, e) for e in ENDS for s in (0.0, 0.5 * e, 0.999 * e, 1e-9 * e) if s < e] + [
+        (1.0 - 2.0**-53, 1.0), (0.5, 0.5 + 2.0**-53), (0.3, 0.7), (1e-300, 1.0), (5e-324, 1.0), (5e-324, 1e-323)]
+    ARRAYS = [np.geomspace(1e-320, 1.0, 40), np.linspace(0.01, 1.0, 40), np.array([1e-310, 0.5, 1.0 - 2.0**-53, 1.0])]
+
+    @staticmethod
+    def _mismatches(closed_form, alpha):
+        """The cases where closed_form's bits differ from the two-term sum's, bar a -0.0 for +0.0."""
+        bad = []
+        calls = list(TestConstantPieceForms.SPANS)
+        calls += [(s, e[e > s]) for e in TestConstantPieceForms.ARRAYS for s in (0.0, 1e-320, 0.005)]
+        with np.errstate(all="ignore"):
+            for c in TestConstantPieceForms.CS:
+                for kind in TestConstantPieceForms.KINDS:
+                    for s, e in calls:
+                        got = np.asarray(closed_form(c, alpha, s, e, kind), dtype=float)
+                        want = np.asarray(_two_term_closed_form(c, alpha, s, e, kind), dtype=float)
+                        assert got.shape == want.shape
+                        same = got.view(np.int64) == want.view(np.int64)
+                        signed_zero = (got == 0.0) & (want == 0.0) & np.signbit(got) & ~np.signbit(want)
+                        if not np.all(same | signed_zero):
+                            bad.append((c, kind, s, e))
+        return bad
+
+    def test_constant_piece_matches_the_two_term_sum_bit_for_bit(self):
+        assert self._mismatches(_closed_form, 0.0) == []
+
+    def test_tiny_exponent_still_adds_its_term(self):
+        assert self._mismatches(_closed_form, 1e-300) == []
+
+    def test_a_shortcut_that_also_fires_at_1e_300_fails(self):
+        # the negative control: at c = 1 the first term is 0 and the skipped alpha term is all there is
+        def loose(c, alpha, s, e, kind):
+            return _closed_form(c, 0.0 if abs(alpha) <= 1e-300 else alpha, s, e, kind)
+
+        bad = self._mismatches(loose, 1e-300)
+        assert bad and {c for c, *_ in bad} >= {1.0}
+
+    def test_the_signed_zero_case_is_invisible_to_moment(self, monkeypatch):
+        # c log(c) (e - s) underflows to -0.0 and the rounded t log t integral is +0.0
+        c, s, e = 5e-324, 1.0 - 2.0**-53, 1.0
+        got = _closed_form(c, 0.0, s, e, MomentKind.AVG_W_LOG_W)
+        want = _two_term_closed_form(c, 0.0, s, e, MomentKind.AVG_W_LOG_W)
+        assert (got, math.copysign(1.0, got), math.copysign(1.0, want)) == (0.0, -1.0, 1.0)
+        w = step_weight([0.0, 0.5, 1.0], [3.0, c])
+        pts = np.array([0.0, 0.25, 0.5, s, 1.0])
+        ivs = [Interval(s, e), Interval(0.5, s), Interval(0.25, 1.0), Interval(0.0, 1.0)]
+
+        def values():
+            return [cumulative_moment(w, pts, kind).tobytes() for kind in self.KINDS] + [
+                np.float64(moment(w, iv, kind)).tobytes() for iv in ivs for kind in self.KINDS]
+
+        shortcut = values()
+        monkeypatch.setattr(weights, "_closed_form", _two_term_closed_form)
+        assert values() == shortcut

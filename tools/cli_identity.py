@@ -9,7 +9,13 @@ to 1e300, each at grids 2, 5 and 33, and its refusals; ``--verify tangent``
 and ``--verify hessian`` at q spread over the benchmark's bands and past
 them, at grids -1 to 24; ``dyadic --verify`` on 24 corpus weights in both
 modes, JSON and CSV, with and without ``--eps``, and at a q the weight
-exceeds; ``selftest``.
+exceeds; ``selftest``.  Then every subcommand that prints JSON:
+``constants`` on 8 corpus weights (``rh_p``/``a_p`` keyed by p, the nested
+scans, CSV), ``solve`` for each equation over q from tiny to past its
+range, ``extremal`` for all four families with and without targets and
+their refusals, ``bellman --eval`` on the three surfaces inside, on and
+outside their domains, ``dyadic`` trees without ``--verify`` at depths 0
+to 6, and ``sweep --format json``.
 
 Each difference is put in one of the kinds a change may declare (see
 ``KINDS``) or in ``other``; the script prints the count per kind and every
@@ -84,6 +90,75 @@ def cases(workdir: Path) -> list[list[str]]:
                     runs.append(base + ["--format", fmt])
                     runs.append(base + ["--format", fmt, "--eps", "0.1"])
     runs.append(["selftest"])
+    return runs + writer_cases(workdir)
+
+
+# q past the double range once rounded to 15 digits (1.79769313486232e308)
+MAX_DOUBLE = "1.7976931348623157e308"
+
+
+def writer_cases(workdir: Path) -> list[list[str]]:
+    """Command lines of every other subcommand whose payload the JSON writer prints."""
+    from weightlab import solvers
+
+    runs = []
+    corpus = [str(workdir / f"corpus{k}.json") for k in range(24)]
+    for path in corpus[:8]:
+        base = ["constants", "--weight", path, "--resolution", "51"]
+        runs.append(base + ["--which", "rh1,ainf,rhp,ap", "--p-values", "1.5,2,3"])
+        runs.append(base + ["--which", "rhp,ap", "--p-values", "1.25,4", "--format", "csv"])
+        runs.append(base + ["--which", "rh1_prime,rh1_doubleprime", "--maximal-resolution", "12"])
+    runs.append(["constants", "--weight", corpus[0], "--which", "ap", "--p-values", "1.0"])
+
+    qs = ["1e-300", "1e-20", "1e-6", "0.05", "0.5", "1.0", "2.0", "3.0", "5.6", "10.0", "100.0",
+          "700.0", "743.0", "800.0", "1e30", "1e300", MAX_DOUBLE, "0.0", "-1.0", "nan", "inf"]
+    for eq in ("gamma-log", "gamma-entropy", "eps-minus", "funny"):
+        runs += [["solve", "--equation", eq, "--q", q] for q in qs]
+    for n in ("1", "3"):
+        runs += [["solve", "--equation", "gehring-n", "--n", n, "--q", q] for q in qs]
+    runs.append(["solve", "--equation", "gehring-n", "--n", "0", "--q", "1.0"])
+    for p, k in (("2.0", "1.4142135623730951"), ("1.5", "1.01"), ("10.0", "4.0"), ("3.0", "0.7"),
+                 ("1.0", "2.0"), (MAX_DOUBLE, "2.0"), ("2.0", "nan")):
+        runs.append(["solve", "--equation", "gehring-sharp", "--p", p, "--k", k])
+
+    for q in ("1.01", "2.0", "17.0", "1e6", "1e30", "1e31", "1.0", "0.5"):
+        runs.append(["extremal", "--family", "ainf", "--q", q])
+    runs += [["extremal", "--family", "ainf", "--q", "3.0", "--x", "2.0", "--y", y] for y in ("0.2", "-0.5", "0.9")]
+    runs.append(["extremal", "--family", "ainf", "--q", "3.0", "--x", "2.0"])
+    for q in ("0.01", "0.5", "1.0", "5.0", "100.0", "700.0", "800.0", "0.0"):
+        runs.append(["extremal", "--family", "funny", "--q", q])
+        for family in ("gehring-boundary", "gehring-interior"):
+            runs.append(["extremal", "--family", family, "--q", q])
+            if float(q) > 0.0 and float(q) <= 743.0:
+                eps = 0.5 / (solvers.gamma_entropy_roots(float(q))[1].root - 1.0)
+                runs.append(["extremal", "--family", family, "--q", q, "--eps", repr(eps)])
+                runs.append(["extremal", "--family", family, "--q", q, "--eps", repr(3.0 * eps)])
+    runs.append(["extremal", "--family", "gehring-interior", "--q", "1.0", "--eps", "0.3", "--x", "2.0", "--y", "1.6"])
+    runs.append(["extremal", "--family", "funny", "--q", "1.0", "--x", "2.0", "--y", "1.5"])
+
+    for surface, bands in BANDS.items():
+        for lo, hi in bands:
+            for q in _log_space(lo, hi, 3):
+                args = ["bellman", "--surface", surface, "--q", repr(q)]
+                if surface == "gehring":
+                    args += ["--eps", repr(0.5 / (solvers.gamma_entropy_roots(q)[1].root - 1.0))]
+                for x in (0.3, 1.0, 3.0):
+                    for frac in (-0.5, 0.0, 0.02, 0.5, 1.0, 1.5):
+                        if surface == "ainf-upper":
+                            y = math.log(x) - frac * math.log(q)
+                        else:
+                            y = x * math.log(x) + frac * q * x
+                        runs.append(args + [f"--eval={x!r},{y!r}"])
+    runs.append(["bellman", "--surface", "ainf-upper", "--q", "2.0", "--eval", "1.0"])
+
+    for path in corpus[:12]:
+        for mode, q in (("log", "40.0"), ("entropy", "6.0"), ("log", "1.0001")):
+            for depth in ("0", "2", "4", "6"):
+                runs.append(["dyadic", "--weight", path, "--mode", mode, "--q", q, "--q1", repr(1.3 * float(q)),
+                             "--depth", depth])
+
+    for qs in ("", "2", "0.5,1,2,8,1e6", f"1e300,{MAX_DOUBLE}", "nan,-1"):
+        runs.append(["sweep", "--q-list", qs, "--format", "json"])
     return runs
 
 
@@ -116,12 +191,25 @@ def _payload(text: str):
         return None
 
 
+def _inf_to_null(old, new) -> bool:
+    """Whether new is old with every infinite float (printed as Infinity) null instead."""
+    if isinstance(old, float) and math.isinf(old):
+        return new is None
+    if isinstance(old, dict) and isinstance(new, dict):
+        return old.keys() == new.keys() and all(_inf_to_null(old[k], new[k]) for k in old)
+    if isinstance(old, list) and isinstance(new, list):
+        return len(old) == len(new) and all(map(_inf_to_null, old, new))
+    return old == new
+
+
 def kind(argv: list[str], old: list, new: list) -> str:
     """Which declared kind a differing run belongs to, else "other"."""
-    verify = argv[argv.index("--verify") + 1] if argv[0] == "bellman" else None
+    verify = argv[argv.index("--verify") + 1] if "--verify" in argv and argv[0] == "bellman" else None
     if verify in ("tangent", "hessian") and _grid(argv) < 2:
         return "grid-refusal"
     a, b = _payload(old[2]), _payload(new[2])
+    if "Infinity" in old[2] and old[1] == new[1] and old[3] == new[3] and _inf_to_null(a, b):
+        return "overflow-null"
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys() and old[3] == new[3] == "":
         changed = {k for k in a if a[k] != b[k]}
         if verify == "tangent" and changed == {"passed"}:
@@ -131,7 +219,7 @@ def kind(argv: list[str], old: list, new: list) -> str:
     return "other"
 
 
-KINDS = ("grid-refusal", "tangent-passed", "ratio-bound")
+KINDS = ("grid-refusal", "tangent-passed", "ratio-bound", "overflow-null")
 
 
 def main() -> int:
