@@ -340,7 +340,7 @@ def _cmd_selftest(args) -> tuple[bool, object]:
 # traced memory peak under 256 MiB.  Pair scans take O(R^2) time, O(R) memory,
 # and at most _SCAN_CAP of them run at R = 20001 (or more at a smaller R; four
 # share one walk, about 2.8 s on 2 CPUs and 3.2 MiB); at R = 200 rh1_prime's row pass, O(R^2) a row, peaks at 1 MiB
-# and rh1_doubleprime's row blocks at 3.2 MiB for one piece or five; a Hessian check
+# and rh1_doubleprime's row blocks at 2.9 MiB for three power pieces; a Hessian check
 # ~150 B per grid point; a depth-14 tree 108 MiB.
 _CAPS = {"resolution": 20001, "maximal_resolution": 200, "grid": 1024, "depth": 14}
 _SCAN_CAP = 4

@@ -9,7 +9,8 @@ cumulative moment and each block's pair lengths and averages are computed
 once, and each constant adds its second cumulative moment and its combining
 expression; its rows are split, bit for bit, across the CPUs the process may
 use (up to four, with no setting), while rh1_prime and Orlicz walk in one.
-The Orlicz constant solves each block's Luxemburg norms together; the
+The Orlicz constant solves each block's Luxemburg norms together, on one
+Gauss-Legendre layout in mass coordinates for every power piece; the
 maximal-function constant is the documented expensive one, O(resolution^3)
 in one row pass per left end, O(resolution^2) memory each.
 
@@ -20,7 +21,6 @@ suprema sit on breakpoint-anchored intervals.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import os
@@ -31,12 +31,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .solvers import _EXCESS_SERIES_S, _excess
 from .weights import (
     Interval,
     MomentKind,
     PowerPiece,
     Weight,
-    _piece_integral,
     breakpoints,
     cumulative_moment,
     evaluate,
@@ -330,21 +330,16 @@ def rh1_prime_constant(
 # Orlicz (Luxemburg) norms
 
 
-@functools.cache
-def _gl_panels(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of `panels` equal 16-point Gauss-Legendre panels on [0, 1], read-only."""
-    x, wts = np.polynomial.legendre.leggauss(16)
-    k = np.arange(panels)[:, None]
-    nodes, weights = ((k + 0.5 + 0.5 * x) / panels).ravel(), np.tile(0.5 * wts / panels, panels)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-# the substituted end takes 8 panels on each side of the knee in x, and its
-# integrand falls below e^-40 (1e-17 of its peak) within _END_WIDTH of the
-# knee or _END_WIDTH * beta of 0
-_END_X, _END_W = _gl_panels(8)
-_END_WIDTH = 40.0
+# 16-point Gauss-Legendre nodes and weights on [0, 1], shared by every panel
+_GL_X, _GL_W = (0.5 * v for v in np.polynomial.legendre.leggauss(16))
+_GL_X += 0.5
+_GL_X.flags.writeable = _GL_W.flags.writeable = False
+# A power piece's nodes stop where its mass density e^(-x / beta) has fallen by e^-_CUT, unless its
+# integrand still grows there (expL-1, toward larger w).  A knee past _KNEE_CUT beta carries under
+# e^-30 of the mass, and a side graded toward it would put a panel wider than 20 beta at x = 0,
+# where 16 points lose digits on e^(-x / beta): the split moves to 0.  Past w = 2^64 lam, log(e + s)
+# is log s to 2^-62 relative for any lam the solve probes, and L log L takes it in closed form.
+_CUT, _KNEE_CUT, _TAIL = 40.0, 30.0, 64.0 * math.log(2.0)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -358,99 +353,93 @@ def _psi_chi(kind: OrliczKind, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     raise ParameterError(f"unknown Orlicz kind {kind}")
 
 
-def _end_terms(kind: OrliczKind, K: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """dv-averages of Phi(s) / s and Phi'(s) over a power piece's end at 0.
-
-    On [0, e] the piece c t^alpha has mass m = c e^a1 / a1, a1 = alpha + 1,
-    and t = e v^(1/a1) makes w dt = m dv with s = w / lam = K v^(-alpha/a1),
-    K = c e^alpha / lam.  Then v = exp(-x / beta), beta = |alpha| / a1, turns
-    dv into the weight exp(-x / beta) / beta dx on [0, inf).  For L log L,
-    log(e + s) is log K + x (alpha < 0) or 1 (alpha > 0) plus
-    log1p(e^(L - x)), L = log(e / K) or log(K / e); that is (L - x)_+ plus a
-    bump log1p(e^-|x - L|).  The linear parts integrate in closed form, and
-    Gauss-Legendre panels on each side of L take the bump.  For exp(s) - 1
-    (alpha > 0 only) the integrand is smooth, and the same panels about
-    L = log K, where s = 1, take it whole.
-    """
-    beta = abs(alpha) / (1.0 + alpha)
-    L = np.log(K) - 1.0 if kind is OrliczKind.LLOGL else np.log(K)
-    if alpha < 0.0:
-        L = -L
-    cap = _END_WIDTH * beta
-    lo, mid, hi = np.maximum(L - _END_WIDTH, 0.0), np.clip(L, 0.0, cap), np.clip(L + _END_WIDTH, 0.0, cap)
-    left, right = np.maximum(mid - lo, 0.0)[:, None], np.maximum(hi - mid, 0.0)[:, None]
-    x = np.concatenate([lo[:, None] + left * _END_X, mid[:, None] + right * _END_X], axis=1)
-    q = np.concatenate([left * _END_W, right * _END_W], axis=1) * np.exp(-x / beta) / beta
-    if kind is not OrliczKind.LLOGL:
-        psi, chi = _psi_chi(kind, K[:, None] * np.exp(-x))
-        return np.sum(q * psi, axis=1), np.sum(q * chi, axis=1)
-    u = x - L[:, None]
-    a = np.exp(-np.abs(u))
-    bump = np.sum(q * np.log1p(a), axis=1)
-    slope = np.sum(q * np.sign(u) * a / (1.0 + a), axis=1)  # int of sign(u) / (1 + e^|u|)
-    edge = np.exp(-np.maximum(L, 0.0) / beta)  # the weight's mass right of L
-    if alpha < 0.0:
-        psi = 1.0 + beta * edge - np.minimum(L, 0.0) + bump
-        return psi, psi + edge - slope
-    lp = np.maximum(L, 0.0)
-    psi = 1.0 + lp + beta * np.expm1(-lp / beta) + bump
-    return psi, psi + 1.0 - edge + slope
+def _panel_count(kind: OrliczKind, w: Weight) -> int:
+    """Panels per power piece: 4 while beta <= 3, one more per factor 3 of beta up to 7 (nodes span at
+    most 40 beta, or 745 in x), from w's largest beta; expL-1 takes 8 more for its steep e^s."""
+    inv_betas = [abs(pc.exponent + 1.0) / abs(pc.exponent) for pc in w.pieces if pc.exponent != 0.0]
+    extra = sum(min(inv_betas, default=1.0) < 3.0**-k for k in (1, 2, 3))
+    return 4 + extra + (8 if kind is OrliczKind.EXP_MINUS_ONE else 0)
 
 
 @np.errstate(all="ignore")
-def _orlicz_nodes(w: Weight, lo: np.ndarray, hi: np.ndarray, panels: int = 6) -> tuple:
-    """Quadrature of avg_I Phi(w / lam) on the intervals I = [lo, hi].
+def _orlicz_nodes(kind: OrliczKind, w: Weight, lo: np.ndarray, hi: np.ndarray, lam: np.ndarray) -> tuple:
+    """Quadrature of avg_I Phi(w / lam) on the intervals I = [lo, hi], placed at each row's lam.
 
-    Every piece contributes its overlap with I, an empty one with zero mass: a
-    constant piece one node, a power piece `panels` Gauss-Legendre panels of 16
-    nodes.  Where lo = 0 and the first piece is a power, its overlap [0, e] is
-    kept instead as its mass m0 and end value wb for _end_terms.  Returns
-    (mass, wv, length, end, m0, wb, alpha): node masses (quadrature weight
-    times w) and w values, one row per interval; the interval lengths; the
-    rows with a substituted end, their m0 and wb; the first piece's exponent.
+    Every piece contributes its overlap [s, e] with I, an empty one zero mass:
+    a constant piece one node.  On a power piece c t^alpha, x = |alpha|
+    |log(t / A)|, from the end A where w t is larger (e for alpha > -1, else
+    s), gives w = w(A) e^(+-x) and w dt = w(A) A / |alpha| e^(-x / beta) dx,
+    beta = |alpha| / |alpha + 1|, on [0, X], X = |alpha| log1p((e - s) / s).
+    Its panels are split at the knee w = e lam; their widths grow by 3 away
+    from it (expL-1: from each side's end where the integrand at lam is
+    larger), and the two sides share them so that their smallest widths
+    match.  Nodes carry w, so they serve every lam.  Returns (mass, wv,
+    length, tail_w, tail_wlogw): node masses (quadrature weight times w) and
+    w values, one row per interval; the interval lengths; and per row the
+    mass and the w log w integral of the L log L tail past w = 2^64 lam.
     """
-    seg_x, seg_w = _gl_panels(panels)
     starts, ends, coeff, expo = (np.array(v) for v in zip(*(
         (pc.support.a, pc.support.b, pc.coeff, pc.exponent) for pc in w.pieces)))
     s, e = np.maximum(lo[:, None], starts), np.minimum(hi[:, None], ends)
-    span = np.maximum(e - s, 0.0)
-    flat, first = expo == 0.0, w.pieces[0]
-    end = np.flatnonzero(lo == 0.0) if first.exponent != 0.0 else np.zeros(0, dtype=int)
-    sp, ep = s[:, ~flat, None], e[:, ~flat, None]
-    live = (ep > sp) & (sp > 0.0)  # s = 0 only on the substituted end
-    alpha = expo[~flat, None]
-    # t^alpha, alpha < 3, is too rough near 0 for panels even in t: even in log t there
-    geo = alpha < 3.0
-    # A subnormal sp overflows ep / sp, not its logs.  For alpha > 0, t more than _END_WIDTH / (alpha + 1)
-    # e-folds below ep holds under e^-_END_WIDTH of each term (each grows with t), and wider panels lose
-    # digits: the nodes stop there.  w at a node past the double range: a nan norm, masked.
-    y = np.where(live, np.log(ep / sp), 0.0)
-    t = np.where(geo, np.where(live, sp, 1.0) * np.exp(y * seg_x), sp + (ep - sp) * seg_x)
-    cap = np.where(alpha > 0.0, _END_WIDTH / (alpha + 1.0), np.finfo(float).max)
-    wide = geo & (y > cap)
-    if wide.any():
-        y = np.where(wide, np.minimum(np.log(ep) - np.log(sp), cap), y)
-        t = np.where(wide, np.exp(np.log(ep) + y * (seg_x - 1.0)), t)
-    dt = np.where(live, np.where(geo, t * y, ep - sp) * seg_w, 0.0)
-    wv_pow = np.where(live, coeff[~flat, None] * t ** alpha, 0.0)
-    rows = len(lo)
-    mass = np.concatenate([span[:, flat] * coeff[flat], (dt * wv_pow).reshape(rows, -1)], axis=1)
-    wv = np.concatenate([np.where(span[:, flat] > 0.0, coeff[flat], 0.0), wv_pow.reshape(rows, -1)], axis=1)
-    e0 = e[end, 0]
-    m0 = _piece_integral(first, 0.0, e0, MomentKind.AVG_W, None)
-    return mass, wv, hi - lo, end, m0, first.coeff * e0**first.exponent, first.exponent
+    span, flat, n = np.maximum(e - s, 0.0), expo == 0.0, _panel_count(kind, w)
+    mass, wv = span[:, flat] * coeff[flat], np.where(span[:, flat] > 0.0, coeff[flat], 0.0)
+    tail_w = tail_wlogw = np.zeros(len(lo))
+    if flat.all():
+        return mass, wv, hi - lo, tail_w, tail_wlogw
+    s, e, c, alpha = s[:, ~flat], e[:, ~flat], coeff[~flat], expo[~flat]
+    live, up = e > s, (alpha > -1.0) & (alpha < 0.0)  # up: w grows with x
+    sign, inv_beta = np.where(up, 1.0, -1.0), np.abs(alpha + 1.0) / np.abs(alpha)
+    beta, A = 1.0 / inv_beta, np.where(alpha > -1.0, e, s)
+    w_a = np.where(live, c * A**alpha, 0.0)
+    log_wa, log_lam = np.log(w_a), np.log(lam)[:, None]
+    q = (e - s) / s  # overflows for a subnormal s, but not its logs
+    big_x = np.where(live, np.abs(alpha) * np.where(q < np.inf, np.log1p(q), np.log(e) - np.log(s)), 0.0)
+    end = np.where(up & (kind is OrliczKind.EXP_MINUS_ONE), big_x, np.minimum(big_x, _CUT * beta))
+    tail_x = np.where(up, np.maximum(log_lam + _TAIL - log_wa, 0.0), np.inf)
+    tail = live & (tail_x < end) & (kind is OrliczKind.LLOGL)
+    end = np.where(tail, tail_x, end)
+    knee = sign * (1.0 + log_lam - log_wa)
+    split = np.where(knee > _KNEE_CUT * beta, 0.0, np.clip(knee, 0.0, end))
+    # k_lo - (n - k_lo) = log_3 of the sides' length ratio matches their smallest widths
+    k_lo = np.clip(np.rint(0.5 * n + np.log(split / (end - split)) / (2.0 * math.log(3.0))), 0, n)
+    k_lo = np.where(end > 0.0, k_lo, 0.0)
+    split = np.where(k_lo == 0, 0.0, np.where(k_lo == n, end, split))
+    near_lo = near_hi = split
+    if kind is OrliczKind.EXP_MINUS_ONE:
+        def log_f(x):  # log of the integrand at lam, up to a constant
+            z = np.minimum(log_wa + sign * x - log_lam, 700.0)
+            return -x * inv_beta + np.log(_psi_chi(kind, np.exp(z))[0])
+        near_lo = np.where(log_f(0.0) >= log_f(split), 0.0, split)
+        near_hi = np.where(log_f(end) > log_f(split), end, split)
+    on_lo = np.arange(n) < k_lo[..., None]  # (rows, pieces, panels)
+    i = np.where(on_lo, np.arange(n), np.arange(n) - k_lo[..., None])
+    near = np.where(on_lo, near_lo[..., None], near_hi[..., None])
+    far = np.where(on_lo, (split - near_lo)[..., None], (split + end - near_hi)[..., None])  # the other end
+    grade = (far - near) / (3.0 ** np.where(on_lo, k_lo[..., None], n - k_lo[..., None]) - 1.0)
+    width = grade * 2.0 * 3.0**i
+    x = (near + grade * (3.0**i - 1.0))[..., None] + width[..., None] * _GL_X
+    scale = w_a * A / np.abs(alpha)
+    wv_pow = w_a[..., None, None] * np.exp(sign[:, None, None] * x)
+    mass_pow = (scale[..., None, None] * np.abs(width)[..., None]) * _GL_W * np.exp(-x * inv_beta[:, None, None])
+    mass = np.concatenate([mass, mass_pow.reshape(len(lo), -1)], axis=1)
+    wv = np.concatenate([wv, wv_pow.reshape(len(lo), -1)], axis=1)
+    if tail.any():  # int over [tail_x, X] of e^(-x / beta) (1 and x - tail_x), u = (X - tail_x) / beta
+        u = np.minimum((big_x - tail_x) * inv_beta, 1e3)  # X is inf from 0; e^-u is 0 well before 1e3
+        head = scale * beta * np.exp(-tail_x * inv_beta)
+        rise = np.where(u < _EXCESS_SERIES_S, np.exp(-u) * _excess(u), -np.expm1(-u) - u * np.exp(-u))
+        part = -head * np.expm1(-u)
+        tail_w = np.sum(np.where(tail, part, 0.0), axis=1)
+        tail_wlogw = np.sum(np.where(tail, part * (log_wa + tail_x) + head * beta * rise, 0.0), axis=1)
+    return mass, wv, hi - lo, tail_w, tail_wlogw
 
 
 @np.errstate(all="ignore")
 def _orlicz_terms(kind: OrliczKind, nodes: tuple, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """g = avg_I Phi(s) and d = avg_I s Phi'(s), s = w / lam, on each interval of `nodes`."""
-    mass, wv, length, end, m0, wb, alpha = nodes
+    mass, wv, length, tail_w, tail_wlogw = nodes
     psi, chi = _psi_chi(kind, wv / lam[:, None])
-    g, d = np.einsum("ij,ij->i", mass, psi), np.einsum("ij,ij->i", mass, chi)
-    if end.size:
-        end_psi, end_chi = _end_terms(kind, wb / lam[end], alpha)
-        g[end] += m0 * end_psi
-        d[end] += m0 * end_chi
+    tail = tail_wlogw - tail_w * np.log(lam)  # log(e + s) = log s, s Phi'(s) = s (log s + 1) there
+    g, d = np.einsum("ij,ij->i", mass, psi) + tail, np.einsum("ij,ij->i", mass, chi) + tail + tail_w
     scale = 1.0 / (lam * length)
     return g * scale, d * scale
 
@@ -500,17 +489,25 @@ def luxemburg_norm(w: Weight, interval: Interval, kind: OrliczKind) -> float:
 
     The L norm is exactly avg(w).  The exponential norm of a weight
     unbounded on the interval is +inf.  Otherwise _luxemburg_solve on the
-    _orlicz_nodes quadrature of avg_I Phi(w/lam), for w centred on the
-    pieces meeting the interval, and the norm scaled back.
+    _orlicz_nodes quadrature of avg_I Phi(w/lam), placed at avg(w), for w
+    centred on the pieces meeting the interval, and the norm scaled back.
+    The expL-1 root can sit many decades above avg(w), which moves the
+    steep e^s part of its integrand: that norm is solved again on nodes
+    placed at the first root.
     """
     if kind is OrliczKind.L:
         return moment(w, interval, MomentKind.AVG_W)
     if kind is OrliczKind.EXP_MINUS_ONE and interval.a == 0.0 and w.pieces[0].exponent < 0.0:
         return math.inf  # unbounded on the interval
     w, shift = _centred(w, interval)
-    nodes = _orlicz_nodes(w, np.array([interval.a]), np.array([interval.b]))
+    lo, hi = np.array([interval.a]), np.array([interval.b])
     lam = np.array([moment(w, interval, MomentKind.AVG_W)])
-    norm = float(_luxemburg_solve(lambda lam: _orlicz_terms(kind, nodes, lam), lam)[0])
+    nodes = _orlicz_nodes(kind, w, lo, hi, lam)
+    root = _luxemburg_solve(lambda x: _orlicz_terms(kind, nodes, x), lam)
+    if kind is OrliczKind.EXP_MINUS_ONE and np.isfinite(root[0]):
+        nodes = _orlicz_nodes(kind, w, lo, hi, root)
+        root = _luxemburg_solve(lambda x: _orlicz_terms(kind, nodes, x), root)
+    norm = float(root[0])
     if math.isnan(norm):
         avg = float(np.ldexp(lam[0], -shift))
         raise DomainError(f"{kind.value} norm on [{interval.a}, {interval.b}]: avg(w) is {avg}")
@@ -526,12 +523,12 @@ def rh1_doubleprime_constant(
     """Orlicz-ratio sup: max over I of ||w||_{LlogL, I} / ||w||_{L, I}.
 
     The grid intervals are solved in blocks of rows, each block's norms
-    together on one set of node arrays; an interval from 0 takes the exact
-    substitution of _end_terms on a power piece there.
+    together on one set of _orlicz_nodes arrays, each row's placed at its
+    avg(w), the solve's start value.
     """
     w, _ = _centred(w)
     pts = _grid_points(w, resolution)
-    n, panels = len(pts), 4
+    n = len(pts)
     cum = cumulative_moment(w, pts, MomentKind.AVG_W)
 
     def block(i0, i1):
@@ -539,12 +536,14 @@ def rh1_doubleprime_constant(
         r, c = np.nonzero(~np.tri(i1 - i0, n - 1 - i0, k=-1, dtype=bool))
         ii, jj = i0 + r, i0 + 1 + c
         avg_w = (cum[jj] - cum[ii]) / (pts[jj] - pts[ii])
-        nodes = _orlicz_nodes(w, pts[ii], pts[jj], panels)
+        nodes = _orlicz_nodes(OrliczKind.LLOGL, w, pts[ii], pts[jj], avg_w)
         lam = _luxemburg_solve(lambda lam: _orlicz_terms(OrliczKind.LLOGL, nodes, lam), avg_w)
         ratio[r, c] = lam / avg_w
         return [ratio]
 
-    per_pair = sum(1 if pc.exponent == 0.0 else 16 * panels for pc in w.pieces)
+    # a pair holds its nodes and about two dozen per-pair arrays of the solve, some 8 nodes' worth
+    panels = _panel_count(OrliczKind.LLOGL, w)
+    per_pair = 8 + sum(1 if pc.exponent == 0.0 else 16 * panels for pc in w.pieces)
     return _pair_walk(("rh1_doubleprime",), pts, per_pair, lambda entries: block)[0]
 
 

@@ -50,7 +50,12 @@ from _frozen import (
     LUX_CORPUS_07,
     LUX_EXP_CHI,
     LUX_EXP_CONST,
+    LUX_EXP_SQRT_HEAD,
     LUX_LLOGL_CONST,
+    LUX_LLOGL_POWER_099,
+    LUX_LLOGL_SQRT,
+    LUX_NARROW,
+    LUX_TAIL_FROM_0,
     RH1_LINEAR,
     RH1_PRIME_LINEAR_200,
     RH1_DOUBLEPRIME_CORPUS_24,
@@ -652,12 +657,26 @@ def _mp_llogl_root(alpha, lo, hi, rtol):
         return hi
 
 
+def _final_nodes(w, a, b, kind):
+    """(nodes, shift) of luxemburg_norm's last solve: on the centred weight, placed at avg(w), and for
+    expL-1 placed again at the first root."""
+    iv = Interval(a, b)
+    centred, shift = constants._centred(w, iv)
+    lo, hi, lam = np.array([a]), np.array([b]), np.array([moment(centred, iv, MomentKind.AVG_W)])
+    nodes = _orlicz_nodes(kind, centred, lo, hi, lam)
+    if kind is OrliczKind.EXP_MINUS_ONE:
+        root = constants._luxemburg_solve(lambda x: _orlicz_terms(kind, nodes, x), lam)
+        nodes = _orlicz_nodes(kind, centred, lo, hi, root)
+    return nodes, shift
+
+
 class TestOrliczKernel:
     def test_panels_are_shared_and_read_only(self):
-        nodes, weights = constants._gl_panels(6)
-        assert constants._gl_panels(6)[0] is nodes
+        # one 16-point rule on [0, 1] serves every panel of every piece
+        nodes, weights = constants._GL_X, constants._GL_W
         assert not (nodes.flags.writeable or weights.flags.writeable)
-        assert nodes.shape == weights.shape == (96,) and math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+        assert nodes.shape == weights.shape == (16,) and math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+        assert 0.0 < nodes.min() and nodes.max() < 1.0
 
     @pytest.mark.parametrize("alpha", [-0.5, -0.9, -0.99, -0.999])
     def test_singular_power_matches_mpmath(self, alpha):
@@ -692,8 +711,8 @@ class TestOrliczKernel:
         if kind is OrliczKind.LLOGL:
             cases += [(power_weight(1.0, -0.999), 0.0, 1.0), (glued, 0.0, 0.7)]
         for w, a, b in cases:
-            lam = luxemburg_norm(w, Interval(a, b), kind)
-            nodes = _orlicz_nodes(w, np.array([a]), np.array([b]))
+            nodes, shift = _final_nodes(w, a, b, kind)
+            lam = math.ldexp(luxemburg_norm(w, Interval(a, b), kind), shift)
             g = lambda x: _orlicz_terms(kind, nodes, np.array([x]))[0][0]
             assert g(lam) <= 1.0 < g(lam * (1.0 - 8.0 * eps)), (w, a, b)
 
@@ -702,7 +721,8 @@ class TestOrliczKernel:
         # hi down 4 ulp a probe, some 1e14 probes to the root
         w, iv = step_weight((0.0, 0.25, 1.0), (5e-324, 1e300)), Interval(0.0, 0.5)
         centred, shift = constants._centred(w, iv)
-        nodes = _orlicz_nodes(centred, np.array([iv.a]), np.array([iv.b]))
+        nodes = _orlicz_nodes(OrliczKind.EXP_MINUS_ONE, centred, np.array([iv.a]), np.array([iv.b]),
+                              np.array([moment(centred, iv, MomentKind.AVG_W)]))
         probes = []
 
         def terms(lam):
@@ -728,7 +748,9 @@ class TestOrliczKernel:
         assert lam / avg == pytest.approx(1.5918693636139571, rel=1e-13)
 
     def test_traced_peak_memory_is_bounded_in_pieces(self):
-        # node arrays for every pair and piece at once: 227 and 134 MiB here
+        # node arrays for every pair and piece at once: 227 and 134 MiB here.  One untraced scan
+        # first: the first np.unique imports numpy.ma, about 1 MiB that is no scan's memory
+        rh1_doubleprime_constant(constant_weight(1.0), resolution=2)
         peaks = []
         for w in (step_weight((0.0, 0.15, 0.3, 0.55, 0.8, 1.0), (1.0, 7.0, 0.3, 4.0, 2.0)), power_weight(1.0, 1.0)):
             tracemalloc.start()
@@ -744,6 +766,60 @@ class TestOrliczKernel:
         # 5e-324 t underflows in the cumulative moment, so avg(w) is 0 on [0, 0.5]
         value, iv = rh1_doubleprime_constant(step_weight((0.0, 0.5, 1.0), (5e-324, 1e308)), resolution=12)
         assert math.isfinite(value) and iv.b > 0.5
+
+
+def _sqrt_head(d):
+    """{1 on [0, d], t^-1/2 on [d, 1]}."""
+    return Weight((PowerPiece(Interval(0.0, d), 1.0, 0.0), PowerPiece(Interval(d, 1.0), 1.0, -0.5)))
+
+
+# name -> (weight, interval, kind, reference norm, relative tolerance); an Interval as the reference
+# is the same norm on that interval.  The heads, the spans with alpha < 0, the narrow intervals and
+# the expL-1 heads read wrong with exit 0 under the three earlier layouts; the two tail cases guard
+# the closed-form part past w = 2^64 lam.
+LLOGL, EXPL1 = OrliczKind.LLOGL, OrliczKind.EXP_MINUS_ONE
+ORLICZ_LAYOUT_CASES = {
+    **{f"llogl-head-{d:g}": (_sqrt_head(d), Interval(0.0, 1.0), LLOGL, LUX_LLOGL_SQRT, 1e-14)
+       for d in (5e-324, 1e-300, 1e-100, 1e-40)},
+    # the head's share of the mass is below 1e-29 for every alpha; for alpha > 0 the nodes stop at 40 beta
+    **{f"span-1e-300-alpha-{alpha:g}": (power_weight(1.0, alpha), Interval(1e-300, 1.0), LLOGL, Interval(0.0, 1.0),
+                                         1e-14) for alpha in (-0.9, -0.5, 0.5, 3.0, 30.0)},
+    **{f"narrow-alpha-{alpha:g}-at-{a:g}": (power_weight(1.0, alpha), Interval(a, a + h), LLOGL, want, 1e-14)
+       for (alpha, a, h), want in LUX_NARROW.items()},
+    **{f"expl1-head-{d:g}": (_sqrt_head(d), Interval(0.0, 1.0), EXPL1, want, 1e-12)
+       for d, want in LUX_EXP_SQRT_HEAD.items()},
+    "tail-from-0": (Weight((PowerPiece(Interval(0.0, 1e-40), 1.0, -0.5), PowerPiece(Interval(1e-40, 1.0), 1e-30, 0.0))),
+                    Interval(0.0, 1.0), LLOGL, LUX_TAIL_FROM_0, 1e-14),
+    # w passes the double range from 0 where alpha < -0.946, so only the tail reaches it
+    "tail-alpha-0.99": (power_weight(1.0, -0.99), Interval(0.0, 1.0), LLOGL, LUX_LLOGL_POWER_099, 1e-12),
+}
+
+
+def _layout_miss(name):
+    """A case's relative error over its tolerance; inf where the norm is refused."""
+    w, iv, kind, want, rtol = ORLICZ_LAYOUT_CASES[name]
+    if isinstance(want, Interval):
+        want = luxemburg_norm(w, want, kind)
+    try:
+        got = luxemburg_norm(w, iv, kind)
+    except DomainError:
+        return math.inf
+    return abs(got / want - 1.0) / rtol
+
+
+class TestOrliczLayout:
+    @pytest.mark.parametrize("name", list(ORLICZ_LAYOUT_CASES))
+    def test_norm_matches_reference(self, name):
+        assert _layout_miss(name) <= 1.0
+
+    @pytest.mark.parametrize("mutation", ["half-panels", "no-tail"])
+    def test_negative_control(self, mutation, monkeypatch):
+        if mutation == "half-panels":
+            count = constants._panel_count
+            monkeypatch.setattr(constants, "_panel_count", lambda kind, w: count(kind, w) // 2)
+        else:
+            monkeypatch.setattr(constants, "_TAIL", math.inf)
+        assert max(map(_layout_miss, ORLICZ_LAYOUT_CASES)) > 1.0
 
 
 class TestLimitCheck:

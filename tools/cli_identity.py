@@ -216,10 +216,15 @@ def kind(argv: list[str], old: list, new: list) -> str:
             return "tangent-passed"
         if verify == "bounds" and changed == {"ratio_bound"} and old[1] == new[1]:
             return "ratio-bound"
+        if argv[0] == "constants" and changed == {"rh1_doubleprime"} and old[1] == new[1]:
+            (va, ia), (vb, ib) = ((x["rh1_doubleprime"]["value"], x["rh1_doubleprime"]["interval"]) for x in (a, b))
+            # the value within 1e-14, or another [0, b] whose ratio ties to it (a pure power from 0)
+            if abs(vb - va) <= 1e-14 * abs(va) and (ia == ib or ia[0] == ib[0] == 0.0):
+                return "orlicz-rounding"
     return "other"
 
 
-KINDS = ("grid-refusal", "tangent-passed", "ratio-bound", "overflow-null")
+KINDS = ("grid-refusal", "tangent-passed", "ratio-bound", "overflow-null", "orlicz-rounding")
 
 
 def main() -> int:
