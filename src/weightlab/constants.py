@@ -7,8 +7,10 @@ in time and, walked in blocks of grid rows, O(resolution) in memory.  rh1,
 A_inf, RH_p and A_p share one walk per report: the grid, the avg(w)
 cumulative moment and each block's pair lengths and averages are computed
 once, and each constant adds its second cumulative moment and its combining
-expression; its rows are split, bit for bit, across the CPUs the process may
-use (up to four, with no setting), while rh1_prime and Orlicz walk in one.
+expression; its outer differences cum[j] - cum[i] skip numpy's buffered copy
+(4x the cost, same bits) on a 16-entry ufunc buffer, and its rows are split,
+bit for bit, across the CPUs the process may use (up to four, with no
+setting), while rh1_prime and Orlicz walk in one.
 The Orlicz constant solves each block's Luxemburg norms together, on one
 Gauss-Legendre layout in mass coordinates for every power piece; the
 maximal-function constant is the documented expensive one, O(resolution^3)
@@ -25,6 +27,7 @@ import math
 import operator
 import os
 import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -103,7 +106,8 @@ def _centred(w: Weight, interval: Interval | None = None) -> tuple[Weight, int]:
 
 # name -> the cumulative moment paired with AVG_W (its kind and exponent as a
 # function of p) and the combining expression of the two pair averages aw and
-# r, written into r by the plain expression's operations in order (s is scratch)
+# r, written into r by the plain expression's operations in order (s is scratch,
+# which only rh1 writes: its block runs it last, on dl's array)
 _SCANS = {
     "rh1": (MomentKind.AVG_W_LOG_W, None,  # (r - aw log aw) / aw
             lambda aw, r, s, p: np.divide(np.subtract(r, np.multiply(aw, np.log(aw, out=s), out=s), out=r), aw, out=r)),
@@ -116,8 +120,8 @@ _SCANS = {
 }
 # entries per block array: a scan holds about ten arrays of this size at once
 _SCAN_BLOCK_ENTRIES = 1 << 14
-# a split walk's blocks are twice as big, so their ufuncs outlast the GIL's
-# hand-over between threads; 4 chunks of four such arrays stay under 4 MiB
+# a split walk's blocks are three times as big, so their ufuncs outlast the
+# GIL's hand-over between threads; 4 chunks of three such arrays stay under 5 MiB
 _MAX_CHUNKS = 4
 
 
@@ -130,24 +134,28 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_blo
                ) -> list[tuple[float, Interval]]:
     """First max of each of a stack of ratios over all grid pairs i < j, walked in blocks of rows.
 
-    block(i0, i1), from make_block(entries) on arrays of max(entries, n - 1)
-    entries, gives the ratios of rows i0..i1-1 by columns i0+1..n-1, one array
-    per label in an iterable that may make each as it is taken; j <= i only in
-    an array's leading rows x rows square, which is masked out here.  A block
+    block(i0, i1), from the context manager make_block(entries) on arrays of
+    max(entries, n - 1) entries, gives the ratios of rows i0..i1-1 by columns
+    i0+1..n-1 as (label index, array) pairs, one per label in any order, in
+    an iterable that may make each as it is taken; j <= i only in an array's
+    leading rows x rows square, which is masked out here.  make_block holds a
+    chunk's thread state until the chunk ends, as _scans' 16-entry ufunc
+    buffer for its outer differences.  A block
     covers about _SCAN_BLOCK_ENTRIES / per_pair pairs, so memory stays bounded
     in resolution.  For each label on its own, nan ratios are masked (only
     when the argmax lands on one), ties keep the first pair in lexicographic
     order, and DomainError is raised, for the first label in order, when no
     pair gives a finite value.  The rows are cut into up to `chunks` (and
-    _MAX_CHUNKS) chunks of equal pair count and at least two blocks, then
-    twice as big; the caller walks the first and a thread each of the others,
-    each on its own block.  Merged in row order, with the first chunk's
-    exception raised, the result is a one-chunk walk's bit for bit.
+    _MAX_CHUNKS) chunks of equal pair count and at least four blocks, whose
+    blocks are then three times as big; the caller walks the first and a
+    thread each of the others, each on its own block.  Merged in row order,
+    with the first chunk's exception raised, the result is a one-chunk
+    walk's bit for bit.
     """
     n, count = len(pts), len(labels)
     pairs = n * (n - 1) // 2
     chunks = max(1, min(chunks, _MAX_CHUNKS, pairs * per_pair // (4 * _SCAN_BLOCK_ENTRIES)))
-    entries = _SCAN_BLOCK_ENTRIES * (1 if chunks == 1 else 2)
+    entries = _SCAN_BLOCK_ENTRIES * (1 if chunks == 1 else 3)
     ends = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0..r
     cuts = [0, *(int(np.searchsorted(ends, pairs * c // chunks)) + 1 for c in range(1, chunks)), n - 1]
     parts: list = [None] * chunks
@@ -156,22 +164,23 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_blo
     def walk(c):  # chunk c's first (value, i, j) max and finite flag per label, or its exception
         best, finite = [(-math.inf, 0, 0)] * count, [False] * count
         try:
-            block, i0 = make_block(entries), cuts[c]
-            while i0 < cuts[c + 1]:
-                i1 = min(cuts[c + 1], i0 + max(1, entries // (per_pair * (n - 1 - i0))))
-                below = np.tri(i1 - i0, k=-1, dtype=bool)
-                for s, ratio in enumerate(block(i0, i1)):
-                    ratio[:, : i1 - i0][below] = -np.inf
-                    k = int(np.argmax(ratio))
-                    if np.isnan(ratio.flat[k]):  # argmax takes the first nan as the max
-                        ratio[np.isnan(ratio)] = -np.inf
+            with make_block(entries) as block:
+                i0 = cuts[c]
+                while i0 < cuts[c + 1]:
+                    i1 = min(cuts[c + 1], i0 + max(1, entries // (per_pair * (n - 1 - i0))))
+                    below = np.tri(i1 - i0, k=-1, dtype=bool)
+                    for s, ratio in block(i0, i1):
+                        ratio[:, : i1 - i0][below] = -np.inf
                         k = int(np.argmax(ratio))
-                    top = float(ratio.flat[k])
-                    if top > best[s][0]:
-                        i, j = divmod(k, n - 1 - i0)
-                        best[s] = (top, i0 + i, i0 + 1 + j)
-                    finite[s] = finite[s] or math.isfinite(top) or bool(np.isfinite(ratio).any())
-                i0 = i1
+                        if np.isnan(ratio.flat[k]):  # argmax takes the first nan as the max
+                            ratio[np.isnan(ratio)] = -np.inf
+                            k = int(np.argmax(ratio))
+                        top = float(ratio.flat[k])
+                        if top > best[s][0]:
+                            i, j = divmod(k, n - 1 - i0)
+                            best[s] = (top, i0 + i, i0 + 1 + j)
+                        finite[s] = finite[s] or math.isfinite(top) or bool(np.isfinite(ratio).any())
+                    i0 = i1
             parts[c] = best, finite
         except BaseException as exc:  # raised below, in chunk order
             parts[c] = exc
@@ -216,19 +225,26 @@ def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) ->
     except DomainError as exc:
         failed = exc
 
-    def make_block(entries):  # a chunk's block, on its own dl, aw, ratio and scratch arrays
-        bufs = [np.empty(max(entries, n - 1)) for _ in range(4)]
+    rh1_last = sorted(enumerate(terms), key=lambda term: specs[term[0]][0] == "rh1")
+
+    @contextmanager
+    def make_block(entries):  # a chunk's block, on its own dl, aw and ratio arrays
+        bufs = [np.empty(max(entries, n - 1)) for _ in range(3)]
 
         def block(i0, i1):
             rows, cols = slice(i0, i1), slice(i0 + 1, n)
-            dl, aw, r, s = (buf[: (i1 - i0) * (n - 1 - i0)].reshape(i1 - i0, -1) for buf in bufs)
+            dl, aw, r = (buf[: (i1 - i0) * (n - 1 - i0)].reshape(i1 - i0, -1) for buf in bufs)
             np.subtract(pts[cols], pts[rows, None], out=dl)
             np.divide(np.subtract(cum_w[cols], cum_w[rows, None], out=aw), dl, out=aw)
-            for cum, combine, p in terms:
-                combine(aw, np.divide(np.subtract(cum[cols], cum[rows, None], out=r), dl, out=r), s, p)
-                yield r
+            for k, (cum, combine, p) in rh1_last:  # rh1 last: its scratch is dl's array
+                combine(aw, np.divide(np.subtract(cum[cols], cum[rows, None], out=r), dl, out=r), dl, p)
+                yield k, r
 
-        return block
+        size = np.setbufsize(16)  # this thread's; restored here, as numpy 1.x's errstate keeps it
+        try:
+            yield block
+        finally:
+            np.setbufsize(size)
 
     labels = tuple(name if p is None else f"{name} (p = {p})" for name, p in specs[: len(terms)])
     found = _pair_walk(labels, pts, 1, make_block, _usable_cpus()) if terms else []
@@ -321,9 +337,9 @@ def rh1_prime_constant(
             m[later] = 0.0
             avg_m = (m * cell_len[p:, None]).sum(axis=0) / length
             ratio[p - i0, p - i0 :] = avg_m / ((cum[p + 1 :] - cum[p]) / length)
-        return [ratio]
+        return [(0, ratio)]
 
-    return _pair_walk(("rh1_prime",), pts, n - 1, lambda entries: block)[0]  # a pair spans up to n - 1 cells
+    return _pair_walk(("rh1_prime",), pts, n - 1, lambda _: nullcontext(block))[0]  # a pair spans up to n - 1 cells
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +555,12 @@ def rh1_doubleprime_constant(
         nodes = _orlicz_nodes(OrliczKind.LLOGL, w, pts[ii], pts[jj], avg_w)
         lam = _luxemburg_solve(lambda lam: _orlicz_terms(OrliczKind.LLOGL, nodes, lam), avg_w)
         ratio[r, c] = lam / avg_w
-        return [ratio]
+        return [(0, ratio)]
 
     # a pair holds its nodes and about two dozen per-pair arrays of the solve, some 8 nodes' worth
     panels = _panel_count(OrliczKind.LLOGL, w)
     per_pair = 8 + sum(1 if pc.exponent == 0.0 else 16 * panels for pc in w.pieces)
-    return _pair_walk(("rh1_doubleprime",), pts, per_pair, lambda entries: block)[0]
+    return _pair_walk(("rh1_doubleprime",), pts, per_pair, lambda _: nullcontext(block))[0]
 
 
 def rh1_limit_check(w: Weight, interval: Interval, p: float) -> tuple[float, float]:

@@ -343,6 +343,68 @@ class TestSplitWalk:
         with pytest.raises(AssertionError, match="a second chunk"):
             compute_report(corpus[3], 51, ("rh1",))
 
+    def test_two_chunks_of_full_blocks_match_dense_reference(self, corpus, monkeypatch):
+        # the split fixture's blocks hold 64 entries; at R = 801 two chunks walk real ones
+        monkeypatch.setattr(constants, "_usable_cpus", lambda: 2)
+        glued = Weight((PowerPiece(Interval(0.0, 0.3), 1.0, -0.9), PowerPiece(Interval(0.3, 1.0), 0.3**-0.9, 0.0)))
+        for w in (corpus[3], glued):
+            w = _centred(w)[0]
+            n = len(_grid_points(w, 801))
+            assert n * (n - 1) // 2 // (4 * _SCAN_BLOCK_ENTRIES) >= 2  # two chunks of several blocks each
+            rep = compute_report(w, 801, self.WHICH, (3.0,))
+            got = {"rh1": rep.rh1, "ainf": rep.ainf, "rhp": rep.rh_p[3.0], "ap": rep.a_p[3.0]}
+            for name, (value, iv) in got.items():
+                ratio, pts = _dense_scan(name, w, 801, 3.0)
+                i, j = divmod(int(np.argmax(ratio)), ratio.shape[1])
+                assert (value, iv.a, iv.b) == (ratio[i, j], pts[i], pts[j]), name
+
+
+def _numpy_state():
+    return np.getbufsize(), np.geterr()
+
+
+@pytest.mark.parametrize("split", [1, 2, 5], indirect=True)  # one chunk, or the split fixture's
+class TestCallerNumpyState:
+    """The pair walk sets its own ufunc buffer size; the caller's, and its error state, are as they were."""
+
+    WHICH = ("rh1", "ainf", "rhp", "ap")
+
+    def test_restored_when_the_report_returns(self, corpus, split):
+        with np.errstate(under="warn"):  # not numpy's default, which a walk's thread starts from
+            state = _numpy_state()
+            compute_report(corpus[3], 101, self.WHICH, (1.5, 3.0))
+            assert _numpy_state() == state
+
+    def test_restored_when_the_scan_raises(self, split):
+        w = step_weight((0.0, 0.5, 1.0), (5e-324, 1e308))
+        state = _numpy_state()
+        with pytest.raises(DomainError):
+            compute_report(w, 51, self.WHICH, (1.5, 3.0))
+        assert _numpy_state() == state
+
+    def test_restored_when_a_block_raises(self, split, monkeypatch):
+        kind, exponent, combine = constants._SCANS["ainf"]
+
+        def failing(*args):
+            raise ZeroDivisionError("in a block")
+
+        monkeypatch.setitem(constants._SCANS, "ainf", (kind, exponent, failing))
+        state = _numpy_state()
+        with pytest.raises(ZeroDivisionError, match="in a block"):
+            compute_report(constant_weight(2.0), 51, self.WHICH)
+        assert _numpy_state() == state
+
+    @pytest.mark.parametrize("bufsize", [16, 1 << 20])
+    def test_caller_buffer_size_changes_no_bit(self, corpus, split, bufsize):
+        want = [compute_report(w, 51, self.WHICH, (1.5, 3.0)) for w in corpus[1:4]]
+        size = np.setbufsize(bufsize)
+        try:
+            got = [compute_report(w, 51, self.WHICH, (1.5, 3.0)) for w in corpus[1:4]]
+            assert np.getbufsize() == bufsize
+        finally:
+            np.setbufsize(size)
+        assert got == want
+
 
 class TestEntropyAndFlatness:
     def test_constant_weight_is_flat(self):

@@ -11,11 +11,12 @@ them, at grids -1 to 24; ``dyadic --verify`` on 24 corpus weights in both
 modes, JSON and CSV, with and without ``--eps``, and at a q the weight
 exceeds; ``selftest``.  Then every subcommand that prints JSON:
 ``constants`` on 8 corpus weights (``rh_p``/``a_p`` keyed by p, the nested
-scans, CSV), ``solve`` for each equation over q from tiny to past its
-range, ``extremal`` for all four families with and without targets and
-their refusals, ``bellman --eval`` on the three surfaces inside, on and
-outside their domains, ``dyadic`` trees without ``--verify`` at depths 0
-to 6, and ``sweep --format json``.
+scans, CSV, and the four pair scans at resolutions 401 and 1201, where the
+pair walk splits its rows on 2 or more CPUs), ``solve`` for each equation
+over q from tiny to past its range, ``extremal`` for all four families with
+and without targets and their refusals, ``bellman --eval`` on the three
+surfaces inside, on and outside their domains, ``dyadic`` trees without
+``--verify`` at depths 0 to 6, and ``sweep --format json``.
 
 Each difference is put in one of the kinds a change may declare (see
 ``KINDS``) or in ``other``; the script prints the count per kind and every
@@ -108,6 +109,9 @@ def writer_cases(workdir: Path) -> list[list[str]]:
         runs.append(base + ["--which", "rh1,ainf,rhp,ap", "--p-values", "1.5,2,3"])
         runs.append(base + ["--which", "rhp,ap", "--p-values", "1.25,4", "--format", "csv"])
         runs.append(base + ["--which", "rh1_prime,rh1_doubleprime", "--maximal-resolution", "12"])
+        for resolution in ("401", "1201"):
+            runs.append(["constants", "--weight", path, "--resolution", resolution,
+                         "--which", "rh1,ainf,rhp,ap", "--p-values", "1.5,3"])
     runs.append(["constants", "--weight", corpus[0], "--which", "ap", "--p-values", "1.0"])
 
     qs = ["1e-300", "1e-20", "1e-6", "0.05", "0.5", "1.0", "2.0", "3.0", "5.6", "10.0", "100.0",
