@@ -54,7 +54,6 @@ from .extremals import (
 )
 from .solvers import (
     RootResult,
-    bisect,
     eps_minus,
     funny_bound,
     funny_bound_log,

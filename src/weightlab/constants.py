@@ -34,12 +34,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .solvers import _EXCESS_SERIES_S, _excess
+from .solvers import _rise
 from .weights import (
     Interval,
     MomentKind,
     PowerPiece,
     Weight,
+    _log_span,
     breakpoints,
     cumulative_moment,
     evaluate,
@@ -408,8 +409,7 @@ def _orlicz_nodes(kind: OrliczKind, w: Weight, lo: np.ndarray, hi: np.ndarray, l
     beta, A = 1.0 / inv_beta, np.where(alpha > -1.0, e, s)
     w_a = np.where(live, c * A**alpha, 0.0)
     log_wa, log_lam = np.log(w_a), np.log(lam)[:, None]
-    q = (e - s) / s  # overflows for a subnormal s, but not its logs
-    big_x = np.where(live, np.abs(alpha) * np.where(q < np.inf, np.log1p(q), np.log(e) - np.log(s)), 0.0)
+    big_x = np.where(live, np.abs(alpha) * _log_span(s, e), 0.0)
     end = np.where(up & (kind is OrliczKind.EXP_MINUS_ONE), big_x, np.minimum(big_x, _CUT * beta))
     tail_x = np.where(up, np.maximum(log_lam + _TAIL - log_wa, 0.0), np.inf)
     tail = live & (tail_x < end) & (kind is OrliczKind.LLOGL)
@@ -440,12 +440,12 @@ def _orlicz_nodes(kind: OrliczKind, w: Weight, lo: np.ndarray, hi: np.ndarray, l
     mass = np.concatenate([mass, mass_pow.reshape(len(lo), -1)], axis=1)
     wv = np.concatenate([wv, wv_pow.reshape(len(lo), -1)], axis=1)
     if tail.any():  # int over [tail_x, X] of e^(-x / beta) (1 and x - tail_x), u = (X - tail_x) / beta
-        u = np.minimum((big_x - tail_x) * inv_beta, 1e3)  # X is inf from 0; e^-u is 0 well before 1e3
+        u = (big_x - tail_x) * inv_beta  # X is inf from 0
         head = scale * beta * np.exp(-tail_x * inv_beta)
-        rise = np.where(u < _EXCESS_SERIES_S, np.exp(-u) * _excess(u), -np.expm1(-u) - u * np.exp(-u))
-        part = -head * np.expm1(-u)
+        rise_head = -np.expm1(-u)
+        part = head * rise_head
         tail_w = np.sum(np.where(tail, part, 0.0), axis=1)
-        tail_wlogw = np.sum(np.where(tail, part * (log_wa + tail_x) + head * beta * rise, 0.0), axis=1)
+        tail_wlogw = np.sum(np.where(tail, part * (log_wa + tail_x) + head * beta * _rise(u, rise_head), 0.0), axis=1)
     return mass, wv, hi - lo, tail_w, tail_wlogw
 
 

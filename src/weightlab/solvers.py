@@ -6,7 +6,7 @@ t - log t = c.  One kernel, _branch_root on its loop _log_root, solves that
 equation for a float or an array: Halley steps in s = log t inside
 closed-form brackets, started from the Lambert W series of Corless, Gonnet,
 Hare, Jeffrey and Knuth, "On the Lambert W function" (1996).
-gehring_sharp_eps is solved by bisection.
+gehring_sharp_eps takes Newton steps in log eps, from below its root.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import DomainError, ParameterError
 
 __all__ = [
     "RootResult",
-    "bisect",
     "gamma_log",
     "gamma_entropy_roots",
     "eps_minus",
@@ -42,37 +41,6 @@ class RootResult:
     residual: float
     bracket: tuple[float, float]
     iterations: int
-
-
-def bisect(f, lo: float, hi: float, max_iter: int = 600) -> RootResult:
-    """Bisection on [lo, hi] assuming a sign change; runs to float exhaustion.
-
-    Stops at an exact zero, once the bracket has collapsed to adjacent floats,
-    or after max_iter steps.  Raises if the endpoints do not bracket a root.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return RootResult(lo, 0.0, (lo, hi), 0)
-    if fhi == 0.0:
-        return RootResult(hi, 0.0, (lo, hi), 0)
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        raise ParameterError(f"no sign change on bracket [{lo}, {hi}]")
-    a, b, fa = lo, hi, flo
-    it = 0
-    while it < max_iter:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        fm = f(mid)
-        it += 1
-        if fm == 0.0:
-            return RootResult(mid, 0.0, (lo, hi), it)
-        if math.copysign(1.0, fm) == math.copysign(1.0, fa):
-            a, fa = mid, fm
-        else:
-            b = mid
-    root = 0.5 * (a + b)
-    return RootResult(root, f(root), (lo, hi), it)
 
 
 # float arithmetic for code taking a float or an array (the root kernel, the Bellman
@@ -105,6 +73,24 @@ def _excess(s):
     for coeff in _EXCESS_SERIES:
         acc = acc * s + coeff
     return s * s * acc
+
+
+def _rise(z, head):
+    """1 - e^-z (1 + z) = int_0^z u e^-u du, z >= 0, from head = 1 - e^-z; floats or arrays.
+
+    Below _EXCESS_SERIES_S the difference head - z e^-z cancels, and it is
+    e^-z _excess(z).  z is capped at 1e3, where e^-z is 0, so z = inf gives head.
+    """
+    if isinstance(z, float):
+        z = min(z, 1e3)
+        e_z = math.exp(-z)
+        return e_z * _excess(z) if z < _EXCESS_SERIES_S else head - z * e_z
+    z = np.minimum(z, 1e3)
+    e_z = np.exp(-z)
+    out, small = head - z * e_z, z < _EXCESS_SERIES_S
+    if small.any():
+        out[small] = e_z[small] * _excess(z[small])
+    return out
 
 
 def _series_step(s, em1, c1, d):
@@ -234,7 +220,14 @@ def gehring_sharp_eps(p: float, k: float) -> RootResult:
     Root in eps of
         (1/(p-1)) log((p+eps-1)/eps) - log((p+eps)/(p+eps-1)) = (p/(p-1)) log k.
     The left side falls strictly from +inf to 0 on eps > 0, so k > 1 gives a
-    unique root; k <= 1 returns root = +inf (nothing to improve).
+    unique root; k <= 1 returns root = +inf (nothing to improve).  In u = log eps
+    the left side is convex, f'(u) = -p/((p+eps-1)(p+eps)) rising to 0, so
+    Newton steps from u_lo, the root of its small-eps asymptote
+    (log(p-1) - u)/(p-1) - log(p/(p-1)), which it exceeds, climb to the root
+    inside [u_lo, u_hi], u_hi = -log of the right side, where 1/eps bounds
+    it; a step back is rounding, and ends the loop.  The last step is applied
+    as a factor e^-d, so eps keeps full relative precision.  A root below
+    e^-800 underflows to 0.
     """
     if not (p > 1.0 and math.isfinite(p)):
         raise ParameterError(f"gehring_sharp_eps needs p > 1, got {p}")
@@ -242,17 +235,26 @@ def gehring_sharp_eps(p: float, k: float) -> RootResult:
         raise ParameterError(f"gehring_sharp_eps needs k > 0, got {k}")
     if k <= 1.0:
         return RootResult(math.inf, 0.0, (math.inf, math.inf), 0)
-    rhs = (p / (p - 1.0)) * math.log(k)
+    pm1 = p - 1.0
+    rhs = (p / pm1) * math.log(k)
 
-    def f(eps: float) -> float:
+    def f(u: float, eps: float) -> float:
         # log1p of the two ratios minus 1 keeps digits where they are near 1;
-        # (p - 1)/eps overflows to inf at denormal eps, where f is +inf
-        return math.log1p((p - 1.0) / eps) / (p - 1.0) - math.log1p(1.0 / (p + eps - 1.0)) - rhs
+        # where (p - 1)/eps overflows, log((p - 1)/eps) is log(p - 1) - u
+        ratio = pm1 / eps if eps else math.inf
+        head = math.log1p(ratio) if ratio < math.inf else math.log(pm1) - u
+        return head / pm1 - math.log1p(1.0 / (p + eps - 1.0)) - rhs
 
-    hi = 1.0
-    while f(hi) > 0.0:  # f falls to -rhs < 0 as eps grows
-        hi *= 2.0
-    return bisect(f, 5e-324, hi)
+    u = max(math.log(pm1) - p * math.log(k) - pm1 * math.log1p(1.0 / pm1), -800.0)
+    bracket = (math.exp(u), 1.0 / rhs)
+    for steps in range(1, 2 * _MAX_STEPS + 1):
+        eps = math.exp(u)
+        d = -f(u, eps) * (p + eps - 1.0) * ((p + eps) / p)  # the Newton step is u - d
+        if d >= -4.0 * sys.float_info.epsilon * (1.0 + abs(u)):
+            break
+        u -= d
+    root = eps + eps * math.expm1(-d)
+    return RootResult(root, f(u - d, root), bracket, steps)
 
 
 def gehring_dim_n_eps(n: int, q: float) -> float:

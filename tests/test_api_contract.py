@@ -38,7 +38,6 @@ ZERO_EXPONENTS = st.floats(-1.0, 40.0, exclude_min=True) | st.sampled_from((0.0,
 UNIT = st.sampled_from((0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0 - 2**-53, 1.0)) | st.floats(0.0, 1.0)
 INTS = st.integers(-3, 64) | st.sampled_from((400, 10**6))
 SIZES = st.integers(-1, 24)
-SAFE_FUNCTIONS = st.sampled_from((lambda t: t - 0.3, lambda t: t * t * t - 2.0, lambda t: 1.0, lambda t: -t))
 
 
 def _enum(cls):
@@ -206,7 +205,6 @@ ARGS = {
     "sharpness_sweep": st.tuples(st.lists(NUMBERS | st.floats(0.0, 800.0), max_size=5).map(tuple)),
     # solvers
     "RootResult": st.tuples(NUMBERS, NUMBERS, st.tuples(NUMBERS, NUMBERS), SIZES),
-    "bisect": st.tuples(SAFE_FUNCTIONS, NUMBERS, NUMBERS, st.integers(-1, 700)),
     "eps_minus": st.tuples(NUMBERS),
     "funny_bound": st.tuples(NUMBERS),
     "funny_bound_log": st.tuples(NUMBERS),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -152,6 +153,24 @@ class TestGehringSharp:
                 got = solvers.gehring_sharp_eps(p, k).root
                 want = mpmath.findroot(f, mpmath.mpf(got))
                 assert abs(got - want) <= 2e-15 * want, (p, k)
+
+    # p = 3, k = 1e150 is left out: its root underflows, as the next test checks
+    @pytest.mark.parametrize("k, p", [(k, p) for k in (1e50, 1e100, 1e150) for p in (1.5, 2.0, 3.0) if (k, p) != (1e150, 3.0)])
+    def test_large_k_matches_60_digits(self, k, p):
+        # bisection from 5e-324 in 600 steps stopped at 1.2e-181 for every root below it;
+        # the bound is the rounding of p log k / (p - 1) times the root's sensitivity p - 1
+        with mpmath.workdps(60):
+            mp, rhs = mpmath.mpf(p), mpmath.mpf(p) / (p - 1) * mpmath.log(k)
+            f = lambda u: mpmath.log1p((mp - 1) / mpmath.exp(u)) / (mp - 1) - mpmath.log1p(1 / (mp + mpmath.exp(u) - 1)) - rhs
+            want = float(mpmath.exp(mpmath.findroot(f, mpmath.log(mp - 1) - mp * mpmath.log(k))))
+        got = solvers.gehring_sharp_eps(p, k).root
+        assert abs(got - want) <= 4.0 * sys.float_info.epsilon * (1.0 + p * math.log(k)) * want
+
+    def test_root_past_the_double_range_underflows_to_zero(self):
+        # the root near (p - 1) ((p - 1)/p)^(p - 1) k^-p is 4e-451 at p = 3, k = 1e150
+        res = solvers.gehring_sharp_eps(3.0, 1e150)
+        assert res.root == 0.0 and abs(res.residual) <= 1e-12
+        assert solvers.gehring_sharp_eps(2.0, 1e100).root == pytest.approx(5e-201, rel=1e-13)
 
     def test_residuals_small(self):
         for p in (1.5, 2.0, 4.0):
@@ -343,12 +362,3 @@ class TestRootCache:
                 solve(q)
 
 
-class TestBisect:
-    def test_respects_bracket_and_residual(self):
-        res = solvers.bisect(lambda t: t * t - 2.0, 0.0, 2.0)
-        assert res.root == pytest.approx(math.sqrt(2.0), rel=1e-14)
-        assert abs(res.residual) <= 1e-12
-
-    def test_no_sign_change_raises(self):
-        with pytest.raises(ParameterError):
-            solvers.bisect(lambda t: t * t + 1.0, 0.0, 1.0)

@@ -1,6 +1,8 @@
 import json
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -31,7 +33,8 @@ from weightlab import (
 )
 from weightlab import build as build_extremal
 from weightlab import weights
-from weightlab.weights import _closed_form, _expm1_ratio, _log_ratio, _ops, _power_diff, _ulogu_series
+from weightlab.solvers import _ops, _rise
+from weightlab.weights import _closed_form, _log_span
 
 
 class TestConstruction:
@@ -121,6 +124,15 @@ class TestMoments:
         w = constant_weight(1.0)
         with pytest.raises(ParameterError):
             moment(w, Interval(0.0, 1.0), MomentKind.AVG_W_POW)
+
+    @pytest.mark.parametrize("kind", ["avg_w", None, 3])
+    def test_unknown_kind_is_refused(self, kind):
+        # on constant and power pieces alike, by moment and cumulative_moment
+        for w in (constant_weight(2.0), power_weight(1.0, 0.5)):
+            with pytest.raises(ParameterError, match="unknown moment kind"):
+                moment(w, Interval(0.2, 0.6), kind)
+            with pytest.raises(ParameterError, match="unknown moment kind"):
+                cumulative_moment(w, np.array([0.1, 0.5]), kind)
 
     def test_divergent_pow_moment_is_inf(self):
         w = power_weight(1.0, -0.6)
@@ -349,38 +361,26 @@ class TestCorpus:
 def _two_term_closed_form(c, alpha, s, e, kind):
     """_closed_form's AVG_LOG_W and AVG_W_LOG_W as two terms, the alpha one added even at alpha = 0.
 
-    The reference for the constant-piece forms, which return the first term alone.
+    The reference for the constant-piece forms, which return the first term
+    alone.  The mass int t^alpha is _closed_form's AVG_W, exactly e - s at alpha = 0.
     """
-    a1 = alpha + 1.0
-    from_zero = not isinstance(s, np.ndarray) and s == 0.0
-    xp = _ops(e - s)
+    d, big = e - s, _log_span(s, e)
+    xp = np if isinstance(d, np.ndarray) else math
     if kind is MomentKind.AVG_LOG_W:
-        if from_zero:
-            return e * math.log(c) + alpha * (e * xp.log(e) - e)
-        return (e - s) * math.log(c) + alpha * (e * xp.log(e) - s * xp.log(s) - (e - s))
-    if from_zero:
-        ea1 = e**a1
-        return c * math.log(c) * ea1 / a1 + c * alpha * ea1 * (xp.log(e) / a1 - 1.0 / (a1 * a1))
-    big = _log_ratio(s, e)
+        return d * math.log(c) + alpha * (d * xp.log(e) - e * _rise(big, -xp.expm1(-big)))
+    a1 = alpha + 1.0  # alpha near 0: anchored at e
     z = a1 * big
-    near = abs(z) < 0.5
-    array = isinstance(near, np.ndarray)
-    if array or near:
-        tlog = s**a1 * (xp.log(s) * big * _expm1_ratio(z) + _ulogu_series(z, big))
-    if array or not near:
-        closed = (e**a1 * (a1 * xp.log(e) - 1.0) - s**a1 * (a1 * xp.log(s) - 1.0)) / (a1 * a1)
-        tlog = np.where(near, tlog, closed) if array else closed
-    return c * math.log(c) * _power_diff(a1, s, e) + c * alpha * tlog
+    head = -xp.expm1(-z)
+    tlog = e**a1 / a1 * (xp.log(e) * head - _rise(z, head) / a1)
+    return c * math.log(c) * _closed_form(1.0, alpha, s, e, MomentKind.AVG_W) + c * alpha * tlog
 
 
 class TestConstantPieceForms:
     """On a constant piece _closed_form skips the alpha term, 0.0 times a finite number.
 
-    Its bits are the two-term sum's, but for one case: where the first term
-    underflows to -0.0 (c < 1, a subnormal product) and the skipped term
-    rounds to +0.0, the sum reads +0.0 and the shortcut -0.0.  moment and
-    cumulative_moment add every piece integral to a +0.0 start, so neither
-    sees that sign.
+    Its bits are the two-term sum's, the sign of a zero included: the skipped
+    term is 0.0 times int log t or int t^alpha log t, both negative on an
+    interval inside (0, 1], so it is -0.0, which leaves every sum as it was.
     """
 
     CS = (1.0, 5e-324, 1e-300, 1e300)
@@ -393,7 +393,7 @@ class TestConstantPieceForms:
 
     @staticmethod
     def _mismatches(closed_form, alpha):
-        """The cases where closed_form's bits differ from the two-term sum's, bar a -0.0 for +0.0."""
+        """The cases where closed_form's bits differ from the two-term sum's."""
         bad = []
         calls = list(TestConstantPieceForms.SPANS)
         calls += [(s, e[e > s]) for e in TestConstantPieceForms.ARRAYS for s in (0.0, 1e-320, 0.005)]
@@ -404,9 +404,7 @@ class TestConstantPieceForms:
                         got = np.asarray(closed_form(c, alpha, s, e, kind), dtype=float)
                         want = np.asarray(_two_term_closed_form(c, alpha, s, e, kind), dtype=float)
                         assert got.shape == want.shape
-                        same = got.view(np.int64) == want.view(np.int64)
-                        signed_zero = (got == 0.0) & (want == 0.0) & np.signbit(got) & ~np.signbit(want)
-                        if not np.all(same | signed_zero):
+                        if not np.all(got.view(np.int64) == want.view(np.int64)):
                             bad.append((c, kind, s, e))
         return bad
 
@@ -424,12 +422,12 @@ class TestConstantPieceForms:
         bad = self._mismatches(loose, 1e-300)
         assert bad and {c for c, *_ in bad} >= {1.0}
 
-    def test_the_signed_zero_case_is_invisible_to_moment(self, monkeypatch):
-        # c log(c) (e - s) underflows to -0.0 and the rounded t log t integral is +0.0
+    def test_the_two_term_sum_leaves_moment_bits_unchanged(self, monkeypatch):
+        # c log(c) (e - s) underflows to -0.0, and so does 0.0 times the t log t integral
         c, s, e = 5e-324, 1.0 - 2.0**-53, 1.0
         got = _closed_form(c, 0.0, s, e, MomentKind.AVG_W_LOG_W)
         want = _two_term_closed_form(c, 0.0, s, e, MomentKind.AVG_W_LOG_W)
-        assert (got, math.copysign(1.0, got), math.copysign(1.0, want)) == (0.0, -1.0, 1.0)
+        assert (got, math.copysign(1.0, got), math.copysign(1.0, want)) == (0.0, -1.0, -1.0)
         w = step_weight([0.0, 0.5, 1.0], [3.0, c])
         pts = np.array([0.0, 0.25, 0.5, s, 1.0])
         ivs = [Interval(s, e), Interval(0.5, s), Interval(0.25, 1.0), Interval(0.0, 1.0)]
@@ -441,3 +439,201 @@ class TestConstantPieceForms:
         shortcut = values()
         monkeypatch.setattr(weights, "_closed_form", _two_term_closed_form)
         assert values() == shortcut
+
+
+EPS = sys.float_info.epsilon
+KINDS3 = (MomentKind.AVG_W, MomentKind.AVG_LOG_W, MomentKind.AVG_W_LOG_W)
+
+
+def _mp_piece_integral(c, alpha, s, e, kind):
+    """(integral, S) of the kind's integrand on c t^alpha over [s, e], at the caller's precision.
+
+    S is the integral of its two parts (log c and alpha log t, or c log c t^alpha
+    and c alpha t^alpha log t) taken in absolute value; AVG_W has one part.
+    """
+    c, alpha, s, e = map(mpmath.mpf, (c, alpha, s, e))
+    a1, d, log_c = alpha + 1, e - s, mpmath.log(c)
+    if a1 == 0:
+        mass, tlog = mpmath.log(e / s), (mpmath.log(e) ** 2 - mpmath.log(s) ** 2) / 2
+    else:
+        def prim(t):  # of t^alpha log t
+            return t**a1 * (a1 * mpmath.log(t) - 1) / a1**2 if t else 0
+        mass, tlog = (e**a1 - s**a1) / a1, prim(e) - prim(s)
+    if kind is MomentKind.AVG_W:
+        parts = (c * mass,)
+    elif kind is MomentKind.AVG_LOG_W:
+        parts = (d * log_c, alpha * (e * mpmath.log(e) - (s * mpmath.log(s) if s else 0) - d))
+    else:
+        parts = (c * log_c * mass, c * alpha * tlog)
+    return sum(parts), sum(abs(x) for x in parts)
+
+
+def _parent_closed_form(c, alpha, s, e, kind):
+    """The forms the anchored ones replaced, kept as the negative control.
+
+    log(e / s) from the rounded ratio e / s, a |z| < 1/2 switch between a
+    series in z = (alpha + 1) log(e / s) and a difference of powers, and
+    avg log w as e log e - s log s - (e - s).
+    """
+    xp, a1 = _ops(e - s), alpha + 1.0
+    from_zero = not isinstance(s, np.ndarray) and s == 0.0
+
+    def expm1_ratio(z):
+        return np.where(z == 0.0, 1.0, np.expm1(z) / z) if xp is np else (math.expm1(z) / z if z else 1.0)
+
+    def log_ratio():
+        ratio = e / s
+        if xp is not np:
+            return math.log(ratio) if ratio < math.inf else math.log(e) - math.log(s)
+        return np.where(ratio == math.inf, np.log(e) - np.log(s), np.log(ratio))
+
+    def switch(z, near, far):  # near() where |z| < 1/2, else far(); a float evaluates one of them
+        return np.where(abs(z) < 0.5, near(), far()) if xp is np else near() if abs(z) < 0.5 else far()
+
+    def power_diff(g):
+        if g == 1.0:
+            return e - s
+        z = g * log_ratio()
+        return switch(z, lambda: s**g * log_ratio() * expm1_ratio(z), lambda: (e**g - s**g) / g)
+
+    if kind is MomentKind.AVG_W:
+        return (c * e**a1 / a1 if a1 > 0.0 else math.inf) if from_zero else c * power_diff(a1)
+    if alpha == 0.0:
+        return (c * math.log(c) if kind is MomentKind.AVG_W_LOG_W else math.log(c)) * (e - s)
+    if kind is MomentKind.AVG_LOG_W:
+        if from_zero:
+            return e * math.log(c) + alpha * (e * xp.log(e) - e)
+        return (e - s) * math.log(c) + alpha * (e * xp.log(e) - s * xp.log(s) - (e - s))
+    if from_zero:
+        ea1 = e**a1
+        return c * math.log(c) * ea1 / a1 + c * alpha * ea1 * (xp.log(e) / a1 - 1.0 / (a1 * a1))
+    big = log_ratio()
+    z = a1 * big
+    acc = 0.0
+    for k in reversed(range(16)):  # L^2 sum_k z^k / (k! (k + 2))
+        acc = acc * z + 1.0 / (math.factorial(k) * (k + 2))
+    tlog = switch(z, lambda: s**a1 * (xp.log(s) * big * expm1_ratio(z) + big * big * acc),
+                  lambda: (e**a1 * (a1 * xp.log(e) - 1.0) - s**a1 * (a1 * xp.log(s) - 1.0)) / (a1 * a1))
+    return c * math.log(c) * power_diff(a1) + c * alpha * tlog
+
+
+def _seeded_pieces(n=300, seed=2111):
+    """(c, alpha, s, e): alpha in (-1, 5] on pieces from 0, in [-3, -1] away from 0.
+
+    c in [1e-3, 1e3] and s in [1e-12, 1) are log-uniform, s = 0 one time in
+    four from 0; d = e - s is log-uniform from 1 ulp of s (from 1e-12 where
+    s = 0) to 1 - s.  Every tenth piece away from 0 has alpha = -1.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n):
+        if i % 2 == 0:
+            alpha = -float(rng.uniform(-5.0, 1.0))  # in (-1, 5]
+            s = 0.0 if i % 8 == 0 else float(10.0 ** rng.uniform(-12.0, 0.0))
+        else:
+            alpha = -1.0 if i % 20 == 1 else float(rng.uniform(-3.0, -1.0))
+            s = float(10.0 ** rng.uniform(-12.0, 0.0))
+        c = float(10.0 ** rng.uniform(-3.0, 3.0))
+        low = math.ulp(s) if s else 1e-12
+        e = min(s + float(10.0 ** rng.uniform(math.log10(low), math.log10(1.0 - s))), 1.0)
+        if e > s:
+            cases.append((c, alpha, s, e))
+    return cases
+
+
+class TestAnchoredForms:
+    """The anchored piece forms against 60-digit mpmath, and the parent forms as the negative control."""
+
+    WEIGHT = power_weight(1.0, 0.5)
+    BOUND = 8.0  # eps S (1 + |(alpha + 1) log A|); the forms read 1.5 here, 2.0 on 8,000 other seeded pieces
+
+    @classmethod
+    def _moment_errors(cls, s, e):
+        """Relative error of each kind's moment on WEIGHT over [s, e]."""
+        out = []
+        with mpmath.workdps(60):
+            for kind in KINDS3:
+                want = _mp_piece_integral(1.0, 0.5, s, e, kind)[0] / (mpmath.mpf(e) - mpmath.mpf(s))
+                out.append(float(abs(moment(cls.WEIGHT, Interval(s, e), kind) / want - 1)))
+        return out
+
+    def test_int_endpoints_give_the_float_endpoints_bits(self):
+        # Interval takes ints, as a weight file holding 0 and 1 gives them; 1 / 0 raised at a from-zero piece
+        int_weight = Weight((PowerPiece(Interval(0, 1), 1.0, 0.5),))
+        pts = np.linspace(0.0, 1.0, 9)
+        for kind, p in [(kind, None) for kind in KINDS3] + [(MomentKind.AVG_W_POW, 3.0)]:
+            for a, b in ((0, 1), (0, 0.5), (0.5, 1)):
+                got = moment(self.WEIGHT, Interval(a, b), kind, p)
+                assert got == moment(self.WEIGHT, Interval(float(a), float(b)), kind, p)
+            assert cumulative_moment(int_weight, pts, kind, p).tobytes() == cumulative_moment(
+                self.WEIGHT, pts, kind, p).tobytes()
+        assert moment(int_weight, Interval(0, 1), MomentKind.AVG_W) == pytest.approx(2.0 / 3.0, rel=4 * EPS)
+
+    # log(e / s) from the rounded ratio e / s: 1.1e-8 and 6.7% off at the parent
+    @pytest.mark.parametrize("s, e", [(0.3, 0.3 + 1e-9), (0.7, 0.7 + 3e-16)], ids=["0.3+1e-9", "0.7+3e-16"])
+    def test_the_rounding_of_e_over_s_stays_out_of_narrow_moments(self, s, e):
+        assert max(self._moment_errors(s, e)) <= 4 * EPS
+
+    # e log e - s log s - (e - s) cancels: avg log w 1.6e-4 and 28% off at the parent
+    @pytest.mark.parametrize("s, e", [(0.3, 0.3 + 1e-13), (0.5, 0.5 + 2.0**-53)], ids=["0.3+1e-13", "0.5+2^-53"])
+    def test_avg_log_w_does_not_cancel_on_narrow_intervals(self, s, e):
+        assert max(self._moment_errors(s, e)) <= 4 * EPS
+
+    @pytest.fixture(scope="class")
+    def seeded(self):
+        """The seeded pieces, each kind's 60-digit integral, and its scale S (1 + |(alpha + 1) log A|).
+
+        |(alpha + 1) log A| widens S for the rounding of alpha + 1, which
+        A^(alpha + 1) carries.
+        """
+        out = []
+        with mpmath.workdps(60):
+            for c, alpha, s, e in _seeded_pieces():
+                a1 = alpha + 1.0
+                widen = 1.0 + abs(a1 * math.log(e if a1 > 0.0 else s))
+                for kind in KINDS3:
+                    want, scale = _mp_piece_integral(c, alpha, s, e, kind)
+                    out.append((c, alpha, s, e, kind, want, scale * widen))
+        return out
+
+    @staticmethod
+    def _property_worst(closed_form, seeded):
+        """Worst error over the seeded pieces in units of eps times the scale, scalar and array ends."""
+        worst = 0.0
+        with np.errstate(all="ignore"), mpmath.workdps(60):
+            for c, alpha, s, e, kind, want, scale in seeded:
+                for got in (closed_form(c, alpha, s, e, kind), closed_form(c, alpha, s, np.array([e]), kind)[0]):
+                    worst = max(worst, float(abs(float(got) - want) / (EPS * scale)))
+        return worst
+
+    def test_forms_hold_the_stated_bound_on_seeded_pieces(self, seeded):
+        assert self._property_worst(_closed_form, seeded) <= self.BOUND
+
+    def test_the_parent_forms_fail_the_stated_bound(self, seeded):
+        assert self._property_worst(_parent_closed_form, seeded) > 1e3 * self.BOUND
+
+    @pytest.fixture(scope="class")
+    def dyadic_sweep(self):
+        """3,000 seeded dyadic intervals, depth 1 to 10: {(s, e): each kind's 60-digit moment on WEIGHT}."""
+        rng = np.random.default_rng(9903)
+        cases = {}
+        for _ in range(3000):
+            depth = int(rng.integers(1, 11))
+            j = int(rng.integers(0, 2**depth))
+            s, e = j / 2**depth, (j + 1) / 2**depth
+            if (s, e) not in cases:
+                with mpmath.workdps(60):
+                    cases[s, e] = [_mp_piece_integral(1.0, 0.5, s, e, kind)[0] / (e - s) for kind in KINDS3]
+        return cases
+
+    def _sweep_worst(self, sweep):
+        with mpmath.workdps(60):
+            return max(float(abs(moment(self.WEIGHT, Interval(s, e), kind) / want - 1))
+                       for (s, e), wants in sweep.items() for kind, want in zip(KINDS3, wants))
+
+    def test_dyadic_moments_within_4e_15(self, dyadic_sweep):
+        assert self._sweep_worst(dyadic_sweep) <= 4e-15
+
+    def test_the_parent_forms_fail_the_dyadic_sweep(self, dyadic_sweep, monkeypatch):
+        monkeypatch.setattr(weights, "_closed_form", _parent_closed_form)
+        assert self._sweep_worst(dyadic_sweep) > 1e-13

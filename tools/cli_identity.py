@@ -18,19 +18,23 @@ and without targets and their refusals, ``bellman --eval`` on the three
 surfaces inside, on and outside their domains, ``dyadic`` trees without
 ``--verify`` at depths 0 to 6, and ``sweep --format json``.
 
-Each difference is put in one of the kinds a change may declare (see
-``KINDS``) or in ``other``; the script prints the count per kind and every
-``other`` run, and exits 1 if there is one.  ``--allow`` names the kinds the
-change under test intends, default none.
+Both trees run the command lines that the old tree builds: some take their
+q from its constants.  Each difference is put in one of the kinds a change
+may declare (see ``KINDS``) or in ``other``; the script prints the count per
+kind and every ``other`` run, and exits 1 if there is one.  ``--allow`` names
+the kinds the change under test intends, default none.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import functools
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -166,13 +170,17 @@ def writer_cases(workdir: Path) -> list[list[str]]:
     return runs
 
 
-def run_all(src: str, workdir: str, out: str) -> None:
-    """Run every case against the weightlab under src; write [argv, rc, stdout, stderr] rows."""
+def run_all(src: str, workdir: str, out: str, argv_rows: str | None = None) -> None:
+    """Run every case against the weightlab under src; write [argv, rc, stdout, stderr] rows.
+
+    With argv_rows, the command lines are those of that earlier output.
+    """
     sys.path.insert(0, src)
     from weightlab import cli
 
     rows = []
-    for argv in cases(Path(workdir)):
+    argvs = [row[0] for row in json.loads(Path(argv_rows).read_text())] if argv_rows else cases(Path(workdir))
+    for argv in argvs:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
             warnings.simplefilter("always")  # each run's stderr its own, whatever ran before
@@ -206,6 +214,95 @@ def _inf_to_null(old, new) -> bool:
     return old == new
 
 
+# a decimal number as the JSON writer, CSV rows and selftest lines print it
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _close(old: float, new: float, scale: float | None = None) -> bool:
+    """new within 1e-13 of old relative to scale, default |old| (an exact zero stays zero)."""
+    return old == new or abs(new - old) <= 1e-13 * (abs(old) if scale is None else scale)
+
+
+def _gap_scale(payload: dict, key: str) -> float | None:
+    """The size of the moments a printed difference subtracts, which its rounding is relative to."""
+    if key == "final_gap":  # dyadic chain_verify: sums[-1] - target
+        return abs(payload["target"])
+    if key == "gap" and "weight_value" in payload:  # extremal: (weight - surface) / max(1, |surface|)
+        return abs(payload["weight_value"]) / max(1.0, abs(payload["surface_value"]))
+    return None
+
+
+def _rounded(old, new, scale: float | None = None, parts=None) -> bool:
+    """Whether new is old but for _close numbers and argmax intervals that move among ties from 0.
+
+    A pure power's scanned ratio is the same on every [0, b], so the
+    "interval" beside a "value" may move to another [0, b] when the ratios'
+    last bits move; the value itself must stay _close.  parts, given, maps a
+    dyadic node's interval to the size of its point's y (_parts_scale).
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            return False
+        moved = old.get("interval") != new.get("interval")
+        if moved and not ("value" in old and _ties_from_zero(old["interval"], new["interval"])):
+            return False
+        if parts and "point" in old and old["point"] != new["point"]:
+            (xa, ya), (xb, yb) = old["point"], new["point"]
+            if not (_close(xa, xb) and (_close(ya, yb) or _close(ya, yb, parts(old["interval"])))):
+                return False
+        return all(_rounded(old[k], new[k], _gap_scale(old, k), parts) for k in old
+                   if not (moved and k == "interval" or parts and k == "point"))
+    if isinstance(old, list) and isinstance(new, list):
+        return len(old) == len(new) and all(_rounded(a, b, None, parts) for a, b in zip(old, new))
+    if isinstance(old, float) and isinstance(new, float):
+        return _close(old, new, scale)
+    return old == new
+
+
+def _parts_scale(weight_path: str, mode: str, interval: list[float]) -> float:
+    """The average over the interval of a dyadic point's y integrand in two parts, each in absolute value.
+
+    y is avg log w (mode log) or avg w log w (entropy), and on a piece c t^alpha
+    log w = log c + alpha log t: two parts that may cancel, so y's rounding is
+    relative to avg (|log c| + |alpha log t|), times w in entropy mode.
+    """
+    import mpmath
+
+    (a, b), total = interval, 0.0
+    for piece in json.loads(Path(weight_path).read_text())["pieces"]:
+        s, e = max(a, piece["a"]), min(b, piece["b"])
+        if e > s:
+            c, alpha = piece["coeff"], piece["exponent"]
+            f = lambda t: (abs(math.log(c)) + abs(alpha * mpmath.log(t))) * (1.0 if mode == "log" else c * t**alpha)
+            total += float(mpmath.quad(f, [s, e]))
+    return total / (b - a)
+
+
+def _ties_from_zero(old, new) -> bool:
+    return isinstance(old, list) and isinstance(new, list) and len(old) == len(new) == 2 and old[0] == new[0] == 0.0
+
+
+def _csv(text: str) -> list | None:
+    """CSV stdout as rows of floats and names, interval_a and interval_b as one "interval"."""
+    lines = text.splitlines()
+    if not lines or not re.fullmatch(r"[\w,]+", lines[0]):
+        return None
+    rows = []
+    for row in csv.DictReader(lines):
+        row = {k: float(v) if _NUMBER.fullmatch(v) else v for k, v in row.items()}
+        if "interval_a" in row:
+            row["interval"] = [row.pop("interval_a"), row.pop("interval_b")]
+        rows.append(row)
+    return rows
+
+
+def _text_rounded(old: str, new: str, scale: float | None = None) -> bool:
+    """Whether the text new is old but for _close numbers (CSV rows, selftest lines, refusals)."""
+    if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        return False
+    return all(_close(float(a), float(b), scale) for a, b in zip(_NUMBER.findall(old), _NUMBER.findall(new)))
+
+
 def kind(argv: list[str], old: list, new: list) -> str:
     """Which declared kind a differing run belongs to, else "other"."""
     verify = argv[argv.index("--verify") + 1] if "--verify" in argv and argv[0] == "bellman" else None
@@ -225,10 +322,34 @@ def kind(argv: list[str], old: list, new: list) -> str:
             # the value within 1e-14, or another [0, b] whose ratio ties to it (a pure power from 0)
             if abs(vb - va) <= 1e-14 * abs(va) and (ia == ib or ia[0] == ib[0] == 0.0):
                 return "orlicz-rounding"
+        # the new root solves the equation to 1e-12, and is the old one where that did too
+        solved = [isinstance(x.get("residual"), float) and abs(x["residual"]) <= 1e-12 for x in (a, b)]
+        if argv[:3] == ["solve", "--equation", "gehring-sharp"] and changed <= {"root", "residual"} \
+                and old[1] == new[1] and solved[1] and (not solved[0] or _rounded(a["root"], b["root"])):
+            return "gehring-root"
+    if argv[0] not in MOMENT_COMMANDS or old[1] != new[1]:
+        return "other"
+    # moment-rounding: stderr as before and every changed number of stdout within 1e-13 (_rounded);
+    # refusal-rounding: stdout as before, and the moment a refusal prints on stderr within 1e-13
+    if old[3] == new[3]:
+        if a is None or b is None:
+            a, b = _csv(old[2]), _csv(new[2])
+        # selftest prints errors against values of size 1, so their rounding is absolute
+        scale = 1.0 if argv[0] == "selftest" else None
+        parts = None
+        if argv[0] == "dyadic" and "--mode" in argv:
+            parts = functools.partial(_parts_scale, *(argv[argv.index(flag) + 1] for flag in ("--weight", "--mode")))
+        if _rounded(a, b, None, parts) if a is not None and b is not None else _text_rounded(old[2], new[2], scale):
+            return "moment-rounding"
+    elif old[2] == new[2] and _text_rounded(old[3], new[3]):
+        return "refusal-rounding"
     return "other"
 
 
-KINDS = ("grid-refusal", "tangent-passed", "ratio-bound", "overflow-null", "orlicz-rounding")
+# the subcommands whose output reads piece moments
+MOMENT_COMMANDS = ("constants", "dyadic", "extremal", "selftest")
+KINDS = ("grid-refusal", "tangent-passed", "ratio-bound", "overflow-null", "orlicz-rounding", "moment-rounding",
+         "refusal-rounding", "gehring-root")
 
 
 def main() -> int:
@@ -237,30 +358,32 @@ def main() -> int:
     parser.add_argument("new_src")
     parser.add_argument("--allow", default="", help=f"comma list from {','.join(KINDS)}")
     parser.add_argument("--run", nargs=2, metavar=("WORKDIR", "OUT"), help=argparse.SUPPRESS)
+    parser.add_argument("--cases", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.run:
-        run_all(args.new_src, *args.run)
+        run_all(args.new_src, *args.run, args.cases)
         return 0
     allowed = {s for s in args.allow.split(",") if s}
     with tempfile.TemporaryDirectory() as tmp:
-        results = []
-        for src in (args.old_src, args.new_src):
-            out = str(Path(tmp) / "rows.json")
-            subprocess.run([sys.executable, __file__, src, src, "--run", tmp, out], check=True)
-            results.append(json.loads(Path(out).read_text()))
-    old, new = results
-    counts: dict[str, int] = {}
-    bad = 0
-    for a, b in zip(old, new):
-        if a == b:
-            continue
-        k = kind(a[0], a, b)
-        counts[k] = counts.get(k, 0) + 1
-        if k not in allowed:
-            bad += 1
-            print(f"{k}: weightlab {' '.join(a[0])}")
-            for label, row in (("old", a), ("new", b)):
-                print(f"  {label}: rc {row[1]}, stdout {row[2][:400]!r}, stderr {row[3][:200]!r}")
+        old_out, new_out = str(Path(tmp) / "old.json"), str(Path(tmp) / "new.json")
+        subprocess.run([sys.executable, __file__, args.old_src, args.old_src, "--run", tmp, old_out], check=True)
+        # the new tree runs the old one's command lines: some take q from the tree's own constants
+        subprocess.run([sys.executable, __file__, args.new_src, args.new_src, "--run", tmp, new_out,
+                        "--cases", old_out], check=True)
+        old, new = (json.loads(Path(out).read_text()) for out in (old_out, new_out))
+        # classified while the weight files the dyadic runs name still exist (_parts_scale)
+        counts: dict[str, int] = {}
+        bad = 0
+        for a, b in zip(old, new):
+            if a == b:
+                continue
+            k = kind(a[0], a, b)
+            counts[k] = counts.get(k, 0) + 1
+            if k not in allowed:
+                bad += 1
+                print(f"{k}: weightlab {' '.join(a[0])}")
+                for label, row in (("old", a), ("new", b)):
+                    print(f"  {label}: rc {row[1]}, stdout {row[2][:400]!r}, stderr {row[3][:200]!r}")
     same = sum(a == b for a, b in zip(old, new))
     print(f"{len(old)} runs: {same} identical; " + ", ".join(f"{k} {n}" for k, n in sorted(counts.items())))
     return 1 if bad else 0
