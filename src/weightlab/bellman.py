@@ -112,7 +112,7 @@ def in_domain(surface: BellmanSurface, x, y, tol: float = DOMAIN_TOL):
     xp = _ops(x)
     ok = (x > 0.0) & xp.isfinite(x) & xp.isfinite(y)
     if xp is not np:
-        return ok and _excess(surface.entropy_coordinates, surface.q, x, y) <= tol
+        return bool(ok and _excess(surface.entropy_coordinates, surface.q, x, y) <= tol)
     x, y = np.where(ok, x, 1.0), np.where(ok, y, 0.0)  # float arrays, masked points at (1, 0)
     return ok & (_excess(surface.entropy_coordinates, surface.q, x, y) <= tol)
 
@@ -376,8 +376,8 @@ def bounds_check_ainf(q: float, grid: int = 100) -> BoundsReport:
     Violations are reported as positive excesses (0 means the bound holds), and
     the check passes when both are at most 1e-9.  ratio_max is the grid maximum
     of (B - x log x)/x, mathematically equal to ratio_bound = log g + 1/g - 1,
-    attained on the upper boundary; for g > 1/4 (q below ~1.89) ratio_bound is
-    solvers._log_bound, which keeps the digits the direct form cancels near q = 1.
+    attained on the upper boundary; ratio_bound is solvers._log_bound at q, the
+    one home of that bound, which keeps the digits the direct form cancels near q = 1.
     At extreme q (about 1e300 up) the grid values overflow, the violations and
     ratio_max read inf or nan, and the check fails, with no warning.
     """
@@ -394,12 +394,11 @@ def bounds_check_ainf(q: float, grid: int = 100) -> BoundsReport:
     lower = float(max(np.max(base - vals), 0.0))
     upper = float(max(np.max(vals - base - math.e * q * xflat), 0.0))
     ratio = np.max((vals - base) / xflat)
-    g = surface.gamma
     return BoundsReport(
         grid=grid,
         max_lower_violation=lower,
         max_upper_violation=upper,
         ratio_max=float(ratio),
-        ratio_bound=_log_bound(math.log(q)) if g > 0.25 else math.log(g) + 1.0 / g - 1.0,
+        ratio_bound=_log_bound(math.log(q), q=q),
         passed=lower <= 1e-9 and upper <= 1e-9,
     )

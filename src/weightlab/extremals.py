@@ -195,12 +195,12 @@ def sharpness_sweep(q_values: tuple[float, ...]) -> list[tuple[float, float, flo
 
     Columns: q, (log g + 1/g - 1)/q for the exp-entropy bound, g = gamma_log(q)
     (NaN for q <= 1), and funny_bound_log(q) / (e^{q+1} - q - 2) for the
-    tangent-construction lower bound.  Both numerators come from
-    solvers._log_bound, one array root solve per column and block of
-    bellman._BLOCK q's; a row's last bit may depend on the block it is solved
-    in, as the solve stops once every element has converged.  The funny ratio
-    is 1.0 past q + 1 = 690: both sides grow like e^{q+1} and differ by less
-    than (q + 2) e^{-(q+1)} relative, while the asymptote would soon overflow.
+    tangent-construction lower bound.  Both numerators come from solvers._log_bound,
+    one array root solve per column and block of bellman._BLOCK q's, the first given
+    q, so its g is gamma_log's; a row's last bit may depend on its block, as the solve
+    stops once every element has converged.  The funny ratio is 1.0 past q + 1 = 690:
+    both sides grow like e^{q+1} and differ by less than (q + 2) e^{-(q+1)} relative,
+    while the asymptote would soon overflow.
     A q with q + 1 == 1 is refused, as the roots collapse to 1.
     """
     for q in q_values:
@@ -218,6 +218,6 @@ def sharpness_sweep(q_values: tuple[float, ...]) -> list[tuple[float, float, flo
         big, mid = q > 1.0, q + 1.0 <= 690.0
         # q = 2m 2^(n-1), m in [1/2, 1): the power of two divides exactly
         m, n = np.frexp(q[big])
-        e[big] = _log_bound(np.log(q[big]), np.ldexp(1.0, n - 1)) / (2.0 * m)
+        e[big] = _log_bound(np.log(q[big]), np.ldexp(1.0, n - 1), q[big]) / (2.0 * m)
         f[mid] = _log_bound(q[mid]) / (math.e * np.exp(q[mid]) - q[mid] - 2.0)
     return list(zip(q_values, e_ratio.tolist(), funny_ratio.tolist()))

@@ -58,7 +58,7 @@ _EXCESS_SERIES_S = 0.25
 
 
 def _ops(x):
-    return _FLOAT_OPS if isinstance(x, float) else np
+    return np if isinstance(x, np.ndarray) else _FLOAT_OPS
 
 
 def _halley(h, em1):
@@ -81,7 +81,7 @@ def _rise(z, head):
     Below _EXCESS_SERIES_S the difference head - z e^-z cancels, and it is
     e^-z _excess(z).  z is capped at 1e3, where e^-z is 0, so z = inf gives head.
     """
-    if isinstance(z, float):
+    if not isinstance(z, np.ndarray):
         z = min(z, 1e3)
         e_z = math.exp(-z)
         return e_z * _excess(z) if z < _EXCESS_SERIES_S else head - z * e_z
@@ -99,7 +99,7 @@ def _series_step(s, em1, c1, d):
     There h = em1 - (s + c1) is ~1e-16 |s| off, which leaves s ~1e-16 off
     in absolute terms, while t - 1 ~ s near the double root needs relative.
     """
-    if isinstance(s, float):
+    if not isinstance(s, np.ndarray):
         return _halley(_excess(s) - c1, em1) if abs(s) < _EXCESS_SERIES_S else d
     small = np.abs(s) < _EXCESS_SERIES_S
     if small.any():
@@ -132,7 +132,7 @@ def _log_root(c1, upper: bool):
     return e_s + dt, s, dt, steps
 
 
-def _branch_root(c1, upper: bool):
+def _branch_root(c1, upper: bool, q=None):
     """Root of t - log t = 1 + c1 (c1 >= 0, float or array) in (0, 1], or in [1, inf) if upper.
 
     c1 = c - 1 keeps the digits of c near 1, where the roots meet at t = 1.
@@ -143,9 +143,17 @@ def _branch_root(c1, upper: bool):
     applied as a factor e^{-d}, so t and t - 1 keep full precision.  Returns
     (t, t - 1, steps, (t_lo, t_hi)).  The array callers in bellman read t
     alone: they call the loop, _log_root, and form neither t - 1 nor the bracket.
+    A lower root of c1 = log q may be given q: the rounding of log q (ulp/2) is
+    relative error in t ~ e^{-1-c1}, and where t <= 1/4 one step of t = e^{t-1}/q,
+    in q itself, contracts it by a factor t.  The step is increasing in t, so the
+    bracket's ends, mapped through it, hold the new t; t - 1 is the kernel's, within an ulp.
     """
     t, s, dt, steps = _log_root(c1, upper)
-    return t, _ops(t).expm1(s) + dt, steps, _bracket(c1, upper)
+    xp, bracket = _ops(t), _bracket(c1, upper)
+    if q is not None:
+        far = t <= 0.25
+        t, *bracket = (xp.where(far, xp.exp(u - 1.0) / q, u) for u in (t, *bracket))
+    return t, xp.expm1(s) + dt, steps, tuple(bracket)
 
 
 def _bracket(c1, upper: bool):
@@ -156,8 +164,8 @@ def _bracket(c1, upper: bool):
 
 
 @functools.lru_cache(maxsize=256)  # RootResult is frozen; default_target and each surface re-solve one q
-def _root_result(c1: float, upper: bool) -> RootResult:
-    t, _, steps, bracket = _branch_root(c1, upper)
+def _root_result(c1: float, upper: bool, q: float | None = None) -> RootResult:
+    t, _, steps, bracket = _branch_root(c1, upper, q)
     return RootResult(t, t - math.log(t) - (1.0 + c1), bracket, steps)
 
 
@@ -165,23 +173,15 @@ def gamma_log(q: float) -> RootResult:
     """Root in (0, 1) of t - log t = 1 + log q; requires q > 1.
 
     The left side decreases from +inf to 1 on (0, 1], so a root below 1
-    exists exactly when 1 + log q > 1.  Below t = 1/4 the kernel's root
-    takes one fixed-point step in q itself, not its rounded log.
+    exists exactly when 1 + log q > 1.  The kernel is given q, so a root at
+    or below 1/4 is freed from the rounding of log q (see _branch_root).
     """
     if not (q > 1.0 and math.isfinite(q)):
         raise ParameterError(f"gamma_log needs q > 1, got {q}")
     c1 = math.log(q)
     if c1 > 743.0:
         raise ParameterError(f"q = {q} too large: the root in (0, 1) underflows")
-    res = _root_result(c1, upper=False)
-    if res.root > 0.25:
-        return res
-    # c1's rounding, up to ulp(log q)/2, is relative error in t ~ e^{-1-c1}; one step of
-    # t = e^{t-1}/q uses q itself and contracts the error by a factor t.  The step is
-    # increasing in t, so the bracket's ends, mapped through it, hold the new t
-    step = lambda t: math.exp(t - 1.0) / q
-    t = step(res.root)
-    return RootResult(t, t - math.log(t) - (1.0 + c1), tuple(map(step, res.bracket)), res.iterations)
+    return _root_result(c1, False, q)
 
 
 def _check_entropy_q(q: float) -> None:
@@ -197,7 +197,7 @@ def _check_entropy_q(q: float) -> None:
 def gamma_entropy_roots(q: float) -> tuple[RootResult, RootResult]:
     """Both roots of t - log t = q + 1 for q > 0: (minus in (0,1), plus > 1)."""
     _check_entropy_q(q)
-    return _root_result(q, upper=False), _root_result(q, upper=True)
+    return _root_result(q, False), _root_result(q, True)
 
 
 def eps_minus(q: float) -> RootResult:
@@ -317,9 +317,10 @@ def p_gehring_via_one(n: int, p: float, k: float) -> tuple[float, float]:
     return bound, delta
 
 
-def _log_bound(c1, scale=1.0):
+def _log_bound(c1, scale=1.0, q=None):
     """(log t + 1/t - 1) / scale at the lower root t of t - log t = 1 + c1 (float or array).
 
+    The one home of the sharp bound F(q) on RH_1 by A_infty: c1 = log q and q give g = gamma_log(q).
     On the root log t = t - 1 - c1, so log t + 1/t - 1 = (t - 1)^2/t - c1.  Near
     t = 1 the direct form cancels log t ~ -sqrt(2 c1) against 1/t - 1 and keeps
     only ~1e-16/c1 relative; the root form keeps the kernel's full-precision
@@ -328,7 +329,7 @@ def _log_bound(c1, scale=1.0):
     A power-of-two scale divides exactly and before 1/t, which would overflow
     past c1 ~ 708 while the scaled value is still a double.
     """
-    t, tm1 = _branch_root(c1, upper=False)[:2]
+    t, tm1 = _branch_root(c1, False, q)[:2]
     xp, ts = _ops(t), t * scale
     near = tm1 * (tm1 / ts) - c1 / scale
     return xp.where(t > 0.25, near, xp.log(t) / scale + (1.0 / ts - 1.0 / scale))
@@ -340,7 +341,7 @@ def funny_bound(q: float) -> float:
     Overflows to +inf for q beyond ~5.6; use funny_bound_log for asymptotics.
     """
     _check_entropy_q(q)
-    g = _branch_root(q, upper=False)[0]
+    g = _root_result(q, False).root
     try:
         return g * math.exp((1.0 - g) / g)
     except OverflowError:

@@ -161,7 +161,7 @@ def _log_span(s, e):
     if not isinstance(s, np.ndarray) and not s:
         return math.inf
     ratio = (e - s) / s
-    if isinstance(ratio, float):  # also for int ends
+    if not isinstance(ratio, np.ndarray):
         return math.log1p(ratio) if ratio < math.inf else math.log(e) - math.log(s)
     over = ratio == np.inf
     return np.where(over, np.log(e) - np.log(s), np.log1p(ratio)) if over.any() else np.log1p(ratio)

@@ -19,9 +19,16 @@ from weightlab import (
 )
 from weightlab import bellman
 from weightlab.bellman import evaluate_many, hessian_signature, interior_grid, tangent_linearity_excess
-from weightlab.solvers import funny_bound, gamma_entropy_roots, gamma_log
+from weightlab.solvers import funny_bound, gamma_entropy_roots
 
-from _frozen import ARRAY_PATH_SHA256, FUNNY_BOUND_1, GAMMA_PLUS_1, GEHRING_B_1_03, RATIO_BOUND_E
+from _frozen import (
+    ARRAY_PATH_SHA256,
+    FUNNY_BOUND_1,
+    GAMMA_PLUS_1,
+    GEHRING_B_1_03,
+    RATIO_BOUND_E,
+    RATIO_BOUNDS_FROM_1_89,
+)
 
 
 def mp_tangent(surface, x, y):
@@ -575,6 +582,32 @@ class TestFloatPathPins:
             assert all(type(d) is float for d in got)
             assert got == devs
 
+    def test_int_and_numpy_scalars_take_the_float_path(self):
+        # anything that is not an ndarray takes math: an int or numpy scalar point gives
+        # the types and bits of the same point as floats (ints went through numpy before)
+        cases = [
+            (BellmanSurface(SurfaceKind.AINF_UPPER, 5.0), (1, 0)),
+            (BellmanSurface(SurfaceKind.AINF_UPPER, 5.0), (3, 1)),
+            (gehring_surface(1.0), (2, 2)),
+            (BellmanSurface(SurfaceKind.AINF_LOWER, 2.0), (1, 1)),
+        ]
+
+        def outputs(surface, x, y):
+            h = hessian(surface, x, y)
+            return [
+                in_domain(surface, x, y),
+                evaluate_surface(surface, x, y),
+                tangent_point(surface, x, y),
+                h.matrix.tobytes(), h.eigenvalues, h.det, h.boundary_warning,
+            ]
+
+        for surface, point in cases:
+            want = outputs(surface, *map(float, point))
+            for kind in (int, np.int64, np.float64):
+                got = outputs(surface, *map(kind, point))
+                assert [type(v) for v in got] == [type(v) for v in want], (kind, surface.kind)
+                assert repr(got) == repr(want), (kind, surface.kind)
+
 
 def _array_path_digest() -> str:
     """sha256 over the tobytes() of the array surface path's outputs, in a fixed order.
@@ -655,10 +688,12 @@ class TestBoundsCheck:
             assert abs(got - want) <= 1e-15 * want
 
     def test_ratio_bound_bytes_from_q_1_89(self):
-        # below g = 1/4 the direct form, at gamma_log's fixed-point g, is kept bit for bit
-        for q in (1.9, 2.0, math.e, 10.0, 1e3, 1e6, 1e30, 1e300):
-            g = gamma_log(q).root
-            assert bounds_check_ainf(q, grid=2).ratio_bound == math.log(g) + 1.0 / g - 1.0
+        # below g = 1/4 solvers._log_bound's direct form, at gamma_log's g, bit for bit
+        for q, pinned in RATIO_BOUNDS_FROM_1_89:
+            assert bounds_check_ainf(q, grid=2).ratio_bound == pinned
+            with mpmath.workdps(50):
+                g = -mpmath.lambertw(-1 / (mpmath.e * mpmath.mpf(q))).real
+                assert abs(pinned - (mpmath.log(g) + 1 / g - 1)) <= 2.0 * math.ulp(pinned)
 
     def test_continuity_of_surface_along_path(self):
         # Lipschitz sanity sweep: small steps in (x, y) move B by O(step)

@@ -1,6 +1,8 @@
+import functools
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from weightlab import (
     rh1_constant,
     sharpness_sweep,
 )
-from weightlab.bellman import _BLOCK
+from weightlab import extremals
+from weightlab.bellman import _BLOCK, bounds_check_ainf
 from weightlab.solvers import eps_minus, gamma_entropy_roots
 
 from _frozen import (
@@ -33,6 +36,31 @@ from _frozen import (
     RATIO_BOUND_E,
     SWEEP_ROWS,
 )
+
+
+def decimal_qs():
+    """912 q in (1, 1e300] written as decimals: m 10^k, and 1 + 10^-k down to 1 + 1e-12.
+
+    Not e^x of a double: for those the rounded log q is x to ~1e-16 absolute,
+    which hides a root solved at the rounded log q instead of at q itself.
+    """
+    qs = [float(f"{m}e{k}") for k in range(0, 301, 2) for m in ("1", "1.234", "2", "3.7", "5", "8.9")]
+    qs += [float("1." + "0" * (k - 1) + "1") for k in range(1, 13)]
+    return tuple(sorted(q for q in qs if 1.0 < q <= 1e300))
+
+
+@functools.cache
+def mp_e_ratios(qs):
+    """(log g + 1/g - 1)/q with 50 digits, g = -W0(-1/(e q)) the root in (0, 1) of t - log t = 1 + log q."""
+    with mpmath.workdps(50):
+        gs = [-mpmath.lambertw(-1 / (mpmath.e * mpmath.mpf(q))).real for q in qs]
+        return [(mpmath.log(g) + 1 / g - 1) / mpmath.mpf(q) for g, q in zip(gs, qs)]
+
+
+def e_ratio_errors(qs):
+    """Relative error of sharpness_sweep's e_ratio against mp_e_ratios, as an array."""
+    rows = sharpness_sweep(qs)
+    return np.array([float(abs((row[1] - want) / want)) for row, want in zip(rows, mp_e_ratios(qs))])
 
 
 def eps_mid(q, frac=0.5):
@@ -217,6 +245,27 @@ class TestSweep:
             else:
                 assert e_ratio == pytest.approx(want_e, rel=1e-14, abs=0.0)
             assert funny_ratio == pytest.approx(want_f, rel=1e-14, abs=0.0)
+
+    def test_e_ratio_matches_mpmath_at_decimal_q(self):
+        qs = decimal_qs()
+        assert len(qs) >= 800 and qs[0] == 1.0 + 1e-12 and qs[-1] == 1e300
+        err, big = e_ratio_errors(qs), np.array(qs) >= 2.0
+        assert err[big].max() <= 4e-16
+        assert err[~big].max() <= 2e-15
+
+    def test_e_ratio_without_the_step_in_q_fails(self, monkeypatch):
+        # negative control: the same sweep solved at the rounded log q alone is ~1e-14 off
+        real = extremals._log_bound
+        monkeypatch.setattr(extremals, "_log_bound", lambda c1, scale=1.0, q=None: real(c1, scale))
+        qs = decimal_qs()
+        err = e_ratio_errors(qs)
+        assert err[np.array(qs) >= 2.0].max() > 1e-14
+
+    def test_e_ratio_is_the_envelope_ratio_bound(self):
+        # one F: bounds_check_ainf's ratio_bound over q is the sweep's e_ratio within 2 ulp
+        qs = decimal_qs()[::3]
+        for q, (_, e_ratio, _) in zip(qs, sharpness_sweep(qs)):
+            assert abs(bounds_check_ainf(q, grid=2).ratio_bound / q - e_ratio) <= 2.0 * math.ulp(e_ratio), q
 
     def test_blocks_concatenate(self):
         rng = np.random.default_rng(8)

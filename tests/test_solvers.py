@@ -13,6 +13,7 @@ from _frozen import (
     GAMMA_MINUS_1,
     GAMMA_PLUS_1,
     FUNNY_BOUND_1,
+    GAMMA_LOG_RESULTS,
     GEHRING_DIM_1_1,
 )
 
@@ -42,6 +43,11 @@ class TestGammaLog:
             want = -mpmath.lambertw(-mpmath.exp(-1 - mpmath.log(mpmath.mpf(q))), 0)
             rel = abs((solvers.gamma_log(q).root - want) / want)
         assert rel <= 2.5e-16
+
+    def test_root_result_bits_are_frozen(self):
+        # the fixed-point step in q moved into the kernel without moving a bit
+        for q, root, residual, bracket, iterations in GAMMA_LOG_RESULTS:
+            assert repr(solvers.gamma_log(q)) == repr(solvers.RootResult(root, residual, bracket, iterations))
 
     def test_root_in_open_unit_interval(self):
         for q in np.geomspace(1.001, 1e8, 40):
@@ -343,6 +349,12 @@ class TestRootCache:
         # a root above 1/4 is the kernel's own, not refined by the step in q
         fresh = solvers._root_result.__wrapped__(math.log(1.5), upper=False)
         assert solvers.gamma_log(1.5) == solvers.gamma_log(1.5) == fresh
+
+    def test_funny_bound_reads_the_cached_lower_root(self):
+        solvers._root_result.cache_clear()
+        minus = solvers.gamma_entropy_roots(2.5)[0].root
+        assert solvers.funny_bound(2.5) == minus * math.exp((1.0 - minus) / minus)
+        assert solvers._root_result.cache_info().hits == 1
 
     def test_cache_is_bounded(self):
         solvers._root_result.cache_clear()

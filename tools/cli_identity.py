@@ -16,7 +16,7 @@ pair walk splits its rows on 2 or more CPUs), ``solve`` for each equation
 over q from tiny to past its range, ``extremal`` for all four families with
 and without targets and their refusals, ``bellman --eval`` on the three
 surfaces inside, on and outside their domains, ``dyadic`` trees without
-``--verify`` at depths 0 to 6, and ``sweep --format json``.
+``--verify`` at depths 0 to 6, and ``sweep --format json`` (decimal q among them).
 
 Both trees run the command lines that the old tree builds: some take their
 q from its constants.  Each difference is put in one of the kinds a change
@@ -165,7 +165,7 @@ def writer_cases(workdir: Path) -> list[list[str]]:
                 runs.append(["dyadic", "--weight", path, "--mode", mode, "--q", q, "--q1", repr(1.3 * float(q)),
                              "--depth", depth])
 
-    for qs in ("", "2", "0.5,1,2,8,1e6", f"1e300,{MAX_DOUBLE}", "nan,-1"):
+    for qs in ("", "2", "0.5,1,2,8,1e6", "1e300,1.234e300,1e100,1e30", f"1e300,{MAX_DOUBLE}", "nan,-1"):
         runs.append(["sweep", "--q-list", qs, "--format", "json"])
     return runs
 
@@ -322,6 +322,11 @@ def kind(argv: list[str], old: list, new: list) -> str:
             # the value within 1e-14, or another [0, b] whose ratio ties to it (a pure power from 0)
             if abs(vb - va) <= 1e-14 * abs(va) and (ia == ib or ia[0] == ib[0] == 0.0):
                 return "orlicz-rounding"
+        if argv[0] == "sweep" and changed == {"rows"} and old[1] == new[1] and len(a["rows"]) == len(b["rows"]):
+            # e_ratio alone moves, within 1e-13 (its root solved at q, not at the rounded log q)
+            if all(x.keys() == y.keys() and x["q"] == y["q"] and x["funny_ratio"] == y["funny_ratio"]
+                   and _rounded(x["e_ratio"], y["e_ratio"]) for x, y in zip(a["rows"], b["rows"])):
+                return "sweep-e-ratio"
         # the new root solves the equation to 1e-12, and is the old one where that did too
         solved = [isinstance(x.get("residual"), float) and abs(x["residual"]) <= 1e-12 for x in (a, b)]
         if argv[:3] == ["solve", "--equation", "gehring-sharp"] and changed <= {"root", "residual"} \
@@ -349,7 +354,7 @@ def kind(argv: list[str], old: list, new: list) -> str:
 # the subcommands whose output reads piece moments
 MOMENT_COMMANDS = ("constants", "dyadic", "extremal", "selftest")
 KINDS = ("grid-refusal", "tangent-passed", "ratio-bound", "overflow-null", "orlicz-rounding", "moment-rounding",
-         "refusal-rounding", "gehring-root")
+         "refusal-rounding", "gehring-root", "sweep-e-ratio")
 
 
 def main() -> int:
