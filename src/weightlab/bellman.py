@@ -110,6 +110,8 @@ def _excess(entropy: bool, q: float, x, y):
 def in_domain(surface: BellmanSurface, x, y, tol: float = DOMAIN_TOL):
     """Domain membership (bool or bool array): finite, x > 0 and _excess <= tol."""
     xp = _ops(x)
+    if xp is not np:  # a numpy float32 or float16 would keep its precision through float arithmetic
+        x, y = float(x), float(y)
     ok = (x > 0.0) & xp.isfinite(x) & xp.isfinite(y)
     if xp is not np:
         return bool(ok and _excess(surface.entropy_coordinates, surface.q, x, y) <= tol)
@@ -215,6 +217,8 @@ def _require_eps(surface: BellmanSurface) -> float:
 
 def evaluate(surface: BellmanSurface, x: float, y: float) -> float:
     """Surface value at an admissible point."""
+    if not isinstance(x, np.ndarray):  # as in in_domain
+        x, y = float(x), float(y)
     if surface.kind is SurfaceKind.GEHRING:
         _require_eps(surface)
     v = _admissible_solve(surface, x, y)[0]

@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -37,9 +38,9 @@ def _json(obj, pad: str = "\n") -> str:
     if isinstance(obj, float):
         return repr(x) if math.isfinite(x := _fmt(obj)) else "null"
     inner = pad + "  "
-    if isinstance(obj, dict):  # a key that is not a string as json writes it, from a one-key dict
-        items = [(json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]) + ": " + _json(v, inner)
-                 for k, v in obj.items()]
+    if isinstance(obj, dict):  # a str key as json.dumps writes it (ensure_ascii); another from a one-key dict
+        items = [(encode_basestring_ascii(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
+                 + ": " + _json(v, inner) for k, v in obj.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
     if isinstance(obj, (list, tuple)):
         return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + pad + "]" if obj else "[]"

@@ -1,4 +1,4 @@
-"""Interval splitting with moment points confined to a domain, one generation at a time.
+"""Interval splitting with moment points confined to a domain.
 
 A weight with sup-type constant at most q keeps every interval's moment
 point inside the corresponding domain; splitting an interval subdivides its
@@ -6,12 +6,13 @@ point along a chord.  The splitter picks a cut ratio so the whole chord
 stays inside the slightly enlarged domain (constant q1 > q), which is what
 makes telescoping sums against a concave surface built at q1 monotone.
 
-build_partition walks the tree generation by generation: one array pass
-checks a generation's points against q, then the candidate ratios are tried
-in order, each round checking every uncut node's chord exactly, by bellman's
-domain rule, in one array pass.  A node's point is computed once, by the cut
-that created it.  chain_verify checks and evaluates every node's point in one
-in_domain and one evaluate_many call, then sums each generation in order.
+build_partition checks the tree of 1/2 cuts in two array passes, its points
+against q and its chords against q1; where one fails, it walks the tree
+generation by generation: one array pass checks a generation's points, then
+the candidate ratios are tried in order, each round checking every uncut
+node's chord exactly, by bellman's domain rule, in one array pass.  Each
+point is computed once.  chain_verify checks and evaluates every node's point
+in one in_domain and one evaluate_many call, then sums each generation in order.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+import itertools
 
 import numpy as np
 
 from .bellman import BellmanSurface, SurfaceKind, _chord_excess, _excess, _require_eps, evaluate_many, in_domain
 from .errors import DomainError, ParameterError, SplitError
-from .weights import Interval, MomentKind, Weight, moment
+from .weights import Interval, MomentKind, Weight, _moment_pair, moment
 
 __all__ = [
     "SplitMode",
@@ -74,13 +76,11 @@ class PartitionTree:
     depth: int
 
 
+_Y_KIND = {SplitMode.LOG: MomentKind.AVG_LOG_W, SplitMode.ENTROPY: MomentKind.AVG_W_LOG_W}
+
+
 def _point(w: Weight, interval: Interval, mode: SplitMode) -> tuple[float, float]:
-    x = moment(w, interval, MomentKind.AVG_W)
-    if mode is SplitMode.LOG:
-        y = moment(w, interval, MomentKind.AVG_LOG_W)
-    else:
-        y = moment(w, interval, MomentKind.AVG_W_LOG_W)
-    return x, y
+    return _moment_pair(w, interval, _Y_KIND[mode])
 
 
 def _alpha_candidates(delta0: float) -> list[float]:
@@ -101,14 +101,14 @@ def _alpha_candidates(delta0: float) -> list[float]:
         k += 1
 
 
-def _cuts(w: Weight, intervals: list[Interval], cfg: SplitConfig, mode: SplitMode, alphas: list[float]) -> list:
+def _cuts(point, intervals: list[Interval], cfg: SplitConfig, mode: SplitMode, alphas: list[float]) -> list:
     """Per interval, the first candidate cut whose chord stays in the q1 domain.
 
     One round per candidate ratio, in order, over the intervals still uncut;
     each round checks all its chords in one array pass.  An entry is
     (alpha, left, right, left point, right point), or the exception that
-    cutting that interval alone meets first: one from its moments, or a
-    SplitError carrying the least-violating candidate.
+    cutting that interval alone meets first: one from its moments (point),
+    or a SplitError carrying the least-violating candidate.
     """
     out = [None] * len(intervals)
     best = [(math.nan, math.inf)] * len(intervals)
@@ -124,7 +124,7 @@ def _cuts(w: Weight, intervals: list[Interval], cfg: SplitConfig, mode: SplitMod
                 continue
             left, right = Interval(a, mid), Interval(mid, b)
             try:
-                rows.append((k, alpha, left, right, _point(w, left, mode), _point(w, right, mode)))
+                rows.append((k, alpha, left, right, point(left), point(right)))
             except (ArithmeticError, ValueError) as exc:  # build_partition raises it in preorder
                 out[k] = exc
         viols = _chord_excess(mode is SplitMode.ENTROPY, cfg.q1, [r[4] for r in rows], [r[5] for r in rows])
@@ -154,11 +154,32 @@ def split(
     Returns (left, right, alpha) with |left| = alpha * |interval|.  Raises
     SplitError carrying the best candidate when no admissible ratio exists.
     """
-    cut = _cuts(w, [interval], cfg, mode, _alpha_candidates(cfg.delta0))[0]
+    cut = _cuts(lambda iv: _point(w, iv, mode), [interval], cfg, mode, _alpha_candidates(cfg.delta0))[0]
     if isinstance(cut, Exception):
         raise cut
     alpha, left, right = cut[:3]
     return left, right, alpha
+
+
+def _halving(point, cfg: SplitConfig, entropy: bool, max_depth: int) -> list[list[Interval]] | None:
+    """The generations of the tree that cuts every interval at 1/2, or None where a point of it
+    leaves q or a chord q1 (by _cuts' rule).  The root's point and chord are checked first, so
+    a failing root costs two points; then the tree in one _excess and one _chord_excess pass."""
+
+    def inside(levels: list[list[Interval]]) -> bool:
+        pts = [point(iv) for level in levels for iv in level]
+        xy = np.fromiter(itertools.chain.from_iterable(pts), float).reshape(-1, 2)  # np.array: 0.4 us a tuple
+        kids = xy[1:]  # each node's two children in turn
+        return (_excess(entropy, cfg.q, xy[:, 0], xy[:, 1]) <= 1e-9).all() and (
+            not len(kids) or (_chord_excess(entropy, cfg.q1, kids[0::2], kids[1::2]) <= 1e-12).all())
+
+    levels = [[Interval(0.0, 1.0)]]
+    for depth in range(max_depth):
+        if depth == 1 and not inside(levels):
+            return None
+        halves = [(iv.a, iv.a + 0.5 * (iv.b - iv.a), iv.b) for iv in levels[-1]]  # as _cuts forms them
+        levels.append([half for a, mid, b in halves for half in (Interval(a, mid), Interval(mid, b))])
+    return levels if inside(levels) else None
 
 
 def build_partition(
@@ -167,60 +188,67 @@ def build_partition(
     mode: SplitMode = SplitMode.LOG,
     max_depth: int = 4,
 ) -> PartitionTree:
-    """Full binary tree of admissible splits down to max_depth, one generation at a time.
+    """Full binary tree of admissible splits down to max_depth.
 
     Every node's own moment point must lie in the q domain; a violation
     means the weight's constant exceeds q and the construction is vacuous.
-    A generation's points are checked in one array pass, then cut together
-    (_cuts); a node's point is the one its parent's accepted cut computed.
-    Of several failures the one raised is the first in preorder (a node's
-    point, then its cut, then its left subtree), so only nodes before the
-    first failure found so far are walked on.
+    The tree of 1/2 cuts is checked first (_halving); where it fails, a
+    generation's points are checked in one array pass, then cut together
+    (_cuts), each interval's point computed once.  Of several failures the
+    one raised is the first in preorder (a node's point, then its cut, then
+    its left subtree), so only nodes before the first failure are walked on.
     """
     if not isinstance(max_depth, int) or max_depth < 0:
         raise ParameterError(f"max_depth must be a nonnegative integer, got {max_depth}")
-    alphas = _alpha_candidates(cfg.delta0)
-    first = None  # (preorder key, exception) of the first failure in preorder
+    entropy, kind, known = mode is SplitMode.ENTROPY, _Y_KIND[mode], {}
 
-    def key(depth: int, i: int) -> tuple[int, int]:
-        # i-th node of its generation: its leftmost leaf, then ancestors first
-        return i << (max_depth - depth), depth
+    def point(iv: Interval) -> tuple[float, float]:
+        if (pt := known.get((iv.a, iv.b))) is None:
+            pt = known[iv.a, iv.b] = _moment_pair(w, iv, kind)
+        return pt
 
-    def before(depth: int, i: int) -> bool:
-        return first is None or key(depth, i) < first[0]
+    try:
+        levels = _halving(point, cfg, entropy, max_depth)
+    except (ArithmeticError, ValueError):  # a point that raises: the generation rounds raise it in its place
+        levels = None
+    if levels is None:
+        alphas = _alpha_candidates(cfg.delta0)
+        first = None  # (preorder key, exception) of the first failure in preorder
 
-    root = Interval(0.0, 1.0)
-    level = [(0, root, _point(w, root, mode))]  # (index in generation, interval, point)
-    levels = []
-    for depth in range(max_depth + 1):
-        points = [pt for _, _, pt in level]
-        viols = _excess(mode is SplitMode.ENTROPY, cfg.q, *np.array(points, dtype=float).reshape(-1, 2).T)
-        for (i, iv, pt), viol in zip(level, viols.tolist()):
-            if not viol <= 1e-9 and before(depth, i):
-                first = (key(depth, i), DomainError(
-                    f"moment point {pt} of [{iv.a}, {iv.b}] leaves the q = {cfg.q} domain; "
-                    "the weight's constant exceeds q"
-                ))
-        level = [node for node in level if before(depth, node[0])]
-        levels.append(level)
-        if depth == max_depth or not level:
-            break
-        cuts = _cuts(w, [iv for _, iv, _ in level], cfg, mode, alphas)
-        for (i, _, _), cut in zip(level, cuts):
-            if isinstance(cut, Exception) and before(depth, i):
-                first = (key(depth, i), cut)
-        level = [
-            child
-            for (i, _, _), cut in zip(level, cuts)
-            if before(depth, i)
-            for child in ((2 * i, cut[1], cut[3]), (2 * i + 1, cut[2], cut[4]))
-        ]
-    if first is not None:
-        raise first[1]
+        def key(depth: int, i: int) -> tuple[int, int]:
+            # i-th node of its generation: its leftmost leaf, then ancestors first
+            return i << (max_depth - depth), depth
 
-    nodes = [PartitionNode(iv, pt) for _, iv, pt in levels[-1]]
+        def before(depth: int, i: int) -> bool:
+            return first is None or key(depth, i) < first[0]
+
+        root = Interval(0.0, 1.0)
+        level = [(0, root, point(root))]  # (index in generation, interval, point)
+        levels = []
+        for depth in range(max_depth + 1):
+            points = [pt for _, _, pt in level]
+            viols = _excess(entropy, cfg.q, *np.array(points, dtype=float).reshape(-1, 2).T)
+            for (i, iv, pt), viol in zip(level, viols.tolist()):
+                if not viol <= 1e-9 and before(depth, i):
+                    first = (key(depth, i), DomainError(
+                        f"moment point {pt} of [{iv.a}, {iv.b}] leaves the q = {cfg.q} domain; "
+                        "the weight's constant exceeds q"
+                    ))
+            level = [node for node in level if before(depth, node[0])]
+            levels.append([iv for _, iv, _ in level])
+            if depth == max_depth or not level:
+                break
+            cuts = _cuts(point, levels[-1], cfg, mode, alphas)
+            for (i, _, _), cut in zip(level, cuts):
+                if isinstance(cut, Exception) and before(depth, i):
+                    first = (key(depth, i), cut)
+            level = [child for (i, _, _), cut in zip(level, cuts) if before(depth, i)
+                     for child in ((2 * i, cut[1], cut[3]), (2 * i + 1, cut[2], cut[4]))]
+        if first is not None:
+            raise first[1]
+    nodes = [PartitionNode(iv, point(iv)) for iv in levels[-1]]
     for level in reversed(levels[:-1]):
-        nodes = [PartitionNode(iv, pt, (nodes[2 * j], nodes[2 * j + 1])) for j, (_, iv, pt) in enumerate(level)]
+        nodes = [PartitionNode(iv, point(iv), (nodes[2 * j], nodes[2 * j + 1])) for j, iv in enumerate(level)]
     return PartitionTree(nodes[0], mode, cfg, max_depth)
 
 

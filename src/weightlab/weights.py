@@ -194,7 +194,7 @@ def _piece_integral(piece: PowerPiece, s, e, kind: MomentKind, p: float | None):
         raise DomainError(f"the {kind.value} integral over [{s}, {e}] overflows a double") from None
 
 
-def _closed_form(c: float, alpha: float, s, e, kind: MomentKind):
+def _closed_form(c: float, alpha: float, s, e, kind: MomentKind, pair: bool = False):
     """_piece_integral on the piece c t^alpha, for any kind but AVG_W_POW.
 
     In d = e - s and L = log(e / s) (_log_span), with a1 = alpha + 1 and the
@@ -205,15 +205,19 @@ def _closed_form(c: float, alpha: float, s, e, kind: MomentKind):
     rise(z) = 1 - e^-z (1 + z).  The terms of the last two share a sign but
     for a1 < 0, where they cancel by about a factor 2 at most.  alpha = 0 is
     c, log c or c log c times d, exact; alpha = -1 takes L and L (log s + L / 2).
+    With pair, (the AVG_W integral, the kind's), sharing d, L and the mass.
     """
     d = e - s
     if alpha == 0.0:
         if kind is _AVG_W:
             return c * d
-        return (math.log(c) if kind is _AVG_LOG_W else c * math.log(c)) * d
+        val = (math.log(c) if kind is _AVG_LOG_W else c * math.log(c)) * d
+        return (c * d, val) if pair else val
     xp, big = (np if isinstance(d, np.ndarray) else math), _log_span(s, e)
     if kind is _AVG_LOG_W:
-        return d * math.log(c) + alpha * (d * xp.log(e) - e * _rise(big, -xp.expm1(-big)))
+        val = d * math.log(c) + alpha * (d * xp.log(e) - e * _rise(big, -xp.expm1(-big)))
+        if not pair:
+            return val
     a1 = alpha + 1.0
     if a1 == 0.0:
         mass = big
@@ -223,8 +227,10 @@ def _closed_form(c: float, alpha: float, s, e, kind: MomentKind):
         mass = scale * head
     if kind is _AVG_W:
         return c * mass
-    tlog = big * (xp.log(s) + 0.5 * big) if a1 == 0.0 else scale * (xp.log(anchor) * head - _rise(z, head) / a1)
-    return c * math.log(c) * mass + c * alpha * tlog
+    if kind is _AVG_W_LOG_W:
+        tlog = big * (xp.log(s) + 0.5 * big) if a1 == 0.0 else scale * (xp.log(anchor) * head - _rise(z, head) / a1)
+        val = c * math.log(c) * mass + c * alpha * tlog
+    return (c * mass, val) if pair else val
 
 
 def moment(w: Weight, interval: Interval, kind: MomentKind, p: float | None = None) -> float:
@@ -246,6 +252,27 @@ def moment(w: Weight, interval: Interval, kind: MomentKind, p: float | None = No
                 return math.inf
             total += val
     return total / length
+
+
+def _moment_pair(w: Weight, interval: Interval, kind: MomentKind) -> tuple[float, float]:
+    """(moment(w, interval, AVG_W), moment(w, interval, kind)), kind AVG_LOG_W or AVG_W_LOG_W,
+    from one loop over the pieces (_closed_form's pair); where that raises or an average is
+    not finite, from those two calls, so that values and exceptions are moment's."""
+    a, b = interval.a, interval.b
+    mass = total = 0.0
+    try:
+        for piece in w.pieces:
+            if piece.support.a >= b:
+                break
+            s, e = max(a, piece.support.a), min(b, piece.support.b)
+            if e > s:
+                m, val = _closed_form(piece.coeff, piece.exponent, s, e, kind, pair=True)
+                mass, total = mass + m, total + val
+        if b - a >= 2.0**-1022 and math.isfinite(x := mass / (b - a)) and math.isfinite(y := total / (b - a)):
+            return x, y
+    except (ArithmeticError, ValueError):
+        pass
+    return moment(w, interval, _AVG_W), moment(w, interval, kind)
 
 
 # F differences lose a factor ~1/(g + 1) to cancellation on a piece t^g anchored

@@ -608,6 +608,26 @@ class TestFloatPathPins:
                 assert [type(v) for v in got] == [type(v) for v in want], (kind, surface.kind)
                 assert repr(got) == repr(want), (kind, surface.kind)
 
+    def test_float32_and_float16_scalars_give_the_float_point(self):
+        # numpy keeps np.float32 * float in float32: a narrow scalar is taken as a float
+        # first, so a point it holds exactly gives the float point's bits and types
+        cases = [
+            (BellmanSurface(SurfaceKind.AINF_LOWER, 2.0), (1.0, 1.5)),
+            (BellmanSurface(SurfaceKind.AINF_UPPER, 5.0), (3.0, 0.5)),
+            (gehring_surface(1.0), (2.0, 2.0)),
+        ]
+        for surface, point in cases:
+            h = hessian(surface, *point)
+            want = [in_domain(surface, *point), evaluate_surface(surface, *point), tangent_point(surface, *point),
+                    h.matrix.tobytes(), h.eigenvalues, h.det, h.boundary_warning]
+            for kind in (np.float32, np.float16):
+                x, y = map(kind, point)
+                h = hessian(surface, x, y)
+                got = [in_domain(surface, x, y), evaluate_surface(surface, x, y), tangent_point(surface, x, y),
+                       h.matrix.tobytes(), h.eigenvalues, h.det, h.boundary_warning]
+                assert [type(v) for v in got] == [type(v) for v in want], (kind, surface.kind)
+                assert repr(got) == repr(want), (kind, surface.kind)
+
 
 def _array_path_digest() -> str:
     """sha256 over the tobytes() of the array surface path's outputs, in a fixed order.

@@ -36,7 +36,7 @@ from weightlab import (
     truncate,
     weight_from_dict,
 )
-from weightlab import dyadic, errors, weights
+from weightlab import constants, dyadic, errors, weights
 from weightlab.bellman import _chord_excess, _excess
 
 from _frozen import DYADIC_FAILURES, FROZEN_TREES
@@ -491,21 +491,63 @@ class TestFrozenTrees:
                     moved += abs(left.length / node.interval.length - 0.5) > 1e-9
         assert moved >= 12
 
-    def test_split_is_the_one_interval_cut(self):
-        cfg = SplitConfig(q=Q_LINEAR, q1=Q_LINEAR * 1.02)
-        tree = build_partition(LINEAR, cfg, SplitMode.LOG, max_depth=4)
-        for node in _walk(tree.root):
-            if node.children:
-                left, right, _ = split(LINEAR, node.interval, cfg, SplitMode.LOG)
-                assert (left, right) == tuple(c.interval for c in node.children)
+    @staticmethod
+    def _depth_first(w, cfg, mode, depth, iv=Interval(0.0, 1.0)):
+        """The tree as the depth-first recursion builds it: a node's point from two moment
+        calls, checked against q, then its cut from split, then its left subtree."""
+        kind = MomentKind.AVG_LOG_W if mode is SplitMode.LOG else MomentKind.AVG_W_LOG_W
+        pt = (moment(w, iv, MomentKind.AVG_W), moment(w, iv, kind))
+        if not _excess(mode is SplitMode.ENTROPY, cfg.q, np.array([pt[0]]), np.array([pt[1]]))[0] <= 1e-9:
+            raise DomainError(
+                f"moment point {pt} of [{iv.a}, {iv.b}] leaves the q = {cfg.q} domain; the weight's constant exceeds q"
+            )
+        if not depth:
+            return dyadic.PartitionNode(iv, pt)
+        left, right, _ = split(w, iv, cfg, mode)
+        kids = [TestFrozenTrees._depth_first(w, cfg, mode, depth - 1, half) for half in (left, right)]
+        return dyadic.PartitionNode(iv, pt, tuple(kids))
+
+    @staticmethod
+    def _grid_cases(margin, q1_ratio):
+        # each corpus weight at margin x its grid constant, both modes
+        out = []
+        for w in weights.reference_corpus(24):
+            ainf, rh1 = constants.ainf_constant(w, resolution=101)[0], constants.rh1_constant(w, resolution=101)[0]
+            log_q, entropy_q = max(margin * ainf, 1.001), margin * max(rh1, 0.0) + 0.01
+            for mode, q in ((SplitMode.LOG, log_q), (SplitMode.ENTROPY, entropy_q)):
+                out.append((w, SplitConfig(q=q, q1=q1_ratio * q), mode, 5))
+        return out
+
+    @pytest.mark.parametrize("cases, moves", [
+        (lambda: [(LINEAR, SplitConfig(q=Q_LINEAR, q1=Q_LINEAR * 1.02), SplitMode.LOG, 4)], True),
+        (lambda: TestFrozenTrees._grid_cases(1.02, 1.03), True),
+        (lambda: TestFrozenTrees._grid_cases(1.25, 1.3), False),
+        (lambda: [(FLAT, SplitConfig(q=1.5, q1=1.8), SplitMode.LOG, 10)], False),
+    ], ids=["linear", "corpus-moved", "corpus-halves", "flat-depth10"])
+    def test_split_is_the_one_interval_cut(self, cases, moves):
+        # build_partition's tree is the depth-first recursion's, bit for bit,
+        # whether the cuts stay at 1/2 or move off it
+        moved = 0
+        for w, cfg, mode, depth in cases():
+            want = self._depth_first(w, cfg, mode, depth)
+            assert build_partition(w, cfg, mode, max_depth=depth).root == want
+            moved += sum(n.children[0].interval.length != 0.5 * n.interval.length for n in _walk(want) if n.children)
+        assert (moved > 0) == moves
 
     def test_each_point_takes_two_moments(self, monkeypatch):
-        # a node's point is computed once, by the cut that made it; on a flat
-        # weight the first candidate (1/2) is accepted everywhere
-        calls = []
-        monkeypatch.setattr(dyadic, "moment", lambda *a, **k: calls.append(a) or weights.moment(*a, **k))
+        # a node's point is one pair of moments, computed once; on a flat weight
+        # every cut is at 1/2, so the tree is checked in one _excess and one
+        # _chord_excess pass, after the same two for the root's point and cut
+        calls = {"pair": 0, "excess": 0, "chord": 0}
+
+        def counted(name, fn):
+            return lambda *a, **k: calls.__setitem__(name, calls[name] + 1) or fn(*a, **k)
+
+        monkeypatch.setattr(dyadic, "_moment_pair", counted("pair", weights._moment_pair))
+        monkeypatch.setattr(dyadic, "_excess", counted("excess", _excess))
+        monkeypatch.setattr(dyadic, "_chord_excess", counted("chord", _chord_excess))
         tree = build_partition(FLAT, SplitConfig(q=1.5, q1=1.8), SplitMode.LOG, max_depth=4)
-        assert len(calls) == 2 * len(list(_walk(tree.root)))
+        assert calls == {"pair": len(list(_walk(tree.root))), "excess": 2, "chord": 2}
 
 
 class TestFailureOrder:
@@ -525,14 +567,12 @@ class TestFailureOrder:
     def test_moment_error_keeps_its_place(self, monkeypatch):
         # an exception from a moment inside a cut is that node's failure: the cut
         # of [0, 0.25] (generation 2) fails before the later cut of [0.5, 1]
-        real = weights.moment
-
-        def moment(w, iv, kind, p=None):
+        def pair(w, iv, kind):
             if (iv.b <= 0.25 and iv.b - iv.a < 0.2) or (iv.a >= 0.5 and iv.b - iv.a < 0.3):
                 raise OverflowError(f"cut at [{iv.a}, {iv.b}]")
-            return real(w, iv, kind, p)
+            return weights._moment_pair(w, iv, kind)
 
-        monkeypatch.setattr(dyadic, "moment", moment)
+        monkeypatch.setattr(dyadic, "_moment_pair", pair)
         with pytest.raises(OverflowError, match=r"cut at \[0.0, 0.125\]"):
             build_partition(FLAT, SplitConfig(q=1.5, q1=1.8), SplitMode.LOG, max_depth=3)
 

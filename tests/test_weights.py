@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from weightlab import (
     DomainError,
@@ -35,6 +37,8 @@ from weightlab import build as build_extremal
 from weightlab import weights
 from weightlab.solvers import _ops, _rise
 from weightlab.weights import _closed_form, _log_span
+
+from _strategies import COEFFS, CUTS, EXPONENTS
 
 
 class TestConstruction:
@@ -356,6 +360,54 @@ class TestCorpus:
         for w in corpus:
             assert w.pieces[0].support.a == 0.0
             assert w.pieces[-1].support.b == 1.0
+
+
+def _outcome(f):
+    """f()'s numbers by their bits, or the type and message of what it raises."""
+    try:
+        return [v.hex() for v in f()]
+    except Exception as exc:  # the comparison is the point: any exception must match
+        return type(exc), str(exc)
+
+
+# interval ends: 0, subnormal ones (subnormal lengths), tiny ones, two adjacent doubles, 1
+_ENDS = st.sampled_from((0.0, 5e-324, 1e-310, 2e-310, 1e-300, 1e-12, 0.3, 0.30000000000000004, 1.0 - 2**-53, 1.0))
+
+
+@st.composite
+def _huge_weight(draw):
+    """One to four pieces, coefficient and exponent each over the double range (tests/_strategies.py)."""
+    cuts = sorted({c for c in (draw(CUTS) for _ in range(draw(st.integers(0, 3)))) if 0.0 < c < 1.0})
+    bounds = [0.0, *cuts, 1.0]
+    return Weight(tuple(
+        PowerPiece(Interval(a, b), draw(COEFFS.filter(lambda c: 0.0 < c < math.inf)),
+                   draw(EXPONENTS.filter(lambda e, a=a: math.isfinite(e) and (a > 0.0 or e > -1.0))))
+        for a, b in zip(bounds, bounds[1:])
+    ))
+
+
+class TestMomentPair:
+    """weights._moment_pair is the two moment calls it stands for, in values and in exceptions."""
+
+    @staticmethod
+    def _check(w, iv):
+        for kind in (MomentKind.AVG_LOG_W, MomentKind.AVG_W_LOG_W):
+            want = _outcome(lambda: (moment(w, iv, MomentKind.AVG_W), moment(w, iv, kind)))
+            assert _outcome(lambda: weights._moment_pair(w, iv, kind)) == want, (w, iv, kind)
+
+    def test_corpus_intervals(self):
+        ends = [0.0, 5e-324, 1e-310, 1e-300, 1e-12, 0.1, 0.25, 0.3, 0.5, 0.7, 1.0 - 2**-53, 1.0]
+        for w in reference_corpus(40):
+            for a, b in {(a, b) for a in ends + breakpoints(w) for b in ends + breakpoints(w) if a < b}:
+                self._check(w, Interval(a, b))
+
+    @given(_huge_weight(), _ENDS | st.floats(0.0, 1.0), _ENDS | st.floats(0.0, 1.0))
+    # w log w: +inf on the first piece, where moment stops, and -inf on the second
+    @example(Weight((PowerPiece(Interval(0.0, 0.5), 1e300, -0.9999999), PowerPiece(Interval(0.5, 1.0), 1e300, 1e10))),
+             0.0, 1.0)
+    def test_drawn_weights(self, w, a, b):
+        if a != b:
+            self._check(w, Interval(min(a, b), max(a, b)))
 
 
 def _two_term_closed_form(c, alpha, s, e, kind):

@@ -9,7 +9,9 @@ to 1e300, each at grids 2, 5 and 33, and its refusals; ``--verify tangent``
 and ``--verify hessian`` at q spread over the benchmark's bands and past
 them, at grids -1 to 24; ``dyadic --verify`` on 24 corpus weights in both
 modes, JSON and CSV, with and without ``--eps``, and at a q the weight
-exceeds; ``selftest``.  Then every subcommand that prints JSON:
+exceeds; ``dyadic`` trees and chains at 1.02 x the grid constant (q1 = 1.03 q,
+where cuts move off 1/2) on 8 of them at depths 6 and 10, and one at depth 12;
+``selftest``.  Then every subcommand that prints JSON:
 ``constants`` on 8 corpus weights (``rh_p``/``a_p`` keyed by p, the nested
 scans, CSV, and the four pair scans at resolutions 401 and 1201, where the
 pair walk splits its rows on 2 or more CPUs), ``solve`` for each equation
@@ -94,6 +96,13 @@ def cases(workdir: Path) -> list[list[str]]:
                 for fmt in ("json", "csv"):
                     runs.append(base + ["--format", fmt])
                     runs.append(base + ["--format", fmt, "--eps", "0.1"])
+        if k < 8:  # near the grid constant, where cuts move off 1/2
+            for mode, q in (("log", max(1.02 * ainf, 1.001)), ("entropy", 1.02 * max(rh1, 0.0) + 0.01)):
+                base = ["dyadic", "--weight", str(path), "--mode", mode, "--q", repr(q), "--q1", repr(1.03 * q)]
+                for depth in ("6", "10"):
+                    runs += [base + ["--depth", depth], base + ["--depth", depth, "--verify"]]
+                if k == 1 and mode == "log":
+                    runs.append(base + ["--depth", "12"])
     runs.append(["selftest"])
     return runs + writer_cases(workdir)
 
