@@ -119,19 +119,20 @@ def in_domain(surface: BellmanSurface, x, y, tol: float = DOMAIN_TOL):
     return ok & (_excess(surface.entropy_coordinates, surface.q, x, y) <= tol)
 
 
-@np.errstate(all="ignore")
-def _chord_excess(entropy: bool, q: float, p0: list, p1: list) -> np.ndarray:
-    """Largest _excess along each chord p0[k] -> p1[k], exact up to rounding.
+def _chord_excess(entropy: bool, q: float, p0, p1) -> np.ndarray:
+    """Largest _excess along each chord p0[k] -> p1[k] ((n, 2) arrays or lists of pairs), exact up to rounding.
 
     Along a chord log(x e^{-y}) and y - x log x are concave: each boundary gap peaks at
     an end or at x = dx/dy (log coordinates), x = exp(dy/dx - 1 - q) (entropy), taken at
     its position s in (0, 1) on p0 + s (p1 - p0).  A non-finite coordinate reads inf or nan.
     """
-    (x0, y0), (x1, y1) = (np.array(p, dtype=float).reshape(-1, 2).T for p in (p0, p1))
-    dx, dy = x1 - x0, y1 - y0
-    s = ((np.exp(dy / dx - 1.0 - q) if entropy else dx / dy) - x0) / dx
-    s = np.array([np.zeros_like(s), np.ones_like(s), np.where((s > 0.0) & (s < 1.0), s, 0.0)])
-    return _excess(entropy, q, x0 + s * dx, y0 + s * dy).max(axis=0)
+    (x0, y0), (x1, y1) = (np.asarray(p, dtype=float).reshape(-1, 2).T for p in (p0, p1))
+    with np.errstate(all="ignore"):  # once: _excess is called undecorated
+        dx, dy = x1 - x0, y1 - y0
+        s = ((np.exp(dy / dx - 1.0 - q) if entropy else dx / dy) - x0) / dx
+        at = np.zeros((3, s.size))  # the ends, then the peak
+        at[1], at[2] = 1.0, np.where((s > 0.0) & (s < 1.0), s, 0.0)
+        return _excess.__wrapped__(entropy, q, x0 + at * dx, y0 + at * dy).max(axis=0)
 
 
 def _tangent_solve(surface: BellmanSurface, x, y):

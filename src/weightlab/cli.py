@@ -35,8 +35,10 @@ def _fmt(x: float) -> float:
 def _json(obj, pad: str = "\n") -> str:
     """json.dumps(obj, indent=2) in one walk, each float at 15 digits, and null where
     that is not finite, which JSON cannot hold (nan, inf, past 1.79769313486231e308)."""
-    if isinstance(obj, float):
-        return repr(x) if math.isfinite(x := _fmt(obj)) else "null"
+    if isinstance(obj, float):  # repr(_fmt(obj)) is '%.15g', .0 on an integer, but for a subnormal, e+15 and e+308
+        if 0.0 < abs(obj) < sys.float_info.min or (text := "%.15g" % obj).endswith(("e+15", "e+308")):
+            return repr(x) if math.isfinite(x := _fmt(obj)) else "null"
+        return "null" if text[-1] in "fn" else text if "." in text or "e" in text else text + ".0"
     inner = pad + "  "
     if isinstance(obj, dict):  # a str key as json.dumps writes it (ensure_ascii); another from a one-key dict
         items = [(encode_basestring_ascii(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])

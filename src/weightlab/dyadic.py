@@ -6,27 +6,27 @@ point along a chord.  The splitter picks a cut ratio so the whole chord
 stays inside the slightly enlarged domain (constant q1 > q), which is what
 makes telescoping sums against a concave surface built at q1 monotone.
 
-build_partition checks the tree of 1/2 cuts in two array passes, its points
-against q and its chords against q1; where one fails, it walks the tree
-generation by generation: one array pass checks a generation's points, then
-the candidate ratios are tried in order, each round checking every uncut
-node's chord exactly, by bellman's domain rule, in one array pass.  Each
-point is computed once.  chain_verify checks and evaluates every node's point
-in one in_domain and one evaluate_many call, then sums each generation in order.
+build_partition lays out the tree of 1/2 cuts as level-order arrays, takes its points from one
+array pass per weight piece and checks them against q and its chords against q1 in one array pass
+each; where one fails, it walks the tree generation by generation: one array pass checks a
+generation's points, then the candidate ratios are tried in order, each round checking every uncut
+node's chord exactly, by bellman's domain rule, in one array pass.  Each point is computed once.
+chain_verify checks and evaluates every node's point in one in_domain and one evaluate_many call,
+then sums each generation in order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-import itertools
 
 import numpy as np
 
 from .bellman import BellmanSurface, SurfaceKind, _chord_excess, _excess, _require_eps, evaluate_many, in_domain
 from .errors import DomainError, ParameterError, SplitError
-from .weights import Interval, MomentKind, Weight, _moment_pair, moment
+from .weights import Interval, MomentKind, Weight, _moment_pair, _moment_pairs, moment
 
 __all__ = [
     "SplitMode",
@@ -161,25 +161,22 @@ def split(
     return left, right, alpha
 
 
-def _halving(point, cfg: SplitConfig, entropy: bool, max_depth: int) -> list[list[Interval]] | None:
-    """The generations of the tree that cuts every interval at 1/2, or None where a point of it
-    leaves q or a chord q1 (by _cuts' rule).  The root's point and chord are checked first, so
-    a failing root costs two points; then the tree in one _excess and one _chord_excess pass."""
-
-    def inside(levels: list[list[Interval]]) -> bool:
-        pts = [point(iv) for level in levels for iv in level]
-        xy = np.fromiter(itertools.chain.from_iterable(pts), float).reshape(-1, 2)  # np.array: 0.4 us a tuple
-        kids = xy[1:]  # each node's two children in turn
-        return (_excess(entropy, cfg.q, xy[:, 0], xy[:, 1]) <= 1e-9).all() and (
-            not len(kids) or (_chord_excess(entropy, cfg.q1, kids[0::2], kids[1::2]) <= 1e-12).all())
-
-    levels = [[Interval(0.0, 1.0)]]
-    for depth in range(max_depth):
-        if depth == 1 and not inside(levels):
-            return None
-        halves = [(iv.a, iv.a + 0.5 * (iv.b - iv.a), iv.b) for iv in levels[-1]]  # as _cuts forms them
-        levels.append([half for a, mid, b in halves for half in (Interval(a, mid), Interval(mid, b))])
-    return levels if inside(levels) else None
+def _halving(w: Weight, kind: MomentKind, cfg: SplitConfig, entropy: bool, max_depth: int, known: dict):
+    """Level-order intervals and points (node i's children at 2i + 1, 2i + 2) of the tree that cuts at 1/2
+    (as _cuts forms midpoints), from one _moment_pairs, _excess and _chord_excess pass each; or None where
+    a point raises or leaves q or a chord q1 (by _cuts' rule), each point or what it raises then in known."""
+    a, b = np.zeros(2 ** (max_depth + 1) - 1), np.ones(2 ** (max_depth + 1) - 1)
+    for lo in (2**k - 1 for k in range(max_depth)):  # generation k is [lo, 2 lo + 1), its children the next
+        pa, pb = a[lo:2 * lo + 1], b[lo:2 * lo + 1]
+        a[2 * lo + 1:4 * lo + 3:2], b[2 * lo + 2:4 * lo + 3:2] = pa, pb
+        a[2 * lo + 2:4 * lo + 3:2] = b[2 * lo + 1:4 * lo + 3:2] = pa + 0.5 * (pb - pa)
+    xy, errors = _moment_pairs(w, a, b, kind)
+    ends, pts = list(zip(a.tolist(), b.tolist())), list(zip(*xy.T.tolist()))
+    if errors or not ((_excess(entropy, cfg.q, xy[:, 0], xy[:, 1]) <= 1e-9).all()
+                      and (_chord_excess(entropy, cfg.q1, xy[1::2], xy[2::2]) <= 1e-12).all()):
+        known.update([*zip(ends, pts), *((ends[i], exc) for i, exc in errors.items())])
+        return None
+    return list(itertools.starmap(Interval, ends)), pts
 
 
 def build_partition(
@@ -192,11 +189,12 @@ def build_partition(
 
     Every node's own moment point must lie in the q domain; a violation
     means the weight's constant exceeds q and the construction is vacuous.
-    The tree of 1/2 cuts is checked first (_halving); where it fails, a
-    generation's points are checked in one array pass, then cut together
-    (_cuts), each interval's point computed once.  Of several failures the
-    one raised is the first in preorder (a node's point, then its cut, then
-    its left subtree), so only nodes before the first failure are walked on.
+    Where the root's point lies inside q, the tree of 1/2 cuts is checked
+    whole (_halving); otherwise, or where that fails, a generation's points
+    are checked in one array pass, then cut together (_cuts), each interval's
+    point computed once.  Of several failures the one raised is the first in
+    preorder (a node's point, then its cut, then its left subtree), so only
+    nodes before the first failure are walked on.
     """
     if not isinstance(max_depth, int) or max_depth < 0:
         raise ParameterError(f"max_depth must be a nonnegative integer, got {max_depth}")
@@ -205,14 +203,17 @@ def build_partition(
     def point(iv: Interval) -> tuple[float, float]:
         if (pt := known.get((iv.a, iv.b))) is None:
             pt = known[iv.a, iv.b] = _moment_pair(w, iv, kind)
+        if isinstance(pt, Exception):  # kept by _halving
+            raise pt
         return pt
 
-    try:
-        levels = _halving(point, cfg, entropy, max_depth)
-    except (ArithmeticError, ValueError):  # a point that raises: the generation rounds raise it in its place
-        levels = None
-    if levels is None:
-        alphas = _alpha_candidates(cfg.delta0)
+    try:  # a bare root, or a root point that raises or leaves q: the generation rounds decide and raise
+        x, y = point(Interval(0.0, 1.0))  # checked as floats before a layout, whose array pass checks it again
+        inside = max_depth and _excess(entropy, cfg.q, x, y) <= 1e-9
+        tree = _halving(w, kind, cfg, entropy, max_depth, known) if inside else None
+    except (ArithmeticError, ValueError):
+        tree = None
+    if tree is None:
         first = None  # (preorder key, exception) of the first failure in preorder
 
         def key(depth: int, i: int) -> tuple[int, int]:
@@ -238,7 +239,7 @@ def build_partition(
             levels.append([iv for _, iv, _ in level])
             if depth == max_depth or not level:
                 break
-            cuts = _cuts(point, levels[-1], cfg, mode, alphas)
+            cuts = _cuts(point, levels[-1], cfg, mode, _alpha_candidates(cfg.delta0))
             for (i, _, _), cut in zip(level, cuts):
                 if isinstance(cut, Exception) and before(depth, i):
                     first = (key(depth, i), cut)
@@ -246,9 +247,13 @@ def build_partition(
                      for child in ((2 * i, cut[1], cut[3]), (2 * i + 1, cut[2], cut[4]))]
         if first is not None:
             raise first[1]
-    nodes = [PartitionNode(iv, point(iv)) for iv in levels[-1]]
-    for level in reversed(levels[:-1]):
-        nodes = [PartitionNode(iv, point(iv), (nodes[2 * j], nodes[2 * j + 1])) for j, iv in enumerate(level)]
+        tree = (ivs := [iv for level in levels for iv in level]), [point(iv) for iv in ivs]
+    ivs, pts = tree
+    lo = len(ivs) // 2  # the leaves
+    nodes = list(map(PartitionNode, ivs[lo:], pts[lo:]))
+    while lo:
+        hi, lo = lo, lo // 2
+        nodes = list(map(PartitionNode, ivs[lo:hi], pts[lo:hi], zip(nodes[0::2], nodes[1::2])))
     return PartitionTree(nodes[0], mode, cfg, max_depth)
 
 
@@ -293,7 +298,7 @@ def chain_verify(surface: BellmanSurface, w: Weight, tree: PartitionTree) -> Cha
         generations.append(generation)
         generation = [c for n in generation for c in n.children]
     nodes = [node for generation in generations for node in generation]
-    x, y = np.array([node.point for node in nodes], dtype=float).T
+    x, y = np.fromiter(itertools.chain.from_iterable([n.point for n in nodes]), float, 2 * len(nodes)).reshape(-1, 2).T
     if surface.kind is SurfaceKind.GEHRING:
         _require_eps(surface)
     inside = in_domain(surface, x, y, tol=1e-9)

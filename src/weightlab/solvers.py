@@ -57,6 +57,12 @@ _EXCESS_SERIES = tuple(1.0 / math.factorial(k + 2) for k in reversed(range(12)))
 _EXCESS_SERIES_S = 0.25
 
 
+# the float path's libm functions over a float array, for array code that keeps its bits (numpy's SIMD ones may not)
+_LIBM_OPS = SimpleNamespace(**{
+    f.__name__: lambda x, *c, f=f: np.fromiter(map(f, x.tolist(), *([v] * x.size for v in c)), float, x.size)
+    for f in (math.expm1, math.log1p, math.exp, math.log, pow)})
+
+
 def _ops(x):
     return np if isinstance(x, np.ndarray) else _FLOAT_OPS
 
@@ -75,8 +81,8 @@ def _excess(s):
     return s * s * acc
 
 
-def _rise(z, head):
-    """1 - e^-z (1 + z) = int_0^z u e^-u du, z >= 0, from head = 1 - e^-z; floats or arrays.
+def _rise(z, head, ops=None):
+    """1 - e^-z (1 + z) = int_0^z u e^-u du, z >= 0, from head = 1 - e^-z; floats, or arrays by ops (numpy's).
 
     Below _EXCESS_SERIES_S the difference head - z e^-z cancels, and it is
     e^-z _excess(z).  z is capped at 1e3, where e^-z is 0, so z = inf gives head.
@@ -86,7 +92,7 @@ def _rise(z, head):
         e_z = math.exp(-z)
         return e_z * _excess(z) if z < _EXCESS_SERIES_S else head - z * e_z
     z = np.minimum(z, 1e3)
-    e_z = np.exp(-z)
+    e_z = (ops or np).exp(-z)
     out, small = head - z * e_z, z < _EXCESS_SERIES_S
     if small.any():
         out[small] = e_z[small] * _excess(z[small])

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .solvers import _rise
+from .solvers import _LIBM_OPS, _rise
 
 __all__ = [
     "Interval",
@@ -153,18 +153,19 @@ def evaluate(w: Weight, t: float) -> float:
     return value
 
 
-def _log_span(s, e):
-    """L = log(e / s) = log1p((e - s) / s) for 0 <= s < e, floats or arrays.
+def _log_span(s, e, ops=None):
+    """L = log(e / s) = log1p((e - s) / s) for 0 <= s < e: floats, or arrays by ops (numpy's by default).
 
-    +inf (a float) at s = 0; where a subnormal s overflows (e - s) / s, log e - log s.
+    +inf at s = 0, with no log(0); where a subnormal s overflows (e - s) / s, log e - log s.
     """
     if not isinstance(s, np.ndarray) and not s:
         return math.inf
     ratio = (e - s) / s
     if not isinstance(ratio, np.ndarray):
         return math.log1p(ratio) if ratio < math.inf else math.log(e) - math.log(s)
-    over = ratio == np.inf
-    return np.where(over, np.log(e) - np.log(s), np.log1p(ratio)) if over.any() else np.log1p(ratio)
+    xp = ops or np
+    big, over = xp.log1p(ratio), (ratio == np.inf) & (s > 0.0)  # s = 0: log1p(inf) = inf
+    return np.where(over, xp.log(e) - xp.log(np.where(over, s, 1.0)), big) if over.any() else big
 
 
 def _piece_integral(piece: PowerPiece, s, e, kind: MomentKind, p: float | None):
@@ -194,7 +195,7 @@ def _piece_integral(piece: PowerPiece, s, e, kind: MomentKind, p: float | None):
         raise DomainError(f"the {kind.value} integral over [{s}, {e}] overflows a double") from None
 
 
-def _closed_form(c: float, alpha: float, s, e, kind: MomentKind, pair: bool = False):
+def _closed_form(c: float, alpha: float, s, e, kind: MomentKind, pair: bool = False, ops=None):
     """_piece_integral on the piece c t^alpha, for any kind but AVG_W_POW.
 
     In d = e - s and L = log(e / s) (_log_span), with a1 = alpha + 1 and the
@@ -206,6 +207,7 @@ def _closed_form(c: float, alpha: float, s, e, kind: MomentKind, pair: bool = Fa
     for a1 < 0, where they cancel by about a factor 2 at most.  alpha = 0 is
     c, log c or c log c times d, exact; alpha = -1 takes L and L (log s + L / 2).
     With pair, (the AVG_W integral, the kind's), sharing d, L and the mass.
+    Arrays take numpy's log, exp and power, or ops' (solvers._LIBM_OPS gives the float bits).
     """
     d = e - s
     if alpha == 0.0:
@@ -213,9 +215,9 @@ def _closed_form(c: float, alpha: float, s, e, kind: MomentKind, pair: bool = Fa
             return c * d
         val = (math.log(c) if kind is _AVG_LOG_W else c * math.log(c)) * d
         return (c * d, val) if pair else val
-    xp, big = (np if isinstance(d, np.ndarray) else math), _log_span(s, e)
+    xp, big = ops or (np if isinstance(d, np.ndarray) else math), _log_span(s, e, ops)
     if kind is _AVG_LOG_W:
-        val = d * math.log(c) + alpha * (d * xp.log(e) - e * _rise(big, -xp.expm1(-big)))
+        val = d * math.log(c) + alpha * (d * xp.log(e) - e * _rise(big, -xp.expm1(-big), ops))
         if not pair:
             return val
     a1 = alpha + 1.0
@@ -223,12 +225,12 @@ def _closed_form(c: float, alpha: float, s, e, kind: MomentKind, pair: bool = Fa
         mass = big
     else:
         anchor, z = (e if a1 > 0.0 else s), abs(a1) * big
-        scale, head = anchor**a1 / abs(a1), -xp.expm1(-z)
+        scale, head = (anchor**a1 if ops is None else ops.pow(anchor, a1)) / abs(a1), -xp.expm1(-z)
         mass = scale * head
     if kind is _AVG_W:
         return c * mass
     if kind is _AVG_W_LOG_W:
-        tlog = big * (xp.log(s) + 0.5 * big) if a1 == 0.0 else scale * (xp.log(anchor) * head - _rise(z, head) / a1)
+        tlog = big * (xp.log(s) + 0.5 * big) if not a1 else scale * (xp.log(anchor) * head - _rise(z, head, ops) / a1)
         val = c * math.log(c) * mass + c * alpha * tlog
     return (c * mass, val) if pair else val
 
@@ -273,6 +275,30 @@ def _moment_pair(w: Weight, interval: Interval, kind: MomentKind) -> tuple[float
     except (ArithmeticError, ValueError):
         pass
     return moment(w, interval, _AVG_W), moment(w, interval, kind)
+
+
+@np.errstate(all="ignore")  # a row from 0 divides by zero in _log_span, which reads +inf there
+def _moment_pairs(w: Weight, a: np.ndarray, b: np.ndarray, kind: MomentKind) -> tuple[np.ndarray, dict]:
+    """_moment_pair on each [a[i], b[i]]: the points as an (n, 2) array, and each raising row's exception by
+    index.  One pass per piece over the rows that meet it, in libm's functions (_LIBM_OPS) so every bit is
+    the scalar loop's; a row that a pass raises on, or whose average is not finite, is _moment_pair's own."""
+    acc, bad, errors = np.zeros((2, a.size)), np.zeros(a.size, bool), {}  # acc: mass and total, as the scalar loop
+    for p in w.pieces:
+        s, e = np.maximum(a, p.support.a), np.minimum(b, p.support.b)
+        try:
+            m, val = _closed_form(p.coeff, p.exponent, s[rows := e > s], e[rows], kind, pair=True, ops=_LIBM_OPS)
+        except (ArithmeticError, ValueError):
+            bad |= rows
+        else:
+            acc[:, rows] += (m, val)
+    xy = (acc / (length := b - a)).T
+    bad |= ~(np.isfinite(xy).all(axis=1) & (length >= 2.0**-1022))
+    for i in bad.nonzero()[0].tolist():
+        try:
+            xy[i] = _moment_pair(w, Interval(float(a[i]), float(b[i])), kind)
+        except (ArithmeticError, ValueError) as exc:
+            xy[i], errors[i] = math.nan, exc
+    return xy, errors
 
 
 # F differences lose a factor ~1/(g + 1) to cancellation on a piece t^g anchored

@@ -954,6 +954,18 @@ class TestFormatting:
     def test_writer_matches_the_cleaned_json_dumps(self, payload):
         assert cli._json(payload) == _reference_json(payload)
 
+    def test_float_writer_is_the_repr_of_the_fifteen_digit_rounding(self):
+        # '%.15g' with .0 on an integer, but for subnormals, exponent 15 and e+308
+        rng = np.random.default_rng(2525)
+        edge = [0.0, -0.0, 1e15, -1e15, 1e15 - 1.0, 1e15 + 1.0, 999999999999999.0, 9999999999999998.0, 1e16,
+                -1e16, 1.7976931348623157e308, -1.7976931348623157e308, 1.79769313486231e308, 5e-324, -5e-324,
+                2.2250738585072014e-308, 2.225073858507201e-308, 1e-5, 1e-4, 123.0, math.inf, -math.inf, math.nan]
+        bits = rng.integers(0, 2**63, 60000, dtype=np.int64) * rng.choice([-1, 1], 60000)
+        near = rng.integers(-3 * 10**16, 3 * 10**16, 20000) >> rng.integers(0, 40, 20000)
+        for x in edge + bits.view(np.float64).tolist() + near.astype(float).tolist():
+            want = repr(y) if math.isfinite(y := float(f"{x:.15g}")) else "null"
+            assert cli._json(x) == want, x
+
     @pytest.mark.parametrize(
         "argv, key",
         [(["solve", "--equation", "gamma-log", "--q", "1.7976931348623157e308"], "q"),

@@ -340,6 +340,17 @@ class TestBuildPartition:
         with pytest.raises(DomainError, match="exceeds"):
             build_partition(w, cfg, SplitMode.LOG, max_depth=3)
 
+    def test_root_refusal_of_a_deep_tree(self, monkeypatch):
+        # the root's own point is checked before the tree is laid out: no array pass
+        monkeypatch.setattr(dyadic, "_moment_pairs", None)
+        w = step_weight([0.0, 0.57, 1.0], [1.0, 100.0])
+        with pytest.raises(DomainError) as excinfo:
+            build_partition(w, SplitConfig(q=1.2, q1=1.5), SplitMode.LOG, max_depth=14)
+        assert str(excinfo.value) == (
+            "moment point (43.57000000000001, 1.9802231799748797) of [0.0, 1.0] leaves the q = 1.2 domain; "
+            "the weight's constant exceeds q"
+        )
+
     def test_depth_zero_is_a_bare_root(self):
         cfg = SplitConfig(q=1.5, q1=1.8)
         tree = build_partition(FLAT, cfg, SplitMode.LOG, max_depth=0)
@@ -536,18 +547,25 @@ class TestFrozenTrees:
 
     def test_each_point_takes_two_moments(self, monkeypatch):
         # a node's point is one pair of moments, computed once; on a flat weight
-        # every cut is at 1/2, so the tree is checked in one _excess and one
-        # _chord_excess pass, after the same two for the root's point and cut
-        calls = {"pair": 0, "excess": 0, "chord": 0}
+        # every cut is at 1/2, so after the root's own point (one _moment_pair,
+        # one float _excess) the whole tree's points come from one array pass
+        # and are checked in one _excess and one _chord_excess pass
+        calls = {"pair": 0, "pairs": 0, "rows": 0, "excess": 0, "chord": 0}
 
         def counted(name, fn):
             return lambda *a, **k: calls.__setitem__(name, calls[name] + 1) or fn(*a, **k)
 
+        def pairs(w, a, b, kind):
+            calls["rows"] += a.size
+            return weights._moment_pairs(w, a, b, kind)
+
         monkeypatch.setattr(dyadic, "_moment_pair", counted("pair", weights._moment_pair))
+        monkeypatch.setattr(dyadic, "_moment_pairs", counted("pairs", pairs))
         monkeypatch.setattr(dyadic, "_excess", counted("excess", _excess))
         monkeypatch.setattr(dyadic, "_chord_excess", counted("chord", _chord_excess))
         tree = build_partition(FLAT, SplitConfig(q=1.5, q1=1.8), SplitMode.LOG, max_depth=4)
-        assert calls == {"pair": len(list(_walk(tree.root))), "excess": 2, "chord": 2}
+        nodes = len(list(_walk(tree.root)))
+        assert calls == {"pair": 1, "pairs": 1, "rows": nodes, "excess": 2, "chord": 1}
 
 
 class TestFailureOrder:
@@ -567,12 +585,14 @@ class TestFailureOrder:
     def test_moment_error_keeps_its_place(self, monkeypatch):
         # an exception from a moment inside a cut is that node's failure: the cut
         # of [0, 0.25] (generation 2) fails before the later cut of [0.5, 1]
-        def pair(w, iv, kind):
-            if (iv.b <= 0.25 and iv.b - iv.a < 0.2) or (iv.a >= 0.5 and iv.b - iv.a < 0.3):
-                raise OverflowError(f"cut at [{iv.a}, {iv.b}]")
-            return weights._moment_pair(w, iv, kind)
+        def pairs(w, a, b, kind):
+            xy, errors = weights._moment_pairs(w, a, b, kind)
+            for i, (s, e) in enumerate(zip(a.tolist(), b.tolist())):
+                if (e <= 0.25 and e - s < 0.2) or (s >= 0.5 and e - s < 0.3):
+                    errors[i] = OverflowError(f"cut at [{s}, {e}]")
+            return xy, errors
 
-        monkeypatch.setattr(dyadic, "_moment_pair", pair)
+        monkeypatch.setattr(dyadic, "_moment_pairs", pairs)
         with pytest.raises(OverflowError, match=r"cut at \[0.0, 0.125\]"):
             build_partition(FLAT, SplitConfig(q=1.5, q1=1.8), SplitMode.LOG, max_depth=3)
 

@@ -410,6 +410,65 @@ class TestMomentPair:
             self._check(w, Interval(min(a, b), max(a, b)))
 
 
+# a power of exponent -1100 on [0.5, 1]: its pass overflows on [0.5, 1] alone, so [0.9, 1]
+# falls back with it; and w log w +inf on one piece, -inf on the next
+_STEEP = Weight((PowerPiece(Interval(0.0, 0.5), 1.0, 0.0), PowerPiece(Interval(0.5, 1.0), 1e-300, -1100.0)))
+_HUGE = Weight((PowerPiece(Interval(0.0, 0.5), 1e300, -0.9999999), PowerPiece(Interval(0.5, 1.0), 1e300, 1e10)))
+
+
+class TestMomentPairs:
+    """weights._moment_pairs is _moment_pair row by row: its bits, or the type and message it raises."""
+
+    @staticmethod
+    def _check(w, ends):
+        a, b = (np.array(v, dtype=float) for v in zip(*ends))
+        for kind in (MomentKind.AVG_LOG_W, MomentKind.AVG_W_LOG_W):
+            xy, errors = weights._moment_pairs(w, a, b, kind)
+            assert xy.shape == (len(ends), 2) and set(errors) <= set(range(len(ends)))
+            for i, (s, e) in enumerate(ends):
+                want = _outcome(lambda: weights._moment_pair(w, Interval(s, e), kind))
+                got = (type(errors[i]), str(errors[i])) if i in errors else [v.hex() for v in xy[i].tolist()]
+                assert got == want, (w, s, e, kind)
+
+    def test_corpus_intervals(self):
+        # ends at 0, subnormal starts and lengths, piece ends
+        ends = [0.0, 5e-324, 1e-310, 1e-300, 1e-12, 0.1, 0.25, 0.3, 0.5, 0.7, 1.0 - 2**-53, 1.0]
+        for w in reference_corpus(40):
+            points = sorted(set(ends + breakpoints(w)))
+            self._check(w, [(a, b) for a in points for b in points if a < b])
+
+    @pytest.mark.parametrize("alpha", [-0.999, -0.5, -1e-9, 0.0, 1e-9, 0.7, 3.0])
+    def test_the_rows_of_a_dyadic_tree(self, alpha):
+        # the level-order intervals build_partition passes: halves of [0, 1] down to 2^-9
+        ends = [(j / 2**k, (j + 1) / 2**k) for k in range(10) for j in range(2**k)]
+        self._check(power_weight(1.7, alpha), ends)
+        glued = Weight((PowerPiece(Interval(0.0, 0.3), 1.2, alpha), PowerPiece(Interval(0.3, 1.0), 1.2 * 0.3**alpha, 0.0)))
+        self._check(glued, ends)
+
+    @given(_huge_weight(), st.lists(st.tuples(_ENDS | st.floats(0.0, 1.0), _ENDS | st.floats(0.0, 1.0))
+                                    .filter(lambda ab: ab[0] != ab[1]), min_size=1, max_size=12))
+    @example(_STEEP, [(0.5, 1.0), (0.9, 1.0), (0.0, 0.25), (0.0, 1.0)])
+    @example(_HUGE, [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0), (0.25, 0.75)])
+    def test_drawn_weights(self, w, ends):
+        self._check(w, [(min(ab), max(ab)) for ab in ends])
+
+    def test_rows_from_zero_take_the_array_pass(self, monkeypatch):
+        # L = +inf at s = 0 as on the float path, without log(0): no row falls back
+        def scalar(w, iv, kind):
+            raise AssertionError(f"[{iv.a}, {iv.b}] fell back")
+
+        monkeypatch.setattr(weights, "_moment_pair", scalar)
+        ends = np.array([0.0, 0.0, 0.0, 0.25, 0.5]), np.array([1.0, 0.5, 1e-300, 0.5, 1.0])
+        for w in (power_weight(1.7, -0.5), power_weight(1.7, 0.7), reference_corpus(4)[3]):
+            for kind in (MomentKind.AVG_LOG_W, MomentKind.AVG_W_LOG_W):
+                assert weights._moment_pairs(w, *ends, kind)[1] == {}
+
+    def test_a_raising_pass_leaves_its_other_rows_to_the_scalar_loop(self):
+        xy, errors = weights._moment_pairs(_STEEP, np.array([0.5, 0.9]), np.array([1.0, 1.0]), MomentKind.AVG_LOG_W)
+        assert list(errors) == [0] and isinstance(errors[0], DomainError)
+        assert tuple(xy[1].tolist()) == weights._moment_pair(_STEEP, Interval(0.9, 1.0), MomentKind.AVG_LOG_W)
+
+
 def _two_term_closed_form(c, alpha, s, e, kind):
     """_closed_form's AVG_LOG_W and AVG_W_LOG_W as two terms, the alpha one added even at alpha = 0.
 

@@ -11,6 +11,9 @@ them, at grids -1 to 24; ``dyadic --verify`` on 24 corpus weights in both
 modes, JSON and CSV, with and without ``--eps``, and at a q the weight
 exceeds; ``dyadic`` trees and chains at 1.02 x the grid constant (q1 = 1.03 q,
 where cuts move off 1/2) on 8 of them at depths 6 and 10, and one at depth 12;
+trees of 1/2 cuts at depths 12 and 14 and chains at 14 on two of them; ``dyadic``
+at depths 0 to 14 on weights refused at the root of the tree and on weights whose
+moments near the double range overflow, raise or are not finite on some intervals;
 ``selftest``.  Then every subcommand that prints JSON:
 ``constants`` on 8 corpus weights (``rh_p``/``a_p`` keyed by p, the nested
 scans, CSV, and the four pair scans at resolutions 401 and 1201, where the
@@ -103,8 +106,39 @@ def cases(workdir: Path) -> list[list[str]]:
                     runs += [base + ["--depth", depth], base + ["--depth", depth, "--verify"]]
                 if k == 1 and mode == "log":
                     runs.append(base + ["--depth", "12"])
+        if k in (2, 3):  # deep trees of 1/2 cuts, and a chain
+            for mode, q in (("log", max(1.25 * ainf, 1.05)), ("entropy", 1.25 * max(rh1, 0.0) + 0.02)):
+                base = ["dyadic", "--weight", str(path), "--mode", mode, "--q", repr(q), "--q1", repr(1.3 * q)]
+                runs += [base + ["--depth", "12"], base + ["--depth", "14"], base + ["--depth", "14", "--verify"]]
+    runs += dyadic_edge_cases(workdir)
     runs.append(["selftest"])
     return runs + writer_cases(workdir)
+
+
+def dyadic_edge_cases(workdir: Path) -> list[list[str]]:
+    """dyadic on weights that fail at the root of a depth-14 tree, or whose moments near
+    the double range overflow, raise or are not finite on some intervals."""
+    from weightlab import weights
+
+    Piece, Iv = weights.PowerPiece, weights.Interval
+    edge = {
+        "root": weights.step_weight([0.0, 0.57, 1.0], [1.0, 100.0]),
+        # avg w over [0, h] is 1e306 h^-0.9: past the double range below h = 2^-8.3
+        "spike": weights.power_weight(1e305, -0.9),
+        "huge": weights.Weight((Piece(Iv(0.0, 0.5), 1e300, -0.9999999), Piece(Iv(0.5, 1.0), 1e300, 1e10))),
+        "steep": weights.Weight((Piece(Iv(0.0, 0.5), 1.0, 0.0), Piece(Iv(0.5, 1.0), 1e-300, -1100.0))),
+        "top": weights.Weight((Piece(Iv(0.0, 0.25), 1.0, 0.0), Piece(Iv(0.25, 1.0), 1.7e308, 0.0))),
+    }
+    runs = []
+    for name, w in edge.items():
+        path = workdir / f"edge_{name}.json"
+        weights.save_weight(w, str(path))
+        for mode in ("log", "entropy"):
+            for q in ("1.2", "5.0", "1e300"):
+                base = ["dyadic", "--weight", str(path), "--mode", mode, "--q", q, "--q1", repr(1.3 * float(q))]
+                runs += [base + ["--depth", d] for d in ("0", "6", "12", "14")]
+                runs.append(base + ["--depth", "14", "--verify"])
+    return runs
 
 
 # q past the double range once rounded to 15 digits (1.79769313486232e308)
