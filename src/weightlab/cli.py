@@ -2,7 +2,8 @@
 
 Subcommands: constants, solve, bellman, extremal, dyadic, sweep, selftest.
 Each ``_cmd_*`` returns ``(ok, output)``, output a JSON payload dict, a
-``(header, rows)`` CSV table or selftest's lines; ``main`` alone writes it
+``(header, rows)`` CSV table or the text itself (selftest's lines, a dyadic
+tree, printed from its arrays by ``_tree_json``); ``main`` alone writes it
 and sets the exit code: 0 success, 1 a check ran and failed, 2 bad input.
 A non-finite value prints as null in JSON and inf or nan in CSV, and nothing
 but ``error: ...`` or argparse's usage reaches stderr.  All reals are printed
@@ -286,14 +287,31 @@ def _cmd_extremal(args) -> tuple[bool, object]:
     return True, payload
 
 
-def _node_json(node: dyadic.PartitionNode) -> dict:
-    out = {
-        "interval": [node.interval.a, node.interval.b],
-        "point": [node.point[0], node.point[1]],
-    }
-    if node.children:
-        out["children"] = [_node_json(c) for c in node.children]
-    return out
+@functools.lru_cache(maxsize=1)  # the last depth printed: 41 kB at depth 6, 22 MB at 14
+def _tree_template(depth: int) -> tuple[str, np.ndarray]:
+    """A tree of that depth as _json writes a PartitionNode's dict at pad "\n  ", '%s' for each interval end and
+    point coordinate in preorder; and the level-order rows in preorder (by leftmost leaf, then depth)."""
+    text = ""
+    for pad in ("\n  " + "    " * k for k in reversed(range(depth + 1))):  # a node of each depth, from the leaves
+        two = f"[{pad}    %s,{pad}    %s{pad}  ]"
+        kids = f',{pad}  "children": [{pad}    {text},{pad}    {text}{pad}  ]' if text else ""
+        text = f'{{{pad}  "interval": {two},{pad}  "point": {two}{kids}{pad}}}'
+    level = np.repeat(np.arange(depth + 1), 2 ** np.arange(depth + 1))
+    return text, np.lexsort((level, (np.arange(level.size) + 1 - 2**level) << (depth - level)))
+
+
+def _tree_json(tree: dyadic.PartitionTree) -> str:
+    """_json of the tree's nodes as dicts, at pad "\n  ", from its arrays and the depth's template."""
+    template, order = _tree_template(tree.depth)
+    values = np.hstack((tree.ends, tree.points))[order].ravel()
+    texts, size = list(map("%.15g".__mod__, floats := values.tolist())), np.abs(values)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        # floats _json writes otherwise: a subnormal, e+15, e+308, nan, inf, and below 1e15 an integer at 15 digits
+        own = ((size < sys.float_info.min) | ((size >= 9.99e14) & (size < 1e16)) | (size >= 9.9e307) | np.isnan(values)
+               | ((size < 1e15) & (np.abs(values - np.rint(values)) <= 1e-14 * size)))  # 15 digits move it 5e-15
+    for i in own.nonzero()[0].tolist():
+        texts[i] = _json(floats[i])
+    return template % tuple(texts)
 
 
 def _cmd_dyadic(args) -> tuple[bool, object]:
@@ -302,8 +320,8 @@ def _cmd_dyadic(args) -> tuple[bool, object]:
     mode = dyadic.SplitMode.LOG if args.mode == "log" else dyadic.SplitMode.ENTROPY
     tree = dyadic.build_partition(w, cfg, mode, max_depth=args.depth)
     echo = {"mode": args.mode, "q": args.q, "q1": args.q1, "depth": args.depth}
-    if not args.verify:
-        return True, {**echo, "tree": _node_json(tree.root)}
+    if not args.verify:  # the echo, then the tree as its last key
+        return True, _json(echo)[:-2] + ',\n  "tree": ' + _tree_json(tree) + "\n}"
     if mode is dyadic.SplitMode.LOG:
         surface = bellman.BellmanSurface(bellman.SurfaceKind.AINF_UPPER, args.q1)
     else:
@@ -336,7 +354,7 @@ def _cmd_selftest(args) -> tuple[bool, object]:
     lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results]
     all_ok = all(ok for _, ok, _ in results)
     lines.append(f"{'OK' if all_ok else 'FAILED'} ({sum(ok for _, ok, _ in results)}/{len(results)})")
-    return all_ok, lines
+    return all_ok, "\n".join(lines)
 
 
 # Largest accepted sizes: each keeps a run near 30 s or less on 2 CPUs and its
@@ -344,7 +362,8 @@ def _cmd_selftest(args) -> tuple[bool, object]:
 # and at most _SCAN_CAP of them run at R = 20001 (or more at a smaller R; four
 # share one walk, about 2.8 s on 2 CPUs and 3.2 MiB); at R = 200 rh1_prime's row pass, O(R^2) a row, peaks at 1 MiB
 # and rh1_doubleprime's row blocks at 2.9 MiB for three power pieces; a Hessian check
-# ~150 B per grid point; a depth-14 tree 108 MiB.
+# ~150 B per grid point; a depth-14 tree, traced, 75 MiB to print (24 MB of text and a 22 MB
+# template) and 10 MiB to verify.
 _CAPS = {"resolution": 20001, "maximal_resolution": 200, "grid": 1024, "depth": 14}
 _SCAN_CAP = 4
 
@@ -461,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
         elif isinstance(output, tuple):
             _write(_csv(*output), path)
         else:
-            _write("\n".join(output), path)
+            _write(output, path)
     except (WeightLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

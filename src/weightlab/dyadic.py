@@ -6,19 +6,18 @@ point along a chord.  The splitter picks a cut ratio so the whole chord
 stays inside the slightly enlarged domain (constant q1 > q), which is what
 makes telescoping sums against a concave surface built at q1 monotone.
 
-build_partition lays out the tree of 1/2 cuts as level-order arrays, takes its points from one
-array pass per weight piece and checks them against q and its chords against q1 in one array pass
-each; where one fails, it walks the tree generation by generation: one array pass checks a
-generation's points, then the candidate ratios are tried in order, each round checking every uncut
-node's chord exactly, by bellman's domain rule, in one array pass.  Each point is computed once.
-chain_verify checks and evaluates every node's point in one in_domain and one evaluate_many call,
-then sums each generation in order.
+A PartitionTree is level-order arrays from build to print: node i's interval and moment point
+in row i of ends and of points, its children in rows 2i + 1 and 2i + 2; root is a PartitionNode
+view.  build_partition fills the arrays in one array pass where every cut is 1/2, else by rounds
+of candidate ratios, one array pass each; chain_verify sums generations, which are row ranges.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -68,19 +67,46 @@ class PartitionNode:
     children: tuple["PartitionNode", ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionTree:
-    root: PartitionNode
+    """A full binary tree of intervals in level order: row i of ends is node i's interval (a, b) and
+    row i of points its moment point (x, y), its children rows 2i + 1 and 2i + 2, so generation k is
+    rows 2^k - 1 to 2^(k+1) - 2.  Both are read-only (2^(depth+1) - 1, 2) float copies of the arrays
+    given; chain_verify and root refuse an interval outside [0, 1].  root is the same tree as
+    PartitionNode objects, built when first read."""
+
+    ends: np.ndarray
+    points: np.ndarray
     mode: SplitMode
     config: SplitConfig
-    depth: int
+
+    def __post_init__(self):
+        ends, points = np.array(self.ends, dtype=float), np.array(self.points, dtype=float)
+        ends.flags.writeable = points.flags.writeable = False
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "points", points)
+        if not (ends.ndim == 2 and ends.shape == points.shape and ends.shape[1] == 2
+                and 0 < (n := ends.shape[0]) and not n & (n + 1)):
+            raise ParameterError(
+                f"ends and points must both have shape (2^(depth+1) - 1, 2), got {ends.shape} and {points.shape}"
+            )
+
+    @property
+    def depth(self) -> int:
+        return self.ends.shape[0].bit_length() - 1
+
+    @functools.cached_property
+    def root(self) -> PartitionNode:
+        ivs, pts = list(itertools.starmap(Interval, self.ends.tolist())), list(map(tuple, self.points.tolist()))
+        lo = len(ivs) // 2  # the leaves
+        nodes = list(map(PartitionNode, ivs[lo:], pts[lo:]))
+        while lo:
+            hi, lo = lo, lo // 2
+            nodes = list(map(PartitionNode, ivs[lo:hi], pts[lo:hi], zip(nodes[0::2], nodes[1::2])))
+        return nodes[0]
 
 
 _Y_KIND = {SplitMode.LOG: MomentKind.AVG_LOG_W, SplitMode.ENTROPY: MomentKind.AVG_W_LOG_W}
-
-
-def _point(w: Weight, interval: Interval, mode: SplitMode) -> tuple[float, float]:
-    return _moment_pair(w, interval, _Y_KIND[mode])
 
 
 def _alpha_candidates(delta0: float) -> list[float]:
@@ -101,49 +127,43 @@ def _alpha_candidates(delta0: float) -> list[float]:
         k += 1
 
 
-def _cuts(point, intervals: list[Interval], cfg: SplitConfig, mode: SplitMode, alphas: list[float]) -> list:
-    """Per interval, the first candidate cut whose chord stays in the q1 domain.
+def _cuts(w: Weight, cfg: SplitConfig, mode: SplitMode, bounds: list) -> tuple[dict, dict]:
+    """Per interval (a, b) of bounds, the first candidate ratio whose chord stays in the q1 domain.
 
-    One round per candidate ratio, in order, over the intervals still uncut;
-    each round checks all its chords in one array pass.  An entry is
-    (alpha, left, right, left point, right point), or the exception that
-    cutting that interval alone meets first: one from its moments (point),
-    or a SplitError carrying the least-violating candidate.
+    Rounds of 1, 2, 4, ... ratios, in order, over the intervals still uncut (fewer where a round would
+    take more candidates than one interval has left): one _moment_pairs call takes the round's child
+    points and one _chord_excess pass checks its chords, and each interval takes the first of its ratios
+    that decides it.  Returns, by position, each cut interval's (ratio, (a, mid, b, left point, right
+    point)), and the exception that cutting each other one alone meets first: its moments' (the left
+    child's first), or a SplitError carrying the least-violating ratio.
     """
-    out = [None] * len(intervals)
-    best = [(math.nan, math.inf)] * len(intervals)
-    todo = range(len(intervals))
-    for alpha in alphas:
-        if not todo:
-            break
-        rows = []
-        for k in todo:
-            a, b = intervals[k].a, intervals[k].b
-            mid = a + alpha * (b - a)
-            if mid <= a or mid >= b:
-                continue
-            left, right = Interval(a, mid), Interval(mid, b)
-            try:
-                rows.append((k, alpha, left, right, point(left), point(right)))
-            except (ArithmeticError, ValueError) as exc:  # build_partition raises it in preorder
-                out[k] = exc
-        viols = _chord_excess(mode is SplitMode.ENTROPY, cfg.q1, [r[4] for r in rows], [r[5] for r in rows])
-        for (k, *cut), viol in zip(rows, viols.tolist()):
-            if viol <= 1e-12:
-                out[k] = tuple(cut)
-            elif viol < best[k][1]:
-                best[k] = (alpha, viol)
-        todo = [k for k in todo if out[k] is None]
+    won, fails, best = {}, {}, [(math.nan, math.inf)] * len(bounds)
+    todo, alphas, size = range(len(bounds)), _alpha_candidates(cfg.delta0), 1
+    while todo and alphas:
+        batch, alphas = alphas[:size], alphas[size:]
+        if cut := [(k, alpha, a, mid, b) for k in todo for a, b in [bounds[k]] for alpha in batch
+                   if a < (mid := a + alpha * (b - a)) < b]:
+            halves = np.array([(a, mid) for _, _, a, mid, _ in cut] + [(mid, b) for *_, mid, b in cut])
+            pts, errors = _moment_pairs(w, halves[:, 0], halves[:, 1], _Y_KIND[mode])
+            viols = _chord_excess(mode is SplitMode.ENTROPY, cfg.q1, pts[:len(cut)], pts[len(cut):]).tolist()
+            pts = pts.tolist()
+            for r, (k, alpha, a, mid, b) in enumerate(cut):
+                if k in won or k in fails:
+                    continue
+                if (exc := errors.get(r, errors.get(len(cut) + r))) is not None:
+                    fails[k] = exc
+                elif viols[r] <= 1e-12:
+                    won[k] = alpha, (a, mid, b, pts[r], pts[len(cut) + r])
+                elif viols[r] < best[k][1]:
+                    best[k] = (alpha, viols[r])
+        todo = [k for k in todo if k not in won and k not in fails]
+        size = min(2 * size, max(1, len(alphas) // max(1, len(todo))))
     for k in todo:
-        best_alpha, best_viol = best[k]
-        out[k] = SplitError(
-            f"no cut ratio in [{cfg.delta0}, {1.0 - cfg.delta0}] keeps the chord "
-            f"inside the q1 = {cfg.q1} domain on [{intervals[k].a}, {intervals[k].b}] "
-            f"(best alpha = {best_alpha} with violation {best_viol:.3e})",
-            best_alpha=best_alpha,
-            best_violation=best_viol,
-        )
-    return out
+        (a, b), (alpha, viol) = bounds[k], best[k]
+        fails[k] = SplitError(f"no cut ratio in [{cfg.delta0}, {1.0 - cfg.delta0}] keeps the chord inside the q1 = "
+                              f"{cfg.q1} domain on [{a}, {b}] (best alpha = {alpha} with violation {viol:.3e})",
+                              best_alpha=alpha, best_violation=viol)
+    return won, fails
 
 
 def split(
@@ -154,29 +174,25 @@ def split(
     Returns (left, right, alpha) with |left| = alpha * |interval|.  Raises
     SplitError carrying the best candidate when no admissible ratio exists.
     """
-    cut = _cuts(lambda iv: _point(w, iv, mode), [interval], cfg, mode, _alpha_candidates(cfg.delta0))[0]
-    if isinstance(cut, Exception):
-        raise cut
-    alpha, left, right = cut[:3]
-    return left, right, alpha
+    won, fails = _cuts(w, cfg, mode, [(interval.a, interval.b)])
+    if fails:
+        raise fails[0]
+    alpha, (a, mid, b, _, _) = won[0]
+    return Interval(a, mid), Interval(mid, b), alpha
 
 
-def _halving(w: Weight, kind: MomentKind, cfg: SplitConfig, entropy: bool, max_depth: int, known: dict):
-    """Level-order intervals and points (node i's children at 2i + 1, 2i + 2) of the tree that cuts at 1/2
-    (as _cuts forms midpoints), from one _moment_pairs, _excess and _chord_excess pass each; or None where
-    a point raises or leaves q or a chord q1 (by _cuts' rule), each point or what it raises then in known."""
-    a, b = np.zeros(2 ** (max_depth + 1) - 1), np.ones(2 ** (max_depth + 1) - 1)
-    for lo in (2**k - 1 for k in range(max_depth)):  # generation k is [lo, 2 lo + 1), its children the next
-        pa, pb = a[lo:2 * lo + 1], b[lo:2 * lo + 1]
-        a[2 * lo + 1:4 * lo + 3:2], b[2 * lo + 2:4 * lo + 3:2] = pa, pb
-        a[2 * lo + 2:4 * lo + 3:2] = b[2 * lo + 1:4 * lo + 3:2] = pa + 0.5 * (pb - pa)
-    xy, errors = _moment_pairs(w, a, b, kind)
-    ends, pts = list(zip(a.tolist(), b.tolist())), list(zip(*xy.T.tolist()))
-    if errors or not ((_excess(entropy, cfg.q, xy[:, 0], xy[:, 1]) <= 1e-9).all()
-                      and (_chord_excess(entropy, cfg.q1, xy[1::2], xy[2::2]) <= 1e-12).all()):
-        known.update([*zip(ends, pts), *((ends[i], exc) for i, exc in errors.items())])
-        return None
-    return list(itertools.starmap(Interval, ends)), pts
+def _halving(w: Weight, cfg: SplitConfig, mode: SplitMode, max_depth: int, ends: np.ndarray, xy: np.ndarray) -> bool:
+    """Lay out the tree that cuts at 1/2 (as _cuts forms midpoints) in the level-order rows of ends and xy,
+    the root's given, its points from one _moment_pairs pass; whether none raises or leaves q and no
+    chord leaves q1 (by _cuts' rule), from one _excess and one _chord_excess pass."""
+    for lo in (2**k - 1 for k in range(max_depth)):  # generation k is rows [lo, 2 lo + 1), its children the next
+        (a, b), halves = ends[lo:2 * lo + 1].T, ends[2 * lo + 1:4 * lo + 3].reshape(-1, 2, 2)  # [node, side, end]
+        halves[:, 0, 0], halves[:, 1, 1] = a, b
+        halves[:, 0, 1] = halves[:, 1, 0] = a + 0.5 * (b - a)
+    xy[1:], errors = _moment_pairs(w, ends[1:, 0], ends[1:, 1], _Y_KIND[mode])
+    entropy = mode is SplitMode.ENTROPY
+    return not errors and bool((_excess(entropy, cfg.q, xy[:, 0], xy[:, 1]) <= 1e-9).all()
+                               and (_chord_excess(entropy, cfg.q1, xy[1::2], xy[2::2]) <= 1e-12).all())
 
 
 def build_partition(
@@ -191,70 +207,45 @@ def build_partition(
     means the weight's constant exceeds q and the construction is vacuous.
     Where the root's point lies inside q, the tree of 1/2 cuts is checked
     whole (_halving); otherwise, or where that fails, a generation's points
-    are checked in one array pass, then cut together (_cuts), each interval's
-    point computed once.  Of several failures the one raised is the first in
-    preorder (a node's point, then its cut, then its left subtree), so only
-    nodes before the first failure are walked on.
+    are checked in one array pass, then cut together (_cuts).  Of several
+    failures the one raised is the first in preorder (a node's point, then
+    its cut, then its left subtree), so only nodes before the first failure
+    are walked on.
     """
     if not isinstance(max_depth, int) or max_depth < 0:
         raise ParameterError(f"max_depth must be a nonnegative integer, got {max_depth}")
-    entropy, kind, known = mode is SplitMode.ENTROPY, _Y_KIND[mode], {}
-
-    def point(iv: Interval) -> tuple[float, float]:
-        if (pt := known.get((iv.a, iv.b))) is None:
-            pt = known[iv.a, iv.b] = _moment_pair(w, iv, kind)
-        if isinstance(pt, Exception):  # kept by _halving
-            raise pt
-        return pt
-
-    try:  # a bare root, or a root point that raises or leaves q: the generation rounds decide and raise
-        x, y = point(Interval(0.0, 1.0))  # checked as floats before a layout, whose array pass checks it again
-        inside = max_depth and _excess(entropy, cfg.q, x, y) <= 1e-9
-        tree = _halving(w, kind, cfg, entropy, max_depth, known) if inside else None
+    root = _moment_pair(w, Interval(0.0, 1.0), _Y_KIND[mode])  # what it raises is the first failure
+    try:  # a bare root, or a root point outside q: the generation rounds decide and raise
+        inside = max_depth and _excess(mode is SplitMode.ENTROPY, cfg.q, *root) <= 1e-9
     except (ArithmeticError, ValueError):
-        tree = None
-    if tree is None:
-        first = None  # (preorder key, exception) of the first failure in preorder
-
-        def key(depth: int, i: int) -> tuple[int, int]:
-            # i-th node of its generation: its leftmost leaf, then ancestors first
-            return i << (max_depth - depth), depth
-
-        def before(depth: int, i: int) -> bool:
-            return first is None or key(depth, i) < first[0]
-
-        root = Interval(0.0, 1.0)
-        level = [(0, root, point(root))]  # (index in generation, interval, point)
-        levels = []
-        for depth in range(max_depth + 1):
-            points = [pt for _, _, pt in level]
-            viols = _excess(entropy, cfg.q, *np.array(points, dtype=float).reshape(-1, 2).T)
-            for (i, iv, pt), viol in zip(level, viols.tolist()):
-                if not viol <= 1e-9 and before(depth, i):
-                    first = (key(depth, i), DomainError(
-                        f"moment point {pt} of [{iv.a}, {iv.b}] leaves the q = {cfg.q} domain; "
-                        "the weight's constant exceeds q"
-                    ))
-            level = [node for node in level if before(depth, node[0])]
-            levels.append([iv for _, iv, _ in level])
-            if depth == max_depth or not level:
-                break
-            cuts = _cuts(point, levels[-1], cfg, mode, _alpha_candidates(cfg.delta0))
-            for (i, _, _), cut in zip(level, cuts):
-                if isinstance(cut, Exception) and before(depth, i):
-                    first = (key(depth, i), cut)
-            level = [child for (i, _, _), cut in zip(level, cuts) if before(depth, i)
-                     for child in ((2 * i, cut[1], cut[3]), (2 * i + 1, cut[2], cut[4]))]
-        if first is not None:
-            raise first[1]
-        tree = (ivs := [iv for level in levels for iv in level]), [point(iv) for iv in ivs]
-    ivs, pts = tree
-    lo = len(ivs) // 2  # the leaves
-    nodes = list(map(PartitionNode, ivs[lo:], pts[lo:]))
-    while lo:
-        hi, lo = lo, lo // 2
-        nodes = list(map(PartitionNode, ivs[lo:hi], pts[lo:hi], zip(nodes[0::2], nodes[1::2])))
-    return PartitionTree(nodes[0], mode, cfg, max_depth)
+        inside = False
+    ends, xy = np.empty((2 ** (max_depth + 1) - 1, 2)), np.empty((2 ** (max_depth + 1) - 1, 2))
+    ends[0], xy[0] = (0.0, 1.0), root
+    if inside and _halving(w, cfg, mode, max_depth, ends, xy):
+        return PartitionTree(ends, xy, mode, cfg)
+    # the rounds rewrite each generation's rows before reading them, walking only its nodes before the first
+    # failure in preorder: a failure found in a generation comes before every one found earlier (those lie to
+    # its right), so it drops the nodes after it
+    first, nodes = None, np.zeros(1, np.intp)
+    for depth in range(max_depth + 1):
+        if (out := (~(_excess(mode is SplitMode.ENTROPY, cfg.q, *xy[nodes].T) <= 1e-9)).nonzero()[0]).size:
+            (a, b), pt = ends[nodes[out[0]]].tolist(), tuple(xy[nodes[out[0]]].tolist())
+            first, nodes = DomainError(
+                f"moment point {pt} of [{a}, {b}] leaves the q = {cfg.q} domain; the weight's constant exceeds q"
+            ), nodes[:out[0]]
+        if depth == max_depth or not nodes.size:
+            break
+        won, fails = _cuts(w, cfg, mode, ends[nodes].tolist())
+        if won:  # each cut node's children in its rows 2i + 1 and 2i + 2
+            left, cuts = 2 * nodes[list(won)] + 1, [cut for _, cut in won.values()]
+            ends[left], ends[left + 1] = [(a, mid) for a, mid, *_ in cuts], [(mid, b) for _, mid, b, *_ in cuts]
+            xy[left], xy[left + 1] = [p for *_, p, _ in cuts], [p for *_, p in cuts]
+        if fails:
+            first, nodes = fails[min(fails)], nodes[:min(fails)]
+        nodes = (2 * nodes[:, None] + (1, 2)).ravel()
+    if first is not None:
+        raise first
+    return PartitionTree(ends, xy, mode, cfg)
 
 
 @dataclass(frozen=True)
@@ -292,40 +283,26 @@ def chain_verify(surface: BellmanSurface, w: Weight, tree: PartitionTree) -> Cha
             f"only in the q1 = {tree.config.q1} domain"
         )
 
-    generations = []
-    generation = [tree.root]
-    while generation:
-        generations.append(generation)
-        generation = [c for n in generation for c in n.children]
-    nodes = [node for generation in generations for node in generation]
-    x, y = np.fromiter(itertools.chain.from_iterable([n.point for n in nodes]), float, 2 * len(nodes)).reshape(-1, 2).T
+    ends, (x, y), lengths = tree.ends, tree.points.T, tree.ends[:, 1] - tree.ends[:, 0]
+    if not (ends.min() >= 0.0 and ends.max() <= 1.0 and lengths.min() > 0.0):
+        a, b = ends[np.argmin((ends[:, 0] >= 0.0) & (lengths > 0.0) & (ends[:, 1] <= 1.0))].tolist()
+        raise DomainError(f"interval [{a}, {b}] not inside [0, 1]")
     if surface.kind is SurfaceKind.GEHRING:
         _require_eps(surface)
     inside = in_domain(surface, x, y, tol=1e-9)
     if not inside.all():
-        node = nodes[int(np.argmin(inside))]
-        raise DomainError(
-            f"node [{node.interval.a}, {node.interval.b}]: point ({node.point[0]}, "
-            f"{node.point[1]}) outside the {surface.kind.value} domain"
-        )
+        (a, b), (px, py) = ends[k := int(np.argmin(inside))].tolist(), tree.points[k].tolist()
+        raise DomainError(f"node [{a}, {b}]: point ({px}, {py}) outside the {surface.kind.value} domain")
     values = evaluate_many(surface, x, y)
     finite = np.isfinite(values)
     if not finite.all():
-        node = nodes[int(np.argmin(finite))]
-        raise DomainError(
-            f"node [{node.interval.a}, {node.interval.b}]: the surface value at ({node.point[0]}, "
-            f"{node.point[1]}) overflows a double"
-        )
-    values = iter(values.tolist())
-    root_len = tree.root.interval.b - tree.root.interval.a
-    sums = []
-    for generation in generations:
-        total = 0.0
-        for node in generation:
-            total += (node.interval.b - node.interval.a) / root_len * next(values)
-        sums.append(total)
+        (a, b), (px, py) = ends[k := int(np.argmin(finite))].tolist(), tree.points[k].tolist()
+        raise DomainError(f"node [{a}, {b}]: the surface value at ({px}, {py}) overflows a double")
+    root_iv = Interval(*ends[0].tolist())
+    with np.errstate(all="ignore"):  # a term past the double range is inf or nan, as in float arithmetic
+        terms = (lengths / root_iv.length * values).tolist()
+    sums = tuple(functools.reduce(operator.add, terms[2**k - 1:2 ** (k + 1) - 1], 0.0) for k in range(tree.depth + 1))
 
-    root_iv = tree.root.interval
     if surface.kind is SurfaceKind.AINF_UPPER:
         target = moment(w, root_iv, MomentKind.AVG_W_LOG_W)
     else:
@@ -340,4 +317,4 @@ def chain_verify(surface: BellmanSurface, w: Weight, tree: PartitionTree) -> Cha
     )
     gap = sums[-1] - target
     meets = gap >= -slack * max(1.0, abs(target))
-    return ChainReport(tuple(sums), target, monotone, meets, gap)
+    return ChainReport(sums, target, monotone, meets, gap)

@@ -277,25 +277,36 @@ def _moment_pair(w: Weight, interval: Interval, kind: MomentKind) -> tuple[float
     return moment(w, interval, _AVG_W), moment(w, interval, kind)
 
 
-@np.errstate(all="ignore")  # a row from 0 divides by zero in _log_span, which reads +inf there
+# a pass costs about 40 numpy calls per piece whatever its rows (45-55 us on one or two pieces),
+# the scalar loop 3-4 us a row: the loop is the faster below 16 to 24 rows
+_PASS_ROWS = 16
+
+
 def _moment_pairs(w: Weight, a: np.ndarray, b: np.ndarray, kind: MomentKind) -> tuple[np.ndarray, dict]:
     """_moment_pair on each [a[i], b[i]]: the points as an (n, 2) array, and each raising row's exception by
     index.  One pass per piece over the rows that meet it, in libm's functions (_LIBM_OPS) so every bit is
-    the scalar loop's; a row that a pass raises on, or whose average is not finite, is _moment_pair's own."""
-    acc, bad, errors = np.zeros((2, a.size)), np.zeros(a.size, bool), {}  # acc: mass and total, as the scalar loop
-    for p in w.pieces:
-        s, e = np.maximum(a, p.support.a), np.minimum(b, p.support.b)
+    the scalar loop's; a row that a pass raises on, or whose average is not finite, is _moment_pair's own,
+    and so is every row of fewer than _PASS_ROWS."""
+    if a.size < _PASS_ROWS:
+        xy, rows = np.empty((a.size, 2)), zip(range(a.size), a.tolist(), b.tolist())
+    else:
+        acc, fail = np.zeros((2, a.size)), np.zeros(a.size, bool)  # acc: mass and total, as the scalar loop
+        with np.errstate(all="ignore"):  # a row from 0 divides by zero in _log_span, which reads +inf there
+            for p in w.pieces:
+                s, e = np.maximum(a, p.support.a), np.minimum(b, p.support.b)
+                try:
+                    m, val = _closed_form(p.coeff, p.exponent, s[rows := e > s], e[rows], kind, pair=True, ops=_LIBM_OPS)
+                except (ArithmeticError, ValueError):
+                    fail |= rows
+                else:
+                    acc[:, rows] += (m, val)
+            xy = (acc / (length := b - a)).T
+        bad = (fail | ~(np.isfinite(xy).all(axis=1) & (length >= 2.0**-1022))).nonzero()[0]
+        rows = zip(bad.tolist(), a[bad].tolist(), b[bad].tolist())
+    errors = {}
+    for i, s, e in rows:
         try:
-            m, val = _closed_form(p.coeff, p.exponent, s[rows := e > s], e[rows], kind, pair=True, ops=_LIBM_OPS)
-        except (ArithmeticError, ValueError):
-            bad |= rows
-        else:
-            acc[:, rows] += (m, val)
-    xy = (acc / (length := b - a)).T
-    bad |= ~(np.isfinite(xy).all(axis=1) & (length >= 2.0**-1022))
-    for i in bad.nonzero()[0].tolist():
-        try:
-            xy[i] = _moment_pair(w, Interval(float(a[i]), float(b[i])), kind)
+            xy[i] = _moment_pair(w, Interval(s, e), kind)
         except (ArithmeticError, ValueError) as exc:
             xy[i], errors[i] = math.nan, exc
     return xy, errors

@@ -119,8 +119,17 @@ def _tree(draw):
     try:
         return w, wl.build_partition(w, cfg, mode, draw(st.integers(0, 3)))
     except WeightLabError:  # a one-node tree at the weight's point, or anywhere
-        node = wl.PartitionNode(wl.Interval(0.0, 1.0), (draw(NUMBERS), draw(NUMBERS)))
-        return w, wl.PartitionTree(node, mode, cfg, 0)
+        return w, wl.PartitionTree(np.array([(0.0, 1.0)]), np.array([(draw(NUMBERS), draw(NUMBERS))]), mode, cfg)
+
+
+@st.composite
+def _tree_arrays(draw):
+    """PartitionTree's arguments: level-order ends and points of 1 to 15 rows, or of a row count no tree has or
+    each its own; ends sorted pairs in [0, 1] or any numbers."""
+    n = draw(st.sampled_from((1, 3, 7, 15)) | st.integers(0, 4))
+    ends = draw(st.lists(st.tuples(UNIT, UNIT).map(sorted) | st.tuples(NUMBERS, NUMBERS), min_size=n, max_size=n))
+    points = draw(st.lists(st.tuples(NUMBERS, NUMBERS), min_size=n, max_size=n + draw(st.integers(0, 1))))
+    return np.array(ends, dtype=float).reshape(-1, 2), np.array(points, dtype=float).reshape(-1, 2), draw(MODES), draw(CONFIGS)
 
 
 @st.composite
@@ -180,8 +189,7 @@ ARGS = {
     # dyadic
     "ChainReport": st.tuples(st.lists(NUMBERS).map(tuple), NUMBERS, st.booleans(), st.booleans(), NUMBERS),
     "PartitionNode": st.tuples(INTERVALS, st.tuples(NUMBERS, NUMBERS)),
-    "PartitionTree": st.tuples(st.builds(wl.PartitionNode, INTERVALS, st.tuples(NUMBERS, NUMBERS)),
-                               MODES, CONFIGS, SIZES),
+    "PartitionTree": _tree_arrays(),
     "SplitConfig": st.tuples(NUMBERS, NUMBERS, NUMBERS),
     "SplitMode": _enum(wl.SplitMode),
     "build_partition": st.tuples(WEIGHTS, CONFIGS, MODES, st.integers(-1, 3)),

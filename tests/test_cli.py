@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -799,6 +800,91 @@ class TestDyadic:
         )
         assert rc == 2
         assert "exceeds" in capsys.readouterr().err
+
+
+def _reference_node_json(node) -> dict:
+    """A tree node as the dyadic subcommand printed it through the node objects: the reference for cli._tree_json."""
+    out = {"interval": [node.interval.a, node.interval.b], "point": [node.point[0], node.point[1]]}
+    if node.children:
+        out["children"] = [_reference_node_json(c) for c in node.children]
+    return out
+
+
+def _reference_writer(obj, pad: str = "\n") -> str:
+    """cli._json as the node-object tree print used it: json.dumps at indent 2, each float at 15 digits."""
+    if isinstance(obj, float):
+        if 0.0 < abs(obj) < sys.float_info.min or (text := "%.15g" % obj).endswith(("e+15", "e+308")):
+            return repr(x) if math.isfinite(x := float(f"{obj:.15g}")) else "null"
+        return "null" if text[-1] in "fn" else text if "." in text or "e" in text else text + ".0"
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [json.dumps(k) + ": " + _reference_writer(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + inner + ("," + inner).join([_reference_writer(v, inner) for v in obj]) + pad + "]" if obj else "[]"
+    return json.dumps(obj)
+
+
+def _node_view(ends, points, i=0):
+    """Row i of level-order arrays and its subtree as node-like objects, whatever floats they hold."""
+    kids = (_node_view(ends, points, 2 * i + 1), _node_view(ends, points, 2 * i + 2)) if 2 * i + 1 < len(ends) else ()
+    a, b = ends[i].tolist()
+    return types.SimpleNamespace(interval=types.SimpleNamespace(a=a, b=b), point=tuple(points[i].tolist()), children=kids)
+
+
+# floats where '%.15g' is not what the writer prints: subnormals, signed zeros, integers and
+# their neighbours near 1e15 to 1e16, e+308, inf and nan; and plain ones
+WRITER_FLOATS = (
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.0, 3.0,
+                     0.9999999999999999, 1e14, 999999999999999.4, 999999999999999.6, 1e15, 9999999999999998.0,
+                     1e16, 1.7976931348623157e308, 9.999999999999999e307, 1e308, math.inf, -math.inf, math.nan))
+    | st.integers(-(10**16), 10**16).map(float)
+    | st.floats(9e14, 2e16) | st.floats(-2e16, -9e14)
+    | st.floats(-1e-300, 1e-300) | st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+@st.composite
+def _level_order(draw):
+    n = 2 ** (draw(st.integers(0, 4)) + 1) - 1
+    rows = st.lists(st.tuples(WRITER_FLOATS, WRITER_FLOATS), min_size=n, max_size=n)
+    return np.array(draw(rows), dtype=float).reshape(n, 2), np.array(draw(rows), dtype=float).reshape(n, 2)
+
+
+class TestTreeWriter:
+    """cli._tree_json prints a tree's arrays with the bytes the node-object print wrote."""
+
+    @staticmethod
+    def _cases(tmp_path):
+        # (weight file, mode, q, q1, depths): cuts at 1/2 down to depth 14, and cuts that move
+        linear, corpus = tmp_path / "linear.json", tmp_path / "corpus.json"
+        save_weight(power_weight(1.0, 1.0), str(linear))
+        save_weight(reference_corpus(8)[6], str(corpus))
+        return [(corpus, "log", 4.0, 5.2, range(15)), (corpus, "entropy", 6.0, 7.8, range(15)),
+                (linear, "log", math.e / 2.0, 1.02 * math.e / 2.0, range(9)), (linear, "entropy", 0.207, 0.21321, range(9))]
+
+    def test_trees_print_as_their_nodes_did(self, tmp_path, capsys):
+        moved = 0
+        for path, mode, q, q1, depths in self._cases(tmp_path):
+            w = load_weight(str(path))
+            for depth in depths:
+                tree = dyadic.build_partition(w, dyadic.SplitConfig(q, q1), dyadic.SplitMode(mode), depth)
+                argv = ["dyadic", "--weight", str(path), "--mode", mode, "--q", repr(q), "--q1", repr(q1), "--depth", str(depth)]
+                assert cli.main(argv) == 0
+                echo = {"mode": mode, "q": q, "q1": q1, "depth": depth, "tree": _reference_node_json(tree.root)}
+                assert capsys.readouterr().out == _reference_writer(echo) + "\n", (path, mode, depth)
+            lengths = tree.ends[:, 1] - tree.ends[:, 0]
+            moved += int((lengths[1::2] != 0.5 * lengths[: len(lengths) // 2]).sum())
+        assert moved > 0
+
+    @given(_level_order())
+    @example((np.array([(5e-324, 1e15)]), np.array([(1234567890123456.7, -0.0)])))
+    @example((np.array([(0.0, 1.0), (math.nan, math.inf), (1.7976931348623157e308, 2.5e-310)]),
+              np.array([(3.0, 0.9999999999999999), (999999999999999.6, -1e16), (1e-5, 123.456)])))
+    def test_any_floats_print_as_the_node_writer_printed_them(self, arrays):
+        ends, points = arrays
+        tree = types.SimpleNamespace(ends=ends, points=points, depth=len(ends).bit_length() - 1)
+        assert cli._tree_json(tree) == _reference_writer(_reference_node_json(_node_view(ends, points)), "\n  ")
 
 
 class TestSweep:

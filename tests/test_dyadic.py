@@ -8,6 +8,7 @@ decrease toward the moment the tree refines to.
 """
 
 import dataclasses
+import functools
 import hashlib
 import math
 
@@ -37,7 +38,7 @@ from weightlab import (
     weight_from_dict,
 )
 from weightlab import constants, dyadic, errors, weights
-from weightlab.bellman import _chord_excess, _excess
+from weightlab.bellman import _chord_excess, _excess, evaluate_many
 
 from _frozen import DYADIC_FAILURES, FROZEN_TREES
 
@@ -124,6 +125,24 @@ class TestSplit:
         assert excinfo.value.best_alpha == 0.95
         assert 0.0 < excinfo.value.best_violation < 1e-3
 
+    def test_rounds_of_ratios_take_the_first_that_fits(self):
+        # rounds try 1, 2, 4, ... ratios at once; the cut is still the first ratio in order that fits,
+        # here from 0.5 to 0.68, and without one the least-violating ratio
+        q = Q_LINEAR * 1.0001
+        cases = [(LINEAR, SplitConfig(q=q, q1=q * 1.00011), SplitMode.LOG)]
+        for margin in (1.0, 1.02):
+            cases.append((LINEAR, SplitConfig(q=margin * Q_LINEAR, q1=margin * Q_LINEAR * 1.02), SplitMode.LOG))
+            cases += [(weights.reference_corpus(8)[k], SplitConfig(q=margin * c, q1=margin * c * 1.03), mode)
+                      for k, c, mode in ((1, 1.3, SplitMode.LOG), (6, 0.13, SplitMode.ENTROPY))]
+        for w, cfg, mode in cases:
+            for iv in (Interval(0.0, 1.0), Interval(0.0, 0.25), Interval(0.0, 1e-6), Interval(0.3, 0.7), Interval(0.5, 1.0)):
+                want = _ratio_by_ratio(w, iv, cfg, mode)
+                try:
+                    got = split(w, iv, cfg, mode)
+                except SplitError as exc:
+                    got = (exc.best_alpha, exc.best_violation)
+                assert got == want, (w, iv, mode)
+
     def test_tied_candidates_report_the_first(self):
         # a flat weight puts every child point at (3, log 3), ratio 1 > q1: all
         # candidates violate by the same amount, and the first of them is kept
@@ -132,6 +151,27 @@ class TestSplit:
             split(FLAT, Interval(0.0, 1.0), cfg, SplitMode.LOG)
         assert excinfo.value.best_alpha == 0.5
         assert excinfo.value.best_violation == pytest.approx(0.2)
+
+
+def _ratio_by_ratio(w, iv, cfg, mode):
+    """split as one ratio at a time: (left, right, alpha) of the first ratio whose chord fits, else the
+    SplitError's (best_alpha, best_violation), or the exception a child's moments raise first."""
+    kind = MomentKind.AVG_LOG_W if mode is SplitMode.LOG else MomentKind.AVG_W_LOG_W
+    best = (math.nan, math.inf)
+    for alpha in dyadic._alpha_candidates(cfg.delta0):
+        mid = iv.a + alpha * (iv.b - iv.a)
+        if not iv.a < mid < iv.b:
+            continue
+        try:
+            p0, p1 = weights._moment_pair(w, Interval(iv.a, mid), kind), weights._moment_pair(w, Interval(mid, iv.b), kind)
+        except (ArithmeticError, ValueError) as exc:
+            return type(exc), str(exc)
+        viol = _chord_excess(mode is SplitMode.ENTROPY, cfg.q1, [p0], [p1])[0]
+        if viol <= 1e-12:
+            return Interval(iv.a, mid), Interval(mid, iv.b), alpha
+        if viol < best[1]:
+            best = (alpha, float(viol))
+    return best
 
 
 def _chord_peak(mode, q, p0, p1):
@@ -184,8 +224,8 @@ class TestChordExcess:
         tree = build_partition(self.POWER, SplitConfig(q=self.Q, q1=self.Q1), SplitMode.LOG, max_depth=1)
         assert tree.root.children[0].interval.b == pytest.approx(0.92, abs=1e-12)
         # the cut at 0.91 peaks above q1
-        p0 = dyadic._point(self.POWER, Interval(0.0, 0.91), SplitMode.LOG)
-        p1 = dyadic._point(self.POWER, Interval(0.91, 1.0), SplitMode.LOG)
+        p0 = weights._moment_pair(self.POWER, Interval(0.0, 0.91), MomentKind.AVG_LOG_W)
+        p1 = weights._moment_pair(self.POWER, Interval(0.91, 1.0), MomentKind.AVG_LOG_W)
         peak = _chord_peak(SplitMode.LOG, self.Q1, p0, p1)
         assert peak == pytest.approx(2.66e-6, rel=1e-3)
         assert _chord_excess(False, self.Q1, [p0], [p1])[0] == pytest.approx(peak, abs=1e-15)
@@ -360,6 +400,39 @@ class TestBuildPartition:
 
 
 class TestChainVerify:
+    @staticmethod
+    def _generation_sums(surface, tree):
+        """Each generation's sum as the chain was summed over the node objects: generations from the
+        root view, a node's children in order, each sum added in order from 0.0."""
+        generations, generation = [], [tree.root]
+        while generation:
+            generations.append(generation)
+            generation = [c for n in generation for c in n.children]
+        values = iter(evaluate_many(surface, *np.array([n.point for g in generations for n in g]).reshape(-1, 2).T).tolist())
+        root_len = tree.root.interval.b - tree.root.interval.a
+        sums = []
+        for generation in generations:
+            total = 0.0
+            for node in generation:
+                total += (node.interval.b - node.interval.a) / root_len * next(values)
+            sums.append(total)
+        return sums
+
+    @pytest.mark.parametrize("margin, q1_ratio", [(1.25, 1.3), (1.02, 1.03)], ids=["halves", "moved"])
+    def test_sums_are_the_node_loop_bit_for_bit(self, margin, q1_ratio):
+        for w, cfg, mode, _ in TestFrozenTrees._grid_cases(margin, q1_ratio):
+            if mode is SplitMode.LOG:
+                surface = BellmanSurface(SurfaceKind.AINF_UPPER, cfg.q1)
+            else:
+                surface = BellmanSurface(SurfaceKind.GEHRING, cfg.q1, eps=0.5 / (gamma_entropy_roots(cfg.q1)[1].root - 1.0))
+            for depth in range(11):
+                try:
+                    tree = build_partition(w, cfg, mode, max_depth=depth)
+                except errors.WeightLabError:
+                    break
+                got = chain_verify(surface, w, tree).sums
+                assert [v.hex() for v in got] == [v.hex() for v in self._generation_sums(surface, tree)], (w, mode, depth)
+
     def test_log_chain_descends_to_entropy_moment(self):
         q = 1.1 * Q_LINEAR
         cfg = SplitConfig(q=q, q1=1.2 * q)
@@ -519,11 +592,16 @@ class TestFrozenTrees:
         return dyadic.PartitionNode(iv, pt, tuple(kids))
 
     @staticmethod
+    @functools.cache
+    def _grid_constants():
+        return [(w, constants.ainf_constant(w, resolution=101)[0], constants.rh1_constant(w, resolution=101)[0])
+                for w in weights.reference_corpus(24)]
+
+    @staticmethod
     def _grid_cases(margin, q1_ratio):
         # each corpus weight at margin x its grid constant, both modes
         out = []
-        for w in weights.reference_corpus(24):
-            ainf, rh1 = constants.ainf_constant(w, resolution=101)[0], constants.rh1_constant(w, resolution=101)[0]
+        for w, ainf, rh1 in TestFrozenTrees._grid_constants():
             log_q, entropy_q = max(margin * ainf, 1.001), margin * max(rh1, 0.0) + 0.01
             for mode, q in ((SplitMode.LOG, log_q), (SplitMode.ENTROPY, entropy_q)):
                 out.append((w, SplitConfig(q=q, q1=q1_ratio * q), mode, 5))
@@ -548,8 +626,8 @@ class TestFrozenTrees:
     def test_each_point_takes_two_moments(self, monkeypatch):
         # a node's point is one pair of moments, computed once; on a flat weight
         # every cut is at 1/2, so after the root's own point (one _moment_pair,
-        # one float _excess) the whole tree's points come from one array pass
-        # and are checked in one _excess and one _chord_excess pass
+        # one float _excess) every other point comes from one array pass, and
+        # all are checked in one _excess and one _chord_excess pass
         calls = {"pair": 0, "pairs": 0, "rows": 0, "excess": 0, "chord": 0}
 
         def counted(name, fn):
@@ -565,7 +643,7 @@ class TestFrozenTrees:
         monkeypatch.setattr(dyadic, "_chord_excess", counted("chord", _chord_excess))
         tree = build_partition(FLAT, SplitConfig(q=1.5, q1=1.8), SplitMode.LOG, max_depth=4)
         nodes = len(list(_walk(tree.root)))
-        assert calls == {"pair": 1, "pairs": 1, "rows": nodes, "excess": 2, "chord": 1}
+        assert calls == {"pair": 1, "pairs": 1, "rows": nodes - 1, "excess": 2, "chord": 1}
 
 
 class TestFailureOrder:
@@ -598,20 +676,30 @@ class TestFailureOrder:
 
     def test_chain_raises_first_failing_node_in_generation_order(self):
         tree = build_partition(LINEAR, SplitConfig(q=1.5, q1=1.8), SplitMode.LOG, max_depth=2)
-        left, right = tree.root.children
-        bad_leaf = dataclasses.replace(left.children[0], point=(2.0, 0.0))  # x e^-y = 2 > q1
-        left = dataclasses.replace(left, children=(bad_leaf, left.children[1]))
+        points = tree.points.copy()
+        points[3] = (2.0, 0.0)  # the leaf [0, 0.25]: x e^-y = 2 > q1
         surface = BellmanSurface(SurfaceKind.AINF_UPPER, 1.8)
-        only_leaf = dataclasses.replace(tree, root=dataclasses.replace(tree.root, children=(left, right)))
         with pytest.raises(DomainError) as excinfo:
-            chain_verify(surface, LINEAR, only_leaf)
+            chain_verify(surface, LINEAR, dataclasses.replace(tree, points=points))
         assert str(excinfo.value) == "node [0.0, 0.25]: point (2.0, 0.0) outside the ainf_upper domain"
         # the leaf is first in preorder, but generation 1 is summed first
-        bad_right = dataclasses.replace(right, point=(1.0, 0.5))  # x e^-y < 1
-        both = dataclasses.replace(tree, root=dataclasses.replace(tree.root, children=(left, bad_right)))
+        points[2] = (1.0, 0.5)  # [0.5, 1.0]: x e^-y < 1
         with pytest.raises(DomainError) as excinfo:
-            chain_verify(surface, LINEAR, both)
+            chain_verify(surface, LINEAR, dataclasses.replace(tree, points=points))
         assert str(excinfo.value) == "node [0.5, 1.0]: point (1.0, 0.5) outside the ainf_upper domain"
+
+    def test_tree_arrays_are_checked(self):
+        tree = build_partition(LINEAR, SplitConfig(q=1.5, q1=1.8), SplitMode.LOG, max_depth=2)
+        with pytest.raises(ParameterError, match="shape"):
+            dataclasses.replace(tree, points=tree.points[:6])
+        surface = BellmanSurface(SurfaceKind.AINF_UPPER, 1.8)
+        for row, bad in ((4, (0.3, 0.2)), (5, (math.nan, 0.75)), (6, (0.75, 1.5))):
+            ends = tree.ends.copy()
+            ends[row] = bad
+            with pytest.raises(DomainError, match=rf"interval \[{bad[0]}, {bad[1]}\] not inside \[0, 1\]"):
+                chain_verify(surface, LINEAR, dataclasses.replace(tree, ends=ends))
+            with pytest.raises(DomainError, match="not inside"):
+                dataclasses.replace(tree, ends=ends).root
 
     def test_gehring_chain_without_eps_is_a_parameter_error(self):
         tree = build_partition(FLAT, SplitConfig(q=1.5, q1=1.8), SplitMode.ENTROPY, max_depth=2)

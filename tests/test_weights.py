@@ -417,7 +417,17 @@ _HUGE = Weight((PowerPiece(Interval(0.0, 0.5), 1e300, -0.9999999), PowerPiece(In
 
 
 class TestMomentPairs:
-    """weights._moment_pairs is _moment_pair row by row: its bits, or the type and message it raises."""
+    """weights._moment_pairs is _moment_pair row by row: its bits, or the type and message it raises.
+
+    Below _PASS_ROWS rows it takes them from _moment_pair itself; these tests lower it
+    to 1, so that every row set they pass, however few its rows, takes the array pass.
+    """
+
+    def setup_method(self):
+        self._pass_rows, weights._PASS_ROWS = weights._PASS_ROWS, 1
+
+    def teardown_method(self):
+        weights._PASS_ROWS = self._pass_rows
 
     @staticmethod
     def _check(w, ends):
@@ -462,6 +472,16 @@ class TestMomentPairs:
         for w in (power_weight(1.7, -0.5), power_weight(1.7, 0.7), reference_corpus(4)[3]):
             for kind in (MomentKind.AVG_LOG_W, MomentKind.AVG_W_LOG_W):
                 assert weights._moment_pairs(w, *ends, kind)[1] == {}
+
+    def test_few_rows_take_the_scalar_loop(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(weights, "_moment_pair", lambda *args: calls.append(args) or (1.0, 0.0))
+        w, ends = power_weight(1.7, 0.7), np.linspace(0.0, 1.0, 17)
+        weights._PASS_ROWS = self._pass_rows  # teardown_method lowers it back
+        for rows in (self._pass_rows - 1, self._pass_rows):
+            calls.clear()
+            weights._moment_pairs(w, ends[:rows], ends[1:rows + 1], MomentKind.AVG_LOG_W)
+            assert len(calls) == (rows if rows < self._pass_rows else 0)
 
     def test_a_raising_pass_leaves_its_other_rows_to_the_scalar_loop(self):
         xy, errors = weights._moment_pairs(_STEEP, np.array([0.5, 0.9]), np.array([1.0, 1.0]), MomentKind.AVG_LOG_W)

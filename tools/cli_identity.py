@@ -10,7 +10,9 @@ and ``--verify hessian`` at q spread over the benchmark's bands and past
 them, at grids -1 to 24; ``dyadic --verify`` on 24 corpus weights in both
 modes, JSON and CSV, with and without ``--eps``, and at a q the weight
 exceeds; ``dyadic`` trees and chains at 1.02 x the grid constant (q1 = 1.03 q,
-where cuts move off 1/2) on 8 of them at depths 6 and 10, and one at depth 12;
+where cuts move off 1/2) on 8 of them at depths 6 and 10, trees at 0, 1 and 14,
+and one at depth 12; trees of w(t) = t, whose cuts move, at q = e/2 (log) and
+1.02 x its grid constant (entropy) at depths 0, 1, 6 and 14;
 trees of 1/2 cuts at depths 12 and 14 and chains at 14 on two of them; ``dyadic``
 at depths 0 to 14 on weights refused at the root of the tree and on weights whose
 moments near the double range overflow, raise or are not finite on some intervals;
@@ -104,12 +106,19 @@ def cases(workdir: Path) -> list[list[str]]:
                 base = ["dyadic", "--weight", str(path), "--mode", mode, "--q", repr(q), "--q1", repr(1.03 * q)]
                 for depth in ("6", "10"):
                     runs += [base + ["--depth", depth], base + ["--depth", depth, "--verify"]]
+                runs += [base + ["--depth", depth] for depth in ("0", "1", "14")]
                 if k == 1 and mode == "log":
                     runs.append(base + ["--depth", "12"])
         if k in (2, 3):  # deep trees of 1/2 cuts, and a chain
             for mode, q in (("log", max(1.25 * ainf, 1.05)), ("entropy", 1.25 * max(rh1, 0.0) + 0.02)):
                 base = ["dyadic", "--weight", str(path), "--mode", mode, "--q", repr(q), "--q1", repr(1.3 * q)]
                 runs += [base + ["--depth", "12"], base + ["--depth", "14"], base + ["--depth", "14", "--verify"]]
+    path = workdir / "linear.json"  # w(t) = t: on the log-mode boundary at q = e/2 on every [0, x]
+    weights.save_weight(weights.power_weight(1.0, 1.0), str(path))
+    rh1 = constants.compute_report(weights.power_weight(1.0, 1.0), resolution=101).rh1[0]
+    for mode, q, q1 in (("log", math.e / 2.0, 1.02 * math.e / 2.0), ("entropy", 1.02 * rh1 + 0.01, 1.03 * (1.02 * rh1 + 0.01))):
+        base = ["dyadic", "--weight", str(path), "--mode", mode, "--q", repr(q), "--q1", repr(q1)]
+        runs += [base + ["--depth", depth] for depth in ("0", "1", "6", "14")]
     runs += dyadic_edge_cases(workdir)
     runs.append(["selftest"])
     return runs + writer_cases(workdir)
