@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 DOMAIN_TOL = 1e-12
-# evaluate_many works in blocks: a tangent solve holds ~15 arrays of its input's size
+# evaluate_many works in blocks: one peaks at 15 arrays of its size, the start's (n, 4) gather freed before it
 _BLOCK = 8192
 
 
@@ -143,10 +143,10 @@ def _tangent_solve(surface: BellmanSurface, x, y):
     By the gamma equation, c1 is c1_lower (log q or q) less the point's
     height above the lower boundary: c1_lower there (u = g), 0 on the upper
     boundary (u = 1).  u = g and v = x are exact on the lower boundary, where
-    the value's error is v's error over g (~1e-8 at q = 1e6).  The solve is
-    solvers._log_root, which forms u alone: evaluate_many, the array Hessian
-    and through them the linearity and chain checks read only v, and
-    tangent_point maps _bracket(c1) to v itself.
+    the value's error is v's error over g (~1e-8 at q = 1e6).  The solve is solvers._log_root
+    (two Halley steps from its table start at every c1 <= 745), which forms u alone:
+    evaluate_many, the array Hessian and through them the linearity and chain
+    checks read only v, and tangent_point maps _bracket(c1) to v itself.
     """
     xp = _ops(x)
     g = surface.gamma

@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -72,12 +73,12 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _csv(header: str, rows: list[tuple]) -> str:
-    # one %-format per row, its template from the row's types: floats at 15 digits
-    lines = [header]
-    lines += [
-        ",".join(["%.15g" if isinstance(v, float) else "%s" for v in row]) % row for row in rows
-    ]
-    return "\n".join(lines)
+    # floats at 15 digits, the rest as str: the first row's template prints every row when each
+    # column holds floats only or none (the sweep's, a weight's), else each row takes its own
+    template = lambda row: ",".join(["%.15g" if isinstance(v, float) else "%s" for v in row])  # noqa: E731
+    if rows and all(n in (0, len(rows)) for n in (sum(map(isinstance, col, repeat(float))) for col in zip(*rows))):
+        return "\n".join([header, *map(template(rows[0]).__mod__, rows)])
+    return "\n".join([header, *(template(row) % row for row in rows)])
 
 
 def _load_weight_arg(path: str) -> weights.Weight:

@@ -4,9 +4,10 @@ The tangency slopes gamma_- and gamma_+, the sharp Gehring gap eps_minus and
 (in bellman) the surfaces' tangent abscissae are all branch roots of
 t - log t = c.  One kernel, _branch_root on its loop _log_root, solves that
 equation for a float or an array: Halley steps in s = log t inside
-closed-form brackets, started from the Lambert W series of Corless, Gonnet,
-Hare, Jeffrey and Knuth, "On the Lambert W function" (1996).
-gehring_sharp_eps takes Newton steps in log eps, from below its root.
+closed-form brackets, started within 1e-9 of the root by a cubic Hermite
+table per branch in sqrt(c - 1), built at import, so that two steps
+converge up to c = 746.  gehring_sharp_eps takes Newton steps in log eps,
+from below its root.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ _MAX_STEPS = 40
 # where expm1(s) - s has lost 3 bits or more to cancellation
 _EXCESS_SERIES = tuple(1.0 / math.factorial(k + 2) for k in reversed(range(12)))
 _EXCESS_SERIES_S = 0.25
+# _log_root's start: per branch, _START_N + 1 rows of a cubic in z = sqrt(c1) _START_SCALE, to c1 = 745
+_START_N = 1024
+_START_SCALE = _START_N / math.sqrt(745.0)
 
 
 # the float path's libm functions over a float array, for array code that keeps its bits (numpy's SIMD ones may not)
@@ -113,19 +117,17 @@ def _series_step(s, em1, c1, d):
     return d
 
 
-def _log_root(c1, upper: bool):
+def _log_root(c1, upper: bool, s=None):
     """The Halley loop of _branch_root: (t, s, dt, steps), t = e^s + dt the root.
 
-    t - 1 = expm1(s) + dt and the bracket are left to the callers that read them.
+    It starts from s if given (as _start_table does), else from _start.  t - 1
+    = expm1(s) + dt and the bracket are left to the callers that read them.
     """
     c1 = c1 + 5e-324  # keeps every iterate, and so h'(s) = e^s - 1, off zero
     xp = _ops(c1)
     lo = xp.log1p(c1) if upper else -1.0 - c1
     hi = lo + math.log(2.0) if upper else -c1
-    # t = -W(-e^{-c}) = 1 + p + p^2/3 + 11 p^3/72 + ..., p = -+sqrt(2 (1 - e^{-c1})),
-    # so s = p - p^2/6 + 11 p^3/72 + ...; far from c = 1 the clip takes over
-    p = (1.0 if upper else -1.0) * xp.sqrt(-2.0 * xp.expm1(-c1))
-    s = xp.minimum(xp.maximum(p - p * p / 6.0 + (11.0 / 72.0) * p * p * p, lo), hi)
+    s = xp.minimum(xp.maximum(_start(c1, upper) if s is None else s, lo), hi)
     for steps in range(1, _MAX_STEPS + 1):
         em1 = xp.expm1(s)
         d = _halley(em1 - (s + c1), em1)
@@ -138,13 +140,41 @@ def _log_root(c1, upper: bool):
     return e_s + dt, s, dt, steps
 
 
+def _start(c1, upper: bool):
+    """_log_root's start s ~ log t (float or array): _START's cubic at z = sqrt(c1) _START_SCALE.  Its last
+    row, constant, the s of c1 = 745, is clipped to the bracket's nearer end past it; a NaN takes that row too."""
+    z = _ops(c1).sqrt(c1) * _START_SCALE
+    if isinstance(z, np.ndarray):
+        k = np.fmin(z, _START_N).astype(np.intp)  # before the cast, which takes a NaN or 1e150 out of range
+        a, b, c, d = np.take(_START[upper], k, axis=0).T
+    else:
+        k = math.floor(z) if z < _START_N else _START_N
+        a, b, c, d = _START[upper][k].tolist()
+    t = z - k
+    return a + t * (b + t * (c + t * d))
+
+
+def _start_table(upper: bool) -> np.ndarray:
+    """_START's (_START_N + 1, 4) rows: row k the cubic in z - k with s and ds/dz of nodes k and k + 1 (Hermite's).
+    Nodes w = z / _START_SCALE solved from s = +-sqrt(2) w, slopes ds/dw = 2 w ds/dc1 = 2 w / (e^s - 1),
+    +-sqrt(2) at w = 0; between nodes the cubic is within 1e-9 of s.  The last row is the last node's s."""
+    sign, w = (1.0 if upper else -1.0), np.arange(1, _START_N + 1) / _START_SCALE
+    s = np.append(0.0, _log_root(w * w, upper, sign * math.sqrt(2.0) * w)[1])
+    m = np.append(sign * math.sqrt(2.0), 2.0 * w / np.expm1(s[1:])) / _START_SCALE
+    ds, m0, m1 = np.diff(s), m[:-1], m[1:]
+    return np.vstack([np.stack([s[:-1], m0, 3.0 * ds - 2.0 * m0 - m1, m0 + m1 - 2.0 * ds], axis=1), [s[-1], 0, 0, 0]])
+
+
+_START = {upper: _start_table(upper) for upper in (False, True)}
+
+
 def _branch_root(c1, upper: bool, q=None):
     """Root of t - log t = 1 + c1 (c1 >= 0, float or array) in (0, 1], or in [1, inf) if upper.
 
     c1 = c - 1 keeps the digits of c near 1, where the roots meet at t = 1.
-    Halley steps on h(s) = e^s - 1 - s - c1, s = log t, start from the Lambert
-    W branch-point series, stay clipped to the bracket s in [-1 - c1, -c1]
-    (lower) or t in [c, 2c] (upper), and take at most four steps.  The last
+    Halley steps on h(s) = e^s - 1 - s - c1, s = log t, start from _start,
+    stay clipped to the bracket s in [-1 - c1, -c1] (lower) or t in [c, 2c]
+    (upper), and take at most two steps up to c1 = 745 and three past it.  The last
     one, within 4 ulp of 1 + |s| (redone by _series_step near s = 0), is
     applied as a factor e^{-d}, so t and t - 1 keep full precision.  Returns
     (t, t - 1, steps, (t_lo, t_hi)).  The array callers in bellman read t

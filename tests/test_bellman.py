@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -428,6 +429,23 @@ class TestEvaluate:
         for x, y, v in zip(xs, ys, vals):
             assert v == pytest.approx(evaluate_surface(geh, float(x), float(y)), rel=1e-13)
 
+    def test_evaluate_many_non_finite_coordinates(self):
+        # nan or inf, never an exception or a warning, in every block: the values the series start gave
+        nan, inf = math.nan, math.inf
+        x = np.array([nan, 1.0, nan, inf, 1.0, 1.0, -inf, inf, 0.0, -1.0, 5e-324, 1.0])
+        y = np.array([0.0, nan, nan, 0.0, inf, -inf, 0.0, inf, 0.0, 0.0, 0.0, 0.0])
+        cases = [
+            (BellmanSurface(SurfaceKind.AINF_UPPER, 5.0), [0.0, 9.020730791291713, -3.676e-321, 0.0]),
+            (gehring_surface(2.0), [1.6135459795558031, 1.0, 0.0, 1.0]),
+            (BellmanSurface(SurfaceKind.AINF_LOWER, 2.0), [-15.111306555180432, 0.0, -759.4956329422148, 0.0]),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for surface, finite in cases:
+                want = [nan] * 4 + finite[:2] + [nan] * 4 + finite[2:]
+                np.testing.assert_array_equal(evaluate_many(surface, x, y), want)
+                np.testing.assert_array_equal(evaluate_many(surface, np.tile(x, 1000), np.tile(y, 1000)), np.tile(want, 1000))
+
     def test_gehring_needs_eps(self):
         bare = BellmanSurface(SurfaceKind.GEHRING, 1.0)
         with pytest.raises(ParameterError):
@@ -575,7 +593,7 @@ class TestFloatPathPins:
              [1.4210854715202004e-14, 2.842170943040401e-14, 5.684341886080802e-14]),
             (gehring_surface(1.0), [4.440892098500626e-16, 1.7763568394002505e-15, 3.552713678800501e-15]),
             (BellmanSurface(SurfaceKind.AINF_LOWER, 1.2),
-             [1.7763568394002505e-15, 1.7763568394002505e-15, 2.6645352591003757e-15]),
+             [1.7763568394002505e-15, 1.7208456881689926e-15, 2.6645352591003757e-15]),
         ]
         for surface, devs in cases:
             got = [float(tangent_linearity_excess(surface, v)[2]) for v in (0.5, 1.0, 1.9)]
@@ -671,6 +689,82 @@ class TestArrayPathPin:
     def test_outputs_bit_identical(self):
         # one bit moved in any of these outputs moves the digest
         assert _array_path_digest() == ARRAY_PATH_SHA256
+
+
+def _extended_value(surface, x, y):
+    """evaluate_many's value in numpy's long double (a 64-bit significand on x86), gamma from 50 digits.
+
+    The same tangent equation u - log u = 1 + c1 as bellman's, its root by Halley
+    steps in s = log u to 4e-19, with e^s - 1 - s from its series below |s| = 1/2.
+    """
+    ld = np.longdouble
+    X, Y, q = x.astype(ld), y.astype(ld), ld(surface.q)
+    with mpmath.workdps(50):
+        c = mpmath.log(surface.q) if surface.kind is SurfaceKind.AINF_UPPER else mpmath.mpf(surface.q)
+        upper = surface.kind is SurfaceKind.GEHRING
+        g = ld(mpmath.nstr(-mpmath.re(mpmath.lambertw(-mpmath.exp(-1 - c), -1 if upper else 0)), 30))
+    if surface.kind is SurfaceKind.AINF_UPPER:
+        c1_lower, height = np.log(q), np.log(X) - Y
+    else:
+        c1_lower, height = q, (Y - X * np.log(X)) / X
+    c1 = np.minimum(np.maximum(c1_lower - height, 0), c1_lower)
+    lo, hi = (np.log1p(c1), np.log1p(c1) + np.log(ld(2))) if upper else (-1 - c1, -c1)
+    s = np.minimum(np.maximum((1 if upper else -1) * np.sqrt(2 * c1), lo), hi)
+    series = [1 / ld(math.factorial(k + 2)) for k in reversed(range(24))]
+    for _ in range(60):
+        acc = np.zeros_like(s)
+        for coeff in series:
+            acc = acc * s + coeff
+        em1 = np.expm1(s)
+        d = (np.where(np.abs(s) < 0.5, s * s * acc, em1 - s) - c1) / em1
+        d = d / (1 - d / 2 * (1 + 1 / em1))
+        s = s - d
+        if np.all(np.abs(d) <= ld(4e-19) * (1 + np.abs(s))):
+            break
+    u = np.where(c1 == c1_lower, g, np.exp(s))
+    if surface.kind is SurfaceKind.AINF_UPPER:
+        v = X * g / u
+        return X * np.log(v) + (X - v) / g
+    v = X * u / g
+    if upper:
+        eps = ld(surface.eps)
+        return np.exp(eps * np.log(v)) * (X * (1 + eps) - eps * g * v) / (1 + eps - g * eps)
+    return np.log(v) + (X - v) / (g * v)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="the reference needs an extended long double")
+class TestSurfaceAccuracy:
+    """evaluate_many against a long-double reference on 10,000 seeded points per surface, the worst against mpmath."""
+
+    BANDS = {SurfaceKind.AINF_UPPER: ((1.5, 100.0), (1e3, 1e6)), SurfaceKind.GEHRING: ((0.05, 20.0), (50.0, 700.0)),
+             SurfaceKind.AINF_LOWER: ((0.05, 10.0), (80.0, 250.0))}
+    # the largest relative error on these points from the Lambert W series start (4 Halley steps)
+    SERIES_START_WORST = {SurfaceKind.AINF_UPPER: 7.2016747048858706e-12, SurfaceKind.GEHRING: 6.434379925615709e-15,
+                          SurfaceKind.AINF_LOWER: 6.221133243381149e-12}
+
+    @pytest.mark.parametrize("kind", list(BANDS), ids=lambda k: k.value)
+    def test_worst_error_is_the_series_starts(self, kind):
+        rng = np.random.default_rng(27)
+        worst = []  # (error, surface, x, y) per q
+        for lo, hi in self.BANDS[kind]:
+            for q in np.exp(rng.uniform(math.log(lo), math.log(hi), 5)).tolist():
+                surface = gehring_surface(q, float(rng.uniform(0.1, 0.9))) if kind is SurfaceKind.GEHRING \
+                    else BellmanSurface(kind, q)
+                # 1,000 points: 400 anywhere, 300 within 1% of the height of each boundary
+                x = rng.uniform(0.3, 3.0, 1000)
+                frac = np.concatenate([rng.uniform(0.0, 1.0, 400), rng.uniform(0.0, 0.01, 300), rng.uniform(0.99, 1.0, 300)])
+                y = np.log(x) - frac * math.log(q) if kind is SurfaceKind.AINF_UPPER else x * np.log(x) + frac * q * x
+                want = _extended_value(surface, x, y)
+                err = np.abs((evaluate_many(surface, x, y) - want) / want).astype(float)
+                worst += [(err[k], surface, x[k], y[k]) for k in np.argsort(err)[-2:]]
+        worst.sort(key=lambda w: w[0])
+        assert worst[-1][0] <= min(1.5 * self.SERIES_START_WORST[kind], 1e-10)
+        for err, surface, x, y in worst[-3:]:  # at the worst points, against 50-digit mpmath
+            want, got = mp_value(surface, float(x), float(y)), float(evaluate_many(surface, x, y))
+            ext = float(_extended_value(surface, np.array([x]), np.array([y]))[0])
+            # the reference is as ill-conditioned as the value, with 11 more bits: under 1% of the error
+            assert abs(ext - want) <= max(0.01 * abs(got - want), 1e-17 * abs(want))
+            assert abs(got - want) <= 1.5 * self.SERIES_START_WORST[kind] * abs(want)
 
 
 class TestBoundsCheck:

@@ -35,6 +35,7 @@ from weightlab import (
     power_weight,
     reference_corpus,
     save_weight,
+    sharpness_sweep,
     solvers,
     weight_from_dict,
 )
@@ -885,6 +886,44 @@ class TestTreeWriter:
         ends, points = arrays
         tree = types.SimpleNamespace(ends=ends, points=points, depth=len(ends).bit_length() - 1)
         assert cli._tree_json(tree) == _reference_writer(_reference_node_json(_node_view(ends, points)), "\n  ")
+
+
+def _reference_csv(header: str, rows: list[tuple]) -> str:
+    """cli._csv as it was, a template built for each row from its types: the reference for the one-template writer."""
+    lines = [header]
+    lines += [
+        ",".join(["%.15g" if isinstance(v, float) else "%s" for v in row]) % row for row in rows
+    ]
+    return "\n".join(lines)
+
+
+# a column of WRITER_FLOATS, of ints (a generation, or near 1e15-1e16 where '%s' and '%.15g' differ) or of names
+CSV_KINDS = (WRITER_FLOATS, st.integers(0, 14) | st.integers(10**15 - 9, 10**16 + 9), st.sampled_from(("rh1", "a_p[2]")))
+
+
+@st.composite
+def _csv_rows(draw):
+    # each column of one kind, or (one draw in four) each value of any kind
+    columns = draw(st.lists(st.sampled_from(CSV_KINDS), min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        columns = [st.one_of(*CSV_KINDS)] * len(columns)
+    return draw(st.lists(st.tuples(*columns), max_size=12))
+
+
+class TestCsvWriter:
+    """cli._csv prints rows whose columns are floats only or none by one template, as a template per row did."""
+
+    @given(_csv_rows())
+    @example([(1e15, 5e-324, -0.0), (9999999999999998.0, math.nan, 1e308), (-math.inf, 2.5e-310, 1.7976931348623157e308)])
+    @example([(10**15 + 1, "rh1", 999999999999999.6), (10**16, "a_p[2]", -1e16)])
+    def test_rows_print_as_a_template_per_row_printed_them(self, rows):
+        assert cli._csv("a,b,c", rows) == _reference_csv("a,b,c", rows)
+
+    def test_sweep_and_no_rows(self, capsys):
+        qs = np.geomspace(0.05, 700.0, 400).tolist()
+        assert cli.main(["sweep", "--q-list", ",".join(map(repr, qs))]) == 0
+        assert capsys.readouterr().out == _reference_csv("Q,e_ratio,funny_ratio", sharpness_sweep(tuple(qs))) + "\n"
+        assert cli._csv("t,w", []) == _reference_csv("t,w", []) == "t,w"
 
 
 class TestSweep:

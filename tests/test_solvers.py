@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -334,6 +335,71 @@ class TestBranchRootKernel:
             for c1 in (0.0, 5e-324, 1e-300):
                 t, _, steps, _ = solvers._branch_root(c1, upper)
                 assert t == 1.0 and steps <= 4
+
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    def test_edge_arrays_are_the_scalar_bits(self, upper):
+        # 0, the least subnormal, the start table's end, past it and near the double range, with
+        # no warning; but the upper t at 745, where numpy's exp rounds e^s one ulp off libm's
+        edges = np.array([0.0, 5e-324, 745.0, 1e4, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t, tm1, _, _ = solvers._branch_root(edges, upper)
+            alone = [solvers._branch_root(edges[k:k + 1], upper)[:2] for k in range(edges.size)]
+        for k, c1 in enumerate(edges.tolist()):
+            scalar = solvers._branch_root(c1, upper)[:2]
+            t_alone, tm1_alone = float(alone[k][0][0]), float(alone[k][1][0])
+            assert tm1_alone == scalar[1] and (t_alone == scalar[0] or upper and c1 == 745.0), c1
+            assert abs(t_alone - scalar[0]) <= math.ulp(scalar[0])
+            assert abs(t[k] - scalar[0]) <= 1e-15 * scalar[0] and abs(tm1[k] - scalar[1]) <= 1e-15 * abs(scalar[1])
+            want, want_m1 = mp_branch_root(c1, upper)
+            assert abs(scalar[0] - want) <= 1e-15 * want + 5e-324, c1
+            # below 1e-80, 80 digits read c1 as 0: t - 1 is +-sqrt(2 (c1 + 5e-324)), the kernel's c1
+            assert abs(scalar[1] - want_m1) <= 1e-15 * abs(want_m1) if c1 > 1.0 else abs(scalar[1]) < 1e-161
+
+
+class TestStart:
+    """_log_root's start, a cubic Hermite table per branch in sqrt(c1): close enough to take two steps."""
+
+    # measured: 9.3e-10 (lower) and 4.7e-10 (upper) absolute, 3e-8 relative near s = 0
+    ABS, REL = 2e-9, 1e-7
+
+    @staticmethod
+    def _c1():
+        # a dense grid and 1e5 seeded draws over [0, 745], and s near 0
+        rng = np.random.default_rng(2027)
+        return np.concatenate([np.linspace(0.0, 745.0, 100_001), rng.uniform(0.0, 745.0, 100_000),
+                               np.geomspace(1e-300, 1.0, 1000)])
+
+    def _miss(self, upper):
+        """Largest start error over its bound (at most 1 passes), and the steps of one array call."""
+        c1 = self._c1()
+        _, s, _, steps = solvers._log_root(c1, upper)
+        err = np.abs(solvers._start(c1 + 5e-324, upper) - s)  # the c1 _log_root gives _start
+        return float(np.max(err / np.minimum(self.ABS * (1.0 + np.abs(s)), self.REL * np.abs(s)))), steps
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    def test_start_is_near_the_root_and_two_steps_finish(self, upper):
+        miss, steps = self._miss(upper)
+        assert miss <= 1.0 and steps == 2
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    def test_linear_interpolation_misses(self, upper, monkeypatch):
+        # the same nodes joined by chords, not by the exact slopes: the check above fails
+        table = solvers._START[upper]
+        chords = np.zeros_like(table)
+        chords[:, 0], chords[:-1, 1] = table[:, 0], np.diff(table[:, 0])
+        monkeypatch.setitem(solvers._START, upper, chords)
+        miss, steps = self._miss(upper)
+        assert miss > 1e3 and steps > 2
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    def test_float_start_is_the_array_start(self, upper):
+        c1 = np.concatenate([self._c1()[::997], [0.0, 745.0, 745.0001, 1e4, 1e300, math.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solvers._start(c1, upper)
+        np.testing.assert_array_equal(got, [solvers._start(c, upper) for c in c1.tolist()])
 
 
 class TestRootCache:

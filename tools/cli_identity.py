@@ -29,7 +29,12 @@ Both trees run the command lines that the old tree builds: some take their
 q from its constants.  Each difference is put in one of the kinds a change
 may declare (see ``KINDS``) or in ``other``; the script prints the count per
 kind and every ``other`` run, and exits 1 if there is one.  ``--allow`` names
-the kinds the change under test intends, default none.
+the kinds the change under test intends, default none.  Two kinds follow a
+change to the root kernel's last bits: ``worst-rounding``, a ``--verify
+tangent|hessian`` check whose verdict stays and whose worst value and point
+move at rounding level (``_worst_rounded``), and ``root-rounding``, a bounds
+check's ratios, an ``--eval``'s value and tangent or a ``solve`` root within
+1e-13, a residual within 1e-13 of the point's size.
 """
 
 from __future__ import annotations
@@ -367,6 +372,14 @@ def kind(argv: list[str], old: list, new: list) -> str:
         changed = {k for k in a if a[k] != b[k]}
         if verify == "tangent" and changed == {"passed"}:
             return "tangent-passed"
+        if verify in ("tangent", "hessian") and old[1] == new[1] and changed <= WORST_KEYS and _worst_rounded(a, b):
+            return "worst-rounding"
+        if (verify == "bounds" or argv[0] == "solve" or any(s.startswith("--eval") for s in argv)) \
+                and old[1] == new[1] and changed <= ROOT_KEYS:
+            # a residual is rounding relative to the size of the point it is taken at
+            size = max(1.0, abs(a.get("x") or 0.0), abs(a.get("y") or 0.0))
+            if all(_close(a[k], b[k], size if "residual" in k else None) for k in changed):
+                return "root-rounding"
         if verify == "bounds" and changed == {"ratio_bound"} and old[1] == new[1]:
             return "ratio-bound"
         if argv[0] == "constants" and changed == {"rh1_doubleprime"} and old[1] == new[1]:
@@ -406,7 +419,20 @@ def kind(argv: list[str], old: list, new: list) -> str:
 # the subcommands whose output reads piece moments
 MOMENT_COMMANDS = ("constants", "dyadic", "extremal", "selftest")
 KINDS = ("grid-refusal", "tangent-passed", "ratio-bound", "overflow-null", "orlicz-rounding", "moment-rounding",
-         "refusal-rounding", "gehring-root", "sweep-e-ratio")
+         "refusal-rounding", "gehring-root", "sweep-e-ratio", "worst-rounding", "root-rounding")
+# what a grid check's worst point and value, and a root's last bits, may move
+WORST_KEYS = {"max_deviation", "worst_v", "worst_value", "worst_point"}
+ROOT_KEYS = {"ratio_max", "ratio_bound", "value", "tangent", "tangent_residual", "root", "residual"}
+
+
+def _worst_rounded(old: dict, new: dict) -> bool:
+    """Whether a tangent or Hessian check's worst moved at rounding level (kind() keeps its verdict): a
+    Hessian excess (scaled by the entries) at most 1e-14 on both sides, a tangent deviation (of values of
+    any size) within a factor 2 of the old one or at most 1e-14 on both sides."""
+    if "worst_value" in old:
+        return max(abs(old["worst_value"]), abs(new["worst_value"])) <= 1e-14
+    dev = sorted(abs(d["max_deviation"]) for d in (old, new))
+    return dev[1] <= max(2.0 * dev[0], 1e-14)
 
 
 def main() -> int:
