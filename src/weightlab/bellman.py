@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 DOMAIN_TOL = 1e-12
+POINT_TOL, CHORD_TOL = 1e-9, 1e-12  # how far past the domain (by _excess) an admissible moment point and chord reach
 # evaluate_many works in blocks: one peaks at 15 arrays of its size, the start's (n, 4) gather freed before it
 _BLOCK = 8192
 
@@ -163,7 +164,7 @@ def _tangent_solve(surface: BellmanSurface, x, y):
 def _admissible_solve(surface: BellmanSurface, x, y):
     """_tangent_solve at admissible points (floats or arrays).  DomainError names the first
     point outside the domain, or whose tangent abscissa underflows to 0 (x near 5e-324)."""
-    xp, solved, ok = _ops(x), None, in_domain(surface, x, y, tol=1e-9)
+    xp, solved, ok = _ops(x), None, in_domain(surface, x, y, tol=POINT_TOL)
     if xp.all(ok):
         solved = _tangent_solve(surface, x, y)
         ok = solved[0] > 0.0

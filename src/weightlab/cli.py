@@ -7,7 +7,8 @@ tree, printed from its arrays by ``_tree_json``); ``main`` alone writes it
 and sets the exit code: 0 success, 1 a check ran and failed, 2 bad input.
 A non-finite value prints as null in JSON and inf or nan in CSV, and nothing
 but ``error: ...`` or argparse's usage reaches stderr.  All reals are printed
-with 15 significant digits; identical inputs give byte-identical output.
+with 15 significant digits, in JSON by ``_float_json``'s one rule, the tree's
+too; identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -34,13 +35,18 @@ def _fmt(x: float) -> float:
     return float(f"{x:.15g}")
 
 
+def _float_json(x: float) -> str:
+    """json.dumps(_fmt(x)), null where that is not finite, which JSON cannot hold (nan, inf, past
+    1.79769313486231e308): '%.15g', .0 on an integer, but for a subnormal, e+15 and e+308."""
+    if 0.0 < abs(x) < sys.float_info.min or (text := "%.15g" % x).endswith(("e+15", "e+308")):
+        return repr(r) if math.isfinite(r := _fmt(x)) else "null"
+    return "null" if text[-1] in "fn" else text if "." in text or "e" in text else text + ".0"
+
+
 def _json(obj, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=2) in one walk, each float at 15 digits, and null where
-    that is not finite, which JSON cannot hold (nan, inf, past 1.79769313486231e308)."""
-    if isinstance(obj, float):  # repr(_fmt(obj)) is '%.15g', .0 on an integer, but for a subnormal, e+15 and e+308
-        if 0.0 < abs(obj) < sys.float_info.min or (text := "%.15g" % obj).endswith(("e+15", "e+308")):
-            return repr(x) if math.isfinite(x := _fmt(obj)) else "null"
-        return "null" if text[-1] in "fn" else text if "." in text or "e" in text else text + ".0"
+    """json.dumps(obj, indent=2) in one walk, each float by _float_json."""
+    if isinstance(obj, float):
+        return _float_json(obj)
     inner = pad + "  "
     if isinstance(obj, dict):  # a str key as json.dumps writes it (ensure_ascii); another from a one-key dict
         items = [(encode_basestring_ascii(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
@@ -302,16 +308,13 @@ def _tree_template(depth: int) -> tuple[str, np.ndarray]:
 
 
 def _tree_json(tree: dyadic.PartitionTree) -> str:
-    """_json of the tree's nodes as dicts, at pad "\n  ", from its arrays and the depth's template."""
+    """_json of the tree's nodes as dicts, at pad "\n  ", from its arrays and the depth's template; each
+    float's '%.15g', which is _float_json's text where it is a plain decimal (a . and no e), else _float_json."""
     template, order = _tree_template(tree.depth)
-    values = np.hstack((tree.ends, tree.points))[order].ravel()
-    texts, size = list(map("%.15g".__mod__, floats := values.tolist())), np.abs(values)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        # floats _json writes otherwise: a subnormal, e+15, e+308, nan, inf, and below 1e15 an integer at 15 digits
-        own = ((size < sys.float_info.min) | ((size >= 9.99e14) & (size < 1e16)) | (size >= 9.9e307) | np.isnan(values)
-               | ((size < 1e15) & (np.abs(values - np.rint(values)) <= 1e-14 * size)))  # 15 digits move it 5e-15
-    for i in own.nonzero()[0].tolist():
-        texts[i] = _json(floats[i])
+    floats = np.hstack((tree.ends, tree.points))[order].ravel().tolist()
+    texts = (("%.15g\n" * len(floats))[:-1] % tuple(floats)).split("\n")  # one format call for all
+    for i in [i for i, text in enumerate(texts) if "." not in text or "e" in text]:
+        texts[i] = _float_json(floats[i])
     return template % tuple(texts)
 
 

@@ -6,10 +6,11 @@ point along a chord.  The splitter picks a cut ratio so the whole chord
 stays inside the slightly enlarged domain (constant q1 > q), which is what
 makes telescoping sums against a concave surface built at q1 monotone.
 
-A PartitionTree is level-order arrays from build to print: node i's interval and moment point
-in row i of ends and of points, its children in rows 2i + 1 and 2i + 2; root is a PartitionNode
-view.  build_partition fills the arrays in one array pass where every cut is 1/2, else by rounds
-of candidate ratios, one array pass each; chain_verify sums generations, which are row ranges.
+A PartitionTree is level-order arrays, the only tree the library reads or writes: node i's interval and
+moment point in row i of ends and of points, its children in rows 2i + 1 and 2i + 2, each interval checked
+once, by the constructor; root is a PartitionNode view for callers.  build_partition fills the arrays in
+one array pass where every cut is 1/2, else by rounds of candidate ratios, one array pass each, where
+_cuts writes each cut node's children into their rows; chain_verify sums generations, which are row ranges.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from .bellman import BellmanSurface, SurfaceKind, _chord_excess, _excess, _require_eps, evaluate_many, in_domain
+from .bellman import (CHORD_TOL, POINT_TOL, BellmanSurface, SurfaceKind, _chord_excess, _excess, _require_eps,
+                      evaluate_many, in_domain)
 from .errors import DomainError, ParameterError, SplitError
 from .weights import Interval, MomentKind, Weight, _moment_pair, _moment_pairs, moment
 
@@ -72,8 +74,8 @@ class PartitionTree:
     """A full binary tree of intervals in level order: row i of ends is node i's interval (a, b) and
     row i of points its moment point (x, y), its children rows 2i + 1 and 2i + 2, so generation k is
     rows 2^k - 1 to 2^(k+1) - 2.  Both are read-only (2^(depth+1) - 1, 2) float copies of the arrays
-    given; chain_verify and root refuse an interval outside [0, 1].  root is the same tree as
-    PartitionNode objects, built when first read."""
+    given, and a row of ends outside 0 <= a < b <= 1 is refused here, with its Interval's DomainError.
+    root is the same tree as PartitionNode objects, built when first read; nothing in the library reads it."""
 
     ends: np.ndarray
     points: np.ndarray
@@ -90,6 +92,8 @@ class PartitionTree:
             raise ParameterError(
                 f"ends and points must both have shape (2^(depth+1) - 1, 2), got {ends.shape} and {points.shape}"
             )
+        if not (inside := (0.0 <= ends[:, 0]) & (ends[:, 0] < ends[:, 1]) & (ends[:, 1] <= 1.0)).all():
+            Interval(*ends[np.argmin(inside)].tolist())  # raises, naming the first row outside
 
     @property
     def depth(self) -> int:
@@ -127,16 +131,17 @@ def _alpha_candidates(delta0: float) -> list[float]:
         k += 1
 
 
-def _cuts(w: Weight, cfg: SplitConfig, mode: SplitMode, bounds: list) -> tuple[dict, dict]:
-    """Per interval (a, b) of bounds, the first candidate ratio whose chord stays in the q1 domain.
+def _cuts(w: Weight, cfg: SplitConfig, mode: SplitMode, ends: np.ndarray, xy: np.ndarray, nodes: np.ndarray):
+    """Per row i of nodes, the first candidate ratio whose chord stays in the q1 domain.
 
-    Rounds of 1, 2, 4, ... ratios, in order, over the intervals still uncut (fewer where a round would
-    take more candidates than one interval has left): one _moment_pairs call takes the round's child
-    points and one _chord_excess pass checks its chords, and each interval takes the first of its ratios
-    that decides it.  Returns, by position, each cut interval's (ratio, (a, mid, b, left point, right
-    point)), and the exception that cutting each other one alone meets first: its moments' (the left
-    child's first), or a SplitError carrying the least-violating ratio.
+    Rounds of 1, 2, 4, ... ratios, in order, over the nodes still uncut (fewer where a round would take
+    more candidates than one node has left): one _moment_pairs call takes the round's child points and one
+    _chord_excess pass checks its chords, and each node takes the first of its ratios that decides it, its
+    children's intervals and points then written into rows 2i + 1 and 2i + 2 of ends and xy.  Returns, by
+    position in nodes, each cut node's ratio, and the exception that cutting each other one alone meets
+    first: its moments' (the left child's first), or a SplitError carrying the least-violating ratio.
     """
+    bounds = ends[nodes].tolist()
     won, fails, best = {}, {}, [(math.nan, math.inf)] * len(bounds)
     todo, alphas, size = range(len(bounds)), _alpha_candidates(cfg.delta0), 1
     while todo and alphas:
@@ -146,16 +151,21 @@ def _cuts(w: Weight, cfg: SplitConfig, mode: SplitMode, bounds: list) -> tuple[d
             halves = np.array([(a, mid) for _, _, a, mid, _ in cut] + [(mid, b) for *_, mid, b in cut])
             pts, errors = _moment_pairs(w, halves[:, 0], halves[:, 1], _Y_KIND[mode])
             viols = _chord_excess(mode is SplitMode.ENTROPY, cfg.q1, pts[:len(cut)], pts[len(cut):]).tolist()
-            pts = pts.tolist()
-            for r, (k, alpha, a, mid, b) in enumerate(cut):
+            kept = []  # (k, r) of each cut this round decides for its node
+            for r, (k, alpha, *_) in enumerate(cut):
                 if k in won or k in fails:
                     continue
                 if (exc := errors.get(r, errors.get(len(cut) + r))) is not None:
                     fails[k] = exc
-                elif viols[r] <= 1e-12:
-                    won[k] = alpha, (a, mid, b, pts[r], pts[len(cut) + r])
+                elif viols[r] <= CHORD_TOL:
+                    won[k] = alpha
+                    kept.append((k, r))
                 elif viols[r] < best[k][1]:
                     best[k] = (alpha, viols[r])
+            if kept:
+                k, r = np.array(kept).T
+                left, right = 2 * nodes[k] + 1, r + len(cut)
+                ends[left], ends[left + 1], xy[left], xy[left + 1] = halves[r], halves[right], pts[r], pts[right]
         todo = [k for k in todo if k not in won and k not in fails]
         size = min(2 * size, max(1, len(alphas) // max(1, len(todo))))
     for k in todo:
@@ -174,11 +184,11 @@ def split(
     Returns (left, right, alpha) with |left| = alpha * |interval|.  Raises
     SplitError carrying the best candidate when no admissible ratio exists.
     """
-    won, fails = _cuts(w, cfg, mode, [(interval.a, interval.b)])
+    ends, xy = np.array([(interval.a, interval.b), (0.0, 0.0), (0.0, 0.0)]), np.empty((3, 2))  # the node, its children
+    won, fails = _cuts(w, cfg, mode, ends, xy, np.zeros(1, np.intp))
     if fails:
         raise fails[0]
-    alpha, (a, mid, b, _, _) = won[0]
-    return Interval(a, mid), Interval(mid, b), alpha
+    return Interval(*ends[1].tolist()), Interval(*ends[2].tolist()), won[0]
 
 
 def _halving(w: Weight, cfg: SplitConfig, mode: SplitMode, max_depth: int, ends: np.ndarray, xy: np.ndarray) -> bool:
@@ -191,8 +201,8 @@ def _halving(w: Weight, cfg: SplitConfig, mode: SplitMode, max_depth: int, ends:
         halves[:, 0, 1] = halves[:, 1, 0] = a + 0.5 * (b - a)
     xy[1:], errors = _moment_pairs(w, ends[1:, 0], ends[1:, 1], _Y_KIND[mode])
     entropy = mode is SplitMode.ENTROPY
-    return not errors and bool((_excess(entropy, cfg.q, xy[:, 0], xy[:, 1]) <= 1e-9).all()
-                               and (_chord_excess(entropy, cfg.q1, xy[1::2], xy[2::2]) <= 1e-12).all())
+    return not errors and bool((_excess(entropy, cfg.q, xy[:, 0], xy[:, 1]) <= POINT_TOL).all()
+                               and (_chord_excess(entropy, cfg.q1, xy[1::2], xy[2::2]) <= CHORD_TOL).all())
 
 
 def build_partition(
@@ -215,31 +225,27 @@ def build_partition(
     if not isinstance(max_depth, int) or max_depth < 0:
         raise ParameterError(f"max_depth must be a nonnegative integer, got {max_depth}")
     root = _moment_pair(w, Interval(0.0, 1.0), _Y_KIND[mode])  # what it raises is the first failure
-    try:  # a bare root, or a root point outside q: the generation rounds decide and raise
-        inside = max_depth and _excess(mode is SplitMode.ENTROPY, cfg.q, *root) <= 1e-9
+    try:  # a root point outside q: the generation rounds decide and raise
+        inside = _excess(mode is SplitMode.ENTROPY, cfg.q, *root) <= POINT_TOL
     except (ArithmeticError, ValueError):
         inside = False
     ends, xy = np.empty((2 ** (max_depth + 1) - 1, 2)), np.empty((2 ** (max_depth + 1) - 1, 2))
     ends[0], xy[0] = (0.0, 1.0), root
-    if inside and _halving(w, cfg, mode, max_depth, ends, xy):
+    if inside and (not max_depth or _halving(w, cfg, mode, max_depth, ends, xy)):
         return PartitionTree(ends, xy, mode, cfg)
     # the rounds rewrite each generation's rows before reading them, walking only its nodes before the first
     # failure in preorder: a failure found in a generation comes before every one found earlier (those lie to
     # its right), so it drops the nodes after it
     first, nodes = None, np.zeros(1, np.intp)
     for depth in range(max_depth + 1):
-        if (out := (~(_excess(mode is SplitMode.ENTROPY, cfg.q, *xy[nodes].T) <= 1e-9)).nonzero()[0]).size:
+        if (out := (~(_excess(mode is SplitMode.ENTROPY, cfg.q, *xy[nodes].T) <= POINT_TOL)).nonzero()[0]).size:
             (a, b), pt = ends[nodes[out[0]]].tolist(), tuple(xy[nodes[out[0]]].tolist())
             first, nodes = DomainError(
                 f"moment point {pt} of [{a}, {b}] leaves the q = {cfg.q} domain; the weight's constant exceeds q"
             ), nodes[:out[0]]
         if depth == max_depth or not nodes.size:
             break
-        won, fails = _cuts(w, cfg, mode, ends[nodes].tolist())
-        if won:  # each cut node's children in its rows 2i + 1 and 2i + 2
-            left, cuts = 2 * nodes[list(won)] + 1, [cut for _, cut in won.values()]
-            ends[left], ends[left + 1] = [(a, mid) for a, mid, *_ in cuts], [(mid, b) for _, mid, b, *_ in cuts]
-            xy[left], xy[left + 1] = [p for *_, p, _ in cuts], [p for *_, p in cuts]
+        _, fails = _cuts(w, cfg, mode, ends, xy, nodes)
         if fails:
             first, nodes = fails[min(fails)], nodes[:min(fails)]
         nodes = (2 * nodes[:, None] + (1, 2)).ravel()
@@ -284,12 +290,9 @@ def chain_verify(surface: BellmanSurface, w: Weight, tree: PartitionTree) -> Cha
         )
 
     ends, (x, y), lengths = tree.ends, tree.points.T, tree.ends[:, 1] - tree.ends[:, 0]
-    if not (ends.min() >= 0.0 and ends.max() <= 1.0 and lengths.min() > 0.0):
-        a, b = ends[np.argmin((ends[:, 0] >= 0.0) & (lengths > 0.0) & (ends[:, 1] <= 1.0))].tolist()
-        raise DomainError(f"interval [{a}, {b}] not inside [0, 1]")
     if surface.kind is SurfaceKind.GEHRING:
         _require_eps(surface)
-    inside = in_domain(surface, x, y, tol=1e-9)
+    inside = in_domain(surface, x, y, tol=POINT_TOL)
     if not inside.all():
         (a, b), (px, py) = ends[k := int(np.argmin(inside))].tolist(), tree.points[k].tolist()
         raise DomainError(f"node [{a}, {b}]: point ({px}, {py}) outside the {surface.kind.value} domain")

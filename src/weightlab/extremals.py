@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bellman import _BLOCK, BellmanSurface, SurfaceKind, evaluate, in_domain, tangent_point
+from .bellman import _BLOCK, POINT_TOL, BellmanSurface, SurfaceKind, evaluate, in_domain, tangent_point
 from .errors import InfeasibleTargetError, ParameterError
 from .solvers import _log_bound, gamma_entropy_roots
 from .weights import (
@@ -114,7 +114,7 @@ def build(spec: ExtremalSpec) -> Weight:
             (PowerPiece(Interval(0.0, 1.0), 1.0 / gm, (1.0 - gm) / gm),)
         )
     surface = _surface_for(spec)
-    if not in_domain(surface, x, y, tol=1e-9):
+    if not in_domain(surface, x, y, tol=POINT_TOL):
         raise InfeasibleTargetError(
             f"target ({x}, {y}) outside the {surface.kind.value} domain for q = {spec.q}"
         )

@@ -252,25 +252,11 @@ def criterion_10_dyadic_chain():
     w = weights.power_weight(1.0, 1.0)
     tree = dyadic.build_partition(w, cfg, dyadic.SplitMode.LOG, max_depth=8)
 
-    alphas = []
-
-    def walk(node):
-        if node.children:
-            left, right = node.children
-            alphas.append((left.interval.b - left.interval.a)
-                          / (node.interval.b - node.interval.a))
-            walk(left)
-            walk(right)
-
-    walk(tree.root)
-    a_lo, a_hi = min(alphas), max(alphas)
+    lengths = tree.ends[:, 1] - tree.ends[:, 0]  # each left child's share of its parent: rows 2i + 1 over rows i
+    a_lo, a_hi = min(alphas := (lengths[1::2] / lengths[:lengths.size // 2]).tolist()), max(alphas)
     surface = bellman.BellmanSurface(bellman.SurfaceKind.AINF_UPPER, cfg.q1)
     rep = dyadic.chain_verify(surface, w, tree)
-    ok = (
-        0.05 - 1e-12 <= a_lo
-        and a_hi <= 0.95 + 1e-12
-        and rep.passed
-    )
+    ok = 0.05 - 1e-12 <= a_lo and a_hi <= 0.95 + 1e-12 and rep.passed
     return ok, (
         f"alphas in [{a_lo:.3f}, {a_hi:.3f}]; sums monotone: {rep.monotone}; "
         f"S_8 = {rep.sums[-1]:.9f} >= -1/4 (target {rep.target:.9f})"
@@ -476,20 +462,9 @@ def invariants_dyadic():
             tree = dyadic.build_partition(wt, cfg, dyadic.SplitMode.LOG, max_depth=5)
         except dyadic.SplitError:
             continue
-
-        def walk(node):
-            nonlocal worst_mart
-            if node.children:
-                left, right = node.children
-                li = left.interval
-                ri = right.interval
-                whole = node.point[0] * (node.interval.b - node.interval.a)
-                parts = (left.point[0] * (li.b - li.a) + right.point[0] * (ri.b - ri.a))
-                worst_mart = max(worst_mart, abs(whole - parts) / max(1.0, abs(whole)))
-                walk(left)
-                walk(right)
-
-        walk(tree.root)
+        mass = tree.points[:, 0] * (tree.ends[:, 1] - tree.ends[:, 0])  # |I| avg_I w of each node
+        whole, parts = mass[:mass.size // 2], mass[1::2] + mass[2::2]  # a parent's, and its children's (2i + 1, 2i + 2)
+        worst_mart = max(worst_mart, float((abs(whole - parts) / np.maximum(1.0, abs(whole))).max()))
         surface = bellman.BellmanSurface(bellman.SurfaceKind.AINF_UPPER, cfg.q1)
         rep = dyadic.chain_verify(surface, wt, tree)
         monotone_all = monotone_all and rep.monotone

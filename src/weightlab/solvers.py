@@ -48,7 +48,7 @@ class RootResult:
 # domain and Hessian), where a float call costs microseconds; arrays use numpy
 _FLOAT_OPS = SimpleNamespace(
     expm1=math.expm1, log1p=math.log1p, exp=math.exp, log=math.log, sqrt=math.sqrt,
-    where=lambda c, a, b: a if c else b, all=bool,
+    where=lambda c, a, b: a if c else b, all=bool, any=bool,
     isfinite=math.isfinite, minimum=min, maximum=max,
 )
 _MAX_STEPS = 40
@@ -131,7 +131,7 @@ def _log_root(c1, upper: bool, s=None):
     for steps in range(1, _MAX_STEPS + 1):
         em1 = xp.expm1(s)
         d = _halley(em1 - (s + c1), em1)
-        if xp.all(abs(d) <= 4.0 * sys.float_info.epsilon * (1.0 + abs(s))):
+        if not xp.any(abs(d) > 4.0 * sys.float_info.epsilon * (1.0 + abs(s))):  # a NaN d holds no block back
             break
         s = xp.minimum(xp.maximum(s - d, lo), hi)
     d = _series_step(s, em1, c1, d)

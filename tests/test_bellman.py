@@ -446,6 +446,21 @@ class TestEvaluate:
                 np.testing.assert_array_equal(evaluate_many(surface, x, y), want)
                 np.testing.assert_array_equal(evaluate_many(surface, np.tile(x, 1000), np.tile(y, 1000)), np.tile(want, 1000))
 
+    @pytest.mark.parametrize("kind", list(SurfaceKind), ids=lambda kind: kind.value)
+    def test_nan_neighbour_moves_no_point(self, kind):
+        # a NaN coordinate holds no block's Halley loop past the step where its other points stop,
+        # so each of them reads the bits it reads without the NaN
+        surface = gehring_surface(20.0) if kind is SurfaceKind.GEHRING else BellmanSurface(kind, 20.0)
+        rng = np.random.default_rng(2828)
+        x, frac = np.exp(rng.uniform(-6.0, 6.0, 4000)), rng.uniform(0.0, 1.0, 4000)
+        y = x * np.log(x) + frac * surface.q * x if surface.entropy_coordinates else np.log(x) - frac * math.log(surface.q)
+        want = evaluate_many(surface, x, y)
+        assert np.isfinite(want).all()
+        for k, (px, py) in ((0, (math.nan, 0.0)), (1234, (1.0, math.nan)), (4000, (math.nan, math.nan))):
+            got = evaluate_many(surface, np.insert(x, k, px), np.insert(y, k, py))
+            assert math.isnan(got[k])
+            assert np.delete(got, k).tobytes() == want.tobytes(), (k, np.count_nonzero(np.delete(got, k) != want))
+
     def test_gehring_needs_eps(self):
         bare = BellmanSurface(SurfaceKind.GEHRING, 1.0)
         with pytest.raises(ParameterError):

@@ -693,13 +693,21 @@ class TestFailureOrder:
         with pytest.raises(ParameterError, match="shape"):
             dataclasses.replace(tree, points=tree.points[:6])
         surface = BellmanSurface(SurfaceKind.AINF_UPPER, 1.8)
-        for row, bad in ((4, (0.3, 0.2)), (5, (math.nan, 0.75)), (6, (0.75, 1.5))):
+        for row, bad in ((4, (0.3, 0.2)), (5, (math.nan, 0.75)), (6, (0.75, 1.5)), (3, (0.2, 0.2))):
             ends = tree.ends.copy()
             ends[row] = bad
-            with pytest.raises(DomainError, match=rf"interval \[{bad[0]}, {bad[1]}\] not inside \[0, 1\]"):
+            message = rf"^interval \[{bad[0]}, {bad[1]}\] not inside \[0, 1\]$"
+            with pytest.raises(DomainError, match=message):
+                Interval(*bad)
+            # refused where the tree is made, with Interval's message, before any reader sees it
+            with pytest.raises(DomainError, match=message):
+                dyadic.PartitionTree(ends, tree.points, tree.mode, tree.config)
+            with pytest.raises(DomainError, match=message):
                 chain_verify(surface, LINEAR, dataclasses.replace(tree, ends=ends))
-            with pytest.raises(DomainError, match="not inside"):
-                dataclasses.replace(tree, ends=ends).root
+        ends = tree.ends.copy()
+        ends[[2, 5]] = (1.0, 0.5), (-1.0, 0.0)
+        with pytest.raises(DomainError, match=r"^interval \[1.0, 0.5\]"):  # the first row outside
+            dyadic.PartitionTree(ends, tree.points, tree.mode, tree.config)
 
     def test_gehring_chain_without_eps_is_a_parameter_error(self):
         tree = build_partition(FLAT, SplitConfig(q=1.5, q1=1.8), SplitMode.ENTROPY, max_depth=2)
