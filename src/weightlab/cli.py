@@ -9,6 +9,12 @@ A non-finite value prints as null in JSON and inf or nan in CSV, and nothing
 but ``error: ...`` or argparse's usage reaches stderr.  All reals are printed
 with 15 significant digits, in JSON by ``_float_json``'s one rule, the tree's
 too; identical inputs give byte-identical output.
+
+``main`` builds its argparse parser, and an option table read from it, once per
+process.  An argv of the plain form ``CMD (--opt VALUE | --flag)*`` is parsed in
+one pass over that table into the Namespace argparse would give; every other
+argv (abbreviations, ``--opt=value``, a value starting with '-', repeats, ``-h``,
+any usage error) goes to argparse, which parses it or prints its usage as before.
 """
 
 from __future__ import annotations
@@ -473,8 +479,69 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _option_table() -> dict:
+    """Subcommand -> (option string -> (action, type function), defaults as argparse lays
+    them out, actions with a str default to convert, required actions, mutually exclusive
+    groups), read once from _build_parser's parser.  A subcommand with an action other than
+    a one-value store or a store_const (help aside) is left out: _parse_plain declines it."""
+    table = {}
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        actions = [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        if not all(a.option_strings and (isinstance(a, argparse._StoreConstAction)
+                   or type(a) is argparse._StoreAction and a.nargs is None) for a in actions):
+            continue
+        options = {s: (a, p._registry_get("type", a.type, a.type)) for a in actions for s in a.option_strings}
+        defaults = {a.dest: a.default for a in actions} | p._defaults  # func after the options
+        convert = [(a, options[a.option_strings[0]][1]) for a in actions if isinstance(a.default, str)]
+        groups = [(g._group_actions, g.required) for g in p._mutually_exclusive_groups]
+        table[name] = options, defaults, convert, {a for a in actions if a.required}, groups
+    return table
+
+
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse gives for CMD (--opt VALUE | --flag)*, each option an exact
+    option string given once, no value starting with '-', every value of its type and in
+    its choices, the required options and groups present; None for any other argv, which
+    main leaves to argparse and its own usage errors."""
+    if not argv or (entry := _option_table().get(argv[0])) is None:
+        return None
+    options, defaults, convert, required, groups = entry
+    values, seen, i, n = dict(defaults), set(), 1, len(argv)
+    try:
+        while i < n:
+            action, typed = options.get(argv[i], (None, None))
+            if action is None or action in seen:
+                return None
+            seen.add(action)
+            if action.nargs == 0:
+                values[action.dest], i = action.const, i + 1
+                continue
+            if i + 1 == n or argv[i + 1][:1] == "-":
+                return None
+            value = typed(argv[i + 1])
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest], i = value, i + 2
+        for action, typed in convert:  # a str default not given runs through its type, as in argparse
+            if action not in seen:
+                values[action.dest] = typed(action.default)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    if not required <= seen:
+        return None
+    for members, group_required in groups:
+        given = sum(a in seen for a in members)
+        if given > 1 or group_required and not given:
+            return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if (args := _parse_plain(argv)) is None:
+        args = _build_parser().parse_args(argv)
     try:
         _check_caps(args)
         ok, output = args.func(args)

@@ -4,7 +4,10 @@ All tests drive cli.main() in process and parse what lands on stdout, so
 they cover exactly what a shell user sees.
 """
 
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -990,13 +993,18 @@ class TestSelftest:
 
 
 class TestParserReuse:
-    # interleaved: successes, argparse exits (SystemExit 2), exit-2 refusals
+    # interleaved: successes, argparse exits (SystemExit 2), exit-2 refusals, and argvs
+    # the one-pass parse declines (an abbreviation, --q=3.0, --q -1, both group members)
     ARGVS = (
         ["solve", "--equation", "gamma-log", "--q", "3.0"],
         ["bellman", "--surface", "ainf-upper", "--q", "2.0"],
+        ["solve", "--equ", "gamma-log", "--q", "3.0"],
         ["sweep", "--q-list", "0.5,2,700"],
+        ["solve", "--equation", "gamma-log", "--q=3.0"],
         ["sweep", "--q-list", "1e-17"],
         ["solve", "--equation", "nope"],
+        ["extremal", "--family", "ainf", "--q", "-1"],
+        ["bellman", "--surface", "ainf-upper", "--q", "2.0", "--eval", "0.5,1", "--verify", "bounds"],
         ["extremal", "--family", "ainf", "--q", "0.9"],
     )
 
@@ -1015,7 +1023,7 @@ class TestParserReuse:
             out, err = proc.communicate()
             fresh.append((proc.returncode, out, err))
         assert {rc for rc, _, _ in fresh} == {0, 2}
-        assert sum("usage:" in err for _, _, err in fresh) == 2
+        assert sum("usage:" in err for _, _, err in fresh) == 3
         for _ in range(2):
             got = []
             for argv in self.ARGVS:
@@ -1033,6 +1041,176 @@ class TestParserReuse:
         assert cli.main(["sweep", "--q-list", "2"]) == 0
         capsys.readouterr()
         assert cli._build_parser.cache_info().misses == 1
+        assert cli._option_table.cache_info().misses == 1
+
+    def test_main_none_reads_sys_argv_through_the_pass(self, capsys, monkeypatch):
+        argv = ["solve", "--equation", "gamma-log", "--q", "3.0"]
+        assert cli.main(argv) == 0
+        want = capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a plain argv")
+
+        monkeypatch.setattr(sys, "argv", ["weightlab", *argv])
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+        assert cli.main() == 0
+        assert capsys.readouterr() == want
+
+
+# the parser's own subcommands and actions, from which the argvs below are drawn
+PARSER = cli._build_parser()
+SUBPARSERS = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
+TEXT = st.text(st.characters(codec="utf-8"), max_size=8).filter(lambda t: not t.startswith("-"))
+
+
+def _value(action) -> st.SearchStrategy[str]:
+    """A value token of the plain form for one action: in its choices, of its type, no leading '-'."""
+    if action.choices is not None:
+        return st.sampled_from(tuple(action.choices))
+    if action.type is float:
+        return st.floats(min_value=0.0).map(repr) | st.sampled_from(("nan", "inf", "1e400", " 2.5 ", "1_0.5"))
+    if action.type is int:
+        return st.integers(0, 10**6).map(str) | st.sampled_from(("+3", " 7", "0_1"))
+    return TEXT
+
+
+@st.composite
+def plain_forms(draw):
+    """(command, [[option] or [option, value], ...]): every required option, one member of
+    each required group, any others at most once, in any order."""
+    cmd = draw(st.sampled_from(tuple(SUBPARSERS)))
+    sub = SUBPARSERS[cmd]
+    group_of = {a: g for g in sub._mutually_exclusive_groups for a in g._group_actions}
+    chosen = {g: draw(st.sampled_from(g._group_actions) if g.required else st.none() | st.sampled_from(g._group_actions))
+              for g in sub._mutually_exclusive_groups}
+    pairs = []
+    for action in sub._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action in group_of:
+            if chosen[group_of[action]] is not action:
+                continue
+        elif not (action.required or draw(st.booleans())):
+            continue
+        option = draw(st.sampled_from(action.option_strings))
+        pairs.append([option] if action.nargs == 0 else [option, draw(_value(action))])
+    return cmd, draw(st.permutations(pairs))
+
+
+def _argv(cmd, pairs) -> list[str]:
+    return [cmd, *(token for pair in pairs for token in pair)]
+
+
+# kinds of declined argv after which argparse always exits (2, or 0 for -h)
+ARGPARSE_EXITS = {"dash-text", "missing", "both", "neither", "choice", "bad-number", "help", "unknown", "empty"}
+
+
+@st.composite
+def declined_forms(draw):
+    """(kind, argv): a plain form with one change the one-pass parse must decline."""
+    cmd, pairs = draw(plain_forms())
+    sub = SUBPARSERS[cmd]
+    act = {pair[0]: sub._option_string_actions[pair[0]] for pair in pairs}
+    valued = [k for k, pair in enumerate(pairs) if len(pair) == 2]
+    numeric = [k for k in valued if act[pairs[k][0]].type in (int, float)]
+    text = [k for k in valued if act[pairs[k][0]].type is None and act[pairs[k][0]].choices is None]
+    short = [(k, o[:n]) for k, (o, *_) in enumerate(pairs) for n in range(3, len(o))
+             if o[:n] not in sub._option_string_actions]
+    kinds = {
+        "abbreviation": short, "equals": valued, "dash-number": numeric, "dash-text": text, "lone-dash": text,
+        "repeat": pairs,
+        "missing": [k for k, pair in enumerate(pairs) if act[pair[0]].required],
+        "both": [g for g in sub._mutually_exclusive_groups if len(g._group_actions) > 1],
+        "neither": [k for k, pair in enumerate(pairs) if any(g.required and act[pair[0]] in g._group_actions
+                                                              for g in sub._mutually_exclusive_groups)],
+        "choice": [k for k in valued if act[pairs[k][0]].choices is not None],
+        "bad-number": numeric, "help": [True], "unknown": [True], "empty": [True],
+    }
+    kind = draw(st.sampled_from(sorted(k for k, where in kinds.items() if where)))
+    pick = draw(st.sampled_from(kinds[kind]))
+    pairs = [list(pair) for pair in pairs]
+    if kind == "abbreviation":
+        pairs[pick[0]][0] = pick[1]
+    elif kind == "equals":
+        pairs[pick] = ["=".join(pairs[pick])]
+    elif kind in ("dash-number", "dash-text", "lone-dash"):  # argparse reads -1 and - as values, -1,2 as an option
+        pairs[pick][1] = "-" if kind == "lone-dash" else draw(st.sampled_from(
+            ("-1", "-0.5", "-1e3") if kind == "dash-number" else ("-1,2", "-x")))
+    elif kind == "repeat":
+        pairs.insert(draw(st.integers(0, len(pairs))), list(pick))
+    elif kind in ("missing", "neither"):
+        del pairs[pick]
+    elif kind == "both":
+        given = {pair[0] for pair in pairs}
+        for action in pick._group_actions:
+            if not given & set(action.option_strings):
+                pairs.append([action.option_strings[0], draw(_value(action))][: 1 + (action.nargs != 0)])
+    elif kind == "choice":
+        pairs[pick][1] = "nope"
+    elif kind == "bad-number":
+        pairs[pick][1] = draw(st.sampled_from(("x1", "1.5.0", "") if act[pairs[pick][0]].type is float else ("x1", "1.5", "")))
+    elif kind in ("help", "unknown"):
+        token = "-h" if kind == "help" else draw(st.sampled_from(("--nope", "stray", "-x")))
+        pairs.insert(draw(st.integers(0, len(pairs))), [token])
+    argv = [] if kind == "empty" else _argv(cmd, pairs)
+    if kind == "unknown" and draw(st.booleans()):
+        argv = ["nope", *argv[1:]]
+    return kind, argv
+
+
+def _namespace(ns) -> list:
+    """A Namespace as (name, type, repr) in order, so that nan equals nan and 1 differs from 1.0."""
+    return [(k, type(v), repr(v)) for k, v in vars(ns).items()]
+
+
+def _parse_outcome(argv):
+    """argparse's own parse of argv: (Namespace or exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = PARSER.parse_args(argv)
+        except SystemExit as exc:
+            got = exc.code
+    return got, out.getvalue(), err.getvalue()
+
+
+class TestPlainParse:
+    """cli._parse_plain against argparse, over argvs built from the parser's own actions."""
+
+    @given(plain_forms())
+    def test_plain_forms_parse_as_argparse_does(self, form):
+        argv = _argv(*form)
+        got, (want, _, _) = cli._parse_plain(argv), _parse_outcome(argv)
+        assert isinstance(want, argparse.Namespace), argv
+        assert got is not None, argv
+        assert _namespace(got) == _namespace(want) and got.func is want.func
+
+    @given(declined_forms())
+    @example(("neither", ["bellman", "--surface", "ainf-upper", "--q", "2.0"]))
+    @example(("dash-text", ["bellman", "--surface", "gehring", "--q", "2.0", "--eval", "-1,2"]))
+    @example(("dash-number", ["extremal", "--family", "ainf", "--q", "-1"]))
+    @example(("equals", ["solve", "--equation", "gamma-log", "--q=2.0"]))
+    @example(("abbreviation", ["dyadic", "--weight", "w.json", "--q", "2", "--q1", "3", "--dep", "2"]))
+    @example(("repeat", ["solve", "--equation", "funny", "--q", "2", "--q", "3"]))
+    @example(("missing", ["dyadic", "--weight", "w.json", "--q", "2"]))
+    @example(("both", ["bellman", "--surface", "gehring", "--q", "2", "--eval", "0.5,1", "--verify", "bounds"]))
+    @example(("choice", ["bellman", "--surface", "nope", "--q", "2", "--verify", "bounds"]))
+    @example(("bad-number", ["bellman", "--surface", "gehring", "--q", "2", "--verify", "bounds", "--grid", "1.5"]))
+    @example(("bad-number", ["extremal", "--family", "ainf", "--q", "x1"]))
+    @example(("help", ["sweep", "-h"]))
+    @example(("unknown", ["sweep", "--q-list", "2", "stray"]))
+    @example(("empty", []))
+    def test_declined_forms_go_to_argparse(self, form):
+        kind, argv = form
+        assert cli._parse_plain(argv) is None, argv
+        want = _parse_outcome(argv)
+        if kind in ARGPARSE_EXITS:
+            assert want[0] == (0 if kind == "help" else 2), (argv, want)
+        if isinstance(want[0], int):  # main exits with argparse's own code and bytes
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert (exc.value.code, out.getvalue(), err.getvalue()) == want
 
 
 def _clean(obj):

@@ -24,6 +24,8 @@ over q from tiny to past its range, ``extremal`` for all four families with
 and without targets and their refusals, ``bellman --eval`` on the three
 surfaces inside, on and outside their domains, ``dyadic`` trees without
 ``--verify`` at depths 0 to 6, and ``sweep --format json`` (decimal q among them).
+Last the parser group (``parser_cases``): per subcommand a plain argv in every
+order of its options, and the argvs that ``cli._parse_plain`` leaves to argparse.
 
 Both trees run the command lines that the old tree builds: some take their
 q from its constants.  Each difference is put in one of the kinds a change
@@ -44,6 +46,7 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import re
@@ -126,7 +129,7 @@ def cases(workdir: Path) -> list[list[str]]:
         runs += [base + ["--depth", depth] for depth in ("0", "1", "6", "14")]
     runs += dyadic_edge_cases(workdir)
     runs.append(["selftest"])
-    return runs + writer_cases(workdir)
+    return runs + writer_cases(workdir) + parser_cases(workdir)
 
 
 def dyadic_edge_cases(workdir: Path) -> list[list[str]]:
@@ -225,6 +228,54 @@ def writer_cases(workdir: Path) -> list[list[str]]:
     for qs in ("", "2", "0.5,1,2,8,1e6", "1e300,1.234e300,1e100,1e30", f"1e300,{MAX_DOUBLE}", "nan,-1"):
         runs.append(["sweep", "--q-list", qs, "--format", "json"])
     return runs
+
+
+def parser_cases(workdir: Path) -> list[list[str]]:
+    """The parser group: per subcommand, one plain argv in every order of its options, and
+    the argv with one option abbreviated (to 3 characters and to all but its last), given as
+    --opt=value, given a value with a leading '-' (-1 for a number, -1,2 otherwise), given
+    twice, missing where it is required, given a bad choice, int or float; -h and an unknown
+    option or token; for bellman both and neither of --eval and --verify; the empty argv."""
+    from weightlab import cli
+
+    weight = str(workdir / "corpus0.json")
+    plain = {
+        "constants": [["--weight", weight], ["--resolution", "51"], ["--which", "rh1,ainf"]],
+        "solve": [["--equation", "gamma-log"], ["--q", "3.0"], ["--format", "json"]],
+        "bellman": [["--surface", "ainf-upper"], ["--q", "3.0"], ["--eval", "2.0,0.5"], ["--grid", "8"]],
+        "extremal": [["--family", "ainf"], ["--q", "3.0"], ["--x", "2.0"], ["--y", "0.2"]],
+        "dyadic": [["--weight", weight], ["--q", "40.0"], ["--q1", "52.0"], ["--depth", "2"], ["--verify"]],
+        "sweep": [["--q-list", "0.5,2"], ["--format", "json"]],
+        "selftest": [["--only", "criterion_03"]],
+    }
+    subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    runs: list[list[str]] = [[]]
+    for cmd, pairs in plain.items():
+        options = subparsers[cmd]._option_string_actions
+        runs += [[cmd, *itertools.chain(*order)] for order in itertools.permutations(pairs)]
+
+        def changed(k: int, *new: list[str]) -> list[str]:
+            return [cmd, *itertools.chain(*pairs[:k], *new, *pairs[k + 1:])]
+
+        for k, (opt, *value) in enumerate(pairs):
+            action = options[opt]
+            runs += [changed(k, [opt[:n], *value]) for n in sorted({3, len(opt) - 1})
+                     if 3 <= n < len(opt) and opt[:n] not in options]
+            runs.append(changed(k, pairs[k], pairs[k]))
+            if action.required:
+                runs.append(changed(k))
+            if value:
+                number = action.type in (int, float)
+                runs += [changed(k, [f"{opt}={value[0]}"]), changed(k, [opt, "-1" if number else "-1,2"])]
+                if action.choices:
+                    runs.append(changed(k, [opt, "nope"]))
+                if number:
+                    runs.append(changed(k, [opt, "1.5" if action.type is int else "x1"]))
+        flat = [cmd, *itertools.chain(*pairs)]
+        runs += [[cmd, "-h"], flat + ["-h"], flat + ["--nope"], flat + ["stray"], flat + ["--nope", "1"]]
+    bellman = [["bellman", "--surface", "ainf-upper", "--q", "3.0"] + more for more in (
+        [], ["--eval", "2.0,0.5", "--verify", "bounds"], ["--verify", "bounds", "--eval", "2.0,0.5"])]
+    return runs + bellman + [["nope"], ["-h"]]
 
 
 def run_all(src: str, workdir: str, out: str, argv_rows: str | None = None) -> None:

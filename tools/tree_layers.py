@@ -2,9 +2,11 @@
 
     python tools/tree_layers.py SRC [SRC ...] [--rounds 5] [--depths 0-14]
 
-Each round runs every tree once, in a fresh interpreter, in alternating
-order (the first tree first in even rounds, last in odd ones).  A run
-times, per case and depth, ``build_partition``, ``chain_verify`` on the
+Each round runs every tree in alternating order (the first tree first in
+even rounds, last in odd ones): depths below 12 in one fresh interpreter,
+and each depth from 12 on in its own, so that the allocator state the
+smaller trees leave does not set a deep tree's time.  A run times, per
+case and depth, ``build_partition``, ``chain_verify`` on the
 built tree and the printing of that tree as ``weightlab dyadic`` prints it
 (``cli._tree_json``; in a tree without it, ``cli._json`` of
 ``cli._node_json``'s dict), taking the best of three timeit runs of each,
@@ -32,6 +34,8 @@ import timeit
 from scan_layers import PROBE_REFERENCE_S, cpu_probe
 
 
+# depths from here on run in a fresh interpreter each
+FRESH_DEPTH = 12
 # name -> weight, from the weights module of the tree under test
 HALVES = {
     "flat": lambda wl: wl.power_weight(3.0, 0.0),
@@ -99,11 +103,15 @@ def main() -> int:
     if args.run:
         print(json.dumps(run(args.src[0], depths)))
         return 0
+    small = [d for d in depths if d < FRESH_DEPTH]
+    runs = ([f"{small[0]}-{small[-1]}"] if small else []) + [str(d) for d in depths if d >= FRESH_DEPTH]
     times: dict[str, list[dict[str, float]]] = {src: [] for src in args.src}
     for k in range(args.rounds):
         for src in args.src if k % 2 == 0 else args.src[::-1]:
-            cmd = [sys.executable, __file__, src, "--run", "--depths", args.depths]
-            times[src].append(json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout))
+            times[src].append({})
+            for run_depths in runs:
+                cmd = [sys.executable, __file__, src, "--run", "--depths", run_depths]
+                times[src][-1].update(json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout))
     base = args.src[0]
     groups: dict[str, list[str]] = {}
     for name, group, *_ in CASES:
