@@ -197,8 +197,8 @@ def sharpness_sweep(q_values: tuple[float, ...]) -> list[tuple[float, float, flo
     (NaN for q <= 1), and funny_bound_log(q) / (e^{q+1} - q - 2) for the
     tangent-construction lower bound.  Both numerators come from solvers._log_bound,
     one array root solve per column and block of bellman._BLOCK q's, the first given
-    q, so its g is gamma_log's; a row's last bit may depend on its block, as the solve
-    stops once every element has converged.  The funny ratio is 1.0 past q + 1 = 690:
+    q, so its g is gamma_log's.  Each row's bits are its own: the solve takes one step at
+    every c1 <= 745, and no c1 here is past it.  The funny ratio is 1.0 past q + 1 = 690:
     both sides grow like e^{q+1} and differ by less than (q + 2) e^{-(q+1)} relative,
     while the asymptote would soon overflow.
     A q with q + 1 == 1 is refused, as the roots collapse to 1.

@@ -5,8 +5,8 @@ The tangency slopes gamma_- and gamma_+, the sharp Gehring gap eps_minus and
 t - log t = c.  One kernel, _branch_root on its loop _log_root, solves that
 equation for a float or an array: Halley steps in s = log t inside
 closed-form brackets, started within 1e-9 of the root by a cubic Hermite
-table per branch in sqrt(c - 1), built at import, so that two steps
-converge up to c = 746.  gehring_sharp_eps takes Newton steps in log eps,
+table per branch in sqrt(c - 1), built at import, so that one step lands
+below rounding up to c = 746.  gehring_sharp_eps takes Newton steps in log eps,
 from below its root.
 """
 
@@ -118,13 +118,33 @@ def _series_step(s, em1, c1, d):
 
 
 def _log_root(c1, upper: bool, s=None):
-    """The Halley loop of _branch_root: (t, s, dt, steps), t = e^s + dt the root.
+    """_branch_root's Halley steps on h(s) = e^s - 1 - s - c1: (t, s, dt, steps), t = e^s + dt the root.
 
-    It starts from s if given (as _start_table does), else from _start.  t - 1
-    = expm1(s) + dt and the bracket are left to the callers that read them.
+    Up to c1 = 745, and at a NaN, one step d from _start lands below rounding:
+    upper, t = (1 + em1) e^-d from the em1 = expm1(s) h read, so its rounding
+    cancels; lower, down to e^-746, t = e^s1 (1 + expm1(r)), s1 + r = s - d.  Past
+    745 (a mixed block splits) and from a given s, clipped steps loop to 4 ulp of
+    1 + |s|.  t - 1 = expm1(s) + dt and the bracket are left to the callers.
     """
+    far = s is None and c1 > 745.0
+    if isinstance(far, np.ndarray) and far.any() and not far.all():
+        near, loop = (_log_root(c1[m], upper) for m in (~far, far))
+        out = np.empty((3,) + c1.shape)
+        out[:, ~far], out[:, far] = near[:3], loop[:3]
+        return (*out, loop[3])
     c1 = c1 + 5e-324  # keeps every iterate, and so h'(s) = e^s - 1, off zero
     xp = _ops(c1)
+    if s is None and not xp.any(far):
+        s = _start(c1, upper)
+        em1 = xp.expm1(s)
+        d = _series_step(s, em1, c1, _halley(em1 - (s + c1), em1))
+        if upper:
+            dt = (1.0 + em1) * xp.expm1(-d)
+            return 1.0 + (em1 + dt), s, dt, 1
+        s1 = s - d  # s - s1 is exact, and so is r = (s - s1) - d, as |d| << |s|
+        e_s = xp.exp(s1)
+        dt = e_s * xp.expm1((s - s1) - d)
+        return e_s + dt, s1, dt, 1
     lo = xp.log1p(c1) if upper else -1.0 - c1
     hi = lo + math.log(2.0) if upper else -c1
     s = xp.minimum(xp.maximum(_start(c1, upper) if s is None else s, lo), hi)
@@ -172,13 +192,13 @@ def _branch_root(c1, upper: bool, q=None):
     """Root of t - log t = 1 + c1 (c1 >= 0, float or array) in (0, 1], or in [1, inf) if upper.
 
     c1 = c - 1 keeps the digits of c near 1, where the roots meet at t = 1.
-    Halley steps on h(s) = e^s - 1 - s - c1, s = log t, start from _start,
-    stay clipped to the bracket s in [-1 - c1, -c1] (lower) or t in [c, 2c]
-    (upper), and take at most two steps up to c1 = 745 and three past it.  The last
-    one, within 4 ulp of 1 + |s| (redone by _series_step near s = 0), is
-    applied as a factor e^{-d}, so t and t - 1 keep full precision.  Returns
-    (t, t - 1, steps, (t_lo, t_hi)).  The array callers in bellman read t
-    alone: they call the loop, _log_root, and form neither t - 1 nor the bracket.
+    Halley steps on h(s) = e^s - 1 - s - c1, s = log t, start from _start: one
+    step up to c1 = 745, and past it three, clipped to the bracket s in
+    [-1 - c1, -c1] (lower) or t in [c, 2c] (upper).  The last one (redone by
+    _series_step near s = 0) is applied without rounding s - d, so t and t - 1
+    keep full precision.  Returns (t, t - 1, steps, (t_lo, t_hi)).  The array
+    callers in bellman read t alone: they call _log_root, and form neither t - 1
+    nor the bracket.
     A lower root of c1 = log q may be given q: the rounding of log q (ulp/2) is
     relative error in t ~ e^{-1-c1}, and where t <= 1/4 one step of t = e^{t-1}/q,
     in q itself, contracts it by a factor t.  The step is increasing in t, so the

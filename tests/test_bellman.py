@@ -430,14 +430,14 @@ class TestEvaluate:
             assert v == pytest.approx(evaluate_surface(geh, float(x), float(y)), rel=1e-13)
 
     def test_evaluate_many_non_finite_coordinates(self):
-        # nan or inf, never an exception or a warning, in every block: the values the series start gave
+        # nan or inf, never an exception or a warning, in every block, and the finite values bit for bit
         nan, inf = math.nan, math.inf
         x = np.array([nan, 1.0, nan, inf, 1.0, 1.0, -inf, inf, 0.0, -1.0, 5e-324, 1.0])
         y = np.array([0.0, nan, nan, 0.0, inf, -inf, 0.0, inf, 0.0, 0.0, 0.0, 0.0])
         cases = [
             (BellmanSurface(SurfaceKind.AINF_UPPER, 5.0), [0.0, 9.020730791291713, -3.676e-321, 0.0]),
-            (gehring_surface(2.0), [1.6135459795558031, 1.0, 0.0, 1.0]),
-            (BellmanSurface(SurfaceKind.AINF_LOWER, 2.0), [-15.111306555180432, 0.0, -759.4956329422148, 0.0]),
+            (gehring_surface(2.0), [1.6135459795558034, 1.0, 0.0, 1.0]),
+            (BellmanSurface(SurfaceKind.AINF_LOWER, 2.0), [-15.111306555180436, 0.0, -759.4956329422148, 0.0]),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -448,8 +448,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("kind", list(SurfaceKind), ids=lambda kind: kind.value)
     def test_nan_neighbour_moves_no_point(self, kind):
-        # a NaN coordinate holds no block's Halley loop past the step where its other points stop,
-        # so each of them reads the bits it reads without the NaN
+        # a NaN coordinate takes the root kernel's one step as every other point does, so each of
+        # them reads the bits it reads without the NaN; no surface's c1 passes 745 (q <= 743),
+        # where the kernel loops: test_solvers' TestStart mixes such c1 into a block
         surface = gehring_surface(20.0) if kind is SurfaceKind.GEHRING else BellmanSurface(kind, 20.0)
         rng = np.random.default_rng(2828)
         x, frac = np.exp(rng.uniform(-6.0, 6.0, 4000)), rng.uniform(0.0, 1.0, 4000)
@@ -589,8 +590,8 @@ class TestFloatPathPins:
              [[-0.19373300315607395, 1.2518529041028963], [1.2518529041028963, -8.0891519151662]],
              (-8.282884918322274, 5.551115123125783e-17), -2.7796718351578086e-16),
             (gehring_surface(1.0), 1.1, 1.1 * math.log(1.1) + 0.3 * 1.1,
-             [[-0.6755407536279064, 0.21900576107369324], [0.21900576107369324, -0.07100019225470197]],
-             (-0.7465409458826084, -1.3877787807814457e-17), 9.375011234379154e-18),
+             [[-0.6755407536279063, 0.2190057610736932], [0.2190057610736932, -0.07100019225470196]],
+             (-0.7465409458826082, -1.3877787807814457e-17), 0.0),
             (BellmanSurface(SurfaceKind.AINF_LOWER, 1.2), 1.6, 1.6 * math.log(1.6) + 0.6 * 1.2 * 1.6,
              [[4.108016281957256, -2.7376996608425217], [-2.7376996608425217, 1.824481433020582]],
              (0.0, 5.932497714977838), 0.0),
@@ -606,9 +607,9 @@ class TestFloatPathPins:
         cases = [
             (BellmanSurface(SurfaceKind.AINF_UPPER, 5.0),
              [1.4210854715202004e-14, 2.842170943040401e-14, 5.684341886080802e-14]),
-            (gehring_surface(1.0), [4.440892098500626e-16, 1.7763568394002505e-15, 3.552713678800501e-15]),
+            (gehring_surface(1.0), [4.440892098500626e-16, 1.7763568394002505e-15, 5.329070518200751e-15]),
             (BellmanSurface(SurfaceKind.AINF_LOWER, 1.2),
-             [1.7763568394002505e-15, 1.7208456881689926e-15, 2.6645352591003757e-15]),
+             [1.7763568394002505e-15, 1.7763568394002505e-15, 2.6645352591003757e-15]),
         ]
         for surface, devs in cases:
             got = [float(tangent_linearity_excess(surface, v)[2]) for v in (0.5, 1.0, 1.9)]

@@ -9,6 +9,10 @@ zeros, the smallest subnormal, exp's overflow edges, inf, nan) and from a
 log-uniform spread over the whole double range, by the strategies
 tests/_strategies.py shares with the library property.
 
+Each option is written as ``--name=value``, which main leaves to argparse,
+or, where its value does not start with '-', as ``--name value``, the form
+``cli._parse_plain`` parses in one pass; a run mixes the two.
+
 A plain run takes 50 examples per subcommand (tests/conftest.py), and
 ``pytest tests/test_cli_contract.py --hypothesis-profile=contract`` 2,000.
 """
@@ -21,7 +25,7 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, find, given, settings
 from hypothesis import strategies as st
 
 from weightlab import cli, selftest
@@ -141,6 +145,24 @@ ARGV = {
     "sweep": _sweep(),
     "selftest": _selftest(),
 }
+
+
+def _spaced(argv, split):
+    """argv with each --name=value that split marks, and whose value does not start with '-', as --name value."""
+    out = []
+    for arg, sep in zip(argv, split):
+        name, eq, value = arg.partition("=")
+        out += [name, value] if sep and eq and not value.startswith("-") else [arg]
+    return out
+
+
+@st.composite
+def _run(draw, command):
+    argv, weight = draw(ARGV[command])
+    return _spaced(argv, draw(st.lists(st.booleans(), min_size=len(argv), max_size=len(argv)))), weight
+
+
+RUNS = {command: _run(command) for command in ARGV}
 # subcommands that run a check, and so may exit 1
 CHECKING = {"bellman", "dyadic", "selftest"}
 
@@ -154,6 +176,16 @@ def _assert_csv(text):
     header, *rows = text.splitlines()
     width = len(header.split(","))
     assert all(len(row.split(",")) == width for row in rows), text
+
+
+def _value(argv, name):
+    """The value argv gives --name, in either form, else None."""
+    for k, arg in enumerate(argv):
+        if arg.startswith(f"--{name}="):
+            return arg.split("=", 1)[1]
+        if arg == f"--{name}" and k + 1 < len(argv):
+            return argv[k + 1]
+    return None
 
 
 def _check_run(command, argv, weight):
@@ -174,7 +206,7 @@ def _check_run(command, argv, weight):
             assert "\n" not in err.getvalue().rstrip("\n")
             return
         assert err.getvalue() == ""
-        path = next((a.split("=", 1)[1] for a in argv if a.startswith("--output=")), None)
+        path = _value(argv, "output")
         if path is not None:
             assert out.getvalue() == ""
             with open(path) as fh:
@@ -190,7 +222,7 @@ def _check_run(command, argv, weight):
             _strict_json(text)
         else:
             _assert_csv(text)
-        emitted = next((a.split("=", 1)[1] for a in argv if a.startswith("--emit=")), None)
+        emitted = _value(argv, "emit")
         if emitted is not None and emitted.endswith(".csv"):
             with open(emitted) as fh:
                 _assert_csv(fh.read())
@@ -200,4 +232,12 @@ def _check_run(command, argv, weight):
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_every_run_keeps_the_output_contract(command, data):
-    _check_run(command, *data.draw(ARGV[command], label="argv"))
+    _check_run(command, *data.draw(RUNS[command], label="argv"))
+
+
+@pytest.mark.parametrize("command", tuple(ARGV))
+def test_runs_take_both_parses(command):
+    # some drawn run is parsed in cli._parse_plain's one pass, and some is left to argparse
+    for plain in (True, False):
+        find(RUNS[command], lambda run: (cli._parse_plain([command, *run[0]]) is not None) is plain,
+             settings=settings(database=None, max_examples=500))

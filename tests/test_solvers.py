@@ -359,7 +359,7 @@ class TestBranchRootKernel:
 
 
 class TestStart:
-    """_log_root's start, a cubic Hermite table per branch in sqrt(c1): close enough to take two steps."""
+    """_log_root's start, a cubic Hermite table per branch in sqrt(c1): close enough that one Halley step finishes."""
 
     # measured: 9.3e-10 (lower) and 4.7e-10 (upper) absolute, 3e-8 relative near s = 0
     ABS, REL = 2e-9, 1e-7
@@ -372,26 +372,52 @@ class TestStart:
                                np.geomspace(1e-300, 1.0, 1000)])
 
     def _miss(self, upper):
-        """Largest start error over its bound (at most 1 passes), and the steps of one array call."""
+        """(start miss, step miss, steps) of one array call; a miss is the largest error over its bound (<= 1 passes).
+
+        The root is read in numpy's long double as s + log1p(dt e^-s), so that t's own rounding
+        (relative, while t - 1 ~ s near s = 0) is left out.  The step miss is one further Halley
+        step from it, h from _excess's series below |s| = 1/4, over 4 eps |s|; that is within the
+        loop's stopping bound 4 eps (1 + |s|) at every s.
+        """
         c1 = self._c1()
-        _, s, _, steps = solvers._log_root(c1, upper)
-        err = np.abs(solvers._start(c1 + 5e-324, upper) - s)  # the c1 _log_root gives _start
-        return float(np.max(err / np.minimum(self.ABS * (1.0 + np.abs(s)), self.REL * np.abs(s)))), steps
+        _, s, dt, steps = solvers._log_root(c1, upper)
+        c1 = c1 + 5e-324  # the c1 _log_root solves for
+        root = s.astype(np.longdouble)
+        root += np.log1p(dt / np.exp(root))
+        em1 = np.expm1(root)
+        step = solvers._halley(np.where(np.abs(root) < 0.25, solvers._excess(root), em1 - root) - c1, em1)
+        start = np.abs(solvers._start(c1, upper) - root)
+        start /= np.minimum(self.ABS * (1.0 + np.abs(root)), self.REL * np.abs(root))
+        return float(np.max(start)), float(np.max(np.abs(step) / (4.0 * sys.float_info.epsilon * np.abs(root)))), steps
 
     @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
-    def test_start_is_near_the_root_and_two_steps_finish(self, upper):
-        miss, steps = self._miss(upper)
-        assert miss <= 1.0 and steps == 2
+    def test_start_is_near_the_root_and_one_step_finishes(self, upper):
+        start, step, steps = self._miss(upper)
+        assert start <= 1.0 and step <= 1.0 and steps == 1
 
     @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
     def test_linear_interpolation_misses(self, upper, monkeypatch):
-        # the same nodes joined by chords, not by the exact slopes: the check above fails
+        # the same nodes joined by chords, not by the exact slopes: one step from them stops short of the root
         table = solvers._START[upper]
         chords = np.zeros_like(table)
         chords[:, 0], chords[:-1, 1] = table[:, 0], np.diff(table[:, 0])
         monkeypatch.setitem(solvers._START, upper, chords)
-        miss, steps = self._miss(upper)
-        assert miss > 1e3 and steps > 2
+        start, step, _ = self._miss(upper)
+        assert start > 1e3 and step > 1e3
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    def test_far_and_nan_neighbours_move_no_point(self, upper):
+        # c1 past 745 (no start there: the loop) and a NaN in a block of c1 <= 745 (one step each):
+        # every point below 745 reads the bits it reads without them, the NaN reads NaN, and the
+        # far points read the bits of a block of their own
+        near = np.random.default_rng(3131).uniform(0.0, 745.0, 4000)
+        at, inserted = np.array([0, 1234, 1234, 4000, 4000]), np.array([1e4, math.nan, 800.0, 745.5, 1e300])
+        got = np.array(solvers._log_root(np.insert(near, at, inserted), upper)[:3])
+        pos = at + np.arange(at.size)  # where the inserted points land
+        assert np.delete(got, pos, axis=1).tobytes() == np.array(solvers._log_root(near, upper)[:3]).tobytes()
+        assert np.isnan(got[:, pos[1]]).all()
+        far = np.delete(inserted, 1)
+        assert got[:, np.delete(pos, 1)].tobytes() == np.array(solvers._log_root(far, upper)[:3]).tobytes()
 
     @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
     def test_float_start_is_the_array_start(self, upper):

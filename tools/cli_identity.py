@@ -35,8 +35,9 @@ the kinds the change under test intends, default none.  Two kinds follow a
 change to the root kernel's last bits: ``worst-rounding``, a ``--verify
 tangent|hessian`` check whose verdict stays and whose worst value and point
 move at rounding level (``_worst_rounded``), and ``root-rounding``, a bounds
-check's ratios, an ``--eval``'s value and tangent or a ``solve`` root within
-1e-13, a residual within 1e-13 of the point's size.
+check's ratios, an ``--eval``'s value and tangent or a ``solve`` root (either
+root of ``gamma-entropy``, and ``funny``'s ``log_value``) within 1e-13, a
+residual within 1e-13 of the point's size.
 """
 
 from __future__ import annotations
@@ -473,7 +474,8 @@ KINDS = ("grid-refusal", "tangent-passed", "ratio-bound", "overflow-null", "orli
          "refusal-rounding", "gehring-root", "sweep-e-ratio", "worst-rounding", "root-rounding")
 # what a grid check's worst point and value, and a root's last bits, may move
 WORST_KEYS = {"max_deviation", "worst_v", "worst_value", "worst_point"}
-ROOT_KEYS = {"ratio_max", "ratio_bound", "value", "tangent", "tangent_residual", "root", "residual"}
+ROOT_KEYS = {"ratio_max", "ratio_bound", "value", "tangent", "tangent_residual", "root", "residual",
+             "root_minus", "root_plus", "residual_minus", "residual_plus", "log_value"}
 
 
 def _worst_rounded(old: dict, new: dict) -> bool:
