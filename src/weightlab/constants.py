@@ -27,14 +27,14 @@ import math
 import operator
 import os
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .solvers import _rise
+from .solvers import _LIBM_OPS, _rise
 from .weights import (
     Interval,
     MomentKind,
@@ -107,22 +107,31 @@ def _centred(w: Weight, interval: Interval | None = None) -> tuple[Weight, int]:
 
 # name -> the cumulative moment paired with AVG_W (its kind and exponent as a
 # function of p) and the combining expression of the two pair averages aw and
-# r, written into r by the plain expression's operations in order (s is scratch,
-# which only rh1 writes: its block runs it last, on dl's array)
+# r, written into r by the plain expression's operations in order (law is
+# log(aw), which only rh1 reads, and overwrites: its block runs it last)
 _SCANS = {
     "rh1": (MomentKind.AVG_W_LOG_W, None,  # (r - aw log aw) / aw
-            lambda aw, r, s, p: np.divide(np.subtract(r, np.multiply(aw, np.log(aw, out=s), out=s), out=r), aw, out=r)),
+            lambda aw, r, law, p: np.divide(np.subtract(r, np.multiply(aw, law, out=law), out=r), aw, out=r)),
     "ainf": (MomentKind.AVG_LOG_W, None,
-             lambda aw, r, s, p: np.multiply(aw, np.exp(np.negative(r, out=r), out=r), out=r)),
+             lambda aw, r, law, p: np.multiply(aw, np.exp(np.negative(r, out=r), out=r), out=r)),
     # r **= e, as r ** e, takes sqrt or square where e is 1/2 or 2
-    "rhp": (MomentKind.AVG_W_POW, lambda p: p, lambda aw, r, s, p: np.divide(operator.ipow(r, 1.0 / p), aw, out=r)),
+    "rhp": (MomentKind.AVG_W_POW, lambda p: p, lambda aw, r, law, p: np.divide(operator.ipow(r, 1.0 / p), aw, out=r)),
     "ap": (MomentKind.AVG_W_POW, lambda p: -1.0 / (p - 1.0),
-           lambda aw, r, s, p: np.multiply(aw, operator.ipow(r, p - 1.0), out=r)),
+           lambda aw, r, law, p: np.multiply(aw, operator.ipow(r, p - 1.0), out=r)),
 }
+# name -> the power its combine raises r to (None: it takes exp) and its rank, the combine's log written into r
+# from law with no generic pow or exp; taken unless that power is one of r **= e's fast paths
+_RANKS = {
+    "ainf": (lambda p: None, lambda law, r, p: np.subtract(law, r, out=r)),
+    "rhp": (lambda p: 1.0 / p, lambda law, r, p: np.subtract(np.multiply(np.log(r, out=r), 1.0 / p, out=r), law, out=r)),
+    "ap": (lambda p: p - 1.0, lambda law, r, p: np.add(law, np.multiply(p - 1.0, np.log(r, out=r), out=r), out=r)),
+}
+# ranks are walked where the combine's intermediates and the top ratio lie in e^+-_RANK_LIMIT (normal doubles)
+_RANK_LIMIT, _BAND = 700.0, 1e-11
 # entries per block array: a scan holds about ten arrays of this size at once
 _SCAN_BLOCK_ENTRIES = 1 << 14
 # a split walk's blocks are three times as big, so their ufuncs outlast the
-# GIL's hand-over between threads; 4 chunks of three such arrays stay under 5 MiB
+# GIL's hand-over between threads; 4 chunks of four such arrays stay under 7 MiB
 _MAX_CHUNKS = 4
 
 
@@ -136,22 +145,31 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_blo
     """First max of each of a stack of ratios over all grid pairs i < j, walked in blocks of rows.
 
     block(i0, i1), from the context manager make_block(entries) on arrays of
-    max(entries, n - 1) entries, gives the ratios of rows i0..i1-1 by columns
-    i0+1..n-1 as (label index, array) pairs, one per label in any order, in
-    an iterable that may make each as it is taken; j <= i only in an array's
-    leading rows x rows square, which is masked out here.  make_block holds a
-    chunk's thread state until the chunk ends, as _scans' 16-entry ufunc
-    buffer for its outer differences.  A block
-    covers about _SCAN_BLOCK_ENTRIES / per_pair pairs, so memory stays bounded
-    in resolution.  For each label on its own, nan ratios are masked (only
-    when the argmax lands on one), ties keep the first pair in lexicographic
-    order, and DomainError is raised, for the first label in order, when no
-    pair gives a finite value.  The rows are cut into up to `chunks` (and
-    _MAX_CHUNKS) chunks of equal pair count and at least four blocks, whose
-    blocks are then three times as big; the caller walks the first and a
-    thread each of the others, each on its own block.  Merged in row order,
-    with the first chunk's exception raised, the result is a one-chunk
-    walk's bit for bit.
+    max(entries, n - 1) entries, gives rows i0..i1-1 by columns i0+1..n-1 as
+    (label index, array, exact) triples, one per label in any order, in an
+    iterable that may make each as it is taken; j <= i only in an array's
+    leading rows x rows square, which is masked out here.  The array holds
+    the ratios where exact is None, else their logs to within eta = 2e-12
+    (ranks: a log of a double is under 746, so 4 ulp of it is 4.6e-13, and
+    a rank sums two logs and two roundings).  A pair with the block's
+    largest ratio then ranks within 2 eta of the top rank M, and every ratio
+    is under exp(M + delta), delta = _BAND (1 + |M|) > 2 eta: the block is
+    skipped when that is under the best ratio so far, else exact(band)
+    gives the ratios at the flat indices band of the ranks >= M - delta, or
+    writes them over the block for None: where M is nan (argmax takes a
+    nan) or past +-_RANK_LIMIT, or the band holds over 1/8 of the block.
+    make_block holds a chunk's thread state until the chunk ends, as
+    _scans' 16-entry ufunc buffer for its outer differences.  A block
+    covers about _SCAN_BLOCK_ENTRIES / per_pair pairs, so memory stays
+    bounded in resolution.  For each label on its own, nan ratios are
+    masked (only when the argmax lands on one), ties keep the first pair in
+    lexicographic order, and DomainError is raised, for the first label in
+    order, when no pair gives a finite value.  The rows are cut into up to
+    `chunks` (and _MAX_CHUNKS) chunks of equal pair count and at least four
+    blocks, whose blocks are then three times as big; the caller walks the
+    first and a thread each of the others, each on its own block.  Merged
+    in row order, with the first chunk's exception raised, the result is a
+    one-chunk walk's bit for bit.
     """
     n, count = len(pts), len(labels)
     pairs = n * (n - 1) // 2
@@ -170,15 +188,27 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_blo
                 while i0 < cuts[c + 1]:
                     i1 = min(cuts[c + 1], i0 + max(1, entries // (per_pair * (n - 1 - i0))))
                     below = np.tri(i1 - i0, k=-1, dtype=bool)
-                    for s, ratio in block(i0, i1):
+                    for s, ratio, exact in block(i0, i1):
                         ratio[:, : i1 - i0][below] = -np.inf
-                        k = int(np.argmax(ratio))
+                        k, band = int(np.argmax(ratio)), None
+                        if exact is not None:  # ranks
+                            m = float(ratio.flat[k])
+                            if abs(m) <= _RANK_LIMIT:  # so the top pair's ratio is finite
+                                finite[s], delta = True, _BAND * (1.0 + abs(m))
+                                if math.exp(m + delta) < best[s][0]:
+                                    continue
+                                band = np.flatnonzero(ratio >= m - delta)
+                                band = band if 8 * band.size <= ratio.size else None
+                            ratio = exact(band)
+                            if band is None:
+                                ratio[:, : i1 - i0][below] = -np.inf
+                            k = int(np.argmax(ratio))
                         if np.isnan(ratio.flat[k]):  # argmax takes the first nan as the max
                             ratio[np.isnan(ratio)] = -np.inf
                             k = int(np.argmax(ratio))
                         top = float(ratio.flat[k])
                         if top > best[s][0]:
-                            i, j = divmod(k, n - 1 - i0)
+                            i, j = divmod(k if band is None else int(band[k]), n - 1 - i0)
                             best[s] = (top, i0 + i, i0 + 1 + j)
                         finite[s] = finite[s] or math.isfinite(top) or bool(np.isfinite(ratio).any())
                     i0 = i1
@@ -206,11 +236,17 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_blo
 def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) -> list[tuple[float, Interval]]:
     """Max of each (name, p) spec's _SCANS ratio over all grid pairs i < j, in one walk.
 
-    The grid, the avg(w) cumulative moment and each block's pair lengths and
-    avg(w) are shared; each spec adds its second cumulative moment and its
-    combine, made and walked one spec at a time, so memory stays
-    O(resolution).  A p <= 1 is refused before any work; otherwise the first
-    spec in order that fails raises, as if each were scanned on its own.
+    The grid, the avg(w) cumulative moment and each block's pair lengths,
+    avg(w) and its log are shared; each spec adds its second cumulative
+    moment and its combine, or its _RANKS rank and the combine where
+    _pair_walk asks, made and walked one spec at a time, so memory stays
+    O(resolution).  A rank is taken where it spares exp or a pow off the
+    fast paths, a second spec reads the log, and the rank at law = 0 (the
+    log of exp(-r) or r ** e, monotone in r) is within +-_RANK_LIMIT at the
+    grid cells' least and greatest r, between which every pair's r lies: a
+    length-weighted mean of the cells', to three roundings each.  A p <= 1
+    is refused before any work; otherwise the first spec in order that
+    fails raises, as if each were scanned on its own.
     """
     for name, p in specs:
         if p is not None and not (p > 1.0 and math.isfinite(p)):
@@ -218,28 +254,53 @@ def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) ->
     pts = _grid_points(w, resolution)
     n = len(pts)
     cum_w = cumulative_moment(w, pts, MomentKind.AVG_W)
+
+    @np.errstate(all="ignore")
+    def safe(cum, rank, p):  # whether every pair's intermediate lies within e^+-_RANK_LIMIT
+        cells = np.diff(cum) / np.diff(pts)
+        return (abs(rank(np.zeros(2), np.array([cells.min(), cells.max()]), p)) <= _RANK_LIMIT).all()
+
     terms, failed = [], None
     try:  # a second moment that overflows fails its spec, after every spec before it
         for name, p in specs:
-            kind, exponent, combine = _SCANS[name]
-            terms.append((cumulative_moment(w, pts, kind, None if exponent is None else exponent(p)), combine, p))
+            (kind, exponent, combine), (power, rank) = _SCANS[name], _RANKS.get(name, (None, None))
+            cum = cumulative_moment(w, pts, kind, None if exponent is None else exponent(p))
+            terms.append((cum, combine, rank if rank and power(p) not in (0.5, 1.0, 2.0) else None, p))
     except DomainError as exc:
         failed = exc
 
+    rh1 = any(name == "rh1" for name, _ in specs[: len(terms)])
+    lone = rh1 + sum(rank is not None for _, _, rank, _ in terms) < 2  # a lone rank saves what law's log costs
+    terms = [(cum, combine, rank if rank and not lone and safe(cum, rank, p) else None, p)
+             for cum, combine, rank, p in terms]
+    logs = rh1 or any(rank is not None for _, _, rank, _ in terms)
     rh1_last = sorted(enumerate(terms), key=lambda term: specs[term[0]][0] == "rh1")
 
     @contextmanager
-    def make_block(entries):  # a chunk's block, on its own dl, aw and ratio arrays
-        bufs = [np.empty(max(entries, n - 1)) for _ in range(3)]
+    def make_block(entries):  # a chunk's block, on its own dl, aw, ratio and log(aw) arrays
+        bufs = [np.empty(max(entries, n - 1)) for _ in range(4)]
 
         def block(i0, i1):
             rows, cols = slice(i0, i1), slice(i0 + 1, n)
-            dl, aw, r = (buf[: (i1 - i0) * (n - 1 - i0)].reshape(i1 - i0, -1) for buf in bufs)
+            dl, aw, r, law = (buf[: (i1 - i0) * (n - 1 - i0)].reshape(i1 - i0, -1) for buf in bufs)
             np.subtract(pts[cols], pts[rows, None], out=dl)
             np.divide(np.subtract(cum_w[cols], cum_w[rows, None], out=aw), dl, out=aw)
-            for k, (cum, combine, p) in rh1_last:  # rh1 last: its scratch is dl's array
-                combine(aw, np.divide(np.subtract(cum[cols], cum[rows, None], out=r), dl, out=r), dl, p)
-                yield k, r
+            if logs:
+                np.log(aw, out=law)
+            for k, (cum, combine, rank, p) in rh1_last:  # rh1 last: it overwrites law
+                np.divide(np.subtract(cum[cols], cum[rows, None], out=r), dl, out=r)
+                if rank is None:
+                    combine(aw, r, law, p)
+                    yield k, r, None
+                    continue
+                def exact(band, cum=cum, combine=combine, p=p):  # the combine on band's entries, re-formed
+                    if band is None:
+                        combine(aw, np.divide(np.subtract(cum[cols], cum[rows, None], out=r), dl, out=r), law, p)
+                        return r
+                    i, j = i0 + band // (n - 1 - i0), i0 + 1 + band % (n - 1 - i0)
+                    combine(aw.flat[band], ratio := (cum[j] - cum[i]) / (pts[j] - pts[i]), law.flat[band], p)
+                    return ratio
+                yield k, rank(law, r, p), exact
 
         size = np.setbufsize(16)  # this thread's; restored here, as numpy 1.x's errstate keeps it
         try:
@@ -306,6 +367,16 @@ def maximal_function(
     return best
 
 
+def _values(w: Weight, t: np.ndarray) -> np.ndarray:
+    """[evaluate(w, x) for x in t] bit for bit, by libm's pow on each piece's points; evaluate refuses an overflow."""
+    piece = np.searchsorted([pc.support.a for pc in w.pieces], t, side="right") - 1  # the right piece at abutments
+    value = np.full_like(t, math.inf)
+    with np.errstate(over="ignore"), suppress(OverflowError):
+        for k, pc in enumerate(w.pieces):
+            value[piece == k] = pc.coeff * _LIBM_OPS.pow(t[piece == k], pc.exponent)
+    return value if (value < math.inf).all() else np.array([evaluate(w, float(x)) for x in t])
+
+
 def rh1_prime_constant(
     w: Weight, resolution: int = DEFAULT_MAXIMAL_RESOLUTION
 ) -> tuple[float, Interval]:
@@ -323,7 +394,7 @@ def rh1_prime_constant(
     n = len(pts)
     cum = cumulative_moment(w, pts, MomentKind.AVG_W)
     cell_len = np.diff(pts)
-    wmid = np.array([evaluate(w, float(t)) for t in 0.5 * (pts[:-1] + pts[1:])])
+    wmid = _values(w, 0.5 * (pts[:-1] + pts[1:]))
 
     def block(i0, i1):
         ratio = np.full((i1 - i0, n - 1 - i0), -np.inf)
@@ -338,7 +409,7 @@ def rh1_prime_constant(
             m[later] = 0.0
             avg_m = (m * cell_len[p:, None]).sum(axis=0) / length
             ratio[p - i0, p - i0 :] = avg_m / ((cum[p + 1 :] - cum[p]) / length)
-        return [(0, ratio)]
+        return [(0, ratio, None)]
 
     return _pair_walk(("rh1_prime",), pts, n - 1, lambda _: nullcontext(block))[0]  # a pair spans up to n - 1 cells
 
@@ -555,7 +626,7 @@ def rh1_doubleprime_constant(
         nodes = _orlicz_nodes(OrliczKind.LLOGL, w, pts[ii], pts[jj], avg_w)
         lam = _luxemburg_solve(lambda lam: _orlicz_terms(OrliczKind.LLOGL, nodes, lam), avg_w)
         ratio[r, c] = lam / avg_w
-        return [(0, ratio)]
+        return [(0, ratio, None)]
 
     # a pair holds its nodes and about two dozen per-pair arrays of the solve, some 8 nodes' worth
     panels = _panel_count(OrliczKind.LLOGL, w)

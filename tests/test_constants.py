@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 import threading
@@ -7,6 +8,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weightlab import (
     DomainError,
@@ -16,6 +19,7 @@ from weightlab import (
     ParameterError,
     PowerPiece,
     Weight,
+    WeightLabError,
     ainf_constant,
     ap_constant,
     compute_report,
@@ -34,6 +38,7 @@ from weightlab import (
     rhp_constant,
     step_weight,
     truncate,
+    weight_from_dict,
 )
 from weightlab import constants
 from weightlab.constants import (
@@ -43,9 +48,12 @@ from weightlab.constants import (
     _orlicz_nodes,
     _orlicz_terms,
     _scan,
+    _scans,
+    _values,
 )
 from weightlab.weights import evaluate
 
+from _strategies import weight_json
 from _frozen import (
     LUX_CORPUS_07,
     LUX_EXP_CHI,
@@ -167,6 +175,84 @@ class TestScanKernel:
         assert peak < 8 * 2**20
 
 
+# period-1/2 step weight with dyadic cuts and values: every pair average is
+# exact, and each interval ties with its translate by 1/2
+TIE_WEIGHT = step_weight((0.0, 0.25, 0.375, 0.5, 0.75, 0.875, 1.0), (1.0, 4.0, 1.0, 1.0, 4.0, 1.0))
+
+
+def _weight_or_none(data):
+    try:
+        return weight_from_dict(data)
+    except WeightLabError:
+        return None
+
+
+# the shared strategies' weights, powers singular at 0 and the tie weight, as given or centred,
+# rescaled by 10^+-300; p = 2 (both powers, 1/p and p - 1, are r **= e's fast paths), 1.5 and 3
+# (one of them is) and p where neither is
+SCAN_WEIGHTS = (weight_json().map(_weight_or_none).filter(lambda w: w is not None)
+                | st.builds(power_weight, st.floats(0.1, 10.0), st.floats(-0.99, 3.0) | st.sampled_from((-0.95, -0.999)))
+                | st.just(TIE_WEIGHT))
+SCAN_PS = st.sampled_from((2.0, 1.5, 3.0, 2.37, 1.01, 10.0))
+
+
+def _ranked_walk_mismatch(w, p, resolution=33):
+    """How a four-spec _scans on blocks of 64 entries, in two chunks, differs from _dense_scan's first maxima, or None.
+
+    The dense reference fails at the first spec whose moment raises DomainError or that has no finite ratio.
+    """
+    specs = [("rh1", None), ("ainf", None), ("rhp", p), ("ap", p)]
+    want = []
+    for name, q in specs:
+        try:
+            ratio, pts = _dense_scan(name, w, resolution, q)
+        except DomainError:
+            break
+        if not np.isfinite(ratio).any():
+            break
+        i, j = divmod(int(np.argmax(ratio)), ratio.shape[1])
+        want.append((ratio[i, j], pts[i], pts[j]))
+    with pytest.MonkeyPatch.context() as small:
+        small.setattr(constants, "_SCAN_BLOCK_ENTRIES", 64)
+        small.setattr(constants, "_usable_cpus", lambda: 2)
+        try:
+            got = [(value, iv.a, iv.b) for value, iv in _scans(specs, w, resolution)]
+        except DomainError:
+            return None if len(want) < len(specs) else "raised"
+    if len(want) < len(specs):
+        return "did not raise"
+    diff = [name for (name, _), a, b in zip(specs, got, want) if a != b]
+    return diff or None
+
+
+@given(SCAN_WEIGHTS, st.sampled_from((1.0, 1e300, 1e-300)), st.booleans(), SCAN_PS, st.sampled_from((17, 33, 65)))
+def test_ranked_walk_matches_dense_reference_bit_for_bit(w, scale, centre, p, resolution):
+    if all(0.0 < scale * pc.coeff < math.inf for pc in w.pieces):
+        w = rescale(w, scale)
+    assert _ranked_walk_mismatch(_centred(w)[0] if centre else w, p, resolution) is None
+
+
+class TestRankedWalkControls:
+    """The property above fails when the band is too narrow for a rank's rounding, or a rank is less exact."""
+
+    # a pure power's ratio is the same on every [0, x]: its first row ties up to rounding
+    CASES = [(w, p) for w in (power_weight(1.7, -0.6), power_weight(1.0, 0.5), power_weight(2.0, -0.3),
+                              power_weight(1.0, 1.5), constant_weight(0.3), TIE_WEIGHT) for p in (1.5, 2.37, 3.0)]
+
+    def test_cases_match_as_they_are(self):
+        assert [_ranked_walk_mismatch(w, p) for w, p in self.CASES] == [None] * len(self.CASES)
+
+    def test_no_band_fails(self, monkeypatch):
+        monkeypatch.setattr(constants, "_BAND", 0.0)
+        assert any(_ranked_walk_mismatch(w, p) for w, p in self.CASES)
+
+    def test_rank_off_by_a_relative_1e_9_fails(self, monkeypatch):
+        # the rank of log(aw) (1 + 1e-9): scaling the whole rank would keep its order, and every first max
+        for name, (power, rank) in list(constants._RANKS.items()):
+            monkeypatch.setitem(constants._RANKS, name, (power, lambda law, r, p, rank=rank: rank(law * (1.0 + 1e-9), r, p)))
+        assert any(_ranked_walk_mismatch(w, p) for w, p in self.CASES)
+
+
 class TestSharedWalk:
     def test_traced_peak_memory_is_bounded_with_four_p_values(self, corpus):
         # ten constants in one walk, each ratio made and walked on its own
@@ -222,20 +308,29 @@ class TestSharedWalk:
 def split(request, monkeypatch):
     """Pair walks cut into `param` chunks on any machine: small blocks, that many CPUs.
 
-    Returns the chunk count and a list to which every _SCANS combine call
-    adds its thread and its block's (rows, columns); see _chunk_rows.
+    Returns the chunk count and a list to which every block a pair walk
+    makes adds its thread and its (rows, columns); see _chunk_rows.
     """
     chunks = request.param
     monkeypatch.setattr(constants, "_usable_cpus", lambda: chunks)
     monkeypatch.setattr(constants, "_MAX_CHUNKS", chunks)
     monkeypatch.setattr(constants, "_SCAN_BLOCK_ENTRIES", 64)
     blocks = []
-    for name, (kind, exponent, combine) in list(constants._SCANS.items()):
-        def spy(aw, r, s, p, combine=combine):
-            blocks.append((threading.current_thread(), aw.shape))
-            return combine(aw, r, s, p)
+    pair_walk = constants._pair_walk
 
-        monkeypatch.setitem(constants._SCANS, name, (kind, exponent, spy))
+    def spy_walk(labels, pts, per_pair, make_block, *args):
+        @contextlib.contextmanager
+        def spy_make_block(entries):
+            with make_block(entries) as block:
+                def spy(i0, i1):
+                    blocks.append((threading.current_thread(), (i1 - i0, len(pts) - 1 - i0)))
+                    return block(i0, i1)
+
+                yield spy
+
+        return pair_walk(labels, pts, per_pair, spy_make_block, *args)
+
+    monkeypatch.setattr(constants, "_pair_walk", spy_walk)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads hand the GIL over as often as they can
     try:
@@ -322,8 +417,8 @@ class TestSplitWalk:
         _, blocks = split
         kind, exponent, combine = constants._SCANS["ainf"]
 
-        def nan_in_first_chunk(aw, r, s, p):
-            combine(aw, r, s, p)
+        def nan_in_first_chunk(aw, r, law, p):
+            combine(aw, r, law, p)
             if threading.current_thread() is threading.main_thread():
                 r[...] = np.nan
 
@@ -594,6 +689,26 @@ class TestMaximalFunction:
         monkeypatch.setattr(constants, "cumulative_moment", lambda w, pts, kind: np.zeros_like(pts))
         with pytest.raises(DomainError, match="rh1_prime"):
             rh1_prime_constant(constant_weight(2.0), resolution=8)
+
+    def test_midpoint_values_match_evaluate_bit_for_bit(self, corpus):
+        # each piece's start, where the right piece wins, the points beside it, cell midpoints and 1
+        for w in [*corpus, power_weight(1.7, -0.6), TIE_WEIGHT, rescale(TIE_WEIGHT, 1e-300)]:
+            starts = np.array([pc.support.a for pc in w.pieces[1:]])
+            pts = _grid_points(w, 64)
+            t = np.concatenate([starts, np.nextafter(starts, 0.0), np.nextafter(starts, 1.0),
+                                0.5 * (pts[:-1] + pts[1:]), [5e-324, 1.0]])
+            assert _values(w, t).tolist() == [evaluate(w, float(x)) for x in t]
+
+    def test_midpoint_value_past_the_double_range_raises_as_evaluate(self):
+        w = Weight((PowerPiece(Interval(0.0, 0.5), 1.0, 0.0), PowerPiece(Interval(0.5, 1.0), 1e300, -40.0)))
+        t = np.array([0.25, 0.9, 0.6, 0.55])  # w(0.9) is 6.8e301; 0.6 is the first that overflows
+        with pytest.raises(DomainError) as want:
+            evaluate(w, 0.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as got:
+                _values(w, t)
+        assert str(got.value) == str(want.value)
 
 
 class TestMaximalRowPass:

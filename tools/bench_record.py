@@ -3,12 +3,16 @@
     python tools/bench_record.py --parent REV --out BENCH_<n>.json \\
         --seeds surface=2701-2710 --seeds certify=2711-2715 [--seconds 15]
 
-The parent is REV, exported with ``git archive`` into a temporary directory;
-the change is this checkout's working tree.  For each workload and seed the
-two sides run ``bench/run.py --workload W --seed S --seconds T`` one after
-the other, each from its own root (the benchmark imports that root's
-``src``), the parent first on even pairs and the change first on odd ones.
-``bench/`` is read, never changed.
+The parent is REV and the change this checkout's tracked files as they
+stand (``git stash create``, or HEAD when clean), each exported with ``git
+archive`` into a sibling directory of one temporary directory, ``parent`` and
+``change``: the same length of path, which on its own moved certify's
+probe-scaled ``items_per_s`` by up to 9% for identical code.  Files not yet
+added to git are left out.  For each workload and seed the two sides run
+``bench/run.py --workload W --seed S --seconds T`` one after the other, each
+from its own root (the benchmark imports that root's ``src``), the parent
+first on even pairs and the change first on odd ones.  ``bench/`` is read,
+never changed.
 
 The file holds the run length, the seeds, both shas (the change's marked
 dirty when its tree differs from HEAD) and the machine: CPU count and model,
@@ -113,9 +117,12 @@ def main() -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp)
-        archive = subprocess.run(["git", "archive", args.parent], cwd=REPO, capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        roots = {"parent": args.parent, "change": git("stash", "create") or "HEAD"}
+        for side, rev in roots.items():
+            roots[side] = Path(tmp) / side
+            roots[side].mkdir()
+            archive = subprocess.run(["git", "archive", rev], cwd=REPO, capture_output=True, check=True).stdout
+            subprocess.run(["tar", "-x", "-C", str(roots[side])], input=archive, check=True)
         for workload, seeds in map(parse_seeds, args.seeds):
             runs = []
             for k, seed in enumerate(seeds):
@@ -123,7 +130,7 @@ def main() -> int:
                 pair = {"seed": seed, "first": order[0]}
                 try:
                     for side in order:
-                        pair[side] = run(parent if side == "parent" else REPO, workload, seed, args.seconds)
+                        pair[side] = run(roots[side], workload, seed, args.seconds)
                 except (RuntimeError, subprocess.TimeoutExpired, ValueError) as exc:
                     print(exc, file=sys.stderr)
                     return 1
