@@ -10,11 +10,11 @@ once, and each constant adds its second cumulative moment and its combining
 expression; its outer differences cum[j] - cum[i] skip numpy's buffered copy
 (4x the cost, same bits) on a 16-entry ufunc buffer, and its rows are split,
 bit for bit, across the CPUs the process may use (up to four, with no
-setting), while rh1_prime and Orlicz walk in one.
-The Orlicz constant solves each block's Luxemburg norms together, on one
-Gauss-Legendre layout in mass coordinates for every power piece; the
+setting), which share one running best, while rh1_prime and Orlicz walk in
+one.  The Orlicz constant solves each block's Luxemburg norms together, on
+one Gauss-Legendre layout in mass coordinates for every power piece; the
 maximal-function constant is the documented expensive one, O(resolution^3)
-in one row pass per left end, O(resolution^2) memory each.
+in block-wide passes over the left ends, O(resolution^2) memory.
 
 Estimates are lower bounds of the true suprema, monotone under grid
 refinement (for nested grids), and exact on the step/power families whose
@@ -154,7 +154,9 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_blo
     a rank sums two logs and two roundings).  A pair with the block's
     largest ratio then ranks within 2 eta of the top rank M, and every ratio
     is under exp(M + delta), delta = _BAND (1 + |M|) > 2 eta: the block is
-    skipped when that is under the best ratio so far, else exact(band)
+    skipped when that is under the best ratio so far, the larger of the
+    chunk's own and the one every chunk writes its best into (a ratio some
+    pair attains, so a lost update only skips less), else exact(band)
     gives the ratios at the flat indices band of the ranks >= M - delta, or
     writes them over the block for None: where M is nan (argmax takes a
     nan) or past +-_RANK_LIMIT, or the band holds over 1/8 of the block.
@@ -167,9 +169,11 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_blo
     order, when no pair gives a finite value.  The rows are cut into up to
     `chunks` (and _MAX_CHUNKS) chunks of equal pair count and at least four
     blocks, whose blocks are then three times as big; the caller walks the
-    first and a thread each of the others, each on its own block.  Merged
-    in row order, with the first chunk's exception raised, the result is a
-    one-chunk walk's bit for bit.
+    first and a thread each of the others, each on its own block.  A block
+    holding a first max, or a tie of it, is never skipped (the test is
+    strict), so merged in row order, with the first chunk's exception
+    raised, the result is a one-chunk walk's bit for bit, whatever the
+    threads' timing skips.
     """
     n, count = len(pts), len(labels)
     pairs = n * (n - 1) // 2
@@ -178,6 +182,7 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_blo
     ends = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0..r
     cuts = [0, *(int(np.searchsorted(ends, pairs * c // chunks)) + 1 for c in range(1, chunks)), n - 1]
     parts: list = [None] * chunks
+    shared = [-math.inf] * count  # the best ratio any chunk has found, per label
 
     @np.errstate(all="ignore")  # a thread starts with numpy's default error state
     def walk(c):  # chunk c's first (value, i, j) max and finite flag per label, or its exception
@@ -195,7 +200,7 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_blo
                             m = float(ratio.flat[k])
                             if abs(m) <= _RANK_LIMIT:  # so the top pair's ratio is finite
                                 finite[s], delta = True, _BAND * (1.0 + abs(m))
-                                if math.exp(m + delta) < best[s][0]:
+                                if math.exp(m + delta) < max(best[s][0], shared[s]):
                                     continue
                                 band = np.flatnonzero(ratio >= m - delta)
                                 band = band if 8 * band.size <= ratio.size else None
@@ -210,6 +215,7 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_blo
                         if top > best[s][0]:
                             i, j = divmod(k if band is None else int(band[k]), n - 1 - i0)
                             best[s] = (top, i0 + i, i0 + 1 + j)
+                            shared[s] = max(shared[s], top)
                         finite[s] = finite[s] or math.isfinite(top) or bool(np.isfinite(ratio).any())
                     i0 = i1
             parts[c] = best, finite
@@ -382,12 +388,14 @@ def rh1_prime_constant(
 ) -> tuple[float, Interval]:
     """Maximal-function variant: sup over I of avg_I(M(w 1_I)) / avg_I(w).
 
-    One row pass per left end p gives M(w 1_[p, q]) on every cell k for every
-    right end q at once: the pair averages A[i, q], their running max down
-    the left ends p..k, masked to q > k, its running max along q, and the max
-    with w at the cell's midpoint.  Each average over the cells is summed in
-    cell order.  The rows are walked by _pair_walk; the cost is
-    O(resolution^3) in time, and each row holds O(resolution^2) memory.
+    The pair averages A[i, q] are formed once.  A block of left ends p then
+    gives M(w 1_[p, q]) on every cell k for every right end q at once, in
+    (left end, cell, right end) array passes: the running max of A[i, q]
+    down the left ends p..k, masked to q > k, its running max along q, and
+    the max with w at the cell's midpoint.  Each average over the cells is
+    summed in cell order, after zeros for the cells left of p.  _pair_walk
+    walks blocks of about _SCAN_BLOCK_ENTRIES such entries, or one left
+    end's O(resolution^2) where that is more: O(resolution^3) in time.
     """
     w, _ = _centred(w)
     pts = _grid_points(w, resolution)
@@ -395,21 +403,21 @@ def rh1_prime_constant(
     cum = cumulative_moment(w, pts, MomentKind.AVG_W)
     cell_len = np.diff(pts)
     wmid = _values(w, 0.5 * (pts[:-1] + pts[1:]))
+    with np.errstate(all="ignore"):  # A[i, q] at [i, q - 1], unused where q <= i; 0 on a subnormal piece
+        avg = (cum[1:] - cum[:-1, None]) / (pts[1:] - pts[:-1, None])
 
     def block(i0, i1):
-        ratio = np.full((i1 - i0, n - 1 - i0), -np.inf)
-        for p in range(i0, i1):
-            later = np.tri(n - 1 - p, k=-1, dtype=bool)  # cell k at or right of the right end q
-            length = pts[p + 1 :] - pts[p]
-            # A[i, q], i = p..n-2, q = p+1..n-1, is unused where q <= i;
-            # avg(w) underflows to 0 on a subnormal piece
-            m = np.maximum.accumulate((cum[p + 1 :] - cum[p:-1, None]) / (pts[p + 1 :] - pts[p:-1, None]))
-            m[later] = -np.inf
-            m = np.maximum(np.maximum.accumulate(m, axis=1), wmid[p:, None])
-            m[later] = 0.0
-            avg_m = (m * cell_len[p:, None]).sum(axis=0) / length
-            ratio[p - i0, p - i0 :] = avg_m / ((cum[p + 1 :] - cum[p]) / length)
-        return [(0, ratio, None)]
+        cell = np.arange(i0, n - 1)[:, None]
+        left = cell < np.arange(i0, i1)[:, None, None]  # (left end p, cell k, 1): k < p
+        later = cell >= np.arange(i0 + 1, n)  # (cell k, right end q): k at or right of q
+        m = np.maximum.accumulate(np.where(left, -np.inf, avg[i0:, i0:]), axis=1)
+        np.copyto(m, -np.inf, where=later)
+        np.maximum.accumulate(m, axis=2, out=m)
+        np.maximum(m, wmid[i0:, None], out=m)
+        np.copyto(m, 0.0, where=left | later)
+        length = pts[i0 + 1 :] - pts[i0:i1, None]
+        avg_m = np.multiply(m, cell_len[i0:, None], out=m).sum(axis=1) / length
+        return [(0, avg_m / ((cum[i0 + 1 :] - cum[i0:i1, None]) / length), None)]
 
     return _pair_walk(("rh1_prime",), pts, n - 1, lambda _: nullcontext(block))[0]  # a pair spans up to n - 1 cells
 
@@ -611,7 +619,10 @@ def rh1_doubleprime_constant(
 
     The grid intervals are solved in blocks of rows, each block's norms
     together on one set of _orlicz_nodes arrays, each row's placed at its
-    avg(w), the solve's start value.
+    avg(w), the solve's start value.  A block's nodes and its solve's
+    per-pair arrays hold about 8 _SCAN_BLOCK_ENTRIES entries, or one row's
+    where that is more: under 4 MiB traced at resolution 48, 5-6.2 MiB at
+    200.
     """
     w, _ = _centred(w)
     pts = _grid_points(w, resolution)
@@ -628,9 +639,10 @@ def rh1_doubleprime_constant(
         ratio[r, c] = lam / avg_w
         return [(0, ratio, None)]
 
-    # a pair holds its nodes and about two dozen per-pair arrays of the solve, some 8 nodes' worth
+    # a pair holds its nodes and about two dozen per-pair arrays of the solve, some 8 nodes' worth;
+    # blocks of 8 _SCAN_BLOCK_ENTRIES such entries: the time saved levels off there
     panels = _panel_count(OrliczKind.LLOGL, w)
-    per_pair = 8 + sum(1 if pc.exponent == 0.0 else 16 * panels for pc in w.pieces)
+    per_pair = (8 + sum(1 if pc.exponent == 0.0 else 16 * panels for pc in w.pieces)) // 8
     return _pair_walk(("rh1_doubleprime",), pts, per_pair, lambda _: nullcontext(block))[0]
 
 

@@ -9,10 +9,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 from weightlab import weights
 
 # The suite's hypothesis tests are the two contract properties, the JSON writer's and
-# the one-pass parser's (tests/test_cli.py), the moment pair's (tests/test_weights.py) and
-# the ranked pair walk's (tests/test_constants.py): the CLI's takes 50 examples per
-# subcommand in a plain run, the library's 3 per exported name (tests/test_api_contract.py),
-# the writer's, the parser's, the pair's and the walk's 50, and all 2,000 with
+# the one-pass parser's (tests/test_cli.py), the moment pair's (tests/test_weights.py),
+# the ranked pair walk's and the maximal scan's block passes (tests/test_constants.py):
+# the CLI's takes 50 examples per subcommand in a plain run, the library's 3 per exported
+# name (tests/test_api_contract.py), the others 50 each, and all 2,000 with
 # --hypothesis-profile=contract.
 # A plain run draws the same examples every time and keeps no example database,
 # so it is repeatable; the contract profile, registered first so that it does

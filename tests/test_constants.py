@@ -8,7 +8,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weightlab import (
@@ -135,6 +135,40 @@ def _rh1_prime_recurrence(w, resolution):
     return ratio, pts
 
 
+def _rh1_prime_per_left_end(w, resolution):
+    """rh1_prime_constant with one row pass per left end, each forming its own pair averages: the reference for
+    the block-wide passes, which must match it bit for bit."""
+    w, _ = _centred(w)
+    pts = _grid_points(w, resolution)
+    n = len(pts)
+    cum = cumulative_moment(w, pts, MomentKind.AVG_W)
+    cell_len = np.diff(pts)
+    wmid = _values(w, 0.5 * (pts[:-1] + pts[1:]))
+
+    def block(i0, i1):
+        ratio = np.full((i1 - i0, n - 1 - i0), -np.inf)
+        for p in range(i0, i1):
+            later = np.tri(n - 1 - p, k=-1, dtype=bool)
+            length = pts[p + 1 :] - pts[p]
+            m = np.maximum.accumulate((cum[p + 1 :] - cum[p:-1, None]) / (pts[p + 1 :] - pts[p:-1, None]))
+            m[later] = -np.inf
+            m = np.maximum(np.maximum.accumulate(m, axis=1), wmid[p:, None])
+            m[later] = 0.0
+            avg_m = (m * cell_len[p:, None]).sum(axis=0) / length
+            ratio[p - i0, p - i0 :] = avg_m / ((cum[p + 1 :] - cum[p]) / length)
+        return [(0, ratio, None)]
+
+    return constants._pair_walk(("rh1_prime",), pts, n - 1, lambda _: contextlib.nullcontext(block))[0]
+
+
+def _outcome(scan, *args):
+    """repr of a scan's (value, interval), or of the library error it raises: equal reprs are equal bits."""
+    try:
+        return repr(scan(*args))
+    except WeightLabError as exc:
+        return repr((type(exc), str(exc)))
+
+
 class TestScanKernel:
     SCANS = (("rh1", None), ("ainf", None), ("rhp", 1.5), ("rhp", 3.0), ("ap", 1.5), ("ap", 3.0))
 
@@ -194,6 +228,16 @@ SCAN_WEIGHTS = (weight_json().map(_weight_or_none).filter(lambda w: w is not Non
                 | st.builds(power_weight, st.floats(0.1, 10.0), st.floats(-0.99, 3.0) | st.sampled_from((-0.95, -0.999)))
                 | st.just(TIE_WEIGHT))
 SCAN_PS = st.sampled_from((2.0, 1.5, 3.0, 2.37, 1.01, 10.0))
+
+
+# a subnormal piece whose cumulative moment underflows; a singular power abutting a jump at 0.5, and a
+# breakpoint 1e-13 past the grid point 0.5, merged into it
+@example(step_weight((0.0, 0.5, 1.0), (5e-324, 1e308)), 12)
+@example(Weight((PowerPiece(Interval(0.0, 0.5), 2.5e-310, -0.5), PowerPiece(Interval(0.5, 1.0), 3.0, 1.0))), 21)
+@example(step_weight((0.0, 0.5 + 1e-13, 1.0), (1.0, 7.0)), 21)
+@given(SCAN_WEIGHTS, st.integers(2, 40))
+def test_maximal_block_passes_match_the_per_left_end_pass_bit_for_bit(w, resolution):
+    assert _outcome(rh1_prime_constant, w, resolution) == _outcome(_rh1_prime_per_left_end, w, resolution)
 
 
 def _ranked_walk_mismatch(w, p, resolution=33):
@@ -437,6 +481,43 @@ class TestSplitWalk:
         assert compute_report(corpus[3], 24, ("rh1_prime", "rh1_doubleprime"), maximal_resolution=24).rh1_prime
         with pytest.raises(AssertionError, match="a second chunk"):
             compute_report(corpus[3], 51, ("rh1",))
+
+    def test_chunks_share_one_running_best(self, split, monkeypatch):
+        # a singular spike at 0 glued to a constant: the largest ratios lie on row 0, and every later
+        # chunk's rows, all on the constant tail, tie near 1.  Each later chunk waits until the first
+        # chunk's first block is walked; from then on the first chunk's best skips every tail block
+        chunks, blocks = split
+        w = Weight((PowerPiece(Interval(0.0, 0.0625), 1.0, -0.8), PowerPiece(Interval(0.0625, 1.0), 0.0625**-0.8, 0.0)))
+        with pytest.MonkeyPatch.context() as one:
+            one.setattr(constants, "_usable_cpus", lambda: 1)
+            want = compute_report(w, 201, self.WHICH, (2.37,))
+        walked, combined = threading.Event(), []
+        pair_walk = constants._pair_walk
+
+        def held_walk(labels, pts, per_pair, make_block, *args):
+            @contextlib.contextmanager
+            def held_make_block(entries):
+                with make_block(entries) as block:
+                    def held(i0, i1):
+                        first = threading.current_thread() is threading.main_thread()
+                        assert first or walked.wait(timeout=30)
+                        for s, ratio, exact in block(i0, i1):
+                            if exact is not None and not first:  # a ranked tail block
+                                exact = lambda band, exact=exact: combined.append(i0) or exact(band)
+                            yield s, ratio, exact
+                        if first:
+                            walked.set()
+
+                    yield held
+
+            return pair_walk(labels, pts, per_pair, held_make_block, *args)
+
+        monkeypatch.setattr(constants, "_pair_walk", held_walk)
+        blocks.clear()
+        assert compute_report(w, 201, self.WHICH, (2.37,)) == want
+        pts = _grid_points(_centred(w)[0], 201)
+        assert pts[_chunk_rows(blocks, len(pts))[1][0]] > 0.0625  # the later chunks' rows lie in the tail
+        assert combined == []
 
     def test_two_chunks_of_full_blocks_match_dense_reference(self, corpus, monkeypatch):
         # the split fixture's blocks hold 64 entries; at R = 801 two chunks walk real ones
@@ -736,7 +817,8 @@ class TestMaximalRowPass:
         assert rh1_prime_constant(w, 33) == (ratio.max(), Interval(pts[rows[0]], pts[cols[0]]))
 
     def test_traced_peak_memory_is_bounded(self, corpus):
-        # a row pass holds a few (R - p)^2 arrays: about 1 MiB at the cap of 200
+        # a block pass holds a few arrays of one left end's (R - p)^2 entries, or more left ends' up to
+        # _SCAN_BLOCK_ENTRIES: about 1 MiB at the cap of 200
         tracemalloc.start()
         try:
             rh1_prime_constant(corpus[3], 200)
@@ -938,6 +1020,12 @@ class TestOrliczKernel:
                 tracemalloc.stop()
         assert max(peaks) < 32 * 2**20
         assert peaks[0] <= 1.5 * peaks[1]
+
+    def test_larger_blocks_change_no_bit(self, corpus, monkeypatch):
+        # each pair's nodes and solve are its own, so blocks of 1/8 the entries read the same bits
+        got = [_outcome(rh1_doubleprime_constant, w, (12, 18, 24)[k % 3]) for k, w in enumerate(corpus)]
+        monkeypatch.setattr(constants, "_SCAN_BLOCK_ENTRIES", _SCAN_BLOCK_ENTRIES // 8)
+        assert got == [_outcome(rh1_doubleprime_constant, w, (12, 18, 24)[k % 3]) for k, w in enumerate(corpus)]
 
     def test_nan_average_is_masked(self):
         # 5e-324 t underflows in the cumulative moment, so avg(w) is 0 on [0, 0.5]
