@@ -41,7 +41,7 @@ __all__ = [
 
 DOMAIN_TOL = 1e-12
 POINT_TOL, CHORD_TOL = 1e-9, 1e-12  # how far past the domain (by _excess) an admissible moment point and chord reach
-# evaluate_many works in blocks: one peaks at 13 arrays of its size (tracemalloc, one block of 8,192 points)
+# evaluate_many works in blocks, solved in place: one peaks at 10 arrays of its size (tracemalloc, one block of 8,192 points)
 _BLOCK = 8192
 
 
@@ -145,20 +145,30 @@ def _tangent_solve(surface: BellmanSurface, x, y):
     height above the lower boundary: c1_lower there (u = g), 0 on the upper
     boundary (u = 1).  u = g and v = x are exact on the lower boundary, where
     the value's error is v's error over g (~1e-8 at q = 1e6).  The solve is solvers._log_root
-    (one Halley step from its table start at every c1 <= 745), which forms u alone:
+    (one Newton step from its table start at every c1 <= 745, Halley's in the series band), which forms u alone:
     evaluate_many, the array Hessian and through them the linearity and chain
-    checks read only v, and tangent_point maps _bracket(c1) to v itself.
+    checks read only v, and tangent_point maps _bracket(c1) to v itself.  On
+    arrays the height and c1 share one new buffer, and v is written over u's.
     """
-    xp = _ops(x)
-    g = surface.gamma
-    if surface.kind is SurfaceKind.AINF_UPPER:
-        c1_lower, height = math.log(surface.q), xp.log(x) - y
+    xp, g, entropy = _ops(x), surface.gamma, surface.entropy_coordinates
+    c1 = xp.log(x)  # the height, log x - y or (y - x log x) / x, then c1
+    if entropy:
+        c1_lower = surface.q
+        c1 *= x
+        c1 = xp.subtract(y, c1, out=c1)  # y first: of two NaNs, y's is kept, as it always was
+        c1 /= x
     else:
-        c1_lower, height = surface.q, (y - x * xp.log(x)) / x
-    c1 = xp.minimum(xp.maximum(c1_lower - height, 0.0), c1_lower)
+        c1_lower = math.log(surface.q)
+        c1 -= y
+    c1 = xp.minimum(xp.maximum(xp.subtract(c1_lower, c1, out=c1), 0.0, out=c1), c1_lower, out=c1)
     u, _, _, steps = _log_root(c1, upper=surface.kind is SurfaceKind.GEHRING)
-    u = xp.where(c1 == c1_lower, g, u)
-    return (x * (g / u) if surface.kind is SurfaceKind.AINF_UPPER else x * (u / g)), steps, c1
+    if xp is np:  # the lower boundary: u = g, and so v = x, exactly
+        u[c1 == c1_lower] = g
+    elif c1 == c1_lower:
+        u = g
+    u = xp.divide(u, g, out=u) if entropy else xp.divide(g, u, out=u)
+    u *= x
+    return u, steps, c1
 
 
 def _admissible_solve(surface: BellmanSurface, x, y):
@@ -198,17 +208,27 @@ def _tangent_y(surface: BellmanSurface, x, v):
 
 
 def _value(surface: BellmanSurface, x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The value at (x, y) from the tangent abscissa v, which it spends: an array v is written over."""
     g = surface.gamma
-    if surface.kind is SurfaceKind.GEHRING:
+    if surface.kind is SurfaceKind.GEHRING:  # v^eps (x (1 + eps) - eps g v) / (1 + eps - g eps)
         eps = _require_eps(surface)
-        d = 1.0 + eps - g * eps
-        return v**eps * (x * (1.0 + eps) - eps * g * v) / d
+        value, rest = v**eps, x * (1.0 + eps)
+        v *= eps * g
+        rest -= v
+        value *= rest
+        value /= 1.0 + eps - g * eps
+        return value
     # numpy's log for a float too (its bits are the pinned ones), then float arithmetic,
     # where a value past the double range reads inf without a RuntimeWarning
-    log_v = np.log(v) if isinstance(v, np.ndarray) else float(np.log(v))
-    if surface.kind is SurfaceKind.AINF_UPPER:
-        return x * log_v + (x - v) / g
-    return log_v + (x - v) / (g * v)
+    value = np.log(v) if isinstance(v, np.ndarray) else float(np.log(v))
+    if surface.kind is SurfaceKind.AINF_UPPER:  # x log v + (x - v) / g
+        value *= x
+    else:  # log v + (x - v) / (g v)
+        g = v * g
+    v -= x
+    v /= g
+    value -= v
+    return value
 
 
 def _require_eps(surface: BellmanSurface) -> float:

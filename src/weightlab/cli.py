@@ -25,7 +25,7 @@ import functools
 import json
 import math
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -85,11 +85,11 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _csv(header: str, rows: list[tuple]) -> str:
-    # floats at 15 digits, the rest as str: the first row's template prints every row when each
-    # column holds floats only or none (the sweep's, a weight's), else each row takes its own
+    # floats at 15 digits, the rest as str: when each column holds floats only or none (the sweep's,
+    # a weight's), the first row's template, once per row, prints the whole table in one %
     template = lambda row: ",".join(["%.15g" if isinstance(v, float) else "%s" for v in row])  # noqa: E731
     if rows and all(n in (0, len(rows)) for n in (sum(map(isinstance, col, repeat(float))) for col in zip(*rows))):
-        return "\n".join([header, *map(template(rows[0]).__mod__, rows)])
+        return header + "\n" + "\n".join([template(rows[0])] * len(rows)) % tuple(chain.from_iterable(rows))
     return "\n".join([header, *(template(row) % row for row in rows)])
 
 
@@ -346,7 +346,7 @@ def _cmd_dyadic(args) -> tuple[bool, object]:
 
 
 def _cmd_sweep(args) -> tuple[bool, object]:
-    q_values = tuple(float(s) for s in args.q_list.split(",") if s.strip())
+    q_values = tuple(map(float, filter(str.strip, args.q_list.split(","))))
     rows = extremals.sharpness_sweep(q_values)
     if args.format == "json":
         # e_ratio is nan for q <= 1, printed as null

@@ -203,13 +203,13 @@ def sharpness_sweep(q_values: tuple[float, ...]) -> list[tuple[float, float, flo
     while the asymptote would soon overflow.
     A q with q + 1 == 1 is refused, as the roots collapse to 1.
     """
-    for q in q_values:
-        if not (q > 0.0 and math.isfinite(q)):
-            raise ParameterError(f"sweep needs q > 0, got {q}")
-    for q in q_values:
-        if q + 1.0 == 1.0:
-            raise ParameterError(f"q = {q} below float resolution, roots collapse to 1")
     qs = np.array(q_values, dtype=float)
+    bad = ~((qs > 0.0) & (qs < math.inf))  # NaN too; the first offender is named
+    if bad.any():
+        raise ParameterError(f"sweep needs q > 0, got {q_values[bad.argmax()]}")
+    bad = qs + 1.0 == 1.0
+    if bad.any():
+        raise ParameterError(f"q = {q_values[bad.argmax()]} below float resolution, roots collapse to 1")
     e_ratio = np.full(qs.size, math.nan)
     funny_ratio = np.ones(qs.size)
     for k in range(0, qs.size, _BLOCK):

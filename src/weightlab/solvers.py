@@ -3,11 +3,11 @@
 The tangency slopes gamma_- and gamma_+, the sharp Gehring gap eps_minus and
 (in bellman) the surfaces' tangent abscissae are all branch roots of
 t - log t = c.  One kernel, _branch_root on its loop _log_root, solves that
-equation for a float or an array: Halley steps in s = log t inside
-closed-form brackets, started within 1e-9 of the root by a cubic Hermite
-table per branch in sqrt(c - 1), built at import, so that one step lands
-below rounding up to c = 746.  gehring_sharp_eps takes Newton steps in log eps,
-from below its root.
+equation for a float or an array: steps in s = log t inside closed-form
+brackets, started within 1e-9 of the root by a cubic Hermite table per
+branch in sqrt(c - 1), built at import, so that one Newton step, Halley in
+the series band near s = 0, lands below rounding up to c = 746.
+gehring_sharp_eps takes Newton steps in log eps, from below its root.
 """
 
 from __future__ import annotations
@@ -45,11 +45,15 @@ class RootResult:
 
 
 # float arithmetic for code taking a float or an array (the root kernel, the Bellman
-# domain and Hessian), where a float call costs microseconds; arrays use numpy
+# domain and Hessian), where a float call costs microseconds; arrays use numpy.  Where
+# array code writes into a buffer it owns by numpy's out=, a float result is a new float
+# (min and max as the builtins pick, without their call)
 _FLOAT_OPS = SimpleNamespace(
-    expm1=math.expm1, log1p=math.log1p, exp=math.exp, log=math.log, sqrt=math.sqrt,
-    where=lambda c, a, b: a if c else b, all=bool, any=bool,
-    isfinite=math.isfinite, minimum=min, maximum=max,
+    expm1=lambda x, out=None: math.expm1(x), exp=lambda x, out=None: math.exp(x), log1p=math.log1p, log=math.log,
+    sqrt=math.sqrt, add=lambda a, b, out=None: a + b, subtract=lambda a, b, out=None: a - b,
+    divide=lambda a, b, out=None: a / b, minimum=lambda a, b, out=None: b if b < a else a,
+    maximum=lambda a, b, out=None: b if b > a else a, where=lambda c, a, b: a if c else b, all=bool, any=bool,
+    isfinite=math.isfinite,
 )
 _MAX_STEPS = 40
 # e^s - 1 - s = s^2 sum_k s^k / (k + 2)!, k < 12: 1e-18 relative at |s| < 1/4,
@@ -118,33 +122,54 @@ def _series_step(s, em1, c1, d):
 
 
 def _log_root(c1, upper: bool, s=None):
-    """_branch_root's Halley steps on h(s) = e^s - 1 - s - c1: (t, s, dt, steps), t = e^s + dt the root.
+    """_branch_root's steps on h(s) = e^s - 1 - s - c1: (t, s, dt, steps), t = e^s + dt the root.
 
     Up to c1 = 745, and at a NaN, one step d from _start lands below rounding:
-    upper, t = (1 + em1) e^-d from the em1 = expm1(s) h read, so its rounding
-    cancels; lower, down to e^-746, t = e^s1 (1 + expm1(r)), s1 + r = s - d.  Past
-    745 (a mixed block splits) and from a given s, clipped steps loop to 4 ulp of
-    1 + |s|.  t - 1 = expm1(s) + dt and the bracket are left to the callers.
+    Newton's, h/em1 from the em1 = expm1(s) h read, and Halley's, h from _excess,
+    where |s| < _EXCESS_SERIES_S (from the start's 1e-9, Halley's factor moves d
+    by under 1% of an ulp of s past that band).  Upper, t = (1 + em1) e^-d, so
+    em1's rounding cancels; lower, down to e^-746, t = e^s1 (1 + expm1(r)),
+    s1 + r = s - d.  Past 745 (one fmax reduction, which passes over a NaN,
+    finds it; a mixed block splits) and from a given s, clipped Halley steps
+    loop to 4 ulp of 1 + |s|.  t - 1 = expm1(s) + dt and the bracket are left
+    to the callers.
+    On an array the one step runs in place.  The caller's c1 is only read.  The
+    kernel makes four arrays, its c1 + 5e-324, _start's s, em1 and d (s + c1, h,
+    then d), and writes every later result into one of them by augmented
+    assignment or out= (a float is rebound): upper, d's takes expm1(-d), c1's
+    1 + em1 then dt, em1's t; lower, em1's takes s1, s's r then dt, c1's e^s1
+    then t.  What it returns is the caller's to write over.
     """
-    far = s is None and c1 > 745.0
-    if isinstance(far, np.ndarray) and far.any() and not far.all():
-        near, loop = (_log_root(c1[m], upper) for m in (~far, far))
+    xp = _ops(c1)
+    far = s is not None or (np.fmax.reduce(c1, initial=0.0) if isinstance(c1, np.ndarray) else c1) > 745.0
+    if far and s is None and not xp.all(mask := c1 > 745.0):  # a mixed block splits
+        near, loop = (_log_root(c1[m], upper) for m in (~mask, mask))
         out = np.empty((3,) + c1.shape)
-        out[:, ~far], out[:, far] = near[:3], loop[:3]
+        out[:, ~mask], out[:, mask] = near[:3], loop[:3]
         return (*out, loop[3])
     c1 = c1 + 5e-324  # keeps every iterate, and so h'(s) = e^s - 1, off zero
-    xp = _ops(c1)
-    if s is None and not xp.any(far):
+    if not far:
         s = _start(c1, upper)
         em1 = xp.expm1(s)
-        d = _series_step(s, em1, c1, _halley(em1 - (s + c1), em1))
+        d = s + c1
+        d = xp.subtract(em1, d, out=d)
+        d /= em1
+        d = _series_step(s, em1, c1, d)
         if upper:
-            dt = (1.0 + em1) * xp.expm1(-d)
-            return 1.0 + (em1 + dt), s, dt, 1
-        s1 = s - d  # s - s1 is exact, and so is r = (s - s1) - d, as |d| << |s|
-        e_s = xp.exp(s1)
-        dt = e_s * xp.expm1((s - s1) - d)
-        return e_s + dt, s1, dt, 1
+            dt = xp.add(em1, 1.0, out=c1)
+            d *= -1.0
+            dt *= xp.expm1(d, out=d)
+            em1 += dt
+            em1 += 1.0
+            return em1, s, dt, 1
+        s1 = xp.subtract(s, d, out=em1)  # s - s1 is exact, and so is r = (s - s1) - d, as |d| << |s|
+        s -= s1
+        s -= d
+        dt = xp.expm1(s, out=s)
+        e_s = xp.exp(s1, out=c1)
+        dt *= e_s
+        e_s += dt
+        return e_s, s1, dt, 1
     lo = xp.log1p(c1) if upper else -1.0 - c1
     hi = lo + math.log(2.0) if upper else -c1
     s = xp.minimum(xp.maximum(_start(c1, upper) if s is None else s, lo), hi)
@@ -162,16 +187,24 @@ def _log_root(c1, upper: bool, s=None):
 
 def _start(c1, upper: bool):
     """_log_root's start s ~ log t (float or array): _START's cubic at z = sqrt(c1) _START_SCALE.  Its last
-    row, constant, the s of c1 = 745, is clipped to the bracket's nearer end past it; a NaN takes that row too."""
-    z = _ops(c1).sqrt(c1) * _START_SCALE
+    row, constant, the s of c1 = 745, is clipped to the bracket's nearer end past it; a NaN takes that row too.
+    On an array the cubic runs in z's buffer and one more (in the taken rows, strided, numpy's loops are slower)."""
+    z = _ops(c1).sqrt(c1)
+    z *= _START_SCALE
     if isinstance(z, np.ndarray):
         k = np.fmin(z, _START_N).astype(np.intp)  # before the cast, which takes a NaN or 1e150 out of range
         a, b, c, d = np.take(_START[upper], k, axis=0).T
     else:
         k = math.floor(z) if z < _START_N else _START_N
         a, b, c, d = _START[upper][k].tolist()
-    t = z - k
-    return a + t * (b + t * (c + t * d))
+    z -= k  # t, and then a + t (b + t (c + t d))
+    d = d * z
+    d += c
+    d *= z
+    d += b
+    z *= d
+    z += a
+    return z
 
 
 def _start_table(upper: bool) -> np.ndarray:
@@ -192,9 +225,9 @@ def _branch_root(c1, upper: bool, q=None):
     """Root of t - log t = 1 + c1 (c1 >= 0, float or array) in (0, 1], or in [1, inf) if upper.
 
     c1 = c - 1 keeps the digits of c near 1, where the roots meet at t = 1.
-    Halley steps on h(s) = e^s - 1 - s - c1, s = log t, start from _start: one
-    step up to c1 = 745, and past it three, clipped to the bracket s in
-    [-1 - c1, -c1] (lower) or t in [c, 2c] (upper).  The last one (redone by
+    Steps on h(s) = e^s - 1 - s - c1, s = log t, start from _start: one Newton
+    step up to c1 = 745, and past it three Halley steps, clipped to the bracket s in
+    [-1 - c1, -c1] (lower) or t in [c, 2c] (upper).  The last one (Halley's from
     _series_step near s = 0) is applied without rounding s - d, so t and t - 1
     keep full precision.  Returns (t, t - 1, steps, (t_lo, t_hi)).  The array
     callers in bellman read t alone: they call _log_root, and form neither t - 1

@@ -6,6 +6,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weightlab import DomainError, ParameterError, selftest, solvers
 
@@ -426,6 +428,109 @@ class TestStart:
             warnings.simplefilter("error")
             got = solvers._start(c1, upper)
         np.testing.assert_array_equal(got, [solvers._start(c, upper) for c in c1.tolist()])
+
+
+def _halley_log_root(c1, upper):
+    """_log_root as it was before its one step became Newton's: (t, t - 1) as _branch_root forms them.
+
+    Up to c1 = 745 one Halley step from _start, h from _excess's series where |s| < 1/4; past
+    745 the loop, which Newton's step left as it was, so the library's own serves.
+    """
+    far = c1 > 745.0
+    if isinstance(far, np.ndarray) and far.any() and not far.all():
+        out = np.empty((2,) + c1.shape)
+        out[:, ~far], out[:, far] = _halley_log_root(c1[~far], upper), _halley_log_root(c1[far], upper)
+        return tuple(out)
+    xp = solvers._ops(c1)
+    if xp.any(far):
+        t, s, dt, _ = solvers._log_root(c1, upper)
+        return t, xp.expm1(s) + dt
+    c1 = c1 + 5e-324
+    s = solvers._start(c1, upper)
+    em1 = xp.expm1(s)
+    d = solvers._halley(em1 - (s + c1), em1)
+    if xp is np:
+        small = np.abs(s) < 0.25
+        d[small] = solvers._halley(solvers._excess(s[small]) - c1[small], em1[small])
+    elif abs(s) < 0.25:
+        d = solvers._halley(solvers._excess(s) - c1, em1)
+    if upper:
+        dt = (1.0 + em1) * xp.expm1(-d)
+        return 1.0 + (em1 + dt), em1 + dt
+    s1 = s - d
+    e_s = xp.exp(s1)
+    dt = e_s * xp.expm1((s - s1) - d)
+    return e_s + dt, xp.expm1(s1) + dt
+
+
+# c1 over [0, 745] with 0, subnormals, the series band, 745 and NaN, and past 745
+_C1 = (st.floats(0.0, 745.0) | st.floats(0.0, 0.04) | st.floats(745.0, 1e300)
+       | st.sampled_from((0.0, 5e-324, 1e-310, 0.0399, 745.0, 745.5, math.nan)))
+
+
+def _check_one_ulp(c1, upper):
+    """The kernel's t and t - 1, for the array c1 and each of its floats, within an ulp of the Halley step's."""
+    got, want = np.array(solvers._branch_root(c1, upper)[:2]), np.array(_halley_log_root(c1, upper))
+    floats = np.array([solvers._branch_root(c, upper)[:2] for c in c1.tolist()]).T
+    floats_want = np.array([_halley_log_root(c, upper) for c in c1.tolist()]).T
+    for new, old in ((got, want), (floats, floats_want)):
+        assert np.array_equal(np.isnan(new), np.isnan(old))
+        ok = ~np.isnan(old)
+        assert np.all(np.abs(new[ok] - old[ok]) <= np.spacing(np.abs(old[ok]))), c1
+
+
+class TestNewtonStep:
+    """_log_root's one step is Newton's, d = h/em1, past the series band: against the Halley step it replaced.
+
+    From _start's 1e-9, Halley's factor 1/(1 - d (1 + 1/em1) / 2) moves d by at most 0.5 |1 + 1/em1| d^2,
+    under 1% of an ulp of s where |s| >= 1/4, so a root moves only where its rounding sat that close
+    to a tie.  In the band h = em1 - (s + c1) cancels, and Newton's step there fails.
+    """
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    @given(c1=st.lists(_C1, min_size=1, max_size=40))
+    def test_each_root_within_an_ulp_of_halleys(self, upper, c1):
+        _check_one_ulp(np.array(c1), upper)
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    def test_roots_as_accurate_as_halleys(self, upper):
+        # 400,000 seeded c1: log-uniform over [1e-12, 745] and uniform over [0, 745]
+        rng = np.random.default_rng(2034)
+        c1 = np.concatenate([np.exp(rng.uniform(math.log(1e-12), math.log(745.0), 200_000)),
+                             rng.uniform(0.0, 745.0, 200_000)])
+        _check_one_ulp(c1[:2000], upper)
+        new, old = solvers._branch_root(c1, upper)[0], _halley_log_root(c1, upper)[0]
+        moved = np.nonzero(new != old)[0]
+        assert np.all(np.abs(new - old) <= np.spacing(old)) and moved.size <= 1e-3 * c1.size
+        # the error of every root, in ulps, against Halley steps from the start in long double (11 more bits)
+        ld = np.longdouble
+        c = c1.astype(ld) + ld(5e-324)
+        s = solvers._start(c1 + 5e-324, upper).astype(ld)
+        for _ in range(3):
+            em1 = np.expm1(s)
+            d = (em1 - s - c) / em1
+            s -= d / (1 - d / 2 * (1 + 1 / em1))
+        ref, ulp = np.exp(s), np.spacing(old)
+        err_new, err_old = (np.abs(t.astype(ld) - ref) / ulp for t in (new, old))
+        # the long-double reference, checked where the roots moved against 50-digit mpmath
+        with mpmath.workdps(50):
+            for k in moved:
+                want = -mpmath.re(mpmath.lambertw(-mpmath.exp(-1 - mpmath.mpf(float(c1[k])) - mpmath.mpf(5e-324)),
+                                                  -1 if upper else 0))
+                hi = float(ref[k])  # a long double is exactly the sum of two doubles
+                assert abs(mpmath.mpf(hi) + mpmath.mpf(float(ref[k] - hi)) - want) <= 0.01 * ulp[k]
+        assert err_new.max() <= err_old.max()
+        # Newton's error shifts each moved root toward one side of its tie: measured over 3e6 draws the
+        # mean rises 1.2e-5 ulp (0.003%), about half the moved roots landing farther from the root
+        assert err_new.mean() - err_old.mean() <= 1e-4
+
+    def test_newton_in_the_series_band_fails(self, monkeypatch):
+        # negative control: with no band, Newton's step from h = em1 - (s + c1) runs down to c1 = 0
+        monkeypatch.setattr(solvers, "_EXCESS_SERIES_S", 0.0)
+        c1 = np.concatenate([np.geomspace(1e-12, 0.04, 200), [0.0, 5e-324]])
+        for upper in (False, True):
+            with pytest.raises(AssertionError):
+                _check_one_ulp(c1, upper)
 
 
 class TestRootCache:
