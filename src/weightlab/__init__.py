@@ -27,7 +27,6 @@ from .constants import (
 )
 from .dyadic import (
     ChainReport,
-    PartitionNode,
     PartitionTree,
     SplitConfig,
     SplitMode,

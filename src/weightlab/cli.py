@@ -302,8 +302,9 @@ def _cmd_extremal(args) -> tuple[bool, object]:
 
 @functools.lru_cache(maxsize=1)  # the last depth printed: 41 kB at depth 6, 22 MB at 14
 def _tree_template(depth: int) -> tuple[str, np.ndarray]:
-    """A tree of that depth as _json writes a PartitionNode's dict at pad "\n  ", '%s' for each interval end and
-    point coordinate in preorder; and the level-order rows in preorder (by leftmost leaf, then depth)."""
+    """A tree of that depth as _json writes its node dicts ("interval", "point", then "children" if any) at pad
+    "\n  ", '%s' for each interval end and point coordinate in preorder; and the level-order rows in preorder
+    (by leftmost leaf, then depth)."""
     text = ""
     for pad in ("\n  " + "    " * k for k in reversed(range(depth + 1))):  # a node of each depth, from the leaves
         two = f"[{pad}    %s,{pad}    %s{pad}  ]"

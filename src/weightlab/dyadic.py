@@ -8,15 +8,14 @@ makes telescoping sums against a concave surface built at q1 monotone.
 
 A PartitionTree is level-order arrays, the only tree the library reads or writes: node i's interval and
 moment point in row i of ends and of points, its children in rows 2i + 1 and 2i + 2, each interval checked
-once, by the constructor; root is a PartitionNode view for callers.  build_partition fills the arrays in
-one array pass where every cut is 1/2, else by rounds of candidate ratios, one array pass each, where
-_cuts writes each cut node's children into their rows; chain_verify sums generations, which are row ranges.
+once, by the constructor.  build_partition fills the arrays in one array pass where every cut is 1/2, else
+by rounds of candidate ratios, one array pass each, where _cuts writes each cut node's children into their
+rows; chain_verify sums generations, which are row ranges.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -32,7 +31,6 @@ from .weights import Interval, MomentKind, Weight, _moment_pair, _moment_pairs, 
 __all__ = [
     "SplitMode",
     "SplitConfig",
-    "PartitionNode",
     "PartitionTree",
     "ChainReport",
     "split",
@@ -62,20 +60,12 @@ class SplitConfig:
             raise ParameterError(f"delta0 must lie in (0, 0.45], got {self.delta0}")
 
 
-@dataclass(frozen=True)
-class PartitionNode:
-    interval: Interval
-    point: tuple[float, float]
-    children: tuple["PartitionNode", ...] = ()
-
-
 @dataclass(frozen=True, eq=False)
 class PartitionTree:
     """A full binary tree of intervals in level order: row i of ends is node i's interval (a, b) and
     row i of points its moment point (x, y), its children rows 2i + 1 and 2i + 2, so generation k is
     rows 2^k - 1 to 2^(k+1) - 2.  Both are read-only (2^(depth+1) - 1, 2) float copies of the arrays
-    given, and a row of ends outside 0 <= a < b <= 1 is refused here, with its Interval's DomainError.
-    root is the same tree as PartitionNode objects, built when first read; nothing in the library reads it."""
+    given, and a row of ends outside 0 <= a < b <= 1 is refused here, with its Interval's DomainError."""
 
     ends: np.ndarray
     points: np.ndarray
@@ -98,16 +88,6 @@ class PartitionTree:
     @property
     def depth(self) -> int:
         return self.ends.shape[0].bit_length() - 1
-
-    @functools.cached_property
-    def root(self) -> PartitionNode:
-        ivs, pts = list(itertools.starmap(Interval, self.ends.tolist())), list(map(tuple, self.points.tolist()))
-        lo = len(ivs) // 2  # the leaves
-        nodes = list(map(PartitionNode, ivs[lo:], pts[lo:]))
-        while lo:
-            hi, lo = lo, lo // 2
-            nodes = list(map(PartitionNode, ivs[lo:hi], pts[lo:hi], zip(nodes[0::2], nodes[1::2])))
-        return nodes[0]
 
 
 _Y_KIND = {SplitMode.LOG: MomentKind.AVG_LOG_W, SplitMode.ENTROPY: MomentKind.AVG_W_LOG_W}

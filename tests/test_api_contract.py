@@ -188,7 +188,6 @@ ARGS = {
     "rhp_constant": st.tuples(WEIGHTS, NUMBERS | st.floats(0.5, 4.0), SIZES),
     # dyadic
     "ChainReport": st.tuples(st.lists(NUMBERS).map(tuple), NUMBERS, st.booleans(), st.booleans(), NUMBERS),
-    "PartitionNode": st.tuples(INTERVALS, st.tuples(NUMBERS, NUMBERS)),
     "PartitionTree": _tree_arrays(),
     "SplitConfig": st.tuples(NUMBERS, NUMBERS, NUMBERS),
     "SplitMode": _enum(wl.SplitMode),

@@ -46,6 +46,7 @@ from weightlab.solvers import gamma_log
 
 from _frozen import CONSTANTS_STDOUT, GAMMA_MINUS_1, RATIO_BOUND_E, RH1_LINEAR
 from _strategies import NUMBERS
+from _trees import node_view
 
 
 @pytest.fixture()
@@ -829,13 +830,6 @@ def _reference_writer(obj, pad: str = "\n") -> str:
     return json.dumps(obj)
 
 
-def _node_view(ends, points, i=0):
-    """Row i of level-order arrays and its subtree as node-like objects, whatever floats they hold."""
-    kids = (_node_view(ends, points, 2 * i + 1), _node_view(ends, points, 2 * i + 2)) if 2 * i + 1 < len(ends) else ()
-    a, b = ends[i].tolist()
-    return types.SimpleNamespace(interval=types.SimpleNamespace(a=a, b=b), point=tuple(points[i].tolist()), children=kids)
-
-
 # floats where '%.15g' is not what the writer prints: subnormals, signed zeros, integers and
 # their neighbours near 1e15 to 1e16, e+308, inf and nan; and plain ones
 WRITER_FLOATS = (
@@ -875,7 +869,8 @@ class TestTreeWriter:
                 tree = dyadic.build_partition(w, dyadic.SplitConfig(q, q1), dyadic.SplitMode(mode), depth)
                 argv = ["dyadic", "--weight", str(path), "--mode", mode, "--q", repr(q), "--q1", repr(q1), "--depth", str(depth)]
                 assert cli.main(argv) == 0
-                echo = {"mode": mode, "q": q, "q1": q1, "depth": depth, "tree": _reference_node_json(tree.root)}
+                root = node_view(tree.ends, tree.points)
+                echo = {"mode": mode, "q": q, "q1": q1, "depth": depth, "tree": _reference_node_json(root)}
                 assert capsys.readouterr().out == _reference_writer(echo) + "\n", (path, mode, depth)
             lengths = tree.ends[:, 1] - tree.ends[:, 0]
             moved += int((lengths[1::2] != 0.5 * lengths[: len(lengths) // 2]).sum())
@@ -888,7 +883,7 @@ class TestTreeWriter:
     def test_any_floats_print_as_the_node_writer_printed_them(self, arrays):
         ends, points = arrays
         tree = types.SimpleNamespace(ends=ends, points=points, depth=len(ends).bit_length() - 1)
-        assert cli._tree_json(tree) == _reference_writer(_reference_node_json(_node_view(ends, points)), "\n  ")
+        assert cli._tree_json(tree) == _reference_writer(_reference_node_json(node_view(ends, points)), "\n  ")
 
 
 def _reference_csv(header: str, rows: list[tuple]) -> str:

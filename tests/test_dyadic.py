@@ -41,6 +41,7 @@ from weightlab import constants, dyadic, errors, weights
 from weightlab.bellman import _chord_excess, _excess, evaluate_many
 
 from _frozen import DYADIC_FAILURES, FROZEN_TREES
+from _trees import Ends, Node, node_view, walk
 
 LINEAR = power_weight(1.0, 1.0)
 FLAT = power_weight(3.0, 0.0)
@@ -48,18 +49,6 @@ FLAT = power_weight(3.0, 0.0)
 # For w(t) = t every prefix [0, x] has avg(w) / exp(avg(log w)) = e/2 exactly,
 # so e/2 is both the interval ratio everywhere and the global constant.
 Q_LINEAR = math.e / 2.0
-
-
-def _walk(node):
-    yield node
-    for child in node.children:
-        yield from _walk(child)
-
-
-def _leaves(node):
-    if not node.children:
-        return [node]
-    return [leaf for child in node.children for leaf in _leaves(child)]
 
 
 class TestSplitConfig:
@@ -222,7 +211,7 @@ class TestChordExcess:
     def test_corpus_chord_leaving_q1_between_samples_is_refused(self):
         assert weights.reference_corpus(40, seed=3)[6] == self.POWER
         tree = build_partition(self.POWER, SplitConfig(q=self.Q, q1=self.Q1), SplitMode.LOG, max_depth=1)
-        assert tree.root.children[0].interval.b == pytest.approx(0.92, abs=1e-12)
+        assert tree.ends[1, 1] == pytest.approx(0.92, abs=1e-12)  # the root's left child ends at the cut
         # the cut at 0.91 peaks above q1
         p0 = weights._moment_pair(self.POWER, Interval(0.0, 0.91), MomentKind.AVG_LOG_W)
         p1 = weights._moment_pair(self.POWER, Interval(0.91, 1.0), MomentKind.AVG_LOG_W)
@@ -300,58 +289,49 @@ class TestBuildPartition:
     def test_flat_weight_gives_uniform_dyadic_grid(self):
         cfg = SplitConfig(q=1.5, q1=1.8)
         tree = build_partition(FLAT, cfg, SplitMode.LOG, max_depth=4)
-        leaves = _leaves(tree.root)
-        assert len(leaves) == 16
-        starts = sorted(leaf.interval.a for leaf in leaves)
-        assert starts == pytest.approx([i / 16.0 for i in range(16)], abs=1e-15)
-        for leaf in leaves:
-            assert leaf.interval.b - leaf.interval.a == pytest.approx(1 / 16)
+        leaf_ends = tree.ends[15:].tolist()  # generation 4: rows 15 to 30
+        assert len(leaf_ends) == 16
+        assert sorted(a for a, _ in leaf_ends) == pytest.approx([i / 16.0 for i in range(16)], abs=1e-15)
+        for a, b in leaf_ends:
+            assert b - a == pytest.approx(1 / 16)
 
     def test_generation_sizes_double(self):
         cfg = SplitConfig(q=1.5, q1=1.8)
         tree = build_partition(FLAT, cfg, SplitMode.LOG, max_depth=4)
         assert tree.depth == 4
-        generation = [tree.root]
-        for size in (1, 2, 4, 8, 16):
-            assert len(generation) == size
-            generation = [c for n in generation for c in n.children]
-        assert generation == []
+        assert tree.ends.shape == tree.points.shape == (1 + 2 + 4 + 8 + 16, 2)
 
     def test_children_tile_parent(self):
         cfg = SplitConfig(q=Q_LINEAR, q1=Q_LINEAR * 1.02)
         tree = build_partition(LINEAR, cfg, SplitMode.LOG, max_depth=5)
-        for node in _walk(tree.root):
-            if not node.children:
-                continue
-            left, right = node.children
-            assert left.interval.a == node.interval.a
-            assert right.interval.b == node.interval.b
-            assert left.interval.b == right.interval.a
+        parents, left, right = tree.ends[: len(tree.ends) // 2], tree.ends[1::2], tree.ends[2::2]
+        assert (left[:, 0] == parents[:, 0]).all()
+        assert (right[:, 1] == parents[:, 1]).all()
+        assert (left[:, 1] == right[:, 0]).all()
 
     def test_leaf_lengths_shrink_geometrically(self):
         cfg = SplitConfig(q=Q_LINEAR, q1=Q_LINEAR * 1.02, delta0=0.05)
         tree = build_partition(LINEAR, cfg, SplitMode.LOG, max_depth=4)
         bound = (1.0 - cfg.delta0) ** 4
-        for leaf in _leaves(tree.root):
-            assert leaf.interval.b - leaf.interval.a <= bound + 1e-15
+        for a, b in tree.ends[len(tree.ends) // 2:].tolist():
+            assert b - a <= bound + 1e-15
 
     def test_log_mode_points_are_interval_moments(self):
         cfg = SplitConfig(q=Q_LINEAR, q1=Q_LINEAR * 1.02)
         tree = build_partition(LINEAR, cfg, SplitMode.LOG, max_depth=3)
-        for node in _walk(tree.root):
-            x, y = node.point
+        for (a, b), (x, y) in zip(tree.ends.tolist(), tree.points.tolist()):
             assert x == pytest.approx(
-                moment(LINEAR, node.interval, MomentKind.AVG_W), rel=1e-14
+                moment(LINEAR, Interval(a, b), MomentKind.AVG_W), rel=1e-14
             )
             assert y == pytest.approx(
-                moment(LINEAR, node.interval, MomentKind.AVG_LOG_W), rel=1e-14
+                moment(LINEAR, Interval(a, b), MomentKind.AVG_LOG_W), rel=1e-14
             )
 
     def test_entropy_mode_points_carry_w_log_w(self):
         w = truncate(LINEAR, 2.0)
         cfg = SplitConfig(q=2.0, q1=2.4)
         tree = build_partition(w, cfg, SplitMode.ENTROPY, max_depth=3)
-        x, y = tree.root.point
+        x, y = tree.points[0].tolist()
         assert x == pytest.approx(moment(w, Interval(0.0, 1.0), MomentKind.AVG_W))
         assert y == pytest.approx(
             moment(w, Interval(0.0, 1.0), MomentKind.AVG_W_LOG_W)
@@ -362,17 +342,11 @@ class TestBuildPartition:
         # the length-weighted sum over children in both components.
         cfg = SplitConfig(q=Q_LINEAR, q1=Q_LINEAR * 1.02)
         tree = build_partition(LINEAR, cfg, SplitMode.LOG, max_depth=5)
-        for node in _walk(tree.root):
-            if not node.children:
-                continue
-            length = node.interval.b - node.interval.a
+        mass = (tree.points * (tree.ends[:, 1] - tree.ends[:, 0])[:, None]).tolist()
+        for i in range(len(mass) // 2):
             for coord in (0, 1):
-                parent_mass = node.point[coord] * length
-                child_mass = sum(
-                    c.point[coord] * (c.interval.b - c.interval.a)
-                    for c in node.children
-                )
-                assert child_mass == pytest.approx(parent_mass, abs=1e-12)
+                child_mass = mass[2 * i + 1][coord] + mass[2 * i + 2][coord]
+                assert child_mass == pytest.approx(mass[i][coord], abs=1e-12)
 
     def test_rejects_weight_whose_constant_exceeds_q(self):
         w = step_weight([0.0, 0.57, 1.0], [1.0, 100.0])
@@ -395,21 +369,22 @@ class TestBuildPartition:
         cfg = SplitConfig(q=1.5, q1=1.8)
         tree = build_partition(FLAT, cfg, SplitMode.LOG, max_depth=0)
         assert tree.depth == 0
-        assert tree.root.children == ()
-        assert tree.root.point[0] == pytest.approx(3.0)
+        assert tree.ends.shape == tree.points.shape == (1, 2)
+        assert tree.points[0, 0] == pytest.approx(3.0)
 
 
 class TestChainVerify:
     @staticmethod
     def _generation_sums(surface, tree):
         """Each generation's sum as the chain was summed over the node objects: generations from the
-        root view, a node's children in order, each sum added in order from 0.0."""
-        generations, generation = [], [tree.root]
+        root node, a node's children in order, each sum added in order from 0.0."""
+        root = node_view(tree.ends, tree.points)
+        generations, generation = [], [root]
         while generation:
             generations.append(generation)
             generation = [c for n in generation for c in n.children]
         values = iter(evaluate_many(surface, *np.array([n.point for g in generations for n in g]).reshape(-1, 2).T).tolist())
-        root_len = tree.root.interval.b - tree.root.interval.a
+        root_len = root.interval.b - root.interval.a
         sums = []
         for generation in generations:
             total = 0.0
@@ -532,7 +507,7 @@ class TestChainVerify:
 def _digest(root):
     """sha256 of the preorder nodes: float.hex of interval.a, interval.b, point x, point y."""
     h = hashlib.sha256()
-    for node in _walk(root):
+    for node in walk(root):
         fields = (node.interval.a, node.interval.b, *node.point)
         h.update(" ".join(float(v).hex() for v in fields).encode())
     return h.hexdigest()
@@ -556,7 +531,7 @@ class TestFrozenTrees:
         pieces, mode, q, q1, eps, digest, sums = case
         w = _frozen_weight(pieces)
         tree = build_partition(w, SplitConfig(q=q, q1=q1), SplitMode(mode), max_depth=6)
-        assert _digest(tree.root) == digest
+        assert _digest(node_view(tree.ends, tree.points)) == digest
         report = chain_verify(_surface(mode, q1, eps), w, tree)
         assert len(report.sums) == len(sums)
         # evaluate_many's array logs and exps may round differently from math's;
@@ -569,7 +544,7 @@ class TestFrozenTrees:
         moved = 0
         for pieces, mode, q, q1, *_ in FROZEN_TREES:
             tree = build_partition(_frozen_weight(pieces), SplitConfig(q=q, q1=q1), SplitMode(mode), max_depth=6)
-            for node in _walk(tree.root):
+            for node in walk(node_view(tree.ends, tree.points)):
                 if node.children:
                     left = node.children[0].interval
                     moved += abs(left.length / node.interval.length - 0.5) > 1e-9
@@ -586,10 +561,10 @@ class TestFrozenTrees:
                 f"moment point {pt} of [{iv.a}, {iv.b}] leaves the q = {cfg.q} domain; the weight's constant exceeds q"
             )
         if not depth:
-            return dyadic.PartitionNode(iv, pt)
+            return Node(Ends(iv.a, iv.b), pt)
         left, right, _ = split(w, iv, cfg, mode)
         kids = [TestFrozenTrees._depth_first(w, cfg, mode, depth - 1, half) for half in (left, right)]
-        return dyadic.PartitionNode(iv, pt, tuple(kids))
+        return Node(Ends(iv.a, iv.b), pt, tuple(kids))
 
     @staticmethod
     @functools.cache
@@ -619,8 +594,9 @@ class TestFrozenTrees:
         moved = 0
         for w, cfg, mode, depth in cases():
             want = self._depth_first(w, cfg, mode, depth)
-            assert build_partition(w, cfg, mode, max_depth=depth).root == want
-            moved += sum(n.children[0].interval.length != 0.5 * n.interval.length for n in _walk(want) if n.children)
+            tree = build_partition(w, cfg, mode, max_depth=depth)
+            assert node_view(tree.ends, tree.points) == want
+            moved += sum(n.children[0].interval.length != 0.5 * n.interval.length for n in walk(want) if n.children)
         assert (moved > 0) == moves
 
     def test_each_point_takes_two_moments(self, monkeypatch):
@@ -642,7 +618,7 @@ class TestFrozenTrees:
         monkeypatch.setattr(dyadic, "_excess", counted("excess", _excess))
         monkeypatch.setattr(dyadic, "_chord_excess", counted("chord", _chord_excess))
         tree = build_partition(FLAT, SplitConfig(q=1.5, q1=1.8), SplitMode.LOG, max_depth=4)
-        nodes = len(list(_walk(tree.root)))
+        nodes = len(tree.ends)
         assert calls == {"pair": 1, "pairs": 1, "rows": nodes - 1, "excess": 2, "chord": 1}
 
 
