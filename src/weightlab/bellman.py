@@ -243,7 +243,11 @@ def evaluate(surface: BellmanSurface, x: float, y: float) -> float:
         x, y = float(x), float(y)
     if surface.kind is SurfaceKind.GEHRING:
         _require_eps(surface)
-    v = _admissible_solve(surface, x, y)[0]
+    return _evaluate_at(surface, x, y, _admissible_solve(surface, x, y)[0])
+
+
+def _evaluate_at(surface: BellmanSurface, x, y, v) -> float:
+    """evaluate at (x, y) from its tangent abscissa v, solved already."""
     try:
         return float(_value(surface, x, y, v))
     except ZeroDivisionError:  # AINF_LOWER divides by g v, which a subnormal v underflows

@@ -50,9 +50,13 @@ def _float_json(x: float) -> str:
 
 
 def _json(obj, pad: str = "\n") -> str:
-    """json.dumps(obj, indent=2) in one walk, each float by _float_json."""
+    """json.dumps(obj, indent=2) in one walk: each float by _float_json, None and a str as it writes them."""
     if isinstance(obj, float):
         return _float_json(obj)
+    if obj is None:
+        return "null"
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
     inner = pad + "  "
     if isinstance(obj, dict):  # a str key as json.dumps writes it (ensure_ascii); another from a one-key dict
         items = [(encode_basestring_ascii(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
@@ -210,7 +214,7 @@ def _cmd_bellman(args) -> tuple[bool, object]:
             "eps": args.eps,
             "x": x,
             "y": y,
-            "value": bellman.evaluate(surface, x, y),
+            "value": bellman._evaluate_at(surface, x, y, tp.root),
             "tangent": tp.root,
             "tangent_residual": tp.residual,
         }
@@ -272,7 +276,9 @@ def _cmd_extremal(args) -> tuple[bool, object]:
     if args.x is not None:
         target = (args.x, args.y)
     spec = extremals.ExtremalSpec(family, args.q, target=target, eps=args.eps)
-    w = extremals.build(spec)
+    # the attainment check of a Gehring family needs eps: without it, no gap
+    gap = args.eps is not None or family in (extremals.Family.AINF_UPPER, extremals.Family.FUNNY)
+    rep, w = extremals._attain(spec) if gap else (None, extremals.build(spec))
     weight = weights.weight_to_dict(w)
     payload = {
         "family": args.family,
@@ -281,12 +287,8 @@ def _cmd_extremal(args) -> tuple[bool, object]:
         "target": list(extremals.default_target(spec) if target is None else target),
         "pieces": weight["pieces"],
     }
-    if args.eps is not None or family in (extremals.Family.AINF_UPPER, extremals.Family.FUNNY):
-        # the attainment check of a Gehring family needs eps: without it, no gap
-        rep = extremals.attainment_check(spec)
-        payload["surface_value"] = rep.surface_value
-        payload["weight_value"] = rep.weight_value
-        payload["gap"] = rep.gap
+    if gap:
+        payload.update(surface_value=rep.surface_value, weight_value=rep.weight_value, gap=rep.gap)
     if args.emit is not None:
         if args.emit.endswith(".json"):
             text = json.dumps(weight, indent=2)

@@ -3,7 +3,9 @@
 Every family glues a power spike t^{alpha} at the origin to a constant tail
 (or is a single pure power).  The glue point and the spike exponent come
 from the tangent-line construction, so that for the designated moment the
-weight reproduces the surface value exactly, not just approximately.
+weight reproduces the surface value exactly, not just approximately.  An
+attainment report takes its weight from one build, and its surface value from
+the tangent abscissa that build solved, where the weight glues at one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bellman import _BLOCK, POINT_TOL, BellmanSurface, SurfaceKind, evaluate, in_domain, tangent_point
+from .bellman import _BLOCK, POINT_TOL, BellmanSurface, SurfaceKind, _admissible_solve, _evaluate_at, evaluate, in_domain
 from .errors import InfeasibleTargetError, ParameterError
 from .solvers import _log_bound, gamma_entropy_roots
 from .weights import (
@@ -106,13 +108,16 @@ def _power_spike(value: float, glue: float, exponent: float) -> Weight:
 
 def build(spec: ExtremalSpec) -> Weight:
     """Construct the extremal weight; raises InfeasibleTargetError off-domain."""
-    target = spec.target if spec.target is not None else default_target(spec)
-    x, y = target
+    return _build(spec, *(spec.target if spec.target is not None else default_target(spec)))[0]
+
+
+def _build(spec: ExtremalSpec, x, y) -> tuple[Weight, BellmanSurface | None, float | None]:
+    """The extremal weight at (x, y), its surface (None for FUNNY) and the tangent abscissa v it glues at
+    (None for FUNNY and GEHRING_BOUNDARY, whose weights take none); x and y are read as floats."""
     if spec.family is Family.FUNNY:
         gm = gamma_entropy_roots(spec.q)[0].root
-        return Weight(
-            (PowerPiece(Interval(0.0, 1.0), 1.0 / gm, (1.0 - gm) / gm),)
-        )
+        return Weight((PowerPiece(Interval(0.0, 1.0), 1.0 / gm, (1.0 - gm) / gm),)), None, None
+    x, y = float(x), float(y)
     surface = _surface_for(spec)
     if not in_domain(surface, x, y, tol=POINT_TOL):
         raise InfeasibleTargetError(
@@ -127,14 +132,14 @@ def build(spec: ExtremalSpec) -> Weight:
             raise InfeasibleTargetError(
                 f"target ({x}, {y}) is not on the upper boundary y = x log x + q x"
             )
-        return Weight((PowerPiece(Interval(0.0, 1.0), x / g, (1.0 - g) / g),))
-    v = tangent_point(surface, x, y).root
+        return Weight((PowerPiece(Interval(0.0, 1.0), x / g, (1.0 - g) / g),)), surface, None
+    v = _admissible_solve(surface, x, y)[0]  # tangent_point's root
     den = v * (g - 1.0)  # the glue point is (x - v) / den, g (v - x) / den on AINF_UPPER
     if den == 0.0:
         raise InfeasibleTargetError(f"target ({x}, {y}): v (gamma - 1) underflows to 0 at v = {v}")
     if spec.family is Family.AINF_UPPER:
-        return _power_spike(v, min(max(g * (v - x) / den, 0.0), 1.0), g - 1.0)
-    return _power_spike(v, min(max((x - v) / den, 0.0), 1.0), (1.0 - g) / g)
+        return _power_spike(v, min(max(g * (v - x) / den, 0.0), 1.0), g - 1.0), surface, v
+    return _power_spike(v, min(max((x - v) / den, 0.0), 1.0), (1.0 - g) / g), surface, v
 
 
 @dataclass(frozen=True)
@@ -151,24 +156,29 @@ def attainment_check(spec: ExtremalSpec, eps: float | None = None) -> Attainment
 
     AINF_UPPER compares avg(w log w); GEHRING families compare avg(w^{1+eps});
     FUNNY compares avg(log w) against the lower surface.  The gap is relative.
+    The report is formed from the one built weight and its one tangent solve.
     The funny weight depends on q alone and attains only default_target: a
     target of that family elsewhere in the domain raises InfeasibleTargetError.
     """
+    return _attain(spec, eps)[0]
+
+
+def _attain(spec: ExtremalSpec, eps: float | None = None) -> tuple[AttainmentReport, Weight]:
+    """attainment_check's report and the weight it measured."""
     eff_eps = eps if eps is not None else spec.eps
     if spec.family in (Family.GEHRING_BOUNDARY, Family.GEHRING_INTERIOR):
         if eff_eps is None:
             raise ParameterError("gehring attainment needs eps")
         spec = ExtremalSpec(spec.family, spec.q, spec.target, eff_eps)
-    w = build(spec)
     target = spec.target if spec.target is not None else default_target(spec)
     x, y = target
-    surface = _surface_for(spec)
-    full = Interval(0.0, 1.0)
-    value = evaluate(surface, x, y)
+    w, surface, v = _build(spec, x, y)  # FUNNY and GEHRING_BOUNDARY take no v: they solve in evaluate
+    value = evaluate(surface or _surface_for(spec), x, y) if v is None else _evaluate_at(surface, float(x), float(y), v)
     if spec.family is Family.FUNNY and tuple(target) != default_target(spec):
         raise InfeasibleTargetError(
             f"target ({x}, {y}): the funny weight for q = {spec.q} attains only {default_target(spec)}"
         )
+    full = Interval(0.0, 1.0)
     if spec.family is Family.AINF_UPPER:
         measured = moment(w, full, MomentKind.AVG_W_LOG_W)
     elif spec.family is Family.FUNNY:
@@ -176,7 +186,7 @@ def attainment_check(spec: ExtremalSpec, eps: float | None = None) -> Attainment
     else:
         measured = moment(w, full, MomentKind.AVG_W_POW, p=1.0 + eff_eps)
     scale = max(1.0, abs(value))
-    return AttainmentReport(value, measured, (measured - value) / scale, x, y)
+    return AttainmentReport(value, measured, (measured - value) / scale, x, y), w
 
 
 def divergence_probe(w: Weight, p: float, deltas: tuple[float, ...]) -> list[float]:

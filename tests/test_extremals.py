@@ -1,12 +1,17 @@
+import dataclasses
 import functools
+import json
 import math
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from weightlab import (
+    DomainError,
     ExtremalSpec,
     Family,
     InfeasibleTargetError,
@@ -24,8 +29,8 @@ from weightlab import (
     rh1_constant,
     sharpness_sweep,
 )
-from weightlab import extremals
-from weightlab.bellman import _BLOCK, bounds_check_ainf
+from weightlab import bellman, cli, extremals
+from weightlab.bellman import _BLOCK, BellmanSurface, SurfaceKind, bounds_check_ainf
 from weightlab.solvers import eps_minus, gamma_entropy_roots
 
 from _frozen import (
@@ -182,6 +187,179 @@ class TestAttainment:
         assert measured == pytest.approx(1.0, abs=1e-9)
         measured, _ = rh1_constant(build(ExtremalSpec(Family.GEHRING_BOUNDARY, 1.0, eps=0.3)), resolution=201)
         assert measured == pytest.approx(1.0, abs=1e-9)
+
+
+GEHRING = (Family.GEHRING_BOUNDARY, Family.GEHRING_INTERIOR)
+# a target at a fraction of the way up the domain: 0 and 1 on its boundary curves, -0.5 and 1.5 outside
+FRACTIONS = st.sampled_from((0.0, 1.0, -0.5, 1.5)) | st.floats(0.0, 1.0)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _composed(spec, eps):
+    """attainment_check as build, evaluate and moment composed: the report and the weight."""
+    eff_eps = eps if eps is not None else spec.eps
+    if spec.family in GEHRING:
+        if eff_eps is None:
+            raise ParameterError("gehring attainment needs eps")
+        spec = ExtremalSpec(spec.family, spec.q, spec.target, eff_eps)
+    w = build(spec)
+    target = spec.target if spec.target is not None else default_target(spec)
+    x, y = target
+    value = bellman.evaluate(extremals._surface_for(spec), x, y)
+    if spec.family is Family.FUNNY and tuple(target) != default_target(spec):
+        raise InfeasibleTargetError(
+            f"target ({x}, {y}): the funny weight for q = {spec.q} attains only {default_target(spec)}"
+        )
+    full = Interval(0.0, 1.0)
+    if spec.family is Family.AINF_UPPER:
+        measured = moment(w, full, MomentKind.AVG_W_LOG_W)
+    elif spec.family is Family.FUNNY:
+        measured = moment(w, full, MomentKind.AVG_LOG_W)
+    else:
+        measured = moment(w, full, MomentKind.AVG_W_POW, p=1.0 + eff_eps)
+    return extremals.AttainmentReport(value, measured, (measured - value) / max(1.0, abs(value)), x, y), w
+
+
+def _bits(outcome):
+    """An outcome as text that tells every bit: repr of each report field and weight piece (nan == nan)."""
+    if isinstance(outcome[0], type):
+        return outcome
+    report, w = outcome
+    return [repr(v) for v in dataclasses.astuple(report)], repr(w)
+
+
+@st.composite
+def _attain_case(draw):
+    """(spec, eps): a family, q log-uniform over its accepted range, a target and eps."""
+    family = draw(st.sampled_from(Family))
+    if family is Family.AINF_UPPER:  # q - 1 from 1e-12 to 1e300, past 1e10 included
+        q = 1.0 + 10.0 ** draw(st.floats(-12.0, 300.0))
+    else:  # the entropy roots refuse q past 743
+        q = 10.0 ** draw(st.floats(-10.0, math.log10(800.0)))
+    target = None
+    if draw(st.integers(0, 4)):
+        x = 10.0 ** draw(st.floats(-3.0, 3.0)) if draw(st.integers(0, 9)) else draw(st.sampled_from((0.0, -1.0)))
+        f = draw(FRACTIONS)
+        if family is Family.AINF_UPPER:
+            y = math.log(x) - f * math.log(q) if x > 0.0 else 0.0
+        else:
+            y = x * math.log(x) + f * q * x if x > 0.0 else 0.0
+        target = (np.float32(x), np.float32(y)) if draw(st.integers(0, 3)) == 0 else (x, y)
+    eps = None
+    if family in GEHRING and draw(st.integers(0, 5)):
+        frac = draw(st.floats(0.01, 1.5))  # past 1: outside the surface's eps range
+        try:
+            eps = frac / (gamma_entropy_roots(q)[1].root - 1.0)
+        except ParameterError:
+            eps = frac
+    if draw(st.booleans()):
+        return ExtremalSpec(family, q, target, eps), None
+    return ExtremalSpec(family, q, target), eps
+
+
+def _attain_mismatch(spec, eps):
+    """None when _attain gives build's weight and the composed report, bit for bit, or the same refusal."""
+    got, want = _bits(_outcome(extremals._attain, spec, eps)), _bits(_outcome(_composed, spec, eps))
+    return None if got == want else (got, want)
+
+
+class TestOneBuild:
+    """attainment_check builds its weight once and solves its tangent point once; the report is the
+    one that build, evaluate and moment composed would give."""
+
+    @given(_attain_case())
+    @example((ExtremalSpec(Family.AINF_UPPER, 3.0, (np.float32(2.0), np.float32(0.2))), None))
+    @example((ExtremalSpec(Family.AINF_UPPER, 1e6, (1.0, 0.0)), None))  # the lower boundary: u = g, v = x
+    @example((ExtremalSpec(Family.AINF_UPPER, 1e6, (1.0, -math.log(1e6))), None))
+    @example((ExtremalSpec(Family.AINF_UPPER, 1e12), None))
+    @example((ExtremalSpec(Family.AINF_UPPER, 2.0, (1.0, 0.5)), None))
+    @example((ExtremalSpec(Family.AINF_UPPER, 1.01, (5e-324, math.log(5e-324))), None))
+    @example((ExtremalSpec(Family.GEHRING_INTERIOR, 3.0, (2.0, 2.0 * math.log(2.0))), eps_mid(3.0)))
+    @example((ExtremalSpec(Family.GEHRING_INTERIOR, 3.0, (2.0, 2.0 * math.log(2.0) + 6.0)), eps_mid(3.0)))
+    @example((ExtremalSpec(Family.GEHRING_INTERIOR, 4.461070114325701e-07, (5e-324, 1e-17)), 0.3))
+    @example((ExtremalSpec(Family.GEHRING_BOUNDARY, 1.0), 0.3))
+    @example((ExtremalSpec(Family.GEHRING_BOUNDARY, 1.0, (1.0, 0.0)), 0.3))
+    @example((ExtremalSpec(Family.GEHRING_INTERIOR, 1.0), None))
+    @example((ExtremalSpec(Family.FUNNY, 1.0, (2.0, 1.5)), None))
+    @example((ExtremalSpec(Family.FUNNY, 1.0, (5e-324, -3.676e-321)), None))
+    @example((ExtremalSpec(Family.FUNNY, 1.0, (np.float32(1.0), np.float32(1.0))), None))
+    def test_one_build_is_the_composition(self, case):
+        assert _attain_mismatch(*case) is None
+
+    def test_value_from_the_next_abscissa_fails(self, monkeypatch):
+        # negative control: a value formed one ulp of v away is another report
+        at = bellman._evaluate_at
+        monkeypatch.setattr(extremals, "_evaluate_at", lambda s, x, y, v: at(s, x, y, np.nextafter(v, math.inf)))
+        cases = [(ExtremalSpec(Family.AINF_UPPER, q), None) for q in (1.5, 3.0)]
+        cases += [(ExtremalSpec(Family.GEHRING_INTERIOR, q), eps_mid(q)) for q in (0.5, 3.0)]
+        assert all(_attain_mismatch(*case) is not None for case in cases)
+
+
+class TestOneSolve:
+    """Each scalar CLI answer solves its tangent point once (bellman._tangent_solve, counted)."""
+
+    @pytest.fixture()
+    def solves(self, monkeypatch):
+        count, solve = [0], bellman._tangent_solve
+
+        def counted(*args):
+            count[0] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(bellman, "_tangent_solve", counted)
+        return count
+
+    @pytest.mark.parametrize("argv", [
+        ["ainf", "--q", "12345.678"],
+        ["ainf", "--q", "3.0", "--x", "2.0", "--y", "0.2"],
+        ["gehring-interior", "--q", "3.0", "--eps", "0.2"],
+        ["gehring-boundary", "--q", "3.0", "--eps", "0.2"],
+        ["funny", "--q", "3.0"],
+    ])
+    def test_extremal_with_a_gap_solves_once(self, argv, solves, capsys):
+        assert cli.main(["extremal", "--family", *argv]) == 0
+        assert "gap" in json.loads(capsys.readouterr().out)
+        assert solves[0] == 1
+
+    @pytest.mark.parametrize("surface, point", [("ainf-upper", "2.0,0.2"), ("gehring", "2.0,2.5"),
+                                                ("ainf-lower", "2.0,2.5")])
+    def test_eval_solves_once(self, surface, point, solves, capsys):
+        eps = ["--eps", "0.2"] if surface == "gehring" else []
+        assert cli.main(["bellman", "--surface", surface, "--q", "3.0", *eps, "--eval", point]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] is not None
+        assert solves[0] == 1
+
+    @given(st.sampled_from(SurfaceKind), st.floats(-3.0, 2.5), st.floats(-2.0, 2.0), FRACTIONS)
+    @example(SurfaceKind.AINF_LOWER, 0.0, -323.3, 0.0)  # x = 5e-324 on the lower boundary: the subnormal-v guard
+    @example(SurfaceKind.AINF_UPPER, 6.0, 0.3, 0.0)  # the lower boundary, u = g exactly
+    @example(SurfaceKind.GEHRING, 0.5, 0.3, 0.0)
+    @example(SurfaceKind.AINF_LOWER, 0.5, 0.3, 0.0)
+    def test_value_at_the_tangent_root_is_evaluate(self, kind, log_q, log_x, f):
+        q = 10.0**log_q
+        if kind is SurfaceKind.AINF_UPPER:
+            q += 1.0
+        eps = eps_mid(q) if kind is SurfaceKind.GEHRING and q <= 743.0 else None
+        surface = _outcome(BellmanSurface, kind, q, eps)
+        if isinstance(surface, tuple):
+            return
+        x = 5e-324 if log_x < -323.0 else 10.0**log_x
+        y = math.log(x) - f * math.log(q) if kind is SurfaceKind.AINF_UPPER else x * math.log(x) + f * q * x
+        composed = _outcome(lambda: bellman._evaluate_at(surface, x, y, bellman.tangent_point(surface, x, y).root))
+        want = _outcome(bellman.evaluate, surface, x, y)
+        assert repr(composed) == repr(want)
+
+    def test_subnormal_abscissa_keeps_its_message(self):
+        surface = BellmanSurface(SurfaceKind.AINF_LOWER, 1.0)
+        v = bellman.tangent_point(surface, 5e-324, -3.676e-321).root
+        with pytest.raises(DomainError, match=r"^point \(5e-324, -3.676e-321\): its tangent abscissa times gamma"):
+            bellman._evaluate_at(surface, 5e-324, -3.676e-321, v)
 
 
 class TestDivergenceProbe:

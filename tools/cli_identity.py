@@ -22,8 +22,10 @@ scans, CSV, and the four pair scans at resolutions 401 and 1201, where the
 pair walk splits its rows on 2 or more CPUs), ``solve`` for each equation
 over q from tiny to past its range, ``extremal`` for all four families with
 and without targets and their refusals, ``bellman --eval`` on the three
-surfaces inside, on and outside their domains, ``dyadic`` trees without
-``--verify`` at depths 0 to 6, and ``sweep --format json`` (decimal q among them).
+surfaces inside, on and outside their domains, ``--eval`` and ``extremal``
+(``ainf``, ``gehring-interior``) at targets on both boundary curves, ``dyadic``
+trees without ``--verify`` at depths 0 to 6, and ``sweep --format json``
+(decimal q among them).
 Last the parser group (``parser_cases``): per subcommand a plain argv in every
 order of its options, and the argvs that ``cli._parse_plain`` leaves to argparse.
 
@@ -219,6 +221,26 @@ def writer_cases(workdir: Path) -> list[list[str]]:
                             y = x * math.log(x) + frac * q * x
                         runs.append(args + [f"--eval={x!r},{y!r}"])
     runs.append(["bellman", "--surface", "ainf-upper", "--q", "2.0", "--eval", "1.0"])
+
+    # targets on both boundary curves, y exactly as these expressions round it; on the lower one
+    # (y = log x, or y = x log x) the tangent solve takes its u = g branch, where v = x
+    for surface, family, qs in (("ainf-upper", "ainf", (1.01, 3.0, 1e6)),
+                                ("gehring", "gehring-interior", (0.05, 3.0, 500.0)),
+                                ("ainf-lower", None, (0.05, 3.0, 500.0))):
+        for q in qs:
+            eps = []
+            if surface == "gehring":
+                eps = ["--eps", repr(0.5 / (solvers.gamma_entropy_roots(q)[1].root - 1.0))]
+            for x in (0.25, 1.0, 7.5):
+                if surface == "ainf-upper":
+                    ends = (math.log(x), math.log(x) - math.log(q))
+                else:
+                    ends = (x * math.log(x), x * math.log(x) + q * x)
+                for y in ends:
+                    runs.append(["bellman", "--surface", surface, "--q", repr(q), *eps, f"--eval={x!r},{y!r}"])
+                    if family is not None:
+                        runs.append(["extremal", "--family", family, "--q", repr(q), *eps,
+                                     "--x", repr(x), f"--y={y!r}"])
 
     for path in corpus[:12]:
         for mode, q in (("log", "40.0"), ("entropy", "6.0"), ("log", "1.0001")):
