@@ -137,7 +137,7 @@ def _chord_excess(entropy: bool, q: float, p0, p1) -> np.ndarray:
 
 
 def _tangent_solve(surface: BellmanSurface, x, y):
-    """Tangent abscissa v (float or array), the kernel's steps and the c1 solved for.
+    """Tangent abscissa v (float or array) and the c1 solved for.
 
     u = g x / v (AINF_UPPER) or u = g v / x (GEHRING, AINF_LOWER) turns the
     tangent equation into u - log u = 1 + c1, GEHRING on the upper branch.
@@ -145,7 +145,7 @@ def _tangent_solve(surface: BellmanSurface, x, y):
     height above the lower boundary: c1_lower there (u = g), 0 on the upper
     boundary (u = 1).  u = g and v = x are exact on the lower boundary, where
     the value's error is v's error over g (~1e-8 at q = 1e6).  The solve is solvers._log_root
-    (one Newton step from its table start at every c1 <= 745, Halley's in the series band), which forms u alone:
+    (one Newton step from its start, Halley's in the series band), which forms u alone:
     evaluate_many, the array Hessian and through them the linearity and chain
     checks read only v, and tangent_point maps _bracket(c1) to v itself.  On
     arrays the height and c1 share one new buffer, and v is written over u's.
@@ -161,14 +161,14 @@ def _tangent_solve(surface: BellmanSurface, x, y):
         c1_lower = math.log(surface.q)
         c1 -= y
     c1 = xp.minimum(xp.maximum(xp.subtract(c1_lower, c1, out=c1), 0.0, out=c1), c1_lower, out=c1)
-    u, _, _, steps = _log_root(c1, upper=surface.kind is SurfaceKind.GEHRING)
+    u = _log_root(c1, upper=surface.kind is SurfaceKind.GEHRING)[0]
     if xp is np:  # the lower boundary: u = g, and so v = x, exactly
         u[c1 == c1_lower] = g
     elif c1 == c1_lower:
         u = g
     u = xp.divide(u, g, out=u) if entropy else xp.divide(g, u, out=u)
     u *= x
-    return u, steps, c1
+    return u, c1
 
 
 def _admissible_solve(surface: BellmanSurface, x, y):
@@ -188,7 +188,7 @@ def _admissible_solve(surface: BellmanSurface, x, y):
 def tangent_point(surface: BellmanSurface, x: float, y: float) -> RootResult:
     """Tangent abscissa v for the point (v = x on the lower boundary), residual at v."""
     x, y = float(x), float(y)
-    v, steps, c1 = _admissible_solve(surface, x, y)
+    v, c1 = _admissible_solve(surface, x, y)
     g, (lo, hi) = surface.gamma, _bracket(c1, upper=surface.kind is SurfaceKind.GEHRING)
     if surface.kind is SurfaceKind.AINF_UPPER:
         if c1 == math.log(surface.q):  # the lower boundary, where u is g: gamma_log's bracket holds it
@@ -196,7 +196,7 @@ def tangent_point(surface: BellmanSurface, x: float, y: float) -> RootResult:
         bracket = (x * (g / hi), x * (g / lo))
     else:
         bracket = (x * (lo / g), x * (hi / g))
-    return RootResult(v, _tangent_y(surface, x, v) - y, bracket, steps)
+    return RootResult(v, _tangent_y(surface, x, v) - y, bracket, 1)
 
 
 def _tangent_y(surface: BellmanSurface, x, v):

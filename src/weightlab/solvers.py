@@ -2,11 +2,11 @@
 
 The tangency slopes gamma_- and gamma_+, the sharp Gehring gap eps_minus and
 (in bellman) the surfaces' tangent abscissae are all branch roots of
-t - log t = c.  One kernel, _branch_root on its loop _log_root, solves that
-equation for a float or an array: steps in s = log t inside closed-form
-brackets, started within 1e-9 of the root by a cubic Hermite table per
-branch in sqrt(c - 1), built at import, so that one Newton step, Halley in
-the series band near s = 0, lands below rounding up to c = 746.
+t - log t = c.  One kernel, _branch_root on its one step _log_root, solves
+that equation for a float or an array: one Newton step in s = log t, Halley's
+in the series band near s = 0, lands below rounding from a start within 1e-9
+of the root, a cubic Hermite table per branch in sqrt(c - 1), built at import,
+up to c = 746, and past it on the upper branch six passes of s = log1p(c - 1 + s).
 gehring_sharp_eps takes Newton steps in log eps, from below its root.
 """
 
@@ -52,10 +52,9 @@ _FLOAT_OPS = SimpleNamespace(
     expm1=lambda x, out=None: math.expm1(x), exp=lambda x, out=None: math.exp(x), log1p=math.log1p, log=math.log,
     sqrt=math.sqrt, add=lambda a, b, out=None: a + b, subtract=lambda a, b, out=None: a - b,
     divide=lambda a, b, out=None: a / b, minimum=lambda a, b, out=None: b if b < a else a,
-    maximum=lambda a, b, out=None: b if b > a else a, where=lambda c, a, b: a if c else b, all=bool, any=bool,
+    maximum=lambda a, b, out=None: b if b > a else a, where=lambda c, a, b: a if c else b, all=bool,
     isfinite=math.isfinite,
 )
-_MAX_STEPS = 40
 # e^s - 1 - s = s^2 sum_k s^k / (k + 2)!, k < 12: 1e-18 relative at |s| < 1/4,
 # where expm1(s) - s has lost 3 bits or more to cancellation
 _EXCESS_SERIES = tuple(1.0 / math.factorial(k + 2) for k in reversed(range(12)))
@@ -121,19 +120,18 @@ def _series_step(s, em1, c1, d):
     return d
 
 
-def _log_root(c1, upper: bool, s=None):
-    """_branch_root's steps on h(s) = e^s - 1 - s - c1: (t, s, dt, steps), t = e^s + dt the root.
+def _log_root(c1, upper: bool):
+    """_branch_root's one step on h(s) = e^s - 1 - s - c1: (t, s, dt), t = e^s + dt the root.
 
-    Up to c1 = 745, and at a NaN, one step d from _start lands below rounding:
+    At every c1, and at a NaN, one step d from _start lands below rounding:
     Newton's, h/em1 from the em1 = expm1(s) h read, and Halley's, h from _excess,
     where |s| < _EXCESS_SERIES_S (from the start's 1e-9, Halley's factor moves d
     by under 1% of an ulp of s past that band).  Upper, t = (1 + em1) e^-d, so
     em1's rounding cancels; lower, down to e^-746, t = e^s1 (1 + expm1(r)),
-    s1 + r = s - d.  Past 745 (one fmax reduction, which passes over a NaN,
-    finds it; a mixed block splits) and from a given s, clipped Halley steps
-    loop to 4 ulp of 1 + |s|.  t - 1 = expm1(s) + dt and the bracket are left
-    to the callers.
-    On an array the one step runs in place.  The caller's c1 is only read.  The
+    s1 + r = s - d; past c1 = 745, e^s ~ 0 makes h linear in s, and the step
+    lands on s1 = -1 - c1 and t = 0.  t - 1 = expm1(s) + dt and the bracket are
+    left to the callers.
+    On an array the step runs in place.  The caller's c1 is only read.  The
     kernel makes four arrays, its c1 + 5e-324, _start's s, em1 and d (s + c1, h,
     then d), and writes every later result into one of them by augmented
     assignment or out= (a float is rebound): upper, d's takes expm1(-d), c1's
@@ -141,57 +139,40 @@ def _log_root(c1, upper: bool, s=None):
     then t.  What it returns is the caller's to write over.
     """
     xp = _ops(c1)
-    far = s is not None or (np.fmax.reduce(c1, initial=0.0) if isinstance(c1, np.ndarray) else c1) > 745.0
-    if far and s is None and not xp.all(mask := c1 > 745.0):  # a mixed block splits
-        near, loop = (_log_root(c1[m], upper) for m in (~mask, mask))
-        out = np.empty((3,) + c1.shape)
-        out[:, ~mask], out[:, mask] = near[:3], loop[:3]
-        return (*out, loop[3])
-    c1 = c1 + 5e-324  # keeps every iterate, and so h'(s) = e^s - 1, off zero
-    if not far:
-        s = _start(c1, upper)
-        em1 = xp.expm1(s)
-        d = s + c1
-        d = xp.subtract(em1, d, out=d)
-        d /= em1
-        d = _series_step(s, em1, c1, d)
-        if upper:
-            dt = xp.add(em1, 1.0, out=c1)
-            d *= -1.0
-            dt *= xp.expm1(d, out=d)
-            em1 += dt
-            em1 += 1.0
-            return em1, s, dt, 1
-        s1 = xp.subtract(s, d, out=em1)  # s - s1 is exact, and so is r = (s - s1) - d, as |d| << |s|
-        s -= s1
-        s -= d
-        dt = xp.expm1(s, out=s)
-        e_s = xp.exp(s1, out=c1)
-        dt *= e_s
-        e_s += dt
-        return e_s, s1, dt, 1
-    lo = xp.log1p(c1) if upper else -1.0 - c1
-    hi = lo + math.log(2.0) if upper else -c1
-    s = xp.minimum(xp.maximum(_start(c1, upper) if s is None else s, lo), hi)
-    for steps in range(1, _MAX_STEPS + 1):
-        em1 = xp.expm1(s)
-        d = _halley(em1 - (s + c1), em1)
-        if not xp.any(abs(d) > 4.0 * sys.float_info.epsilon * (1.0 + abs(s))):  # a NaN d holds no block back
-            break
-        s = xp.minimum(xp.maximum(s - d, lo), hi)
+    c1 = c1 + 5e-324  # keeps h'(s) = e^s - 1 off zero at the start
+    s = _start(c1, upper)
+    em1 = xp.expm1(s)
+    d = s + c1
+    d = xp.subtract(em1, d, out=d)
+    d /= em1
     d = _series_step(s, em1, c1, d)
-    e_s = xp.exp(s)
-    dt = e_s * xp.expm1(-d)  # e^{s - d} - e^s, without rounding s - d
-    return e_s + dt, s, dt, steps
+    if upper:
+        dt = xp.add(em1, 1.0, out=c1)
+        d *= -1.0
+        dt *= xp.expm1(d, out=d)
+        em1 += dt
+        em1 += 1.0
+        return em1, s, dt
+    s1 = xp.subtract(s, d, out=em1)  # s - s1 is exact, and so is r = (s - s1) - d, as |d| << |s|
+    s -= s1
+    s -= d
+    dt = xp.expm1(s, out=s)
+    e_s = xp.exp(s1, out=c1)
+    dt *= e_s
+    e_s += dt
+    return e_s, s1, dt
 
 
 def _start(c1, upper: bool):
-    """_log_root's start s ~ log t (float or array): _START's cubic at z = sqrt(c1) _START_SCALE.  Its last
-    row, constant, the s of c1 = 745, is clipped to the bracket's nearer end past it; a NaN takes that row too.
-    On an array the cubic runs in z's buffer and one more (in the taken rows, strided, numpy's loops are slower)."""
-    z = _ops(c1).sqrt(c1)
+    """_log_root's start s ~ log t (float or array): _START's cubic at z = sqrt(c1) _START_SCALE.  Its last row,
+    constant, the s of c1 = 745, serves past it on the lower branch and at a NaN; past it on the upper, found by
+    one fmax reduction (which passes over a NaN), s = log1p(c1 + s) six times from 0, each pass dividing the error
+    by 1 + c1 + s > 750, is at the root to rounding.  On an array the cubic runs in z's buffer and one more (in the
+    taken rows, strided, numpy's loops are slower)."""
+    xp = _ops(c1)
+    z = xp.sqrt(c1)
     z *= _START_SCALE
-    if isinstance(z, np.ndarray):
+    if xp is np:
         k = np.fmin(z, _START_N).astype(np.intp)  # before the cast, which takes a NaN or 1e150 out of range
         a, b, c, d = np.take(_START[upper], k, axis=0).T
     else:
@@ -204,15 +185,28 @@ def _start(c1, upper: bool):
     d += b
     z *= d
     z += a
+    if upper and (np.fmax.reduce(c1, initial=0.0) if xp is np else c1) > 745.0:
+        s = 0.0
+        for _ in range(6):
+            s = xp.log1p(c1 + s)
+        z = xp.where(c1 > 745.0, s, z)
     return z
 
 
 def _start_table(upper: bool) -> np.ndarray:
     """_START's (_START_N + 1, 4) rows: row k the cubic in z - k with s and ds/dz of nodes k and k + 1 (Hermite's).
-    Nodes w = z / _START_SCALE solved from s = +-sqrt(2) w, slopes ds/dw = 2 w ds/dc1 = 2 w / (e^s - 1),
-    +-sqrt(2) at w = 0; between nodes the cubic is within 1e-9 of s.  The last row is the last node's s."""
+    Nodes w = z / _START_SCALE take three Halley steps from s = +-sqrt(2) w, each clipped to s in [-1 - c1, -c1]
+    (lower) or t in [c, 2c] (upper), c1 = w^2; slopes ds/dw = 2 w ds/dc1 = 2 w / (e^s - 1), +-sqrt(2) at w = 0;
+    between nodes the cubic is within 1e-9 of s.  The last row is the last node's s."""
     sign, w = (1.0 if upper else -1.0), np.arange(1, _START_N + 1) / _START_SCALE
-    s = np.append(0.0, _log_root(w * w, upper, sign * math.sqrt(2.0) * w)[1])
+    c1 = w * w + 5e-324
+    lo = np.log1p(c1) if upper else -1.0 - c1
+    hi = lo + math.log(2.0) if upper else -c1
+    s = np.minimum(np.maximum(sign * math.sqrt(2.0) * w, lo), hi)
+    for _ in range(3):
+        em1 = np.expm1(s)
+        s = np.minimum(np.maximum(s - _halley(em1 - (s + c1), em1), lo), hi)
+    s = np.append(0.0, s)
     m = np.append(sign * math.sqrt(2.0), 2.0 * w / np.expm1(s[1:])) / _START_SCALE
     ds, m0, m1 = np.diff(s), m[:-1], m[1:]
     return np.vstack([np.stack([s[:-1], m0, 3.0 * ds - 2.0 * m0 - m1, m0 + m1 - 2.0 * ds], axis=1), [s[-1], 0, 0, 0]])
@@ -225,37 +219,35 @@ def _branch_root(c1, upper: bool, q=None):
     """Root of t - log t = 1 + c1 (c1 >= 0, float or array) in (0, 1], or in [1, inf) if upper.
 
     c1 = c - 1 keeps the digits of c near 1, where the roots meet at t = 1.
-    Steps on h(s) = e^s - 1 - s - c1, s = log t, start from _start: one Newton
-    step up to c1 = 745, and past it three Halley steps, clipped to the bracket s in
-    [-1 - c1, -c1] (lower) or t in [c, 2c] (upper).  The last one (Halley's from
-    _series_step near s = 0) is applied without rounding s - d, so t and t - 1
-    keep full precision.  Returns (t, t - 1, steps, (t_lo, t_hi)).  The array
-    callers in bellman read t alone: they call _log_root, and form neither t - 1
-    nor the bracket.
+    _log_root takes one step on h(s) = e^s - 1 - s - c1, s = log t, from _start:
+    Newton's, or Halley's from _series_step near s = 0, applied without rounding
+    s - d, so t and t - 1 keep full precision.  Returns (t, t - 1, (t_lo, t_hi)),
+    _bracket's.  The array callers in bellman read t alone: they call _log_root,
+    and form neither t - 1 nor the bracket.
     A lower root of c1 = log q may be given q: the rounding of log q (ulp/2) is
     relative error in t ~ e^{-1-c1}, and where t <= 1/4 one step of t = e^{t-1}/q,
     in q itself, contracts it by a factor t.  The step is increasing in t, so the
     bracket's ends, mapped through it, hold the new t; t - 1 is the kernel's, within an ulp.
     """
-    t, s, dt, steps = _log_root(c1, upper)
+    t, s, dt = _log_root(c1, upper)
     xp, bracket = _ops(t), _bracket(c1, upper)
     if q is not None:
         far = t <= 0.25
         t, *bracket = (xp.where(far, xp.exp(u - 1.0) / q, u) for u in (t, *bracket))
-    return t, xp.expm1(s) + dt, steps, tuple(bracket)
+    return t, xp.expm1(s) + dt, tuple(bracket)
 
 
 def _bracket(c1, upper: bool):
     """_branch_root's bracket in t: [c, 2c] (upper) or [e^{-c}, e^{1-c}], c = 1 + c1."""
-    c1 = c1 + 5e-324  # _log_root's c1: the ends are e to its clip bounds
+    c1 = c1 + 5e-324  # the c1 _log_root solves for
     exp = _ops(c1).exp
     return (1.0 + c1, 2.0 + 2.0 * c1) if upper else (exp(-1.0 - c1), exp(-c1))
 
 
 @functools.lru_cache(maxsize=256)  # RootResult is frozen; default_target and each surface re-solve one q
 def _root_result(c1: float, upper: bool, q: float | None = None) -> RootResult:
-    t, _, steps, bracket = _branch_root(c1, upper, q)
-    return RootResult(t, t - math.log(t) - (1.0 + c1), bracket, steps)
+    t, _, bracket = _branch_root(c1, upper, q)
+    return RootResult(t, t - math.log(t) - (1.0 + c1), bracket, 1)
 
 
 def gamma_log(q: float) -> RootResult:
@@ -298,9 +290,9 @@ def eps_minus(q: float) -> RootResult:
     """
     if not (q > 0.0 and math.isfinite(q)):
         raise ParameterError(f"eps_minus needs q > 0, got {q}")
-    u, steps = _branch_root(q, upper=True)[1:3]
+    u = _branch_root(q, upper=True)[1]
     residual = u - math.log1p(u) - q
-    return RootResult(1.0 / u, residual, (1.0 / (1.0 + 2.0 * q), 1.0 / q), steps)
+    return RootResult(1.0 / u, residual, (1.0 / (1.0 + 2.0 * q), 1.0 / q), 1)
 
 
 def gehring_sharp_eps(p: float, k: float) -> RootResult:
@@ -336,7 +328,7 @@ def gehring_sharp_eps(p: float, k: float) -> RootResult:
 
     u = max(math.log(pm1) - p * math.log(k) - pm1 * math.log1p(1.0 / pm1), -800.0)
     bracket = (math.exp(u), 1.0 / rhs)
-    for steps in range(1, 2 * _MAX_STEPS + 1):
+    for steps in range(1, 81):
         eps = math.exp(u)
         d = -f(u, eps) * (p + eps - 1.0) * ((p + eps) / p)  # the Newton step is u - d
         if d >= -4.0 * sys.float_info.epsilon * (1.0 + abs(u)):

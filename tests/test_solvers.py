@@ -313,21 +313,19 @@ class TestBranchRootKernel:
     @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
     def test_matches_mpmath_within_four_steps(self, upper):
         for c1 in self.UPPER_C1 if upper else self.LOWER_C1:
-            t, tm1, steps, (lo, hi) = solvers._branch_root(float(c1), upper)
+            t, tm1, (lo, hi) = solvers._branch_root(float(c1), upper)
             want, want_m1 = mp_branch_root(float(c1), upper)
             # below e^-708 the root is subnormal and keeps fewer bits
             assert abs(t - want) <= 1e-15 * want + 5e-324, c1
             # relative, also near the double root t = 1, where t - 1 ~ sqrt(2 c1)
             assert abs(tm1 - want_m1) <= 1e-15 * abs(want_m1), c1
-            assert 1 <= steps <= 4, c1
             assert lo * (1.0 - 1e-15) <= want <= hi * (1.0 + 1e-15)
 
     @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
     def test_array_matches_scalar(self, upper):
         c1 = self.UPPER_C1 if upper else self.LOWER_C1
-        t, tm1, steps, (lo, hi) = solvers._branch_root(c1, upper)
+        t, tm1, (lo, hi) = solvers._branch_root(c1, upper)
         scalar = np.array([solvers._branch_root(float(c), upper)[:2] for c in c1])
-        assert steps <= 4
         assert np.all(np.abs(t - scalar[:, 0]) <= 1e-15 * scalar[:, 0] + 5e-324)
         assert np.all(np.abs(tm1 - scalar[:, 1]) <= 1e-15 * np.abs(scalar[:, 1]))
         assert np.all((lo * (1.0 - 1e-15) <= t) & (t <= hi * (1.0 + 1e-15)))
@@ -335,8 +333,7 @@ class TestBranchRootKernel:
     def test_double_root_at_c_one(self):
         for upper in (False, True):
             for c1 in (0.0, 5e-324, 1e-300):
-                t, _, steps, _ = solvers._branch_root(c1, upper)
-                assert t == 1.0 and steps <= 4
+                assert solvers._branch_root(c1, upper)[0] == 1.0
 
 
     @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
@@ -346,7 +343,7 @@ class TestBranchRootKernel:
         edges = np.array([0.0, 5e-324, 745.0, 1e4, 1e300])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            t, tm1, _, _ = solvers._branch_root(edges, upper)
+            t, tm1, _ = solvers._branch_root(edges, upper)
             alone = [solvers._branch_root(edges[k:k + 1], upper)[:2] for k in range(edges.size)]
         for k, c1 in enumerate(edges.tolist()):
             scalar = solvers._branch_root(c1, upper)[:2]
@@ -358,6 +355,28 @@ class TestBranchRootKernel:
             assert abs(scalar[0] - want) <= 1e-15 * want + 5e-324, c1
             # below 1e-80, 80 digits read c1 as 0: t - 1 is +-sqrt(2 (c1 + 5e-324)), the kernel's c1
             assert abs(scalar[1] - want_m1) <= 1e-15 * abs(want_m1) if c1 > 1.0 else abs(scalar[1]) < 1e-161
+
+
+class TestFarStart:
+    """Past c1 = 745 the upper start is s = log1p(c1 + s) six times from s = 0, and the kernel's one step follows."""
+
+    def test_within_an_ulp_of_lambert_w_and_floats_are_the_array(self):
+        # 500 seeded c1, half log-uniform to 1e7 and half to the largest double, and the edges;
+        # measured here within 0.50 ulp, and elsewhere t up to 0.98 ulp at c1 ~ 1e16, where
+        # t - 1 and then t are rounded to even doubles; three log1p passes fail it (1.2 ulp)
+        rng = np.random.default_rng(3838)
+        c1 = np.concatenate([np.exp(rng.uniform(math.log(745.0), math.log(1e7), 250)),
+                             np.exp(rng.uniform(math.log(745.0), math.log(sys.float_info.max), 250)),
+                             [745.0, np.nextafter(745.0, math.inf), 745.5, 1e4, 1e300, sys.float_info.max]])
+        with np.errstate(over="ignore"):  # the bracket's 2c past the double range
+            t, tm1, _ = solvers._branch_root(c1, True)
+        floats = [solvers._branch_root(c, True)[:2] for c in c1.tolist()]
+        assert np.array(floats).T.tobytes() == np.array([t, tm1]).tobytes()
+        with mpmath.workdps(50):
+            for c, (got, got_m1) in zip(c1.tolist(), floats):
+                want = -mpmath.lambertw(-mpmath.exp(-1 - mpmath.mpf(c)), -1)
+                assert abs(got - want) <= math.ulp(float(want)), c
+                assert abs(got_m1 - (want - 1)) <= math.ulp(float(want - 1)), c
 
 
 class TestStart:
@@ -374,15 +393,15 @@ class TestStart:
                                np.geomspace(1e-300, 1.0, 1000)])
 
     def _miss(self, upper):
-        """(start miss, step miss, steps) of one array call; a miss is the largest error over its bound (<= 1 passes).
+        """(start miss, step miss) of one array call; a miss is the largest error over its bound (<= 1 passes).
 
         The root is read in numpy's long double as s + log1p(dt e^-s), so that t's own rounding
         (relative, while t - 1 ~ s near s = 0) is left out.  The step miss is one further Halley
-        step from it, h from _excess's series below |s| = 1/4, over 4 eps |s|; that is within the
-        loop's stopping bound 4 eps (1 + |s|) at every s.
+        step from it, h from _excess's series below |s| = 1/4, over 4 eps |s|; that is within
+        4 eps (1 + |s|) at every s.
         """
         c1 = self._c1()
-        _, s, dt, steps = solvers._log_root(c1, upper)
+        _, s, dt = solvers._log_root(c1, upper)
         c1 = c1 + 5e-324  # the c1 _log_root solves for
         root = s.astype(np.longdouble)
         root += np.log1p(dt / np.exp(root))
@@ -390,12 +409,12 @@ class TestStart:
         step = solvers._halley(np.where(np.abs(root) < 0.25, solvers._excess(root), em1 - root) - c1, em1)
         start = np.abs(solvers._start(c1, upper) - root)
         start /= np.minimum(self.ABS * (1.0 + np.abs(root)), self.REL * np.abs(root))
-        return float(np.max(start)), float(np.max(np.abs(step) / (4.0 * sys.float_info.epsilon * np.abs(root)))), steps
+        return float(np.max(start)), float(np.max(np.abs(step) / (4.0 * sys.float_info.epsilon * np.abs(root))))
 
     @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
     def test_start_is_near_the_root_and_one_step_finishes(self, upper):
-        start, step, steps = self._miss(upper)
-        assert start <= 1.0 and step <= 1.0 and steps == 1
+        start, step = self._miss(upper)
+        assert start <= 1.0 and step <= 1.0
 
     @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
     def test_linear_interpolation_misses(self, upper, monkeypatch):
@@ -404,12 +423,26 @@ class TestStart:
         chords = np.zeros_like(table)
         chords[:, 0], chords[:-1, 1] = table[:, 0], np.diff(table[:, 0])
         monkeypatch.setitem(solvers._START, upper, chords)
-        start, step, _ = self._miss(upper)
+        start, step = self._miss(upper)
         assert start > 1e3 and step > 1e3
 
     @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+    def test_table_nodes_are_converged(self, upper):
+        # one more Halley step from each node, clipped to its bracket, moves none by more than
+        # 4 eps (1 + |s|); measured: 0.22 (lower) and 0.20 (upper) of that, and 2e7 or more from
+        # a table built with two steps
+        w = np.arange(1, solvers._START_N + 1) / solvers._START_SCALE
+        c1 = w * w + 5e-324
+        lo = np.log1p(c1) if upper else -1.0 - c1
+        hi = lo + math.log(2.0) if upper else -c1
+        s = solvers._START[upper][1:, 0]  # nodes 1 to _START_N; node 0 is s = 0 at c1 = 0
+        em1 = np.expm1(s)
+        moved = np.minimum(np.maximum(s - solvers._halley(em1 - (s + c1), em1), lo), hi) - s
+        assert np.max(np.abs(moved) / (4.0 * sys.float_info.epsilon * (1.0 + np.abs(s)))) <= 1.0
+
+    @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
     def test_far_and_nan_neighbours_move_no_point(self, upper):
-        # c1 past 745 (no start there: the loop) and a NaN in a block of c1 <= 745 (one step each):
+        # c1 past 745 (the table's last row, or the upper branch's log1p passes) and a NaN in a block of c1 <= 745:
         # every point below 745 reads the bits it reads without them, the NaN reads NaN, and the
         # far points read the bits of a block of their own
         near = np.random.default_rng(3131).uniform(0.0, 745.0, 4000)
@@ -434,7 +467,7 @@ def _halley_log_root(c1, upper):
     """_log_root as it was before its one step became Newton's: (t, t - 1) as _branch_root forms them.
 
     Up to c1 = 745 one Halley step from _start, h from _excess's series where |s| < 1/4; past
-    745 the loop, which Newton's step left as it was, so the library's own serves.
+    745, where that step was never taken, the library's own kernel serves.
     """
     far = c1 > 745.0
     if isinstance(far, np.ndarray) and far.any() and not far.all():
@@ -442,8 +475,8 @@ def _halley_log_root(c1, upper):
         out[:, ~far], out[:, far] = _halley_log_root(c1[~far], upper), _halley_log_root(c1[far], upper)
         return tuple(out)
     xp = solvers._ops(c1)
-    if xp.any(far):
-        t, s, dt, _ = solvers._log_root(c1, upper)
+    if np.any(far):
+        t, s, dt = solvers._log_root(c1, upper)
         return t, xp.expm1(s) + dt
     c1 = c1 + 5e-324
     s = solvers._start(c1, upper)

@@ -182,7 +182,8 @@ def writer_cases(workdir: Path) -> list[list[str]]:
     runs.append(["constants", "--weight", corpus[0], "--which", "ap", "--p-values", "1.0"])
 
     qs = ["1e-300", "1e-20", "1e-6", "0.05", "0.5", "1.0", "2.0", "3.0", "5.6", "10.0", "100.0",
-          "700.0", "743.0", "800.0", "1e30", "1e300", MAX_DOUBLE, "0.0", "-1.0", "nan", "inf"]
+          "700.0", "743.0", "745.5", "800.0", "1e3", "1e4", "1e5", "1e6", "1e30", "1e300", MAX_DOUBLE,
+          "0.0", "-1.0", "nan", "inf"]
     for eq in ("gamma-log", "gamma-entropy", "eps-minus", "funny"):
         runs += [["solve", "--equation", eq, "--q", q] for q in qs]
     for n in ("1", "3"):
