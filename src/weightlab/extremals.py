@@ -111,22 +111,20 @@ def build(spec: ExtremalSpec) -> Weight:
     return _build(spec, *(spec.target if spec.target is not None else default_target(spec)))[0]
 
 
-def _build(spec: ExtremalSpec, x, y) -> tuple[Weight, BellmanSurface | None, float | None]:
-    """The extremal weight at (x, y), its surface (None for FUNNY) and the tangent abscissa v it glues at
-    (None for FUNNY and GEHRING_BOUNDARY, whose weights take none); x and y are read as floats."""
-    if spec.family is Family.FUNNY:
-        gm = gamma_entropy_roots(spec.q)[0].root
-        return Weight((PowerPiece(Interval(0.0, 1.0), 1.0 / gm, (1.0 - gm) / gm),)), None, None
-    x, y = float(x), float(y)
+def _build(spec: ExtremalSpec, x, y) -> tuple[Weight, BellmanSurface, float | None]:
+    """The extremal weight at (x, y), its surface and the tangent abscissa v it glues at (None for FUNNY
+    and GEHRING_BOUNDARY, whose weights take none); x and y are read as floats."""
     surface = _surface_for(spec)
+    if spec.family is Family.FUNNY:
+        gm = surface.gamma
+        return Weight((PowerPiece(Interval(0.0, 1.0), 1.0 / gm, (1.0 - gm) / gm),)), surface, None
+    x, y = float(x), float(y)
     if not in_domain(surface, x, y, tol=POINT_TOL):
         raise InfeasibleTargetError(
             f"target ({x}, {y}) outside the {surface.kind.value} domain for q = {spec.q}"
         )
     g = surface.gamma
     if spec.family is Family.GEHRING_BOUNDARY:
-        if not (x > 0.0):
-            raise InfeasibleTargetError(f"boundary family needs x > 0, got {x}")
         base = x * math.log(x) + spec.q * x
         if abs(y - base) > 1e-9 * max(1.0, abs(base)):
             raise InfeasibleTargetError(
@@ -173,7 +171,7 @@ def _attain(spec: ExtremalSpec, eps: float | None = None) -> tuple[AttainmentRep
     target = spec.target if spec.target is not None else default_target(spec)
     x, y = target
     w, surface, v = _build(spec, x, y)  # FUNNY and GEHRING_BOUNDARY take no v: they solve in evaluate
-    value = evaluate(surface or _surface_for(spec), x, y) if v is None else _evaluate_at(surface, float(x), float(y), v)
+    value = evaluate(surface, x, y) if v is None else _evaluate_at(surface, float(x), float(y), v)
     if spec.family is Family.FUNNY and tuple(target) != default_target(spec):
         raise InfeasibleTargetError(
             f"target ({x}, {y}): the funny weight for q = {spec.q} attains only {default_target(spec)}"

@@ -5,14 +5,14 @@
 
 The parent is REV and the change this checkout's tracked files as they
 stand (``git stash create``, or HEAD when clean), each exported with ``git
-archive`` into a sibling directory of one temporary directory, ``parent`` and
-``change``: the same length of path, which on its own moved certify's
-probe-scaled ``items_per_s`` by up to 9% for identical code.  Files not yet
-added to git are left out.  For each workload and seed the two sides run
-``bench/run.py --workload W --seed S --seconds T`` one after the other, each
-from its own root (the benchmark imports that root's ``src``), the parent
-first on even pairs and the change first on odd ones.  ``bench/`` is read,
-never changed.
+archive`` and laid out by tools/_ab.py: sibling directories of one temporary
+directory, named at random with one length of path, which on its own moved
+certify's probe-scaled ``items_per_s`` by up to 9% for identical code.  Files
+not yet added to git are left out.  For each workload and seed the two sides
+run ``bench/run.py --workload W --seed S --seconds T`` one after the other,
+each from its own root (the benchmark imports that root's ``src``), in _ab's
+alternating order: the parent first on even pairs and the change first on
+odd ones.  ``bench/`` is read, never changed.
 
 The file holds the run length, the seeds, both shas (the change's marked
 dirty when its tree differs from HEAD) and the machine: CPU count and model,
@@ -20,8 +20,8 @@ Python, numpy, and the SIMD targets numpy dispatches to.  Per workload it
 holds every run (metrics, correct, failed of attempted, which side ran
 first) and, per end-to-end metric, each side's median and quartiles and the
 number of pairs the change won in the metric's direction (``BENCHMARK.json``),
-ties counting for neither.  A record, not a gate: it exits 0 whatever the
-runs read, and 1 only when a run prints no result.
+ties counting for neither (_ab's reducer).  A record, not a gate: it exits 0
+whatever the runs read, and 1 only when a run prints no result.
 """
 
 from __future__ import annotations
@@ -30,14 +30,15 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
+import _ab
+
 REPO = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
 
 
 def parse_seeds(spec: str) -> tuple[str, list[int]]:
@@ -73,12 +74,8 @@ def machine() -> dict:
 
 def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     t0 = time.monotonic()
-    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-                           "--seconds", repr(seconds)], cwd=root, capture_output=True, text=True, timeout=900)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{root}: {workload} seed {seed} exited {proc.returncode}: {proc.stderr[-400:]}")
-    res = json.loads(lines[-1])
+    res = _ab.run_json([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+                        "--seconds", repr(seconds)], cwd=root, timeout=900)
     return {"metrics": {k: m["value"] for k, m in res["metrics"].items()}, "correct": res["correct"],
             "failed": res["failed"], "attempted": res["attempted"], "wall_s": round(time.monotonic() - t0, 1)}
 
@@ -86,19 +83,11 @@ def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
 def summary(runs: list[dict], better: dict[str, str]) -> dict:
     out = {}
     for name, direction in better.items():
-        sides = {side: [r[side]["metrics"][name] for r in runs] for side in ("parent", "change")}
-        sign = 1.0 if direction == "higher" else -1.0
-        won = sum(sign * (c - p) > 0.0 for p, c in zip(sides["parent"], sides["change"]))
-        out[name] = {side: quartiles(vals) for side, vals in sides.items()}
-        out[name]["change_won"] = f"{won} of {len(runs)}"
+        sides = {side: [r[side]["metrics"][name] for r in runs] for side in SIDES}
+        quartiles = {side: _ab.quartiles(vals) for side, vals in sides.items()}
+        out[name] = {side: {"median": m, "q1": q1, "q3": q3} for side, (q1, m, q3) in quartiles.items()}
+        out[name]["change_won"] = f"{_ab.wins(sides['parent'], sides['change'], direction)} of {len(runs)}"
     return out
-
-
-def quartiles(values: list[float]) -> dict:
-    if len(values) < 2:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
 
 
 def main() -> int:
@@ -116,21 +105,14 @@ def main() -> int:
         "machine": machine(),
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory() as tmp:
-        roots = {"parent": args.parent, "change": git("stash", "create") or "HEAD"}
-        for side, rev in roots.items():
-            roots[side] = Path(tmp) / side
-            roots[side].mkdir()
-            archive = subprocess.run(["git", "archive", rev], cwd=REPO, capture_output=True, check=True).stdout
-            subprocess.run(["tar", "-x", "-C", str(roots[side])], input=archive, check=True)
+    with _ab.laid_out([args.parent, git("stash", "create") or "HEAD"], repo=REPO) as roots:
         for workload, seeds in map(parse_seeds, args.seeds):
             runs = []
-            for k, seed in enumerate(seeds):
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-                pair = {"seed": seed, "first": order[0]}
+            for seed, order in zip(seeds, _ab.orders(len(seeds), len(SIDES))):
+                pair = {"seed": seed, "first": SIDES[order[0]]}
                 try:
-                    for side in order:
-                        pair[side] = run(roots[side], workload, seed, args.seconds)
+                    for i in order:
+                        pair[SIDES[i]] = run(roots[i], workload, seed, args.seconds)
                 except (RuntimeError, subprocess.TimeoutExpired, ValueError) as exc:
                     print(exc, file=sys.stderr)
                     return 1

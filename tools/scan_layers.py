@@ -3,13 +3,13 @@
     python tools/scan_layers.py SRC [SRC ...] [--rounds 5] [--resolutions 401,1201,2001] [--cpus 1,2]
         [--p 2,2.37] [--one-interpreter]
 
-Each round runs every tree once, in alternating order (the first tree first
-in even rounds, last in odd ones).  By default each run is a fresh
-interpreter that times every case; with --one-interpreter one interpreter
-loads each tree's package under its own module name and, case by case,
-calls the trees in the round's order, so that the trees share one process
-and its layout.  A case is timed as the best of three calls, each divided
-by the median of a CPU probe (the one bench/worker.py scales latencies by)
+Each tree runs from a fresh copy laid out by tools/_ab.py, and each round
+runs every tree once, in _ab's alternating order.  By default each run is a
+fresh interpreter that times every case; with --one-interpreter one
+interpreter loads each copy's package under its own module name and, case by
+case, calls the trees in the round's order, so that the trees share one
+process.  A case is timed as the best of three calls, each divided by the
+median of _ab's CPU probe (the one bench/worker.py scales latencies by)
 timed just before and after.  The cases are:
 
 - ``constants._scans`` with rh1, ainf, rhp and ap at each p on four fixed
@@ -25,36 +25,21 @@ timed just before and after.  The cases are:
 Printed: per tree and case the median over rounds of the probe-normalised
 time, in milliseconds at the probe's reference speed, and against the first
 tree the median ratio, its quartiles over the rounds and how many rounds the
-tree was faster.
+tree was faster (_ab's reducer).
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
-import math
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-# seconds the probe takes on a quiet reference machine; normalised times read at that speed
-PROBE_REFERENCE_S = 0.6e-3
+import _ab
+
 NESTED = {"rh1_prime": (32, 48, 64), "rh1_doubleprime": (24, 36, 48)}
-
-
-def cpu_probe() -> float:
-    """Seconds a fixed slice of interpreter and in-cache numpy work takes now."""
-    import numpy as np
-
-    t0 = time.perf_counter()
-    x = 0.0
-    for i in range(1, 3000):
-        x += math.log(i) / i
-    np.log(np.cumsum(np.linspace(1.0, 2.0, 20_000))).sum()
-    return time.perf_counter() - t0
 
 
 def load(src: str, name: str):
@@ -101,15 +86,18 @@ def cases(wl, resolutions: list[int], cpus: list[int], ps: list[float]) -> dict:
 
 def timed(call) -> float:
     """Probe-normalised seconds of the best of three calls."""
-    best = math.inf
-    for _ in range(3):
-        probes = [cpu_probe() for _ in range(5)]
+
+    def took() -> float:
         t0 = time.perf_counter()
         call()
-        took = time.perf_counter() - t0
-        probes += [cpu_probe() for _ in range(5)]
-        best = min(best, took / (statistics.median(probes) / PROBE_REFERENCE_S))
-    return best
+        return time.perf_counter() - t0
+
+    return min(_ab.probed(took, 5) for _ in range(3))
+
+
+def run(src: str, resolutions: list[int], cpus: list[int], ps: list[float]) -> dict[str, float]:
+    """Case name -> probe-normalised seconds, for the weightlab under src (one fresh interpreter's run)."""
+    return {case: timed(call) for case, call in cases(load(src, "weightlab"), resolutions, cpus, ps).items()}
 
 
 def main() -> int:
@@ -121,38 +109,27 @@ def main() -> int:
     parser.add_argument("--p", default="2,2.37", help="p of rhp and ap; 2 takes numpy's sqrt and identity paths")
     parser.add_argument("--one-interpreter", action="store_true",
                         help="load every tree into this interpreter and alternate them case by case")
-    parser.add_argument("--run", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     sizes = ([int(v) for v in args.resolutions.split(",")], [int(v) for v in args.cpus.split(",")],
              [float(v) for v in args.p.split(",")])
-    if args.run:
-        print(json.dumps({case: timed(call) for case, call in cases(load(args.src[0], "weightlab"), *sizes).items()}))
-        return 0
-    times: dict[str, list[dict[str, float]]] = {src: [] for src in args.src}
-    calls = {src: cases(load(src, f"weightlab_{k}"), *sizes) for k, src in enumerate(args.src)} if args.one_interpreter else {}
-    for k in range(args.rounds):
-        order = args.src if k % 2 == 0 else args.src[::-1]
+    with _ab.laid_out(args.src) as roots:
         if args.one_interpreter:
-            for src in order:
-                times[src].append({})
-            for case in calls[args.src[0]]:
-                for src in order:
-                    times[src][-1][case] = timed(calls[src][case])
-            continue
-        for src in order:
-            cmd = [sys.executable, __file__, src, "--run", "--resolutions", args.resolutions, "--cpus", args.cpus,
-                   "--p", args.p]
-            times[src].append(json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout))
-    base = args.src[0]
+            calls = [cases(load(str(root), f"weightlab_{k}"), *sizes) for k, root in enumerate(roots)]
+            times: list[list[dict[str, float]]] = [[] for _ in roots]
+            for order in _ab.orders(args.rounds, len(roots)):
+                for i in order:
+                    times[i].append({})
+                for case in calls[0]:
+                    for i in order:
+                        times[i][-1][case] = timed(calls[i][case])
+        else:
+            times = _ab.alternate(args.rounds, roots, lambda root: _ab.fresh(run, str(root), *sizes))
     where = "one interpreter" if args.one_interpreter else "a fresh interpreter per run"
     print(f"{args.rounds} rounds in {where}; median ms at the probe's reference speed; ratio [quartiles]")
-    for case in times[base][0]:
-        line = f"{case:<32}" + "".join(f" {1e3 * statistics.median(t[case] for t in times[src]):9.2f}" for src in args.src)
-        for src in args.src[1:]:
-            ratios = [new[case] / old[case] for old, new in zip(times[base], times[src])]
-            q1, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")[::2] if len(ratios) > 1 else ratios * 2)
-            line += (f"   x{statistics.median(ratios):.3f} [{q1:.3f}-{q3:.3f}]"
-                     f" ({sum(q < 1.0 for q in ratios)}/{len(ratios)} faster)")
+    for case in times[0][0]:
+        line = f"{case:<32}" + "".join(f" {1e3 * statistics.median(t[case] for t in runs):9.2f}" for runs in times)
+        for runs in times[1:]:
+            line += f"   {_ab.versus([t[case] for t in times[0]], [t[case] for t in runs])}"
         print(line)
     return 0
 

@@ -2,11 +2,11 @@
 
     python tools/surface_layers.py SRC [SRC ...] [--rounds 6] [--blocks 2] [--seed 5]
 
-Each round runs every tree once, in alternating order (the first tree first
-in even rounds, last in odd ones), each run in a fresh interpreter that
-imports the weightlab under SRC.  A run times every case as the best of
-three calls, in wall time and in the thread's CPU time, after one call that
-is not timed.  The cases:
+Each tree runs from a fresh copy laid out by tools/_ab.py, and each round
+runs every tree once, in _ab's alternating order, each run in a fresh
+interpreter that imports the copy's weightlab.  A run times every case as
+the best of three calls, in wall time and in the thread's CPU time, after
+one call that is not timed.  The cases:
 
 - ``evaluate_many`` on each surface, in each of the benchmark's q bands
   (``bench/workloads.py``'s ``SURFACE_Q``, q at the band's geometric middle,
@@ -26,21 +26,21 @@ benchmark's (inverted CDF over the run's items), unscaled.
 
 Printed: per case the median over rounds of each tree's time, wall and CPU,
 in milliseconds, and against the first tree the median ratio, its quartiles
-over the rounds and how many rounds the tree was faster; then the same for
-the block mix's p90, its median item and its items' total.
+over the rounds and how many rounds the tree was faster (_ab's reducer); then
+the same for the block mix's p90, its median item and its items' total.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import _ab
 
 REPO = Path(__file__).resolve().parent.parent
 SIZES = (10_000, 60_000)
@@ -114,14 +114,10 @@ def run(src: str, seed: int, blocks: int) -> dict:
     return out
 
 
-def summary(times: dict[str, list[dict]], base: str, key, case: str) -> str:
-    line = "".join(f" {1e3 * statistics.median(key(t[case]) for t in runs):9.3f}" for runs in times.values())
-    for src, runs in times.items():
-        if src == base:
-            continue
-        ratios = [key(new[case]) / key(old[case]) for old, new in zip(times[base], runs)]
-        q1, q3 = statistics.quantiles(ratios, n=4, method="inclusive")[::2] if len(ratios) > 1 else ratios * 2
-        line += f"   x{statistics.median(ratios):.3f} [{q1:.3f}-{q3:.3f}] ({sum(r < 1.0 for r in ratios)}/{len(ratios)} faster)"
+def summary(times: list[list], key, case: str) -> str:
+    line = "".join(f" {1e3 * statistics.median(key(t[case]) for t in runs):9.3f}" for runs in times)
+    for runs in times[1:]:
+        line += f"   {_ab.versus([key(t[case]) for t in times[0]], [key(t[case]) for t in runs])}"
     return line
 
 
@@ -131,24 +127,16 @@ def main() -> int:
     parser.add_argument("--rounds", type=int, default=6)
     parser.add_argument("--blocks", type=int, default=2)
     parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--run", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.run:
-        print(json.dumps(run(args.src[0], args.seed, args.blocks)))
-        return 0
-    times: dict[str, list[dict]] = {src: [] for src in args.src}
-    for k in range(args.rounds):
-        for src in args.src if k % 2 == 0 else args.src[::-1]:
-            cmd = [sys.executable, __file__, src, "--run", "--seed", str(args.seed), "--blocks", str(args.blocks)]
-            times[src].append(json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout))
-    base = args.src[0]
-    print(f"{args.rounds} rounds, a fresh interpreter per run; median ms, then ratio [quartiles] against {base}")
-    for case in times[base][0]:
+    with _ab.laid_out(args.src) as roots:
+        times = _ab.alternate(args.rounds, roots, lambda root: _ab.fresh(run, str(root), args.seed, args.blocks))
+    print(f"{args.rounds} rounds, a fresh interpreter per run; median ms, then ratio [quartiles] against {args.src[0]}")
+    for case in times[0][0]:
         if case.startswith("block"):
-            print(f"{case:<34}" + summary(times, base, lambda t: t, case))
+            print(f"{case:<34}" + summary(times, lambda t: t, case))
             continue
         for k, label in enumerate(("wall", "cpu")):
-            print(f"{case + ' ' + label:<34}" + summary(times, base, lambda t, k=k: t[k], case))
+            print(f"{case + ' ' + label:<34}" + summary(times, lambda t, k=k: t[k], case))
     return 0
 
 
