@@ -11,10 +11,14 @@ expression; its outer differences cum[j] - cum[i] skip numpy's buffered copy
 (4x the cost, same bits) on a 16-entry ufunc buffer, and its rows are split,
 bit for bit, across the CPUs the process may use (up to four, with no
 setting), which share one running best, while rh1_prime and Orlicz walk in
-one.  The Orlicz constant solves each block's Luxemburg norms together, on
-one Gauss-Legendre layout in mass coordinates for every power piece; the
-maximal-function constant is the documented expensive one, O(resolution^3)
-in block-wide passes over the left ends, O(resolution^2) memory.
+one.  A block ranks its pairs and combines only the band near its top: two
+log ranks or more read products with one 1/dl, two roundings off the
+quotients (3 ulp, under 3.4e-13 on a rank), and rh1 ranks by its ratio from
+two sums; a constant at +inf leaves the walk.  The Orlicz constant solves
+each block's Luxemburg norms together, on one Gauss-Legendre layout in mass
+coordinates for every power piece; the maximal-function constant is the
+documented expensive one, O(resolution^3) in block-wide passes over the left
+ends, O(resolution^2) memory.
 
 Estimates are lower bounds of the true suprema, monotone under grid
 refinement (for nested grids), and exact on the step/power families whose
@@ -119,12 +123,15 @@ _SCANS = {
     "ap": (MomentKind.AVG_W_POW, lambda p: -1.0 / (p - 1.0),
            lambda aw, r, law, p: np.multiply(aw, operator.ipow(r, p - 1.0), out=r)),
 }
-# name -> the power its combine raises r to (None: it takes exp) and its rank, the combine's log written into r
-# from law with no generic pow or exp; taken unless that power is one of r **= e's fast paths
+# name -> the power its combine raises r to (None: it takes exp) and its rank, written into r from law (log avg(w),
+# to rounding) with no generic pow or exp: the combine's log from r = avg of its moment, taken unless that power is
+# one of r **= e's fast paths or past 1e3 (it scales r's rounding); rh1's is its ratio, from the sums in r and aw
 _RANKS = {
-    "ainf": (lambda p: None, lambda law, r, p: np.subtract(law, r, out=r)),
-    "rhp": (lambda p: 1.0 / p, lambda law, r, p: np.subtract(np.multiply(np.log(r, out=r), 1.0 / p, out=r), law, out=r)),
-    "ap": (lambda p: p - 1.0, lambda law, r, p: np.add(law, np.multiply(p - 1.0, np.log(r, out=r), out=r), out=r)),
+    "rh1": (lambda p: None, lambda law, r, aw, p: np.subtract(np.divide(r, aw, out=r), law, out=r)),
+    "ainf": (lambda p: None, lambda law, r, aw, p: np.subtract(law, r, out=r)),
+    "rhp": (lambda p: 1.0 / p,
+            lambda law, r, aw, p: np.subtract(np.multiply(np.log(r, out=r), 1.0 / p, out=r), law, out=r)),
+    "ap": (lambda p: p - 1.0, lambda law, r, aw, p: np.add(law, np.multiply(p - 1.0, np.log(r, out=r), out=r), out=r)),
 }
 # ranks are walked where the combine's intermediates and the top ratio lie in e^+-_RANK_LIMIT (normal doubles)
 _RANK_LIMIT, _BAND = 700.0, 1e-11
@@ -140,26 +147,33 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_block, chunks: int = 1
-               ) -> list[tuple[float, Interval]]:
+def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_block, chunks: int = 1,
+               linear: frozenset[int] = frozenset()) -> list[tuple[float, Interval]]:
     """First max of each of a stack of ratios over all grid pairs i < j, walked in blocks of rows.
 
-    block(i0, i1), from the context manager make_block(entries) on arrays of
-    max(entries, n - 1) entries, gives rows i0..i1-1 by columns i0+1..n-1 as
-    (label index, array, exact) triples, one per label in any order, in an
-    iterable that may make each as it is taken; j <= i only in an array's
+    block(i0, i1), from the context manager make_block(entries, dead) on
+    arrays of max(entries, n - 1) entries, gives rows i0..i1-1 by columns
+    i0+1..n-1 as (label index, array, exact) triples, one per label in any
+    order, in an iterable that may make each as it is taken and may leave
+    out the labels in dead, the chunk's set of those whose best is +inf with
+    a finite value (no later pair replaces it); j <= i only in an array's
     leading rows x rows square, which is masked out here.  The array holds
-    the ratios where exact is None, else their logs to within eta = 2e-12
-    (ranks: a log of a double is under 746, so 4 ulp of it is 4.6e-13, and
-    a rank sums two logs and two roundings).  A pair with the block's
-    largest ratio then ranks within 2 eta of the top rank M, and every ratio
-    is under exp(M + delta), delta = _BAND (1 + |M|) > 2 eta: the block is
-    skipped when that is under the best ratio so far, the larger of the
-    chunk's own and the one every chunk writes its best into (a ratio some
-    pair attains, so a lost update only skips less), else exact(band)
-    gives the ratios at the flat indices band of the ranks >= M - delta, or
-    writes them over the block for None: where M is nan (argmax takes a
-    nan) or past +-_RANK_LIMIT, or the band holds over 1/8 of the block.
+    the ratios where exact is None, else ranks: their logs, or for the
+    labels in linear the ratios, to within eta (1 + |M|), eta = 3e-12
+    (_scans: a log of a double is under 746, so 4 ulp of it is 4.6e-13, and
+    a log rank sums two logs and two roundings; the block's 1/dl puts two
+    more, 3 ulp, on its averages: 3.4e-16 on a log, and at most 3.4e-13 on
+    ainf's |r| <= 700 or on a log times p - 1 <= 1e3; rh1's rank and its
+    combine each round a few terms under |M| + 1400, as |log avg(w)| <=
+    700).  A pair with the block's largest ratio then ranks within 2 eta (1
+    + |M|) of the top rank M, and every ratio is under exp(M + delta), or M
+    + delta for linear, delta = _BAND (1 + |M|): the block is skipped when
+    that is under the best ratio so far, the larger of the chunk's own and
+    the one every chunk writes its best into (a ratio some pair attains, so
+    a lost update only skips less), else exact(band) gives the ratios at the
+    flat indices band of the ranks >= M - delta, or over the block for None:
+    where M is nan (argmax takes a nan) or past +-_RANK_LIMIT, or the band
+    holds over 1/8 of the block.
     make_block holds a chunk's thread state until the chunk ends, as
     _scans' 16-entry ufunc buffer for its outer differences.  A block
     covers about _SCAN_BLOCK_ENTRIES / per_pair pairs, so memory stays
@@ -186,9 +200,9 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_blo
 
     @np.errstate(all="ignore")  # a thread starts with numpy's default error state
     def walk(c):  # chunk c's first (value, i, j) max and finite flag per label, or its exception
-        best, finite = [(-math.inf, 0, 0)] * count, [False] * count
+        best, finite, dead = [(-math.inf, 0, 0)] * count, [False] * count, set()
         try:
-            with make_block(entries) as block:
+            with make_block(entries, dead) as block:
                 i0 = cuts[c]
                 while i0 < cuts[c + 1]:
                     i1 = min(cuts[c + 1], i0 + max(1, entries // (per_pair * (n - 1 - i0))))
@@ -200,7 +214,7 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_blo
                             m = float(ratio.flat[k])
                             if abs(m) <= _RANK_LIMIT:  # so the top pair's ratio is finite
                                 finite[s], delta = True, _BAND * (1.0 + abs(m))
-                                if math.exp(m + delta) < max(best[s][0], shared[s]):
+                                if (m + delta if s in linear else math.exp(m + delta)) < max(best[s][0], shared[s]):
                                     continue
                                 band = np.flatnonzero(ratio >= m - delta)
                                 band = band if 8 * band.size <= ratio.size else None
@@ -217,6 +231,8 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_blo
                             best[s] = (top, i0 + i, i0 + 1 + j)
                             shared[s] = max(shared[s], top)
                         finite[s] = finite[s] or math.isfinite(top) or bool(np.isfinite(ratio).any())
+                        if finite[s] and best[s][0] == math.inf:
+                            dead.add(s)
                     i0 = i1
             parts[c] = best, finite
         except BaseException as exc:  # raised below, in chunk order
@@ -245,14 +261,20 @@ def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) ->
     The grid, the avg(w) cumulative moment and each block's pair lengths,
     avg(w) and its log are shared; each spec adds its second cumulative
     moment and its combine, or its _RANKS rank and the combine where
-    _pair_walk asks, made and walked one spec at a time, so memory stays
-    O(resolution).  A rank is taken where it spares exp or a pow off the
-    fast paths, a second spec reads the log, and the rank at law = 0 (the
-    log of exp(-r) or r ** e, monotone in r) is within +-_RANK_LIMIT at the
-    grid cells' least and greatest r, between which every pair's r lies: a
-    length-weighted mean of the cells', to three roundings each.  A p <= 1
-    is refused before any work; otherwise the first spec in order that
-    fails raises, as if each were scanned on its own.
+    _pair_walk asks, made and walked one spec at a time on four block
+    arrays, so memory stays O(resolution).  A log rank is taken where it
+    spares exp or a pow off the fast paths, a second spec reads the log, and
+    the rank at law = 0 (the log of exp(-r) or r ** e, monotone in r) and,
+    for a power, log r lie within +-_RANK_LIMIT at the grid cells' least and
+    greatest r, between which every pair's r lies: a length-weighted mean of
+    the cells', to three roundings each.  With two or more, and the cells'
+    avg(w) within e^+-_RANK_LIMIT too (so every average a rank reads is a
+    normal double), a block divides once, for 1/dl: the log ranks multiply
+    by it, rh1 ranks from its two sums, with no dl, and avg(w) and r are
+    formed only for an unranked spec or where _pair_walk asks.  A spec at
+    +inf with a finite value is no longer made.  A p <= 1 is refused before
+    any work; otherwise the first spec in order that fails raises, as if
+    each were scanned on its own.
     """
     for name, p in specs:
         if p is not None and not (p > 1.0 and math.isfinite(p)):
@@ -262,51 +284,69 @@ def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) ->
     cum_w = cumulative_moment(w, pts, MomentKind.AVG_W)
 
     @np.errstate(all="ignore")
-    def safe(cum, rank, p):  # whether every pair's intermediate lies within e^+-_RANK_LIMIT
+    def safe(cum, rank=lambda law, r, aw, p: np.log(r, out=r), p=None):  # every pair's rank at law = 0 (log r) in range
         cells = np.diff(cum) / np.diff(pts)
-        return (abs(rank(np.zeros(2), np.array([cells.min(), cells.max()]), p)) <= _RANK_LIMIT).all()
+        return (abs(rank(np.zeros(2), np.array([cells.min(), cells.max()]), None, p)) <= _RANK_LIMIT).all()
 
     terms, failed = [], None
     try:  # a second moment that overflows fails its spec, after every spec before it
         for name, p in specs:
-            (kind, exponent, combine), (power, rank) = _SCANS[name], _RANKS.get(name, (None, None))
+            (kind, exponent, combine), (power, rank) = _SCANS[name], _RANKS[name]
             cum = cumulative_moment(w, pts, kind, None if exponent is None else exponent(p))
-            terms.append((cum, combine, rank if rank and power(p) not in (0.5, 1.0, 2.0) else None, p))
+            e = power(p)  # a power's rank reads log r too
+            fits = e is None or (e not in (0.5, 1.0, 2.0) and e <= 1e3 and safe(cum))
+            if name != "rh1" and not (fits and safe(cum, rank, p)):
+                rank = None
+            terms.append((name, cum, combine, rank, p))
     except DomainError as exc:
         failed = exc
 
-    rh1 = any(name == "rh1" for name, _ in specs[: len(terms)])
-    lone = rh1 + sum(rank is not None for _, _, rank, _ in terms) < 2  # a lone rank saves what law's log costs
-    terms = [(cum, combine, rank if rank and not lone and safe(cum, rank, p) else None, p)
-             for cum, combine, rank, p in terms]
-    logs = rh1 or any(rank is not None for _, _, rank, _ in terms)
-    rh1_last = sorted(enumerate(terms), key=lambda term: specs[term[0]][0] == "rh1")
+    logs = sum(rank is not None for name, _, _, rank, _ in terms if name != "rh1")
+    rh1 = any(name == "rh1" for name, *_ in terms)
+    inv = logs >= 2 and safe(cum_w)
+    keep = inv or logs + rh1 >= 2  # a lone log rank saves less than law's log costs
+    terms = [(name, cum, combine, rank if (inv if name == "rh1" else keep) else None, p)
+             for name, cum, combine, rank, p in terms]
+    # ranked specs first, rh1 last of them (it reads the sum of w, which an unranked spec turns into avg(w)), and an
+    # unranked rh1 last of all (its combine overwrites law)
+    order = sorted(range(len(terms)), key=lambda k: (terms[k][3] is None, terms[k][0] == "rh1"))
 
     @contextmanager
-    def make_block(entries):  # a chunk's block, on its own dl, aw, ratio and log(aw) arrays
+    def make_block(entries, dead):  # a chunk's block, on its own dl (or 1/dl), aw, ratio and log(aw) arrays
         bufs = [np.empty(max(entries, n - 1)) for _ in range(4)]
 
         def block(i0, i1):
-            rows, cols = slice(i0, i1), slice(i0 + 1, n)
-            dl, aw, r, law = (buf[: (i1 - i0) * (n - 1 - i0)].reshape(i1 - i0, -1) for buf in bufs)
+            rows, cols, m = slice(i0, i1), slice(i0 + 1, n), n - 1 - i0
+            dl, aw, r, law = (buf[: (i1 - i0) * m].reshape(i1 - i0, m) for buf in bufs)
             np.subtract(pts[cols], pts[rows, None], out=dl)
-            np.divide(np.subtract(cum_w[cols], cum_w[rows, None], out=aw), dl, out=aw)
-            if logs:
-                np.log(aw, out=law)
-            for k, (cum, combine, rank, p) in rh1_last:  # rh1 last: it overwrites law
-                np.divide(np.subtract(cum[cols], cum[rows, None], out=r), dl, out=r)
+            np.subtract(cum_w[cols], cum_w[rows, None], out=aw)
+            if inv:  # aw keeps the sum of w until an unranked spec takes avg(w)
+                np.log(np.multiply(aw, np.divide(1.0, dl, out=dl), out=law), out=law)
+            else:
+                np.divide(aw, dl, out=aw)
+                if keep or rh1:
+                    np.log(aw, out=law)
+            sums = inv
+            for k in order:
+                name, cum, combine, rank, p = terms[k]
+                if k in dead:
+                    continue
+                np.subtract(cum[cols], cum[rows, None], out=r)
                 if rank is None:
-                    combine(aw, r, law, p)
+                    if sums:
+                        np.divide(aw, np.subtract(pts[cols], pts[rows, None], out=dl), out=aw)
+                        sums = False
+                    combine(aw, np.divide(r, dl, out=r), law, p)
                     yield k, r, None
                     continue
-                def exact(band, cum=cum, combine=combine, p=p):  # the combine on band's entries, re-formed
-                    if band is None:
-                        combine(aw, np.divide(np.subtract(cum[cols], cum[rows, None], out=r), dl, out=r), law, p)
-                        return r
-                    i, j = i0 + band // (n - 1 - i0), i0 + 1 + band % (n - 1 - i0)
-                    combine(aw.flat[band], ratio := (cum[j] - cum[i]) / (pts[j] - pts[i]), law.flat[band], p)
+                if name != "rh1":
+                    (np.multiply if inv else np.divide)(r, dl, out=r)
+                def exact(band, cum=cum, combine=combine, p=p):  # the combine on band's pairs (or all), re-formed
+                    i, j = np.ogrid[rows, cols] if band is None else (i0 + band // m, i0 + 1 + band % m)
+                    d = pts[j] - pts[i]
+                    combine(a := (cum_w[j] - cum_w[i]) / d, ratio := (cum[j] - cum[i]) / d, np.log(a), p)
                     return ratio
-                yield k, rank(law, r, p), exact
+                yield k, rank(law, r, aw, p), exact
 
         size = np.setbufsize(16)  # this thread's; restored here, as numpy 1.x's errstate keeps it
         try:
@@ -315,7 +355,8 @@ def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) ->
             np.setbufsize(size)
 
     labels = tuple(name if p is None else f"{name} (p = {p})" for name, p in specs[: len(terms)])
-    found = _pair_walk(labels, pts, 1, make_block, _usable_cpus()) if terms else []
+    linear = frozenset(k for k, (name, _, _, rank, _) in enumerate(terms) if name == "rh1" and rank is not None)
+    found = _pair_walk(labels, pts, 1, make_block, _usable_cpus(), linear) if terms else []
     if failed is not None:
         raise failed
     return found
@@ -419,7 +460,7 @@ def rh1_prime_constant(
         avg_m = np.multiply(m, cell_len[i0:, None], out=m).sum(axis=1) / length
         return [(0, avg_m / ((cum[i0 + 1 :] - cum[i0:i1, None]) / length), None)]
 
-    return _pair_walk(("rh1_prime",), pts, n - 1, lambda _: nullcontext(block))[0]  # a pair spans up to n - 1 cells
+    return _pair_walk(("rh1_prime",), pts, n - 1, lambda *_: nullcontext(block))[0]  # a pair spans up to n - 1 cells
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +684,7 @@ def rh1_doubleprime_constant(
     # blocks of 8 _SCAN_BLOCK_ENTRIES such entries: the time saved levels off there
     panels = _panel_count(OrliczKind.LLOGL, w)
     per_pair = (8 + sum(1 if pc.exponent == 0.0 else 16 * panels for pc in w.pieces)) // 8
-    return _pair_walk(("rh1_doubleprime",), pts, per_pair, lambda _: nullcontext(block))[0]
+    return _pair_walk(("rh1_doubleprime",), pts, per_pair, lambda *_: nullcontext(block))[0]
 
 
 def rh1_limit_check(w: Weight, interval: Interval, p: float) -> tuple[float, float]:

@@ -89,7 +89,7 @@ def _dense_scan(name, w, resolution, p=None):
     pts = _grid_points(w, resolution)
 
     def avg(kind, q=None):
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             cum = cumulative_moment(w, pts, kind, q)
             return (cum[None, :] - cum[:, None]) / (pts[None, :] - pts[:, None])
 
@@ -158,7 +158,7 @@ def _rh1_prime_per_left_end(w, resolution):
             ratio[p - i0, p - i0 :] = avg_m / ((cum[p + 1 :] - cum[p]) / length)
         return [(0, ratio, None)]
 
-    return constants._pair_walk(("rh1_prime",), pts, n - 1, lambda _: contextlib.nullcontext(block))[0]
+    return constants._pair_walk(("rh1_prime",), pts, n - 1, lambda *_: contextlib.nullcontext(block))[0]
 
 
 def _outcome(scan, *args):
@@ -240,12 +240,14 @@ def test_maximal_block_passes_match_the_per_left_end_pass_bit_for_bit(w, resolut
     assert _outcome(rh1_prime_constant, w, resolution) == _outcome(_rh1_prime_per_left_end, w, resolution)
 
 
-def _ranked_walk_mismatch(w, p, resolution=33):
-    """How a four-spec _scans on blocks of 64 entries, in two chunks, differs from _dense_scan's first maxima, or None.
+def _ranked_walk_mismatch(w, p, resolution=33, names=("rh1", "ainf", "rhp", "ap")):
+    """How _scans on blocks of 64 entries, in two chunks, differs from _dense_scan's first maxima, or None.
 
-    The dense reference fails at the first spec whose moment raises DomainError or that has no finite ratio.
+    The specs are names at p (one, or a list), in compute_report's order.  The dense reference fails at the first
+    spec whose moment raises DomainError or that has no finite ratio.
     """
-    specs = [("rh1", None), ("ainf", None), ("rhp", p), ("ap", p)]
+    specs = [(name, None) for name in ("rh1", "ainf") if name in names]
+    specs += [(name, q) for name in ("rhp", "ap") if name in names for q in (p if isinstance(p, list) else [p])]
     want = []
     for name, q in specs:
         try:
@@ -269,11 +271,29 @@ def _ranked_walk_mismatch(w, p, resolution=33):
     return diff or None
 
 
-@given(SCAN_WEIGHTS, st.sampled_from((1.0, 1e300, 1e-300)), st.booleans(), SCAN_PS, st.sampled_from((17, 33, 65)))
-def test_ranked_walk_matches_dense_reference_bit_for_bit(w, scale, centre, p, resolution):
+def _rescaled(w, scale, centre):
     if all(0.0 < scale * pc.coeff < math.inf for pc in w.pieces):
         w = rescale(w, scale)
-    assert _ranked_walk_mismatch(_centred(w)[0] if centre else w, p, resolution) is None
+    return _centred(w)[0] if centre else w
+
+
+# a dense avg(w) that overflows: 1 on [0, 1e-12], then t^-1.625
+@example(Weight((PowerPiece(Interval(0.0, 1e-12), 1.0, 0.0), PowerPiece(Interval(1e-12, 1.0), 1.0, -1.625))),
+         1e300, False, 2.0, 17)
+@given(SCAN_WEIGHTS, st.sampled_from((1.0, 1e300, 1e-300)), st.booleans(), SCAN_PS, st.sampled_from((17, 33, 65)))
+def test_ranked_walk_matches_dense_reference_bit_for_bit(w, scale, centre, p, resolution):
+    assert _ranked_walk_mismatch(_rescaled(w, scale, centre), p, resolution) is None
+
+
+# any non-empty subset of the four constants, with one to three p: without rh1, or with one log rank, a walk
+# takes other ranks and arrays than the four-constant list's
+@example(TIE_WEIGHT, 1.0, False, {"ainf", "rhp"}, [2.37], 33)
+@example(constant_weight(0.125), 1.0, False, {"rhp"}, [1.5, 2.0, 3.0], 17)
+@given(SCAN_WEIGHTS, st.sampled_from((1.0, 1e300, 1e-300)), st.booleans(),
+       st.sets(st.sampled_from(("rh1", "ainf", "rhp", "ap")), min_size=1),
+       st.lists(SCAN_PS, min_size=1, max_size=3, unique=True), st.sampled_from((17, 33, 65)))
+def test_ranked_walk_on_any_subset_matches_dense_reference_bit_for_bit(w, scale, centre, names, ps, resolution):
+    assert _ranked_walk_mismatch(_rescaled(w, scale, centre), ps, resolution, names) is None
 
 
 class TestRankedWalkControls:
@@ -291,9 +311,17 @@ class TestRankedWalkControls:
         assert any(_ranked_walk_mismatch(w, p) for w, p in self.CASES)
 
     def test_rank_off_by_a_relative_1e_9_fails(self, monkeypatch):
-        # the rank of log(aw) (1 + 1e-9): scaling the whole rank would keep its order, and every first max
-        for name, (power, rank) in list(constants._RANKS.items()):
-            monkeypatch.setitem(constants._RANKS, name, (power, lambda law, r, p, rank=rank: rank(law * (1.0 + 1e-9), r, p)))
+        # the log ranks of log(aw) (1 + 1e-9): scaling the whole rank would keep its order, and every first max
+        for name in ("ainf", "rhp", "ap"):
+            power, rank = constants._RANKS[name]
+            monkeypatch.setitem(constants._RANKS, name,
+                                (power, lambda law, *args, rank=rank: rank(law * (1.0 + 1e-9), *args)))
+        assert any(_ranked_walk_mismatch(w, p) for w, p in self.CASES)
+
+    def test_rh1_rank_off_by_a_relative_1e_9_fails(self, monkeypatch):
+        # rh1's rank, the ratio itself, with log(aw) (1 + 1e-9)
+        power, rank = constants._RANKS["rh1"]
+        monkeypatch.setitem(constants._RANKS, "rh1", (power, lambda law, *args: rank(law * (1.0 + 1e-9), *args)))
         assert any(_ranked_walk_mismatch(w, p) for w, p in self.CASES)
 
 
@@ -347,6 +375,33 @@ class TestSharedWalk:
         with pytest.raises(ParameterError, match="ap_constant needs p > 1, got 1.0"):
             compute_report(sqrt_weight, 51, ("rh1", "ap"), (2.0, 1.0))
 
+    def test_spec_at_inf_is_made_in_the_first_block_only(self, monkeypatch):
+        # w^2.37 = c t^-1.422 has no integral at 0: rhp is +inf on the first pair, which no later pair replaces
+        made, pair_walk = [], constants._pair_walk
+
+        def spy_walk(labels, pts, per_pair, make_block, *args):
+            @contextlib.contextmanager
+            def spy_make_block(entries, dead):
+                with make_block(entries, dead) as block:
+                    def spy(i0, i1):
+                        for s, ratio, exact in block(i0, i1):
+                            made.append((i0, labels[s]))
+                            yield s, ratio, exact
+
+                    yield spy
+
+            return pair_walk(labels, pts, per_pair, spy_make_block, *args)
+
+        monkeypatch.setattr(constants, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(constants, "_pair_walk", spy_walk)
+        w = power_weight(1.3, -0.6)
+        rep = compute_report(w, 401, ("rh1", "ainf", "rhp", "ap"), (2.37,))
+        pts = _grid_points(_centred(w)[0], 401)
+        assert rep.rh_p[2.37] == (math.inf, Interval(pts[0], pts[1]))
+        blocks = sorted({i0 for i0, _ in made})
+        assert len(blocks) > 4 and [i0 for i0, label in made if label.startswith("rhp")] == [0]
+        assert all(sum(label == name for _, label in made) == len(blocks) for name in ("rh1", "ainf", "ap (p = 2.37)"))
+
 
 @pytest.fixture(params=[2, 3, 5])
 def split(request, monkeypatch):
@@ -364,8 +419,8 @@ def split(request, monkeypatch):
 
     def spy_walk(labels, pts, per_pair, make_block, *args):
         @contextlib.contextmanager
-        def spy_make_block(entries):
-            with make_block(entries) as block:
+        def spy_make_block(entries, dead):
+            with make_block(entries, dead) as block:
                 def spy(i0, i1):
                     blocks.append((threading.current_thread(), (i1 - i0, len(pts) - 1 - i0)))
                     return block(i0, i1)
@@ -496,8 +551,8 @@ class TestSplitWalk:
 
         def held_walk(labels, pts, per_pair, make_block, *args):
             @contextlib.contextmanager
-            def held_make_block(entries):
-                with make_block(entries) as block:
+            def held_make_block(entries, dead):
+                with make_block(entries, dead) as block:
                     def held(i0, i1):
                         first = threading.current_thread() is threading.main_thread()
                         assert first or walked.wait(timeout=30)

@@ -18,10 +18,10 @@ at depths 0 to 14 on weights refused at the root of the tree and on weights whos
 moments near the double range overflow, raise or are not finite on some intervals;
 ``selftest``.  Then every subcommand that prints JSON:
 ``constants`` on 8 corpus weights (``rh_p``/``a_p`` keyed by p, the nested
-scans, CSV, and the four pair scans at resolutions 401 and 1201, where the
-pair walk splits its rows on 2 or more CPUs), ``solve`` for each equation
-over q from tiny to past its range, ``extremal`` for all four families with
-and without targets and their refusals, ``bellman --eval`` on the three
+scans, CSV, the four pair scans at resolutions 401 and 1201, where the
+pair walk splits its rows on 2 or more CPUs, and two lists without rh1 at
+401), ``solve`` for each equation over q from tiny to past its range,
+``extremal`` for all four families with and without targets and their refusals, ``bellman --eval`` on the three
 surfaces inside, on and outside their domains, ``--eval`` and ``extremal``
 (``ainf``, ``gehring-interior``) at targets on both boundary curves, ``dyadic``
 trees without ``--verify`` at depths 0 to 6, and ``sweep --format json``
@@ -179,6 +179,8 @@ def writer_cases(workdir: Path) -> list[list[str]]:
         for resolution in ("401", "1201"):
             runs.append(["constants", "--weight", path, "--resolution", resolution,
                          "--which", "rh1,ainf,rhp,ap", "--p-values", "1.5,3"])
+        for which, p_values in (("rhp,ap", "1.5,2.37,3"), ("ainf,rhp", "2.37,10")):
+            runs.append(["constants", "--weight", path, "--resolution", "401", "--which", which, "--p-values", p_values])
     runs.append(["constants", "--weight", corpus[0], "--which", "ap", "--p-values", "1.0"])
 
     qs = ["1e-300", "1e-20", "1e-6", "0.05", "0.5", "1.0", "2.0", "3.0", "5.6", "10.0", "100.0",
