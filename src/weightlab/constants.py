@@ -8,13 +8,11 @@ A_inf, RH_p and A_p share one walk per report: the grid, the avg(w)
 cumulative moment and each block's pair lengths and averages are computed
 once, and each constant adds its second cumulative moment and its combining
 expression; its outer differences cum[j] - cum[i] skip numpy's buffered copy
-(4x the cost, same bits) on a 16-entry ufunc buffer, and its rows are split,
-bit for bit, across the CPUs the process may use (up to four, with no
-setting), which share one running best, while rh1_prime and Orlicz walk in
-one.  A block ranks its pairs and combines only the band near its top: two
-log ranks or more read products with one 1/dl, two roundings off the
-quotients (3 ulp, under 3.4e-13 on a rank), and rh1 ranks by its ratio from
-two sums; a constant at +inf leaves the walk.  The Orlicz constant solves
+(4x the cost, same bits) on a 16-entry ufunc buffer.  A block ranks its
+pairs and combines only the band near its top: two log ranks or more read
+products with one 1/dl, two roundings off the quotients (3 ulp, under
+3.4e-13 on a rank), and rh1 ranks by its ratio from two sums; a constant at
++inf leaves the walk.  The Orlicz constant solves
 each block's Luxemburg norms together, on one Gauss-Legendre layout in mass
 coordinates for every power piece; the maximal-function constant is the
 documented expensive one, O(resolution^3) in block-wide passes over the left
@@ -29,9 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-import threading
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -137,120 +133,75 @@ _RANKS = {
 _RANK_LIMIT, _BAND = 700.0, 1e-11
 # entries per block array: a scan holds about ten arrays of this size at once
 _SCAN_BLOCK_ENTRIES = 1 << 14
-# a split walk's blocks are three times as big, so their ufuncs outlast the
-# GIL's hand-over between threads; 4 chunks of four such arrays stay under 7 MiB
-_MAX_CHUNKS = 4
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, make_block, chunks: int = 1,
+@np.errstate(all="ignore")
+def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, block,
                linear: frozenset[int] = frozenset()) -> list[tuple[float, Interval]]:
     """First max of each of a stack of ratios over all grid pairs i < j, walked in blocks of rows.
 
-    block(i0, i1), from the context manager make_block(entries, dead) on
-    arrays of max(entries, n - 1) entries, gives rows i0..i1-1 by columns
-    i0+1..n-1 as (label index, array, exact) triples, one per label in any
-    order, in an iterable that may make each as it is taken and may leave
-    out the labels in dead, the chunk's set of those whose best is +inf with
-    a finite value (no later pair replaces it); j <= i only in an array's
-    leading rows x rows square, which is masked out here.  The array holds
-    the ratios where exact is None, else ranks: their logs, or for the
-    labels in linear the ratios, to within eta (1 + |M|), eta = 3e-12
-    (_scans: a log of a double is under 746, so 4 ulp of it is 4.6e-13, and
-    a log rank sums two logs and two roundings; the block's 1/dl puts two
-    more, 3 ulp, on its averages: 3.4e-16 on a log, and at most 3.4e-13 on
-    ainf's |r| <= 700 or on a log times p - 1 <= 1e3; rh1's rank and its
-    combine each round a few terms under |M| + 1400, as |log avg(w)| <=
-    700).  A pair with the block's largest ratio then ranks within 2 eta (1
-    + |M|) of the top rank M, and every ratio is under exp(M + delta), or M
-    + delta for linear, delta = _BAND (1 + |M|): the block is skipped when
-    that is under the best ratio so far, the larger of the chunk's own and
-    the one every chunk writes its best into (a ratio some pair attains, so
-    a lost update only skips less), else exact(band) gives the ratios at the
-    flat indices band of the ranks >= M - delta, or over the block for None:
-    where M is nan (argmax takes a nan) or past +-_RANK_LIMIT, or the band
-    holds over 1/8 of the block.
-    make_block holds a chunk's thread state until the chunk ends, as
-    _scans' 16-entry ufunc buffer for its outer differences.  A block
-    covers about _SCAN_BLOCK_ENTRIES / per_pair pairs, so memory stays
-    bounded in resolution.  For each label on its own, nan ratios are
-    masked (only when the argmax lands on one), ties keep the first pair in
-    lexicographic order, and DomainError is raised, for the first label in
-    order, when no pair gives a finite value.  The rows are cut into up to
-    `chunks` (and _MAX_CHUNKS) chunks of equal pair count and at least four
-    blocks, whose blocks are then three times as big; the caller walks the
-    first and a thread each of the others, each on its own block.  A block
-    holding a first max, or a tie of it, is never skipped (the test is
-    strict), so merged in row order, with the first chunk's exception
-    raised, the result is a one-chunk walk's bit for bit, whatever the
-    threads' timing skips.
+    block(i0, i1, dead), on arrays of max(_SCAN_BLOCK_ENTRIES, n - 1)
+    entries, gives rows i0..i1-1 by columns i0+1..n-1 as (label index,
+    array, exact) triples, one per label in any order, in an iterable that
+    may make each as it is taken and may leave out the labels in dead, the
+    set of those whose best is +inf with a finite value (no later pair
+    replaces it); j <= i only in an array's leading rows x rows square,
+    which is masked out here.  The array holds the ratios where exact is
+    None, else ranks: their logs, or for the labels in linear the ratios, to
+    within eta (1 + |M|), eta = 3e-12 (_scans: a log of a double is under
+    746, so 4 ulp of it is 4.6e-13, and a log rank sums two logs and two
+    roundings; the block's 1/dl puts two more, 3 ulp, on its averages:
+    3.4e-16 on a log, and at most 3.4e-13 on ainf's |r| <= 700 or on a log
+    times p - 1 <= 1e3; rh1's rank and its combine each round a few terms
+    under |M| + 1400, as |log avg(w)| <= 700).  A pair with the block's
+    largest ratio then ranks within 2 eta (1 + |M|) of the top rank M, and
+    every ratio is under exp(M + delta), or M + delta for linear, delta =
+    _BAND (1 + |M|): the block is skipped when that is under the best ratio
+    so far, else exact(band) gives the ratios at the flat indices band of
+    the ranks >= M - delta, or over the block for None: where M is nan
+    (argmax takes a nan) or past +-_RANK_LIMIT, or the band holds over 1/8
+    of the block.  A block covers about _SCAN_BLOCK_ENTRIES / per_pair
+    pairs, so memory stays bounded in resolution.  For each label on its
+    own, nan ratios are masked (only when the argmax lands on one), ties
+    keep the first pair in lexicographic order (the skip test is strict, so
+    a block holding a first max, or a tie of it, is walked), and DomainError
+    is raised, for the first label in order, when no pair gives a finite
+    value.
     """
-    n, count = len(pts), len(labels)
-    pairs = n * (n - 1) // 2
-    chunks = max(1, min(chunks, _MAX_CHUNKS, pairs * per_pair // (4 * _SCAN_BLOCK_ENTRIES)))
-    entries = _SCAN_BLOCK_ENTRIES * (1 if chunks == 1 else 3)
-    ends = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0..r
-    cuts = [0, *(int(np.searchsorted(ends, pairs * c // chunks)) + 1 for c in range(1, chunks)), n - 1]
-    parts: list = [None] * chunks
-    shared = [-math.inf] * count  # the best ratio any chunk has found, per label
-
-    @np.errstate(all="ignore")  # a thread starts with numpy's default error state
-    def walk(c):  # chunk c's first (value, i, j) max and finite flag per label, or its exception
-        best, finite, dead = [(-math.inf, 0, 0)] * count, [False] * count, set()
-        try:
-            with make_block(entries, dead) as block:
-                i0 = cuts[c]
-                while i0 < cuts[c + 1]:
-                    i1 = min(cuts[c + 1], i0 + max(1, entries // (per_pair * (n - 1 - i0))))
-                    below = np.tri(i1 - i0, k=-1, dtype=bool)
-                    for s, ratio, exact in block(i0, i1):
-                        ratio[:, : i1 - i0][below] = -np.inf
-                        k, band = int(np.argmax(ratio)), None
-                        if exact is not None:  # ranks
-                            m = float(ratio.flat[k])
-                            if abs(m) <= _RANK_LIMIT:  # so the top pair's ratio is finite
-                                finite[s], delta = True, _BAND * (1.0 + abs(m))
-                                if (m + delta if s in linear else math.exp(m + delta)) < max(best[s][0], shared[s]):
-                                    continue
-                                band = np.flatnonzero(ratio >= m - delta)
-                                band = band if 8 * band.size <= ratio.size else None
-                            ratio = exact(band)
-                            if band is None:
-                                ratio[:, : i1 - i0][below] = -np.inf
-                            k = int(np.argmax(ratio))
-                        if np.isnan(ratio.flat[k]):  # argmax takes the first nan as the max
-                            ratio[np.isnan(ratio)] = -np.inf
-                            k = int(np.argmax(ratio))
-                        top = float(ratio.flat[k])
-                        if top > best[s][0]:
-                            i, j = divmod(k if band is None else int(band[k]), n - 1 - i0)
-                            best[s] = (top, i0 + i, i0 + 1 + j)
-                            shared[s] = max(shared[s], top)
-                        finite[s] = finite[s] or math.isfinite(top) or bool(np.isfinite(ratio).any())
-                        if finite[s] and best[s][0] == math.inf:
-                            dead.add(s)
-                    i0 = i1
-            parts[c] = best, finite
-        except BaseException as exc:  # raised below, in chunk order
-            parts[c] = exc
-
-    threads = [threading.Thread(target=walk, args=(c,)) for c in range(1, chunks)]
-    for t in threads:
-        t.start()
-    walk(0)
-    for t in threads:
-        t.join()
-    for part in parts:
-        if isinstance(part, BaseException):
-            raise part
-    # max keeps the first of equal values, as the walk's strict > does
-    best = [max(tops, key=lambda top: top[0]) for tops in zip(*(tops for tops, _ in parts))]
-    for label, *finite in zip(labels, *(finite for _, finite in parts)):
-        if not any(finite):
+    n = len(pts)
+    best, finite, dead = [(-math.inf, 0, 0)] * len(labels), [False] * len(labels), set()
+    i0 = 0
+    while i0 < n - 1:
+        i1 = min(n - 1, i0 + max(1, _SCAN_BLOCK_ENTRIES // (per_pair * (n - 1 - i0))))
+        below = np.tri(i1 - i0, k=-1, dtype=bool)
+        for s, ratio, exact in block(i0, i1, dead):
+            ratio[:, : i1 - i0][below] = -np.inf
+            k, band = int(np.argmax(ratio)), None
+            if exact is not None:  # ranks
+                m = float(ratio.flat[k])
+                if abs(m) <= _RANK_LIMIT:  # so the top pair's ratio is finite
+                    finite[s], delta = True, _BAND * (1.0 + abs(m))
+                    if (m + delta if s in linear else math.exp(m + delta)) < best[s][0]:
+                        continue
+                    band = np.flatnonzero(ratio >= m - delta)
+                    band = band if 8 * band.size <= ratio.size else None
+                ratio = exact(band)
+                if band is None:
+                    ratio[:, : i1 - i0][below] = -np.inf
+                k = int(np.argmax(ratio))
+            if np.isnan(ratio.flat[k]):  # argmax takes the first nan as the max
+                ratio[np.isnan(ratio)] = -np.inf
+                k = int(np.argmax(ratio))
+            top = float(ratio.flat[k])
+            if top > best[s][0]:
+                i, j = divmod(k if band is None else int(band[k]), n - 1 - i0)
+                best[s] = (top, i0 + i, i0 + 1 + j)
+            finite[s] = finite[s] or math.isfinite(top) or bool(np.isfinite(ratio).any())
+            if finite[s] and best[s][0] == math.inf:
+                dead.add(s)
+        i0 = i1
+    for label, ok in zip(labels, finite):
+        if not ok:
             raise DomainError(f"{label}: no finite value on any scanned interval")
     return [(value, Interval(float(pts[i]), float(pts[j]))) for value, i, j in best]
 
@@ -311,52 +262,48 @@ def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) ->
     # unranked rh1 last of all (its combine overwrites law)
     order = sorted(range(len(terms)), key=lambda k: (terms[k][3] is None, terms[k][0] == "rh1"))
 
-    @contextmanager
-    def make_block(entries, dead):  # a chunk's block, on its own dl (or 1/dl), aw, ratio and log(aw) arrays
-        bufs = [np.empty(max(entries, n - 1)) for _ in range(4)]
+    bufs = [np.empty(max(_SCAN_BLOCK_ENTRIES, n - 1)) for _ in range(4)]  # dl (or 1/dl), aw, ratio and log(aw)
 
-        def block(i0, i1):
-            rows, cols, m = slice(i0, i1), slice(i0 + 1, n), n - 1 - i0
-            dl, aw, r, law = (buf[: (i1 - i0) * m].reshape(i1 - i0, m) for buf in bufs)
-            np.subtract(pts[cols], pts[rows, None], out=dl)
-            np.subtract(cum_w[cols], cum_w[rows, None], out=aw)
-            if inv:  # aw keeps the sum of w until an unranked spec takes avg(w)
-                np.log(np.multiply(aw, np.divide(1.0, dl, out=dl), out=law), out=law)
-            else:
-                np.divide(aw, dl, out=aw)
-                if keep or rh1:
-                    np.log(aw, out=law)
-            sums = inv
-            for k in order:
-                name, cum, combine, rank, p = terms[k]
-                if k in dead:
-                    continue
-                np.subtract(cum[cols], cum[rows, None], out=r)
-                if rank is None:
-                    if sums:
-                        np.divide(aw, np.subtract(pts[cols], pts[rows, None], out=dl), out=aw)
-                        sums = False
-                    combine(aw, np.divide(r, dl, out=r), law, p)
-                    yield k, r, None
-                    continue
-                if name != "rh1":
-                    (np.multiply if inv else np.divide)(r, dl, out=r)
-                def exact(band, cum=cum, combine=combine, p=p):  # the combine on band's pairs (or all), re-formed
-                    i, j = np.ogrid[rows, cols] if band is None else (i0 + band // m, i0 + 1 + band % m)
-                    d = pts[j] - pts[i]
-                    combine(a := (cum_w[j] - cum_w[i]) / d, ratio := (cum[j] - cum[i]) / d, np.log(a), p)
-                    return ratio
-                yield k, rank(law, r, aw, p), exact
-
-        size = np.setbufsize(16)  # this thread's; restored here, as numpy 1.x's errstate keeps it
-        try:
-            yield block
-        finally:
-            np.setbufsize(size)
+    def block(i0, i1, dead):
+        rows, cols, m = slice(i0, i1), slice(i0 + 1, n), n - 1 - i0
+        dl, aw, r, law = (buf[: (i1 - i0) * m].reshape(i1 - i0, m) for buf in bufs)
+        np.subtract(pts[cols], pts[rows, None], out=dl)
+        np.subtract(cum_w[cols], cum_w[rows, None], out=aw)
+        if inv:  # aw keeps the sum of w until an unranked spec takes avg(w)
+            np.log(np.multiply(aw, np.divide(1.0, dl, out=dl), out=law), out=law)
+        else:
+            np.divide(aw, dl, out=aw)
+            if keep or rh1:
+                np.log(aw, out=law)
+        sums = inv
+        for k in order:
+            name, cum, combine, rank, p = terms[k]
+            if k in dead:
+                continue
+            np.subtract(cum[cols], cum[rows, None], out=r)
+            if rank is None:
+                if sums:
+                    np.divide(aw, np.subtract(pts[cols], pts[rows, None], out=dl), out=aw)
+                    sums = False
+                combine(aw, np.divide(r, dl, out=r), law, p)
+                yield k, r, None
+                continue
+            if name != "rh1":
+                (np.multiply if inv else np.divide)(r, dl, out=r)
+            def exact(band, cum=cum, combine=combine, p=p):  # the combine on band's pairs (or all), re-formed
+                i, j = np.ogrid[rows, cols] if band is None else (i0 + band // m, i0 + 1 + band % m)
+                d = pts[j] - pts[i]
+                combine(a := (cum_w[j] - cum_w[i]) / d, ratio := (cum[j] - cum[i]) / d, np.log(a), p)
+                return ratio
+            yield k, rank(law, r, aw, p), exact
 
     labels = tuple(name if p is None else f"{name} (p = {p})" for name, p in specs[: len(terms)])
     linear = frozenset(k for k, (name, _, _, rank, _) in enumerate(terms) if name == "rh1" and rank is not None)
-    found = _pair_walk(labels, pts, 1, make_block, _usable_cpus(), linear) if terms else []
+    size = np.setbufsize(16)  # for the outer differences; restored here, as numpy 1.x's errstate keeps it
+    try:
+        found = _pair_walk(labels, pts, 1, block, linear) if terms else []
+    finally:
+        np.setbufsize(size)
     if failed is not None:
         raise failed
     return found
@@ -447,7 +394,7 @@ def rh1_prime_constant(
     with np.errstate(all="ignore"):  # A[i, q] at [i, q - 1], unused where q <= i; 0 on a subnormal piece
         avg = (cum[1:] - cum[:-1, None]) / (pts[1:] - pts[:-1, None])
 
-    def block(i0, i1):
+    def block(i0, i1, dead):
         cell = np.arange(i0, n - 1)[:, None]
         left = cell < np.arange(i0, i1)[:, None, None]  # (left end p, cell k, 1): k < p
         later = cell >= np.arange(i0 + 1, n)  # (cell k, right end q): k at or right of q
@@ -460,7 +407,7 @@ def rh1_prime_constant(
         avg_m = np.multiply(m, cell_len[i0:, None], out=m).sum(axis=1) / length
         return [(0, avg_m / ((cum[i0 + 1 :] - cum[i0:i1, None]) / length), None)]
 
-    return _pair_walk(("rh1_prime",), pts, n - 1, lambda *_: nullcontext(block))[0]  # a pair spans up to n - 1 cells
+    return _pair_walk(("rh1_prime",), pts, n - 1, block)[0]  # a pair spans up to n - 1 cells
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +617,7 @@ def rh1_doubleprime_constant(
     n = len(pts)
     cum = cumulative_moment(w, pts, MomentKind.AVG_W)
 
-    def block(i0, i1):
+    def block(i0, i1, dead):
         ratio = np.full((i1 - i0, n - 1 - i0), -np.inf)
         r, c = np.nonzero(~np.tri(i1 - i0, n - 1 - i0, k=-1, dtype=bool))
         ii, jj = i0 + r, i0 + 1 + c
@@ -684,7 +631,7 @@ def rh1_doubleprime_constant(
     # blocks of 8 _SCAN_BLOCK_ENTRIES such entries: the time saved levels off there
     panels = _panel_count(OrliczKind.LLOGL, w)
     per_pair = (8 + sum(1 if pc.exponent == 0.0 else 16 * panels for pc in w.pieces)) // 8
-    return _pair_walk(("rh1_doubleprime",), pts, per_pair, lambda *_: nullcontext(block))[0]
+    return _pair_walk(("rh1_doubleprime",), pts, per_pair, block)[0]
 
 
 def rh1_limit_check(w: Weight, interval: Interval, p: float) -> tuple[float, float]:

@@ -212,25 +212,6 @@ class TestConstants:
         assert cli.main([*args, "--format", "csv"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "a_p[2.0],inf,0,0.02"
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-                        reason="needs sched_setaffinity and two CPUs")
-    def test_pinned_and_unpinned_runs_print_the_same_bytes(self, tmp_path):
-        # at R = 1201 the pair walk splits into one chunk per CPU; pinned, it walks one
-        path = tmp_path / "w.json"
-        save_weight(reference_corpus()[3], str(path))
-        argv = [sys.executable, "-W", "error", "-m", "weightlab.cli", "constants", "--weight", str(path),
-                "--which", "rh1,ainf,rhp,ap", "--p-values", "1.5,3", "--resolution", "1201"]
-        env = {**os.environ, "PYTHONPATH": str(Path(weightlab.__file__).parents[1])}
-        cpu = min(os.sched_getaffinity(0))
-        runs = [
-            subprocess.run(argv, env=env, capture_output=True, text=True,
-                           preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pinned else None)
-            for pinned in (True, False)
-        ]
-        assert [(r.returncode, r.stderr) for r in runs] == [(0, ""), (0, "")]
-        assert runs[0].stdout == runs[1].stdout
-        assert json.loads(runs[0].stdout)["rh1"]["value"] > 0.0
-
     def test_output_file_and_silent_stdout(self, linear_file, tmp_path, capsys):
         out = tmp_path / "report.json"
         rc = cli.main(

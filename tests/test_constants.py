@@ -1,7 +1,4 @@
-import contextlib
 import math
-import sys
-import threading
 import tracemalloc
 import warnings
 
@@ -145,7 +142,7 @@ def _rh1_prime_per_left_end(w, resolution):
     cell_len = np.diff(pts)
     wmid = _values(w, 0.5 * (pts[:-1] + pts[1:]))
 
-    def block(i0, i1):
+    def block(i0, i1, dead):
         ratio = np.full((i1 - i0, n - 1 - i0), -np.inf)
         for p in range(i0, i1):
             later = np.tri(n - 1 - p, k=-1, dtype=bool)
@@ -158,7 +155,7 @@ def _rh1_prime_per_left_end(w, resolution):
             ratio[p - i0, p - i0 :] = avg_m / ((cum[p + 1 :] - cum[p]) / length)
         return [(0, ratio, None)]
 
-    return constants._pair_walk(("rh1_prime",), pts, n - 1, lambda *_: contextlib.nullcontext(block))[0]
+    return constants._pair_walk(("rh1_prime",), pts, n - 1, block)[0]
 
 
 def _outcome(scan, *args):
@@ -241,7 +238,7 @@ def test_maximal_block_passes_match_the_per_left_end_pass_bit_for_bit(w, resolut
 
 
 def _ranked_walk_mismatch(w, p, resolution=33, names=("rh1", "ainf", "rhp", "ap")):
-    """How _scans on blocks of 64 entries, in two chunks, differs from _dense_scan's first maxima, or None.
+    """How _scans on blocks of 64 entries differs from _dense_scan's first maxima, or None.
 
     The specs are names at p (one, or a list), in compute_report's order.  The dense reference fails at the first
     spec whose moment raises DomainError or that has no finite ratio.
@@ -260,7 +257,6 @@ def _ranked_walk_mismatch(w, p, resolution=33, names=("rh1", "ainf", "rhp", "ap"
         want.append((ratio[i, j], pts[i], pts[j]))
     with pytest.MonkeyPatch.context() as small:
         small.setattr(constants, "_SCAN_BLOCK_ENTRIES", 64)
-        small.setattr(constants, "_usable_cpus", lambda: 2)
         try:
             got = [(value, iv.a, iv.b) for value, iv in _scans(specs, w, resolution)]
         except DomainError:
@@ -379,20 +375,14 @@ class TestSharedWalk:
         # w^2.37 = c t^-1.422 has no integral at 0: rhp is +inf on the first pair, which no later pair replaces
         made, pair_walk = [], constants._pair_walk
 
-        def spy_walk(labels, pts, per_pair, make_block, *args):
-            @contextlib.contextmanager
-            def spy_make_block(entries, dead):
-                with make_block(entries, dead) as block:
-                    def spy(i0, i1):
-                        for s, ratio, exact in block(i0, i1):
-                            made.append((i0, labels[s]))
-                            yield s, ratio, exact
+        def spy_walk(labels, pts, per_pair, block, *args):
+            def spy(i0, i1, dead):
+                for s, ratio, exact in block(i0, i1, dead):
+                    made.append((i0, labels[s]))
+                    yield s, ratio, exact
 
-                    yield spy
+            return pair_walk(labels, pts, per_pair, spy, *args)
 
-            return pair_walk(labels, pts, per_pair, spy_make_block, *args)
-
-        monkeypatch.setattr(constants, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(constants, "_pair_walk", spy_walk)
         w = power_weight(1.3, -0.6)
         rep = compute_report(w, 401, ("rh1", "ainf", "rhp", "ap"), (2.37,))
@@ -403,185 +393,101 @@ class TestSharedWalk:
         assert all(sum(label == name for _, label in made) == len(blocks) for name in ("rh1", "ainf", "ap (p = 2.37)"))
 
 
-@pytest.fixture(params=[2, 3, 5])
-def split(request, monkeypatch):
-    """Pair walks cut into `param` chunks on any machine: small blocks, that many CPUs.
-
-    Returns the chunk count and a list to which every block a pair walk
-    makes adds its thread and its (rows, columns); see _chunk_rows.
-    """
-    chunks = request.param
-    monkeypatch.setattr(constants, "_usable_cpus", lambda: chunks)
-    monkeypatch.setattr(constants, "_MAX_CHUNKS", chunks)
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Pair walks on blocks of 64 entries; returns a list to which every block a walk makes adds its (i0, i1)."""
     monkeypatch.setattr(constants, "_SCAN_BLOCK_ENTRIES", 64)
-    blocks = []
-    pair_walk = constants._pair_walk
+    blocks, pair_walk = [], constants._pair_walk
 
-    def spy_walk(labels, pts, per_pair, make_block, *args):
-        @contextlib.contextmanager
-        def spy_make_block(entries, dead):
-            with make_block(entries, dead) as block:
-                def spy(i0, i1):
-                    blocks.append((threading.current_thread(), (i1 - i0, len(pts) - 1 - i0)))
-                    return block(i0, i1)
+    def spy_walk(labels, pts, per_pair, block, *args):
+        def spy(i0, i1, dead):
+            blocks.append((i0, i1))
+            return block(i0, i1, dead)
 
-                yield spy
-
-        return pair_walk(labels, pts, per_pair, spy_make_block, *args)
+        return pair_walk(labels, pts, per_pair, spy, *args)
 
     monkeypatch.setattr(constants, "_pair_walk", spy_walk)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads hand the GIL over as often as they can
-    try:
-        yield chunks, blocks
-    finally:
-        sys.setswitchinterval(interval)
+    return blocks
 
 
-def _chunk_rows(blocks, n):
-    """The (r0, r1) grid rows each thread walked, sorted: a block of c columns starts at row n - 1 - c."""
-    rows = {}
-    for thread, (k, cols) in blocks:
-        r0, r1 = rows.get(thread, (n, 0))
-        rows[thread] = (min(r0, n - 1 - cols), max(r1, n - 1 - cols + k))
-    return sorted(rows.values())
+def _chunk_cuts(n, chunks):
+    """The first grid row of each of `chunks` runs of rows that hold about equal shares of the n (n - 1) / 2 pairs."""
+    pairs = np.cumsum(np.arange(n - 1, 0, -1))  # the pairs in rows 0..i
+    return [0] + [int(np.searchsorted(pairs, c * pairs[-1] / chunks)) + 1 for c in range(1, chunks)]
+
+
+@pytest.fixture(params=[2, 3, 5])
+def split(request, small_blocks):
+    """The one pair walk, on blocks of 64 entries, read as `param` chunks: runs of its row blocks cut as in _chunk_cuts.
+
+    Returns the chunk count and small_blocks' list of the (i0, i1) of every block a walk makes.
+    """
+    return request.param, small_blocks
 
 
 class TestSplitWalk:
+    """What the first chunk of row blocks finds, or fails to find, carries over to the later chunks of the one walk."""
+
     WHICH = ("rh1", "ainf", "rhp", "ap")
-    P_VALUES = (1.5, 2.0, 3.0)
-
-    def test_report_matches_one_chunk_bit_for_bit(self, corpus, split):
-        chunks, blocks = split
-        for w in corpus:
-            with pytest.MonkeyPatch.context() as one:
-                one.setattr(constants, "_usable_cpus", lambda: 1)
-                want = compute_report(w, 101, self.WHICH, self.P_VALUES)
-            blocks.clear()
-            assert compute_report(w, 101, self.WHICH, self.P_VALUES) == want
-            n = len(_grid_points(_centred(w)[0], 101))
-            rows = _chunk_rows(blocks, n)
-            assert len(rows) == chunks and rows[0][0] == 0 and rows[-1][1] == n - 1
-            assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
-            pairs = [sum(n - 1 - i for i in range(r0, r1)) for r0, r1 in rows]
-            assert all(abs(k - n * (n - 1) / 2 / chunks) < n for k in pairs)  # equal, up to a row
-
-    def test_tie_across_a_chunk_cut_keeps_first(self, split):
-        # the period-1/2 step weight of the row-block tie test: each interval
-        # ties with its translate by 1/2, 128 grid rows further on
-        chunks, blocks = split
-        w = step_weight((0.0, 0.25, 0.375, 0.5, 0.75, 0.875, 1.0), (1.0, 4.0, 1.0, 1.0, 4.0, 1.0))
-        for name in ("rhp", "ap"):
-            ratio, pts = _dense_scan(name, w, 257, 2.0)
-            rows, cols = np.nonzero(ratio == ratio.max())
-            blocks.clear()
-            value, iv = _scan(name, w, 257, 2.0)
-            assert (value, iv.a, iv.b) == (ratio.max(), pts[rows[0]], pts[cols[0]])
-            chunk_rows = _chunk_rows(blocks, len(pts))
-            chunk_of = lambda i: next(k for k, (r0, r1) in enumerate(chunk_rows) if r0 <= i < r1)
-            assert len(chunk_rows) == chunks and chunk_of(rows[0]) < chunk_of(rows[-1])
-        with pytest.MonkeyPatch.context() as one:
-            one.setattr(constants, "_usable_cpus", lambda: 1)
-            want = compute_report(w, 257, self.WHICH, (2.0,))
-        assert compute_report(w, 257, self.WHICH, (2.0,)) == want
-
-    @pytest.mark.parametrize("cells, which", [((5e-324, 1e308), WHICH), ((1e-300, 1e300), ("rhp", "ap"))],
-                             ids=["rh1-and-rhp", "rhp-and-ap"])
-    def test_first_failing_constant_raises_as_with_one_chunk(self, cells, which, split):
-        w = step_weight((0.0, 0.5, 1.0), cells)
-        with pytest.MonkeyPatch.context() as one:
-            one.setattr(constants, "_usable_cpus", lambda: 1)
-            with pytest.raises(DomainError) as alone:
-                compute_report(w, 51, which, (1.5, 3.0))
-        with pytest.raises(DomainError) as together:
-            compute_report(w, 51, which, (1.5, 3.0))
-        assert str(together.value) == str(alone.value)
-
-    def test_exception_in_a_later_chunk_reraises(self, split, monkeypatch):
-        kind, exponent, combine = constants._SCANS["rh1"]
-
-        def failing(*args):
-            if threading.current_thread() is not threading.main_thread():
-                raise ZeroDivisionError("in a later chunk")
-            return combine(*args)
-
-        hooked = []
-        monkeypatch.setattr(threading, "excepthook", hooked.append)
-        monkeypatch.setitem(constants._SCANS, "rh1", (kind, exponent, failing))
-        with pytest.raises(ZeroDivisionError, match="in a later chunk"):
-            compute_report(constant_weight(1.0), 51)
-        assert hooked == []
 
     def test_finite_value_only_in_a_later_chunk_is_found(self, split, sqrt_weight, monkeypatch):
-        _, blocks = split
+        chunks, blocks = split
         kind, exponent, combine = constants._SCANS["ainf"]
+        pts = _grid_points(_centred(sqrt_weight)[0], 51)
+        cut = _chunk_cuts(len(pts), chunks)[1]
 
-        def nan_in_first_chunk(aw, r, law, p):
+        def nan_in_first_chunk(aw, r, law, p):  # a lone ainf is not ranked: one combine per block, after its spy
             combine(aw, r, law, p)
-            if threading.current_thread() is threading.main_thread():
+            if blocks[-1][0] < cut:
                 r[...] = np.nan
 
         monkeypatch.setitem(constants._SCANS, "ainf", (kind, exponent, nan_in_first_chunk))
-        blocks.clear()
         value, iv = compute_report(sqrt_weight, 51, ("ainf",)).ainf
-        pts = _grid_points(sqrt_weight, 51)
-        first_cut = _chunk_rows(blocks, len(pts))[0][1]
-        assert math.isfinite(value) and iv.a >= pts[first_cut]
-
-    def test_maximal_and_orlicz_walks_keep_one_chunk(self, split, corpus, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a second chunk")
-
-        monkeypatch.setattr(constants.threading, "Thread", no_thread)
-        assert compute_report(corpus[3], 24, ("rh1_prime", "rh1_doubleprime"), maximal_resolution=24).rh1_prime
-        with pytest.raises(AssertionError, match="a second chunk"):
-            compute_report(corpus[3], 51, ("rh1",))
+        ratio, _ = _dense_scan("ainf", _centred(sqrt_weight)[0], 51)
+        first = max(i1 for i0, i1 in blocks if i0 < cut)
+        ratio[:first] = -np.inf
+        i, j = divmod(int(np.argmax(ratio)), ratio.shape[1])
+        assert (value, iv.a, iv.b) == (ratio[i, j], pts[i], pts[j]) and iv.a >= pts[cut]
+        assert 1 < sum(i0 < cut for i0, _ in blocks) < len(blocks)
 
     def test_chunks_share_one_running_best(self, split, monkeypatch):
-        # a singular spike at 0 glued to a constant: the largest ratios lie on row 0, and every later
-        # chunk's rows, all on the constant tail, tie near 1.  Each later chunk waits until the first
-        # chunk's first block is walked; from then on the first chunk's best skips every tail block
+        # a singular spike at 0 glued to a constant: the largest ratios lie on row 0, in the first chunk, and
+        # every pair in the constant tail ties near 1, below them.  The best found there skips each ranked
+        # block of every later chunk; without the skip (a band of +inf) they are combined
         chunks, blocks = split
         w = Weight((PowerPiece(Interval(0.0, 0.0625), 1.0, -0.8), PowerPiece(Interval(0.0625, 1.0), 0.0625**-0.8, 0.0)))
-        with pytest.MonkeyPatch.context() as one:
-            one.setattr(constants, "_usable_cpus", lambda: 1)
-            want = compute_report(w, 201, self.WHICH, (2.37,))
-        walked, combined = threading.Event(), []
-        pair_walk = constants._pair_walk
-
-        def held_walk(labels, pts, per_pair, make_block, *args):
-            @contextlib.contextmanager
-            def held_make_block(entries, dead):
-                with make_block(entries, dead) as block:
-                    def held(i0, i1):
-                        first = threading.current_thread() is threading.main_thread()
-                        assert first or walked.wait(timeout=30)
-                        for s, ratio, exact in block(i0, i1):
-                            if exact is not None and not first:  # a ranked tail block
-                                exact = lambda band, exact=exact: combined.append(i0) or exact(band)
-                            yield s, ratio, exact
-                        if first:
-                            walked.set()
-
-                    yield held
-
-            return pair_walk(labels, pts, per_pair, held_make_block, *args)
-
-        monkeypatch.setattr(constants, "_pair_walk", held_walk)
-        blocks.clear()
-        assert compute_report(w, 201, self.WHICH, (2.37,)) == want
         pts = _grid_points(_centred(w)[0], 201)
-        assert pts[_chunk_rows(blocks, len(pts))[1][0]] > 0.0625  # the later chunks' rows lie in the tail
-        assert combined == []
+        cuts = _chunk_cuts(len(pts), chunks)
+        combined, pair_walk = [], constants._pair_walk
 
-    def test_two_chunks_of_full_blocks_match_dense_reference(self, corpus, monkeypatch):
-        # the split fixture's blocks hold 64 entries; at R = 801 two chunks walk real ones
-        monkeypatch.setattr(constants, "_usable_cpus", lambda: 2)
+        def later_walk(labels, pts, per_pair, block, *args):
+            def later(i0, i1, dead):
+                for s, ratio, exact in block(i0, i1, dead):
+                    if exact is not None and i0 >= cuts[1]:  # a ranked block of a later chunk
+                        exact = lambda band, exact=exact: combined.append(i0) or exact(band)
+                    yield s, ratio, exact
+
+            return pair_walk(labels, pts, per_pair, later, *args)
+
+        monkeypatch.setattr(constants, "_pair_walk", later_walk)
+        report = compute_report(w, 201, self.WHICH, (2.37,))
+        assert pts[cuts[1]] > 0.0625  # the later chunks' rows lie in the tail
+        later = [{i0 for i0, _ in blocks if a <= i0 < b} for a, b in zip(cuts[1:], cuts[2:] + [len(pts)])]
+        assert combined == [] and all(len(rows) > 10 for rows in later)
+        monkeypatch.setattr(constants, "_BAND", math.inf)
+        assert compute_report(w, 201, self.WHICH, (2.37,)) == report and set(combined) == set().union(*later)
+
+
+class TestBlockWalk:
+    WHICH = ("rh1", "ainf", "rhp", "ap")
+
+    def test_full_blocks_match_dense_reference(self, corpus):
+        # at R = 801 the four ranked constants walk several real blocks of _SCAN_BLOCK_ENTRIES
         glued = Weight((PowerPiece(Interval(0.0, 0.3), 1.0, -0.9), PowerPiece(Interval(0.3, 1.0), 0.3**-0.9, 0.0)))
         for w in (corpus[3], glued):
             w = _centred(w)[0]
             n = len(_grid_points(w, 801))
-            assert n * (n - 1) // 2 // (4 * _SCAN_BLOCK_ENTRIES) >= 2  # two chunks of several blocks each
+            assert n * (n - 1) // 2 // _SCAN_BLOCK_ENTRIES >= 8
             rep = compute_report(w, 801, self.WHICH, (3.0,))
             got = {"rh1": rep.rh1, "ainf": rep.ainf, "rhp": rep.rh_p[3.0], "ap": rep.a_p[3.0]}
             for name, (value, iv) in got.items():
@@ -594,39 +500,70 @@ def _numpy_state():
     return np.getbufsize(), np.geterr()
 
 
-@pytest.mark.parametrize("split", [1, 2, 5], indirect=True)  # one chunk, or the split fixture's
+@pytest.mark.parametrize("split", [1, 2, 5], indirect=True)  # the walk read as one chunk, or as the split fixture's
 class TestCallerNumpyState:
-    """The pair walk sets its own ufunc buffer size; the caller's, and its error state, are as they were."""
+    """The pair walk sets its own ufunc buffer size and error state for the whole walk; the caller's are as they were."""
 
     WHICH = ("rh1", "ainf", "rhp", "ap")
+    WALK_STATE = (16, {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"})
 
-    def test_restored_when_the_report_returns(self, corpus, split):
-        with np.errstate(under="warn"):  # not numpy's default, which a walk's thread starts from
+    @pytest.fixture(autouse=True)
+    def walk_states(self, split, monkeypatch):
+        """The numpy state in force at the block that starts each chunk of every walk, one list per walk."""
+        chunks, _ = split
+        states, pair_walk = [], constants._pair_walk
+
+        def spy_walk(labels, pts, per_pair, block, *args):
+            cuts, walk = _chunk_cuts(len(pts), chunks), []
+            states.append(walk)
+
+            def spy(i0, i1, dead):
+                if any(i0 <= c < i1 for c in cuts):
+                    walk.append(_numpy_state())
+                return block(i0, i1, dead)
+
+            return pair_walk(labels, pts, per_pair, spy, *args)
+
+        monkeypatch.setattr(constants, "_pair_walk", spy_walk)
+        return states
+
+    def _walked(self, states, chunks):
+        return states and all(len(walk) == chunks and walk.count(self.WALK_STATE) == chunks for walk in states)
+
+    def test_restored_when_the_report_returns(self, corpus, split, walk_states):
+        with np.errstate(under="warn"):  # not numpy's default
             state = _numpy_state()
             compute_report(corpus[3], 101, self.WHICH, (1.5, 3.0))
             assert _numpy_state() == state
+        assert self._walked(walk_states, split[0])
 
-    def test_restored_when_the_scan_raises(self, split):
+    def test_restored_when_the_scan_raises(self, split, walk_states):
         w = step_weight((0.0, 0.5, 1.0), (5e-324, 1e308))
         state = _numpy_state()
         with pytest.raises(DomainError):
             compute_report(w, 51, self.WHICH, (1.5, 3.0))
         assert _numpy_state() == state
+        assert self._walked(walk_states, split[0])
 
     def test_restored_when_a_block_raises(self, split, monkeypatch):
+        chunks, blocks = split
         kind, exponent, combine = constants._SCANS["ainf"]
+        cut = _chunk_cuts(len(_grid_points(constant_weight(2.0), 51)), chunks)[-1]
 
-        def failing(*args):
-            raise ZeroDivisionError("in a block")
+        def failing(*args):  # in the block that starts the last chunk
+            if blocks[-1][0] >= cut:
+                raise ZeroDivisionError("in a block")
+            return combine(*args)
 
         monkeypatch.setitem(constants._SCANS, "ainf", (kind, exponent, failing))
         state = _numpy_state()
         with pytest.raises(ZeroDivisionError, match="in a block"):
             compute_report(constant_weight(2.0), 51, self.WHICH)
         assert _numpy_state() == state
+        assert blocks[-1][0] == cut
 
     @pytest.mark.parametrize("bufsize", [16, 1 << 20])
-    def test_caller_buffer_size_changes_no_bit(self, corpus, split, bufsize):
+    def test_caller_buffer_size_changes_no_bit(self, corpus, split, walk_states, bufsize):
         want = [compute_report(w, 51, self.WHICH, (1.5, 3.0)) for w in corpus[1:4]]
         size = np.setbufsize(bufsize)
         try:
@@ -634,7 +571,7 @@ class TestCallerNumpyState:
             assert np.getbufsize() == bufsize
         finally:
             np.setbufsize(size)
-        assert got == want
+        assert got == want and self._walked(walk_states, split[0])
 
 
 class TestEntropyAndFlatness:

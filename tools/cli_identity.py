@@ -19,7 +19,7 @@ moments near the double range overflow, raise or are not finite on some interval
 ``selftest``.  Then every subcommand that prints JSON:
 ``constants`` on 8 corpus weights (``rh_p``/``a_p`` keyed by p, the nested
 scans, CSV, the four pair scans at resolutions 401 and 1201, where the
-pair walk splits its rows on 2 or more CPUs, and two lists without rh1 at
+pair walk takes dozens of row blocks, and two lists without rh1 at
 401), ``solve`` for each equation over q from tiny to past its range,
 ``extremal`` for all four families with and without targets and their refusals, ``bellman --eval`` on the three
 surfaces inside, on and outside their domains, ``--eval`` and ``extremal``

@@ -1,7 +1,7 @@
 """Time the pair walk of rh1, A_inf, RH_p and A_p and the two nested scans in one or more source trees.
 
-    python tools/scan_layers.py SRC [SRC ...] [--rounds 5] [--resolutions 401,1201,2001] [--cpus 1,2]
-        [--p 2,2.37] [--one-interpreter]
+    python tools/scan_layers.py SRC [SRC ...] [--rounds 5] [--resolutions 401,1201,2001] [--p 2,2.37]
+        [--one-interpreter]
 
 Each tree runs from a fresh copy laid out by tools/_ab.py, and each round
 runs every tree once, in _ab's alternating order.  By default each run is a
@@ -13,11 +13,10 @@ median of _ab's CPU probe (the one bench/worker.py scales latencies by)
 timed just before and after.  The cases are:
 
 - ``constants._scans`` with rh1, ainf, rhp and ap at each p on four fixed
-  weights at each resolution and usable-CPU count (``_usable_cpus`` is
-  patched to return it, and the walk's chunks follow it): steps, a power, a
-  power rising to a constant, and a singular spike at 0 glued to a constant
-  (``spike``), whose maximum lies in the first chunk while every later
-  chunk's rows tie on the tail;
+  weights at each resolution: steps, a power, a power rising to a constant,
+  and a singular spike at 0 glued to a constant (``spike``), whose maximum
+  lies on the first rows, so that the running best skips the tail's blocks,
+  whose pairs tie below it;
 - ``rh1_prime_constant`` at resolutions 32, 48 and 64 and
   ``rh1_doubleprime_constant`` at 24, 36 and 48, on the steps, the power
   (singular at 0) and the rising power.
@@ -52,7 +51,7 @@ def load(src: str, name: str):
     return module
 
 
-def cases(wl, resolutions: list[int], cpus: list[int], ps: list[float]) -> dict:
+def cases(wl, resolutions: list[int], ps: list[float]) -> dict:
     """Case name -> a call of the package wl, after one set-up call."""
     constants, W = wl.constants, wl.weights
     ws = {
@@ -65,18 +64,13 @@ def cases(wl, resolutions: list[int], cpus: list[int], ps: list[float]) -> dict:
     }
     constants._scans([("rh1", None), ("ainf", None), ("rhp", 2.0), ("ap", 2.0)], ws["glued"], 201)  # set-up
 
-    def scan(specs, w, r, k):
-        constants._usable_cpus = lambda: k
-        constants._scans(specs, w, r)
-
     out = {}
     for p in ps:
         specs = [("rh1", None), ("ainf", None), ("rhp", p), ("ap", p)]
-        for k in cpus:
-            for r in resolutions:
-                for name, w in ws.items():
-                    w = constants._centred(w)[0]
-                    out[f"p={p:g} R={r} cpus={k} {name}"] = lambda specs=specs, w=w, r=r, k=k: scan(specs, w, r, k)
+        for r in resolutions:
+            for name, w in ws.items():
+                w = constants._centred(w)[0]
+                out[f"p={p:g} R={r} {name}"] = lambda specs=specs, w=w, r=r: constants._scans(specs, w, r)
     for fn, sizes in NESTED.items():
         for r in sizes:
             for name in ("step", "power", "glued"):
@@ -95,9 +89,9 @@ def timed(call) -> float:
     return min(_ab.probed(took, 5) for _ in range(3))
 
 
-def run(src: str, resolutions: list[int], cpus: list[int], ps: list[float]) -> dict[str, float]:
+def run(src: str, resolutions: list[int], ps: list[float]) -> dict[str, float]:
     """Case name -> probe-normalised seconds, for the weightlab under src (one fresh interpreter's run)."""
-    return {case: timed(call) for case, call in cases(load(src, "weightlab"), resolutions, cpus, ps).items()}
+    return {case: timed(call) for case, call in cases(load(src, "weightlab"), resolutions, ps).items()}
 
 
 def main() -> int:
@@ -105,13 +99,11 @@ def main() -> int:
     parser.add_argument("src", nargs="+")
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--resolutions", default="401,1201,2001")
-    parser.add_argument("--cpus", default="1,2")
     parser.add_argument("--p", default="2,2.37", help="p of rhp and ap; 2 takes numpy's sqrt and identity paths")
     parser.add_argument("--one-interpreter", action="store_true",
                         help="load every tree into this interpreter and alternate them case by case")
     args = parser.parse_args()
-    sizes = ([int(v) for v in args.resolutions.split(",")], [int(v) for v in args.cpus.split(",")],
-             [float(v) for v in args.p.split(",")])
+    sizes = ([int(v) for v in args.resolutions.split(",")], [float(v) for v in args.p.split(",")])
     with _ab.laid_out(args.src) as roots:
         if args.one_interpreter:
             calls = [cases(load(str(root), f"weightlab_{k}"), *sizes) for k, root in enumerate(roots)]
