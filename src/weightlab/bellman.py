@@ -173,15 +173,20 @@ def _tangent_solve(surface: BellmanSurface, x, y):
 
 def _admissible_solve(surface: BellmanSurface, x, y):
     """_tangent_solve at admissible points (floats or arrays).  DomainError names the first
-    point outside the domain, or whose tangent abscissa underflows to 0 (x near 5e-324)."""
-    xp, solved, ok = _ops(x), None, in_domain(surface, x, y, tol=POINT_TOL)
-    if xp.all(ok):
-        solved = _tangent_solve(surface, x, y)
-        ok = solved[0] > 0.0
-    if not xp.all(ok):
+    point outside the domain, or (_inside_solve) whose tangent abscissa underflows to 0."""
+    if not _ops(x).all(ok := in_domain(surface, x, y, tol=POINT_TOL)):
         k = np.argmin(ok)
-        why = "has a tangent abscissa underflowing to 0" if solved else f"outside the {surface.kind.value} domain"
-        raise DomainError(f"point ({np.ravel(x)[k]}, {np.ravel(y)[k]}) {why}")
+        raise DomainError(f"point ({np.ravel(x)[k]}, {np.ravel(y)[k]}) outside the {surface.kind.value} domain")
+    return _inside_solve(surface, x, y)
+
+
+def _inside_solve(surface: BellmanSurface, x, y):
+    """_tangent_solve at points in the domain.  DomainError names the first point whose
+    tangent abscissa underflows to 0 (x near 5e-324)."""
+    solved = _tangent_solve(surface, x, y)
+    if not _ops(x).all(ok := solved[0] > 0.0):
+        k = np.argmin(ok)
+        raise DomainError(f"point ({np.ravel(x)[k]}, {np.ravel(y)[k]}) has a tangent abscissa underflowing to 0")
     return solved
 
 

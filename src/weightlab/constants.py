@@ -12,7 +12,9 @@ expression; its outer differences cum[j] - cum[i] skip numpy's buffered copy
 pairs and combines only the band near its top: two log ranks or more read
 products with one 1/dl, two roundings off the quotients (3 ulp, under
 3.4e-13 on a rank), and rh1 ranks by its ratio from two sums; a constant at
-+inf leaves the walk.  The Orlicz constant solves
++inf leaves the walk.  The walk masks only the pairs j = i: a block's j < i
+entries are their mirrored pairs' values (the differences x[j] - x[i] flip
+sign exactly), which an earlier row holds first.  The Orlicz constant solves
 each block's Luxemburg norms together, on one Gauss-Legendre layout in mass
 coordinates for every power piece; the maximal-function constant is the
 documented expensive one, O(resolution^3) in block-wide passes over the left
@@ -40,6 +42,7 @@ from .weights import (
     MomentKind,
     PowerPiece,
     Weight,
+    _cumulative_moment,
     _log_span,
     breakpoints,
     cumulative_moment,
@@ -145,22 +148,25 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, block,
     array, exact) triples, one per label in any order, in an iterable that
     may make each as it is taken and may leave out the labels in dead, the
     set of those whose best is +inf with a finite value (no later pair
-    replaces it); j <= i only in an array's leading rows x rows square,
-    which is masked out here.  The array holds the ratios where exact is
-    None, else ranks: their logs, or for the labels in linear the ratios, to
-    within eta (1 + |M|), eta = 3e-12 (_scans: a log of a double is under
-    746, so 4 ulp of it is 4.6e-13, and a log rank sums two logs and two
-    roundings; the block's 1/dl puts two more, 3 ulp, on its averages:
-    3.4e-16 on a log, and at most 3.4e-13 on ainf's |r| <= 700 or on a log
-    times p - 1 <= 1e3; rh1's rank and its combine each round a few terms
-    under |M| + 1400, as |log avg(w)| <= 700).  A pair with the block's
-    largest ratio then ranks within 2 eta (1 + |M|) of the top rank M, and
-    every ratio is under exp(M + delta), or M + delta for linear, delta =
-    _BAND (1 + |M|): the block is skipped when that is under the best ratio
-    so far, else exact(band) gives the ratios at the flat indices band of
-    the ranks >= M - delta, or over the block for None: where M is nan
-    (argmax takes a nan) or past +-_RANK_LIMIT, or the band holds over 1/8
-    of the block.  A block covers about _SCAN_BLOCK_ENTRIES / per_pair
+    replaces it).  j <= i only in an array's leading rows x rows square: the
+    walk writes -inf at j = i, and at j < i an array (and exact's) must hold
+    -inf or the value of the mirrored pair (j, i), which an earlier row of
+    the block holds, so that argmax, the band's order and the strict tests
+    keep the pair itself, ties and nan too.  The array holds the ratios
+    where exact is None, else ranks: their logs, or for the labels in linear
+    the ratios, to within eta (1 + |M|), eta = 3e-12 (_scans: a log of a
+    double is under 746, so 4 ulp of it is 4.6e-13, and a log rank sums two
+    logs and two roundings; the block's 1/dl puts two more, 3 ulp, on its
+    averages: 3.4e-16 on a log, and at most 3.4e-13 on ainf's |r| <= 700 or
+    on a log times p - 1 <= 1e3; rh1's rank and its combine each round a few
+    terms under |M| + 1400, as |log avg(w)| <= 700).  A pair with the
+    block's largest ratio then ranks within 2 eta (1 + |M|) of the top rank
+    M, and every ratio is under exp(M + delta), or M + delta for linear,
+    delta = _BAND (1 + |M|): the block is skipped when that is under the
+    best ratio so far, else exact(band) gives the ratios at the flat indices
+    band of the ranks >= M - delta, or over the block for None: where M is
+    nan (argmax takes a nan) or past +-_RANK_LIMIT, or the band holds over
+    1/8 of the block.  A block covers about _SCAN_BLOCK_ENTRIES / per_pair
     pairs, so memory stays bounded in resolution.  For each label on its
     own, nan ratios are masked (only when the argmax lands on one), ties
     keep the first pair in lexicographic order (the skip test is strict, so
@@ -173,9 +179,9 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, block,
     i0 = 0
     while i0 < n - 1:
         i1 = min(n - 1, i0 + max(1, _SCAN_BLOCK_ENTRIES // (per_pair * (n - 1 - i0))))
-        below = np.tri(i1 - i0, k=-1, dtype=bool)
+        same = slice(n - 1 - i0, None, n - i0)  # the flat indices r (n - i0) - 1, r >= 1: the pairs (i, i)
         for s, ratio, exact in block(i0, i1, dead):
-            ratio[:, : i1 - i0][below] = -np.inf
+            ratio.flat[same] = -np.inf
             k, band = int(np.argmax(ratio)), None
             if exact is not None:  # ranks
                 m = float(ratio.flat[k])
@@ -187,7 +193,7 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, block,
                     band = band if 8 * band.size <= ratio.size else None
                 ratio = exact(band)
                 if band is None:
-                    ratio[:, : i1 - i0][below] = -np.inf
+                    ratio.flat[same] = -np.inf
                 k = int(np.argmax(ratio))
             if np.isnan(ratio.flat[k]):  # argmax takes the first nan as the max
                 ratio[np.isnan(ratio)] = -np.inf
@@ -206,6 +212,7 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, block,
     return [(value, Interval(float(pts[i]), float(pts[j]))) for value, i, j in best]
 
 
+@np.errstate(all="ignore")
 def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) -> list[tuple[float, Interval]]:
     """Max of each (name, p) spec's _SCANS ratio over all grid pairs i < j, in one walk.
 
@@ -230,23 +237,24 @@ def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) ->
     for name, p in specs:
         if p is not None and not (p > 1.0 and math.isfinite(p)):
             raise ParameterError(f"{name}_constant needs p > 1, got {p}")
-    pts = _grid_points(w, resolution)
-    n = len(pts)
-    cum_w = cumulative_moment(w, pts, MomentKind.AVG_W)
+    pts = _grid_points(w, resolution)  # sorted, in [0, 1]: its moments skip cumulative_moment's check
+    n, cell_len = len(pts), np.diff(pts)
+    cum_w = _cumulative_moment(w, pts, MomentKind.AVG_W)
 
-    @np.errstate(all="ignore")
-    def safe(cum, rank=lambda law, r, aw, p: np.log(r, out=r), p=None):  # every pair's rank at law = 0 (log r) in range
-        cells = np.diff(cum) / np.diff(pts)
-        return (abs(rank(np.zeros(2), np.array([cells.min(), cells.max()]), None, p)) <= _RANK_LIMIT).all()
+    def fits(cum, rank=None, p=None, log=True):  # log r (if log) and the rank at law = 0 at the cells' extreme r
+        cells = np.diff(cum) / cell_len
+        r = np.array([cells.min(), cells.max()])
+        ok = not log or (abs(np.log(r)) <= _RANK_LIMIT).all()
+        return ok and (rank is None or (abs(rank(np.zeros(2), r, None, p)) <= _RANK_LIMIT).all())
 
     terms, failed = [], None
     try:  # a second moment that overflows fails its spec, after every spec before it
         for name, p in specs:
             (kind, exponent, combine), (power, rank) = _SCANS[name], _RANKS[name]
-            cum = cumulative_moment(w, pts, kind, None if exponent is None else exponent(p))
+            cum = _cumulative_moment(w, pts, kind, None if exponent is None else exponent(p))
             e = power(p)  # a power's rank reads log r too
-            fits = e is None or (e not in (0.5, 1.0, 2.0) and e <= 1e3 and safe(cum))
-            if name != "rh1" and not (fits and safe(cum, rank, p)):
+            fast = e is not None and (e in (0.5, 1.0, 2.0) or e > 1e3)
+            if name != "rh1" and (fast or not fits(cum, rank, p, e is not None)):
                 rank = None
             terms.append((name, cum, combine, rank, p))
     except DomainError as exc:
@@ -254,7 +262,7 @@ def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) ->
 
     logs = sum(rank is not None for name, _, _, rank, _ in terms if name != "rh1")
     rh1 = any(name == "rh1" for name, *_ in terms)
-    inv = logs >= 2 and safe(cum_w)
+    inv = logs >= 2 and fits(cum_w)
     keep = inv or logs + rh1 >= 2  # a lone log rank saves less than law's log costs
     terms = [(name, cum, combine, rank if (inv if name == "rh1" else keep) else None, p)
              for name, cum, combine, rank, p in terms]
@@ -405,7 +413,9 @@ def rh1_prime_constant(
         np.copyto(m, 0.0, where=left | later)
         length = pts[i0 + 1 :] - pts[i0:i1, None]
         avg_m = np.multiply(m, cell_len[i0:, None], out=m).sum(axis=1) / length
-        return [(0, avg_m / ((cum[i0 + 1 :] - cum[i0:i1, None]) / length), None)]
+        ratio = avg_m / ((cum[i0 + 1 :] - cum[i0:i1, None]) / length)
+        ratio[np.tri(i1 - i0, n - 1 - i0, k=-2, dtype=bool)] = -np.inf  # q < p: no mirror of the pair (q, p)
+        return [(0, ratio, None)]
 
     return _pair_walk(("rh1_prime",), pts, n - 1, block)[0]  # a pair spans up to n - 1 cells
 

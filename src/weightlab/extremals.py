@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bellman import _BLOCK, POINT_TOL, BellmanSurface, SurfaceKind, _admissible_solve, _evaluate_at, evaluate, in_domain
+from .bellman import _BLOCK, POINT_TOL, BellmanSurface, SurfaceKind, _evaluate_at, _inside_solve, evaluate, in_domain
 from .errors import InfeasibleTargetError, ParameterError
 from .solvers import _log_bound, gamma_entropy_roots
 from .weights import (
@@ -131,7 +131,7 @@ def _build(spec: ExtremalSpec, x, y) -> tuple[Weight, BellmanSurface, float | No
                 f"target ({x}, {y}) is not on the upper boundary y = x log x + q x"
             )
         return Weight((PowerPiece(Interval(0.0, 1.0), x / g, (1.0 - g) / g),)), surface, None
-    v = _admissible_solve(surface, x, y)[0]  # tangent_point's root
+    v = _inside_solve(surface, x, y)[0]  # tangent_point's root, in the domain tested above
     den = v * (g - 1.0)  # the glue point is (x - v) / den, g (v - x) / den on AINF_UPPER
     if den == 0.0:
         raise InfeasibleTargetError(f"target ({x}, {y}): v (gamma - 1) underflows to 0 at v = {v}")

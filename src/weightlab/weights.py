@@ -329,6 +329,11 @@ def cumulative_moment(w: Weight, points: np.ndarray, kind: MomentKind, p: float 
     pts = np.asarray(points, dtype=float)
     if pts.size and not (pts[0] >= 0.0 and pts[-1] <= 1.0 and np.all(np.diff(pts) >= 0.0)):
         raise DomainError("cumulative points must lie in [0, 1] sorted ascending")
+    return _cumulative_moment(w, pts, kind, p)
+
+
+def _cumulative_moment(w: Weight, pts: np.ndarray, kind: MomentKind, p: float | None = None) -> np.ndarray:
+    """cumulative_moment on a float array of points already known to be sorted ascending inside [0, 1]."""
     # the integrand's exponent is lead * alpha (log w has none)
     lead = {MomentKind.AVG_W_POW: p, MomentKind.AVG_LOG_W: 0.0}.get(kind, 1.0)
     out = np.zeros_like(pts)

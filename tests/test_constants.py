@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from contextlib import suppress
 
 import mpmath
 import numpy as np
@@ -237,14 +238,19 @@ def test_maximal_block_passes_match_the_per_left_end_pass_bit_for_bit(w, resolut
     assert _outcome(rh1_prime_constant, w, resolution) == _outcome(_rh1_prime_per_left_end, w, resolution)
 
 
+def _specs(names, ps):
+    """The specs of the constants in names at each p of ps, in compute_report's order."""
+    return [(name, None) for name in ("rh1", "ainf") if name in names] + [
+        (name, p) for name in ("rhp", "ap") if name in names for p in ps]
+
+
 def _ranked_walk_mismatch(w, p, resolution=33, names=("rh1", "ainf", "rhp", "ap")):
     """How _scans on blocks of 64 entries differs from _dense_scan's first maxima, or None.
 
     The specs are names at p (one, or a list), in compute_report's order.  The dense reference fails at the first
     spec whose moment raises DomainError or that has no finite ratio.
     """
-    specs = [(name, None) for name in ("rh1", "ainf") if name in names]
-    specs += [(name, q) for name in ("rhp", "ap") if name in names for q in (p if isinstance(p, list) else [p])]
+    specs = _specs(names, p if isinstance(p, list) else [p])
     want = []
     for name, q in specs:
         try:
@@ -319,6 +325,127 @@ class TestRankedWalkControls:
         power, rank = constants._RANKS["rh1"]
         monkeypatch.setitem(constants._RANKS, "rh1", (power, lambda law, *args: rank(law * (1.0 + 1e-9), *args)))
         assert any(_ranked_walk_mismatch(w, p) for w, p in self.CASES)
+
+
+def _mirrored(ratio, rows):
+    """Whether a block array's entries at j < i equal those of the mirrored pairs (j, i), nan where nan.
+
+    ratio[r, c] is the pair (i0 + r, i0 + 1 + c): below the diagonal of t = ratio[1:rows, :rows - 1], t[x, y] is
+    the pair (i0 + 1 + x, i0 + 1 + y), whose mirror is t[y, x].
+    """
+    t = ratio[1:rows, : rows - 1]
+    lower = np.tril_indices(rows - 1, -1)
+    return np.array_equal(t[lower], t.T[lower], equal_nan=True)
+
+
+def _mirror_walk(specs, w, resolution):
+    """The walk of _scans on blocks of 64 entries: (misses, paths).
+
+    misses lists (label, i0) for each array a block yields, and each exact(None) over the block, whose j < i entries
+    are not the mirrored pairs' values, and for each exact whose band of every flat index is not exact(None);
+    paths names what the walk took: "unranked" and "ranked" arrays, a block made with a "dead" label, and the walk's
+    own calls of exact, "band" or "fallback" (None).
+    """
+    misses, paths, pair_walk = [], set(), constants._pair_walk
+
+    def spy_walk(labels, pts, per_pair, block, *args):
+        def spy(i0, i1, dead):
+            paths.update(["dead"] if dead else [])
+            for s, ratio, exact in block(i0, i1, dead):
+                if not _mirrored(ratio, i1 - i0):
+                    misses.append((labels[s], i0))
+                if exact is not None:
+                    full = exact(None)
+                    if not (_mirrored(full, i1 - i0)
+                            and np.array_equal(exact(np.arange(full.size)), full.ravel(), equal_nan=True)):
+                        misses.append((labels[s], i0, "exact"))
+                    exact = lambda band, exact=exact: paths.add("fallback" if band is None else "band") or exact(band)
+                paths.add("unranked" if exact is None else "ranked")
+                yield s, ratio, exact
+
+        return pair_walk(labels, pts, per_pair, spy, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constants, "_SCAN_BLOCK_ENTRIES", 64)
+        patch.setattr(constants, "_pair_walk", spy_walk)
+        with suppress(DomainError):
+            _scans(specs, w, resolution)
+    return misses, paths
+
+
+# (weight, names, p values, resolution, what _mirror_walk sees) for each of the walk's paths: three log ranks on one
+# 1/dl; rh1 with one log rank; p = 2's unranked sqrt and identity, alone and beside log ranks on one 1/dl (which
+# divide the sums of w); a spec at +inf that leaves the walk; a constant weight, whose pairs all tie, so the walk
+# takes exact(None)
+ALL = ("rh1", "ainf", "rhp", "ap")
+MIRROR_PATHS = {
+    "one 1/dl": (step_weight((0.0, 0.3, 0.7, 1.0), (2.0, 0.5, 3.0)), ALL, [2.37], 40, {"ranked"}),
+    "rh1 and one log rank": (power_weight(1.0, 0.5), ("rh1", "ainf"), [2.0], 33, {"ranked"}),
+    "unranked": (power_weight(2.0, -0.3), ("rhp", "ap"), [2.0], 33, {"unranked"}),
+    "unranked beside ranks": (power_weight(1.0, 1.5), ("ainf", "rhp", "ap"), [2.0, 2.37], 33, {"ranked", "unranked"}),
+    "dead": (power_weight(1.3, -0.6), ALL, [2.37], 64, {"dead"}),
+    "fallback": (constant_weight(0.3), ALL, [1.5], 17, {"fallback"}),
+}
+
+
+def _mirror_examples(test):
+    for w, names, ps, resolution, _ in MIRROR_PATHS.values():
+        test = example(w, 1.0, False, set(names), ps, resolution)(test)
+    return example(TIE_WEIGHT, 1e300, True, set(ALL), [2.37], 64)(test)
+
+
+@_mirror_examples
+@given(SCAN_WEIGHTS | st.sampled_from(reference_corpus()), st.sampled_from((1.0, 1e300, 1e-300)), st.booleans(),
+       st.sets(st.sampled_from(("rh1", "ainf", "rhp", "ap")), min_size=1),
+       st.lists(SCAN_PS, min_size=1, max_size=3, unique=True), st.integers(2, 64))
+def test_scan_blocks_hold_mirrored_pairs_below_the_diagonal(w, scale, centre, names, ps, resolution):
+    assert _mirror_walk(_specs(names, ps), _rescaled(w, scale, centre), resolution)[0] == []
+
+
+class TestMirrorContract:
+    """What the mirror property above rests on: its examples take every path, and the walk itself keeps no reversed
+    pair out."""
+
+    @pytest.mark.parametrize("path", MIRROR_PATHS)
+    def test_example_takes_its_path(self, path):
+        w, names, ps, resolution, want = MIRROR_PATHS[path]
+        misses, paths = _mirror_walk(_specs(names, ps), _centred(w)[0], resolution)
+        assert misses == [] and want <= paths and (path != "unranked" or "ranked" not in paths)
+
+    def test_rh1_prime_block_is_minus_inf_at_q_below_p(self, monkeypatch):
+        seen, pair_walk = [], constants._pair_walk
+
+        def spy_walk(labels, pts, per_pair, block, *args):
+            def spy(i0, i1, dead):
+                for s, ratio, exact in block(i0, i1, dead):
+                    seen.append((i1 - i0, ratio[np.tri(*ratio.shape, k=-2, dtype=bool)].copy()))
+                    yield s, ratio, exact
+
+            return pair_walk(labels, pts, per_pair, spy, *args)
+
+        monkeypatch.setattr(constants, "_pair_walk", spy_walk)
+        for w in (power_weight(1.0, 0.5), TIE_WEIGHT, constant_weight(2.0)):
+            rh1_prime_constant(w, 40)
+        assert max(rows for rows, _ in seen) >= 3
+        assert all((below == -np.inf).all() for _, below in seen)
+
+    def test_a_reversed_pair_above_the_block_max_changes_the_answer(self):
+        # |x[j] - x[i]| meets the contract; one reversed pair raised above every pair is taken by the walk, whose
+        # interval then has its ends the wrong way round
+        pts = np.linspace(0.0, 1.0, 9)
+
+        def block(raised):
+            def make(i0, i1, dead):
+                i, j = np.ogrid[i0:i1, i0 + 1 : len(pts)]
+                ratio = np.abs(pts[j] - pts[i])
+                if raised:
+                    ratio[3, 1] = 2.0  # the pair (3, 2)
+                return [(0, ratio, None)]
+            return make
+
+        assert constants._pair_walk(("d",), pts, 1, block(False)) == [(1.0, Interval(0.0, 1.0))]
+        with pytest.raises(DomainError, match=r"interval \[0.375, 0.25\] not inside"):
+            constants._pair_walk(("d",), pts, 1, block(True))
 
 
 class TestSharedWalk:

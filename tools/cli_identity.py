@@ -19,8 +19,9 @@ moments near the double range overflow, raise or are not finite on some interval
 ``selftest``.  Then every subcommand that prints JSON:
 ``constants`` on 8 corpus weights (``rh_p``/``a_p`` keyed by p, the nested
 scans, CSV, the four pair scans at resolutions 401 and 1201, where the
-pair walk takes dozens of row blocks, and two lists without rh1 at
-401), ``solve`` for each equation over q from tiny to past its range,
+pair walk takes dozens of row blocks, and at 2, 5 and 201, where most of
+each block is its leading square of mirrored pairs, and two lists without
+rh1 at 401), ``solve`` for each equation over q from tiny to past its range,
 ``extremal`` for all four families with and without targets and their refusals, ``bellman --eval`` on the three
 surfaces inside, on and outside their domains, ``--eval`` and ``extremal``
 (``ainf``, ``gehring-interior``) at targets on both boundary curves, ``dyadic``
@@ -176,7 +177,7 @@ def writer_cases(workdir: Path) -> list[list[str]]:
         runs.append(base + ["--which", "rh1,ainf,rhp,ap", "--p-values", "1.5,2,3"])
         runs.append(base + ["--which", "rhp,ap", "--p-values", "1.25,4", "--format", "csv"])
         runs.append(base + ["--which", "rh1_prime,rh1_doubleprime", "--maximal-resolution", "12"])
-        for resolution in ("401", "1201"):
+        for resolution in ("2", "5", "201", "401", "1201"):
             runs.append(["constants", "--weight", path, "--resolution", resolution,
                          "--which", "rh1,ainf,rhp,ap", "--p-values", "1.5,3"])
         for which, p_values in (("rhp,ap", "1.5,2.37,3"), ("ainf,rhp", "2.37,10")):
