@@ -244,8 +244,7 @@ def _require_eps(surface: BellmanSurface) -> float:
 
 def evaluate(surface: BellmanSurface, x: float, y: float) -> float:
     """Surface value at an admissible point."""
-    if not isinstance(x, np.ndarray):  # as in in_domain
-        x, y = float(x), float(y)
+    x, y = float(x), float(y)
     if surface.kind is SurfaceKind.GEHRING:
         _require_eps(surface)
     return _evaluate_at(surface, x, y, _admissible_solve(surface, x, y)[0])
@@ -318,10 +317,7 @@ def hessian(surface: BellmanSurface, x, y) -> HessianResult:
     else:
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     v = _admissible_solve(surface, x, y)[0]
-    try:
-        mat = _closed_hessian(surface, x, y, v)
-    except ZeroDivisionError:  # a float denominator underflowed to 0: numpy's division gives inf
-        mat = _closed_hessian(surface, np.asarray(x), np.asarray(y), np.asarray(v))
+    mat = _closed_hessian(surface, np.float64(x) if scalar else x, y, v)  # a denominator that underflows reads inf
     eigs, det = np.linalg.eigvalsh(mat), np.linalg.det(mat)
     lo, hi = eigs[..., 0], eigs[..., 1]
     if scalar:

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import math
 import operator
-from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .solvers import _LIBM_OPS, _rise
+from .solvers import _rise
 from .weights import (
     Interval,
     MomentKind,
@@ -369,16 +368,6 @@ def maximal_function(
     return best
 
 
-def _values(w: Weight, t: np.ndarray) -> np.ndarray:
-    """[evaluate(w, x) for x in t] bit for bit, by libm's pow on each piece's points; evaluate refuses an overflow."""
-    piece = np.searchsorted([pc.support.a for pc in w.pieces], t, side="right") - 1  # the right piece at abutments
-    value = np.full_like(t, math.inf)
-    with np.errstate(over="ignore"), suppress(OverflowError):
-        for k, pc in enumerate(w.pieces):
-            value[piece == k] = pc.coeff * _LIBM_OPS.pow(t[piece == k], pc.exponent)
-    return value if (value < math.inf).all() else np.array([evaluate(w, float(x)) for x in t])
-
-
 def rh1_prime_constant(
     w: Weight, resolution: int = DEFAULT_MAXIMAL_RESOLUTION
 ) -> tuple[float, Interval]:
@@ -398,7 +387,7 @@ def rh1_prime_constant(
     n = len(pts)
     cum = cumulative_moment(w, pts, MomentKind.AVG_W)
     cell_len = np.diff(pts)
-    wmid = _values(w, 0.5 * (pts[:-1] + pts[1:]))
+    wmid = np.array([evaluate(w, t) for t in (0.5 * (pts[:-1] + pts[1:])).tolist()])
     with np.errstate(all="ignore"):  # A[i, q] at [i, q - 1], unused where q <= i; 0 on a subnormal piece
         avg = (cum[1:] - cum[:-1, None]) / (pts[1:] - pts[:-1, None])
 

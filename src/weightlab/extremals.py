@@ -95,7 +95,7 @@ def _power_spike(value: float, glue: float, exponent: float) -> Weight:
     """Weight equal to value * (t/glue)^exponent on [0, glue] and value after."""
     if glue >= 1.0 - GLUE_TOL:
         return Weight((PowerPiece(Interval(0.0, 1.0), value * glue**-exponent, exponent),))
-    if glue <= GLUE_TOL:
+    if glue <= 0.0:
         return constant_weight(value)
     c = value * glue**-exponent
     return Weight(

@@ -462,6 +462,18 @@ class TestEvaluate:
             assert math.isnan(got[k])
             assert np.delete(got, k).tobytes() == want.tobytes(), (k, np.count_nonzero(np.delete(got, k) != want))
 
+    @pytest.mark.parametrize("kind", list(SurfaceKind), ids=lambda kind: kind.value)
+    def test_0d_arrays_and_numpy_scalars_read_as_floats(self, kind):
+        # evaluate takes float() of both coordinates: a 0-d array once went on as an array and raised
+        # TypeError in the tangent solve; the points are exact in float32
+        surface, point = {SurfaceKind.AINF_UPPER: (BellmanSurface(kind, 5.0), (3.0, 0.5)),
+                          SurfaceKind.GEHRING: (gehring_surface(1.0), (2.0, 2.0)),
+                          SurfaceKind.AINF_LOWER: (BellmanSurface(kind, 2.0), (1.0, 1.5))}[kind]
+        want = evaluate_surface(surface, *point)
+        for wrap in (np.array, np.float32, np.float64):
+            got = evaluate_surface(surface, *map(wrap, point))
+            assert type(got) is float and repr(got) == repr(want), wrap
+
     def test_gehring_needs_eps(self):
         bare = BellmanSurface(SurfaceKind.GEHRING, 1.0)
         with pytest.raises(ParameterError):

@@ -47,7 +47,6 @@ from weightlab.constants import (
     _orlicz_terms,
     _scan,
     _scans,
-    _values,
 )
 from weightlab.weights import evaluate
 
@@ -141,7 +140,7 @@ def _rh1_prime_per_left_end(w, resolution):
     n = len(pts)
     cum = cumulative_moment(w, pts, MomentKind.AVG_W)
     cell_len = np.diff(pts)
-    wmid = _values(w, 0.5 * (pts[:-1] + pts[1:]))
+    wmid = np.array([evaluate(w, float(t)) for t in 0.5 * (pts[:-1] + pts[1:])])
 
     def block(i0, i1, dead):
         ratio = np.full((i1 - i0, n - 1 - i0), -np.inf)
@@ -889,26 +888,6 @@ class TestMaximalFunction:
         monkeypatch.setattr(constants, "cumulative_moment", lambda w, pts, kind: np.zeros_like(pts))
         with pytest.raises(DomainError, match="rh1_prime"):
             rh1_prime_constant(constant_weight(2.0), resolution=8)
-
-    def test_midpoint_values_match_evaluate_bit_for_bit(self, corpus):
-        # each piece's start, where the right piece wins, the points beside it, cell midpoints and 1
-        for w in [*corpus, power_weight(1.7, -0.6), TIE_WEIGHT, rescale(TIE_WEIGHT, 1e-300)]:
-            starts = np.array([pc.support.a for pc in w.pieces[1:]])
-            pts = _grid_points(w, 64)
-            t = np.concatenate([starts, np.nextafter(starts, 0.0), np.nextafter(starts, 1.0),
-                                0.5 * (pts[:-1] + pts[1:]), [5e-324, 1.0]])
-            assert _values(w, t).tolist() == [evaluate(w, float(x)) for x in t]
-
-    def test_midpoint_value_past_the_double_range_raises_as_evaluate(self):
-        w = Weight((PowerPiece(Interval(0.0, 0.5), 1.0, 0.0), PowerPiece(Interval(0.5, 1.0), 1e300, -40.0)))
-        t = np.array([0.25, 0.9, 0.6, 0.55])  # w(0.9) is 6.8e301; 0.6 is the first that overflows
-        with pytest.raises(DomainError) as want:
-            evaluate(w, 0.6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError) as got:
-                _values(w, t)
-        assert str(got.value) == str(want.value)
 
 
 class TestMaximalRowPass:

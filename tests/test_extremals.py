@@ -189,6 +189,29 @@ class TestAttainment:
         assert measured == pytest.approx(1.0, abs=1e-9)
 
 
+# targets at x = 1 a fraction u of the way up from the lower boundary curve, where the glue point is under 1e-12:
+# AINF_UPPER at y = -u log q, GEHRING_INTERIOR (eps = 0.1) at y = u q
+NEAR_LOWER = [(Family.AINF_UPPER, q, -u * math.log(q), None) for q, u in ((2.0, 1e-13), (100.0, 1e-11),
+                                                                        (1e4, 1e-9), (1e6, 1e-7))]
+NEAR_LOWER += [(Family.GEHRING_INTERIOR, q, u * q, 0.1) for q, u in ((5.0, 1e-11), (5.0, 1e-13), (0.5, 1e-12),
+                                                                    (2.0, 1e-12))]
+
+
+@pytest.mark.parametrize("family, q, y, eps", NEAR_LOWER,
+                         ids=[f"{f.value}-q{q:g}-y{y:.3g}" for f, q, y, _ in NEAR_LOWER])
+def test_target_near_the_lower_boundary_keeps_its_spike(family, q, y, eps):
+    # a glue point under 1e-12 collapsed to the constant weight v, whose mean is v, not x:
+    # gap -1.0 at q = 1e6; the spike lands on the target's point
+    spec = ExtremalSpec(family, q, target=(1.0, y), eps=eps)
+    w = build(spec)
+    full = Interval(0.0, 1.0)
+    second = MomentKind.AVG_LOG_W if family is Family.AINF_UPPER else MomentKind.AVG_W_LOG_W
+    assert len(w.pieces) == 2
+    assert abs(moment(w, full, MomentKind.AVG_W) - 1.0) <= 1e-15
+    assert abs(moment(w, full, second) - y) <= 1e-14 * max(1.0, abs(y))
+    assert abs(attainment_check(spec).gap) <= 1e-9
+
+
 GEHRING = (Family.GEHRING_BOUNDARY, Family.GEHRING_INTERIOR)
 # a target at a fraction of the way up the domain: 0 and 1 on its boundary curves, -0.5 and 1.5 outside
 FRACTIONS = st.sampled_from((0.0, 1.0, -0.5, 1.5)) | st.floats(0.0, 1.0)

@@ -22,8 +22,9 @@ scans, CSV, the four pair scans at resolutions 401 and 1201, where the
 pair walk takes dozens of row blocks, and at 2, 5 and 201, where most of
 each block is its leading square of mirrored pairs, and two lists without
 rh1 at 401), ``solve`` for each equation over q from tiny to past its range,
-``extremal`` for all four families with and without targets and their refusals, ``bellman --eval`` on the three
-surfaces inside, on and outside their domains, ``--eval`` and ``extremal``
+``extremal`` for all four families with and without targets and their refusals, and (``ainf``,
+``gehring-interior``) at targets a fraction 1e-13 to 1e-7 of the way up from the lower boundary curve,
+``bellman --eval`` on the three surfaces inside, on and outside their domains, ``--eval`` and ``extremal``
 (``ainf``, ``gehring-interior``) at targets on both boundary curves, ``dyadic``
 trees without ``--verify`` at depths 0 to 6, and ``sweep --format json``
 (decimal q among them).
@@ -210,6 +211,12 @@ def writer_cases(workdir: Path) -> list[list[str]]:
                 runs.append(["extremal", "--family", family, "--q", q, "--eps", repr(3.0 * eps)])
     runs.append(["extremal", "--family", "gehring-interior", "--q", "1.0", "--eps", "0.3", "--x", "2.0", "--y", "1.6"])
     runs.append(["extremal", "--family", "funny", "--q", "1.0", "--x", "2.0", "--y", "1.5"])
+    # targets at x = 1 a fraction u of the way up from the lower boundary curve: glue points under 1e-12
+    for q, u in ((2.0, 1e-13), (100.0, 1e-11), (1e4, 1e-9), (1e6, 1e-7)):
+        runs.append(["extremal", "--family", "ainf", "--q", repr(q), "--x", "1.0", f"--y={-u * math.log(q)!r}"])
+    for q, u in ((5.0, 1e-11), (5.0, 1e-13), (0.5, 1e-12), (2.0, 1e-12)):
+        runs.append(["extremal", "--family", "gehring-interior", "--q", repr(q), "--eps", "0.1", "--x", "1.0",
+                     f"--y={u * q!r}"])
 
     for surface, bands in BANDS.items():
         for lo, hi in bands:
