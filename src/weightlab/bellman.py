@@ -256,6 +256,8 @@ def _evaluate_at(surface: BellmanSurface, x, y, v) -> float:
         return float(_value(surface, x, y, v))
     except ZeroDivisionError:  # AINF_LOWER divides by g v, which a subnormal v underflows
         raise DomainError(f"point ({x}, {y}): its tangent abscissa times gamma underflows to 0") from None
+    except OverflowError:  # GEHRING's v**eps on a float v past the double range
+        raise DomainError(f"point ({x}, {y}): its value overflows a double") from None
 
 
 @np.errstate(all="ignore")

@@ -14,7 +14,14 @@ products with one 1/dl, two roundings off the quotients (3 ulp, under
 3.4e-13 on a rank), and rh1 ranks by its ratio from two sums; a constant at
 +inf leaves the walk.  The walk masks only the pairs j = i: a block's j < i
 entries are their mirrored pairs' values (the differences x[j] - x[i] flip
-sign exactly), which an earlier row holds first.  The Orlicz constant solves
+sign exactly), which an earlier row holds first.  From _PRUNE_FROM grid
+points a pre-pass bounds tiles of pairs before the walk ranks them: each
+spec's seed, a ratio of real pairs, against an upper bound per tile from
+the tile's extreme cumulative sums and lengths (the monotone bound) and
+from the extreme cell averages over its hull (the oscillation bound), with
+a stated rounding slack; the walk then takes per block of rows a window
+of columns that spans the tiles still live, and leaves the others out,
+with every result's bits unchanged.  The Orlicz constant solves
 each block's Luxemburg norms together, on one Gauss-Legendre layout in mass
 coordinates for every power piece; the maximal-function constant is the
 documented expensive one, O(resolution^3) in block-wide passes over the left
@@ -137,9 +144,173 @@ _RANK_LIMIT, _BAND = 700.0, 1e-11
 _SCAN_BLOCK_ENTRIES = 1 << 14
 
 
+# The pre-pass bounds tiles of _TILE_ROWS x _TILE_COLS pairs on grids of _PRUNE_FROM points or more, and the walk
+# takes its windows where they leave at most _PRUNE_SHARE of the pairs' work (_live_tiles).  Measured in one
+# interpreter, four constants at p = 2.37, windows against the walk over all pairs: the pre-pass costs 0.7 ms at
+# R = 801 and 0.8-1.9 ms at R = 1201-2001; steps, glued powers and spikes read x0.55-0.83 at R = 801, x0.5-0.75 at
+# 1001-1201 and x0.25-0.45 at 2001, but x0.7-1.1 at R = 601, and pure powers with |alpha| <~ 0.6 read x1.1-1.3
+# (their tiles stay live).  16 x 32 tiles pruned as much and cost more.
+_TILE_ROWS, _TILE_COLS, _PRUNE_FROM, _PRUNE_SHARE = 32, 32, 800, 0.75
+# a tile bound's rounding slack: relative, per unit of its combine's amplification, and absolute
+_SLACK, _TINY = 2.0**-40, 2.0**-60
+
+
+def _seeds(n: int, ratios: list) -> list[float]:
+    """Each of ratios' best (each a function of index arrays i, j) on the pairs of every _TILE_COLS-th grid point
+    and the last, in blocks of rows, then on the +-_TILE_COLS neighbourhood of the best of those; nan reads -inf."""
+    pick = np.unique(np.r_[0:n:_TILE_COLS, n - 1])
+    rows = max(1, _SCAN_BLOCK_ENTRIES // len(pick))
+    seeds = []
+    for ratio in ratios:
+        top, i, j = -math.inf, 0, 1
+        for a in range(0, len(pick) - 1, rows):
+            coarse = ratio(pick[a : a + rows, None], pick)
+            coarse[np.isnan(coarse) | (pick <= pick[a : a + rows, None])] = -np.inf
+            k = int(np.argmax(coarse))
+            if coarse.flat[k] > top:
+                top, i, j = coarse.flat[k], pick[a + k // len(pick)], pick[k % len(pick)]
+        near = [np.arange(max(0, v - _TILE_COLS), min(n, v + _TILE_COLS + 1)) for v in (i, j)]
+        fine = ratio(near[0][:, None], near[1])
+        seeds.append(float(np.max(np.where(np.isnan(fine) | (near[1] <= near[0][:, None]), -np.inf, fine))))
+    return seeds
+
+
+def _run_table(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(h, i, c): the least of lo[c, i..i+2^h-1] for c < len(lo), the least of -hi[c - len(lo), ...] after."""
+    g = lo.shape[1]
+    table = np.full((g.bit_length(), g, 2 * len(lo)), np.inf)
+    table[0] = np.concatenate([lo, -hi]).T
+    for h in range(1, len(table)):
+        span, half = g - (1 << h) + 1, 1 << (h - 1)
+        np.minimum(table[h - 1, :span], table[h - 1, half : half + span], out=table[h, :span])
+    return table
+
+
+def _hull_extremes(table: np.ndarray, first: np.ndarray, last: np.ndarray):
+    """The least of lo[:, f..l] and the greatest of hi[:, f..l] for each f, l of first, last (f <= l), from
+    _run_table(lo, hi): each the extreme of two runs of 2^k entries."""
+    g, k = table.shape[1], np.frexp(last - first + 1)[1] - 1  # the largest 2^k within each run
+    runs = table.reshape(-1, table.shape[2])
+    ends = np.minimum(runs.take(k * g + first, axis=0), runs.take(k * g + last - (1 << k) + 1, axis=0)).T
+    return ends[: len(ends) // 2], -ends[len(ends) // 2 :]
+
+
+def _quotients(lo, hi, den_lo, den_hi, valid):
+    """The least and greatest num / den over num in [lo, hi] and den in [den_lo, den_hi], where valid (den_lo > 0);
+    -inf and +inf elsewhere."""
+    least = lo / np.where(lo >= 0.0, den_hi, den_lo)
+    most = hi / np.where(hi >= 0.0, den_lo, den_hi)
+    return np.where(valid, least, -np.inf), np.where(valid, most, np.inf)
+
+
+def _meet(first, second):
+    """The tighter of two ranges (lo, hi)."""
+    return np.maximum(first[0], second[0]), np.minimum(first[1], second[1])
+
+
+@np.errstate(all="ignore")
+def _live_tiles(terms: list, seeds: list[float], pts: np.ndarray, cum_w: np.ndarray) -> np.ndarray | None:
+    """Which tiles of each spec's pairs may hold a computed ratio at or above its seed, a (spec, row tile, column
+    tile) mask; None where no spec is bounded or the walk would take over _PRUNE_SHARE of its pairs' work anyway.
+
+    A tile is rows r0..r1 by columns k0..k1 of the pairs i < j; a tile
+    holding no such pair is dead.  Each of its averages, aw = avg(w) and
+    the spec's own r (for rh1 rho = r / aw, the mean of log w over w dt),
+    lies in the meet of two ranges:
+    - the monotone bound: its sums cum[j] - cum[i] between those of the
+      columns' and rows' extreme cums, over the least and greatest length
+      pts[k0] - pts[r1], pts[k1] - pts[r0] (rho: over the sums of w).
+      Each step of the pair's own rounding (a difference, a quotient) is
+      monotone in its operands, so this holds for the computed averages
+      with no slack;
+    - the oscillation bound: the least and greatest average over the
+      cells of the hull [pts[r0], pts[k1]].  A pair's average is a
+      length-weighted mean of its cells' (rho: a w-weighted one, taken
+      where every cell's w is > 0), so it lies between them, to three
+      roundings on each side.  Every cell lies in one piece, where w is
+      monotone, so this is the cells' sup w / inf w made tight.
+    The spec's combine at the range ends that raise it (rh1: rho_hi -
+    log aw_lo; ainf: aw_hi exp(-r_lo); rhp: r_hi^(1/p) / aw_lo; ap:
+    aw_hi r_hi^(p - 1)) bounds every computed ratio of the tile to within
+    sigma relative and sigma' absolute: sigma = _SLACK (1 + A), A = |r|
+    for ainf (exp's argument) and the power for rhp and ap, sigma' =
+    _TINY; for rh1, whose combine cancels, sigma = 0 and sigma' = _SLACK
+    (1 + |rho| + |log aw|).  The ranges' roundings (7e-16 relative),
+    amplified by A, and exp's, log's and pow's few ulp are far under
+    _SLACK = 2^-40 per unit of A, and a result below 2^-1022 is off by at
+    most 1e-323 e^700 = 1e-19, under _TINY = 2^-60.  The argument needs
+    every average of a tile normal, so a tile is bounded only where aw
+    and, for ainf, rhp and ap, r lie within e^+-_RANK_LIMIT (rh1: |rho| <=
+    2 _RANK_LIMIT).  A tile is dead when bound (1 + sigma) + sigma' <
+    seed, the seed being a ratio the walk computes the same way; a spec
+    whose seed is not finite, or whose combine's power is past 1e3 (as in
+    _RANKS), is live on every tile.  Both ranges compare the computed
+    averages with sums and cells of the same floats, not with exact
+    integrals, so no condition number of the cumulative differences (|cum|
+    over a tile's least difference) enters the slack.  Tiles are bounded a
+    band of row tiles at a time, so memory stays O(resolution) but for the
+    mask itself.
+    """
+    n, tr, tc = len(pts), _TILE_ROWS, _TILE_COLS
+    r0, k0 = np.arange(0, n - 1, tr), np.arange(0, n, tc)  # each tile's first row and first column
+    r1, k1 = np.minimum(r0 + tr, n - 1) - 1, np.minimum(k0 + tc, n) - 1  # and its last
+    live = np.repeat((k1 > r0[:, None])[None], len(terms), axis=0)  # the tiles holding a pair i < j
+    bounded = [s for s, ((name, _, _, _, p), seed) in enumerate(zip(terms, seeds))
+               if math.isfinite(seed) and not (_RANKS[name][0](p) or 0.0) > 1e3]
+    if not bounded:
+        return None
+    def extremes(rows, at):  # the least and greatest of each of rows on the runs from each index of at
+        return [np.stack([ufunc.reduceat(v, at) for v in rows]) for ufunc in (np.minimum, np.maximum)]
+
+    cums, dw = [cum_w] + [terms[s][1] for s in bounded], np.diff(cum_w)  # avg(w)'s first
+    col, row = extremes(cums, k0), extremes([cum[:-1] for cum in cums], r0)
+    # each cell's average, or for rh1 its w-weighted mean of log w, per row tile
+    cells = _run_table(*extremes([np.diff(cum) / (dw if k and terms[s][0] == "rh1" else np.diff(pts))
+                                  for k, (s, cum) in enumerate(zip([-1] + bounded, cums))], r0))
+    band = max(1, 2 * _SCAN_BLOCK_ENTRIES // (len(k0) * len(cums)))  # row tiles at a time: O(resolution) memory
+    for b0 in range(0, len(r0), band):
+        rt, ct = np.nonzero(k1 > r0[b0 : b0 + band, None])
+        rt += b0
+        sums = col[0].take(ct, axis=1) - row[1].take(rt, axis=1), col[1].take(ct, axis=1) - row[0].take(rt, axis=1)
+        hull = _hull_extremes(cells, rt, np.minimum((k1[ct] - 1) // tr, len(r0) - 1))  # the hull's row tiles
+        d_lo, d_hi = pts[k0[ct]] - pts[r1[rt]], pts[k1[ct]] - pts[r0[rt]]
+        by_len = _meet(_quotients(*sums, d_lo, d_hi, d_lo > 0.0), hull)
+        a_lo, a_hi = by_len[0][0], by_len[1][0]
+        log_lo, log_hi = np.log(a_lo), np.log(a_hi)
+        normal = (abs(log_lo) <= _RANK_LIMIT) & (abs(log_hi) <= _RANK_LIMIT)
+        positive = hull[0][0] > 0.0  # every cell of the hull has w > 0
+        for k, s in enumerate(bounded, 1):
+            name, _, _, _, p = terms[s]
+            c_lo, c_hi = by_len[0][k], by_len[1][k]
+            if name == "rh1":  # rho over the sums of w, and the cells' rho where every cell has w > 0
+                c_lo, c_hi = _meet(_quotients(sums[0][k], sums[1][k], sums[0][0], sums[1][0], sums[0][0] > 0.0),
+                                   (np.where(positive, hull[0][k], -np.inf), np.where(positive, hull[1][k], np.inf)))
+                size = np.maximum(abs(c_lo), abs(c_hi))
+                bound, ok = c_hi - log_lo, size <= 2.0 * _RANK_LIMIT
+                sigma, tiny = 0.0, _SLACK * (1.0 + size + np.maximum(abs(log_lo), abs(log_hi)))
+            elif name == "ainf":
+                size = np.maximum(abs(c_lo), abs(c_hi))
+                bound, ok, sigma, tiny = a_hi * np.exp(-c_lo), size <= _RANK_LIMIT, _SLACK * (1.0 + size), _TINY
+            else:
+                power = _RANKS[name][0](p)
+                bound = c_hi**power / a_lo if name == "rhp" else a_hi * c_hi**power
+                ok = (abs(np.log(c_lo)) <= _RANK_LIMIT) & (abs(np.log(c_hi)) <= _RANK_LIMIT)
+                sigma, tiny = _SLACK * (1.0 + power), _TINY
+            live[s, rt, ct] = ~(normal & ok & (bound * (1.0 + sigma) + tiny < seeds[s]))
+
+    # the walk's work on these windows (_pair_walk): each row tile's live specs on its span of live tiles; a spec at
+    # +inf leaves the walk in its first row's block
+    counted = live[[s for s, seed in enumerate(seeds) if seed != math.inf]]
+    spans = counted.any(axis=0)
+    first = np.maximum(spans.argmax(axis=1) * tc, r0 + 1)
+    last = np.minimum((len(k0) - spans[:, ::-1].argmax(axis=1)) * tc, n)
+    work = ((r1 - r0 + 1) * np.maximum(last - first, 0) * counted.any(axis=2).sum(axis=0)).sum()
+    return live if work <= _PRUNE_SHARE * len(counted) * n * (n - 1) / 2 else None
+
+
 @np.errstate(all="ignore")
 def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, block,
-               linear: frozenset[int] = frozenset()) -> list[tuple[float, Interval]]:
+               linear: frozenset[int] = frozenset(), live: np.ndarray | None = None) -> list[tuple[float, Interval]]:
     """First max of each of a stack of ratios over all grid pairs i < j, walked in blocks of rows.
 
     block(i0, i1, dead), on arrays of max(_SCAN_BLOCK_ENTRIES, n - 1)
@@ -172,14 +343,53 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, block,
     a block holding a first max, or a tie of it, is walked), and DomainError
     is raised, for the first label in order, when no pair gives a finite
     value.
+
+    With live, _live_tiles' (label, row tile, column tile) mask, a block
+    grows by whole row tiles while its window fits in those arrays, and
+    block(i0, i1, skip, c0, c1) gives the columns c0..c1-1 only: the span
+    of the column tiles live for a label not in skip, which holds dead and
+    the labels with no live tile on the block's rows.  c0 = i0 + 1 (and c1
+    >= i1) wherever the window reaches the block's own rows, so the j <= i
+    contract above holds as it is; an empty window skips the block.  Each
+    pair left out has a computed ratio below a pair's that a live tile
+    holds, so the first max, its interval, ties, nan masking, the labels at
+    +inf and the DomainError are those of the walk over all pairs.
     """
     n = len(pts)
     best, finite, dead = [(-math.inf, 0, 0)] * len(labels), [False] * len(labels), set()
+    if live is not None:  # each label's first and last live column tile in each row tile (past each other: none)
+        seen, cols = live.any(axis=2), live.shape[2]
+        first = np.where(seen, live.argmax(axis=2), cols).tolist()
+        last = np.where(seen, cols - 1 - live[:, :, ::-1].argmax(axis=2), -1).tolist()
+
+    def window(i0, i1):  # the labels the rows i0..i1-1 leave out, and their columns c0..c1-1 (none: c0 >= c1)
+        t0, t1 = i0 // _TILE_ROWS, (i1 - 1) // _TILE_ROWS + 1
+        spans = [(min(f[t0:t1]), max(g[t0:t1])) for f, g in zip(first, last)]
+        skip = dead | {s for s, (f, g) in enumerate(spans) if f > g}
+        tiles = [t for s, span in enumerate(spans) if s not in skip for t in span] or [0, -1]
+        c0, c1 = max(i0 + 1, min(tiles) * _TILE_COLS), min(n, (max(tiles) + 1) * _TILE_COLS)
+        if c0 < min(i1, c1):  # the window reaches the block's own rows: it takes their square
+            c0, c1 = i0 + 1, max(c1, i1)
+        return skip, c0, c1
+
     i0 = 0
     while i0 < n - 1:
         i1 = min(n - 1, i0 + max(1, _SCAN_BLOCK_ENTRIES // (per_pair * (n - 1 - i0))))
-        same = slice(n - 1 - i0, None, n - i0)  # the flat indices r (n - i0) - 1, r >= 1: the pairs (i, i)
-        for s, ratio, exact in block(i0, i1, dead):
+        skip, c0, c1 = dead, i0 + 1, n
+        if live is not None:  # the block grows by row tiles while its window's pairs fit in the block arrays
+            skip, c0, c1 = window(i0, i1)
+            while i1 < n - 1:
+                nxt = min(n - 1, (i1 // _TILE_ROWS + 1) * _TILE_ROWS)
+                grown = window(i0, nxt)
+                if (nxt - i0) * max(grown[2] - grown[1], 0) * per_pair > _SCAN_BLOCK_ENTRIES:
+                    break
+                i1, (skip, c0, c1) = nxt, grown
+            if c0 >= c1:
+                i0 = i1
+                continue
+        width = c1 - c0  # the pairs (i, i): flat indices r (width + 1) - 1, r >= 1, where the window starts at i0 + 1
+        same = slice(width, None, width + 1) if c0 == i0 + 1 else slice(0)
+        for s, ratio, exact in block(i0, i1, skip, *(() if live is None else (c0, c1))):
             ratio.flat[same] = -np.inf
             k, band = int(np.argmax(ratio)), None
             if exact is not None:  # ranks
@@ -199,8 +409,8 @@ def _pair_walk(labels: tuple[str, ...], pts: np.ndarray, per_pair: int, block,
                 k = int(np.argmax(ratio))
             top = float(ratio.flat[k])
             if top > best[s][0]:
-                i, j = divmod(k if band is None else int(band[k]), n - 1 - i0)
-                best[s] = (top, i0 + i, i0 + 1 + j)
+                i, j = divmod(k if band is None else int(band[k]), width)
+                best[s] = (top, i0 + i, c0 + j)
             finite[s] = finite[s] or math.isfinite(top) or bool(np.isfinite(ratio).any())
             if finite[s] and best[s][0] == math.inf:
                 dead.add(s)
@@ -229,7 +439,9 @@ def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) ->
     normal double), a block divides once, for 1/dl: the log ranks multiply
     by it, rh1 ranks from its two sums, with no dl, and avg(w) and r are
     formed only for an unranked spec or where _pair_walk asks.  A spec at
-    +inf with a finite value is no longer made.  A p <= 1 is refused before
+    +inf with a finite value is no longer made.  On _PRUNE_FROM grid points
+    or more, each spec's _seeds and _live_tiles give the walk its windows.
+    A p <= 1 is refused before
     any work; otherwise the first spec in order that fails raises, as if
     each were scanned on its own.
     """
@@ -271,8 +483,14 @@ def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) ->
 
     bufs = [np.empty(max(_SCAN_BLOCK_ENTRIES, n - 1)) for _ in range(4)]  # dl (or 1/dl), aw, ratio and log(aw)
 
-    def block(i0, i1, dead):
-        rows, cols, m = slice(i0, i1), slice(i0 + 1, n), n - 1 - i0
+    def ratios(i, j, cum, combine, p):  # the combine on the pairs (i, j), formed as the dense reference forms them
+        d = pts[j] - pts[i]
+        combine(a := (cum_w[j] - cum_w[i]) / d, ratio := (cum[j] - cum[i]) / d, np.log(a), p)
+        return ratio
+
+    def block(i0, i1, dead, c0=None, c1=n):
+        c0 = i0 + 1 if c0 is None else c0
+        rows, cols, m = slice(i0, i1), slice(c0, c1), c1 - c0
         dl, aw, r, law = (buf[: (i1 - i0) * m].reshape(i1 - i0, m) for buf in bufs)
         np.subtract(pts[cols], pts[rows, None], out=dl)
         np.subtract(cum_w[cols], cum_w[rows, None], out=aw)
@@ -298,17 +516,19 @@ def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) ->
             if name != "rh1":
                 (np.multiply if inv else np.divide)(r, dl, out=r)
             def exact(band, cum=cum, combine=combine, p=p):  # the combine on band's pairs (or all), re-formed
-                i, j = np.ogrid[rows, cols] if band is None else (i0 + band // m, i0 + 1 + band % m)
-                d = pts[j] - pts[i]
-                combine(a := (cum_w[j] - cum_w[i]) / d, ratio := (cum[j] - cum[i]) / d, np.log(a), p)
-                return ratio
+                i, j = np.ogrid[rows, cols] if band is None else (i0 + band // m, c0 + band % m)
+                return ratios(i, j, cum, combine, p)
             yield k, rank(law, r, aw, p), exact
 
     labels = tuple(name if p is None else f"{name} (p = {p})" for name, p in specs[: len(terms)])
     linear = frozenset(k for k, (name, _, _, rank, _) in enumerate(terms) if name == "rh1" and rank is not None)
+    live = None
+    if terms and n >= _PRUNE_FROM:
+        seeds = _seeds(n, [lambda i, j, term=term: ratios(i, j, *term[1:3], term[4]) for term in terms])
+        live = _live_tiles(terms, seeds, pts, cum_w)
     size = np.setbufsize(16)  # for the outer differences; restored here, as numpy 1.x's errstate keeps it
     try:
-        found = _pair_walk(labels, pts, 1, block, linear) if terms else []
+        found = _pair_walk(labels, pts, 1, block, linear, live) if terms else []
     finally:
         np.setbufsize(size)
     if failed is not None:

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .bellman import _BLOCK, POINT_TOL, BellmanSurface, SurfaceKind, _evaluate_at, _inside_solve, evaluate, in_domain
-from .errors import InfeasibleTargetError, ParameterError
+from .errors import DomainError, InfeasibleTargetError, ParameterError
 from .solvers import _log_bound, gamma_entropy_roots
 from .weights import (
     Interval,
@@ -136,8 +136,18 @@ def _build(spec: ExtremalSpec, x, y) -> tuple[Weight, BellmanSurface, float | No
     if den == 0.0:
         raise InfeasibleTargetError(f"target ({x}, {y}): v (gamma - 1) underflows to 0 at v = {v}")
     if spec.family is Family.AINF_UPPER:
-        return _power_spike(v, min(max(g * (v - x) / den, 0.0), 1.0), g - 1.0), surface, v
-    return _power_spike(v, min(max((x - v) / den, 0.0), 1.0), (1.0 - g) / g), surface, v
+        glue, exponent = min(max(g * (v - x) / den, 0.0), 1.0), g - 1.0
+    else:
+        glue, exponent = min(max((x - v) / den, 0.0), 1.0), (1.0 - g) / g
+    if glue > 0.0:  # a spike v (t / glue)^exponent: integrable at 0, with a coefficient in the double range
+        try:
+            coeff = v * glue**-exponent
+        except OverflowError:
+            coeff = math.inf
+        if not (exponent > -1.0 and 0.0 < coeff < math.inf):
+            raise DomainError(f"{spec.family.value} at q = {spec.q}, target ({x}, {y}): its spike t^{exponent} "
+                              f"with coefficient {coeff} is no weight in double precision")
+    return _power_spike(v, glue, exponent), surface, v
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from weightlab import weights
 
 # The suite's hypothesis tests are the two contract properties, the JSON writer's and
 # the one-pass parser's (tests/test_cli.py), the moment pair's (tests/test_weights.py),
-# the ranked pair walk's on the four-constant list and on any subset of it, the scan blocks'
+# the ranked pair walk's on the four-constant list and on any subset of it, the windowed walk's, the scan blocks'
 # mirrored pairs below the diagonal, and the maximal scan's block passes (tests/test_constants.py),
 # the one-build attainment report's and the value at the tangent root (tests/test_extremals.py):
 # the CLI's takes 50 examples per subcommand in a plain run, the library's 3 per exported

@@ -575,6 +575,17 @@ class TestBellman:
         assert captured.out == ""
         assert captured.err.startswith("error: point (5e-324, -3.676e-321): ") and "underflows to 0" in captured.err
 
+    def test_eval_gehring_value_past_the_double_range_exits_2(self, capsys):
+        # GEHRING's v**eps overflows a float at v ~ 1e200, eps ~ 3.37; evaluate_many reads inf there
+        q, eps, x, y = 0.01, 3.374613350095237, 1e200, 4.605220185988092e202
+        rc = cli.main(["bellman", "--surface", "gehring", "--q", str(q), "--eps", str(eps), f"--eval={x!r},{y!r}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: point ({x!r}, {y!r}): its value overflows a double\n"
+        surface = bellman.BellmanSurface(bellman.SurfaceKind.GEHRING, q, eps)
+        assert bellman.evaluate_many(surface, np.array([x]), np.array([y])).tolist() == [math.inf]
+
     def test_eval_value_past_the_double_range_prints_null(self, capsys):
         # x log v ~ 7e308 overflows; the value prints null, with no RuntimeWarning
         rc = cli.main(["bellman", "--surface=ainf-upper", "--q=10.0", "--eval=1e+306,704.591038456178"])
@@ -668,6 +679,15 @@ class TestExtremal:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "(5e-324, " in captured.err and "underflows to 0" in captured.err
+
+    def test_gehring_interior_value_past_the_double_range_exits_2(self, capsys):
+        # the attainment check's surface value at the target overflows, as bellman --eval's does
+        argv = ["gehring-interior", "--q", "0.01", "--eps", "3.374613350095237", "--x", "1e200",
+                "--y", "4.605220185988092e+202"]
+        assert cli.main(["extremal", "--family", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: point (1e+200, 4.605220185988092e+202): its value overflows a double\n"
 
     def test_funny_target_elsewhere_exits_2(self, capsys):
         # the funny weight depends on q alone: its gap at another point measures nothing

@@ -243,11 +243,12 @@ def _specs(names, ps):
         (name, p) for name in ("rhp", "ap") if name in names for p in ps]
 
 
-def _ranked_walk_mismatch(w, p, resolution=33, names=("rh1", "ainf", "rhp", "ap")):
+def _ranked_walk_mismatch(w, p, resolution=33, names=("rh1", "ainf", "rhp", "ap"), patch=()):
     """How _scans on blocks of 64 entries differs from _dense_scan's first maxima, or None.
 
-    The specs are names at p (one, or a list), in compute_report's order.  The dense reference fails at the first
-    spec whose moment raises DomainError or that has no finite ratio.
+    The specs are names at p (one, or a list), in compute_report's order, and patch holds further (constants
+    attribute, value) pairs for the scan.  The dense reference fails at the first spec whose moment raises
+    DomainError or that has no finite ratio.
     """
     specs = _specs(names, p if isinstance(p, list) else [p])
     want = []
@@ -262,6 +263,8 @@ def _ranked_walk_mismatch(w, p, resolution=33, names=("rh1", "ainf", "rhp", "ap"
         want.append((ratio[i, j], pts[i], pts[j]))
     with pytest.MonkeyPatch.context() as small:
         small.setattr(constants, "_SCAN_BLOCK_ENTRIES", 64)
+        for name, value in patch:
+            small.setattr(constants, name, value)
         try:
             got = [(value, iv.a, iv.b) for value, iv in _scans(specs, w, resolution)]
         except DomainError:
@@ -324,6 +327,91 @@ class TestRankedWalkControls:
         power, rank = constants._RANKS["rh1"]
         monkeypatch.setitem(constants._RANKS, "rh1", (power, lambda law, *args: rank(law * (1.0 + 1e-9), *args)))
         assert any(_ranked_walk_mismatch(w, p) for w, p in self.CASES)
+
+
+# a step with 1e+-6 jumps and a breakpoint 1e-13 to 1e-9 off the point k / 32 of every grid below, where the grid
+# merges a point closer than 1e-12; a singular spike glued to a constant; a pure power, whose ratio ties along every
+# [0, b]; each as given or centred, rescaled by 10^+-300, at p from 1.01 to 1e3
+WINDOW_WEIGHTS = st.one_of(
+    st.builds(lambda k, off, jump, first: step_weight((0.0, k / 32.0 + off, 1.0), (first, first * jump)),
+              st.integers(1, 31), st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((1.0, -1.0)),
+                                            st.floats(-13.0, -9.0)),
+              st.sampled_from((1e6, 1e-6)) | st.floats(1e-6, 1e6), st.floats(0.1, 10.0)),
+    st.builds(lambda a, alpha, c: Weight((PowerPiece(Interval(0.0, a), c, alpha),
+                                          PowerPiece(Interval(a, 1.0), c * a**alpha, 0.0))),
+              st.floats(0.05, 0.9), st.floats(-0.99, -0.05), st.floats(0.1, 10.0)),
+    st.builds(power_weight, st.floats(0.1, 10.0), st.floats(-0.99, 3.0)))
+WINDOW_PS = st.sampled_from((1.01, 2.0, 2.37, 1e3)) | st.floats(1.01, 1e3)
+# grids of 65 to 193 points, each holding k / 32, and tiles small enough that they have dozens of them
+WINDOW_RESOLUTIONS = st.sampled_from((65, 97, 129, 161, 193))
+WINDOW_TILES = st.sampled_from(((4, 4), (4, 8), (8, 8), (8, 16), (16, 16)))
+
+
+def _windowed_mismatch(w, p, resolution, tiles, entries=64):
+    """_ranked_walk_mismatch on the four constants with the pre-pass's gate at 0, its windows always taken, and
+    blocks of `entries` entries (64: a row or a few, 2^14: many row tiles)."""
+    patch = (("_PRUNE_FROM", 0), ("_PRUNE_SHARE", math.inf), ("_TILE_ROWS", tiles[0]), ("_TILE_COLS", tiles[1]),
+             ("_SCAN_BLOCK_ENTRIES", entries))
+    return _ranked_walk_mismatch(w, p, resolution, patch=patch)
+
+
+def _window_examples(test):
+    for case in WINDOW_CASES:
+        w, p, resolution, tiles, *entries = case
+        test = example(w, 1.0, False, p, resolution, tiles, *(entries or [64]))(test)
+    return test
+
+
+# (weight, p, resolution, tiles[, entries]) on which the windows leave pairs out, the controls below among them;
+# the step 1e-12 off 15/16 fails when a hull leaves out the cells of its last row tile
+WINDOW_CASES = [
+    (step_weight((0.0, 30 / 32 + 1e-12, 1.0), (1.0, 1e6)), 1.01, 65, (4, 4)),
+    (step_weight((0.0, 0.2, 0.45, 0.7, 1.0), (0.3, 4.0, 1.2, 7.5)), 2.37, 193, (8, 8), 1 << 14),
+    (step_weight((0.0, 0.5 + 1e-11, 1.0), (1.0, 1e6)), 2.37, 129, (8, 8)),
+    (step_weight((0.0, 0.25 - 1e-13, 1.0), (3.0, 3e-6)), 1e3, 129, (4, 8)),
+    (step_weight((0.0, 0.2, 0.45, 0.7, 1.0), (0.3, 4.0, 1.2, 7.5)), 1.01, 161, (8, 16)),
+    (Weight((PowerPiece(Interval(0.0, 0.1), 1.0, -0.3), PowerPiece(Interval(0.1, 1.0), 0.1**-0.3, 0.0))), 2.37, 129,
+     (8, 8)),
+    (Weight((PowerPiece(Interval(0.0, 0.4), 2.0 / 0.4**0.8, 0.8), PowerPiece(Interval(0.4, 1.0), 2.0, 0.0))), 3.0, 129,
+     (4, 4)),
+    (power_weight(1.3, -0.6), 2.37, 97, (4, 8)),
+]
+
+
+@_window_examples
+@given(WINDOW_WEIGHTS, st.sampled_from((1.0, 1e300, 1e-300)), st.booleans(), WINDOW_PS, WINDOW_RESOLUTIONS,
+       WINDOW_TILES, st.sampled_from((64, 1024, 1 << 14)))
+def test_windowed_walk_matches_dense_reference_bit_for_bit(w, scale, centre, p, resolution, tiles, entries):
+    assert _windowed_mismatch(_rescaled(w, scale, centre), p, resolution, tiles, entries) is None
+
+
+class TestWindowedWalkControls:
+    """The property above fails when a tile bound is not one: its cases leave pairs out, and a bound with one extreme
+    swapped, or taken over too few cells, drops the first max."""
+
+    def test_cases_leave_pairs_out(self, monkeypatch):
+        walked, pair_walk = [], constants._pair_walk
+
+        def spy(labels, pts, per_pair, block, linear, live):
+            walked.append(live is not None and not live.all())
+            return pair_walk(labels, pts, per_pair, block, linear, live)
+
+        monkeypatch.setattr(constants, "_pair_walk", spy)
+        assert [_windowed_mismatch(*case) for case in WINDOW_CASES] == [None] * len(WINDOW_CASES)
+        assert all(walked)
+
+    def test_monotone_bound_from_the_longest_length_fails(self, monkeypatch):
+        # avg(w)'s (and every average's) upper end over the longest length, not the shortest
+        def quotients(lo, hi, den_lo, den_hi, valid):
+            return np.where(valid, lo / den_hi, -np.inf), np.where(valid, hi / den_hi, np.inf)
+
+        monkeypatch.setattr(constants, "_quotients", quotients)
+        assert any(_windowed_mismatch(*case) for case in WINDOW_CASES)
+
+    def test_oscillation_bound_over_the_row_tile_alone_fails(self, monkeypatch):
+        hull = constants._hull_extremes
+        monkeypatch.setattr(constants, "_hull_extremes", lambda table, first, last: hull(table, first, first))
+        assert any(_windowed_mismatch(*case) for case in WINDOW_CASES)
 
 
 def _mirrored(ratio, rows):

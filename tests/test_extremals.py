@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import warnings
 
 import mpmath
@@ -127,6 +128,16 @@ class TestBuild:
                     Family.GEHRING_INTERIOR, 1.0, target=(1.0, -0.5), eps=eps_mid(1.0)
                 )
             )
+
+    @pytest.mark.parametrize("q", [6.7e15, 1e20, 1e30, 1e300])
+    def test_spike_past_the_double_range_refused_with_q_and_target(self, q):
+        # from q ~ 6.63e15 the default target's gamma - 1 rounds to -1.0: t^-1 is not integrable at 0
+        spec = ExtremalSpec(Family.AINF_UPPER, q)
+        x, y = default_target(spec)
+        want = f"ainf_upper at q = {q!r}, target ({x!r}, {y!r}): its spike t^-1.0 "
+        with pytest.raises(DomainError, match="^" + re.escape(want)):
+            build(spec)
+        assert cli.main(["extremal", "--family", "ainf", "--q", repr(q)]) == 2
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError):

@@ -19,15 +19,19 @@ moments near the double range overflow, raise or are not finite on some interval
 ``selftest``.  Then every subcommand that prints JSON:
 ``constants`` on 8 corpus weights (``rh_p``/``a_p`` keyed by p, the nested
 scans, CSV, the four pair scans at resolutions 401 and 1201, where the
-pair walk takes dozens of row blocks, and at 2, 5 and 201, where most of
+pair walk takes dozens of row blocks, at 2001 with p = 2.37 and 1e3, where it
+takes the pre-pass's windows, and at 2, 5 and 201, where most of
 each block is its leading square of mirrored pairs, and two lists without
-rh1 at 401), ``solve`` for each equation over q from tiny to past its range,
-``extremal`` for all four families with and without targets and their refusals, and (``ainf``,
+rh1 at 401), the four pair scans at 1201 on steps with a breakpoint 1e-11 off
+the grid point 1/2, ``solve`` for each equation over q from tiny to past its range,
+``extremal`` for all four families with and without targets and their refusals (``ainf``
+from q = 6.6e15, where the default target's spike is t^-1), and (``ainf``,
 ``gehring-interior``) at targets a fraction 1e-13 to 1e-7 of the way up from the lower boundary curve,
 ``bellman --eval`` on the three surfaces inside, on and outside their domains, ``--eval`` and ``extremal``
 (``ainf``, ``gehring-interior``) at targets on both boundary curves, ``dyadic``
 trees without ``--verify`` at depths 0 to 6, and ``sweep --format json``
-(decimal q among them).
+(decimal q among them), and GEHRING's value past the double range (``--eval``
+and ``extremal --family gehring-interior`` at x = 1e200).
 Last the parser group (``parser_cases``): per subcommand a plain argv in every
 order of its options, and the argvs that ``cli._parse_plain`` leaves to argparse.
 
@@ -41,7 +45,12 @@ tangent|hessian`` check whose verdict stays and whose worst value and point
 move at rounding level (``_worst_rounded``), and ``root-rounding``, a bounds
 check's ratios, an ``--eval``'s value and tangent or a ``solve`` root (either
 root of ``gamma-entropy``, and ``funny``'s ``log_value``) within 1e-13, a
-residual within 1e-13 of the point's size.
+residual within 1e-13 of the point's size.  A run that ends in a traceback
+is recorded with rc ``traceback`` and the exception's line on stderr; two
+kinds follow a change to refusals, and each of their runs is printed even
+when allowed: ``traceback-refused``, a traceback that now exits 2 with
+``error: ...``, and ``refusal-reworded``, an exit 2 whose ``error: ...``
+line changes.
 """
 
 from __future__ import annotations
@@ -169,7 +178,7 @@ MAX_DOUBLE = "1.7976931348623157e308"
 
 def writer_cases(workdir: Path) -> list[list[str]]:
     """Command lines of every other subcommand whose payload the JSON writer prints."""
-    from weightlab import solvers
+    from weightlab import solvers, weights
 
     runs = []
     corpus = [str(workdir / f"corpus{k}.json") for k in range(24)]
@@ -183,7 +192,18 @@ def writer_cases(workdir: Path) -> list[list[str]]:
                          "--which", "rh1,ainf,rhp,ap", "--p-values", "1.5,3"])
         for which, p_values in (("rhp,ap", "1.5,2.37,3"), ("ainf,rhp", "2.37,10")):
             runs.append(["constants", "--weight", path, "--resolution", "401", "--which", which, "--p-values", p_values])
+        for p_values in ("2.37", "1e3"):  # past the pre-pass's gate: the walk takes windows
+            runs.append(["constants", "--weight", path, "--resolution", "2001", "--which", "rh1,ainf,rhp,ap",
+                         "--p-values", p_values])
     runs.append(["constants", "--weight", corpus[0], "--which", "ap", "--p-values", "1.0"])
+    # steps with a breakpoint 1e-11 off the grid point 1/2 (R = 1201), jumps of 1e6 and 1e-6
+    for k, values in enumerate(([1.0, 1e6], [3.0, 3e-6], [0.5, 7.0, 0.2])):
+        cuts = [0.0, 0.5 + 1e-11, 1.0] if len(values) == 2 else [0.0, 0.5 - 1e-11, 0.75, 1.0]
+        path = workdir / f"near{k}.json"
+        weights.save_weight(weights.step_weight(cuts, values), str(path))
+        for p_values in ("2.37", "1e3"):
+            runs.append(["constants", "--weight", str(path), "--resolution", "1201", "--which", "rh1,ainf,rhp,ap",
+                         "--p-values", p_values])
 
     qs = ["1e-300", "1e-20", "1e-6", "0.05", "0.5", "1.0", "2.0", "3.0", "5.6", "10.0", "100.0",
           "700.0", "743.0", "745.5", "800.0", "1e3", "1e4", "1e5", "1e6", "1e30", "1e300", MAX_DOUBLE,
@@ -211,6 +231,11 @@ def writer_cases(workdir: Path) -> list[list[str]]:
                 runs.append(["extremal", "--family", family, "--q", q, "--eps", repr(3.0 * eps)])
     runs.append(["extremal", "--family", "gehring-interior", "--q", "1.0", "--eps", "0.3", "--x", "2.0", "--y", "1.6"])
     runs.append(["extremal", "--family", "funny", "--q", "1.0", "--x", "2.0", "--y", "1.5"])
+    # GEHRING's value v**eps past the double range, on --eval and in the attainment check
+    gehring = ["--q", "0.01", "--eps", "3.374613350095237"]
+    runs.append(["bellman", "--surface", "gehring", *gehring, "--eval=1e200,4.605220185988092e+202"])
+    runs.append(["extremal", "--family", "gehring-interior", *gehring, "--x", "1e200", "--y", "4.605220185988092e+202"])
+    runs += [["extremal", "--family", "ainf", "--q", q] for q in ("6.6e15", "6.7e15", "1e20", "1e300")]
     # targets at x = 1 a fraction u of the way up from the lower boundary curve: glue points under 1e-12
     for q, u in ((2.0, 1e-13), (100.0, 1e-11), (1e4, 1e-9), (1e6, 1e-7)):
         runs.append(["extremal", "--family", "ainf", "--q", repr(q), "--x", "1.0", f"--y={-u * math.log(q)!r}"])
@@ -330,6 +355,9 @@ def run_all(src: str, workdir: str, out: str, argv_rows: str | None = None) -> N
                 rc = cli.main(argv)
             except SystemExit as exc:  # argparse's usage errors
                 rc = exc.code
+            except Exception as exc:  # a traceback: recorded as rc "traceback" and its last line
+                rc = "traceback"
+                print(f"{type(exc).__name__}: {exc}", file=stderr)
         rows.append([argv, rc, stdout.getvalue(), stderr.getvalue()])
     Path(out).write_text(json.dumps(rows))
 
@@ -447,6 +475,11 @@ def _text_rounded(old: str, new: str, scale: float | None = None) -> bool:
 
 def kind(argv: list[str], old: list, new: list) -> str:
     """Which declared kind a differing run belongs to, else "other"."""
+    if old[1] == "traceback" and new[1] == 2 and new[2] == "" and new[3].startswith("error: "):
+        return "traceback-refused"
+    if old[1] == new[1] == 2 and old[2] == new[2] == "" and old[3].startswith("error: ") \
+            and new[3].startswith("error: "):
+        return "refusal-reworded"
     verify = argv[argv.index("--verify") + 1] if "--verify" in argv and argv[0] == "bellman" else None
     if verify in ("tangent", "hessian") and _grid(argv) < 2:
         return "grid-refusal"
@@ -504,7 +537,8 @@ def kind(argv: list[str], old: list, new: list) -> str:
 # the subcommands whose output reads piece moments
 MOMENT_COMMANDS = ("constants", "dyadic", "extremal", "selftest")
 KINDS = ("grid-refusal", "tangent-passed", "ratio-bound", "overflow-null", "orlicz-rounding", "moment-rounding",
-         "refusal-rounding", "gehring-root", "sweep-e-ratio", "worst-rounding", "root-rounding")
+         "refusal-rounding", "gehring-root", "sweep-e-ratio", "worst-rounding", "root-rounding", "traceback-refused",
+         "refusal-reworded")
 # what a grid check's worst point and value, and a root's last bits, may move
 WORST_KEYS = {"max_deviation", "worst_v", "worst_value", "worst_point"}
 ROOT_KEYS = {"ratio_max", "ratio_bound", "value", "tangent", "tangent_residual", "root", "residual",
@@ -553,6 +587,9 @@ def main() -> int:
                 print(f"{k}: weightlab {' '.join(a[0])}")
                 for label, row in (("old", a), ("new", b)):
                     print(f"  {label}: rc {row[1]}, stdout {row[2][:400]!r}, stderr {row[3][:200]!r}")
+            elif k in ("traceback-refused", "refusal-reworded"):  # a refusal's words: each run is listed
+                print(f"{k} (allowed): weightlab {' '.join(a[0])}")
+                print(f"  stderr {a[3].strip()!r} -> {b[3].strip()!r}")
     same = sum(a == b for a, b in zip(old, new))
     print(f"{len(old)} runs: {same} identical; " + ", ".join(f"{k} {n}" for k, n in sorted(counts.items())))
     return 1 if bad else 0

@@ -1,6 +1,6 @@
 """Time the pair walk of rh1, A_inf, RH_p and A_p and the two nested scans in one or more source trees.
 
-    python tools/scan_layers.py SRC [SRC ...] [--rounds 5] [--resolutions 401,1201,2001] [--p 2,2.37]
+    python tools/scan_layers.py SRC [SRC ...] [--rounds 5] [--resolutions 401,1201,1601,2001] [--p 2,2.37]
         [--one-interpreter]
 
 Each tree runs from a fresh copy laid out by tools/_ab.py, and each round
@@ -24,7 +24,10 @@ timed just before and after.  The cases are:
 Printed: per tree and case the median over rounds of the probe-normalised
 time, in milliseconds at the probe's reference speed, and against the first
 tree the median ratio, its quartiles over the rounds and how many rounds the
-tree was faster (_ab's reducer).
+tree was faster (_ab's reducer).  Each ``_scans`` case also prints, per tree,
+the share of its grid pairs (times its constants) that the walk's block
+arrays held, from one untimed call: the pre-pass's windows leave the others
+out, and a walk over every pair reads about 1.
 """
 
 from __future__ import annotations
@@ -78,6 +81,32 @@ def cases(wl, resolutions: list[int], ps: list[float]) -> dict:
     return out
 
 
+def walked(wl, resolutions: list[int], ps: list[float]) -> dict[str, float]:
+    """_scans case name -> the entries of the arrays its walk's blocks gave, over its constants times grid pairs."""
+    constants, seen, walk = wl.constants, [0, 0], wl.constants._pair_walk
+
+    def spy(labels, pts, per_pair, block, *args):
+        def counted(*window):
+            for s, ratio, exact in block(*window):
+                seen[0] += ratio.size
+                yield s, ratio, exact
+
+        seen[1] += len(labels) * len(pts) * (len(pts) - 1) // 2
+        return walk(labels, pts, per_pair, counted, *args)
+
+    out = {}
+    constants._pair_walk = spy
+    try:
+        for case, call in cases(wl, resolutions, ps).items():
+            if case.startswith("p="):
+                seen[:] = [0, 0]
+                call()
+                out[case] = seen[0] / seen[1]
+    finally:
+        constants._pair_walk = walk
+    return out
+
+
 def timed(call) -> float:
     """Probe-normalised seconds of the best of three calls."""
 
@@ -98,7 +127,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="+")
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--resolutions", default="401,1201,2001")
+    parser.add_argument("--resolutions", default="401,1201,1601,2001")
     parser.add_argument("--p", default="2,2.37", help="p of rhp and ap; 2 takes numpy's sqrt and identity paths")
     parser.add_argument("--one-interpreter", action="store_true",
                         help="load every tree into this interpreter and alternate them case by case")
@@ -116,12 +145,15 @@ def main() -> int:
                         times[i][-1][case] = timed(calls[i][case])
         else:
             times = _ab.alternate(args.rounds, roots, lambda root: _ab.fresh(run, str(root), *sizes))
+        shares = [walked(load(str(root), f"weightlab_walked_{k}"), *sizes) for k, root in enumerate(roots)]
     where = "one interpreter" if args.one_interpreter else "a fresh interpreter per run"
     print(f"{args.rounds} rounds in {where}; median ms at the probe's reference speed; ratio [quartiles]")
     for case in times[0][0]:
         line = f"{case:<32}" + "".join(f" {1e3 * statistics.median(t[case] for t in runs):9.2f}" for runs in times)
         for runs in times[1:]:
             line += f"   {_ab.versus([t[case] for t in times[0]], [t[case] for t in runs])}"
+        if case in shares[0]:
+            line += "   walked " + " ".join(f"{share[case]:.2f}" for share in shares)
         print(line)
     return 0
 
