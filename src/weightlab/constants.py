@@ -16,12 +16,13 @@ products with one 1/dl, two roundings off the quotients (3 ulp, under
 entries are their mirrored pairs' values (the differences x[j] - x[i] flip
 sign exactly), which an earlier row holds first.  From _PRUNE_FROM grid
 points a pre-pass bounds tiles of pairs before the walk ranks them: each
-spec's seed, a ratio of real pairs, against an upper bound per tile from
-the tile's extreme cumulative sums and lengths (the monotone bound) and
-from the extreme cell averages over its hull (the oscillation bound), with
-a stated rounding slack; the walk then takes per block of rows a window
-of columns that spans the tiles still live, and leaves the others out,
-with every result's bits unchanged.  The Orlicz constant solves
+spec's seed, its best ratio on the pairs of every _TILE_COLS-th grid
+point, against an upper bound per tile from the tile's extreme cumulative
+sums and lengths (the monotone bound) and from the extreme cell averages
+over its hull (the oscillation bound), with a stated rounding slack; the
+walk then takes per block of rows a window of columns that spans the
+tiles still live, and leaves the others out, with every result's bits
+unchanged.  The Orlicz constant solves
 each block's Luxemburg norms together, on one Gauss-Legendre layout in mass
 coordinates for every power piece; the maximal-function constant is the
 documented expensive one, O(resolution^3) in block-wide passes over the left
@@ -145,33 +146,29 @@ _SCAN_BLOCK_ENTRIES = 1 << 14
 
 
 # The pre-pass bounds tiles of _TILE_ROWS x _TILE_COLS pairs on grids of _PRUNE_FROM points or more, and the walk
-# takes its windows where they leave at most _PRUNE_SHARE of the pairs' work (_live_tiles).  Measured in one
-# interpreter, four constants at p = 2.37, windows against the walk over all pairs: the pre-pass costs 0.7 ms at
-# R = 801 and 0.8-1.9 ms at R = 1201-2001; steps, glued powers and spikes read x0.55-0.83 at R = 801, x0.5-0.75 at
-# 1001-1201 and x0.25-0.45 at 2001, but x0.7-1.1 at R = 601, and pure powers with |alpha| <~ 0.6 read x1.1-1.3
-# (their tiles stay live).  16 x 32 tiles pruned as much and cost more.
-_TILE_ROWS, _TILE_COLS, _PRUNE_FROM, _PRUNE_SHARE = 32, 32, 800, 0.75
+# takes the windows of the tiles left live (_live_tiles).  Measured in one interpreter, four constants at p = 2.37,
+# windows against the walk over all pairs: the pre-pass costs 0.8-0.9 ms at R = 801, 1.2-1.3 ms at 1201 and 1.9-2.5
+# ms at 2001; steps, glued powers, spikes and t^-0.6 read x0.50-0.79 at R = 801, x0.39-0.60 at 1201 and x0.26-0.43
+# at 2001, but x0.7-1.1 at R = 601, and pure powers t^alpha with alpha in [-0.3, 0.4] read x1.1-1.25 at R = 801 and
+# x0.9-1.15 at 1201-2001 (their tiles stay live).  16 x 32 tiles pruned as much and cost more.
+_TILE_ROWS, _TILE_COLS, _PRUNE_FROM = 32, 32, 800
 # a tile bound's rounding slack: relative, per unit of its combine's amplification, and absolute
 _SLACK, _TINY = 2.0**-40, 2.0**-60
 
 
 def _seeds(n: int, ratios: list) -> list[float]:
     """Each of ratios' best (each a function of index arrays i, j) on the pairs of every _TILE_COLS-th grid point
-    and the last, in blocks of rows, then on the +-_TILE_COLS neighbourhood of the best of those; nan reads -inf."""
+    and the last, in blocks of rows; nan reads -inf."""
     pick = np.unique(np.r_[0:n:_TILE_COLS, n - 1])
     rows = max(1, _SCAN_BLOCK_ENTRIES // len(pick))
     seeds = []
     for ratio in ratios:
-        top, i, j = -math.inf, 0, 1
+        top = -math.inf
         for a in range(0, len(pick) - 1, rows):
-            coarse = ratio(pick[a : a + rows, None], pick)
-            coarse[np.isnan(coarse) | (pick <= pick[a : a + rows, None])] = -np.inf
-            k = int(np.argmax(coarse))
-            if coarse.flat[k] > top:
-                top, i, j = coarse.flat[k], pick[a + k // len(pick)], pick[k % len(pick)]
-        near = [np.arange(max(0, v - _TILE_COLS), min(n, v + _TILE_COLS + 1)) for v in (i, j)]
-        fine = ratio(near[0][:, None], near[1])
-        seeds.append(float(np.max(np.where(np.isnan(fine) | (near[1] <= near[0][:, None]), -np.inf, fine))))
+            i = pick[a : a + rows, None]
+            coarse = ratio(i, pick)
+            top = max(top, float(np.max(np.where(np.isnan(coarse) | (pick <= i), -np.inf, coarse))))
+        seeds.append(top)
     return seeds
 
 
@@ -209,9 +206,9 @@ def _meet(first, second):
 
 
 @np.errstate(all="ignore")
-def _live_tiles(terms: list, seeds: list[float], pts: np.ndarray, cum_w: np.ndarray) -> np.ndarray | None:
+def _live_tiles(terms: list, seeds: list[float], pts: np.ndarray, cum_w: np.ndarray) -> np.ndarray:
     """Which tiles of each spec's pairs may hold a computed ratio at or above its seed, a (spec, row tile, column
-    tile) mask; None where no spec is bounded or the walk would take over _PRUNE_SHARE of its pairs' work anyway.
+    tile) mask.
 
     A tile is rows r0..r1 by columns k0..k1 of the pairs i < j; a tile
     holding no such pair is dead.  Each of its averages, aw = avg(w) and
@@ -244,7 +241,8 @@ def _live_tiles(terms: list, seeds: list[float], pts: np.ndarray, cum_w: np.ndar
     2 _RANK_LIMIT).  A tile is dead when bound (1 + sigma) + sigma' <
     seed, the seed being a ratio the walk computes the same way; a spec
     whose seed is not finite, or whose combine's power is past 1e3 (as in
-    _RANKS), is live on every tile.  Both ranges compare the computed
+    _RANKS), is live on every tile, and with no spec bounded the mask is
+    every tile holding a pair i < j.  Both ranges compare the computed
     averages with sums and cells of the same floats, not with exact
     integrals, so no condition number of the cumulative differences (|cum|
     over a tile's least difference) enters the slack.  Tiles are bounded a
@@ -257,8 +255,6 @@ def _live_tiles(terms: list, seeds: list[float], pts: np.ndarray, cum_w: np.ndar
     live = np.repeat((k1 > r0[:, None])[None], len(terms), axis=0)  # the tiles holding a pair i < j
     bounded = [s for s, ((name, _, _, _, p), seed) in enumerate(zip(terms, seeds))
                if math.isfinite(seed) and not (_RANKS[name][0](p) or 0.0) > 1e3]
-    if not bounded:
-        return None
     def extremes(rows, at):  # the least and greatest of each of rows on the runs from each index of at
         return [np.stack([ufunc.reduceat(v, at) for v in rows]) for ufunc in (np.minimum, np.maximum)]
 
@@ -298,14 +294,7 @@ def _live_tiles(terms: list, seeds: list[float], pts: np.ndarray, cum_w: np.ndar
                 sigma, tiny = _SLACK * (1.0 + power), _TINY
             live[s, rt, ct] = ~(normal & ok & (bound * (1.0 + sigma) + tiny < seeds[s]))
 
-    # the walk's work on these windows (_pair_walk): each row tile's live specs on its span of live tiles; a spec at
-    # +inf leaves the walk in its first row's block
-    counted = live[[s for s, seed in enumerate(seeds) if seed != math.inf]]
-    spans = counted.any(axis=0)
-    first = np.maximum(spans.argmax(axis=1) * tc, r0 + 1)
-    last = np.minimum((len(k0) - spans[:, ::-1].argmax(axis=1)) * tc, n)
-    work = ((r1 - r0 + 1) * np.maximum(last - first, 0) * counted.any(axis=2).sum(axis=0)).sum()
-    return live if work <= _PRUNE_SHARE * len(counted) * n * (n - 1) / 2 else None
+    return live
 
 
 @np.errstate(all="ignore")
@@ -441,9 +430,8 @@ def _scans(specs: list[tuple[str, float | None]], w: Weight, resolution: int) ->
     formed only for an unranked spec or where _pair_walk asks.  A spec at
     +inf with a finite value is no longer made.  On _PRUNE_FROM grid points
     or more, each spec's _seeds and _live_tiles give the walk its windows.
-    A p <= 1 is refused before
-    any work; otherwise the first spec in order that fails raises, as if
-    each were scanned on its own.
+    A p <= 1 is refused before any work; otherwise the first spec in order
+    that fails raises, as if each were scanned on its own.
     """
     for name, p in specs:
         if p is not None and not (p > 1.0 and math.isfinite(p)):

@@ -350,8 +350,7 @@ WINDOW_TILES = st.sampled_from(((4, 4), (4, 8), (8, 8), (8, 16), (16, 16)))
 def _windowed_mismatch(w, p, resolution, tiles, entries=64):
     """_ranked_walk_mismatch on the four constants with the pre-pass's gate at 0, its windows always taken, and
     blocks of `entries` entries (64: a row or a few, 2^14: many row tiles)."""
-    patch = (("_PRUNE_FROM", 0), ("_PRUNE_SHARE", math.inf), ("_TILE_ROWS", tiles[0]), ("_TILE_COLS", tiles[1]),
-             ("_SCAN_BLOCK_ENTRIES", entries))
+    patch = (("_PRUNE_FROM", 0), ("_TILE_ROWS", tiles[0]), ("_TILE_COLS", tiles[1]), ("_SCAN_BLOCK_ENTRIES", entries))
     return _ranked_walk_mismatch(w, p, resolution, patch=patch)
 
 
@@ -383,6 +382,24 @@ WINDOW_CASES = [
        WINDOW_TILES, st.sampled_from((64, 1024, 1 << 14)))
 def test_windowed_walk_matches_dense_reference_bit_for_bit(w, scale, centre, p, resolution, tiles, entries):
     assert _windowed_mismatch(_rescaled(w, scale, centre), p, resolution, tiles, entries) is None
+
+
+# no spec is bounded: ap alone at p = 2000, whose power p - 1 is past 1e3, or rhp alone at +inf (its p-th moment
+# diverges at 0); the walk takes the windows of a mask live on every tile that holds a pair i < j
+@pytest.mark.parametrize("w, name, p", [(step_weight((0.0, 0.2, 0.45, 0.7, 1.0), (0.3, 4.0, 1.2, 7.5)), "ap", 2000.0),
+                                        (power_weight(1.3, -0.6), "rhp", 2.37)], ids=["ap-past-1e3", "rhp-at-inf"])
+def test_windowed_walk_with_no_bounded_spec_matches_dense_reference(w, name, p, monkeypatch):
+    masks, pair_walk = [], constants._pair_walk
+
+    def spy(labels, pts, per_pair, block, linear, live):
+        masks.append((len(pts), live))
+        return pair_walk(labels, pts, per_pair, block, linear, live)
+
+    monkeypatch.setattr(constants, "_pair_walk", spy)
+    assert _ranked_walk_mismatch(w, p, 129, (name,), (("_PRUNE_FROM", 0), ("_TILE_ROWS", 8), ("_TILE_COLS", 8))) is None
+    [(n, live)] = masks
+    r0, k1 = np.arange(0, n - 1, 8), np.minimum(np.arange(0, n, 8) + 8, n) - 1
+    assert np.array_equal(live, (k1 > r0[:, None])[None])
 
 
 class TestWindowedWalkControls:
@@ -608,9 +625,10 @@ class TestSharedWalk:
 
 
 @pytest.fixture
-def small_blocks(monkeypatch):
-    """Pair walks on blocks of 64 entries; returns a list to which every block a walk makes adds its (i0, i1)."""
-    monkeypatch.setattr(constants, "_SCAN_BLOCK_ENTRIES", 64)
+def small_blocks(request, monkeypatch):
+    """Pair walks on blocks of 64 entries, times the fixture's param where it has one; returns a list to which every
+    block a walk makes adds its (i0, i1)."""
+    monkeypatch.setattr(constants, "_SCAN_BLOCK_ENTRIES", 64 * getattr(request, "param", 1))
     blocks, pair_walk = [], constants._pair_walk
 
     def spy_walk(labels, pts, per_pair, block, *args):
@@ -624,72 +642,52 @@ def small_blocks(monkeypatch):
     return blocks
 
 
-def _chunk_cuts(n, chunks):
-    """The first grid row of each of `chunks` runs of rows that hold about equal shares of the n (n - 1) / 2 pairs."""
-    pairs = np.cumsum(np.arange(n - 1, 0, -1))  # the pairs in rows 0..i
-    return [0] + [int(np.searchsorted(pairs, c * pairs[-1] / chunks)) + 1 for c in range(1, chunks)]
-
-
-@pytest.fixture(params=[2, 3, 5])
-def split(request, small_blocks):
-    """The one pair walk, on blocks of 64 entries, read as `param` chunks: runs of its row blocks cut as in _chunk_cuts.
-
-    Returns the chunk count and small_blocks' list of the (i0, i1) of every block a walk makes.
-    """
-    return request.param, small_blocks
-
-
 class TestSplitWalk:
-    """What the first chunk of row blocks finds, or fails to find, carries over to the later chunks of the one walk."""
+    """The one pair walk split into row blocks: what its first blocks find, or fail to find, carries over to its later
+    blocks."""
 
-    WHICH = ("rh1", "ainf", "rhp", "ap")
-
-    def test_finite_value_only_in_a_later_chunk_is_found(self, split, sqrt_weight, monkeypatch):
-        chunks, blocks = split
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_finite_value_only_after_the_first_k_blocks_is_found(self, k, small_blocks, sqrt_weight, monkeypatch):
         kind, exponent, combine = constants._SCANS["ainf"]
-        pts = _grid_points(_centred(sqrt_weight)[0], 51)
-        cut = _chunk_cuts(len(pts), chunks)[1]
 
-        def nan_in_first_chunk(aw, r, law, p):  # a lone ainf is not ranked: one combine per block, after its spy
+        def nan_in_first_blocks(aw, r, law, p):  # a lone ainf is not ranked: one combine per block, after its spy
             combine(aw, r, law, p)
-            if blocks[-1][0] < cut:
+            if len(small_blocks) <= k:
                 r[...] = np.nan
 
-        monkeypatch.setitem(constants._SCANS, "ainf", (kind, exponent, nan_in_first_chunk))
+        monkeypatch.setitem(constants._SCANS, "ainf", (kind, exponent, nan_in_first_blocks))
         value, iv = compute_report(sqrt_weight, 51, ("ainf",)).ainf
-        ratio, _ = _dense_scan("ainf", _centred(sqrt_weight)[0], 51)
-        first = max(i1 for i0, i1 in blocks if i0 < cut)
+        ratio, pts = _dense_scan("ainf", _centred(sqrt_weight)[0], 51)
+        first = small_blocks[k - 1][1]  # the first row after the first k blocks
         ratio[:first] = -np.inf
         i, j = divmod(int(np.argmax(ratio)), ratio.shape[1])
-        assert (value, iv.a, iv.b) == (ratio[i, j], pts[i], pts[j]) and iv.a >= pts[cut]
-        assert 1 < sum(i0 < cut for i0, _ in blocks) < len(blocks)
+        assert (value, iv.a, iv.b) == (ratio[i, j], pts[i], pts[j]) and iv.a >= pts[first]
+        assert len(small_blocks) > k
 
-    def test_chunks_share_one_running_best(self, split, monkeypatch):
-        # a singular spike at 0 glued to a constant: the largest ratios lie on row 0, in the first chunk, and
-        # every pair in the constant tail ties near 1, below them.  The best found there skips each ranked
-        # block of every later chunk; without the skip (a band of +inf) they are combined
-        chunks, blocks = split
+    @pytest.mark.parametrize("small_blocks", [2, 3, 5], indirect=True)  # blocks of 128, 192 or 320 entries
+    def test_chunks_share_one_running_best(self, small_blocks, monkeypatch):
+        # a singular spike at 0 glued to a constant: the largest ratios lie on row 0, and every pair in the
+        # constant tail ties near 1, below them.  The best found on row 0 skips each ranked block of the tail;
+        # without the skip (a band of +inf) they are combined
         w = Weight((PowerPiece(Interval(0.0, 0.0625), 1.0, -0.8), PowerPiece(Interval(0.0625, 1.0), 0.0625**-0.8, 0.0)))
-        pts = _grid_points(_centred(w)[0], 201)
-        cuts = _chunk_cuts(len(pts), chunks)
+        tail = int(np.searchsorted(_grid_points(_centred(w)[0], 201), 0.0625))  # the tail's first row
         combined, pair_walk = [], constants._pair_walk
 
-        def later_walk(labels, pts, per_pair, block, *args):
+        def tail_walk(labels, pts, per_pair, block, *args):
             def later(i0, i1, dead):
                 for s, ratio, exact in block(i0, i1, dead):
-                    if exact is not None and i0 >= cuts[1]:  # a ranked block of a later chunk
+                    if exact is not None and i0 >= tail:  # a ranked block of the tail
                         exact = lambda band, exact=exact: combined.append(i0) or exact(band)
                     yield s, ratio, exact
 
             return pair_walk(labels, pts, per_pair, later, *args)
 
-        monkeypatch.setattr(constants, "_pair_walk", later_walk)
-        report = compute_report(w, 201, self.WHICH, (2.37,))
-        assert pts[cuts[1]] > 0.0625  # the later chunks' rows lie in the tail
-        later = [{i0 for i0, _ in blocks if a <= i0 < b} for a, b in zip(cuts[1:], cuts[2:] + [len(pts)])]
-        assert combined == [] and all(len(rows) > 10 for rows in later)
+        monkeypatch.setattr(constants, "_pair_walk", tail_walk)
+        report = compute_report(w, 201, ALL, (2.37,))
+        rows = {i0 for i0, _ in small_blocks if i0 >= tail}
+        assert small_blocks[0] == (0, 1) and combined == [] and len(rows) > 50
         monkeypatch.setattr(constants, "_BAND", math.inf)
-        assert compute_report(w, 201, self.WHICH, (2.37,)) == report and set(combined) == set().union(*later)
+        assert compute_report(w, 201, ALL, (2.37,)) == report and set(combined) == rows
 
 
 class TestBlockWalk:
@@ -714,26 +712,24 @@ def _numpy_state():
     return np.getbufsize(), np.geterr()
 
 
-@pytest.mark.parametrize("split", [1, 2, 5], indirect=True)  # the walk read as one chunk, or as the split fixture's
+@pytest.mark.parametrize("small_blocks", [1, 2, 5], indirect=True)  # blocks of 64, 128 or 320 entries
 class TestCallerNumpyState:
     """The pair walk sets its own ufunc buffer size and error state for the whole walk; the caller's are as they were."""
 
-    WHICH = ("rh1", "ainf", "rhp", "ap")
+    WHICH = ALL
     WALK_STATE = (16, {"divide": "ignore", "over": "ignore", "under": "ignore", "invalid": "ignore"})
 
     @pytest.fixture(autouse=True)
-    def walk_states(self, split, monkeypatch):
-        """The numpy state in force at the block that starts each chunk of every walk, one list per walk."""
-        chunks, _ = split
+    def walk_states(self, small_blocks, monkeypatch):
+        """The numpy state in force at every block of every walk, one list per walk."""
         states, pair_walk = [], constants._pair_walk
 
         def spy_walk(labels, pts, per_pair, block, *args):
-            cuts, walk = _chunk_cuts(len(pts), chunks), []
+            walk = []
             states.append(walk)
 
             def spy(i0, i1, dead):
-                if any(i0 <= c < i1 for c in cuts):
-                    walk.append(_numpy_state())
+                walk.append(_numpy_state())
                 return block(i0, i1, dead)
 
             return pair_walk(labels, pts, per_pair, spy, *args)
@@ -741,31 +737,32 @@ class TestCallerNumpyState:
         monkeypatch.setattr(constants, "_pair_walk", spy_walk)
         return states
 
-    def _walked(self, states, chunks):
-        return states and all(len(walk) == chunks and walk.count(self.WALK_STATE) == chunks for walk in states)
+    def _walked(self, states):
+        return states and all(len(walk) > 1 and walk.count(self.WALK_STATE) == len(walk) for walk in states)
 
-    def test_restored_when_the_report_returns(self, corpus, split, walk_states):
+    def test_restored_when_the_report_returns(self, corpus, walk_states):
         with np.errstate(under="warn"):  # not numpy's default
             state = _numpy_state()
             compute_report(corpus[3], 101, self.WHICH, (1.5, 3.0))
             assert _numpy_state() == state
-        assert self._walked(walk_states, split[0])
+        assert self._walked(walk_states)
 
-    def test_restored_when_the_scan_raises(self, split, walk_states):
+    def test_restored_when_the_scan_raises(self, walk_states):
         w = step_weight((0.0, 0.5, 1.0), (5e-324, 1e308))
         state = _numpy_state()
         with pytest.raises(DomainError):
             compute_report(w, 51, self.WHICH, (1.5, 3.0))
         assert _numpy_state() == state
-        assert self._walked(walk_states, split[0])
+        assert self._walked(walk_states)
 
-    def test_restored_when_a_block_raises(self, split, monkeypatch):
-        chunks, blocks = split
+    def test_restored_when_a_block_raises(self, small_blocks, walk_states, monkeypatch):
+        # in the walk's last block
+        compute_report(constant_weight(2.0), 51, self.WHICH)
+        last, walked = small_blocks[-1][0], len(small_blocks)
         kind, exponent, combine = constants._SCANS["ainf"]
-        cut = _chunk_cuts(len(_grid_points(constant_weight(2.0), 51)), chunks)[-1]
 
-        def failing(*args):  # in the block that starts the last chunk
-            if blocks[-1][0] >= cut:
+        def failing(*args):  # every pair ties, so every block combines ainf
+            if small_blocks[-1][0] == last:
                 raise ZeroDivisionError("in a block")
             return combine(*args)
 
@@ -774,10 +771,10 @@ class TestCallerNumpyState:
         with pytest.raises(ZeroDivisionError, match="in a block"):
             compute_report(constant_weight(2.0), 51, self.WHICH)
         assert _numpy_state() == state
-        assert blocks[-1][0] == cut
+        assert len(small_blocks) == 2 * walked and self._walked(walk_states)
 
     @pytest.mark.parametrize("bufsize", [16, 1 << 20])
-    def test_caller_buffer_size_changes_no_bit(self, corpus, split, walk_states, bufsize):
+    def test_caller_buffer_size_changes_no_bit(self, corpus, walk_states, bufsize):
         want = [compute_report(w, 51, self.WHICH, (1.5, 3.0)) for w in corpus[1:4]]
         size = np.setbufsize(bufsize)
         try:
@@ -785,7 +782,7 @@ class TestCallerNumpyState:
             assert np.getbufsize() == bufsize
         finally:
             np.setbufsize(size)
-        assert got == want and self._walked(walk_states, split[0])
+        assert got == want and self._walked(walk_states)
 
 
 class TestEntropyAndFlatness:

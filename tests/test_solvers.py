@@ -604,3 +604,47 @@ class TestRootCache:
                 solve(q)
 
 
+def _libm_draws(name, n=2000):
+    """n seeded arguments of math's name: over exp's and log's normal-result ranges (log within 1e-1 of 1 too, down
+    to 1e-16), and for expm1 and log1p half within 1e-1 of 0, down to 1e-300, and half far from it."""
+    rng = np.random.default_rng([2045, sum(map(ord, name))])
+    near = rng.choice([-1.0, 1.0], n // 2) * 10.0 ** rng.uniform(-300.0, -1.0, n // 2)
+    if name == "exp":
+        xs = rng.uniform(-708.0, 709.0, n)
+    elif name == "log":
+        one = 1.0 + rng.choice([-1.0, 1.0], n // 2) * 10.0 ** rng.uniform(-16.0, -1.0, n // 2)
+        xs = np.concatenate([np.ldexp(rng.uniform(1.0, 2.0, n // 2), rng.integers(-1022, 1024, n // 2)), one])
+    elif name == "expm1":
+        xs = np.concatenate([near, rng.uniform(-700.0, 709.0, n // 2)])
+    else:
+        far = [10.0 ** rng.uniform(-1.0, 300.0, n // 4), -1.0 + 10.0 ** rng.uniform(-15.0, -1.0, n // 4)]
+        xs = np.concatenate([near, *far])
+    return xs.tolist()
+
+
+def _worst_ulps(f, name, xs):
+    """The largest |f(x) - name(x)| over xs, name taken in 50-digit mpmath, in ulps of the double nearest name(x)."""
+    worst, exact = 0.0, getattr(mpmath, name)
+    with mpmath.workdps(50):
+        for x in xs:
+            want = exact(mpmath.mpf(x))
+            worst = max(worst, float(abs(mpmath.mpf(f(x)) - want)) / math.ulp(float(want)))
+    return worst
+
+
+class TestLibmBound:
+    """math's exp, log, expm1 and log1p lie within 1 ulp of 50-digit mpmath: the bound an enclosure of a root would
+    assume of libm."""
+
+    NAMES = ("exp", "log", "expm1", "log1p")
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_within_one_ulp_of_mpmath(self, name):
+        assert _worst_ulps(getattr(math, name), name, _libm_draws(name)) < 1.0
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_moved_by_two_ulp_fails(self, name):
+        # negative control: the same function moved 2 ulp up
+        f = getattr(math, name)
+        moved = lambda x: math.nextafter(math.nextafter(f(x), math.inf), math.inf)
+        assert _worst_ulps(moved, name, _libm_draws(name)[::40]) >= 1.0

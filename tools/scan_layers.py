@@ -1,7 +1,7 @@
 """Time the pair walk of rh1, A_inf, RH_p and A_p and the two nested scans in one or more source trees.
 
     python tools/scan_layers.py SRC [SRC ...] [--rounds 5] [--resolutions 401,1201,1601,2001] [--p 2,2.37]
-        [--one-interpreter]
+        [--mix N] [--one-interpreter]
 
 Each tree runs from a fresh copy laid out by tools/_ab.py, and each round
 runs every tree once, in _ab's alternating order.  By default each run is a
@@ -17,6 +17,10 @@ timed just before and after.  The cases are:
   and a singular spike at 0 glued to a constant (``spike``), whose maximum
   lies on the first rows, so that the running best skips the tail's blocks,
   whose pairs tie below it;
+- with ``--mix N``, ``constants._scans`` on N seeded four-constant
+  reports at each resolution, drawn as ``bench/workloads.py``'s
+  ``Scan.make_block`` draws its reports: ``random_weight``'s families by
+  position (step, power, glued, ...) and p ~ U[1.5, 3];
 - ``rh1_prime_constant`` at resolutions 32, 48 and 64 and
   ``rh1_doubleprime_constant`` at 24, 36 and 48, on the steps, the power
   (singular at 0) and the rising power.
@@ -39,8 +43,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 import _ab
 
+REPO = Path(__file__).resolve().parent.parent
 NESTED = {"rh1_prime": (32, 48, 64), "rh1_doubleprime": (24, 36, 48)}
 
 
@@ -54,8 +61,27 @@ def load(src: str, name: str):
     return module
 
 
-def cases(wl, resolutions: list[int], ps: list[float]) -> dict:
-    """Case name -> a call of the package wl, after one set-up call."""
+def mix(n: int, resolutions: list[int]) -> list:
+    """n reports per resolution as Scan.make_block draws them, each [case name, resolution, p, pieces], the pieces
+    [a, b, coeff, exponent] (JSON values, rebuilt in each tree's package)."""
+    if not n:
+        return []
+    sys.path[:0] = [str(REPO / "src"), str(REPO / "bench")]
+    from workloads import FAMILIES, random_weight
+
+    out = []
+    for r in resolutions:
+        rng = np.random.default_rng([4545, r])
+        for k in range(n):
+            family = FAMILIES[k % len(FAMILIES)]
+            w, p = random_weight(rng, family), float(rng.uniform(1.5, 3.0))
+            pieces = [[pc.support.a, pc.support.b, pc.coeff, pc.exponent] for pc in w.pieces]
+            out.append([f"mix R={r} {k} {family} p={p:.3f}", r, p, pieces])
+    return out
+
+
+def cases(wl, resolutions: list[int], ps: list[float], drawn: list) -> dict:
+    """Case name -> a call of the package wl, after one set-up call; drawn is mix()'s reports."""
     constants, W = wl.constants, wl.weights
     ws = {
         "step": W.step_weight((0.0, 0.2, 0.45, 0.7, 1.0), (0.3, 4.0, 1.2, 7.5)),
@@ -74,6 +100,10 @@ def cases(wl, resolutions: list[int], ps: list[float]) -> dict:
             for name, w in ws.items():
                 w = constants._centred(w)[0]
                 out[f"p={p:g} R={r} {name}"] = lambda specs=specs, w=w, r=r: constants._scans(specs, w, r)
+    for case, r, p, pieces in drawn:
+        w = W.Weight(tuple(W.PowerPiece(W.Interval(a, b), c, e) for a, b, c, e in pieces))
+        specs = [("rh1", None), ("ainf", None), ("rhp", p), ("ap", p)]
+        out[case] = lambda specs=specs, w=constants._centred(w)[0], r=r: constants._scans(specs, w, r)
     for fn, sizes in NESTED.items():
         for r in sizes:
             for name in ("step", "power", "glued"):
@@ -81,7 +111,7 @@ def cases(wl, resolutions: list[int], ps: list[float]) -> dict:
     return out
 
 
-def walked(wl, resolutions: list[int], ps: list[float]) -> dict[str, float]:
+def walked(wl, resolutions: list[int], ps: list[float], drawn: list) -> dict[str, float]:
     """_scans case name -> the entries of the arrays its walk's blocks gave, over its constants times grid pairs."""
     constants, seen, walk = wl.constants, [0, 0], wl.constants._pair_walk
 
@@ -97,8 +127,8 @@ def walked(wl, resolutions: list[int], ps: list[float]) -> dict[str, float]:
     out = {}
     constants._pair_walk = spy
     try:
-        for case, call in cases(wl, resolutions, ps).items():
-            if case.startswith("p="):
+        for case, call in cases(wl, resolutions, ps, drawn).items():
+            if case.startswith(("p=", "mix")):
                 seen[:] = [0, 0]
                 call()
                 out[case] = seen[0] / seen[1]
@@ -118,9 +148,9 @@ def timed(call) -> float:
     return min(_ab.probed(took, 5) for _ in range(3))
 
 
-def run(src: str, resolutions: list[int], ps: list[float]) -> dict[str, float]:
+def run(src: str, resolutions: list[int], ps: list[float], drawn: list) -> dict[str, float]:
     """Case name -> probe-normalised seconds, for the weightlab under src (one fresh interpreter's run)."""
-    return {case: timed(call) for case, call in cases(load(src, "weightlab"), resolutions, ps).items()}
+    return {case: timed(call) for case, call in cases(load(src, "weightlab"), resolutions, ps, drawn).items()}
 
 
 def main() -> int:
@@ -129,10 +159,12 @@ def main() -> int:
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--resolutions", default="401,1201,1601,2001")
     parser.add_argument("--p", default="2,2.37", help="p of rhp and ap; 2 takes numpy's sqrt and identity paths")
+    parser.add_argument("--mix", type=int, default=0, help="seeded four-constant reports per resolution")
     parser.add_argument("--one-interpreter", action="store_true",
                         help="load every tree into this interpreter and alternate them case by case")
     args = parser.parse_args()
-    sizes = ([int(v) for v in args.resolutions.split(",")], [float(v) for v in args.p.split(",")])
+    resolutions = [int(v) for v in args.resolutions.split(",")]
+    sizes = (resolutions, [float(v) for v in args.p.split(",")], mix(args.mix, resolutions))
     with _ab.laid_out(args.src) as roots:
         if args.one_interpreter:
             calls = [cases(load(str(root), f"weightlab_{k}"), *sizes) for k, root in enumerate(roots)]
